@@ -19,10 +19,11 @@
 
     Like {!Obs}, the tables are {e per-domain}: each domain reads and
     writes its own shard (held in [Domain.DLS]), so workers spawned by
-    {!Par} never contend and never need a lock.  {!Worker} mirrors
-    [Obs.Worker]: a parallel runner gives every task a fresh shard and
-    folds what the task cached back into the caller's shard at join,
-    in slot order, so the merged cache state is deterministic.
+    {!Par} never contend and never need a lock.  {!sink} mirrors
+    {!Obs.sink}: a parallel runner gives every worker slot fresh
+    shards for its whole drain loop and folds what the slot cached
+    back into the caller's shards at join, in slot order, so the
+    merged cache state is deterministic.
 
     An optional on-disk format ({!save} / {!load}) persists the tables
     across CLI invocations.  The format is versioned and checksummed;
@@ -109,25 +110,17 @@ end
 
 (** {1 Parallel workers} *)
 
-module Worker : sig
-  type snapshot
-  (** What one captured task inserted; empty (and free) when the cache
-      was disabled during the capture. *)
+val sink : Obs.Sink.t
+(** Runs a worker slot with a fresh, empty shard per table for the
+    current domain and restores the previous shards afterwards; if the
+    slot raises, its insertions are dropped.  The merge folds the
+    slot's shards into the current domain's: entries are replayed
+    oldest-first through the normal insertion path (capacity and
+    eviction included) and the hit/miss/eviction tallies are summed.
+    Merging in slot order keeps the caller's shards deterministic.
 
-  val capture : (unit -> 'a) -> 'a * snapshot
-  (** Run the thunk with a fresh, empty shard per table for the
-      current domain, restoring the previous shards afterwards.
-      Mirrors [Obs.Worker.capture], and {!Par} calls both at the same
-      point.  If the thunk raises, the insertions are dropped and the
-      exception propagates. *)
-
-  val merge : snapshot -> unit
-  (** Fold a snapshot into the current domain's shards: entries are
-      replayed oldest-first through the normal insertion path
-      (capacity and eviction included) and the hit/miss/eviction
-      tallies are summed.  Merging in slot order keeps the caller's
-      shard deterministic. *)
-end
+    Because the shards start empty, a worker never reads what the
+    caller had cached before the parallel run. *)
 
 (** {1 Persistence}
 

@@ -35,24 +35,6 @@ let make ?jobs ?(cache_on = false) ?(faults = "") ?(git_rev = "")
 (* JSON writing                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = "\"" ^ json_escape s ^ "\""
-
 let json_num v =
   if Float.is_finite v then
     if Float.is_integer v && Float.abs v < 1e15 then
@@ -63,9 +45,9 @@ let json_num v =
 let to_line r =
   Printf.sprintf
     "{\"v\":%d,\"experiment\":%s,\"metric\":%s,\"value\":%s,\"jobs\":%s,\"cache\":%b,\"faults\":%s,\"rev\":%s,\"ts\":%s}"
-    r.version (json_str r.experiment) (json_str r.metric) (json_num r.value)
+    r.version (Json.str r.experiment) (Json.str r.metric) (json_num r.value)
     (match r.jobs with None -> "null" | Some j -> string_of_int j)
-    r.cache_on (json_str r.faults) (json_str r.git_rev) (json_str r.timestamp)
+    r.cache_on (Json.str r.faults) (Json.str r.git_rev) (Json.str r.timestamp)
 
 (* ------------------------------------------------------------------ *)
 (* JSON reading (minimal recursive-descent parser)                     *)

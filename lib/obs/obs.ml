@@ -5,8 +5,8 @@
 
    Each domain records into its own collector (held in [Domain.DLS]),
    so parallel workers spawned by [Par] never contend on the
-   registries; [Worker.capture] gives a task a fresh collector and
-   [Worker.merge] folds it back into the caller's registry at join. *)
+   registries; [sink] gives a worker slot a fresh collector and folds
+   it back into the caller's registry at join. *)
 
 (* ------------------------------------------------------------------ *)
 (* Clock                                                               *)
@@ -175,33 +175,7 @@ let point name ~ts v =
 (* JSON helpers                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = "\"" ^ json_escape s ^ "\""
-
-(* JSON floats: [Printf %g] can print [inf]/[nan], which are not JSON;
-   clamp them to null-safe zero (metrics should never produce them). *)
-let json_float v =
-  if Float.is_finite v then Printf.sprintf "%.3f" v else "0.000"
-
-let json_obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> json_str k ^ ":" ^ v) fields) ^ "}"
-
-let args_obj args = json_obj (List.map (fun (k, v) -> (k, json_str v)) args)
+let args_obj args = Json.obj (List.map (fun (k, v) -> (k, Json.str v)) args)
 
 let sorted_bindings tbl =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
@@ -211,13 +185,13 @@ let sorted_bindings tbl =
 (* ------------------------------------------------------------------ *)
 
 let span_event (s : span) =
-  json_obj
+  Json.obj
     [
-      ("name", json_str s.span_name);
-      ("cat", json_str "obs");
-      ("ph", json_str "X");
-      ("ts", json_float s.ts_us);
-      ("dur", json_float s.dur_us);
+      ("name", Json.str s.span_name);
+      ("cat", Json.str "obs");
+      ("ph", Json.str "X");
+      ("ts", Json.float s.ts_us);
+      ("dur", Json.float s.dur_us);
       ("pid", "1");
       ("tid", "1");
       ("args", args_obj (("depth", string_of_int s.depth) :: s.args));
@@ -226,23 +200,23 @@ let span_event (s : span) =
 (* Time-series points live on their own pid so the viewer draws them
    as counter tracks below the span flame graph. *)
 let point_event (p : series_point) =
-  json_obj
+  Json.obj
     [
-      ("name", json_str p.point_name);
-      ("ph", json_str "C");
-      ("ts", json_float p.point_ts);
+      ("name", Json.str p.point_name);
+      ("ph", Json.str "C");
+      ("ts", Json.float p.point_ts);
       ("pid", "2");
-      ("args", json_obj [ ("value", json_float p.value) ]);
+      ("args", Json.obj [ ("value", Json.float p.value) ]);
     ]
 
 let counter_event ~ts name v =
-  json_obj
+  Json.obj
     [
-      ("name", json_str name);
-      ("ph", json_str "C");
-      ("ts", json_float ts);
+      ("name", Json.str name);
+      ("ph", Json.str "C");
+      ("ts", Json.float ts);
       ("pid", "1");
-      ("args", json_obj [ ("value", string_of_int v) ]);
+      ("args", Json.obj [ ("value", string_of_int v) ]);
     ]
 
 let chrome_trace () =
@@ -269,12 +243,12 @@ let jsonl () =
   List.iter
     (fun (s : span) ->
       line
-        (json_obj
+        (Json.obj
            ([
-              ("type", json_str "span");
-              ("name", json_str s.span_name);
-              ("ts_us", json_float s.ts_us);
-              ("dur_us", json_float s.dur_us);
+              ("type", Json.str "span");
+              ("name", Json.str s.span_name);
+              ("ts_us", Json.float s.ts_us);
+              ("dur_us", Json.float s.dur_us);
               ("depth", string_of_int s.depth);
             ]
            @ if s.args = [] then [] else [ ("args", args_obj s.args) ])))
@@ -282,37 +256,37 @@ let jsonl () =
   List.iter
     (fun (p : series_point) ->
       line
-        (json_obj
+        (Json.obj
            [
-             ("type", json_str "point");
-             ("name", json_str p.point_name);
-             ("ts", json_float p.point_ts);
-             ("value", json_float p.value);
+             ("type", Json.str "point");
+             ("name", Json.str p.point_name);
+             ("ts", Json.float p.point_ts);
+             ("value", Json.float p.value);
            ]))
     (List.rev c.point_log);
   List.iter
     (fun (k, v) ->
       line
-        (json_obj
-           [ ("type", json_str "counter"); ("name", json_str k); ("value", string_of_int v) ]))
+        (Json.obj
+           [ ("type", Json.str "counter"); ("name", Json.str k); ("value", string_of_int v) ]))
     (sorted_bindings c.counters);
   List.iter
     (fun (k, v) ->
       line
-        (json_obj
-           [ ("type", json_str "gauge"); ("name", json_str k); ("value", json_float v) ]))
+        (Json.obj
+           [ ("type", Json.str "gauge"); ("name", Json.str k); ("value", Json.float v) ]))
     (sorted_bindings c.gauges);
   List.iter
     (fun (k, (h : histogram)) ->
       line
-        (json_obj
+        (Json.obj
            [
-             ("type", json_str "histogram");
-             ("name", json_str k);
+             ("type", Json.str "histogram");
+             ("name", Json.str k);
              ("count", string_of_int h.count);
-             ("sum", json_float h.sum);
-             ("min", json_float h.min_v);
-             ("max", json_float h.max_v);
+             ("sum", Json.float h.sum);
+             ("min", Json.float h.min_v);
+             ("max", Json.float h.max_v);
            ]))
     (sorted_bindings c.histos);
   Buffer.contents buf
@@ -332,43 +306,38 @@ let span_aggregates () =
 
 let metrics_json () =
   let c = cur () in
-  let field_list to_json tbl_bindings =
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> json_str k ^ ":" ^ to_json v) tbl_bindings)
-    ^ "}"
+  let field_list to_json bindings =
+    Json.obj (List.map (fun (k, v) -> (k, to_json v)) bindings)
   in
-  json_obj
+  Json.obj
     [
       ("counters", field_list string_of_int (sorted_bindings c.counters));
-      ("gauges", field_list json_float (sorted_bindings c.gauges));
+      ("gauges", field_list Json.float (sorted_bindings c.gauges));
       ( "histograms",
-        "{"
-        ^ String.concat ","
-            (List.map
-               (fun (k, (h : histogram)) ->
-                 let xs = histo_array c k in
-                 json_str k ^ ":"
-                 ^ json_obj
-                     [
-                       ("count", string_of_int h.count);
-                       ("sum", json_float h.sum);
-                       ("min", json_float h.min_v);
-                       ("max", json_float h.max_v);
-                       ("p50", json_float (Telemetry.percentile xs 50.0));
-                       ("p95", json_float (Telemetry.percentile xs 95.0));
-                       ("p99", json_float (Telemetry.percentile xs 99.0));
-                     ])
-               (sorted_bindings c.histos))
-        ^ "}" );
+        Json.obj
+          (List.map
+             (fun (k, (h : histogram)) ->
+               let xs = histo_array c k in
+               ( k,
+                 Json.obj
+                   [
+                     ("count", string_of_int h.count);
+                     ("sum", Json.float h.sum);
+                     ("min", Json.float h.min_v);
+                     ("max", Json.float h.max_v);
+                     ("p50", Json.float (Telemetry.percentile xs 50.0));
+                     ("p95", Json.float (Telemetry.percentile xs 95.0));
+                     ("p99", Json.float (Telemetry.percentile xs 99.0));
+                   ] ))
+             (sorted_bindings c.histos)) );
       ( "spans",
         field_list
           (fun (n, tot, mx) ->
-            json_obj
+            Json.obj
               [
                 ("count", string_of_int n);
-                ("total_us", json_float tot);
-                ("max_us", json_float mx);
+                ("total_us", Json.float tot);
+                ("max_us", Json.float mx);
               ])
           (span_aggregates ()) );
     ]
@@ -425,75 +394,64 @@ let pp_summary ppf () =
 (* Parallel workers                                                    *)
 (* ------------------------------------------------------------------ *)
 
-module Worker = struct
-  (* [collected = None] when recording was disabled during the capture:
-     there is nothing to merge and [merge] is a no-op. *)
-  type snapshot = { worker_id : int; collected : collector option }
+(* Fold a worker's collector [w] into the current domain's: both logs
+   are kept in reverse order, so rev_map + rev_append keeps the
+   worker's internal ordering and places its events after everything
+   already recorded here. *)
+let absorb ~worker w =
+  let c = cur () in
+  let tag = ("worker", string_of_int worker) in
+  c.span_log <-
+    List.rev_append
+      (List.rev_map (fun s -> { s with args = tag :: s.args }) w.span_log)
+      c.span_log;
+  c.point_log <- List.rev_append (List.rev w.point_log) c.point_log;
+  Hashtbl.iter
+    (fun k v ->
+      Hashtbl.replace c.counters k
+        (v + Option.value ~default:0 (Hashtbl.find_opt c.counters k)))
+    w.counters;
+  Hashtbl.iter (fun k v -> Hashtbl.replace c.gauges k v) w.gauges;
+  Hashtbl.iter
+    (fun k (h : histogram) ->
+      let merged =
+        match Hashtbl.find_opt c.histos k with
+        | None -> h
+        | Some g ->
+          {
+            count = g.count + h.count;
+            sum = g.sum +. h.sum;
+            min_v = min g.min_v h.min_v;
+            max_v = max g.max_v h.max_v;
+          }
+      in
+      Hashtbl.replace c.histos k merged)
+    w.histos;
+  Hashtbl.iter
+    (fun k samples ->
+      Hashtbl.replace c.histo_samples k
+        (samples @ Option.value ~default:[] (Hashtbl.find_opt c.histo_samples k)))
+    w.histo_samples
 
-  let capture ~worker f =
-    if not !enabled_flag then
-      let v = f () in
-      (v, { worker_id = worker; collected = None })
-    else begin
-      let fresh = new_collector () in
-      let prev = cur () in
-      Domain.DLS.set collector_key fresh;
-      match f () with
-      | v ->
-        Domain.DLS.set collector_key prev;
-        (v, { worker_id = worker; collected = Some fresh })
-      | exception e ->
-        Domain.DLS.set collector_key prev;
-        raise e
-    end
-
-  let merge { worker_id; collected } =
-    match collected with
-    | None -> ()
-    | Some w ->
-      let c = cur () in
-      let tag = ("worker", string_of_int worker_id) in
-      (* both logs are kept in reverse order; rev_map + rev_append keeps
-         the worker's internal ordering and places its events after
-         everything already recorded here *)
-      c.span_log <-
-        List.rev_append
-          (List.rev_map (fun s -> { s with args = tag :: s.args }) w.span_log)
-          c.span_log;
-      c.point_log <- List.rev_append (List.rev w.point_log) c.point_log;
-      Hashtbl.iter
-        (fun k v ->
-          Hashtbl.replace c.counters k
-            (v + Option.value ~default:0 (Hashtbl.find_opt c.counters k)))
-        w.counters;
-      Hashtbl.iter (fun k v -> Hashtbl.replace c.gauges k v) w.gauges;
-      Hashtbl.iter
-        (fun k (h : histogram) ->
-          let merged =
-            match Hashtbl.find_opt c.histos k with
-            | None -> h
-            | Some g ->
-              {
-                count = g.count + h.count;
-                sum = g.sum +. h.sum;
-                min_v = min g.min_v h.min_v;
-                max_v = max g.max_v h.max_v;
-              }
-          in
-          Hashtbl.replace c.histos k merged)
-        w.histos;
-      Hashtbl.iter
-        (fun k samples ->
-          Hashtbl.replace c.histo_samples k
-            (samples
-            @ Option.value ~default:[] (Hashtbl.find_opt c.histo_samples k)))
-        w.histo_samples
-end
+let sink : Sink.t =
+  {
+    name = "obs";
+    capture =
+      (fun ~worker f ->
+        if not !enabled_flag then (f (), ignore)
+        else begin
+          let fresh = new_collector () in
+          let v = Sink.with_dls collector_key fresh f in
+          (v, fun () -> absorb ~worker fresh)
+        end);
+  }
 
 (* ------------------------------------------------------------------ *)
-(* Companion sinks                                                     *)
+(* Companion modules                                                   *)
 (* ------------------------------------------------------------------ *)
 
+module Json = Json
+module Sink = Sink
 module Telemetry = Telemetry
 module Benchstore = Benchstore
 module Profile = Profile

@@ -23,9 +23,9 @@
     be reachable from every layer without threading a handle through
     each signature.  Since the parallel runtime ({!Par}) arrived, that
     state is {e per-domain}: each domain records into its own
-    collector, so concurrent workers never contend, and {!Worker}
-    below lets a parallel runner give every task a fresh collector and
-    fold it back into the caller's registry at join.  Within one
+    collector, so concurrent workers never contend, and {!sink} below
+    lets a parallel runner give every worker slot a fresh collector
+    and fold it back into the caller's registry at join.  Within one
     domain the module remains single-threaded, like the rest of the
     code base. *)
 
@@ -38,9 +38,6 @@ val set_clock : (unit -> float) -> unit
     install [Unix.gettimeofday] for real wall-clock spans, and tests
     install a deterministic fake.  Forwards to {!Profile.set_clock},
     so spans and scheduler profiles always share one clock. *)
-
-val now_us : unit -> float
-(** Current time in microseconds according to the installed clock. *)
 
 (** {1 Enabling} *)
 
@@ -143,44 +140,29 @@ val pp_summary : Format.formatter -> unit -> unit
     duration), then counters, gauges and histograms, all sorted by
     name.  This is what [resopt-cli ... --stats] prints. *)
 
-(** {1 Parallel workers}
+(** {1 Parallel workers} *)
 
-    Isolation + merge, the contract {!Par} relies on so that
-    [--trace]/[--stats] stay correct under parallel execution: a task
-    records into a fresh collector while it runs on a worker domain,
-    and the parallel runner folds every task's recordings back into
-    the calling domain's registry once the workers have drained. *)
+val sink : Sink.t
+(** Isolation + merge, the contract {!Par} relies on so that
+    [--trace]/[--stats] stay correct under parallel execution: a worker
+    slot records into a fresh collector, and the merge folds it into
+    the {e current} domain's registry.  Spans and points are appended
+    (keeping their internal order) and every merged span gains a
+    [("worker", <slot>)] arg; counters and histograms are summed;
+    gauges take the worker's value.  Merging in slot order keeps the
+    registry deterministic. *)
 
-module Worker : sig
-  type snapshot
-  (** What one captured task recorded; empty (and free) when recording
-      was disabled during the capture. *)
+(** {1 Companion modules}
 
-  val capture : worker:int -> (unit -> 'a) -> 'a * snapshot
-  (** [capture ~worker f] runs [f ()] against a fresh collector for
-      the current domain and returns what it recorded, restoring the
-      previous collector afterwards.  [worker] is a free-form slot
-      index; every captured span gains a [("worker", <id>)] arg when
-      the snapshot is merged.  If [f] raises, the recordings are
-      dropped and the exception propagates.  When recording is
-      disabled this is just [f ()]. *)
+    The shared JSON writer ({!Json}), the per-domain sink shape
+    ({!Sink}), deep network telemetry ({!Telemetry}), benchmark
+    history + regression comparison ({!Benchstore}) and the
+    parallel-scheduler profiler ({!Profile}); all dependency-free and,
+    like the rest of the module, zero-cost until explicitly enabled or
+    called. *)
 
-  val merge : snapshot -> unit
-  (** Fold a snapshot into the {e current} domain's registry: spans
-      and points are appended (keeping their internal order), counters
-      and histograms are summed, gauges take the snapshot's value.
-      Call it from the coordinating domain after the worker has
-      finished — snapshots are plain values, so merging in slot order
-      keeps the registry deterministic. *)
-end
-
-(** {1 Companion sinks}
-
-    Deep network telemetry ({!Telemetry}), benchmark history +
-    regression comparison ({!Benchstore}) and the parallel-scheduler
-    profiler ({!Profile}); all dependency-free and, like the rest of
-    the module, zero-cost until explicitly enabled or called. *)
-
+module Json = Json
+module Sink = Sink
 module Telemetry = Telemetry
 module Benchstore = Benchstore
 module Profile = Profile

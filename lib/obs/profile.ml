@@ -97,23 +97,10 @@ let note_pool ~jobs ~width =
 
 let with_worker slot f =
   if not !enabled_flag then f ()
-  else begin
-    let ctx = Domain.DLS.get ctx_key in
-    let saved_worker = ctx.worker and saved_stack = ctx.stack in
-    ctx.worker <- slot;
-    ctx.stack <- [];
-    let restore () =
-      ctx.worker <- saved_worker;
-      ctx.stack <- saved_stack
-    in
-    match f () with
-    | v ->
-      restore ();
-      v
-    | exception e ->
-      restore ();
-      raise e
-  end
+  else Sink.with_dls ctx_key { worker = slot; stack = [] } f
+
+let sink : Sink.t =
+  { name = "profile"; capture = (fun ~worker f -> (with_worker worker f, ignore)) }
 
 let task ?(index = -1) ?(size = 1) label f =
   if not !enabled_flag then f ()
@@ -515,41 +502,21 @@ let collapsed () =
        (fun (k, v) -> Printf.sprintf "%s %.0f\n" k v)
        (List.sort compare lines))
 
-(* Minimal JSON helpers, duplicated from obs.ml on purpose: obs.ml
-   links against this module, not the other way around. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = "\"" ^ json_escape s ^ "\""
-
-let json_float v = if Float.is_finite v then Printf.sprintf "%.3f" v else "0.000"
-
 let chrome_events () =
   let task_event t =
     Printf.sprintf
       "{\"name\":%s,\"cat\":\"profile\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":3,\"tid\":%d,\"args\":{\"stack\":%s,\"index\":%d,\"size\":%d,\"minor\":%d,\"major\":%d,\"promoted\":%s}}"
-      (json_str
+      (Json.str
          (match List.rev t.t_stack with top :: _ -> top | [] -> "task"))
-      (json_float t.t_start_us) (json_float t.t_dur_us) t.t_worker
-      (json_str (String.concat ";" t.t_stack))
+      (Json.float t.t_start_us) (Json.float t.t_dur_us) t.t_worker
+      (Json.str (String.concat ";" t.t_stack))
       t.t_index t.t_size t.t_minor t.t_major
-      (json_float t.t_promoted)
+      (Json.float t.t_promoted)
   in
   let lifecycle_event e =
     Printf.sprintf
       "{\"name\":%s,\"cat\":\"profile.lifecycle\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":3,\"tid\":%d,\"args\":{}}"
-      (json_str e.e_kind) (json_float e.e_start_us) (json_float e.e_dur_us)
+      (Json.str e.e_kind) (Json.float e.e_start_us) (Json.float e.e_dur_us)
       e.e_worker
   in
   List.map task_event (tasks ()) @ List.map lifecycle_event (events ())

@@ -59,6 +59,11 @@ val with_worker : int -> (unit -> 'a) -> 'a
     inside carry it.  The default worker id is 0, so sequential code
     profiles as slot 0 without any wrapping. *)
 
+val sink : Sink.t
+(** {!with_worker} as a {!Sink.t}: the worker slot is the only
+    per-domain state this module keeps, and records already live in
+    one shared store, so the merge does nothing. *)
+
 val task : ?index:int -> ?size:int -> string -> (unit -> 'a) -> 'a
 (** [task label f] runs [f] and records one task: the ambient worker,
     the label stack ([task] nests — an inner task's stack includes the
@@ -71,8 +76,10 @@ val task : ?index:int -> ?size:int -> string -> (unit -> 'a) -> 'a
 
 val event : string -> (unit -> 'a) -> 'a
 (** [event kind f] — like {!task} but for pool lifecycle work that is
-    not task execution: [kind] is ["spawn"], ["merge.obs"],
-    ["merge.cache"] or ["teardown"].  No GC accounting, no stack. *)
+    not task execution: [kind] is ["spawn"], ["teardown"] or
+    ["merge." ^ name] for each {!Sink.t} that {!Par} merges
+    (["merge.obs"], ["merge.cache"], ...).  No GC accounting, no
+    stack. *)
 
 (** {1 Recorded data} *)
 

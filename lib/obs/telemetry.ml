@@ -67,6 +67,24 @@ let runs () = List.rev !(Domain.DLS.get runs_key)
 let last_run () =
   match !(Domain.DLS.get runs_key) with [] -> None | r :: _ -> Some r
 
+(* A worker records into a fresh list; the merge puts its runs after
+   the ones already recorded on the merging domain. *)
+let sink : Sink.t =
+  {
+    name = "telemetry";
+    capture =
+      (fun ~worker:_ f ->
+        if not !enabled_flag then (f (), ignore)
+        else begin
+          let fresh = ref [] in
+          let v = Sink.with_dls runs_key fresh f in
+          ( v,
+            fun () ->
+              let runs = Domain.DLS.get runs_key in
+              runs := !fresh @ !runs )
+        end);
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Analysis                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -259,35 +277,13 @@ let render_ascii run =
 (* JSON + HTML dashboard                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* '<' is escaped too so the payload can sit inside a <script> block. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '<' -> Buffer.add_string buf "\\u003c"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_str s = "\"" ^ json_escape s ^ "\""
-
-let json_float v = if Float.is_finite v then Printf.sprintf "%.3f" v else "0.000"
-
 let pct_obj xs =
   Printf.sprintf "{\"p50\":%s,\"p95\":%s,\"p99\":%s,\"min\":%s,\"max\":%s,\"count\":%d}"
-    (json_float (percentile xs 50.0))
-    (json_float (percentile xs 95.0))
-    (json_float (percentile xs 99.0))
-    (json_float (percentile xs 0.0))
-    (json_float (percentile xs 100.0))
+    (Json.float (percentile xs 50.0))
+    (Json.float (percentile xs 95.0))
+    (Json.float (percentile xs 99.0))
+    (Json.float (percentile xs 0.0))
+    (Json.float (percentile xs 100.0))
     (Array.length xs)
 
 let outcome_str = function
@@ -300,7 +296,7 @@ let message_json m =
     "{\"src\":%d,\"dst\":%d,\"bytes\":%d,\"injected\":%d,\"finished\":%d,\"hops\":%d,\"queue_wait\":%d,\"retransmits\":%d,\"outcome\":%s}"
     m.msg_src m.msg_dst m.msg_bytes m.injected_at m.finished_at m.hops
     m.queue_wait m.retransmits
-    (json_str (outcome_str m.outcome))
+    (Json.str (outcome_str m.outcome))
 
 let link_json l =
   Printf.sprintf
@@ -310,7 +306,7 @@ let link_json l =
 
 let event_json e =
   Printf.sprintf "{\"cycle\":%d,\"kind\":%s,\"msg\":%d}" e.ev_cycle
-    (json_str e.ev_kind) e.ev_msg
+    (Json.str e.ev_kind) e.ev_msg
 
 (* The dashboard never needs more than a bounded sample of the raw
    per-message and per-event rows; the aggregates are always exact. *)
@@ -321,13 +317,13 @@ let bounded l = List.filteri (fun i _ -> i < max_embedded) l
 let run_json run =
   Printf.sprintf
     "{\"sim\":%s,\"label\":%s,\"dims\":[%s],\"torus\":%b%s,\"cycles\":%d,\"faults\":%s,\"summary\":{\"messages\":%d,\"delivered\":%d,\"dropped\":%d,\"unreachable\":%d,\"retransmits\":%d,\"latency\":%s,\"queue_wait\":%s,\"link_gini\":%s},\"links\":[%s],\"messages\":[%s],\"events\":[%s]}"
-    (json_str run.sim) (json_str run.label)
+    (Json.str run.sim) (Json.str run.label)
     (String.concat "," (Array.to_list (Array.map string_of_int run.dims)))
     run.torus
     (if run.topo_spec = "" then ""
-     else ",\"topo\":" ^ json_str run.topo_spec)
+     else ",\"topo\":" ^ Json.str run.topo_spec)
     run.total_cycles
-    (json_str run.fault_spec)
+    (Json.str run.fault_spec)
     (List.length run.messages)
     (count_outcome run Delivered)
     (count_outcome run Dropped)
@@ -335,14 +331,19 @@ let run_json run =
     (total_retransmits run)
     (pct_obj (latencies run))
     (pct_obj (queue_waits run))
-    (json_float (gini (link_loads run)))
+    (Json.float (gini (link_loads run)))
     (String.concat "," (List.map link_json run.links))
     (String.concat "," (List.map message_json (bounded run.messages)))
     (String.concat "," (List.map event_json (bounded run.events)))
 
+(* A '<' in the payload can only sit inside a JSON string, where
+   \u003c means the same; rewriting every one keeps a label such as
+   "</script>" from closing the <script> block the payload lives in. *)
 let render_html ?extra runs =
   let payload =
-    "{\"runs\":[" ^ String.concat "," (List.map run_json runs) ^ "]}"
+    String.concat "\\u003c"
+      (String.split_on_char '<'
+         ("{\"runs\":[" ^ String.concat "," (List.map run_json runs) ^ "]}"))
   in
   String.concat "\n"
     ([

@@ -12,7 +12,8 @@
     external assets).
 
     Like {!Obs} the module is dependency-free, keeps one collector per
-    domain (so {!Par} workers never contend) and is off by default:
+    domain (so {!Par} workers never contend; {!sink} merges a worker's
+    runs back in slot order at join) and is off by default:
     until {!enable} is called the simulators skip every recording
     branch, so a telemetry-off run is byte-identical to a build
     without this module. *)
@@ -81,6 +82,10 @@ val runs : unit -> run list
 
 val last_run : unit -> run option
 
+val sink : Sink.t
+(** Isolates a {!Par} worker's runs in a fresh list; the merge appends
+    them, oldest first, after the runs of the merging domain. *)
+
 (** {1 Analysis} *)
 
 val percentile : float array -> float -> float
@@ -92,13 +97,6 @@ val gini : float array -> float
 (** Gini coefficient of a non-negative distribution (0 = perfectly
     even, → 1 = concentrated on one element); 0.0 when empty or all
     zero.  The per-link load balance measure of the report. *)
-
-val latencies : run -> float array
-(** Inject-to-deliver cycles of the delivered, actually-injected
-    messages. *)
-
-val queue_waits : run -> float array
-(** Queue-wait cycles of the injected messages. *)
 
 val link_loads : run -> float array
 (** The per-link load measure the report aggregates: busy cycles for
@@ -119,10 +117,6 @@ val render_ascii : run -> string
     queue-wait percentiles (p50/p95/p99), link-load Gini and the link
     heatmap. *)
 
-val run_json : run -> string
-(** One run as a self-contained JSON object (summary percentiles
-    included) — the payload embedded in the HTML dashboard. *)
-
 val render_html : ?extra:string -> run list -> string
 (** A single-file HTML dashboard over the given runs: the JSON payload
     is embedded in a [<script type="application/json"
@@ -131,4 +125,5 @@ val render_html : ?extra:string -> run list -> string
     [extra] is a caller-supplied HTML fragment inserted right under
     the page title (the [report --net --bounds] efficiency panel);
     omitting it produces byte-identical output to before the parameter
-    existed. *)
+    existed.  Every ['<'] in the payload is written as [\u003c], so a
+    label such as ["</script>"] cannot end the script block early. *)

@@ -170,6 +170,21 @@ end
 (* Deterministic task fan-out                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Every piece of per-domain state a worker slot has, and the one
+   place a new one is added.  A slot runs its whole drain loop inside
+   each sink's capture, the first sink outermost; the merges run on
+   the caller after the join, slot by slot, in list order. *)
+let sinks = [ Obs.sink; Cache.sink; Obs.Telemetry.sink; Obs.Profile.sink ]
+
+let capture_all ~worker f =
+  List.fold_right
+    (fun (s : Obs.Sink.t) inner () ->
+      let (v, merges), merge = s.capture ~worker inner in
+      (v, (s.name, merge) :: merges))
+    sinks
+    (fun () -> (f (), []))
+    ()
+
 (* Run [n] independent tasks.  [task i] must write any result into
    slot [i] of a caller-owned array, which makes the output layout a
    function of the input alone.  Indices are handed out in chunks
@@ -203,40 +218,32 @@ let run_tasks pool n task =
       in
       retry ()
     in
-    let snapshots = Array.make slots None in
+    let merges = Array.make slots [] in
     Pool.run pool (fun slot ->
-        let ((), cache_snap), obs_snap =
-          Obs.Worker.capture ~worker:slot (fun () ->
-              Cache.Worker.capture (fun () ->
-                  Obs.Profile.with_worker slot (fun () ->
-                      let rec drain () =
-                        let start = Atomic.fetch_and_add next chunk in
-                        if start < n then begin
-                          let stop = min n (start + chunk) in
-                          Obs.Profile.task "chunk" ~index:start
-                            ~size:(stop - start) (fun () ->
-                              for i = start to stop - 1 do
-                                try task i
-                                with e ->
-                                  record i e (Printexc.get_raw_backtrace ())
-                              done);
-                          drain ()
-                        end
-                      in
-                      drain ())))
+        let (), slot_merges =
+          capture_all ~worker:slot (fun () ->
+              let rec drain () =
+                let start = Atomic.fetch_and_add next chunk in
+                if start < n then begin
+                  let stop = min n (start + chunk) in
+                  Obs.Profile.task "chunk" ~index:start ~size:(stop - start)
+                    (fun () ->
+                      for i = start to stop - 1 do
+                        try task i
+                        with e -> record i e (Printexc.get_raw_backtrace ())
+                      done);
+                  drain ()
+                end
+              in
+              drain ())
         in
-        snapshots.(slot) <- Some (obs_snap, cache_snap));
+        merges.(slot) <- slot_merges);
     (* join happened inside [Pool.run]; merge in slot order so the
-       parent registry and memo shards are deterministic, then
-       re-raise *)
+       parent state of every sink is deterministic, then re-raise *)
     Array.iter
-      (function
-        | Some (obs_snap, cache_snap) ->
-          Obs.Profile.event "merge.obs" (fun () -> Obs.Worker.merge obs_snap);
-          Obs.Profile.event "merge.cache" (fun () ->
-              Cache.Worker.merge cache_snap)
-        | None -> ())
-      snapshots;
+      (List.iter (fun (name, merge) ->
+           Obs.Profile.event ("merge." ^ name) merge))
+      merges;
     match Atomic.get err with
     | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ()

@@ -17,18 +17,20 @@
     input is re-raised (with its backtrace) after all workers drain —
     again independent of scheduling.
 
-    Observability composes: each worker slot runs its tasks under
-    {!Obs.Worker.capture}, and the snapshots are merged into the
-    calling domain's registry in slot order at join.  Counter and
-    histogram totals therefore match a sequential run, and every span
-    recorded inside a task carries a [("worker", <slot>)] arg.
-
-    Memoization composes the same way: each slot also runs under
-    {!Cache.Worker.capture}, so workers fill fresh per-task shards
-    that are folded back into the caller's shards in slot order at
-    join — the caller's cache state after a parallel run is
-    deterministic, and the [cache.*] counters still satisfy
-    [hits + misses = lookups] after the merge.
+    Observability and memoization compose through one list of sinks
+    ({!Obs.Sink.t}): {!Obs.sink}, {!Cache.sink}, {!Obs.Telemetry.sink}
+    and {!Obs.Profile.sink}.  Each worker slot runs its whole drain
+    loop inside every sink's capture, so a slot — not a task — gets
+    one fresh collector, fresh memo shards and a fresh telemetry run
+    list.  At join the caller runs the merges slot by slot, in list
+    order, each as a ["merge." ^ name] {!Obs.Profile.event}.  Counter
+    and histogram totals therefore match a sequential run, every span
+    recorded inside a task carries a [("worker", <slot>)] arg,
+    simulation runs recorded on workers land in
+    {!Obs.Telemetry.runs}, the caller's cache state after a parallel
+    run is deterministic, and the [cache.*] counters still satisfy
+    [hits + misses = lookups].  The list in [par.ml] is the one place
+    a new per-domain sink is added.
 
     Pools are coordinated from one domain at a time: do not share a
     pool between concurrent orchestrators, and do not call a

@@ -106,8 +106,8 @@ let test_worker_merge () =
   fresh @@ fun () ->
   let t = Cache.Memo.create ~name:"test.worker" ~schema:"v1" () in
   ignore (Cache.Memo.find_or_compute t ~key:"parent" (fun () -> 0));
-  let (), snap =
-    Cache.Worker.capture (fun () ->
+  let (), merge =
+    Cache.sink.capture ~worker:1 (fun () ->
         Alcotest.(check bool) "fresh shard inside" false
           (Cache.Memo.mem t "parent");
         ignore (Cache.Memo.find_or_compute t ~key:"w1" (fun () -> 1));
@@ -115,7 +115,7 @@ let test_worker_merge () =
   in
   Alcotest.(check bool) "parent restored" true (Cache.Memo.mem t "parent");
   Alcotest.(check bool) "not merged yet" false (Cache.Memo.mem t "w1");
-  Cache.Worker.merge snap;
+  merge ();
   Alcotest.(check bool) "w1 merged" true (Cache.Memo.mem t "w1");
   Alcotest.(check bool) "w2 merged" true (Cache.Memo.mem t "w2");
   let s = Cache.Memo.stats t in

@@ -269,6 +269,29 @@ let test_metrics_json () =
   valid_json "metrics_json" (Obs.metrics_json ());
   teardown ()
 
+(* The one escaper every lib/obs exporter shares.  '<' passes through:
+   the HTML dashboard rewrites it in its payload, not here. *)
+let test_json_escape_golden () =
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check string) (String.escaped input) expected
+        (Obs.Json.escape input))
+    [
+      ("\"", "\\\"");
+      ("\\", "\\\\");
+      ("\n", "\\n");
+      ("\r", "\\r");
+      ("\t", "\\t");
+      ("\x01", "\\u0001");
+      ("<", "<");
+      ("plain ASCII, 0-9 ~!", "plain ASCII, 0-9 ~!");
+    ];
+  Alcotest.(check string) "str quotes" "\"a\\\"b\"" (Obs.Json.str "a\"b");
+  Alcotest.(check string) "float" "1.500" (Obs.Json.float 1.5);
+  Alcotest.(check string) "non-finite float" "0.000" (Obs.Json.float Float.nan);
+  Alcotest.(check string) "obj" "{\"k\":1,\"q\\\"\":[]}"
+    (Obs.Json.obj [ ("k", "1"); ("q\"", "[]") ])
+
 let test_summary_nonempty () =
   record_some_activity ();
   let s = Format.asprintf "%a" Obs.pp_summary () in
@@ -469,6 +492,7 @@ let () =
           Alcotest.test_case "chrome trace JSON" `Quick test_chrome_trace_json;
           Alcotest.test_case "jsonl" `Quick test_jsonl_export;
           Alcotest.test_case "metrics json" `Quick test_metrics_json;
+          Alcotest.test_case "json escape golden" `Quick test_json_escape_golden;
           Alcotest.test_case "ascii summary" `Quick test_summary_nonempty;
           Alcotest.test_case "reset" `Quick test_reset;
         ] );

@@ -261,13 +261,63 @@ let test_obs_spans_gain_worker_arg () =
     spans;
   obs_teardown ()
 
+(* one small simulation per task, each run labelled with its input *)
+let sim_task i =
+  let topo = Machine.Topology.make ~torus:true [| 4; 4 |] in
+  ignore
+    (Machine.Eventsim.run ~label:(string_of_int i) topo
+       Machine.Eventsim.default_params
+       [ Machine.Message.make ~src:0 ~dst:(1 + (i mod 15)) ~bytes:(16 * (i + 1)) ])
+
 let test_obs_disabled_stays_silent () =
   Obs.reset ();
   Obs.disable ();
+  Obs.Telemetry.reset ();
+  Obs.Telemetry.disable ();
   (with_pool 4 @@ fun pool ->
-   ignore (Par.map pool (fun i -> Obs.incr "par.test.silent"; i) (List.init 8 Fun.id)));
+   ignore
+     (Par.map pool
+        (fun i ->
+          Obs.incr "par.test.silent";
+          sim_task i;
+          i)
+        (List.init 8 Fun.id)));
   Alcotest.(check int) "nothing recorded when disabled" 0
-    (Obs.counter "par.test.silent")
+    (Obs.counter "par.test.silent");
+  Alcotest.(check int) "no telemetry runs when disabled" 0
+    (List.length (Obs.Telemetry.runs ()))
+
+(* Runs recorded on worker domains are merged back after the runs the
+   caller already had; which slot ran which input depends on
+   scheduling, so the parallel runs are compared sorted by label. *)
+let telemetry_runs jobs =
+  Obs.Telemetry.reset ();
+  Obs.Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Telemetry.disable ();
+      Obs.Telemetry.reset ())
+    (fun () ->
+      sim_task (-1);
+      (with_pool jobs @@ fun pool ->
+       ignore (Par.map pool sim_task (List.init 16 Fun.id)));
+      match Obs.Telemetry.runs () with
+      | first :: rest ->
+        ( first.Obs.Telemetry.label,
+          List.sort
+            (fun a b -> compare a.Obs.Telemetry.label b.Obs.Telemetry.label)
+            rest )
+      | [] -> ("", []))
+
+let test_telemetry_merge () =
+  let label r = r.Obs.Telemetry.label in
+  let _, seq = telemetry_runs 1 in
+  let first, par = telemetry_runs 4 in
+  Alcotest.(check string) "caller's run stays first" "-1" first;
+  Alcotest.(check int) "all 16 runs kept at jobs 4" 16 (List.length par);
+  Alcotest.(check (list string)) "same labels as jobs 1" (List.map label seq)
+    (List.map label par);
+  Alcotest.(check bool) "same runs as jobs 1" true (seq = par)
 
 (* ------------------------------------------------------------------ *)
 
@@ -308,5 +358,6 @@ let () =
             test_obs_spans_gain_worker_arg;
           Alcotest.test_case "disabled stays silent" `Quick
             test_obs_disabled_stays_silent;
+          Alcotest.test_case "telemetry runs merge" `Quick test_telemetry_merge;
         ] );
     ]

@@ -232,6 +232,29 @@ let test_dashboard_html () =
         (Str.string_match (Str.regexp ".*\"sim\":\"eventsim\".*") payload 0
         && Str.string_match (Str.regexp ".*\"sim\":\"netsim\".*") payload 0))
 
+(* A label that would close the <script> block must come out as
+   \u003c escapes, and the payload must still end where its JSON does. *)
+let test_dashboard_script_safe () =
+  with_telemetry (fun () ->
+      let topo = Machine.Topology.make ~torus:true [| 4; 4 |] in
+      ignore
+        (Machine.Eventsim.run ~label:"a<b</script>" topo
+           Machine.Eventsim.default_params broadcast_msgs);
+      let html = Obs.Telemetry.render_html (Obs.Telemetry.runs ()) in
+      let payload = String.trim (extract_payload html) in
+      Alcotest.(check bool) "no raw '<' between the script tags" false
+        (String.contains payload '<');
+      Alcotest.(check bool) "label written with \\u003c" true
+        (try
+           ignore
+             (Str.search_forward
+                (Str.regexp_string "\"a\\u003cb\\u003c/script>\"")
+                payload 0);
+           true
+         with Not_found -> false);
+      Alcotest.(check int) "payload is one complete JSON value"
+        (String.length payload) (skip_json payload 0))
+
 (* ------------------------------------------------------------------ *)
 (* No observer effect: telemetry on/off gives identical results        *)
 (* ------------------------------------------------------------------ *)
@@ -501,7 +524,11 @@ let () =
             test_broadcast_report_golden;
         ] );
       ( "dashboard",
-        [ Alcotest.test_case "html embeds parseable JSON" `Quick test_dashboard_html ] );
+        [
+          Alcotest.test_case "html embeds parseable JSON" `Quick test_dashboard_html;
+          Alcotest.test_case "script-closing label escaped" `Quick
+            test_dashboard_script_safe;
+        ] );
       ( "observer",
         [ QCheck_alcotest.to_alcotest prop_no_observer_effect ] );
       ( "benchstore",
