@@ -263,7 +263,7 @@ let fig8 () =
         Distrib.Redistribute.break_even par ~vgrid:[| 840; 8 |]
           ~from_layout:[| Distrib.Layout.Block; Distrib.Layout.Block |]
           ~to_layout:[| Distrib.Layout.Grouped k; Distrib.Layout.Block |]
-          ~flow:uk ()
+          ~flow:uk
       with
       | Some n -> Format.printf "  k=%d: pays off after %d repetitions@." k n
       | None -> Format.printf "  k=%d: grouped never wins here@." k)
@@ -594,8 +594,9 @@ let eventsim () =
   let topo = par.Machine.Models.topo in
   let vgrid = [| 64; 32 |] in
   let layout = Distrib.Layout.all_cyclic 2 in
-  let place v = Distrib.Layout.place layout ~vgrid ~topo v in
-  let msgs flow = Machine.Patterns.affine_messages ~vgrid ~flow ~bytes:8 ~place () in
+  let msgs flow =
+    Resopt.Residual.messages (Resopt.Residual.make ~vgrid ~bytes:8 topo [ flow ])
+  in
   let p = Machine.Eventsim.default_params in
   let closed_direct =
     (Distrib.Foldsim.time ~coalesce:false par ~layout ~vgrid ~flow:paper_t ())
@@ -638,8 +639,9 @@ let faultbench () =
   let topo = par.Machine.Models.topo in
   let vgrid = [| 64; 32 |] in
   let layout = Distrib.Layout.all_cyclic 2 in
-  let place v = Distrib.Layout.place layout ~vgrid ~topo v in
-  let msgs flow = Machine.Patterns.affine_messages ~vgrid ~flow ~bytes:8 ~place () in
+  let msgs flow =
+    Resopt.Residual.messages (Resopt.Residual.make ~vgrid ~bytes:8 topo [ flow ])
+  in
   let p = Machine.Eventsim.default_params in
   let rates = [ 0.0; 0.01; 0.05; 0.1 ] in
   Format.printf "%-6s %10s %10s %7s %6s %5s %12s %12s %7s@." "rate" "ev direct"
@@ -735,11 +737,6 @@ let mapbench () =
   let seed = 42 in
   let par = Machine.Models.paragon () in
   let topo = par.Machine.Models.topo in
-  let vgrid =
-    match Resopt.Cost.sim_vgrid par with Some v -> v | None -> assert false
-  in
-  let layout = Distrib.Layout.all_cyclic 2 in
-  let place v = Distrib.Layout.place layout ~vgrid ~topo v in
   let n = Machine.Topology.size topo in
   let kinds = [ Mapping.Identity; Mapping.Greedy; Mapping.Search ] in
   let rates = [ 0.0; 0.05 ] in
@@ -762,14 +759,13 @@ let mapbench () =
   let entries =
     List.map
       (fun (w : Resopt.Workloads.t) ->
-        let flows = Resopt.Residual.flows_of_workload ~m:2 w in
-        let msgs =
-          List.concat_map
-            (fun flow ->
-              Machine.Patterns.affine_messages ~vgrid ~flow ~bytes:8 ~place ())
-            flows
+        let traffic =
+          Option.get
+            (Resopt.Residual.on_model ~bytes:8 par
+               (Resopt.Residual.flows_of_workload ~m:2 w))
         in
-        let vol = Machine.Volgraph.sorted (Machine.Volgraph.of_messages msgs) in
+        let msgs = Resopt.Residual.messages traffic in
+        let vol = Resopt.Residual.volume_graph traffic in
         let perm_of = function
           | Mapping.Identity -> Mapping.identity n
           | Mapping.Greedy -> Mapping.greedy topo vol
@@ -891,23 +887,16 @@ let topobench () =
         let vgrid =
           [| 2 * Machine.Topology.dim topo 0; 2 * Machine.Topology.dim topo 1 |]
         in
-        let layout = Distrib.Layout.all_cyclic 2 in
-        let place v = Distrib.Layout.place layout ~vgrid ~topo v in
         let n = Machine.Topology.size topo in
         let entries =
           List.map
             (fun (w : Resopt.Workloads.t) ->
-              let flows = Resopt.Residual.flows_of_workload ~m:2 w in
-              let msgs =
-                List.concat_map
-                  (fun flow ->
-                    Machine.Patterns.affine_messages ~vgrid ~flow ~bytes:8
-                      ~place ())
-                  flows
+              let traffic =
+                Resopt.Residual.make ~vgrid ~bytes:8 topo
+                  (Resopt.Residual.flows_of_workload ~m:2 w)
               in
-              let vol =
-                Machine.Volgraph.sorted (Machine.Volgraph.of_messages msgs)
-              in
+              let msgs = Resopt.Residual.messages traffic in
+              let vol = Resopt.Residual.volume_graph traffic in
               let perm = Mapping.search ~seed topo vol in
               let hb_id = Mapping.hop_bytes topo vol (Mapping.identity n) in
               let hb_se = Mapping.hop_bytes topo vol perm in
@@ -978,7 +967,11 @@ let boundsbench () =
           List.map
             (fun (key, topo) ->
               let model = Machine.Models.of_topo topo in
-              match Resopt.Efficiency.of_flows model flows with
+              match
+                Option.map
+                  (Resopt.Efficiency.of_traffic model.Machine.Models.net)
+                  (Resopt.Residual.on_model ~bytes:64 model flows)
+              with
               | None -> Printf.sprintf "\"%s\":null" key
               | Some e ->
                 let v = e.Resopt.Efficiency.volume in

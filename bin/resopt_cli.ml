@@ -272,9 +272,19 @@ let workload_arg =
   let doc = "Workload name (see $(b,list))." in
   Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD" ~doc)
 
+(* Grid dimensions are positive: [-m 0] or [--ms 0] is a usage error
+   naming the flag, not a crash deep inside the optimizer. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let m_arg =
   let doc = "Dimension of the target virtual processor grid." in
-  Arg.(value & opt int 2 & info [ "m" ] ~docv:"M" ~doc)
+  Arg.(value & opt positive_int 2 & info [ "m" ] ~docv:"M" ~doc)
 
 let find_workload name =
   match Resopt.Workloads.find name with
@@ -502,8 +512,6 @@ let chaos_cmd =
     let vgrid =
       [| 2 * Machine.Topology.dim topo 0; 2 * Machine.Topology.dim topo 1 |]
     in
-    let layout = Distrib.Layout.all_cyclic 2 in
-    let place v = Distrib.Layout.place layout ~vgrid ~topo v in
     (* traffic: the 2x2 data flows of the optimized workload plans,
        falling back to the paper's T when a plan has none *)
     let flows =
@@ -524,7 +532,8 @@ let chaos_cmd =
       Array.of_list
         (List.map
            (fun flow ->
-             Machine.Patterns.affine_messages ~vgrid ~flow ~bytes:8 ~place ())
+             Resopt.Residual.messages
+               (Resopt.Residual.make ~vgrid ~bytes:8 topo [ flow ]))
            flows)
     in
     let trial i =
@@ -597,7 +606,8 @@ let sweep_cmd =
   in
   let ms_arg =
     let doc = "Comma-separated grid dimensions to sweep." in
-    Arg.(value & opt (list int) [ 2 ] & info [ "ms" ] ~docv:"M,M,..." ~doc)
+    Arg.(
+      value & opt (list positive_int) [ 2 ] & info [ "ms" ] ~docv:"M,M,..." ~doc)
   in
   let csv_arg =
     let doc =
@@ -686,7 +696,10 @@ let profile_cmd =
   in
   let ms_arg =
     let doc = "Comma-separated grid dimensions to sweep while profiling." in
-    Arg.(value & opt (list int) [ 1; 2; 3 ] & info [ "ms" ] ~docv:"M,M,..." ~doc)
+    Arg.(
+      value
+      & opt (list positive_int) [ 1; 2; 3 ]
+      & info [ "ms" ] ~docv:"M,M,..." ~doc)
   in
   let profile_file_arg =
     let doc =
@@ -784,28 +797,19 @@ let report_cmd =
     let vgrid =
       [| 2 * Machine.Topology.dim topo 0; 2 * Machine.Topology.dim topo 1 |]
     in
-    let layout = Distrib.Layout.all_cyclic 2 in
-    let place v = Distrib.Layout.place layout ~vgrid ~topo v in
-    let flows = Resopt.Residual.flows_of_workload ~m w in
-    let msgs =
-      List.concat_map
-        (fun flow ->
-          Machine.Patterns.affine_messages ~vgrid ~flow ~bytes ~place ())
-        flows
+    let traffic =
+      Resopt.Residual.make ~vgrid ~bytes topo
+        (Resopt.Residual.flows_of_workload ~m w)
     in
+    let msgs = Resopt.Residual.messages traffic in
     (* --bounds: lower-bound the very traffic this report simulates.
        Computed before the telemetry sink opens so the Netsim pricing
        inside Bounds.transfer_time never pollutes the dashboard. *)
     let eff =
       if bounds then
         Some
-          {
-            Resopt.Efficiency.vgrid;
-            volume = Bounds.volume ~vgrid ~bytes ~place flows;
-            time =
-              Bounds.transfer_time topo
-                (Machine.Models.of_topo topo).Machine.Models.net msgs;
-          }
+          (Resopt.Efficiency.of_traffic
+             (Machine.Models.of_topo topo).Machine.Models.net traffic)
       else None
     in
     Obs.Telemetry.enable ();
@@ -832,7 +836,7 @@ let report_cmd =
     (match mapping with
     | None -> ()
     | Some spec ->
-      let vol = Machine.Volgraph.sorted (Machine.Volgraph.of_messages msgs) in
+      let vol = Resopt.Residual.volume_graph traffic in
       let perm = Mapping.compute spec topo vol in
       let after = simulate (name ^ ":mapped") (Mapping.apply perm msgs) in
       let gini r = Obs.Telemetry.gini (Obs.Telemetry.link_loads r) in

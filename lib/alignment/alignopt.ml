@@ -123,10 +123,10 @@ let feasible ~m (nest : Loopnest.t) subset =
     end
   end
 
-let optimal_local_count ?(cap = 12) ~m nest =
+let optimal_local_count ~m nest =
   let universe = Array.of_list (eligible ~m nest) in
   let n = Array.length universe in
-  if n > cap then invalid_arg "Alignopt.optimal_local_count: too many accesses";
+  if n > 12 then invalid_arg "Alignopt.optimal_local_count: too many accesses";
   let best = ref 0 in
   for mask = 0 to (1 lsl n) - 1 do
     let size =

@@ -21,9 +21,9 @@ val eligible : m:int -> Nestir.Loopnest.t -> (string * string) list
 val feasible : m:int -> Nestir.Loopnest.t -> (string * string) list -> bool
 (** Can this subset of accesses be made local simultaneously? *)
 
-val optimal_local_count : ?cap:int -> m:int -> Nestir.Loopnest.t -> int
-(** Size of the largest feasible subset.  [cap] (default 12) bounds
-    the number of eligible accesses considered (2^cap subsets).
+val optimal_local_count : m:int -> Nestir.Loopnest.t -> int
+(** Size of the largest feasible subset, by exhaustive search over the
+    2^n subsets of the n eligible accesses; n is capped at 12.
     @raise Invalid_argument when there are more. *)
 
 val heuristic_gap : m:int -> Nestir.Loopnest.t -> int * int

@@ -202,7 +202,8 @@ let transfer_time topo params msgs =
     }
   end
 
-let bar ?(width = 20) eff =
+let bar eff =
+  let width = 20 in
   let eff = Float.min 1.0 (Float.max 0.0 eff) in
   let filled = int_of_float (Float.round (eff *. float_of_int width)) in
   "[" ^ String.make filled '#' ^ String.make (width - filled) '-' ^ "]"

@@ -118,7 +118,6 @@ val transfer_time :
     coalesced per endpoint pair exactly as {!Machine.Netsim.run}
     does). *)
 
-val bar : ?width:int -> float -> string
-(** [bar eff] renders an efficiency in [[0, 1]] as an ASCII gauge,
-    e.g. ["[#########-----------]"] ([width] cells wide, default
-    20). *)
+val bar : float -> string
+(** [bar eff] renders an efficiency in [[0, 1]] as a 20-cell ASCII
+    gauge, e.g. ["[#########-----------]"]. *)

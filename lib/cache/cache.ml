@@ -120,7 +120,6 @@ let entries_oldest_first sh =
 type ops = {
   o_name : string;
   o_schema : string;
-  o_persist : bool;
   o_clear : unit -> unit;
   o_stats : unit -> stats;
   (* capture support: swap in a fresh shard, returning an [undo] that
@@ -178,7 +177,7 @@ module Memo = struct
 
   let shard t = Domain.DLS.get t.shard_key
 
-  let create ?(capacity = 1024) ?(persist = true) ~name ~schema () =
+  let create ?(capacity = 1024) ~name ~schema () =
     let capacity = max 1 capacity in
     let shard_key = Domain.DLS.new_key new_shard in
     let t = { name; capacity; shard_key } in
@@ -203,7 +202,6 @@ module Memo = struct
       {
         o_name = name;
         o_schema = schema;
-        o_persist = persist;
         o_clear = (fun () -> shard_clear (shard t));
         o_stats =
           (fun () ->
@@ -319,11 +317,8 @@ type section = { p_name : string; p_schema : string; p_pairs : (string * string)
    truncated cache that [load] would have to discard. *)
 let save path =
   let sections =
-    List.filter_map
-      (fun o ->
-        if o.o_persist then
-          Some { p_name = o.o_name; p_schema = o.o_schema; p_pairs = o.o_dump () }
-        else None)
+    List.map
+      (fun o -> { p_name = o.o_name; p_schema = o.o_schema; p_pairs = o.o_dump () })
       (registered ())
   in
   let payload = Marshal.to_string sections [] in
@@ -374,8 +369,7 @@ let load path =
         (fun s ->
           match
             List.find_opt
-              (fun o ->
-                o.o_persist && o.o_name = s.p_name && o.o_schema = s.p_schema)
+              (fun o -> o.o_name = s.p_name && o.o_schema = s.p_schema)
               tables
           with
           | Some o -> (try o.o_absorb s.p_pairs with _ -> ())

@@ -76,13 +76,12 @@ module Memo : sig
       Each memoized function owns one table, created once at module
       initialization. *)
 
-  val create :
-    ?capacity:int -> ?persist:bool -> name:string -> schema:string -> unit -> 'a t
+  val create : ?capacity:int -> name:string -> schema:string -> unit -> 'a t
   (** [capacity] (default 1024, clamped to >= 1) bounds every
       per-domain shard; the least-recently-used entry is evicted when
-      a fresh key would overflow it.  [persist] (default true) opts
-      the table into {!save} / {!load}; set it to false for values
-      that cannot be marshalled (closures).  [name] must be unique —
+      a fresh key would overflow it.  Every table takes part in
+      {!save} / {!load}, so its values must be marshallable (no
+      closures).  [name] must be unique —
       it keys the on-disk sections — and [schema] is a free-form
       version tag: bump it whenever the value type or the meaning of
       the keys changes, and stale persisted sections are skipped on
@@ -124,7 +123,7 @@ val sink : Obs.Sink.t
 
 (** {1 Persistence}
 
-    One file holds every persistent table.  Layout: a magic line with
+    One file holds every table.  Layout: a magic line with
     the format version, a hex FNV-1a checksum line, then the marshalled
     sections.  {!load} verifies magic and checksum before unmarshalling
     anything, and skips sections whose (name, schema) no longer match a
@@ -132,7 +131,7 @@ val sink : Obs.Sink.t
     cache, never to a crash. *)
 
 val save : string -> unit
-(** Write the current domain's shards of every [persist] table —
+(** Write the current domain's shards of every table —
     crash-safely: the bytes go to [file ^ ".tmp"] first and are moved
     into place with an atomic [Sys.rename], so a crash (or [kill -9],
     as the serve snapshot loop invites) mid-save leaves the previous

@@ -1,7 +1,7 @@
 type row = { m : int; cost : float; non_local : int; parallel_dims : int }
 
-let evaluate ?(ms = [ 1; 2; 3 ]) ?model nest =
-  let model = match model with Some m -> m | None -> Machine.Models.paragon () in
+let evaluate nest =
+  let model = Machine.Models.paragon () in
   List.filter_map
     (fun m ->
       match Pipeline.run ~m nest with
@@ -14,10 +14,10 @@ let evaluate ?(ms = [ 1; 2; 3 ]) ?model nest =
             non_local = Pipeline.non_local r;
             parallel_dims = m;
           })
-    ms
+    [ 1; 2; 3 ]
 
-let best ?ms ?model nest =
-  match evaluate ?ms ?model nest with
+let best nest =
+  match evaluate nest with
   | [] -> failwith "Autodim.best: no grid dimension materializes"
   | rows ->
     let best =

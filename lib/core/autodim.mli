@@ -8,12 +8,11 @@
 
 type row = { m : int; cost : float; non_local : int; parallel_dims : int }
 
-val evaluate :
-  ?ms:int list -> ?model:Machine.Models.t -> Nestir.Loopnest.t -> row list
-(** Defaults: [ms = [1; 2; 3]], the Paragon model.  Candidates the
-    alignment cannot materialize are skipped. *)
+val evaluate : Nestir.Loopnest.t -> row list
+(** The candidates [m = 1, 2, 3], priced on the Paragon model.
+    Candidates the alignment cannot materialize are skipped. *)
 
-val best : ?ms:int list -> ?model:Machine.Models.t -> Nestir.Loopnest.t -> int
+val best : Nestir.Loopnest.t -> int
 (** The [m] with the lowest communication cost; ties go to the larger
     [m] (more parallelism at equal cost).
     @raise Failure when no candidate materializes. *)

@@ -131,12 +131,11 @@ let comm_call (e : Commplan.entry) =
          (List.length factors))
   | Commplan.General _ -> Some (Printf.sprintf "general_comm(%s)" e.Commplan.array_name)
 
-let emit_spmd ?layout ?(pgrid = [||]) (r : Pipeline.result) =
+(* Rendered for a block layout on a grid of extent 2 per dimension. *)
+let emit_spmd (r : Pipeline.result) =
   let m = r.Pipeline.m in
-  let pgrid = if Array.length pgrid = m then pgrid else Array.make m 2 in
-  let layout =
-    match layout with Some l -> l | None -> Distrib.Layout.all_block m
-  in
+  let pgrid = Array.make m 2 in
+  let layout = Distrib.Layout.all_block m in
   let nest = r.Pipeline.nest in
   let buf = Buffer.create 1024 in
   let out fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in

@@ -13,10 +13,10 @@ val align_expr : Linalg.Mat.t -> string list
 (** The per-grid-dimension alignment expressions of an allocation
     matrix, e.g. [["i1+2*i2"; "i2"]]. *)
 
-val emit_spmd :
-  ?layout:Distrib.Layout.t -> ?pgrid:int array -> Pipeline.result -> string
-(** The owner-computes SPMD skeleton: the communication preamble
-    (hoisted vectorizable transfers), then per-timestep communication
-    calls and the local iteration sets each processor executes
-    (computed from the layout's ownership).  Schematic pseudocode, one
-    block per statement. *)
+val emit_spmd : Pipeline.result -> string
+(** The owner-computes SPMD skeleton on a block-distributed grid of
+    extent 2 per dimension: the communication preamble (hoisted
+    vectorizable transfers), then per-timestep communication calls and
+    the local iteration sets each processor executes (computed from the
+    layout's ownership).  Schematic pseudocode, one block per
+    statement. *)

@@ -9,16 +9,13 @@ type entry_cost = {
 
 type breakdown = { entries : entry_cost list; total : float }
 
-(* Virtual grid used when simulating 2-D flows: four virtual
-   processors per physical one in each dimension. *)
-let sim_vgrid (model : Machine.Models.t) =
-  let topo = model.Machine.Models.topo in
-  if Machine.Topology.ndims topo = 2 then
-    Some [| 4 * Machine.Topology.dim topo 0; 4 * Machine.Topology.dim topo 1 |]
-  else None
+(* Every plan is priced at 64-byte items. *)
+let bytes = 64
 
-let general_cost ~faults ?remap model ~bytes flow =
-  match (flow, sim_vgrid model) with
+(* [vgrid] is the residual traffic's simulation grid
+   ({!Residual.on_model}); [None] on models without a 2-D grid. *)
+let general_cost ~faults ?remap ~vgrid model flow =
+  match (flow, vgrid) with
   | Some flow, Some vgrid when Mat.rows flow = 2 && Mat.cols flow = 2 ->
     (Distrib.Foldsim.time ~coalesce:false ~faults ?remap model
        ~layout:(Distrib.Layout.all_cyclic 2) ~vgrid ~flow ~bytes ())
@@ -36,9 +33,9 @@ let general_cost ~faults ?remap model ~bytes flow =
        +. (net.Machine.Netsim.hop
           *. float_of_int (Machine.Topology.diameter model.Machine.Models.topo)))
 
-let decomposed_cost ~faults ?remap model ~bytes ~flow factors =
+let decomposed_cost ~faults ?remap ~vgrid model ~flow factors =
   let phases =
-    match sim_vgrid model with
+    match vgrid with
     | Some vgrid
       when List.for_all (fun f -> Mat.rows f = 2 && Mat.cols f = 2) factors ->
       (* elementary phases, grouped layout matched to the largest
@@ -59,13 +56,13 @@ let decomposed_cost ~faults ?remap model ~bytes ~flow factors =
   in
   (* the runtime keeps whichever implementation is cheaper; a
      decomposition never has to be used when the direct path wins *)
-  let direct = general_cost ~faults ?remap model ~bytes (Some flow) in
+  let direct = general_cost ~faults ?remap ~vgrid model (Some flow) in
   min phases direct
 
 (* Collectives and translations are priced closed-form; under faults
    they degrade by the machine-wide slowdown (expected retransmissions
    over the global flaky probability / remaining bandwidth). *)
-let entry_cost ~faults ?remap model ~bytes (e : Commplan.entry) =
+let entry_cost ~faults ?remap ~vgrid model (e : Commplan.entry) =
   let degrade c = Machine.Fault.uniform_slowdown faults *. c in
   match e.Commplan.classification with
   | Commplan.Local -> 0.0
@@ -85,8 +82,8 @@ let entry_cost ~faults ?remap model ~bytes (e : Commplan.entry) =
   | Commplan.Scatter _ -> degrade (Machine.Models.scatter_time model ~bytes)
   | Commplan.Gather _ -> degrade (Machine.Models.gather_time model ~bytes)
   | Commplan.Decomposed { factors; flow } ->
-    decomposed_cost ~faults ?remap model ~bytes ~flow factors
-  | Commplan.General flow -> general_cost ~faults ?remap model ~bytes flow
+    decomposed_cost ~faults ?remap ~vgrid model ~flow factors
+  | Commplan.General flow -> general_cost ~faults ?remap ~vgrid model flow
 
 (* ------------------------------------------------------------------ *)
 (* Memoization of whole-plan pricing                                   *)
@@ -151,34 +148,24 @@ let mapping_key = function
     Printf.sprintf "|map:%s:%d:%d" (Mapping.kind_to_string s.Mapping.kind)
       s.Mapping.seed s.Mapping.restarts
 
-let plan_key ?mapping ~bytes ~faults model plan =
+let plan_key ?mapping ~faults model plan =
   Printf.sprintf "%s|b%d|f%s%s|%s" (model_key model) bytes (faults_key faults)
     (mapping_key mapping)
     (String.concat ";" (List.map entry_key plan))
 
-(* The placement a mapping spec picks for this (model, plan) pair: the
-   plan's residual flows are materialized on the simulation grid under
-   the same cyclic fold [general_cost] prices, collapsed to a volume
-   graph, and searched.  None when the model has no 2-D simulation
-   grid or the plan leaves no 2x2 flows — pricing is then untouched. *)
-let remap_of ~bytes model plan (spec : Mapping.spec) =
-  match sim_vgrid model with
-  | None -> None
-  | Some vgrid -> (
-    match Residual.flows_of_plan plan with
-    | [] -> None
-    | flows ->
-      let topo = model.Machine.Models.topo in
-      let layout = Distrib.Layout.all_cyclic 2 in
-      let place v = Distrib.Layout.place layout ~vgrid ~topo v in
-      let vol = Residual.volume_graph ~vgrid ~bytes ~place flows in
-      Some (Mapping.compute spec topo vol))
-
-let of_plan ?(bytes = 64) ?(faults = Machine.Fault.none) ?cache ?mapping model
-    plan =
-  Cache.scoped ?enable:cache @@ fun () ->
+let of_plan ?(faults = Machine.Fault.none) ?mapping model plan =
   let price () =
-    let remap = Option.bind mapping (remap_of ~bytes model plan) in
+    let traffic = Residual.on_model ~bytes model (Residual.flows_of_plan plan) in
+    let vgrid = Option.map (fun (t : Residual.t) -> t.Residual.vgrid) traffic in
+    (* the placement a mapping spec picks for the plan's residual
+       traffic, composed after the cyclic fold [general_cost] prices;
+       none without a 2-D grid or 2x2 flows — pricing is untouched *)
+    let remap =
+      match (mapping, traffic) with
+      | Some spec, Some t when t.Residual.flows <> [] ->
+        Some (Residual.placement spec t)
+      | _ -> None
+    in
     let entries =
       List.map
         (fun (e : Commplan.entry) ->
@@ -186,7 +173,7 @@ let of_plan ?(bytes = 64) ?(faults = Machine.Fault.none) ?cache ?mapping model
             stmt = e.Commplan.stmt;
             label = e.Commplan.label;
             class_name = Commplan.classification_name e.Commplan.classification;
-            cost = entry_cost ~faults ?remap model ~bytes e;
+            cost = entry_cost ~faults ?remap ~vgrid model e;
           })
         plan
     in
@@ -195,7 +182,7 @@ let of_plan ?(bytes = 64) ?(faults = Machine.Fault.none) ?cache ?mapping model
   if not (Cache.enabled ()) then price ()
   else
     Cache.Memo.find_or_compute memo
-      ~key:(plan_key ?mapping ~bytes ~faults model plan)
+      ~key:(plan_key ?mapping ~faults model plan)
       price
 
 let pp ppf b =

@@ -17,27 +17,19 @@ type entry_cost = {
 
 type breakdown = { entries : entry_cost list; total : float }
 
-val sim_vgrid : Machine.Models.t -> int array option
-(** The virtual grid 2-D flows are simulated on (four virtual
-    processors per physical one per dimension); [None] for models
-    without a 2-D topology.  Exposed so mapping consumers (CLI, bench)
-    build their volume graphs on the same grid pricing uses. *)
-
 val of_plan :
-  ?bytes:int ->
   ?faults:Machine.Fault.t ->
-  ?cache:bool ->
   ?mapping:Mapping.spec ->
   Machine.Models.t ->
   Commplan.t ->
   breakdown
-(** [bytes] is the item size (default 64).
+(** Items are 64 bytes.  2x2 flows are simulated on the plan's
+    residual traffic grid ({!Residual.on_model}); models without a 2-D
+    grid price them through the closed-form fallbacks.
 
-    [cache] scopes {!Cache} around the pricing ([true] turns the memo
-    tables on for this call, [false] forces them off, omitted inherits
-    the ambient state).  A whole breakdown is memoized under a key
+    When {!Cache} is enabled, a whole breakdown is memoized under a key
     covering every input the formulas read — machine name, grid,
-    network parameters, hardware collectives, [bytes], the fault
+    network parameters, hardware collectives, item size, the fault
     schedule and each entry's priced classification — so a sweep that
     re-prices the same (model, plan) cell hits instead of re-running
     the fold simulation.  Cached or not, the result is byte-identical.
@@ -53,10 +45,9 @@ val of_plan :
     measured ({!Sweep}).
 
     [mapping] prices the plan under a searched process placement: the
-    plan's residual flows ({!Residual.flows_of_plan}) are collapsed to
-    a volume graph on the model's simulation grid and the placement
-    {!Mapping.compute} picks is composed after the layout fold for
-    every simulated entry (2x2 general flows and decomposed phases);
+    placement {!Residual.placement} picks for the plan's residual
+    traffic is composed after the layout fold for every simulated
+    entry (2x2 general flows and decomposed phases);
     closed-form entries (collectives, translations) are
     placement-invariant and unchanged.  On models without a 2-D
     simulation grid, or plans without 2x2 flows, [mapping] is a no-op.

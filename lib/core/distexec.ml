@@ -89,13 +89,9 @@ let execute_by_schedule (nest : Loopnest.t) (sched : Schedule.t) ~on_access
 let label_of (a : Loopnest.access) =
   if a.Loopnest.label = "" then a.Loopnest.array_name else a.Loopnest.label
 
-let run ?layout ?(pgrid = [||]) ?(order = `Program) (r : Pipeline.result) =
-  let nest = r.Pipeline.nest in
-  let m = r.Pipeline.m in
-  let pgrid = if Array.length pgrid = m then pgrid else Array.make m 4 in
-  let layout =
-    match layout with Some l -> l | None -> Distrib.Layout.all_cyclic m
-  in
+let machine m =
+  let pgrid = Array.make m 4 in
+  let layout = Distrib.Layout.all_cyclic m in
   let topo = Machine.Topology.make pgrid in
   (* Bound the virtual coordinate space: wrap into a box large enough
      to keep distinct small coordinates distinct. *)
@@ -104,6 +100,11 @@ let run ?layout ?(pgrid = [||]) ?(order = `Program) (r : Pipeline.result) =
     let wrapped = Array.mapi (fun d x -> ((x mod vbox.(d)) + vbox.(d)) mod vbox.(d)) coords in
     Distrib.Layout.place layout ~vgrid:vbox ~topo wrapped
   in
+  (topo, fold)
+
+let run ?(order = `Program) (r : Pipeline.result) =
+  let nest = r.Pipeline.nest in
+  let _, fold = machine r.Pipeline.m in
   let alloc_opt v =
     try Some (Alignment.Alloc.alloc_of r.Pipeline.alloc v) with Not_found -> None
   in

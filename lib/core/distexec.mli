@@ -33,17 +33,16 @@ type stats = {
       (** no access classified local generated a message *)
 }
 
-val run :
-  ?layout:Distrib.Layout.t ->
-  ?pgrid:int array ->
-  ?order:[ `Program | `Schedule ] ->
-  Pipeline.result ->
-  stats
-(** [pgrid] defaults to 4 per dimension; [layout] defaults to CYCLIC
-    in every dimension (so that nearby virtual processors are distinct
-    physical ones and remote accesses are visible).  Virtual processor
-    coordinates (which live in Z^m) are wrapped into a bounding box
-    before folding.
+val machine : int -> Machine.Topology.t * (int array -> int)
+(** [machine m]: the 4-per-dimension processor grid of dimension [m]
+    that {!run} and {!Progtime} execute on, and the fold of a virtual
+    processor coordinate onto its ranks — CYCLIC in every dimension,
+    coordinates (which live in Z^m) first wrapped into a box of 64
+    virtual processors per physical one per dimension. *)
+
+val run : ?order:[ `Program | `Schedule ] -> Pipeline.result -> stats
+(** Executes on {!machine} (CYCLIC, so that nearby virtual processors
+    are distinct physical ones and remote accesses are visible).
 
     [order] selects the execution order of the distributed run:
     [`Program] (default) replays textual order; [`Schedule] executes by

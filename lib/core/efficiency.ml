@@ -6,43 +6,37 @@ type t = {
 
 let default_bytes = 64
 
-let of_flows ?(bytes = default_bytes) ?mapping (model : Machine.Models.t) flows
-    =
-  match Cost.sim_vgrid model with
-  | None -> None
-  | Some vgrid ->
-    let topo = model.Machine.Models.topo in
-    let layout = Distrib.Layout.all_cyclic 2 in
-    let place v = Distrib.Layout.place layout ~vgrid ~topo v in
-    let volume = Bounds.volume ~vgrid ~bytes ~place flows in
-    let msgs =
-      List.concat_map
-        (fun flow ->
-          Machine.Patterns.affine_messages ~vgrid ~flow ~bytes ~place ())
-        flows
-    in
-    let msgs =
-      match mapping with
-      | None -> msgs
-      | Some spec ->
-        let vol = Residual.volume_graph ~vgrid ~bytes ~place flows in
-        Mapping.apply (Mapping.compute spec topo vol) msgs
-    in
-    let time = Bounds.transfer_time topo model.Machine.Models.net msgs in
-    if Obs.enabled () then begin
-      Obs.incr "bounds.computed";
-      Obs.incr ~by:volume.Bounds.bound_bytes "bounds.bound_bytes";
-      Obs.incr ~by:volume.Bounds.achieved_bytes "bounds.achieved_bytes";
-      Obs.observe "bounds.efficiency" time.Bounds.efficiency;
-      Obs.set_gauge "bounds.last_efficiency" time.Bounds.efficiency
-    end;
-    Some { vgrid; volume; time }
+let of_traffic ?mapping net (r : Residual.t) =
+  let volume =
+    Bounds.volume ~vgrid:r.Residual.vgrid ~bytes:r.Residual.bytes
+      ~place:r.Residual.place r.Residual.flows
+  in
+  let msgs = Residual.messages r in
+  let msgs =
+    match mapping with
+    | None -> msgs
+    | Some spec -> Mapping.apply (Residual.placement spec r) msgs
+  in
+  let time = Bounds.transfer_time r.Residual.topo net msgs in
+  if Obs.enabled () then begin
+    Obs.incr "bounds.computed";
+    Obs.incr ~by:volume.Bounds.bound_bytes "bounds.bound_bytes";
+    Obs.incr ~by:volume.Bounds.achieved_bytes "bounds.achieved_bytes";
+    Obs.observe "bounds.efficiency" time.Bounds.efficiency;
+    Obs.set_gauge "bounds.last_efficiency" time.Bounds.efficiency
+  end;
+  { vgrid = r.Residual.vgrid; volume; time }
 
-let of_plan ?bytes ?mapping model plan =
-  of_flows ?bytes ?mapping model (Residual.flows_of_plan plan)
+let of_flows ~bytes ?mapping (model : Machine.Models.t) flows =
+  Option.map
+    (of_traffic ?mapping model.Machine.Models.net)
+    (Residual.on_model ~bytes model flows)
 
-let of_workload ?bytes ?mapping ~m model w =
-  of_flows ?bytes ?mapping model (Residual.flows_of_workload ~m w)
+let of_plan ?mapping model plan =
+  of_flows ~bytes:default_bytes ?mapping model (Residual.flows_of_plan plan)
+
+let of_workload ?(bytes = default_bytes) ?mapping ~m model w =
+  of_flows ~bytes ?mapping model (Residual.flows_of_workload ~m w)
 
 let pp ppf t =
   let v = t.volume and tm = t.time in

@@ -1,16 +1,16 @@
 (** Achieved-vs-bound efficiency of a plan's residual traffic.
 
-    The workload-facing glue over {!Bounds}: materialize a plan's
-    residual flows on the machine model's simulation grid (the same
-    cyclic fold {!Cost} prices and the mapping layer searches), compute
-    the volume and transfer-time lower bounds, and price the achieved
-    side — one record that every observability surface (sweep column,
-    [report --net] panel, [bounds] subcommand, serve stats, bench)
-    renders from.
+    The workload-facing glue over {!Bounds}: take a plan's residual
+    traffic ({!Residual.t} — the same cyclic fold {!Cost} prices and
+    the mapping layer searches), compute the volume and transfer-time
+    lower bounds, and price the achieved side — one record that every
+    observability surface (sweep column, [report --net] panel,
+    [bounds] subcommand, serve stats, bench) renders from.
 
-    [None] whenever the model's topology has no 2-D host grid
-    ({!Cost.sim_vgrid}): the residual flows are 2x2, so there is
-    nothing to bound (the t3d rows of a sweep render ["-"]).
+    The model-taking entry points are [None] whenever the model's
+    topology has no 2-D host grid ({!Residual.on_model}): the residual
+    flows are 2x2, so there is nothing to bound (the t3d rows of a
+    sweep render ["-"]).
 
     When {!Obs} is enabled, every computation feeds the [bounds.*]
     counters ([bounds.computed], [bounds.bound_bytes],
@@ -26,27 +26,18 @@ type t = {
 val default_bytes : int
 (** 64, matching {!Cost.of_plan}. *)
 
-val of_flows :
-  ?bytes:int ->
-  ?mapping:Mapping.spec ->
-  Machine.Models.t ->
-  Linalg.Mat.t list ->
-  t option
-(** Fold the flows on the model's simulation grid under the cyclic
-    layout and bound them.  [mapping] re-prices the achieved side (and
-    the placement-dependent time bound) under the searched process
+val of_traffic : ?mapping:Mapping.spec -> Machine.Netsim.params -> Residual.t -> t
+(** Bound the traffic and price its achieved side on the network
+    [net].  [mapping] re-prices the achieved side (and the
+    placement-dependent time bound) under the searched process
     placement — the volume bound is placement-independent, so
-    [volume.bound_bytes <= volume.achieved_bytes] holds either way. *)
+    [volume.bound_bytes <= volume.achieved_bytes] holds either way.
+    Traffic without flows bounds an empty set: zero bytes both sides,
+    efficiency 1.0. *)
 
-val of_plan :
-  ?bytes:int ->
-  ?mapping:Mapping.spec ->
-  Machine.Models.t ->
-  Commplan.t ->
-  t option
-(** {!of_flows} over {!Residual.flows_of_plan}.  A plan with no
-    residual 2x2 flows bounds an empty traffic set: zero bytes both
-    sides, efficiency 1.0. *)
+val of_plan : ?mapping:Mapping.spec -> Machine.Models.t -> Commplan.t -> t option
+(** {!of_traffic} over {!Residual.flows_of_plan} with
+    {!default_bytes}-byte items, on the model's simulation grid. *)
 
 val of_workload :
   ?bytes:int ->
@@ -55,9 +46,10 @@ val of_workload :
   Machine.Models.t ->
   Workloads.t ->
   t option
-(** {!of_flows} over {!Residual.flows_of_workload} (which falls back
+(** {!of_traffic} over {!Residual.flows_of_workload} (which falls back
     to the paper's running-example flow when the pipeline leaves
-    none). *)
+    none), on the model's simulation grid.  [bytes] defaults to
+    {!default_bytes}. *)
 
 val pp : Format.formatter -> t -> unit
 (** The ASCII bounds panel: volume bound vs achieved bytes, the three

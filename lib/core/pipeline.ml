@@ -36,8 +36,7 @@ let misaligned_direction alloc (entry : Commplan.entry) =
     | Some v when not (Mat.is_identity v) -> Some (comp, v)
     | _ -> None)
 
-let run ?(m = 2) ?schedule ?(axis_align = true) ?cache nest =
-  Cache.scoped ?enable:cache @@ fun () ->
+let run ?(m = 2) ?schedule ?(axis_align = true) nest =
   Obs.with_span "pipeline.run"
     ~args:[ ("nest", nest.Loopnest.nest_name); ("m", string_of_int m) ]
   @@ fun () ->

@@ -29,17 +29,14 @@ val run :
   ?m:int ->
   ?schedule:Schedule.t ->
   ?axis_align:bool ->
-  ?cache:bool ->
   Loopnest.t ->
   result
 (** [m] defaults to 2 (a 2-D virtual grid, the Paragon case).
     [schedule] defaults to the all-parallel schedule.  [axis_align]
     (default true) enables the unimodular rotations of step 2a; turning
     it off is the ablation that leaves partial macro-communications
-    diagonal.  [cache] scopes {!Cache} around the whole run ([true]
-    memoizes the Hermite/Smith/rotation solves, [false] forces the
-    tables off, omitted inherits the ambient state); the result is
-    byte-identical either way. *)
+    diagonal.  When {!Cache} is enabled the Hermite/Smith/rotation
+    solves are memoized; the result is byte-identical either way. *)
 
 val summary : result -> Commplan.summary
 

@@ -9,22 +9,18 @@ type breakdown = {
   total : float;
 }
 
-let estimate ?(bytes = 8) ?(compute_per_instance = 1.0) ?layout ?(pgrid = [||])
-    ~(model : Machine.Models.t) ~(nest : Loopnest.t) ~(schedule : Schedule.t)
-    ~(alloc : Alignment.Alloc.t) ~(plan : Commplan.t) () =
+(* Messages carry 8-byte items; every instance computes in one time
+   unit. *)
+let bytes = 8
+
+let estimate ~(model : Machine.Models.t) ~(nest : Loopnest.t)
+    ~(schedule : Schedule.t) ~(alloc : Alignment.Alloc.t) ~(plan : Commplan.t) =
   let m =
     match alloc.Alignment.Alloc.allocs with
     | (_, ma) :: _ -> Mat.rows ma
     | [] -> 2
   in
-  let pgrid = if Array.length pgrid = m then pgrid else Array.make m 4 in
-  let layout = match layout with Some l -> l | None -> Distrib.Layout.all_cyclic m in
-  let topo = Machine.Topology.make pgrid in
-  let vbox = Array.map (fun p -> 64 * p) pgrid in
-  let fold coords =
-    let wrapped = Array.mapi (fun d x -> ((x mod vbox.(d)) + vbox.(d)) mod vbox.(d)) coords in
-    Distrib.Layout.place layout ~vgrid:vbox ~topo wrapped
-  in
+  let topo, fold = Distexec.machine m in
   let alloc_opt v =
     try Some (Alignment.Alloc.alloc_of alloc v) with Not_found -> None
   in
@@ -81,7 +77,7 @@ let estimate ?(bytes = 8) ?(compute_per_instance = 1.0) ?layout ?(pgrid = [||])
   let compute =
     Hashtbl.fold
       (fun _ count acc ->
-        acc +. (compute_per_instance *. ceil (float_of_int !count /. nprocs)))
+        acc +. ceil (float_of_int !count /. nprocs))
       step_instances 0.0
   in
   let hoisted_comm = (Machine.Models.run model !hoisted).Machine.Netsim.time in
@@ -98,13 +94,13 @@ let estimate ?(bytes = 8) ?(compute_per_instance = 1.0) ?layout ?(pgrid = [||])
     total = compute +. hoisted_comm +. per_step_comm;
   }
 
-let of_pipeline ?bytes ~model (r : Pipeline.result) =
-  estimate ?bytes ~model ~nest:r.Pipeline.nest ~schedule:r.Pipeline.schedule
-    ~alloc:r.Pipeline.alloc ~plan:r.Pipeline.plan ()
+let of_pipeline ~model (r : Pipeline.result) =
+  estimate ~model ~nest:r.Pipeline.nest ~schedule:r.Pipeline.schedule
+    ~alloc:r.Pipeline.alloc ~plan:r.Pipeline.plan
 
-let of_platonoff ?bytes ~model (r : Platonoff.result) =
-  estimate ?bytes ~model ~nest:r.Platonoff.nest ~schedule:r.Platonoff.schedule
-    ~alloc:r.Platonoff.alloc ~plan:r.Platonoff.plan ()
+let of_platonoff ~model (r : Platonoff.result) =
+  estimate ~model ~nest:r.Platonoff.nest ~schedule:r.Platonoff.schedule
+    ~alloc:r.Platonoff.alloc ~plan:r.Platonoff.plan
 
 let pp ppf b =
   Format.fprintf ppf

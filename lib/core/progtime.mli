@@ -19,26 +19,18 @@ type breakdown = {
 }
 
 val estimate :
-  ?bytes:int ->
-  ?compute_per_instance:float ->
-  ?layout:Distrib.Layout.t ->
-  ?pgrid:int array ->
   model:Machine.Models.t ->
   nest:Nestir.Loopnest.t ->
   schedule:Nestir.Schedule.t ->
   alloc:Alignment.Alloc.t ->
   plan:Commplan.t ->
-  unit ->
   breakdown
 (** Extents are capped (per dimension) to keep enumeration tractable;
-    the estimate is for the capped program.  Defaults: 8-byte items,
-    one time unit of compute per instance, CYCLIC layout, a 4^m
-    physical grid. *)
+    the estimate is for the capped program.  8-byte items, one time
+    unit of compute per instance, on {!Distexec.machine}. *)
 
-val of_pipeline :
-  ?bytes:int -> model:Machine.Models.t -> Pipeline.result -> breakdown
+val of_pipeline : model:Machine.Models.t -> Pipeline.result -> breakdown
 
-val of_platonoff :
-  ?bytes:int -> model:Machine.Models.t -> Platonoff.result -> breakdown
+val of_platonoff : model:Machine.Models.t -> Platonoff.result -> breakdown
 
 val pp : Format.formatter -> breakdown -> unit

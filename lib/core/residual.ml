@@ -1,8 +1,8 @@
 (* The flows a plan leaves on the wire after the macro-communications
-   are peeled off: the 2x2 data-flow matrices of its general and
-   decomposed entries.  This is the one extraction shared by plan
-   pricing (Cost ?mapping), the chaos harness and `report --net` —
-   each used to carry its own copy. *)
+   are peeled off — the 2x2 data-flow matrices of its general and
+   decomposed entries — and the one fold of those flows into traffic
+   on a machine, shared by pricing, bounds, serve, the CLI and the
+   bench tables. *)
 
 open Linalg
 
@@ -26,10 +26,39 @@ let flows_of_workload ~m (w : Workloads.t) =
   in
   if flows = [] then [ default_flow ] else flows
 
-let volume_graph ~vgrid ~bytes ~place flows =
-  Machine.Volgraph.sorted
-    (Machine.Volgraph.of_messages
-       (List.concat_map
-          (fun flow ->
-            Machine.Patterns.affine_messages ~vgrid ~flow ~bytes ~place ())
-          flows))
+type t = {
+  topo : Machine.Topology.t;
+  vgrid : int array;
+  bytes : int;
+  flows : Mat.t list;
+  place : int array -> int;
+  msgs : Machine.Message.t list Lazy.t;
+}
+
+let make ~vgrid ~bytes topo flows =
+  let layout = Distrib.Layout.all_cyclic 2 in
+  let place v = Distrib.Layout.place layout ~vgrid ~topo v in
+  let msgs =
+    lazy
+      (List.concat_map
+         (fun flow ->
+           Machine.Patterns.affine_messages ~vgrid ~flow ~bytes ~place ())
+         flows)
+  in
+  { topo; vgrid; bytes; flows; place; msgs }
+
+let on_model ~bytes (model : Machine.Models.t) flows =
+  let topo = model.Machine.Models.topo in
+  if Machine.Topology.ndims topo = 2 then
+    let vgrid =
+      [| 4 * Machine.Topology.dim topo 0; 4 * Machine.Topology.dim topo 1 |]
+    in
+    Some (make ~vgrid ~bytes topo flows)
+  else None
+
+let messages t = Lazy.force t.msgs
+
+let volume_graph t =
+  Machine.Volgraph.sorted (Machine.Volgraph.of_messages (messages t))
+
+let placement spec t = Mapping.compute spec t.topo (volume_graph t)

@@ -1,9 +1,11 @@
-(** Residual flows of a communication plan, and their volume graph.
+(** Residual traffic of a communication plan, laid out on a machine.
 
-    One shared extraction for every consumer of "what traffic does
-    this plan leave on the wire": plan pricing under a searched
-    placement ({!Cost.of_plan} [?mapping]), the chaos harness and
-    [report --net]. *)
+    The one place that turns flows into traffic: every consumer of
+    "what does this plan leave on the wire" — plan pricing under a
+    searched placement ({!Cost.of_plan} [?mapping]), the bounds
+    ({!Efficiency}), the serve mapping block, [report --net], [chaos]
+    and the bench tables — reads a {!t} instead of re-deriving the
+    cyclic fold, the placement function and the messages itself. *)
 
 open Linalg
 
@@ -20,13 +22,34 @@ val flows_of_workload : m:int -> Workloads.t -> Mat.t list
 (** Run the optimizer on the workload and extract its residual flows;
     [[{!default_flow}]] when the pipeline fails or leaves none. *)
 
-val volume_graph :
-  vgrid:int array ->
-  bytes:int ->
-  place:(int array -> int) ->
-  Mat.t list ->
-  Machine.Volgraph.t
-(** Materialize the flows as messages on the virtual grid
-    ({!Machine.Patterns.affine_messages}), folded by [place], and
-    collapse them to a canonical (sorted) volume graph — the input the
-    mapping search minimizes over. *)
+type t = {
+  topo : Machine.Topology.t;
+  vgrid : int array;  (** the virtual grid the flows are folded from *)
+  bytes : int;  (** item size of every message *)
+  flows : Mat.t list;
+  place : int array -> int;
+      (** the cyclic fold of [vgrid] onto [topo]'s 2-D host grid *)
+  msgs : Machine.Message.t list Lazy.t;
+      (** the flows' messages ({!Machine.Patterns.affine_messages}),
+          concatenated in flow order; built on first use, once *)
+}
+
+val make : vgrid:int array -> bytes:int -> Machine.Topology.t -> Mat.t list -> t
+(** The flows on an explicit virtual grid, folded cyclically onto the
+    topology.  The topology must have a 2-D host grid. *)
+
+val on_model : bytes:int -> Machine.Models.t -> Mat.t list -> t option
+(** The flows on the model's simulation grid — four virtual processors
+    per physical one in each dimension, the grid {!Cost} prices 2-D
+    flows on.  [None] when the model's topology has no 2-D host grid. *)
+
+val messages : t -> Machine.Message.t list
+(** [Lazy.force t.msgs]. *)
+
+val volume_graph : t -> Machine.Volgraph.t
+(** The messages collapsed to a canonical (sorted) volume graph — the
+    input the mapping search minimizes over. *)
+
+val placement : Mapping.spec -> t -> Mapping.t
+(** The process placement [spec] picks for this traffic's volume
+    graph on its topology. *)

@@ -10,7 +10,8 @@ let time model ~vgrid ~from_layout ~to_layout ?(bytes = 8) () =
   let topo = model.Machine.Models.topo in
   Machine.Models.run model (messages ~vgrid ~topo ~from_layout ~to_layout ~bytes)
 
-let break_even model ~vgrid ~from_layout ~to_layout ~flow ?(bytes = 8) () =
+let break_even model ~vgrid ~from_layout ~to_layout ~flow =
+  let bytes = 8 in
   let redist = (time model ~vgrid ~from_layout ~to_layout ~bytes ()).Machine.Netsim.time in
   let comm layout =
     (Foldsim.time model ~layout ~vgrid ~flow ~bytes ()).Machine.Netsim.time

@@ -33,9 +33,7 @@ val break_even :
   from_layout:Layout.t ->
   to_layout:Layout.t ->
   flow:Mat.t ->
-  ?bytes:int ->
-  unit ->
   int option
-(** Smallest number of repetitions of the [flow] communication for
+(** Smallest number of repetitions of the 8-byte [flow] communication for
     which [redistribution + n * time(to)] beats [n * time(from)];
     [None] when the target layout never wins. *)

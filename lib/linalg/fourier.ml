@@ -122,8 +122,8 @@ let sample s =
     Some values
   end
 
-let feasible_int ?(fuel = 2000) s =
-  let fuel = ref fuel in
+let feasible_int s =
+  let fuel = ref 2000 in
   let rec go s =
     match sample s with
     | None -> false

@@ -35,11 +35,10 @@ val sample : system -> Rat.t array option
 (** A rational solution, when one exists: back-substitution through
     the elimination steps. *)
 
-val feasible_int : ?fuel:int -> system -> bool
+val feasible_int : system -> bool
 (** Integer satisfiability by branch-and-bound over the rational
     relaxation: when the sampled point has a fractional coordinate
     [x_v = q], recurse on the two half-spaces [x_v <= floor q] and
     [x_v >= ceil q].  Exact for bounded systems (e.g. loop-nest
-    dependence systems); [fuel] (default 2000) bounds the number of
-    branchings, returning the sound over-approximation [true] when
-    exhausted. *)
+    dependence systems); at most 2000 branchings are explored,
+    returning the sound over-approximation [true] when exhausted. *)

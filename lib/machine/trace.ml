@@ -36,12 +36,3 @@ let link_table topo msgs =
       Buffer.add_string buf (Printf.sprintf "%4d -> %-4d %8d\n" src dst load))
     loads;
   Buffer.contents buf
-
-let link_load_heatmap ?faults topo msgs =
-  (* Switched topologies have no per-node glyph layout (routes cross
-     switch vertices); an empty [dims] makes the telemetry renderer
-     fall back to its sorted link table. *)
-  Obs.Telemetry.heatmap
-    ~dims:(if Topology.is_grid topo then Topology.dims topo else [||])
-    ~torus:(Topology.is_torus topo)
-    (Netsim.link_loads ?faults topo msgs)

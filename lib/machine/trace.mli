@@ -7,8 +7,3 @@ val load_heatmap : Topology.t -> Message.t list -> string
 
 val link_table : Topology.t -> Message.t list -> string
 (** The directed links sorted by load, one per line. *)
-
-val link_load_heatmap : ?faults:Fault.t -> Topology.t -> Message.t list -> string
-(** Per-{e link} loads (bytes, from {!Netsim.link_loads}) rendered via
-    {!Obs.Telemetry.heatmap}: the inter-node grid picture that
-    complements the per-node {!load_heatmap}. *)

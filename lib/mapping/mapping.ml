@@ -12,8 +12,8 @@
    permutations.  Everything is deterministic for a given seed — ties
    break on the lowest index, restarts draw from Fault's splitmix64
    streams, and the cross-restart winner is the (cost, permutation)
-   lexicographic minimum, so fanning restarts over a Par pool cannot
-   change the answer. *)
+   lexicographic minimum, so the answer does not depend on the order
+   the restarts run in. *)
 
 type t = int array
 
@@ -235,7 +235,7 @@ let random_perm rng n =
    so the winner does not depend on evaluation order. *)
 let better (c1, p1) (c2, p2) = c1 < c2 || (c1 = c2 && compare p1 p2 < 0)
 
-let search ?pool ?(seed = 0) ?(restarts = default_restarts) topo vol =
+let search ?(seed = 0) ?(restarts = default_restarts) topo vol =
   let n = Machine.Topology.size topo in
   let dist = dist_table topo in
   let w = weight_matrix n vol in
@@ -247,12 +247,7 @@ let search ?pool ?(seed = 0) ?(restarts = default_restarts) topo vol =
     let p = climb dist w start in
     (cost_w dist w p, p)
   in
-  let indices = List.init (restarts + 1) Fun.id in
-  let attempts =
-    match pool with
-    | None -> List.map attempt indices
-    | Some pool -> Par.map pool attempt indices
-  in
+  let attempts = List.init (restarts + 1) attempt in
   (* restart 0 climbs from greedy, so the winner never costs more than
      the greedy construction (which never costs more than identity) *)
   match attempts with
@@ -260,11 +255,11 @@ let search ?pool ?(seed = 0) ?(restarts = default_restarts) topo vol =
   | first :: rest ->
     snd (List.fold_left (fun acc x -> if better x acc then x else acc) first rest)
 
-let compute ?pool s topo vol =
+let compute s topo vol =
   match s.kind with
   | Identity -> identity (Machine.Topology.size topo)
   | Greedy -> greedy topo vol
-  | Search -> search ?pool ~seed:s.seed ~restarts:s.restarts topo vol
+  | Search -> search ~seed:s.seed ~restarts:s.restarts topo vol
 
 let apply perm msgs =
   let n = Array.length perm in

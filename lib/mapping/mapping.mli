@@ -17,10 +17,8 @@
     Everything is deterministic: ties break on the lowest index,
     restarts draw from {!Machine.Fault.Rng} (splitmix64) streams
     derived from the caller's seed, and the cross-restart winner is
-    the (cost, permutation) lexicographic minimum — so fanning the
-    restarts over a {!Par} pool returns the same mapping as the
-    sequential search, and the same seed is byte-identical across
-    runs. *)
+    the (cost, permutation) lexicographic minimum — so the same seed
+    is byte-identical across runs. *)
 
 type t = int array
 (** A placement: process [p] lives on physical rank [t.(p)].  Always a
@@ -61,7 +59,6 @@ val greedy : Machine.Topology.t -> Machine.Volgraph.t -> t
     than {!identity}. *)
 
 val search :
-  ?pool:Par.Pool.t ->
   ?seed:int ->
   ?restarts:int ->
   Machine.Topology.t ->
@@ -69,10 +66,9 @@ val search :
   t
 (** Hill climbing from {!greedy} plus [restarts] climbs from seeded
     random permutations; the best local optimum wins.  Never returns a
-    placement costing more than {!greedy}.  [pool] fans the restarts
-    out without changing the result. *)
+    placement costing more than {!greedy}. *)
 
-val compute : ?pool:Par.Pool.t -> spec -> Machine.Topology.t -> Machine.Volgraph.t -> t
+val compute : spec -> Machine.Topology.t -> Machine.Volgraph.t -> t
 (** Dispatch on [spec.kind]. *)
 
 val apply : t -> Machine.Message.t list -> Machine.Message.t list

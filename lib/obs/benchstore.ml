@@ -281,7 +281,7 @@ let read_file file =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let metrics_of_json ?(experiment = "") text =
+let metrics_of_json text =
   let prefix path key = if path = "" then key else path ^ "." ^ key in
   let rec flatten path v acc =
     match v with
@@ -298,9 +298,9 @@ let metrics_of_json ?(experiment = "") text =
       acc
     | Str _ | Null -> acc
   in
-  List.rev (flatten experiment (parse_json text) [])
+  List.rev (flatten "" (parse_json text) [])
 
-let load_metrics ?experiment file =
+let load_metrics file =
   let text = read_file file in
   let first_line =
     match String.index_opt text '\n' with
@@ -320,7 +320,7 @@ let load_metrics ?experiment file =
         Hashtbl.replace tbl key r.value)
       (load file);
     List.rev_map (fun k -> (k, Hashtbl.find tbl k)) !order
-  | Error _ -> metrics_of_json ?experiment text
+  | Error _ -> metrics_of_json text
 
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                          *)

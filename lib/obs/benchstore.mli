@@ -59,15 +59,14 @@ val load : string -> record list
 exception Parse_error of string
 (** Raised by {!metrics_of_json} / {!load_metrics} on malformed JSON. *)
 
-val metrics_of_json : ?experiment:string -> string -> (string * float) list
-(** Flatten a JSON document into [(experiment.path, value)] pairs: every
-    numeric leaf becomes one metric, object keys joined with [.] and
-    array elements indexed.  [experiment] prefixes each path (defaults
-    to [""] = no prefix, so two snapshots compare independently of
-    their file names).  Used to read the committed [BENCH_*.json]
-    snapshots. *)
+val metrics_of_json : string -> (string * float) list
+(** Flatten a JSON document into [(path, value)] pairs: every numeric
+    leaf becomes one metric, object keys joined with [.] and array
+    elements indexed.  Paths carry no file-name prefix, so two
+    snapshots compare independently of their file names.  Used to read
+    the committed [BENCH_*.json] snapshots. *)
 
-val load_metrics : ?experiment:string -> string -> (string * float) list
+val load_metrics : string -> (string * float) list
 (** Load a metric set from a file, auto-detecting the format: a JSONL
     history (versioned records, keyed ["experiment.metric"]; the latest
     record per key wins) or a single JSON document (flattened via

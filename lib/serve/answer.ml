@@ -48,18 +48,16 @@ let mapping_block ppf ~models (r : Resopt.Pipeline.result) spec =
     "mapped" "gain" "cost" "cost+map" "gain_map";
   List.iter
     (fun model ->
-      match Resopt.Cost.sim_vgrid model with
+      match
+        Resopt.Residual.on_model ~bytes:64 model
+          (Resopt.Residual.flows_of_plan r.Resopt.Pipeline.plan)
+      with
       | None ->
         Format.fprintf ppf "  %-8s %12s@." model.Machine.Models.name
           "(no 2-D grid)"
-      | Some vgrid ->
+      | Some traffic ->
         let topo = model.Machine.Models.topo in
-        let layout = Distrib.Layout.all_cyclic 2 in
-        let place v = Distrib.Layout.place layout ~vgrid ~topo v in
-        let vol =
-          Resopt.Residual.volume_graph ~vgrid ~bytes:64 ~place
-            (Resopt.Residual.flows_of_plan r.Resopt.Pipeline.plan)
-        in
+        let vol = Resopt.Residual.volume_graph traffic in
         let n = Machine.Topology.size topo in
         let perm = Mapping.compute spec topo vol in
         let hb_id = Mapping.hop_bytes topo vol (Mapping.identity n) in

@@ -23,8 +23,16 @@ type request = {
   deadline_ms : int option;
 }
 
+(* [map=none] asks for the fixed embedding, exactly like omitting the
+   field: normalise it (and its seed) away so both spellings of one
+   solve share one key. *)
+let normalise r =
+  match r.map with
+  | None | Some "none" -> { r with map = None; mseed = 0 }
+  | Some _ -> r
+
 let run ?(m = 2) ?faults ?(fseed = 0) ?map ?(mseed = 0) ?deadline_ms workload =
-  { op = Run; workload; m; faults; fseed; map; mseed; deadline_ms }
+  normalise { op = Run; workload; m; faults; fseed; map; mseed; deadline_ms }
 
 let blank op =
   { op; workload = ""; m = 2; faults = None; fseed = 0; map = None; mseed = 0;
@@ -103,7 +111,8 @@ let decode_request s =
     Result.bind (go (blank Ping) rest) (fun r ->
         match r.op with
         | Run when r.workload = "" -> Error "run request without workload"
-        | _ -> Ok r)
+        | _ when r.m < 1 -> Error (Printf.sprintf "bad m: %d (expected >= 1)" r.m)
+        | _ -> Ok (normalise r))
   | _ -> Error "not a resopt-serve/1 request"
 
 type response =

@@ -33,7 +33,9 @@ type request = {
 
 val run : ?m:int -> ?faults:string -> ?fseed:int -> ?map:string -> ?mseed:int ->
   ?deadline_ms:int -> string -> request
-(** [run workload] with the same defaults as [resopt-cli run]. *)
+(** [run workload] with the same defaults as [resopt-cli run].  [map]
+    ["none"] is the same request as no [map] (its [mseed] dropped), so
+    the two spellings coalesce. *)
 
 val ping : request
 val stats : request
@@ -41,9 +43,10 @@ val stats : request
 val encode_request : request -> string
 
 val decode_request : string -> (request, string) result
-(** Strict inverse of {!encode_request} (unknown keys, bad integers, a
-    missing workload on [Run], or a foreign version line are [Error]).
-    Never raises. *)
+(** Strict inverse of {!encode_request} (unknown keys, bad integers,
+    [m < 1], a missing workload on [Run], or a foreign version line
+    are [Error]).  [map=none] is normalised away as in {!run}.  Never
+    raises. *)
 
 val solve_key : request -> string
 (** The canonical identity of the {e solve} a request asks for — its

@@ -141,6 +141,13 @@ let check_time_components name topo (t : Bounds.time) =
 (* The workload x topology x mapping matrix                            *)
 (* ------------------------------------------------------------------ *)
 
+(* the residual traffic of [flows] on the model's simulation grid,
+   bounded *)
+let efficiency ?mapping (model : Machine.Models.t) flows =
+  Option.map
+    (Resopt.Efficiency.of_traffic ?mapping model.Machine.Models.net)
+    (Resopt.Residual.on_model ~bytes:64 model flows)
+
 let check_efficiency name (e : Resopt.Efficiency.t) =
   let v = e.Resopt.Efficiency.volume in
   Alcotest.(check bool)
@@ -159,7 +166,7 @@ let test_matrix_invariant () =
         (fun (tname, topo) ->
           let model = Machine.Models.of_topo topo in
           let name = w.Resopt.Workloads.name ^ "/" ^ tname in
-          match Resopt.Efficiency.of_flows model flows with
+          match efficiency model flows with
           | None ->
             Alcotest.(check bool)
               (name ^ ": None only without a 2-D grid") true
@@ -183,7 +190,7 @@ let test_matrix_mapped () =
       List.iter
         (fun (tname, topo) ->
           let model = Machine.Models.of_topo topo in
-          match Resopt.Efficiency.of_flows ~mapping:spec model flows with
+          match efficiency ~mapping:spec model flows with
           | None -> ()
           | Some e -> check_efficiency (wname ^ "/" ^ tname ^ "/mapped") e)
         topo_matrix)
@@ -206,7 +213,7 @@ let test_pinned_example1 () =
       (Printf.sprintf "%.3f" e.Resopt.Efficiency.time.Bounds.efficiency)
 
 let test_empty_flows () =
-  match Resopt.Efficiency.of_flows (Machine.Models.paragon ()) [] with
+  match efficiency (Machine.Models.paragon ()) [] with
   | None -> Alcotest.fail "expected Some"
   | Some e ->
     Alcotest.(check int) "no flows, no bytes" 0
@@ -220,8 +227,7 @@ let test_obs_counters () =
   Obs.reset ();
   let before = Obs.counter "bounds.computed" in
   (match
-     Resopt.Efficiency.of_flows (Machine.Models.paragon ())
-       [ Resopt.Residual.default_flow ]
+     efficiency (Machine.Models.paragon ()) [ Resopt.Residual.default_flow ]
    with
   | Some _ -> ()
   | None -> Alcotest.fail "expected Some");

@@ -318,14 +318,15 @@ let pipeline_props =
   [
     prop ~count:40 "pipeline: cache on = cache off" arb_seed (fun seed ->
         let nest = Nestir.Gennest.generate ~seed:(seed + 5_000_000) in
-        let run cache () = Resopt.Pipeline.run ~m:2 ~cache nest in
-        Cache.disable ();
-        let off = try Ok (plan_fingerprint (run false ())) with e -> Error e in
-        Cache.clear ();
-        let on =
-          try Ok (plan_fingerprint (Resopt.Pipeline.run ~m:2 ~cache:true nest))
+        let run enable =
+          Cache.scoped ~enable @@ fun () ->
+          try Ok (plan_fingerprint (Resopt.Pipeline.run ~m:2 nest))
           with e -> Error e
         in
+        Cache.disable ();
+        let off = run false in
+        Cache.clear ();
+        let on = run true in
         Cache.clear ();
         match (off, on) with
         | Ok a, Ok b -> a = b

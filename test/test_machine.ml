@@ -280,6 +280,71 @@ let test_topo_bad_spec_rejected () =
        true
      with Not_found -> false)
 
+(* A grid dimension below 1 is a usage error that names its flag, not
+   a crash inside the optimizer or a silently empty answer. *)
+let test_zero_dimension_rejected () =
+  List.iter
+    (fun (args, flag) ->
+      let rc, out = cli_output args in
+      Alcotest.(check bool) (args ^ ": non-zero exit") true (rc <> 0);
+      Alcotest.(check bool)
+        (args ^ ": error names " ^ flag)
+        true
+        (try
+           ignore (Str.search_forward (Str.regexp_string flag) out 0);
+           true
+         with Not_found -> false))
+    [
+      ("run example1 -m 0", "option '-m'");
+      ("bounds example1 -m 0", "option '-m'");
+      ("sweep --ms 0", "option '--ms'");
+    ]
+
+(* Byte goldens (MD5 of stdout + stderr) of every CLI surface that
+   reads a plan's residual traffic.  The traffic fold is shared code;
+   a refactor of it must not move a byte of these outputs. *)
+let traffic_goldens =
+  [
+    ( "report matmul --net --bounds --map greedy --topo fattree:3:4",
+      "d7b89c882b96c04c4e3884ab42ef48bc" );
+    ("chaos -n 8", "836bc9721e7e4d01665d941a83f6eafd");
+    ("chaos -n 6 --topo dragonfly:4:4:2 --jobs 2", "49ea4d24ec6370c8af147b96c5e7dbea");
+    ("run example1 --map search --faults flaky:0.05", "bf417754b05dbdf44e11871eb48ce6f0");
+    ("run example2 --map greedy --topo fattree:3:4", "cf1d6549772dff17ee3bddbd42586273");
+    ("bounds example1 --map search", "c88a201f3a950005e149ebfcd1c791ae");
+    ("bounds stencil --topo dragonfly:4:4:2 --bytes 8", "284d277f55845f2d35facff3106c0bfa");
+    ("spmd example1", "3721d79b6c8b1f24e4099375380db918");
+    ("autodim example1", "514dddd1a8ef50e86c36d1b112862d75");
+  ]
+
+let test_traffic_goldens () =
+  List.iter
+    (fun (args, digest) ->
+      let rc, out = cli_output args in
+      Alcotest.(check int) (args ^ " exits 0") 0 rc;
+      Alcotest.(check string) args digest (Digest.to_hex (Digest.string out)))
+    traffic_goldens;
+  (* the dashboard file, and the report that names it *)
+  let html = Filename.temp_file "resopt_golden" ".html" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove html with Sys_error _ -> ())
+    (fun () ->
+      let rc, out =
+        cli_output
+          ("report example1 --net --bounds --map search --html "
+         ^ Filename.quote html)
+      in
+      Alcotest.(check int) "report --html exits 0" 0 rc;
+      let out =
+        Str.global_replace (Str.regexp_string html) "FILE" out
+      in
+      Alcotest.(check string) "report example1 --net --bounds --map search"
+        "01da4e6ce6fa840a45ec581662dd7e5d"
+        (Digest.to_hex (Digest.string out));
+      Alcotest.(check string) "report --html dashboard"
+        "05e817bf443d1a98b42e5c7494d67fbf"
+        (Digest.to_hex (Digest.file html)))
+
 let () =
   Alcotest.run "machine"
     [
@@ -316,5 +381,9 @@ let () =
         [
           Alcotest.test_case "default identity" `Quick test_topo_default_identity;
           Alcotest.test_case "bad spec rejected" `Quick test_topo_bad_spec_rejected;
+          Alcotest.test_case "zero dimension rejected" `Quick
+            test_zero_dimension_rejected;
         ] );
+      ( "traffic-goldens",
+        [ Alcotest.test_case "residual traffic surfaces" `Quick test_traffic_goldens ] );
     ]

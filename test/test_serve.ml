@@ -90,7 +90,20 @@ let test_wire_solve_key_ignores_deadline () =
   Alcotest.(check string) "same key without deadline" (Wire.solve_key a)
     (Wire.solve_key c);
   Alcotest.(check bool) "different m, different key" true
-    (Wire.solve_key a <> Wire.solve_key (Wire.run ~m:3 "example1"))
+    (Wire.solve_key a <> Wire.solve_key (Wire.run ~m:3 "example1"));
+  (* map=none is no mapping: both spellings are one solve *)
+  Alcotest.(check string) "map=none shares the unmapped key"
+    (Wire.solve_key (Wire.run "example1"))
+    (Wire.solve_key (Wire.run ~map:"none" ~mseed:3 "example1"));
+  match
+    Wire.decode_request
+      "resopt-serve/1\nop=run\nworkload=example1\nm=2\nmap=none\nmseed=3\n"
+  with
+  | Ok r ->
+    Alcotest.(check string) "decoded map=none shares the unmapped key"
+      (Wire.solve_key (Wire.run "example1"))
+      (Wire.solve_key r)
+  | Error e -> Alcotest.fail ("decode failed: " ^ e)
 
 let test_wire_request_rejects () =
   let bad s =
@@ -104,6 +117,7 @@ let test_wire_request_rejects () =
   bad "resopt-serve/1\nop=launch\n";
   bad "resopt-serve/1\nop=run\nm=2\n" (* run without workload *);
   bad "resopt-serve/1\nop=run\nworkload=x\nm=wat\n";
+  bad "resopt-serve/1\nop=run\nworkload=x\nm=0\n";
   bad "resopt-serve/1\nop=run\nworkload=x\nfrobnicate=1\n"
 
 let test_wire_response_roundtrip () =

@@ -247,7 +247,7 @@ let test_redistribute_break_even () =
     Distrib.Redistribute.break_even par ~vgrid:[| 120; 8 |]
       ~from_layout:[| Distrib.Layout.Block; Distrib.Layout.Block |]
       ~to_layout:[| Distrib.Layout.Grouped 6; Distrib.Layout.Block |]
-      ~flow:u6 ()
+      ~flow:u6
   with
   | Some n -> Alcotest.(check bool) "finite break-even" true (n >= 1 && n < 1000)
   | None -> Alcotest.fail "grouped should win eventually"
