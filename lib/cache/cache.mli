@@ -45,9 +45,8 @@ val scoped : ?enable:bool -> (unit -> 'a) -> 'a
 (** [scoped ~enable:true f] runs [f] with the cache on, restoring the
     previous state afterwards (also on exceptions); [~enable:false]
     forces it off for the scope; omitting [enable] leaves the ambient
-    state alone — this is what the [?cache] optional arguments of
-    {!Resopt.Pipeline.run}, {!Resopt.Sweep.run} and
-    {!Resopt.Cost.of_plan} pass through. *)
+    state alone — this is what the [?cache] optional argument of
+    {!Resopt.Sweep.run} passes through. *)
 
 val clear : unit -> unit
 (** Drop every entry of every table in the current domain's shards and

@@ -1,6 +1,10 @@
+(* Square input takes the ordinary inverse: the normal equations
+   square the entries, which the unchecked rational arithmetic can
+   overflow. *)
 let right_inverse x =
   let u = Mat.rows x in
-  if Ratmat.rank_of_mat x <> u then None
+  if u = Mat.cols x then Ratmat.inverse_mat x
+  else if Ratmat.rank_of_mat x <> u then None
   else
     let xt = Mat.transpose x in
     let gram = Mat.mul x xt in
@@ -10,7 +14,8 @@ let right_inverse x =
 
 let left_inverse x =
   let v = Mat.cols x in
-  if Ratmat.rank_of_mat x <> v then None
+  if v = Mat.rows x then Ratmat.inverse_mat x
+  else if Ratmat.rank_of_mat x <> v then None
   else
     let xt = Mat.transpose x in
     let gram = Mat.mul xt x in

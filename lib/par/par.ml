@@ -249,61 +249,14 @@ let run_tasks pool n task =
     | None -> ()
   end
 
-let unwrap = function Some v -> v | None -> assert false
-
-let map_array pool f arr =
-  let n = Array.length arr in
-  let out = Array.make n None in
-  run_tasks pool n (fun i -> out.(i) <- Some (f arr.(i)));
-  Array.map unwrap out
-
 (* ------------------------------------------------------------------ *)
 (* List combinators                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let map pool f l = Array.to_list (map_array pool f (Array.of_list l))
-let filter_map pool f l = List.filter_map Fun.id (map pool f l)
+let map pool f l =
+  let arr = Array.of_list l in
+  let out = Array.make (Array.length arr) None in
+  run_tasks pool (Array.length arr) (fun i -> out.(i) <- Some (f arr.(i)));
+  Array.fold_right (fun v acc -> Option.get v :: acc) out []
+
 let concat_map pool f l = List.concat (map pool f l)
-
-let reduce pool f init l =
-  if l = [] then init
-  else if Pool.jobs pool = 1 then List.fold_left f init l
-  else begin
-    let arr = Array.of_list l in
-    let n = Array.length arr in
-    let nchunks = min n (Pool.jobs pool * 4) in
-    let partials = Array.make nchunks None in
-    run_tasks pool nchunks (fun c ->
-        (* contiguous chunk [lo, hi); non-empty since nchunks <= n *)
-        let lo = c * n / nchunks and hi = (c + 1) * n / nchunks in
-        let acc = ref arr.(lo) in
-        for i = lo + 1 to hi - 1 do
-          acc := f !acc arr.(i)
-        done;
-        partials.(c) <- Some !acc);
-    Array.fold_left (fun acc p -> f acc (unwrap p)) init partials
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Array combinators                                                   *)
-(* ------------------------------------------------------------------ *)
-
-module Arr = struct
-  let init pool n f =
-    let out = Array.make n None in
-    run_tasks pool n (fun i -> out.(i) <- Some (f i));
-    Array.map unwrap out
-
-  let map = map_array
-
-  let filter_map pool f arr =
-    let opts = map_array pool f arr in
-    let kept = ref [] in
-    for i = Array.length opts - 1 downto 0 do
-      match opts.(i) with Some v -> kept := v :: !kept | None -> ()
-    done;
-    Array.of_list !kept
-
-  let concat_map pool f arr =
-    Array.concat (Array.to_list (map_array pool f arr))
-end

@@ -10,10 +10,8 @@
     {e parallelism never changes results}.  Work is handed to domains
     in chunks through an atomic index, but every result lands in the
     slot of its input, so [map pool f l] equals [List.map f l]
-    whatever the interleaving; [filter_map] / [concat_map] flatten in
-    input order; [reduce] combines contiguous chunks left-to-right, so
-    it equals [List.fold_left] whenever the operator is associative.
-    If tasks raise, the exception of the {e lowest-indexed} failing
+    whatever the interleaving, and [concat_map] flattens in input
+    order.  If tasks raise, the exception of the {e lowest-indexed} failing
     input is re-raised (with its backtrace) after all workers drain —
     again independent of scheduling.
 
@@ -99,21 +97,4 @@ val map : Pool.t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f l = List.map f l], with the applications of [f]
     distributed over the pool's domains. *)
 
-val filter_map : Pool.t -> ('a -> 'b option) -> 'a list -> 'b list
 val concat_map : Pool.t -> ('a -> 'b list) -> 'a list -> 'b list
-
-val reduce : Pool.t -> ('a -> 'a -> 'a) -> 'a -> 'a list -> 'a
-(** [reduce pool f init l = List.fold_left f init l] {e provided [f]
-    is associative}: the list is cut into contiguous chunks, each
-    chunk is folded on some domain, and the partial results are
-    combined left-to-right in chunk order.  A non-associative [f]
-    gives a well-defined but chunk-dependent answer — don't. *)
-
-(** {1 Array combinators} *)
-
-module Arr : sig
-  val init : Pool.t -> int -> (int -> 'a) -> 'a array
-  val map : Pool.t -> ('a -> 'b) -> 'a array -> 'b array
-  val filter_map : Pool.t -> ('a -> 'b option) -> 'a array -> 'b array
-  val concat_map : Pool.t -> ('a -> 'b array) -> 'a array -> 'b array
-end

@@ -405,6 +405,20 @@ let test_pseudo_paper_g6 () =
     Alcotest.(check bool) "true pseudo works too" true
       (Ratmat.is_identity (Ratmat.mul fp (Ratmat.of_mat f6)))
 
+(* the normal equations (F^T F)^-1 F^T got this square one wrong *)
+let test_pseudo_square () =
+  let f =
+    m_of [ [ -5; -6; 6; -5 ]; [ 5; -6; 4; 0 ]; [ 2; -5; -6; -5 ]; [ -4; -4; -5; 1 ] ]
+  in
+  let id = Ratmat.is_identity and ff = Ratmat.of_mat f in
+  match (Pseudo.left_inverse f, Pseudo.right_inverse f) with
+  | Some l, Some r ->
+    Alcotest.(check bool) "F+ F = I" true (id (Ratmat.mul l ff));
+    Alcotest.(check bool) "F F+ = I" true (id (Ratmat.mul ff r));
+    Alcotest.(check bool) "the ordinary inverse" true
+      (Ratmat.equal l (Option.get (Ratmat.inverse_mat f)))
+  | _ -> Alcotest.fail "non-singular"
+
 let pseudo_props =
   [
     prop "right inverse: F F+ = I when full row rank" arb_mat (fun a ->
@@ -569,6 +583,7 @@ let () =
           Alcotest.test_case "integer left inverse absent" `Quick
             test_pseudo_integer_left_none;
           Alcotest.test_case "paper G for F6" `Quick test_pseudo_paper_g6;
+          Alcotest.test_case "square: the ordinary inverse" `Quick test_pseudo_square;
         ]
         @ pseudo_props );
       ( "matsolve",

@@ -27,15 +27,6 @@ let test_map_equals_sequential () =
         inputs)
     [ 1; 2; 8 ]
 
-let test_filter_map_equals_sequential () =
-  let f x = if x mod 3 = 0 then Some (x / 3) else None in
-  List.iter
-    (fun l ->
-      with_pool 4 @@ fun pool ->
-      Alcotest.(check (list int))
-        "filter_map" (List.filter_map f l) (Par.filter_map pool f l))
-    inputs
-
 let test_concat_map_equals_sequential () =
   let f x = List.init (abs x mod 3) (fun i -> (x * 10) + i) in
   List.iter
@@ -44,39 +35,6 @@ let test_concat_map_equals_sequential () =
       Alcotest.(check (list int))
         "concat_map" (List.concat_map f l) (Par.concat_map pool f l))
     inputs
-
-let test_reduce_equals_fold () =
-  (* (+) and a non-commutative but associative operation *)
-  List.iter
-    (fun l ->
-      with_pool 4 @@ fun pool ->
-      Alcotest.(check int) "reduce (+)" (List.fold_left ( + ) 0 l)
-        (Par.reduce pool ( + ) 0 l))
-    inputs;
-  let concat = List.map string_of_int (List.init 57 Fun.id) in
-  with_pool 4 @@ fun pool ->
-  Alcotest.(check string)
-    "reduce (^) keeps chunk order"
-    (List.fold_left ( ^ ) "" concat)
-    (Par.reduce pool ( ^ ) "" concat)
-
-let test_array_combinators () =
-  with_pool 4 @@ fun pool ->
-  let a = Array.init 41 (fun i -> i - 20) in
-  Alcotest.(check (array int))
-    "Arr.map" (Array.map succ a) (Par.Arr.map pool succ a);
-  Alcotest.(check (array int))
-    "Arr.init" (Array.init 23 (fun i -> i * i))
-    (Par.Arr.init pool 23 (fun i -> i * i));
-  let f x = if x land 1 = 0 then Some (-x) else None in
-  let seq_fm =
-    Array.of_list (List.filter_map f (Array.to_list a))
-  in
-  Alcotest.(check (array int)) "Arr.filter_map" seq_fm (Par.Arr.filter_map pool f a);
-  let g x = Array.make (abs x mod 3) x in
-  let seq_cm = Array.concat (Array.to_list (Array.map g a)) in
-  Alcotest.(check (array int)) "Arr.concat_map" seq_cm (Par.Arr.concat_map pool g a);
-  Alcotest.(check (array int)) "Arr.map empty" [||] (Par.Arr.map pool succ [||])
 
 (* ------------------------------------------------------------------ *)
 (* Input-order determinism under deliberate imbalance                  *)
@@ -327,10 +285,7 @@ let () =
       ( "combinators",
         [
           Alcotest.test_case "map = List.map" `Quick test_map_equals_sequential;
-          Alcotest.test_case "filter_map" `Quick test_filter_map_equals_sequential;
           Alcotest.test_case "concat_map" `Quick test_concat_map_equals_sequential;
-          Alcotest.test_case "reduce = fold_left" `Quick test_reduce_equals_fold;
-          Alcotest.test_case "array combinators" `Quick test_array_combinators;
           Alcotest.test_case "input-order determinism" `Quick
             test_order_determinism;
         ] );
