@@ -113,7 +113,7 @@ let entries_oldest_first sh =
 (* ------------------------------------------------------------------ *)
 
 (* Everything the module-level operations (clear, stats, save, load,
-   sink) need from a table, with the value type hidden behind
+   capture) need from a table, with the value type hidden behind
    closures.  Tables are created at module initialization on the main
    domain, but tests create them dynamically too, so the list is
    mutex-protected; shard access itself needs no lock (per-domain). *)
@@ -272,23 +272,18 @@ end
 (* Parallel workers                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let sink : Obs.Sink.t =
-  {
-    name = "cache";
-    capture =
-      (fun ~worker:_ f ->
-        if not !enabled_flag then (f (), ignore)
-        else begin
-          let undos = List.map (fun o -> o.o_swap_fresh ()) (registered ()) in
-          match f () with
-          | v ->
-            let merges = List.map (fun undo -> undo ()) undos in
-            (v, fun () -> List.iter (fun m -> m ()) merges)
-          | exception e ->
-            List.iter (fun undo -> ignore (undo () : unit -> unit)) undos;
-            raise e
-        end);
-  }
+let capture f =
+  if not !enabled_flag then (f (), ignore)
+  else begin
+    let undos = List.map (fun o -> o.o_swap_fresh ()) (registered ()) in
+    match f () with
+    | v ->
+      let merges = List.map (fun undo -> undo ()) undos in
+      (v, fun () -> List.iter (fun m -> m ()) merges)
+    | exception e ->
+      List.iter (fun undo -> ignore (undo () : unit -> unit)) undos;
+      raise e
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Persistence                                                         *)

@@ -17,13 +17,13 @@
     on, only pure functions are memoized, so every output is
     byte-identical to cache-off; the CI gate diffs the two.
 
-    Like {!Obs}, the tables are {e per-domain}: each domain reads and
-    writes its own shard (held in [Domain.DLS]), so workers spawned by
-    {!Par} never contend and never need a lock.  {!sink} mirrors
-    {!Obs.sink}: a parallel runner gives every worker slot fresh
-    shards for its whole drain loop and folds what the slot cached
-    back into the caller's shards at join, in slot order, so the
-    merged cache state is deterministic.
+    The tables are {e per-domain}: each domain reads and writes its
+    own shard (held in [Domain.DLS]), so workers spawned by {!Par}
+    never contend and never need a lock.  {!capture} is the one
+    capture/merge pair left in the code base: a parallel runner gives
+    every worker slot fresh shards for its whole drain loop and folds
+    what the slot cached back into the caller's shards at join, in
+    slot order.
 
     An optional on-disk format ({!save} / {!load}) persists the tables
     across CLI invocations.  The format is versioned and checksummed;
@@ -108,14 +108,15 @@ end
 
 (** {1 Parallel workers} *)
 
-val sink : Obs.Sink.t
-(** Runs a worker slot with a fresh, empty shard per table for the
-    current domain and restores the previous shards afterwards; if the
-    slot raises, its insertions are dropped.  The merge folds the
-    slot's shards into the current domain's: entries are replayed
-    oldest-first through the normal insertion path (capacity and
-    eviction included) and the hit/miss/eviction tallies are summed.
-    Merging in slot order keeps the caller's shards deterministic.
+val capture : (unit -> 'a) -> 'a * (unit -> unit)
+(** [capture f] runs [f ()] (a worker slot) with a fresh, empty shard
+    per table for the current domain and restores the previous shards
+    afterwards; if [f] raises, its insertions are dropped.  The
+    returned merge folds the slot's shards into the shards of the
+    domain that calls it: entries are replayed oldest-first through
+    the normal insertion path (capacity and eviction included) and the
+    hit/miss/eviction tallies are summed.  While the cache is disabled
+    [capture f] is just [f ()] and the merge does nothing.
 
     Because the shards start empty, a worker never reads what the
     caller had cached before the parallel run. *)

@@ -110,8 +110,8 @@ val run :
     [sweep.cell] span tagged with (workload, m, model) and feeds the
     [sweep.cells] / [sweep.non_local] counters and the [sweep.gain] /
     [sweep.time_ms] / [sweep.cost_ms] histograms — under [jobs] the
-    workers record into isolated collectors that are merged back at
-    join, so the totals match a sequential sweep. *)
+    workers record into the same shared store, so the totals match a
+    sequential sweep. *)
 
 val pp_table : Format.formatter -> row list -> unit
 

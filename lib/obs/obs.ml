@@ -1,26 +1,20 @@
-(* Instrumentation state, one collector per domain.  The hot-path
+(* Instrumentation state, one process-wide store.  The hot-path
    contract: every recording entry point first tests [enabled_flag],
-   so a disabled build does no allocation and no table lookup (not
-   even the domain-local-storage read).
+   so a disabled build does no allocation, takes no lock and touches
+   no table.
 
-   Each domain records into its own collector (held in [Domain.DLS]),
-   so parallel workers spawned by [Par] never contend on the
-   registries; [sink] gives a worker slot a fresh collector and folds
-   it back into the caller's registry at join. *)
+   Enabled, every domain records into the same store under [lock], in
+   arrival order, so nothing is lost whichever domain records and
+   nothing needs merging.  The span nesting depth and the worker slot
+   a span is tagged with come from the per-domain context in
+   [Ambient], which [Par] sets once per worker slot. *)
 
 (* ------------------------------------------------------------------ *)
 (* Clock                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let clock = ref Sys.time
-
-let set_clock f =
-  clock := f;
-  (* the profiler keeps its own clock so it can be used without spans;
-     installing one time source here keeps both sinks on it *)
-  Profile.set_clock f
-
-let now_us () = !clock () *. 1e6
+let set_clock = Profile.set_clock
+let now_us = Ambient.now_us
 
 (* ------------------------------------------------------------------ *)
 (* State                                                               *)
@@ -40,46 +34,41 @@ type series_point = { point_name : string; point_ts : float; value : float }
 
 type histogram = { count : int; sum : float; min_v : float; max_v : float }
 
-type collector = {
+type store = {
   mutable span_log : span list; (* reverse completion order *)
   mutable point_log : series_point list; (* reverse order *)
-  mutable cur_depth : int;
   counters : (string, int) Hashtbl.t;
   gauges : (string, float) Hashtbl.t;
   histos : (string, histogram) Hashtbl.t;
   histo_samples : (string, float list) Hashtbl.t; (* reverse order *)
 }
 
-let new_collector () =
+let store =
   {
     span_log = [];
     point_log = [];
-    cur_depth = 0;
     counters = Hashtbl.create 32;
     gauges = Hashtbl.create 16;
     histos = Hashtbl.create 16;
     histo_samples = Hashtbl.create 16;
   }
 
-(* The main domain's slot is the parent registry every exporter reads;
-   a freshly spawned domain starts with an empty collector of its own. *)
-let collector_key : collector Domain.DLS.key = Domain.DLS.new_key new_collector
-
-let cur () = Domain.DLS.get collector_key
+let lock = Mutex.create ()
+let locked f = Mutex.protect lock (fun () -> f store)
 
 let enable () = enabled_flag := true
 let disable () = enabled_flag := false
 let enabled () = !enabled_flag
 
 let reset () =
-  let c = cur () in
-  c.span_log <- [];
-  c.point_log <- [];
-  c.cur_depth <- 0;
-  Hashtbl.reset c.counters;
-  Hashtbl.reset c.gauges;
-  Hashtbl.reset c.histos;
-  Hashtbl.reset c.histo_samples
+  locked (fun c ->
+      c.span_log <- [];
+      c.point_log <- [];
+      Hashtbl.reset c.counters;
+      Hashtbl.reset c.gauges;
+      Hashtbl.reset c.histos;
+      Hashtbl.reset c.histo_samples);
+  (Ambient.get ()).depth <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
@@ -88,16 +77,20 @@ let reset () =
 let with_span ?(args = []) name f =
   if not !enabled_flag then f ()
   else begin
-    let c = cur () in
-    let depth = c.cur_depth in
-    c.cur_depth <- depth + 1;
+    let ctx = Ambient.get () in
+    let depth = ctx.depth in
+    ctx.depth <- depth + 1;
+    let args =
+      match ctx.worker with
+      | Some w -> ("worker", string_of_int w) :: args
+      | None -> args
+    in
     let t0 = now_us () in
     let finish () =
       let t1 = now_us () in
-      c.cur_depth <- depth;
-      c.span_log <-
-        { span_name = name; ts_us = t0; dur_us = t1 -. t0; depth; args }
-        :: c.span_log
+      ctx.depth <- depth;
+      let s = { span_name = name; ts_us = t0; dur_us = t1 -. t0; depth; args } in
+      locked (fun c -> c.span_log <- s :: c.span_log)
     in
     match f () with
     | v ->
@@ -108,12 +101,12 @@ let with_span ?(args = []) name f =
       raise e
   end
 
-let spans () = List.rev (cur ()).span_log
+let spans () = locked (fun c -> List.rev c.span_log)
 
 let time_ms f =
-  let t0 = !clock () in
+  let t0 = !Ambient.clock () in
   let v = f () in
-  (v, (!clock () -. t0) *. 1e3)
+  (v, (!Ambient.clock () -. t0) *. 1e3)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -121,44 +114,43 @@ let time_ms f =
 
 let incr ?(by = 1) name =
   if !enabled_flag then
-    let counters = (cur ()).counters in
-    Hashtbl.replace counters name
-      (by + Option.value ~default:0 (Hashtbl.find_opt counters name))
+    locked (fun c ->
+        Hashtbl.replace c.counters name
+          (by + Option.value ~default:0 (Hashtbl.find_opt c.counters name)))
 
 let counter name =
-  Option.value ~default:0 (Hashtbl.find_opt (cur ()).counters name)
+  locked (fun c -> Option.value ~default:0 (Hashtbl.find_opt c.counters name))
 
-let set_gauge name v = if !enabled_flag then Hashtbl.replace (cur ()).gauges name v
+let set_gauge name v =
+  if !enabled_flag then locked (fun c -> Hashtbl.replace c.gauges name v)
 
-let gauge name = Hashtbl.find_opt (cur ()).gauges name
+let gauge name = locked (fun c -> Hashtbl.find_opt c.gauges name)
 
 let observe name v =
   if !enabled_flag then
-    let histos = (cur ()).histos in
-    let h =
-      match Hashtbl.find_opt histos name with
-      | None -> { count = 1; sum = v; min_v = v; max_v = v }
-      | Some h ->
-        {
-          count = h.count + 1;
-          sum = h.sum +. v;
-          min_v = min h.min_v v;
-          max_v = max h.max_v v;
-        }
-    in
-    Hashtbl.replace histos name h;
-    let samples = (cur ()).histo_samples in
-    Hashtbl.replace samples name
-      (v :: Option.value ~default:[] (Hashtbl.find_opt samples name))
+    locked (fun c ->
+        let h =
+          match Hashtbl.find_opt c.histos name with
+          | None -> { count = 1; sum = v; min_v = v; max_v = v }
+          | Some h ->
+            {
+              count = h.count + 1;
+              sum = h.sum +. v;
+              min_v = min h.min_v v;
+              max_v = max h.max_v v;
+            }
+        in
+        Hashtbl.replace c.histos name h;
+        Hashtbl.replace c.histo_samples name
+          (v :: Option.value ~default:[] (Hashtbl.find_opt c.histo_samples name)))
 
-let histogram name = Hashtbl.find_opt (cur ()).histos name
+let histogram name = locked (fun c -> Hashtbl.find_opt c.histos name)
 
 let histo_array c name =
   Array.of_list (Option.value ~default:[] (Hashtbl.find_opt c.histo_samples name))
 
 let histogram_percentiles name =
-  let c = cur () in
-  match histo_array c name with
+  match locked (fun c -> histo_array c name) with
   | [||] -> None
   | xs ->
     Some
@@ -168,8 +160,8 @@ let histogram_percentiles name =
 
 let point name ~ts v =
   if !enabled_flag then
-    let c = cur () in
-    c.point_log <- { point_name = name; point_ts = ts; value = v } :: c.point_log
+    locked (fun c ->
+        c.point_log <- { point_name = name; point_ts = ts; value = v } :: c.point_log)
 
 (* ------------------------------------------------------------------ *)
 (* JSON helpers                                                        *)
@@ -220,24 +212,22 @@ let counter_event ~ts name v =
     ]
 
 let chrome_trace () =
-  let c = cur () in
-  let spans = List.rev c.span_log in
-  let points = List.rev c.point_log in
+  let spans, points, counters =
+    locked (fun c -> (List.rev c.span_log, List.rev c.point_log, sorted_bindings c.counters))
+  in
   let end_ts =
     List.fold_left (fun acc (s : span) -> Float.max acc (s.ts_us +. s.dur_us)) 0.0 spans
   in
   let events =
     List.map span_event spans
     @ List.map point_event points
-    @ List.map
-        (fun (k, v) -> counter_event ~ts:end_ts k v)
-        (sorted_bindings c.counters)
+    @ List.map (fun (k, v) -> counter_event ~ts:end_ts k v) counters
     @ Profile.chrome_events ()
   in
   "{\"traceEvents\":[" ^ String.concat "," events ^ "],\"displayTimeUnit\":\"ms\"}"
 
 let jsonl () =
-  let c = cur () in
+  locked @@ fun c ->
   let buf = Buffer.create 1024 in
   let line s = Buffer.add_string buf (s ^ "\n") in
   List.iter
@@ -292,7 +282,7 @@ let jsonl () =
   Buffer.contents buf
 
 (* per-name span aggregates: count, total duration, max duration *)
-let span_aggregates () =
+let span_aggregates c =
   let tbl : (string, int * float * float) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun (s : span) ->
@@ -301,11 +291,11 @@ let span_aggregates () =
       in
       Hashtbl.replace tbl s.span_name
         (n + 1, tot +. s.dur_us, Float.max mx s.dur_us))
-    (cur ()).span_log;
+    c.span_log;
   sorted_bindings tbl
 
 let metrics_json () =
-  let c = cur () in
+  locked @@ fun c ->
   let field_list to_json bindings =
     Json.obj (List.map (fun (k, v) -> (k, to_json v)) bindings)
   in
@@ -339,7 +329,7 @@ let metrics_json () =
                 ("total_us", Json.float tot);
                 ("max_us", Json.float mx);
               ])
-          (span_aggregates ()) );
+          (span_aggregates c) );
     ]
 
 let write_file path contents =
@@ -348,8 +338,8 @@ let write_file path contents =
   close_out oc
 
 let pp_summary ppf () =
-  let c = cur () in
-  let aggs = span_aggregates () in
+  locked @@ fun c ->
+  let aggs = span_aggregates c in
   if aggs <> [] then begin
     Format.fprintf ppf "spans:@\n";
     Format.fprintf ppf "  %-32s %6s %12s %12s@\n" "name" "count" "total ms" "max ms";
@@ -391,67 +381,10 @@ let pp_summary ppf () =
     Format.fprintf ppf "no observations recorded@\n"
 
 (* ------------------------------------------------------------------ *)
-(* Parallel workers                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Fold a worker's collector [w] into the current domain's: both logs
-   are kept in reverse order, so rev_map + rev_append keeps the
-   worker's internal ordering and places its events after everything
-   already recorded here. *)
-let absorb ~worker w =
-  let c = cur () in
-  let tag = ("worker", string_of_int worker) in
-  c.span_log <-
-    List.rev_append
-      (List.rev_map (fun s -> { s with args = tag :: s.args }) w.span_log)
-      c.span_log;
-  c.point_log <- List.rev_append (List.rev w.point_log) c.point_log;
-  Hashtbl.iter
-    (fun k v ->
-      Hashtbl.replace c.counters k
-        (v + Option.value ~default:0 (Hashtbl.find_opt c.counters k)))
-    w.counters;
-  Hashtbl.iter (fun k v -> Hashtbl.replace c.gauges k v) w.gauges;
-  Hashtbl.iter
-    (fun k (h : histogram) ->
-      let merged =
-        match Hashtbl.find_opt c.histos k with
-        | None -> h
-        | Some g ->
-          {
-            count = g.count + h.count;
-            sum = g.sum +. h.sum;
-            min_v = min g.min_v h.min_v;
-            max_v = max g.max_v h.max_v;
-          }
-      in
-      Hashtbl.replace c.histos k merged)
-    w.histos;
-  Hashtbl.iter
-    (fun k samples ->
-      Hashtbl.replace c.histo_samples k
-        (samples @ Option.value ~default:[] (Hashtbl.find_opt c.histo_samples k)))
-    w.histo_samples
-
-let sink : Sink.t =
-  {
-    name = "obs";
-    capture =
-      (fun ~worker f ->
-        if not !enabled_flag then (f (), ignore)
-        else begin
-          let fresh = new_collector () in
-          let v = Sink.with_dls collector_key fresh f in
-          (v, fun () -> absorb ~worker fresh)
-        end);
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Companion modules                                                   *)
 (* ------------------------------------------------------------------ *)
 
 module Json = Json
-module Sink = Sink
 module Telemetry = Telemetry
 module Benchstore = Benchstore
 module Profile = Profile

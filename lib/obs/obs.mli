@@ -21,11 +21,8 @@
 
     The module keeps ambient state on purpose — instrumentation has to
     be reachable from every layer without threading a handle through
-    each signature.  Since the parallel runtime ({!Par}) arrived, that
-    state is {e per-domain}: each domain records into its own
-    collector, so concurrent workers never contend, and {!sink} below
-    lets a parallel runner give every worker slot a fresh collector
-    and fold it back into the caller's registry at join.  Within one
+    each signature.  That state is {e one process-wide store}, shared
+    by every domain (see "Parallel workers" below).  Within one
     domain the module remains single-threaded, like the rest of the
     code base. *)
 
@@ -36,8 +33,9 @@ val set_clock : (unit -> float) -> unit
     float.  The default is [Sys.time] (processor time), the only clock
     the standard library offers; executables that link [unix] should
     install [Unix.gettimeofday] for real wall-clock spans, and tests
-    install a deterministic fake.  Forwards to {!Profile.set_clock},
-    so spans and scheduler profiles always share one clock. *)
+    install a deterministic fake.  This is {!Profile.set_clock}: the
+    library keeps one clock, so spans, {!time_ms} and scheduler
+    profiles always share it. *)
 
 (** {1 Enabling} *)
 
@@ -140,29 +138,29 @@ val pp_summary : Format.formatter -> unit -> unit
     duration), then counters, gauges and histograms, all sorted by
     name.  This is what [resopt-cli ... --stats] prints. *)
 
-(** {1 Parallel workers} *)
+(** {1 Parallel workers}
 
-val sink : Sink.t
-(** Isolation + merge, the contract {!Par} relies on so that
-    [--trace]/[--stats] stay correct under parallel execution: a worker
-    slot records into a fresh collector, and the merge folds it into
-    the {e current} domain's registry.  Spans and points are appended
-    (keeping their internal order) and every merged span gains a
-    [("worker", <slot>)] arg; counters and histograms are summed;
-    gauges take the worker's value.  Merging in slot order keeps the
-    registry deterministic. *)
+    Every domain records into the same store, so what a worker records
+    is visible to the caller as soon as it is recorded: nothing is
+    captured, merged or lost, whether the domain was spawned by {!Par}
+    or not.  The store takes a lock only while recording is enabled,
+    and records land in arrival order, so under parallelism the order
+    of spans, points and histogram samples depends on scheduling while
+    counter totals and histogram summaries match a sequential run.  A
+    gauge keeps the last value set.  Inside a {!Par} worker slot every
+    span gains a [("worker", <slot>)] arg and its depth counts from 0
+    (see {!Profile.with_worker}). *)
 
 (** {1 Companion modules}
 
-    The shared JSON writer ({!Json}), the per-domain sink shape
-    ({!Sink}), deep network telemetry ({!Telemetry}), benchmark
-    history + regression comparison ({!Benchstore}) and the
-    parallel-scheduler profiler ({!Profile}); all dependency-free and,
+    The shared JSON writer ({!Json}), deep network telemetry
+    ({!Telemetry}), benchmark history + regression comparison
+    ({!Benchstore}) and the parallel-scheduler profiler ({!Profile});
+    all dependency-free and,
     like the rest of the module, zero-cost until explicitly enabled or
     called. *)
 
 module Json = Json
-module Sink = Sink
 module Telemetry = Telemetry
 module Benchstore = Benchstore
 module Profile = Profile

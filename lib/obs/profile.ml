@@ -1,19 +1,18 @@
-(* Scheduler profiling sink.  Unlike the Obs collectors this store is
-   deliberately global and mutex-guarded: tasks complete on worker
-   domains at chunk granularity (tens to hundreds per run), so one
-   lock push per chunk is noise, and keeping every record in one place
-   means no capture/merge dance and no lost events when a pool is
-   reused across calls.  The hot-path contract matches Obs: every
-   entry point first tests [enabled_flag], so a profiler-off build
-   pays one boolean test and output is byte-identical. *)
+(* Scheduler profiler.  Like Obs and Telemetry, it records into one
+   process-wide, mutex-guarded store: tasks complete on worker domains
+   at chunk granularity (tens to hundreds per run), so one lock push
+   per chunk is noise, and every record carries its worker slot, so
+   nothing is merged and nothing is lost when a pool is reused across
+   calls.  The hot-path contract matches Obs: every entry point first
+   tests [enabled_flag], so a profiler-off build pays one boolean test
+   and output is byte-identical. *)
 
 (* ------------------------------------------------------------------ *)
 (* Clock                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let clock = ref Sys.time
-let set_clock f = clock := f
-let now_us () = !clock () *. 1e6
+let set_clock f = Ambient.clock := f
+let now_us = Ambient.now_us
 
 (* ------------------------------------------------------------------ *)
 (* State                                                               *)
@@ -49,12 +48,6 @@ let pool_ref : (int * int) option ref = ref None
    clock).  Feeds only the diagnosis GC bucket. *)
 let minor_pause_us = ref (-1.0)
 
-(* Per-domain ambient worker slot + label stack (innermost first). *)
-type ctx = { mutable worker : int; mutable stack : string list }
-
-let ctx_key : ctx Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { worker = 0; stack = [] })
-
 let calibrate () =
   if !minor_pause_us < 0.0 then begin
     let best = ref infinity in
@@ -80,8 +73,8 @@ let reset () =
   event_log := [];
   pool_ref := None;
   Mutex.unlock lock;
-  let ctx = Domain.DLS.get ctx_key in
-  ctx.worker <- 0;
+  let ctx = Ambient.get () in
+  ctx.worker <- None;
   ctx.stack <- []
 
 (* ------------------------------------------------------------------ *)
@@ -95,17 +88,15 @@ let note_pool ~jobs ~width =
     Mutex.unlock lock
   end
 
-let with_worker slot f =
-  if not !enabled_flag then f ()
-  else Sink.with_dls ctx_key { worker = slot; stack = [] } f
+let with_worker = Ambient.with_worker
 
-let sink : Sink.t =
-  { name = "profile"; capture = (fun ~worker f -> (with_worker worker f, ignore)) }
+(* sequential code profiles as slot 0 *)
+let slot (ctx : Ambient.t) = Option.value ~default:0 ctx.worker
 
 let task ?(index = -1) ?(size = 1) label f =
   if not !enabled_flag then f ()
   else begin
-    let ctx = Domain.DLS.get ctx_key in
+    let ctx = Ambient.get () in
     let saved = ctx.stack in
     ctx.stack <- label :: saved;
     let g0 = Gc.quick_stat () in
@@ -116,7 +107,7 @@ let task ?(index = -1) ?(size = 1) label f =
       ctx.stack <- saved;
       let r =
         {
-          t_worker = ctx.worker;
+          t_worker = slot ctx;
           t_stack = List.rev (label :: saved);
           t_index = index;
           t_size = size;
@@ -143,12 +134,12 @@ let task ?(index = -1) ?(size = 1) label f =
 let event kind f =
   if not !enabled_flag then f ()
   else begin
-    let ctx = Domain.DLS.get ctx_key in
+    let ctx = Ambient.get () in
     let t0 = now_us () in
     let finish () =
       let t1 = now_us () in
       let r =
-        { e_kind = kind; e_worker = ctx.worker; e_start_us = t0; e_dur_us = t1 -. t0 }
+        { e_kind = kind; e_worker = slot ctx; e_start_us = t0; e_dur_us = t1 -. t0 }
       in
       Mutex.lock lock;
       event_log := r :: !event_log;

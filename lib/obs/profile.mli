@@ -2,11 +2,11 @@
     pool lifecycle costs and GC attribution.
 
     {!Obs} spans answer "where did the time go between phases"; this
-    sink answers the scheduling questions the spans cannot: how busy
-    was each worker domain, what did domain spawns and snapshot merges
-    cost, how large were the task chunks, and how much garbage
+    module answers the scheduling questions the spans cannot: how busy
+    was each worker domain, what did domain spawns and cache-shard
+    merges cost, how large were the task chunks, and how much garbage
     collection each worker induced.  {!Par.run_tasks} records one
-    {!task} per chunk it drains (plus [spawn]/[merge]/[teardown]
+    {!task} per chunk it drains (plus [spawn]/[merge.cache]/[teardown]
     lifecycle {!event}s), {!Resopt.Sweep} and {!Decomp.Search} nest
     labelled tasks inside those chunks for per-cell / per-slice
     attribution, and the renderers below turn the recordings into an
@@ -19,18 +19,18 @@
     Like the rest of [lib/obs] the module is dependency-free and off
     by default: until {!enable} is called every recording entry point
     is one boolean test, so profiler-off output is byte-identical to a
-    build without this module.  Recording is multi-domain by design —
-    workers push completed records into one mutex-guarded store, so no
-    capture/merge dance is needed and records carry their worker slot
+    build without this module.  Recording is multi-domain by design,
+    as in {!Obs} and {!Telemetry}: workers push completed records into
+    one mutex-guarded store, and records carry their worker slot
     explicitly. *)
 
 (** {1 Clock} *)
 
 val set_clock : (unit -> float) -> unit
-(** Install the time source (seconds as a float).  Defaults to
-    [Sys.time]; {!Obs.set_clock} forwards here, so executables that
-    install a wall clock for spans get wall-clock profiles too, and
-    tests install a deterministic fake. *)
+(** Install the time source (seconds as a float), the one clock of
+    [lib/obs]: {!Obs.set_clock} is this function, so spans, profiles
+    and {!Obs.time_ms} always agree.  Defaults to [Sys.time];
+    executables install a wall clock and tests a deterministic fake. *)
 
 (** {1 Enabling} *)
 
@@ -55,14 +55,11 @@ val note_pool : jobs:int -> width:int -> unit
 
 val with_worker : int -> (unit -> 'a) -> 'a
 (** [with_worker slot f] runs [f] with [slot] as the ambient worker id
-    (and a fresh label stack) for the current domain; tasks recorded
-    inside carry it.  The default worker id is 0, so sequential code
-    profiles as slot 0 without any wrapping. *)
-
-val sink : Sink.t
-(** {!with_worker} as a {!Sink.t}: the worker slot is the only
-    per-domain state this module keeps, and records already live in
-    one shared store, so the merge does nothing. *)
+    (and a fresh label stack and span depth) for the current domain,
+    then restores the previous context, also when [f] raises.  Tasks
+    recorded inside carry the slot and {!Obs} spans gain a
+    [("worker", <slot>)] arg.  {!Par} wraps each worker slot in it.
+    Outside it tasks profile as slot 0 and spans carry no worker arg. *)
 
 val task : ?index:int -> ?size:int -> string -> (unit -> 'a) -> 'a
 (** [task label f] runs [f] and records one task: the ambient worker,
@@ -77,9 +74,9 @@ val task : ?index:int -> ?size:int -> string -> (unit -> 'a) -> 'a
 val event : string -> (unit -> 'a) -> 'a
 (** [event kind f] — like {!task} but for pool lifecycle work that is
     not task execution: [kind] is ["spawn"], ["teardown"] or
-    ["merge." ^ name] for each {!Sink.t} that {!Par} merges
-    (["merge.obs"], ["merge.cache"], ...).  No GC accounting, no
-    stack. *)
+    ["merge.cache"], the fold of one worker slot's cache shards
+    ({!Cache.capture}) that {!Par} runs after the join.  No GC
+    accounting, no stack. *)
 
 (** {1 Recorded data} *)
 

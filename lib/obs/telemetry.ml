@@ -1,6 +1,7 @@
-(* Telemetry sink + renderers.  Recording state is one run list per
-   domain (like the Obs collectors) so Par workers never contend; the
-   render functions are pure and usable on any run value. *)
+(* Telemetry store + renderers.  Recording state is one process-wide,
+   mutex-guarded run list (like the Obs and Profile stores), so a run
+   recorded on any domain is kept, in arrival order; the render
+   functions are pure and usable on any run value. *)
 
 type outcome = Delivered | Dropped | Unreachable
 
@@ -47,43 +48,21 @@ type run = {
 (* ------------------------------------------------------------------ *)
 
 let enabled_flag = ref false
-
-let runs_key : run list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+let lock = Mutex.create ()
+let run_log : run list ref = ref [] (* reverse arrival order *)
 
 let enable () = enabled_flag := true
 let disable () = enabled_flag := false
 let enabled () = !enabled_flag
-let reset () = Domain.DLS.get runs_key := []
+let reset () = Mutex.protect lock (fun () -> run_log := [])
 
 let record_run r =
-  if !enabled_flag then begin
-    let runs = Domain.DLS.get runs_key in
-    runs := r :: !runs
-  end
+  if !enabled_flag then Mutex.protect lock (fun () -> run_log := r :: !run_log)
 
-let runs () = List.rev !(Domain.DLS.get runs_key)
+let runs () = Mutex.protect lock (fun () -> List.rev !run_log)
 
 let last_run () =
-  match !(Domain.DLS.get runs_key) with [] -> None | r :: _ -> Some r
-
-(* A worker records into a fresh list; the merge puts its runs after
-   the ones already recorded on the merging domain. *)
-let sink : Sink.t =
-  {
-    name = "telemetry";
-    capture =
-      (fun ~worker:_ f ->
-        if not !enabled_flag then (f (), ignore)
-        else begin
-          let fresh = ref [] in
-          let v = Sink.with_dls runs_key fresh f in
-          ( v,
-            fun () ->
-              let runs = Domain.DLS.get runs_key in
-              runs := !fresh @ !runs )
-        end);
-  }
+  Mutex.protect lock (fun () -> match !run_log with [] -> None | r :: _ -> Some r)
 
 (* ------------------------------------------------------------------ *)
 (* Analysis                                                            *)

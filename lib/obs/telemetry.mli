@@ -1,6 +1,6 @@
 (** Deep network telemetry: per-message lifecycles and per-link series.
 
-    {!Obs} records spans and scalar metrics; this sink records what the
+    {!Obs} records spans and scalar metrics; this module records what the
     network simulators actually {e did}: every message's lifecycle
     (inject → hop → queue-wait → retransmit/drop → deliver, plus
     unreachable verdicts from the fault model) and every directed
@@ -11,12 +11,12 @@
     self-contained HTML dashboard (embedded JSON, inline JS, no
     external assets).
 
-    Like {!Obs} the module is dependency-free, keeps one collector per
-    domain (so {!Par} workers never contend; {!sink} merges a worker's
-    runs back in slot order at join) and is off by default:
-    until {!enable} is called the simulators skip every recording
-    branch, so a telemetry-off run is byte-identical to a build
-    without this module. *)
+    Like {!Obs} the module is dependency-free, records into one
+    process-wide, mutex-guarded store (a run recorded on any domain,
+    {!Par} worker or not, is kept, in arrival order) and is off by
+    default: until {!enable} is called the simulators skip every
+    recording branch, so a telemetry-off run is byte-identical to a
+    build without this module. *)
 
 (** {1 Data model} *)
 
@@ -72,19 +72,16 @@ val disable : unit -> unit
 val enabled : unit -> bool
 
 val reset : unit -> unit
-(** Drop every recorded run (current domain). *)
+(** Drop every recorded run. *)
 
 val record_run : run -> unit
 (** Push a completed run; a no-op while disabled. *)
 
 val runs : unit -> run list
-(** Recorded runs of the current domain, oldest first. *)
+(** Recorded runs, in arrival order. *)
 
 val last_run : unit -> run option
-
-val sink : Sink.t
-(** Isolates a {!Par} worker's runs in a fresh list; the merge appends
-    them, oldest first, after the runs of the merging domain. *)
+(** The most recently recorded run. *)
 
 (** {1 Analysis} *)
 

@@ -170,21 +170,6 @@ end
 (* Deterministic task fan-out                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Every piece of per-domain state a worker slot has, and the one
-   place a new one is added.  A slot runs its whole drain loop inside
-   each sink's capture, the first sink outermost; the merges run on
-   the caller after the join, slot by slot, in list order. *)
-let sinks = [ Obs.sink; Cache.sink; Obs.Telemetry.sink; Obs.Profile.sink ]
-
-let capture_all ~worker f =
-  List.fold_right
-    (fun (s : Obs.Sink.t) inner () ->
-      let (v, merges), merge = s.capture ~worker inner in
-      (v, (s.name, merge) :: merges))
-    sinks
-    (fun () -> (f (), []))
-    ()
-
 (* Run [n] independent tasks.  [task i] must write any result into
    slot [i] of a caller-owned array, which makes the output layout a
    function of the input alone.  Indices are handed out in chunks
@@ -218,32 +203,26 @@ let run_tasks pool n task =
       in
       retry ()
     in
-    let merges = Array.make slots [] in
+    let rec drain () =
+      let start = Atomic.fetch_and_add next chunk in
+      if start < n then begin
+        let stop = min n (start + chunk) in
+        Obs.Profile.task "chunk" ~index:start ~size:(stop - start) (fun () ->
+            for i = start to stop - 1 do
+              try task i with e -> record i e (Printexc.get_raw_backtrace ())
+            done);
+        drain ()
+      end
+    in
+    (* Obs, Telemetry and Profile record into shared stores; a slot
+       only needs its worker id set and, for the memo cache, its own
+       shards, folded back after the join. *)
+    let merges = Array.make slots ignore in
     Pool.run pool (fun slot ->
-        let (), slot_merges =
-          capture_all ~worker:slot (fun () ->
-              let rec drain () =
-                let start = Atomic.fetch_and_add next chunk in
-                if start < n then begin
-                  let stop = min n (start + chunk) in
-                  Obs.Profile.task "chunk" ~index:start ~size:(stop - start)
-                    (fun () ->
-                      for i = start to stop - 1 do
-                        try task i
-                        with e -> record i e (Printexc.get_raw_backtrace ())
-                      done);
-                  drain ()
-                end
-              in
-              drain ())
-        in
-        merges.(slot) <- slot_merges);
-    (* join happened inside [Pool.run]; merge in slot order so the
-       parent state of every sink is deterministic, then re-raise *)
-    Array.iter
-      (List.iter (fun (name, merge) ->
-           Obs.Profile.event ("merge." ^ name) merge))
-      merges;
+        Obs.Profile.with_worker slot (fun () ->
+            let (), merge = Cache.capture drain in
+            merges.(slot) <- merge));
+    Array.iter (fun merge -> Obs.Profile.event "merge.cache" merge) merges;
     match Atomic.get err with
     | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ()

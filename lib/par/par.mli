@@ -15,20 +15,18 @@
     input is re-raised (with its backtrace) after all workers drain —
     again independent of scheduling.
 
-    Observability and memoization compose through one list of sinks
-    ({!Obs.Sink.t}): {!Obs.sink}, {!Cache.sink}, {!Obs.Telemetry.sink}
-    and {!Obs.Profile.sink}.  Each worker slot runs its whole drain
-    loop inside every sink's capture, so a slot — not a task — gets
-    one fresh collector, fresh memo shards and a fresh telemetry run
-    list.  At join the caller runs the merges slot by slot, in list
-    order, each as a ["merge." ^ name] {!Obs.Profile.event}.  Counter
-    and histogram totals therefore match a sequential run, every span
-    recorded inside a task carries a [("worker", <slot>)] arg,
+    Observability needs nothing from this module beyond the worker
+    id: {!Obs}, {!Obs.Telemetry} and {!Obs.Profile} record into
+    process-wide stores that every domain shares, so each worker slot
+    only runs inside {!Obs.Profile.with_worker}.  Counter and
+    histogram totals therefore match a sequential run, every span
+    recorded inside a task carries a [("worker", <slot>)] arg, and
     simulation runs recorded on workers land in
-    {!Obs.Telemetry.runs}, the caller's cache state after a parallel
-    run is deterministic, and the [cache.*] counters still satisfy
-    [hits + misses = lookups].  The list in [par.ml] is the one place
-    a new per-domain sink is added.
+    {!Obs.Telemetry.runs}.  The memo cache is the one per-domain state
+    left: each slot runs its whole drain loop inside {!Cache.capture},
+    and at join the caller folds the slots' shards back, slot by slot,
+    each as a ["merge.cache"] {!Obs.Profile.event}, so the [cache.*]
+    counters still satisfy [hits + misses = lookups].
 
     Pools are coordinated from one domain at a time: do not share a
     pool between concurrent orchestrators, and do not call a

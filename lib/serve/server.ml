@@ -1,10 +1,12 @@
 (* The serving loop.  Threading rules, which every edit must keep:
 
-   - Only the solver thread touches Obs, Cache, Par or the response
-     memo.  Obs and Cache keep their state in Domain.DLS, which all
-     systhreads of the domain SHARE — two threads mutating those
-     hashtables would corrupt them.  One mutator, no locks needed, and
-     the existing zero-cost subsystems run unmodified.
+   - Only the solver thread touches Cache, Par or the response memo.
+     Cache keeps its shards (the response memo's too) in Domain.DLS,
+     which all systhreads of the domain SHARE — two threads mutating
+     those hashtables would corrupt them.  One mutator, no locks
+     needed, and the existing zero-cost subsystems run unmodified.
+     Obs is outside this rule: it records into one mutex-guarded
+     store; the solver thread still does all the recording.
    - Connection threads only use: the server mutex (queue, counters,
      waiter lists), their own socket, their own waiter pipe, and pure
      code.
@@ -310,8 +312,9 @@ let solve_batch t (batch : entry list) =
      efficiency next to the latency percentiles *)
   List.iter (fun e -> observe_bounds e.req) runs;
   (* memo hits answer on the solver thread; distinct misses fan out
-     over the pool (Par merges each worker's Obs/Cache capture back
-     here at join, keeping the single-mutator rule intact) *)
+     over the pool (Par merges each worker's cache shards back here at
+     join, keeping the single-mutator rule intact; workers record
+     into the shared Obs store directly) *)
   let hits, misses = List.partition (fun e -> Cache.Memo.mem memo e.key) runs in
   let hit_results =
     List.map

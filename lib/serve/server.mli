@@ -3,13 +3,14 @@
     One process, three kinds of threads.  An {e accept} thread takes
     connections; a {e connection} thread per client reads framed
     {!Wire} requests and writes framed responses; a single {e solver}
-    thread owns every piece of per-domain ambient state ({!Obs}
-    metrics, {!Cache} shards, the {!Par} pool) and is the only thread
-    that touches it — connection threads communicate with it through a
-    mutex-guarded queue and per-request wakeup pipes, nothing else.
-    That single-mutator rule is what makes it safe to run the existing
-    (deliberately lock-free, domain-local) observability and caching
-    layers under systhreads.
+    thread owns every piece of per-domain ambient state ({!Cache}
+    shards, the {!Par} pool) and is the only thread that touches it —
+    connection threads communicate with it through a mutex-guarded
+    queue and per-request wakeup pipes, nothing else.  That
+    single-mutator rule is what makes it safe to run the existing
+    (deliberately lock-free, domain-local) caching layer under
+    systhreads.  {!Obs} needs no such rule: it records into one
+    mutex-guarded store.
 
     Robustness contract, each piece visible to clients as a structured
     response rather than a hung or dropped connection:

@@ -107,7 +107,7 @@ let test_worker_merge () =
   let t = Cache.Memo.create ~name:"test.worker" ~schema:"v1" () in
   ignore (Cache.Memo.find_or_compute t ~key:"parent" (fun () -> 0));
   let (), merge =
-    Cache.sink.capture ~worker:1 (fun () ->
+    Cache.capture (fun () ->
         Alcotest.(check bool) "fresh shard inside" false
           (Cache.Memo.mem t "parent");
         ignore (Cache.Memo.find_or_compute t ~key:"w1" (fun () -> 1));

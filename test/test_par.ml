@@ -1,7 +1,7 @@
 (* The parallel runtime: combinator results equal their sequential
    counterparts (whatever the jobs count), determinism of input order,
-   exception propagation, pool lifecycle, and the Obs merge
-   contract. *)
+   exception propagation, pool lifecycle, and that Obs and Telemetry
+   keep what every domain records. *)
 
 (* oversubscribe so these tests exercise real multi-domain scheduling
    even on single-core CI machines (the default caps width at the core
@@ -161,7 +161,7 @@ let test_shared_pools () =
   Par.Shared.shutdown_all ()
 
 (* ------------------------------------------------------------------ *)
-(* Obs isolation and merge                                             *)
+(* Obs, Telemetry and worker slots                                     *)
 (* ------------------------------------------------------------------ *)
 
 let obs_setup () =
@@ -245,8 +245,8 @@ let test_obs_disabled_stays_silent () =
   Alcotest.(check int) "no telemetry runs when disabled" 0
     (List.length (Obs.Telemetry.runs ()))
 
-(* Runs recorded on worker domains are merged back after the runs the
-   caller already had; which slot ran which input depends on
+(* Runs recorded on worker domains land in the shared store after the
+   runs the caller already had, in arrival order, which depends on
    scheduling, so the parallel runs are compared sorted by label. *)
 let telemetry_runs jobs =
   Obs.Telemetry.reset ();
@@ -276,6 +276,34 @@ let test_telemetry_merge () =
   Alcotest.(check (list string)) "same labels as jobs 1" (List.map label seq)
     (List.map label par);
   Alcotest.(check bool) "same runs as jobs 1" true (seq = par)
+
+(* A domain that Par did not spawn records into the same stores as
+   every other domain: after the join the caller sees its counter, its
+   span (with no worker arg, being outside any Par slot) and its
+   simulation run. *)
+let test_bare_domain_kept () =
+  obs_setup ();
+  Obs.Telemetry.reset ();
+  Obs.Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Telemetry.disable ();
+      Obs.Telemetry.reset ();
+      obs_teardown ())
+  @@ fun () ->
+  Domain.join
+    (Domain.spawn (fun () ->
+         Obs.incr "par.test.bare";
+         Obs.with_span "par.test.bare_span" (fun () -> sim_task 7)));
+  Alcotest.(check int) "counter kept" 1 (Obs.counter "par.test.bare");
+  let spans =
+    List.filter (fun s -> s.Obs.span_name = "par.test.bare_span") (Obs.spans ())
+  in
+  Alcotest.(check (list (list (pair string string)))) "span kept, untagged"
+    [ [] ]
+    (List.map (fun s -> s.Obs.args) spans);
+  Alcotest.(check (list string)) "run kept" [ "7" ]
+    (List.map (fun r -> r.Obs.Telemetry.label) (Obs.Telemetry.runs ()))
 
 (* ------------------------------------------------------------------ *)
 
@@ -314,5 +342,7 @@ let () =
           Alcotest.test_case "disabled stays silent" `Quick
             test_obs_disabled_stays_silent;
           Alcotest.test_case "telemetry runs merge" `Quick test_telemetry_merge;
+          Alcotest.test_case "records from a bare domain are kept" `Quick
+            test_bare_domain_kept;
         ] );
     ]
