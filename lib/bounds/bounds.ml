@@ -35,15 +35,20 @@ let volume ~vgrid ?offset ~bytes ~place flows =
       coords.(!i) <- Array.copy v;
       owner.(!i) <- place v;
       incr i);
-  (* balance of the given placement: cells per processor *)
-  let counts = Hashtbl.create 64 in
-  Array.iteri
-    (fun idx p ->
-      if idx < n then
-        Hashtbl.replace counts p (1 + Option.value ~default:0 (Hashtbl.find_opt counts p)))
-    owner;
-  let nprocs = if n = 0 then 0 else Hashtbl.length counts in
-  let cap = Hashtbl.fold (fun _ c acc -> max c acc) counts 0 in
+  (* balance of the given placement: cells per processor, counted
+     over the span of processor ranks the placement uses *)
+  let lo = ref max_int and hi = ref min_int in
+  for idx = 0 to n - 1 do
+    if owner.(idx) < !lo then lo := owner.(idx);
+    if owner.(idx) > !hi then hi := owner.(idx)
+  done;
+  let counts = Array.make (if n = 0 then 0 else !hi - !lo + 1) 0 in
+  for idx = 0 to n - 1 do
+    let k = owner.(idx) - !lo in
+    counts.(k) <- counts.(k) + 1
+  done;
+  let nprocs = Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 counts in
+  let cap = Array.fold_left (fun acc c -> if c > acc then c else acc) 0 counts in
   let orbits = ref 0 and longest = ref 0 in
   let bound_msgs = ref 0 and achieved_msgs = ref 0 in
   let flow_rank = ref 0 in
@@ -124,7 +129,9 @@ let transfer_time topo params msgs =
   else begin
     let n = Topology.size topo in
     let nodes = Topology.nodes topo in
-    let links = Topology.links topo in
+    let compiled = Compiled.get topo in
+    let links = Compiled.undirected compiled in
+    let dist = Compiled.distances compiled in
     (* per-node incident-link summary: count and max capacity *)
     let deg = Array.make nodes 0 in
     let cmax = Array.make nodes 1 in
@@ -152,7 +159,7 @@ let transfer_time topo params msgs =
         recv.(dst) <- recv.(dst) + 1;
         inj.(src) <- inj.(src) + ceil_div bytes cmax.(src);
         ej.(dst) <- ej.(dst) + ceil_div bytes cmax.(dst);
-        let d = Topology.distance topo ~src ~dst in
+        let d = dist.(src).(dst) in
         if d > !hops_lb then hops_lb := d;
         total_weighted := !total_weighted + (d * ceil_div bytes !cmax_global);
         if src < half <> (dst < half) then

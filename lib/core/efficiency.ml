@@ -12,10 +12,11 @@ let of_traffic ?mapping net (r : Residual.t) =
       ~place:r.Residual.place r.Residual.flows
   in
   let msgs = Residual.messages r in
+  (* no traffic, nothing to place: skip the placement search *)
   let msgs =
-    match mapping with
-    | None -> msgs
-    | Some spec -> Mapping.apply (Residual.placement spec r) msgs
+    match (mapping, msgs) with
+    | Some spec, _ :: _ -> Mapping.apply (Residual.placement spec r) msgs
+    | _ -> msgs
   in
   let time = Bounds.transfer_time r.Residual.topo net msgs in
   if Obs.enabled () then begin

@@ -137,7 +137,7 @@ let classify_remote faults topo remote =
     List.filter_map
       (fun (m : Message.t) ->
            if Fault.is_none faults then
-             Some (m, Route.path topo ~src:m.Message.src ~dst:m.Message.dst)
+             Some (m, Topology.route topo ~src:m.Message.src ~dst:m.Message.dst)
            else
              match Fault.route faults topo ~src:m.Message.src ~dst:m.Message.dst with
              | Some path -> Some (m, path)

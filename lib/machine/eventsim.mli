@@ -16,7 +16,7 @@
     packets crossing flaky links drop and are retransmitted with ACK
     timeout and capped exponential backoff; links inside a down
     interval stall their queue; permanently severed links are detoured
-    around at injection time ({!Route.path_avoiding}); messages with
+    around at injection time ({!Topology.route_avoiding}); messages with
     no surviving route (or a dead endpoint) are counted [unreachable]
     up front.  Partial delivery is always reported, never silently
     lost: {b [delivered + dropped + unreachable = total messages]} in

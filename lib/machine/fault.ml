@@ -174,8 +174,8 @@ let uniform_slowdown t =
 let route t topo ~src ~dst =
   if node_dead t src || node_dead t dst then None
   else if has_severed t then
-    Route.path_avoiding ~down:(link_severed t) topo ~src ~dst
-  else Some (Route.path topo ~src ~dst)
+    Topology.route_avoiding ~down:(link_severed t) topo ~src ~dst
+  else Some (Topology.route topo ~src ~dst)
 
 (* ------------------------------------------------------------------ *)
 (* Grammar                                                             *)

@@ -43,7 +43,7 @@ type spec =
           nothing during cycles [\[from_cycle, until_cycle)].
           [from_cycle = 0, until_cycle = max_int] means the link is
           dead for the whole run: routing then detours around it
-          ({!Route.path_avoiding}) instead of stalling behind it. *)
+          ({!Topology.route_avoiding}) instead of stalling behind it. *)
   | Flaky of { link : (int * int) option; prob : float }
       (** Each packet crossing the link (or {e every} link when
           [None]) is dropped with probability [prob]. *)
@@ -112,7 +112,7 @@ val link_severed : t -> int * int -> bool
 
 val has_severed : t -> bool
 (** Whether any link is severed at all — lets callers keep the plain
-    {!Route.path} fast path when routing is unaffected. *)
+    {!Topology.route} fast path when routing is unaffected. *)
 
 val link_down : t -> cycle:int -> int * int -> bool
 (** Is the link unable to transmit at this cycle (severed, or inside a

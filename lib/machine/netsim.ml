@@ -12,46 +12,80 @@ type stats = {
   unreachable : int;
 }
 
-(* The route a message takes under the fault model, or None when it
-   cannot be delivered at all. *)
-let route_of faults topo (m : Message.t) =
-  if Fault.is_none faults then
-    Some (Route.path topo ~src:m.Message.src ~dst:m.Message.dst)
-  else Fault.route faults topo ~src:m.Message.src ~dst:m.Message.dst
+(* The link ids a message's route crosses under the fault model, or
+   None when it cannot be delivered at all.  Without a severed link or
+   a dead node every message takes its plain route, memoized in the
+   compiled topology; otherwise the {!Fault.route} detour is mapped to
+   ids. *)
+let route_ids c faults (m : Message.t) =
+  let src = m.Message.src and dst = m.Message.dst in
+  if not (Fault.has_severed faults) then Some (Compiled.route c ~src ~dst)
+  else begin
+    let n = Topology.size (Compiled.topology c) in
+    if src < 0 || src >= n || dst < 0 || dst >= n then
+      invalid_arg "Netsim: message endpoint is not a host";
+    Option.map (Compiled.ids_of_hops c)
+      (Fault.route faults (Compiled.topology c) ~src ~dst)
+  end
 
-(* Effective bytes a link must carry for [bytes] payload bytes:
-   expected retransmissions over a flaky link divided by the remaining
-   bandwidth fraction — the degraded-capacity cost model — and by the
+(* Per-link fault weights, once per run: expected retransmissions over
+   the link's flaky probability divided by its remaining bandwidth
+   fraction.  None on a healthy machine. *)
+let fault_weights c faults =
+  if Fault.is_none faults then None
+  else
+    Some
+      (Array.init (Compiled.nlinks c) (fun id ->
+           let l = Compiled.link c id in
+           Fault.expected_transmissions faults l /. Fault.bandwidth_factor faults l))
+
+(* Effective bytes link [id] must carry for [bytes] payload bytes: the
+   fault weight — the degraded-capacity cost model — divided by the
    link's capacity (a fat-tree uplink of capacity k moves k bytes per
    unit load).  Exact integer identity (no float round-trip) on a
    healthy unit-capacity link, i.e. every fault-free grid link. *)
-let effective_load topo faults l bytes =
-  let cap = Topology.link_capacity topo l in
-  if Fault.is_none faults && cap = 1 then bytes
-  else
-    let w =
-      if Fault.is_none faults then 1.0
-      else Fault.expected_transmissions faults l /. Fault.bandwidth_factor faults l
-    in
+let effective_load c weights id bytes =
+  let cap = Compiled.capacity c id in
+  match weights with
+  | None when cap = 1 -> bytes
+  | _ ->
+    let w = match weights with Some w -> w.(id) | None -> 1.0 in
     int_of_float (ceil (float_of_int bytes *. w /. float_of_int cap))
 
 (* The one per-link accumulation, shared by [link_loads] and [run]:
-   a {!Volgraph} accumulator keyed by directed link. *)
-let add_route_loads topo faults loads bytes path =
-  List.iter
-    (fun link -> Volgraph.add loads link (effective_load topo faults link bytes))
-    path
+   [loads] is indexed by link id, and a negative entry marks a link no
+   route crossed (a zero-byte message still lists its links). *)
+let add_route_loads c weights loads bytes route =
+  for i = 0 to Array.length route - 1 do
+    let id = route.(i) in
+    let cur = loads.(id) in
+    loads.(id) <- (if cur < 0 then 0 else cur) + effective_load c weights id bytes
+  done
+
+let fresh_loads c = Array.make (Compiled.nlinks c) (-1)
+
+let array_max (a : int array) = Array.fold_left (fun m v -> if v > m then v else m) 0 a
+
+(* The crossed links of [loads], sorted by link, built by [f]. *)
+let crossed_links c loads f =
+  let acc = ref [] in
+  for id = Array.length loads - 1 downto 0 do
+    if loads.(id) >= 0 then acc := f id (Compiled.link c id) loads.(id) :: !acc
+  done;
+  !acc
 
 let link_loads ?(faults = Fault.none) topo msgs =
-  let loads = Volgraph.acc () in
+  let c = Compiled.get topo in
+  let weights = fault_weights c faults in
+  let loads = fresh_loads c in
   List.iter
     (fun (m : Message.t) ->
       if not (Message.is_local m) then
-        match route_of faults topo m with
-        | Some path -> add_route_loads topo faults loads m.Message.bytes path
+        match route_ids c faults m with
+        | Some route -> add_route_loads c weights loads m.Message.bytes route
         | None -> ())
     msgs;
-  Volgraph.to_list loads
+  crossed_links c loads (fun _ l carried -> (l, carried))
 
 (* Coalesce messages sharing (src, dst): one start-up, summed bytes —
    the volume graph turned back into messages. *)
@@ -64,15 +98,17 @@ let run ?(coalesce = true) ?(faults = Fault.none) ?(label = "") topo params msgs
     =
   let remote, locals = List.partition (fun m -> not (Message.is_local m)) msgs in
   let remote = if coalesce then coalesce_messages remote else remote in
+  let c = Compiled.get topo in
+  let weights = fault_weights c faults in
   let n = Topology.size topo in
   let send = Array.make n 0 and recv = Array.make n 0 in
   let total_bytes = ref 0 and total_hops = ref 0 and max_hops = ref 0 in
   let unreachable = ref 0 in
   let priced = ref 0 in
-  let loads = Volgraph.acc () in
+  let loads = fresh_loads c in
   let tele = Obs.Telemetry.enabled () in
   let t_msgs = ref [] (* reverse *) in
-  let t_packets : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
+  let t_packets = if tele then Array.make (Compiled.nlinks c) 0 else [||] in
   let tele_message hops (m : Message.t) outcome =
     {
       Obs.Telemetry.msg_src = m.Message.src;
@@ -88,33 +124,29 @@ let run ?(coalesce = true) ?(faults = Fault.none) ?(label = "") topo params msgs
   in
   List.iter
     (fun (m : Message.t) ->
-      match route_of faults topo m with
+      match route_ids c faults m with
       | None ->
         incr unreachable;
         if Obs.enabled () then Obs.incr "fault.injected";
         if tele then t_msgs := tele_message 0 m Obs.Telemetry.Unreachable :: !t_msgs
-      | Some path ->
+      | Some route ->
         incr priced;
         send.(m.Message.src) <- send.(m.Message.src) + 1;
         recv.(m.Message.dst) <- recv.(m.Message.dst) + 1;
         total_bytes := !total_bytes + m.Message.bytes;
         (* hops follow the actual route, detours included *)
-        let h = List.length path in
+        let h = Array.length route in
         total_hops := !total_hops + h;
         if h > !max_hops then max_hops := h;
-        add_route_loads topo faults loads m.Message.bytes path;
+        add_route_loads c weights loads m.Message.bytes route;
         if tele then begin
           t_msgs := tele_message h m Obs.Telemetry.Delivered :: !t_msgs;
-          List.iter
-            (fun l ->
-              Hashtbl.replace t_packets l
-                (1 + Option.value ~default:0 (Hashtbl.find_opt t_packets l)))
-            path
+          Array.iter (fun id -> t_packets.(id) <- t_packets.(id) + 1) route
         end)
     remote;
-  let max_link_load = Volgraph.fold (fun _ v acc -> max v acc) loads 0 in
-  let max_sender = Array.fold_left max 0 send in
-  let max_receiver = Array.fold_left max 0 recv in
+  let max_link_load = array_max loads in
+  let max_sender = array_max send in
+  let max_receiver = array_max recv in
   let serial = max max_sender max_receiver in
   let time =
     if !priced = 0 then 0.0
@@ -131,19 +163,17 @@ let run ?(coalesce = true) ?(faults = Fault.none) ?(label = "") topo params msgs
   end;
   if tele then begin
     let links =
-      List.map
-        (fun ((a, b), carried) ->
+      crossed_links c loads (fun id (a, b) carried ->
           {
             Obs.Telemetry.link_src = a;
             link_dst = b;
             busy = 0;
             carried;
-            packets = Option.value ~default:0 (Hashtbl.find_opt t_packets (a, b));
+            packets = t_packets.(id);
             peak_queue = 0;
             queue_area = 0;
             stalled = 0;
           })
-        (List.sort compare (Volgraph.to_list loads))
     in
     Obs.Telemetry.record_run
       {

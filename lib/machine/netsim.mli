@@ -26,7 +26,17 @@
     the expected retransmissions over its flaky probability divided by
     its remaining bandwidth fraction, and messages with no surviving
     route (or a dead endpoint) are counted [unreachable] and excluded
-    from the price instead of silently vanishing. *)
+    from the price instead of silently vanishing.
+
+    Pricing runs on the topology's {!Compiled} form, built once per
+    process and shared across domains: each route is an [int array]
+    of dense directed-link ids, memoized per host pair, and a run
+    accumulates effective bytes into an [int array] indexed by link
+    id, so [max_link_load] is an array maximum and the per-link list
+    is read back in link order.  A faulty run follows the same path:
+    it computes each link's fault weight once, and maps a
+    {!Fault.route} detour to ids only when some link is severed or
+    some node dead. *)
 
 type params = { alpha : float; beta : float; hop : float }
 
@@ -70,7 +80,9 @@ val run :
     When {!Obs.Telemetry.enabled}, each run additionally records one
     {!Obs.Telemetry.run} (sim ["netsim"], [total_cycles = 0] — the
     model is closed-form, so link loads are carried bytes and there
-    are no latency series), tagged with [label]. *)
+    are no latency series), tagged with [label].
+
+    @raise Invalid_argument when a message endpoint is not a host. *)
 
 val coalesce_messages : Message.t list -> Message.t list
 (** Merge messages sharing (src, dst) into one with summed bytes —
@@ -78,8 +90,10 @@ val coalesce_messages : Message.t list -> Message.t list
 
 val link_loads :
   ?faults:Fault.t -> Topology.t -> Message.t list -> ((int * int) * int) list
-(** Bytes per directed link, for inspection — the same accumulation
-    {!run} prices, fault inflation included; undeliverable messages
-    contribute nothing. *)
+(** Bytes per directed link crossed by some route, sorted by link,
+    for inspection — the same accumulation {!run} prices (without
+    coalescing), fault inflation included; undeliverable messages
+    contribute nothing.
+    @raise Invalid_argument when a message endpoint is not a host. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -1,30 +1,19 @@
 (* A communication-volume graph is the multiset of messages collapsed
-   to one integer per ordered endpoint pair.  The accumulator is the
-   one (pair -> summed int) loop the machine layer used to repeat —
-   message coalescing keys it by (src, dst), link-load pricing keys it
-   by directed link — and the mapping layer reads the (src, dst) form
-   as the QAP volume matrix. *)
+   to one integer per ordered (src, dst) pair: message coalescing turns
+   it back into messages, and the mapping layer reads it as the QAP
+   volume matrix. *)
 
 type t = ((int * int) * int) list
 
-type acc = (int * int, int) Hashtbl.t
-
-let acc () : acc = Hashtbl.create 64
-
-let add (a : acc) key v =
-  let cur = Option.value ~default:0 (Hashtbl.find_opt a key) in
-  Hashtbl.replace a key (cur + v)
-
-let to_list (a : acc) = Hashtbl.fold (fun k v l -> (k, v) :: l) a []
-
-let fold f (a : acc) init = Hashtbl.fold f a init
-
 let of_messages msgs =
-  let a = acc () in
+  let a = Hashtbl.create 64 in
   List.iter
-    (fun (m : Message.t) -> add a (m.Message.src, m.Message.dst) m.Message.bytes)
+    (fun (m : Message.t) ->
+      let key = (m.Message.src, m.Message.dst) in
+      let cur = Option.value ~default:0 (Hashtbl.find_opt a key) in
+      Hashtbl.replace a key (cur + m.Message.bytes))
     msgs;
-  to_list a
+  Hashtbl.fold (fun k v l -> (k, v) :: l) a []
 
 let sorted (g : t) = List.sort compare g
 

@@ -2,27 +2,15 @@
 
     This is the residual-communication summary everything downstream
     shares — {!Netsim.coalesce_messages} turns it back into one
-    message per pair, {!Netsim.link_loads} and {!Netsim.run} use the
-    same accumulator keyed by directed link, and the mapping layer
-    ([lib/mapping]) reads it as the volume side of the sparse
-    quadratic-assignment objective [sum volume(p,q) * dist(p, q)]. *)
+    message per pair, and the mapping layer ([lib/mapping]) reads it
+    as the volume side of the sparse quadratic-assignment objective
+    [sum volume(p,q) * dist(p, q)].  Link loads are not a volume
+    graph: {!Netsim} accumulates them on the dense link ids of
+    {!Compiled}. *)
 
 type t = ((int * int) * int) list
 (** One entry per ordered pair that communicates; pairs are unique but
     the list order is unspecified (see {!sorted}). *)
-
-type acc
-(** A mutable (pair -> summed int) accumulator. *)
-
-val acc : unit -> acc
-val add : acc -> int * int -> int -> unit
-
-val to_list : acc -> t
-(** Accumulated entries, in unspecified (but deterministic for a given
-    insertion sequence) order. *)
-
-val fold : (int * int -> int -> 'a -> 'a) -> acc -> 'a -> 'a
-(** Fold over the accumulated entries, same order as {!to_list}. *)
 
 val of_messages : Message.t list -> t
 (** The volume graph of a message list: [(src, dst) -> summed bytes].

@@ -52,15 +52,13 @@ let is_valid perm =
       end)
     perm
 
-(* Pairwise hop distances of the topology, symmetric by construction.
-   [Topology.distance] is the minimal-route hop count of the topology
-   at hand — Manhattan on grids as before, up/down depth on fat trees,
-   group hops on dragonflies — so placement search optimizes real
-   distances instead of assuming every machine is a grid. *)
-let dist_table topo =
-  let n = Machine.Topology.size topo in
-  Array.init n (fun src ->
-      Array.init n (fun dst -> Machine.Topology.distance topo ~src ~dst))
+(* Pairwise hop distances of the topology, symmetric by construction:
+   the compiled topology's shared table of [Topology.distance], the
+   minimal-route hop count of the topology at hand — Manhattan on
+   grids, up/down depth on fat trees, group hops on dragonflies — so
+   placement search optimizes real distances instead of assuming every
+   machine is a grid.  Read-only: every search shares it. *)
+let dist_table topo = Machine.Compiled.distances (Machine.Compiled.get topo)
 
 (* Symmetric weight matrix of the volume graph: w.(p).(q) = bytes
    exchanged between p and q in either direction, diagonal zeroed

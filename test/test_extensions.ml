@@ -18,11 +18,11 @@ let test_torus_basics () =
   Alcotest.(check bool) "is torus" true (Machine.Topology.is_torus t);
   Alcotest.(check int) "diameter halves" 4 (Machine.Topology.diameter t);
   (* wrap-around: 0 -> 7 is one hop *)
-  Alcotest.(check int) "wrap distance" 1 (Machine.Route.hops t ~src:0 ~dst:7);
+  Alcotest.(check int) "wrap distance" 1 (Machine.Topology.distance t ~src:0 ~dst:7);
   Alcotest.(check int) "path length" 1
-    (List.length (Machine.Route.path t ~src:0 ~dst:7));
+    (List.length (Machine.Topology.route t ~src:0 ~dst:7));
   let mesh = Machine.Topology.line 8 in
-  Alcotest.(check int) "mesh distance" 7 (Machine.Route.hops mesh ~src:0 ~dst:7)
+  Alcotest.(check int) "mesh distance" 7 (Machine.Topology.distance mesh ~src:0 ~dst:7)
 
 let test_torus3d () =
   let t = Machine.Topology.torus3d ~p:4 ~q:4 ~r:2 in
@@ -38,13 +38,13 @@ let torus_props =
   [
     prop "torus path length = wrapped manhattan" arb (fun (s, d) ->
         let t = Machine.Topology.make ~torus:true [| 8; 4 |] in
-        List.length (Machine.Route.path t ~src:s ~dst:d)
-        = Machine.Route.hops t ~src:s ~dst:d);
+        List.length (Machine.Topology.route t ~src:s ~dst:d)
+        = Machine.Topology.distance t ~src:s ~dst:d);
     prop "torus never longer than mesh" arb (fun (s, d) ->
         let torus = Machine.Topology.make ~torus:true [| 8; 4 |] in
         let mesh = Machine.Topology.make [| 8; 4 |] in
-        Machine.Route.hops torus ~src:s ~dst:d
-        <= Machine.Route.hops mesh ~src:s ~dst:d);
+        Machine.Topology.distance torus ~src:s ~dst:d
+        <= Machine.Topology.distance mesh ~src:s ~dst:d);
   ]
 
 let test_t3d_model () =

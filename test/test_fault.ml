@@ -69,7 +69,7 @@ let test_drops_order_independent () =
 let test_route_detour () =
   let topo = Topology.mesh2d ~p:3 ~q:3 in
   let src = 0 and dst = Topology.rank_of topo [| 2; 0 |] in
-  let plain = Route.path topo ~src ~dst in
+  let plain = Topology.route topo ~src ~dst in
   let broken = List.hd plain in
   let f =
     Fault.make

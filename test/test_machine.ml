@@ -48,7 +48,7 @@ let topology_props =
 let test_route_xy () =
   let t = Topology.mesh2d ~p:4 ~q:4 in
   let src = Topology.rank_of t [| 0; 0 |] and dst = Topology.rank_of t [| 2; 3 |] in
-  let path = Route.path t ~src ~dst in
+  let path = Topology.route t ~src ~dst in
   Alcotest.(check int) "length = manhattan" 5 (List.length path);
   (* dimension order: the first hops move along dimension 0 *)
   (match path with
@@ -57,9 +57,9 @@ let test_route_xy () =
     Alcotest.(check int) "first hop changes dim 0" (ca.(0) + 1) cb.(0);
     Alcotest.(check int) "dim 1 unchanged" ca.(1) cb.(1)
   | [] -> Alcotest.fail "non-empty");
-  Alcotest.(check int) "hops" 5 (Route.hops t ~src ~dst);
+  Alcotest.(check int) "hops" 5 (Topology.distance t ~src ~dst);
   Alcotest.(check (list (pair int int))) "self route empty" []
-    (Route.path t ~src ~dst:src)
+    (Topology.route t ~src ~dst:src)
 
 let route_props =
   let arb =
@@ -70,10 +70,10 @@ let route_props =
   [
     prop "path length = manhattan distance" arb (fun (s, d) ->
         let t = Topology.mesh2d ~p:8 ~q:4 in
-        List.length (Route.path t ~src:s ~dst:d) = Route.hops t ~src:s ~dst:d);
+        List.length (Topology.route t ~src:s ~dst:d) = Topology.distance t ~src:s ~dst:d);
     prop "path is connected" arb (fun (s, d) ->
         let t = Topology.mesh2d ~p:8 ~q:4 in
-        let path = Route.path t ~src:s ~dst:d in
+        let path = Topology.route t ~src:s ~dst:d in
         let rec chained prev = function
           | [] -> true
           | (a, b) :: rest -> a = prev && chained b rest
@@ -345,6 +345,315 @@ let test_traffic_goldens () =
         "05e817bf443d1a98b42e5c7494d67fbf"
         (Digest.to_hex (Digest.file html)))
 
+(* ------------------------------------------------------------------ *)
+(* Compiled topologies                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Four domains race to compile and route a spec nothing else in this
+   executable uses, each from its own topology value.  Every domain
+   must read the same routes, and the ids must name exactly the hops
+   of [Topology.route]. *)
+let test_compiled_shared () =
+  let fresh () = Result.get_ok (Topology.of_string "torus:5x6") in
+  let n = 30 in
+  let pairs = List.init (n * n) (fun k -> (k / n, k mod n)) in
+  let routes_of () =
+    let c = Compiled.get (fresh ()) in
+    List.map (fun (src, dst) -> Compiled.route c ~src ~dst) pairs
+  in
+  let raced =
+    List.map Domain.join (List.init 4 (fun _ -> Domain.spawn routes_of))
+  in
+  let topo = fresh () in
+  let c = Compiled.get topo in
+  let hops (src, dst) =
+    Array.to_list (Array.map (Compiled.link c) (Compiled.route c ~src ~dst))
+  in
+  Alcotest.(check (list (list (pair int int))))
+    "ids name the routed hops"
+    (List.map (fun (src, dst) -> Topology.route topo ~src ~dst) pairs)
+    (List.map hops pairs);
+  List.iter
+    (Alcotest.(check (list (array int))) "every domain reads the same routes"
+       (routes_of ()))
+    raced;
+  Alcotest.(check int) "two directed ids per link"
+    (2 * List.length (Topology.links topo))
+    (Compiled.nlinks c);
+  Alcotest.(check bool) "ids in endpoint order" true
+    (List.for_all
+       (fun id -> Compiled.link c id < Compiled.link c (id + 1))
+       (List.init (Compiled.nlinks c - 1) Fun.id));
+  Alcotest.(check (array (array int))) "distance table"
+    (Array.init n (fun src ->
+         Array.init n (fun dst -> Topology.distance topo ~src ~dst)))
+    (Compiled.distances c)
+
+(* ------------------------------------------------------------------ *)
+(* Netsim differential                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The pricer Netsim used before topologies were compiled to link ids:
+   a hop list per message and a Hashtbl keyed by directed link.  The
+   compiled pricer must agree with it on the stats, on the per-link
+   loads of [link_loads], and on the telemetry a run records (message
+   order, link list, packet counts). *)
+module Reference = struct
+  let route_of faults topo (m : Message.t) =
+    if Fault.is_none faults then
+      Some (Topology.route topo ~src:m.Message.src ~dst:m.Message.dst)
+    else Fault.route faults topo ~src:m.Message.src ~dst:m.Message.dst
+
+  let effective_load topo faults l bytes =
+    let cap = Topology.link_capacity topo l in
+    if Fault.is_none faults && cap = 1 then bytes
+    else
+      let w =
+        if Fault.is_none faults then 1.0
+        else Fault.expected_transmissions faults l /. Fault.bandwidth_factor faults l
+      in
+      int_of_float (ceil (float_of_int bytes *. w /. float_of_int cap))
+
+  let bump tbl key v =
+    Hashtbl.replace tbl key (v + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+
+  let add_route_loads topo faults loads bytes path =
+    List.iter (fun link -> bump loads link (effective_load topo faults link bytes)) path
+
+  let sorted tbl = List.sort compare (Hashtbl.fold (fun k v l -> (k, v) :: l) tbl [])
+
+  let link_loads faults topo msgs =
+    let loads = Hashtbl.create 64 in
+    List.iter
+      (fun (m : Message.t) ->
+        if not (Message.is_local m) then
+          match route_of faults topo m with
+          | Some path -> add_route_loads topo faults loads m.Message.bytes path
+          | None -> ())
+      msgs;
+    sorted loads
+
+  let tele_message hops (m : Message.t) outcome =
+    let unreachable = outcome = Obs.Telemetry.Unreachable in
+    {
+      Obs.Telemetry.msg_src = m.Message.src;
+      msg_dst = m.Message.dst;
+      msg_bytes = m.Message.bytes;
+      injected_at = (if unreachable then -1 else 0);
+      finished_at = (if unreachable then -1 else 0);
+      hops;
+      queue_wait = 0;
+      retransmits = 0;
+      outcome;
+    }
+
+  (* stats, telemetry messages and telemetry links *)
+  let run ~coalesce ~faults topo (params : Netsim.params) msgs =
+    let remote, locals = List.partition (fun m -> not (Message.is_local m)) msgs in
+    let remote = if coalesce then Netsim.coalesce_messages remote else remote in
+    let n = Topology.size topo in
+    let send = Array.make n 0 and recv = Array.make n 0 in
+    let total_bytes = ref 0 and total_hops = ref 0 and max_hops = ref 0 in
+    let unreachable = ref 0 and priced = ref 0 in
+    let loads = Hashtbl.create 64 and packets = Hashtbl.create 64 in
+    let t_msgs = ref [] in
+    List.iter
+      (fun (m : Message.t) ->
+        match route_of faults topo m with
+        | None ->
+          incr unreachable;
+          t_msgs := tele_message 0 m Obs.Telemetry.Unreachable :: !t_msgs
+        | Some path ->
+          incr priced;
+          send.(m.Message.src) <- send.(m.Message.src) + 1;
+          recv.(m.Message.dst) <- recv.(m.Message.dst) + 1;
+          total_bytes := !total_bytes + m.Message.bytes;
+          let h = List.length path in
+          total_hops := !total_hops + h;
+          if h > !max_hops then max_hops := h;
+          add_route_loads topo faults loads m.Message.bytes path;
+          t_msgs := tele_message h m Obs.Telemetry.Delivered :: !t_msgs;
+          List.iter (fun l -> bump packets l 1) path)
+      remote;
+    let max_link_load = Hashtbl.fold (fun _ v acc -> max v acc) loads 0 in
+    let max_sender = Array.fold_left max 0 send in
+    let max_receiver = Array.fold_left max 0 recv in
+    let time =
+      if !priced = 0 then 0.0
+      else
+        (params.Netsim.alpha *. float_of_int (max max_sender max_receiver))
+        +. (params.Netsim.beta *. float_of_int max_link_load)
+        +. (params.Netsim.hop *. float_of_int !max_hops)
+    in
+    let stats =
+      {
+        Netsim.time;
+        messages = !priced;
+        total_bytes = !total_bytes;
+        total_hops = !total_hops;
+        max_link_load;
+        max_sender;
+        max_receiver;
+        max_hops = !max_hops;
+        unreachable = !unreachable;
+      }
+    in
+    let messages =
+      List.map (fun m -> tele_message 0 m Obs.Telemetry.Delivered) locals
+      @ List.rev !t_msgs
+    in
+    let links =
+      List.map
+        (fun ((a, b), carried) ->
+          {
+            Obs.Telemetry.link_src = a;
+            link_dst = b;
+            busy = 0;
+            carried;
+            packets = Hashtbl.find packets (a, b);
+            peak_queue = 0;
+            queue_area = 0;
+            stalled = 0;
+          })
+        (sorted loads)
+    in
+    (stats, messages, links)
+end
+
+type fault_kind = Healthy | Flaky | Severed
+
+let fault_kind_name = function
+  | Healthy -> "healthy"
+  | Flaky -> "flaky"
+  | Severed -> "severed"
+
+(* A fault model of the given kind over random links of [topo]:
+   flaky adds per-link drops and degradation to a global drop rate;
+   severed cuts one or two links for the whole run, sometimes kills a
+   node, and sometimes adds a global drop rate on top. *)
+let gen_faults topo kind =
+  let open QCheck.Gen in
+  let links = Array.of_list (List.map fst (Topology.links topo)) in
+  let link = map (fun i -> links.(i)) (int_bound (Array.length links - 1)) in
+  let prob = oneofl [ 0.05; 0.3; 0.5; 0.9 ] in
+  let maybe g = oneof [ return []; map (fun x -> [ x ]) g ] in
+  match kind with
+  | Healthy -> return Fault.none
+  | Flaky ->
+    map3
+      (fun p local degraded ->
+        Fault.make ~seed:7 ((Fault.Flaky { link = None; prob = p } :: local) @ degraded))
+      prob
+      (maybe (map2 (fun l p -> Fault.Flaky { link = Some l; prob = p }) link prob))
+      (maybe (map (fun l -> Fault.Degraded { link = Some l; factor = 0.5 }) link))
+  | Severed ->
+    map3
+      (fun cuts dead flaky ->
+        Fault.make ~seed:7
+          (List.map
+             (fun (a, b) ->
+               Fault.Link_down { a; b; from_cycle = 0; until_cycle = max_int })
+             cuts
+          @ dead @ flaky))
+      (list_size (int_range 1 2) link)
+      (maybe (map (fun r -> Fault.Dead_node r) (int_bound (Topology.size topo - 1))))
+      (maybe (map (fun p -> Fault.Flaky { link = None; prob = p }) prob))
+
+(* Messages over a handful of host pairs, so coalescing has
+   duplicates to merge; pairs may be local; bytes may be zero. *)
+let gen_messages topo =
+  let open QCheck.Gen in
+  let host = int_bound (Topology.size topo - 1) in
+  list_size (int_range 1 8) (pair host host) >>= fun pairs ->
+  let pairs = Array.of_list pairs in
+  list_size (int_bound 40)
+    (map2
+       (fun i bytes ->
+         let src, dst = pairs.(i) in
+         Message.make ~src ~dst ~bytes)
+       (int_bound (Array.length pairs - 1))
+       (frequency [ (1, return 0); (4, int_bound 300) ]))
+
+let netsim_diff spec =
+  let topo = Result.get_ok (Topology.of_string spec) in
+  let arb =
+    QCheck.make
+      ~print:(fun (coalesce, kind, faults, msgs) ->
+        Printf.sprintf "%s coalesce=%b %s [%s] [%s]" spec coalesce
+          (fault_kind_name kind) (Fault.label faults)
+          (String.concat "; "
+             (List.map (fun m -> Format.asprintf "%a" Message.pp m) msgs)))
+      QCheck.Gen.(
+        bool >>= fun coalesce ->
+        oneofl [ Healthy; Flaky; Severed ] >>= fun kind ->
+        map2
+          (fun faults msgs -> (coalesce, kind, faults, msgs))
+          (gen_faults topo kind) (gen_messages topo))
+  in
+  prop ~count:300 spec arb (fun (coalesce, _, faults, msgs) ->
+      let stats, messages, links =
+        Reference.run ~coalesce ~faults topo params msgs
+      in
+      let plain = Netsim.run ~coalesce ~faults topo params msgs in
+      Obs.Telemetry.reset ();
+      Obs.Telemetry.enable ();
+      let traced =
+        Fun.protect ~finally:Obs.Telemetry.disable (fun () ->
+            Netsim.run ~coalesce ~faults topo params msgs)
+      in
+      let recorded = Option.get (Obs.Telemetry.last_run ()) in
+      Obs.Telemetry.reset ();
+      plain = stats && traced = stats
+      && recorded.Obs.Telemetry.messages = messages
+      && recorded.Obs.Telemetry.links = links
+      && Netsim.link_loads ~faults topo msgs = Reference.link_loads faults topo msgs)
+
+let netsim_diff_props =
+  List.map netsim_diff
+    [
+      "mesh:8x4";
+      "torus:4x4x2";
+      "fattree:3:4";
+      "dragonfly:4:4:2";
+      "dragonfly:4:4:2:adaptive";
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Generated-corpus golden                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The curated workloads leave residual flows in two cells only; the
+   first 200 nests of this seeded Gennest corpus leave them in about
+   one in seven.  The digest pins the whole sweep CSV — Netsim
+   pricing, greedy placement, bounds and the 0/1/5% resilience
+   columns — and a 4-job sweep, whose workers share each topology's
+   compiled tables, must reproduce it. *)
+let corpus_workloads () =
+  List.map
+    (fun (nest : Nestir.Loopnest.t) ->
+      {
+        Resopt.Workloads.name = nest.Nestir.Loopnest.nest_name;
+        description = "";
+        nest;
+        schedule = Nestir.Schedule.all_parallel nest;
+      })
+    (Nestir.Gennest.generate_many ~seed:100003 ~count:200)
+
+let corpus_csv ?jobs workloads =
+  Resopt.Sweep.to_csv
+    (Resopt.Sweep.run ?jobs ~ms:[ 2 ] ~workloads
+       ~mapping:(Mapping.spec Mapping.Greedy) ~bounds:true ~faults:Fault.none ())
+
+let test_corpus_golden () =
+  let workloads = corpus_workloads () in
+  (* the 4-job sweep runs first, so its workers race to fill the
+     compiled route memos *)
+  let parallel = corpus_csv ~jobs:4 workloads in
+  let csv = corpus_csv workloads in
+  Alcotest.(check string) "sweep CSV digest" "12b08754f8d35124c16e330b5a1b0267"
+    (Digest.to_hex (Digest.string csv));
+  Alcotest.(check string) "jobs 4 = sequential" csv parallel
+
 let () =
   Alcotest.run "machine"
     [
@@ -386,4 +695,9 @@ let () =
         ] );
       ( "traffic-goldens",
         [ Alcotest.test_case "residual traffic surfaces" `Quick test_traffic_goldens ] );
+      ( "compiled",
+        [ Alcotest.test_case "shared across domains" `Quick test_compiled_shared ] );
+      ("netsim-diff", netsim_diff_props);
+      ( "corpus-golden",
+        [ Alcotest.test_case "gennest sweep CSV" `Quick test_corpus_golden ] );
     ]

@@ -62,9 +62,9 @@ let test_grid_golden () =
   Alcotest.(check int) "search finds the optimum" 101
     (Mapping.hop_bytes topo vol s);
   Alcotest.(check int) "0 and 3 end up adjacent" 1
-    (Machine.Route.hops topo ~src:s.(0) ~dst:s.(3));
+    (Machine.Topology.distance topo ~src:s.(0) ~dst:s.(3));
   Alcotest.(check int) "1 and 2 end up adjacent" 1
-    (Machine.Route.hops topo ~src:s.(1) ~dst:s.(2));
+    (Machine.Topology.distance topo ~src:s.(1) ~dst:s.(2));
   (* greedy alone already beats identity here *)
   Alcotest.(check bool) "greedy <= identity" true
     (Mapping.hop_bytes topo vol (Mapping.greedy topo vol) <= 202)
