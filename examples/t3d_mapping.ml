@@ -52,16 +52,15 @@ let () =
         let topo = t3d.Machine.Models.topo in
         let vgrid = [| 16; 16; 8 |] in
         let layout = Distrib.Layout.all_cyclic 3 in
-        let place v = Distrib.Layout.place layout ~vgrid ~topo v in
-        let msgs flow =
-          Machine.Patterns.affine_messages ~vgrid ~flow ~bytes:8 ~place ()
-        in
+        let axes = Distrib.Layout.axes layout ~vgrid ~topo in
+        let traffic flow = Machine.Patterns.traffic ~vgrid ~axes ~bytes:8 [ flow ] in
+        let msgs flow = Machine.Message.to_list (traffic flow) in
         let direct_closed =
-          (Machine.Models.run ~coalesce:false t3d (msgs flow)).Machine.Netsim.time
+          (Machine.Models.price ~coalesce:false t3d (traffic flow)).Machine.Netsim.time
         in
         let phase_closed =
           List.fold_left
-            (fun acc f -> acc +. (Machine.Models.run t3d (msgs f)).Machine.Netsim.time)
+            (fun acc f -> acc +. (Machine.Models.price t3d (traffic f)).Machine.Netsim.time)
             0.0 factors
         in
         Format.printf "closed-form model: direct %.0f vs phases %.0f (%.1fx)@."

@@ -15,26 +15,11 @@ type volume = {
 
 let ceil_div a b = if b <= 0 then 0 else (a + b - 1) / b
 
-(* Row-major index of a coordinate in the box. *)
-let index_of vgrid v =
-  let idx = ref 0 in
-  Array.iteri (fun d extent -> idx := (!idx * extent) + v.(d)) vgrid;
-  !idx
-
-let pos_mod a n = ((a mod n) + n) mod n
-
-let volume ~vgrid ?offset ~bytes ~place flows =
+let volume ~vgrid ?offset ~bytes ~owner flows =
   let dims = Array.length vgrid in
-  let offset = match offset with Some o -> o | None -> Array.make dims 0 in
-  let n = Array.fold_left ( * ) 1 vgrid in
-  (* enumerate the cells once: coordinates and placement per index *)
-  let coords = Array.make (max n 1) [||] in
-  let owner = Array.make (max n 1) 0 in
-  let i = ref 0 in
-  Machine.Patterns.iter_box vgrid (fun v ->
-      coords.(!i) <- Array.copy v;
-      owner.(!i) <- place v;
-      incr i);
+  let n = Array.length owner in
+  if n <> Machine.Patterns.cells vgrid then
+    invalid_arg "Bounds.volume: owner does not cover vgrid";
   (* balance of the given placement: cells per processor, counted
      over the span of processor ranks the placement uses *)
   let lo = ref max_int and hi = ref min_int in
@@ -58,17 +43,14 @@ let volume ~vgrid ?offset ~bytes ~place flows =
         invalid_arg "Bounds.volume: flow shape does not match vgrid";
       flow_rank := max !flow_rank (Mat.rank (Mat.sub flow (Mat.identity dims)));
       (* successor of each cell under v -> F v + offset (mod vgrid) *)
-      let succ = Array.make (max n 1) 0 in
+      let succ = Machine.Patterns.successors ?offset ~vgrid flow in
       for idx = 0 to n - 1 do
-        let w = Mat.mul_vec flow coords.(idx) in
-        Array.iteri (fun d x -> w.(d) <- pos_mod (x + offset.(d)) vgrid.(d)) w;
-        succ.(idx) <- index_of vgrid w;
         if owner.(idx) <> owner.(succ.(idx)) then incr achieved_msgs
       done;
       (* orbit decomposition: an orbit of length L needs at least
          ceil(L / cap) processors under any placement with at most
          [cap] cells each, hence at least that many color changes *)
-      let visited = Bytes.make (max n 1) '\000' in
+      let visited = Bytes.make n '\000' in
       for start = 0 to n - 1 do
         if Bytes.get visited start = '\000' then begin
           incr orbits;
@@ -107,17 +89,14 @@ type time = {
   efficiency : float;
 }
 
-let transfer_time topo params msgs =
+let transfer_time topo params traffic =
   let open Machine in
-  let achieved = Netsim.run ~coalesce:true ~faults:Fault.none topo params msgs in
-  (* the same coalescing Netsim.run applies: one message per nonlocal
-     ordered endpoint pair, bytes summed *)
-  let coalesced =
-    List.filter
-      (fun ((src, dst), _) -> src <> dst)
-      (Volgraph.of_messages msgs)
-  in
-  if coalesced = [] then
+  (* one coalesced volume — a message per nonlocal ordered endpoint
+     pair, bytes summed — is both priced and bounded *)
+  let volume = Netsim.volume topo traffic in
+  let achieved = Netsim.price topo params volume in
+  (* fault-free, every remote pair is delivered *)
+  if achieved.Netsim.messages = 0 then
     {
       serial_lb = 0;
       link_lb = 0;
@@ -153,8 +132,7 @@ let transfer_time topo params msgs =
     let total_weighted = ref 0 in
     let half = n / 2 in
     let cut_bytes_load = ref 0 in
-    List.iter
-      (fun ((src, dst), bytes) ->
+    Netsim.priced volume (fun src dst bytes ->
         send.(src) <- send.(src) + 1;
         recv.(dst) <- recv.(dst) + 1;
         inj.(src) <- inj.(src) + ceil_div bytes cmax.(src);
@@ -163,8 +141,7 @@ let transfer_time topo params msgs =
         if d > !hops_lb then hops_lb := d;
         total_weighted := !total_weighted + (d * ceil_div bytes !cmax_global);
         if src < half <> (dst < half) then
-          cut_bytes_load := !cut_bytes_load + ceil_div bytes !cmax_global)
-      coalesced;
+          cut_bytes_load := !cut_bytes_load + ceil_div bytes !cmax_global);
     let serial_lb =
       max (Array.fold_left max 0 send) (Array.fold_left max 0 recv)
     in

@@ -57,9 +57,10 @@
     there is no traffic at all).
 
     The module is dependency-free beyond [linalg] and [machine]; the
-    placement arrives as a plain function, so nothing here depends on
-    the distribution or pipeline layers.  Note {!transfer_time} prices
-    the achieved side through {!Machine.Netsim.run}: callers that keep
+    placement arrives as a plain cell→rank table, so nothing here
+    depends on the distribution or pipeline layers.  Note
+    {!transfer_time} prices the achieved side through
+    {!Machine.Netsim.price}: callers that keep
     a telemetry sink enabled will see that pricing recorded as a run. *)
 
 type volume = {
@@ -84,16 +85,17 @@ val volume :
   vgrid:int array ->
   ?offset:int array ->
   bytes:int ->
-  place:(int array -> int) ->
+  owner:int array ->
   Linalg.Mat.t list ->
   volume
-(** [volume ~vgrid ~bytes ~place flows] — orbit-decompose each flow's
+(** [volume ~vgrid ~bytes ~owner flows] — orbit-decompose each flow's
     permutation of the wrapped [vgrid] and accumulate the cycle-packing
-    bound against the placement's balance.  [offset] (default all
-    zero) translates destinations, matching
-    {!Machine.Patterns.affine_messages}.
+    bound against the placement's balance.  [owner.(i)] is the rank
+    of the [i]-th cell of [vgrid] in row-major order (a
+    [Distrib.Layout.ranks] table); [offset] (default all zero)
+    translates destinations, as in {!Machine.Patterns.successors}.
     @raise Invalid_argument when a flow's shape does not match
-    [vgrid]. *)
+    [vgrid], or [owner] does not hold one rank per cell. *)
 
 type time = {
   serial_lb : int;
@@ -112,11 +114,12 @@ type time = {
 val transfer_time :
   Machine.Topology.t ->
   Machine.Netsim.params ->
-  Machine.Message.t list ->
+  Machine.Message.traffic ->
   time
-(** Bound and price the given messages (locals are ignored, the rest
-    coalesced per endpoint pair exactly as {!Machine.Netsim.run}
-    does). *)
+(** Bound and price the given messages: one coalesced
+    {!Machine.Netsim.volume} (locals left out, the rest summed per
+    endpoint pair) is priced by {!Machine.Netsim.price} and read for
+    the three lower bounds. *)
 
 val bar : float -> string
 (** [bar eff] renders an efficiency in [[0, 1]] as a 20-cell ASCII

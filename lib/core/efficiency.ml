@@ -9,16 +9,16 @@ let default_bytes = 64
 let of_traffic ?mapping net (r : Residual.t) =
   let volume =
     Bounds.volume ~vgrid:r.Residual.vgrid ~bytes:r.Residual.bytes
-      ~place:r.Residual.place r.Residual.flows
+      ~owner:(Residual.ranks r) r.Residual.flows
   in
-  let msgs = Residual.messages r in
   (* no traffic, nothing to place: skip the placement search *)
-  let msgs =
-    match (mapping, msgs) with
-    | Some spec, _ :: _ -> Mapping.apply (Residual.placement spec r) msgs
-    | _ -> msgs
+  let placement =
+    match mapping with
+    | Some spec when volume.Bounds.cells > 0 && r.Residual.flows <> [] ->
+      Some (Residual.placement spec r)
+    | _ -> None
   in
-  let time = Bounds.transfer_time r.Residual.topo net msgs in
+  let time = Bounds.transfer_time r.Residual.topo net (Residual.traffic ?placement r) in
   if Obs.enabled () then begin
     Obs.incr "bounds.computed";
     Obs.incr ~by:volume.Bounds.bound_bytes "bounds.bound_bytes";

@@ -31,21 +31,17 @@ type t = {
   vgrid : int array;
   bytes : int;
   flows : Mat.t list;
-  place : int array -> int;
-  msgs : Machine.Message.t list Lazy.t;
+  axes : int array array Lazy.t;
 }
 
 let make ~vgrid ~bytes topo flows =
-  let layout = Distrib.Layout.all_cyclic 2 in
-  let place v = Distrib.Layout.place layout ~vgrid ~topo v in
-  let msgs =
-    lazy
-      (List.concat_map
-         (fun flow ->
-           Machine.Patterns.affine_messages ~vgrid ~flow ~bytes ~place ())
-         flows)
-  in
-  { topo; vgrid; bytes; flows; place; msgs }
+  {
+    topo;
+    vgrid;
+    bytes;
+    flows;
+    axes = lazy (Distrib.Layout.axes (Distrib.Layout.all_cyclic 2) ~vgrid ~topo);
+  }
 
 let on_model ~bytes (model : Machine.Models.t) flows =
   let topo = model.Machine.Models.topo in
@@ -56,9 +52,16 @@ let on_model ~bytes (model : Machine.Models.t) flows =
     Some (make ~vgrid ~bytes topo flows)
   else None
 
-let messages t = Lazy.force t.msgs
+let ranks t =
+  Distrib.Layout.ranks (Distrib.Layout.all_cyclic 2) ~vgrid:t.vgrid ~topo:t.topo
+
+let traffic ?placement t =
+  Machine.Patterns.traffic ~vgrid:t.vgrid ~axes:(Lazy.force t.axes) ?remap:placement
+    ~bytes:t.bytes t.flows
+
+let messages t = Machine.Message.to_list (traffic t)
 
 let volume_graph t =
-  Machine.Volgraph.sorted (Machine.Volgraph.of_messages (messages t))
+  Machine.Volgraph.of_traffic ~hosts:(Machine.Topology.size t.topo) (traffic t)
 
 let placement spec t = Mapping.compute spec t.topo (volume_graph t)

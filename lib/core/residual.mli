@@ -27,11 +27,10 @@ type t = {
   vgrid : int array;  (** the virtual grid the flows are folded from *)
   bytes : int;  (** item size of every message *)
   flows : Mat.t list;
-  place : int array -> int;
-      (** the cyclic fold of [vgrid] onto [topo]'s 2-D host grid *)
-  msgs : Machine.Message.t list Lazy.t;
-      (** the flows' messages ({!Machine.Patterns.affine_messages}),
-          concatenated in flow order; built on first use, once *)
+  axes : int array array Lazy.t;
+      (** the cyclic fold of [vgrid] onto [topo]'s 2-D host grid as
+          per-axis placement tables ({!Distrib.Layout.axes}); built on
+          first use, once *)
 }
 
 val make : vgrid:int array -> bytes:int -> Machine.Topology.t -> Mat.t list -> t
@@ -43,8 +42,15 @@ val on_model : bytes:int -> Machine.Models.t -> Mat.t list -> t option
     per physical one in each dimension, the grid {!Cost} prices 2-D
     flows on.  [None] when the model's topology has no 2-D host grid. *)
 
+val ranks : t -> int array
+(** The cyclic fold as a cell→rank table ({!Distrib.Layout.ranks}). *)
+
+val traffic : ?placement:Mapping.t -> t -> Machine.Message.traffic
+(** The flows' messages ({!Machine.Patterns.traffic}), flow after
+    flow, with [placement] composed after the fold when given. *)
+
 val messages : t -> Machine.Message.t list
-(** [Lazy.force t.msgs]. *)
+(** {!traffic} as a list, for the list consumers ({!Machine.Eventsim}). *)
 
 val volume_graph : t -> Machine.Volgraph.t
 (** The messages collapsed to a canonical (sorted) volume graph — the

@@ -27,8 +27,9 @@ type violation = { stmt : string; label : string; reason : string }
 
 val check : Pipeline.result -> violation list
 (** Empty list = the plan is consistent with the brute-force
-    enumeration.  Statements whose iteration domain exceeds
-    [~max_points] (default 4096) are subsampled deterministically. *)
+    enumeration.  The enumeration caps every extent of a statement's
+    iteration domain at 6 (the box [[0, min(extent, 6))]), so its
+    point count stays tractable whatever the domain's size. *)
 
 val is_valid : Pipeline.result -> bool
 

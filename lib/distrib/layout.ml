@@ -36,6 +36,29 @@ let place t ~vgrid ~topo vcoord =
   in
   Machine.Topology.rank_of topo pcoord
 
+let axes t ~vgrid ~topo =
+  let n = Array.length vgrid in
+  if Array.length t <> n || Machine.Topology.ndims topo <> n then
+    invalid_arg "Layout.place: dimension mismatch";
+  (* [Topology.rank_of] is row-major: a coordinate adds its value
+     times the product of the later extents *)
+  let stride = ref 1 in
+  let tables = Array.make n [||] in
+  for d = n - 1 downto 0 do
+    let np = Machine.Topology.dim topo d and nv = max 0 vgrid.(d) in
+    let s = !stride in
+    tables.(d) <- Array.init nv (fun v -> s * place1d t.(d) ~nv ~np v);
+    stride := s * np
+  done;
+  tables
+
+let ranks t ~vgrid ~topo =
+  let axes = axes t ~vgrid ~topo in
+  let v = Array.make (Array.length vgrid) 0 in
+  Array.init (Machine.Patterns.cells vgrid) (fun i ->
+      Machine.Patterns.coords ~vgrid i v;
+      Machine.Patterns.rank ~axes v)
+
 let local_indices scheme ~nv ~np p =
   let rec go v acc =
     if v < 0 then acc

@@ -38,7 +38,6 @@ let partial_broadcast topo p ~axis ~bytes =
 
 let broadcast_rounds topo ~root ~bytes =
   let n = Topology.size topo in
-  let rel r = (r - root + n) mod n in
   let unrel r = (r + root) mod n in
   let rounds = ref [] in
   let reach = ref 1 in
@@ -50,7 +49,6 @@ let broadcast_rounds topo ~root ~bytes =
         round :=
           Message.make ~src:(unrel holder) ~dst:(unrel target) ~bytes :: !round
     done;
-    ignore rel;
     rounds := List.rev !round :: !rounds;
     reach := !reach * 2
   done;

@@ -1,14 +1,14 @@
 (* A topology compiled once per process: dense directed-link ids with
-   their capacities, memoized routes as link-id arrays, and the
-   host-to-host hop-distance table.  Netsim prices on the ids, Mapping
-   and Bounds read the distances.
+   their capacities, a dense host-pair table of routes as link-id
+   arrays filled on first use, and the host-to-host hop-distance
+   table.  Netsim prices on the ids, Mapping and Bounds read the
+   distances.
 
-   Every field is either immutable after construction or an [Atomic]
-   holding an immutable value that is replaced wholesale, so domains
-   share a compiled topology without taking a lock per message: the
-   only lock guards the per-process registry, once per lookup. *)
-
-module Imap = Map.Make (Int)
+   Domains share a compiled topology without taking a lock per
+   message: the only lock guards the per-process registry, once per
+   lookup.  A route slot is written at most once per domain that
+   misses it, and every writer stores an equal array, so a race is
+   harmless. *)
 
 type t = {
   topo : Topology.t;
@@ -18,9 +18,13 @@ type t = {
   ids : (int, int) Hashtbl.t;  (* from * nodes + to -> link id; read-only *)
   nodes : int;
   undirected : ((int * int) * int) list;  (* Topology.links, computed once *)
-  routes : int array Imap.t Atomic.t;  (* src * hosts + dst -> route *)
+  routes : int array array;  (* src * hosts + dst -> route, or [unset] *)
   dist : int array array option Atomic.t;
 }
+
+(* The empty route slot, told apart from an empty route by physical
+   equality. *)
+let unset = [| -1 |]
 
 (* Directed ids follow the lexicographic order of (from, to), so a
    scan by id visits links in sorted order.  A torus dimension of
@@ -36,15 +40,16 @@ let compile topo =
   let nodes = Topology.nodes topo in
   let ids = Hashtbl.create (2 * Array.length ends) in
   Array.iteri (fun id (a, b) -> Hashtbl.replace ids ((a * nodes) + b) id) ends;
+  let hosts = Topology.size topo in
   {
     topo;
-    hosts = Topology.size topo;
+    hosts;
     ends;
     caps = Array.map (Topology.link_capacity topo) ends;
     ids;
     nodes;
     undirected;
-    routes = Atomic.make Imap.empty;
+    routes = Array.make (hosts * hosts) unset;
     dist = Atomic.make None;
   }
 
@@ -75,23 +80,21 @@ let link_id c (a, b) =
 
 let ids_of_hops c hops = Array.of_list (List.map (link_id c) hops)
 
-(* Lock-free memo: readers take the current map; a writer that loses
-   the race to publish simply retries on the newer map.  Two domains
-   may both compute a missing route — the same array either way. *)
+let hosts c = c.hosts
+
+(* Two domains may both fill a missing slot — with equal arrays, so
+   either write may win. *)
 let route c ~src ~dst =
   if src < 0 || src >= c.hosts || dst < 0 || dst >= c.hosts then
     invalid_arg "Compiled.route: endpoint out of range";
   let key = (src * c.hosts) + dst in
-  match Imap.find key (Atomic.get c.routes) with
-  | r -> r
-  | exception Not_found ->
+  let r = c.routes.(key) in
+  if r != unset then r
+  else begin
     let r = ids_of_hops c (Topology.route c.topo ~src ~dst) in
-    let rec publish () =
-      let m = Atomic.get c.routes in
-      if not (Atomic.compare_and_set c.routes m (Imap.add key r m)) then publish ()
-    in
-    publish ();
+    c.routes.(key) <- r;
     r
+  end
 
 let distances c =
   match Atomic.get c.dist with

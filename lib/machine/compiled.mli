@@ -7,17 +7,20 @@
     - dense {e directed} link ids [0 .. nlinks - 1], in the
       lexicographic order of their [(from, to)] endpoints, each with
       its capacity;
-    - each routed host pair's {!Topology.route} as an [int array] of
-      link ids, memoized for the pairs actually routed (never all
-      [n^2] up front);
+    - a dense [n x n] host-pair table of {!Topology.route}s as
+      [int array]s of link ids, each slot filled the first time its
+      pair is routed (so only routed pairs pay for a route, but the
+      table itself holds [n^2] slots);
     - the [n x n] {!Topology.distance} table, built on first request.
 
     Compiled forms are keyed by the canonical spec
     {!Topology.to_string}, so two equal topologies built separately
     (every [Models.cm5 ()] call builds a fresh value) share one.  They
     are safe to share across domains: the registry takes a mutex once
-    per {!get}, and the route memo and distance table are published
-    through [Atomic]s, with no lock per message. *)
+    per {!get}; a route slot is a plain array write, and two domains
+    racing to fill the same slot store equal arrays, so either may
+    win; the distance table is published through an [Atomic].  No
+    lock is taken per message. *)
 
 type t
 
@@ -38,6 +41,9 @@ val capacity : t -> int -> int
 
 val undirected : t -> ((int * int) * int) list
 (** {!Topology.links}, computed once. *)
+
+val hosts : t -> int
+(** {!Topology.size}: the hosts routes run between. *)
 
 val route : t -> src:int -> dst:int -> int array
 (** The link ids of [Topology.route ~src ~dst], in hop order; empty

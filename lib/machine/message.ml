@@ -1,4 +1,5 @@
-(* A point-to-point message between physical ranks. *)
+(* A point-to-point message between physical ranks, and a replayable
+   stream of them. *)
 
 type t = { src : int; dst : int; bytes : int }
 
@@ -9,3 +10,12 @@ let make ~src ~dst ~bytes =
 let is_local m = m.src = m.dst
 
 let pp ppf m = Format.fprintf ppf "%d -> %d (%dB)" m.src m.dst m.bytes
+
+type traffic = (int -> int -> int -> unit) -> unit
+
+let of_list msgs emit = List.iter (fun m -> emit m.src m.dst m.bytes) msgs
+
+let to_list traffic =
+  let acc = ref [] in
+  traffic (fun src dst bytes -> acc := make ~src ~dst ~bytes :: !acc);
+  List.rev !acc

@@ -1,8 +1,8 @@
 (** A point-to-point message between physical ranks.
 
     The unit of traffic every simulator consumes: {!Netsim} prices
-    lists of these closed-form, {!Eventsim} routes them packet by
-    packet, and {!Patterns} manufactures them from affine flows. *)
+    {!traffic} closed-form, {!Eventsim} routes message lists packet by
+    packet. *)
 
 type t = { src : int; dst : int; bytes : int }
 
@@ -13,3 +13,15 @@ val is_local : t -> bool
 (** Source and destination are the same rank: no network traffic. *)
 
 val pp : Format.formatter -> t -> unit
+
+type traffic = (int -> int -> int -> unit) -> unit
+(** Messages as a replayable stream: [traffic emit] calls
+    [emit src dst bytes] once per message, in order, and running it
+    again replays the same messages.  Residual traffic takes this form
+    from placement to price — a cell→rank lookup and an affine step
+    per message, no record and no array per message. *)
+
+val of_list : t list -> traffic
+
+val to_list : traffic -> t list
+(** @raise Invalid_argument on a negative size. *)

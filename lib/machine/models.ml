@@ -98,29 +98,28 @@ let gather_time t ~bytes = scatter_time t ~bytes
 
 let run ?coalesce ?faults t msgs = Netsim.run ?coalesce ?faults t.topo t.net msgs
 
+let price ?coalesce ?faults t traffic =
+  Netsim.price ?faults t.topo t.net (Netsim.volume ?coalesce t.topo traffic)
+
+(* One message per rank [r] to [dst r] unless that is [r] itself,
+   ranks taken from last to first. *)
+let per_rank t ~bytes dst emit =
+  if bytes < 0 then invalid_arg "Message.make: negative size";
+  for r = Topology.size t.topo - 1 downto 0 do
+    if dst r <> r then emit r (dst r) bytes
+  done
+
 let translation_time t ~bytes =
   (* shift by one along axis 0: every processor sends to its
      neighbour; conflict-free *)
   let topo = t.topo in
-  let n = Topology.size topo in
-  let msgs = ref [] in
-  for r = 0 to n - 1 do
-    let c = Topology.coords_of topo r in
-    let c' = Array.copy c in
-    c'.(0) <- (c.(0) + 1) mod Topology.dim topo 0;
-    if not (Array.for_all2 ( = ) c c') then
-      msgs := Message.make ~src:r ~dst:(Topology.rank_of topo c') ~bytes :: !msgs
-  done;
-  (Netsim.run topo t.net !msgs).Netsim.time
+  let d0 = Topology.dim topo 0 in
+  let stride = Topology.size topo / d0 in
+  let dst r = if r / stride = d0 - 1 then r - ((d0 - 1) * stride) else r + stride in
+  (price t (per_rank t ~bytes dst)).Netsim.time
 
 let general_time t ~bytes =
   (* the rank-reversal permutation: every message crosses the centre,
      and the generic runtime path cannot vectorize it *)
-  let topo = t.topo in
-  let n = Topology.size topo in
-  let msgs = ref [] in
-  for r = 0 to n - 1 do
-    let dst = n - 1 - r in
-    if dst <> r then msgs := Message.make ~src:r ~dst ~bytes :: !msgs
-  done;
-  (Netsim.run ~coalesce:false topo t.net !msgs).Netsim.time
+  let n = Topology.size t.topo in
+  (price ~coalesce:false t (per_rank t ~bytes (fun r -> n - 1 - r))).Netsim.time

@@ -12,16 +12,15 @@ type stats = {
   unreachable : int;
 }
 
-(* The link ids a message's route crosses under the fault model, or
-   None when it cannot be delivered at all.  Without a severed link or
-   a dead node every message takes its plain route, memoized in the
-   compiled topology; otherwise the {!Fault.route} detour is mapped to
-   ids. *)
-let route_ids c faults (m : Message.t) =
-  let src = m.Message.src and dst = m.Message.dst in
+(* The link ids the route from [src] to [dst] crosses under the fault
+   model, or None when the message cannot be delivered at all.
+   Without a severed link or a dead node every message takes its plain
+   route, from the compiled topology's table; otherwise the
+   {!Fault.route} detour is mapped to ids. *)
+let route_ids c faults ~src ~dst =
   if not (Fault.has_severed faults) then Some (Compiled.route c ~src ~dst)
   else begin
-    let n = Topology.size (Compiled.topology c) in
+    let n = Compiled.hosts c in
     if src < 0 || src >= n || dst < 0 || dst >= n then
       invalid_arg "Netsim: message endpoint is not a host";
     Option.map (Compiled.ids_of_hops c)
@@ -52,7 +51,7 @@ let effective_load c weights id bytes =
     let w = match weights with Some w -> w.(id) | None -> 1.0 in
     int_of_float (ceil (float_of_int bytes *. w /. float_of_int cap))
 
-(* The one per-link accumulation, shared by [link_loads] and [run]:
+(* The one per-link accumulation, shared by [link_loads] and [price]:
    [loads] is indexed by link id, and a negative entry marks a link no
    route crossed (a zero-byte message still lists its links). *)
 let add_route_loads c weights loads bytes route =
@@ -81,7 +80,7 @@ let link_loads ?(faults = Fault.none) topo msgs =
   List.iter
     (fun (m : Message.t) ->
       if not (Message.is_local m) then
-        match route_ids c faults m with
+        match route_ids c faults ~src:m.Message.src ~dst:m.Message.dst with
         | Some route -> add_route_loads c weights loads m.Message.bytes route
         | None -> ())
     msgs;
@@ -94,62 +93,90 @@ let coalesce_messages msgs =
     (fun ((src, dst), bytes) -> Message.make ~src ~dst ~bytes)
     (Volgraph.of_messages msgs)
 
-let run ?(coalesce = true) ?(faults = Fault.none) ?(label = "") topo params msgs
-    =
-  let remote, locals = List.partition (fun m -> not (Message.is_local m)) msgs in
-  let remote = if coalesce then coalesce_messages remote else remote in
+(* Coalesced remote traffic: pair keys [src * hosts + dst] in the
+   order of their first message, and their summed bytes. *)
+type pairs = { keys : int array; sums : int array; hosts : int }
+
+type volume = { traffic : Message.traffic; coalesced : pairs option }
+
+let volume ?(coalesce = true) topo traffic =
+  let coalesced =
+    if not coalesce then None
+    else
+      let hosts = Topology.size topo in
+      let keys, sums = Volgraph.tally ~hosts ~locals:false traffic in
+      Some { keys; sums; hosts }
+  in
+  { traffic; coalesced }
+
+let emit_pairs p emit =
+  Array.iteri (fun i key -> emit (key / p.hosts) (key mod p.hosts) p.sums.(i)) p.keys
+
+let priced v = match v.coalesced with Some p -> emit_pairs p | None -> v.traffic
+
+(* The coalesced pairs in the order [coalesce_messages] lists them,
+   which telemetry records.  That order depends only on the sequence
+   in which pairs first appear, which the tally kept. *)
+let volgraph_order p = Message.of_list (coalesce_messages (Message.to_list (emit_pairs p)))
+
+let tele_message ~src ~dst ~bytes hops outcome =
+  let unreachable = outcome = Obs.Telemetry.Unreachable in
+  {
+    Obs.Telemetry.msg_src = src;
+    msg_dst = dst;
+    msg_bytes = bytes;
+    injected_at = (if unreachable then -1 else 0);
+    finished_at = (if unreachable then -1 else 0);
+    hops;
+    queue_wait = 0;
+    retransmits = 0;
+    outcome;
+  }
+
+let price ?(faults = Fault.none) ?(label = "") topo params v =
+  let tele = Obs.Telemetry.enabled () in
   let c = Compiled.get topo in
   let weights = fault_weights c faults in
-  let n = Topology.size topo in
+  let n = Compiled.hosts c in
   let send = Array.make n 0 and recv = Array.make n 0 in
   let total_bytes = ref 0 and total_hops = ref 0 and max_hops = ref 0 in
   let unreachable = ref 0 in
-  let priced = ref 0 in
+  let delivered = ref 0 in
   let loads = fresh_loads c in
-  let tele = Obs.Telemetry.enabled () in
   let t_msgs = ref [] (* reverse *) in
   let t_packets = if tele then Array.make (Compiled.nlinks c) 0 else [||] in
-  let tele_message hops (m : Message.t) outcome =
-    {
-      Obs.Telemetry.msg_src = m.Message.src;
-      msg_dst = m.Message.dst;
-      msg_bytes = m.Message.bytes;
-      injected_at = (match outcome with Obs.Telemetry.Unreachable -> -1 | _ -> 0);
-      finished_at = (match outcome with Obs.Telemetry.Unreachable -> -1 | _ -> 0);
-      hops;
-      queue_wait = 0;
-      retransmits = 0;
-      outcome;
-    }
-  in
-  List.iter
-    (fun (m : Message.t) ->
-      match route_ids c faults m with
+  let price_one src dst bytes =
+    (* local messages are free *)
+    if src <> dst then begin
+      match route_ids c faults ~src ~dst with
       | None ->
         incr unreachable;
         if Obs.enabled () then Obs.incr "fault.injected";
-        if tele then t_msgs := tele_message 0 m Obs.Telemetry.Unreachable :: !t_msgs
+        if tele then
+          t_msgs := tele_message ~src ~dst ~bytes 0 Obs.Telemetry.Unreachable :: !t_msgs
       | Some route ->
-        incr priced;
-        send.(m.Message.src) <- send.(m.Message.src) + 1;
-        recv.(m.Message.dst) <- recv.(m.Message.dst) + 1;
-        total_bytes := !total_bytes + m.Message.bytes;
+        incr delivered;
+        send.(src) <- send.(src) + 1;
+        recv.(dst) <- recv.(dst) + 1;
+        total_bytes := !total_bytes + bytes;
         (* hops follow the actual route, detours included *)
         let h = Array.length route in
         total_hops := !total_hops + h;
         if h > !max_hops then max_hops := h;
-        add_route_loads c weights loads m.Message.bytes route;
+        add_route_loads c weights loads bytes route;
         if tele then begin
-          t_msgs := tele_message h m Obs.Telemetry.Delivered :: !t_msgs;
+          t_msgs := tele_message ~src ~dst ~bytes h Obs.Telemetry.Delivered :: !t_msgs;
           Array.iter (fun id -> t_packets.(id) <- t_packets.(id) + 1) route
-        end)
-    remote;
+        end
+    end
+  in
+  (match v.coalesced with Some p when tele -> volgraph_order p | _ -> priced v) price_one;
   let max_link_load = array_max loads in
   let max_sender = array_max send in
   let max_receiver = array_max recv in
   let serial = max max_sender max_receiver in
   let time =
-    if !priced = 0 then 0.0
+    if !delivered = 0 then 0.0
     else
       (params.alpha *. float_of_int serial)
       +. (params.beta *. float_of_int max_link_load)
@@ -157,7 +184,7 @@ let run ?(coalesce = true) ?(faults = Fault.none) ?(label = "") topo params msgs
   in
   if Obs.enabled () then begin
     Obs.incr "netsim.runs";
-    Obs.incr ~by:!priced "netsim.messages";
+    Obs.incr ~by:!delivered "netsim.messages";
     Obs.observe "netsim.time" time;
     Obs.observe "netsim.max_link_load" (float_of_int max_link_load)
   end;
@@ -175,6 +202,10 @@ let run ?(coalesce = true) ?(faults = Fault.none) ?(label = "") topo params msgs
             stalled = 0;
           })
     in
+    let locals = ref [] (* reverse *) in
+    v.traffic (fun src dst bytes ->
+        if src = dst then
+          locals := tele_message ~src ~dst ~bytes 0 Obs.Telemetry.Delivered :: !locals);
     Obs.Telemetry.record_run
       {
         Obs.Telemetry.sim = "netsim";
@@ -184,16 +215,14 @@ let run ?(coalesce = true) ?(faults = Fault.none) ?(label = "") topo params msgs
         topo_spec = (if Topology.is_grid topo then "" else Topology.to_string topo);
         total_cycles = 0;
         fault_spec = Fault.label faults;
-        messages =
-          List.map (fun m -> tele_message 0 m Obs.Telemetry.Delivered) locals
-          @ List.rev !t_msgs;
+        messages = List.rev_append !locals (List.rev !t_msgs);
         links;
         events = [];
       }
   end;
   {
     time;
-    messages = !priced;
+    messages = !delivered;
     total_bytes = !total_bytes;
     total_hops = !total_hops;
     max_link_load;
@@ -202,6 +231,9 @@ let run ?(coalesce = true) ?(faults = Fault.none) ?(label = "") topo params msgs
     max_hops = !max_hops;
     unreachable = !unreachable;
   }
+
+let run ?coalesce ?faults ?label topo params msgs =
+  price ?faults ?label topo params (volume ?coalesce topo (Message.of_list msgs))
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -28,15 +28,27 @@
     route (or a dead endpoint) are counted [unreachable] and excluded
     from the price instead of silently vanishing.
 
+    {2 One pricing core}
+
+    Every price goes through {!price}, over a {!volume}: a
+    {!Message.traffic} stream whose local messages cost nothing and
+    whose remote messages, when coalescing, are summed per host pair
+    in a dense [n x n] table ({!Volgraph.tally}), pairs kept in the
+    order of their first message.  {!run} streams a message list
+    through the same path, as do the residual-traffic producers
+    ([Foldsim], [Residual]), the lower bounds
+    ([Bounds.transfer_time], which reads its bounds off the same
+    coalesced volume) and {!Models}.
+
     Pricing runs on the topology's {!Compiled} form, built once per
     process and shared across domains: each route is an [int array]
-    of dense directed-link ids, memoized per host pair, and a run
-    accumulates effective bytes into an [int array] indexed by link
-    id, so [max_link_load] is an array maximum and the per-link list
-    is read back in link order.  A faulty run follows the same path:
-    it computes each link's fault weight once, and maps a
-    {!Fault.route} detour to ids only when some link is severed or
-    some node dead. *)
+    of dense directed-link ids, read from a dense host-pair table,
+    and a run accumulates effective bytes into an [int array]
+    indexed by link id, so [max_link_load] is an array maximum and
+    the per-link list is read back in link order.  A faulty run
+    follows the same path: it computes each link's fault weight
+    once, and maps a {!Fault.route} detour to ids only when some link
+    is severed or some node dead. *)
 
 type params = { alpha : float; beta : float; hop : float }
 
@@ -53,6 +65,28 @@ type stats = {
       (** messages excluded from the price: dead endpoint or no
           surviving route.  0 without faults. *)
 }
+
+type volume
+(** Traffic made ready to price: when coalesced, one message per
+    remote ordered host pair with bytes summed, tallied once; otherwise
+    the traffic itself, whose local messages the price skips.
+    Telemetry records the traffic's local messages either way. *)
+
+val volume : ?coalesce:bool -> Topology.t -> Message.traffic -> volume
+(** [coalesce] as in {!run}.  Coalescing runs the traffic once, into a
+    dense {!Volgraph.tally}; otherwise it is run by {!price}.
+    @raise Invalid_argument when coalescing a remote message whose
+    endpoint is not a host. *)
+
+val priced : volume -> Message.traffic
+(** The messages {!price} walks: the coalesced remote pairs in the
+    order of their first message, or the uncoalesced traffic. *)
+
+val price :
+  ?faults:Fault.t -> ?label:string -> Topology.t -> params -> volume -> stats
+(** The pricing core: [faults] and [label] as in {!run}, which is
+    [price (volume (Message.of_list msgs))].
+    @raise Invalid_argument when a message endpoint is not a host. *)
 
 val run :
   ?coalesce:bool ->

@@ -1,33 +1,68 @@
 (** Communication patterns induced by affine data-flow matrices.
 
     A residual communication of data-flow matrix [T] makes virtual
-    processor [v] send its item to [T v + offset]; given a placement of
-    virtual processors onto physical ranks, this yields the message
-    list fed to {!Netsim}.
+    processor [v] send its item to [T v + offset].  The virtual index
+    space is toroidal: destinations are taken modulo the grid extents,
+    so a determinant-1 data flow is a bijection of the virtual space
+    and every layout is compared on the same number of messages (no
+    boundary artifacts).
 
-    By default the virtual index space is toroidal ([`Wrap]):
-    destinations are taken modulo the grid extents, so a determinant-1
-    data flow is a bijection of the virtual space and every layout is
-    compared on the same number of messages (no boundary artifacts).
-    [`Clip] drops out-of-range destinations instead. *)
+    Virtual cells are numbered in row-major order (the last dimension
+    varies fastest), the order {!iter_box} visits them.  A placement
+    is given per axis: [axes.(d).(x)] is what coordinate [x] of axis
+    [d] adds to a cell's rank ([Distrib.Layout.axes]), so a cell's
+    rank is a sum of table lookups.  {!traffic} streams a flow's
+    messages to {!Netsim} with integer arithmetic alone: no message
+    record, and no array per cell. *)
 
 open Linalg
 
-type boundary = [ `Wrap | `Clip ]
-
 val iter_box : int array -> (int array -> unit) -> unit
-(** Enumerate all integer points of the box [[0, extent_i)]. *)
+(** Enumerate all integer points of the box [[0, extent_i)] in
+    row-major order. *)
 
-val affine_messages :
-  ?boundary:boundary ->
-  vgrid:int array ->
-  flow:Mat.t ->
+val cells : int array -> int
+(** The number of points {!iter_box} visits: the product of the
+    extents, 0 for an empty or degenerate box. *)
+
+val check_flow : vgrid:int array -> Mat.t -> unit
+(** @raise Invalid_argument when the flow is not [d x d], for [d] the
+    rank of [vgrid]. *)
+
+val move : ?offset:int array -> vgrid:int array -> Mat.t -> int array -> int array -> unit
+(** [move ~vgrid flow v w] sets [w] to [flow v + offset] wrapped onto
+    [vgrid] ([offset] defaults to all zeros).  Shapes are not
+    checked. *)
+
+val coords : vgrid:int array -> int -> int array -> unit
+(** [coords ~vgrid i v] writes the coordinates of cell [i] into [v]. *)
+
+val successors : ?offset:int array -> vgrid:int array -> Mat.t -> int array
+(** [(successors ~vgrid flow).(i)] is the index of cell [i]'s
+    destination [flow v + offset], wrapped.
+    @raise Invalid_argument when [flow] is not [d x d] or [offset] not
+    of length [d], for [d] the rank of [vgrid]. *)
+
+val rank : axes:int array array -> ?remap:int array -> int array -> int
+(** A cell's rank under per-axis placement tables, then [remap]
+    ([remap.(rank)]) when given. *)
+
+val traffic :
   ?offset:int array ->
+  vgrid:int array ->
+  axes:int array array ->
+  ?remap:int array ->
   bytes:int ->
-  place:(int array -> int) ->
-  unit ->
-  Message.t list
-(** One message per virtual processor [v] towards [flow v + offset]. *)
+  Mat.t list ->
+  Message.traffic
+(** The flows' messages under a placement: for each flow in turn, one
+    message of [bytes] from each cell's {!rank} to its destination's,
+    cells taken from last to first — the order in which telemetry has
+    always recorded a flow's messages.  Local messages are kept.
+    @raise Invalid_argument, when run, as {!successors} does or on a
+    negative [bytes]. *)
+
+type boundary = [ `Wrap | `Clip ]
 
 val translation_messages :
   ?boundary:boundary ->
@@ -37,3 +72,6 @@ val translation_messages :
   place:(int array -> int) ->
   unit ->
   Message.t list
+(** One message per virtual processor [v] towards [v + shift], the
+    destination wrapped ([`Wrap], the default) or, out of range,
+    dropped ([`Clip]). *)

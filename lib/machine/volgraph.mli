@@ -26,3 +26,15 @@ val total : t -> int
 
 val nonlocal : t -> t
 (** Drop the [src = dst] entries. *)
+
+val tally : hosts:int -> locals:bool -> Message.traffic -> int array * int array
+(** [(pairs, sums)]: the traffic's ordered pairs as keys
+    [src * hosts + dst], in the order of their first message, and
+    each pair's summed bytes — tallied in a dense [hosts x hosts]
+    table that each domain reuses from one tally to the next.
+    [locals:false] leaves out the [src = dst] messages.
+    @raise Invalid_argument on a counted endpoint outside
+    [[0, hosts)]. *)
+
+val of_traffic : hosts:int -> Message.traffic -> t
+(** {!of_messages} of the traffic, {!sorted}, read off {!tally}. *)

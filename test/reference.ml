@@ -1,0 +1,211 @@
+(* Reference implementations for the differential tests: the list path
+   residual traffic used to take from placement to price.  A flow is
+   enumerated point by point into a [Message.t] list, each point
+   placed through [Layout.place], and the list priced with a hop list
+   per message and a Hashtbl keyed by directed link.  The int-array
+   path (cell→rank tables, successor arrays, the Netsim core) must
+   agree with it on the stats and on the telemetry a run records. *)
+
+open Machine
+
+(* ------------------------------------------------------------------ *)
+(* Messages of an affine flow                                          *)
+(* ------------------------------------------------------------------ *)
+
+type boundary = [ `Wrap | `Clip ]
+
+let in_box extents v =
+  Array.length v = Array.length extents
+  && Array.for_all2 (fun x e -> x >= 0 && x < e) v extents
+
+let resolve boundary extents v =
+  match boundary with
+  | `Wrap -> Some (Array.map2 (fun x e -> ((x mod e) + e) mod e) v extents)
+  | `Clip -> if in_box extents v then Some v else None
+
+(* One message per virtual processor [v] towards [flow v + offset]. *)
+let affine_messages ?(boundary = `Wrap) ~vgrid ~flow ?offset ~bytes ~place () =
+  let offset =
+    match offset with Some o -> o | None -> Array.make (Linalg.Mat.rows flow) 0
+  in
+  let msgs = ref [] in
+  Patterns.iter_box vgrid (fun v ->
+      let raw = Array.map2 ( + ) (Linalg.Mat.mul_vec flow v) offset in
+      match resolve boundary vgrid raw with
+      | Some dst -> msgs := Message.make ~src:(place v) ~dst:(place dst) ~bytes :: !msgs
+      | None -> ());
+  !msgs
+
+(* ------------------------------------------------------------------ *)
+(* List pricing                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let route_of faults topo (m : Message.t) =
+  if Fault.is_none faults then
+    Some (Topology.route topo ~src:m.Message.src ~dst:m.Message.dst)
+  else Fault.route faults topo ~src:m.Message.src ~dst:m.Message.dst
+
+let effective_load topo faults l bytes =
+  let cap = Topology.link_capacity topo l in
+  if Fault.is_none faults && cap = 1 then bytes
+  else
+    let w =
+      if Fault.is_none faults then 1.0
+      else Fault.expected_transmissions faults l /. Fault.bandwidth_factor faults l
+    in
+    int_of_float (ceil (float_of_int bytes *. w /. float_of_int cap))
+
+let bump tbl key v =
+  Hashtbl.replace tbl key (v + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+
+let add_route_loads topo faults loads bytes path =
+  List.iter (fun link -> bump loads link (effective_load topo faults link bytes)) path
+
+let sorted tbl = List.sort compare (Hashtbl.fold (fun k v l -> (k, v) :: l) tbl [])
+
+let link_loads faults topo msgs =
+  let loads = Hashtbl.create 64 in
+  List.iter
+    (fun (m : Message.t) ->
+      if not (Message.is_local m) then
+        match route_of faults topo m with
+        | Some path -> add_route_loads topo faults loads m.Message.bytes path
+        | None -> ())
+    msgs;
+  sorted loads
+
+let tele_message hops (m : Message.t) outcome =
+  let unreachable = outcome = Obs.Telemetry.Unreachable in
+  {
+    Obs.Telemetry.msg_src = m.Message.src;
+    msg_dst = m.Message.dst;
+    msg_bytes = m.Message.bytes;
+    injected_at = (if unreachable then -1 else 0);
+    finished_at = (if unreachable then -1 else 0);
+    hops;
+    queue_wait = 0;
+    retransmits = 0;
+    outcome;
+  }
+
+(* The stats and the telemetry record of one pricing. *)
+let run ?(label = "") ~coalesce ~faults topo (params : Netsim.params) msgs =
+  let remote, locals = List.partition (fun m -> not (Message.is_local m)) msgs in
+  let remote = if coalesce then Netsim.coalesce_messages remote else remote in
+  let n = Topology.size topo in
+  let send = Array.make n 0 and recv = Array.make n 0 in
+  let total_bytes = ref 0 and total_hops = ref 0 and max_hops = ref 0 in
+  let unreachable = ref 0 and priced = ref 0 in
+  let loads = Hashtbl.create 64 and packets = Hashtbl.create 64 in
+  let t_msgs = ref [] in
+  List.iter
+    (fun (m : Message.t) ->
+      match route_of faults topo m with
+      | None ->
+        incr unreachable;
+        t_msgs := tele_message 0 m Obs.Telemetry.Unreachable :: !t_msgs
+      | Some path ->
+        incr priced;
+        send.(m.Message.src) <- send.(m.Message.src) + 1;
+        recv.(m.Message.dst) <- recv.(m.Message.dst) + 1;
+        total_bytes := !total_bytes + m.Message.bytes;
+        let h = List.length path in
+        total_hops := !total_hops + h;
+        if h > !max_hops then max_hops := h;
+        add_route_loads topo faults loads m.Message.bytes path;
+        t_msgs := tele_message h m Obs.Telemetry.Delivered :: !t_msgs;
+        List.iter (fun l -> bump packets l 1) path)
+    remote;
+  let max_link_load = Hashtbl.fold (fun _ v acc -> max v acc) loads 0 in
+  let max_sender = Array.fold_left max 0 send in
+  let max_receiver = Array.fold_left max 0 recv in
+  let time =
+    if !priced = 0 then 0.0
+    else
+      (params.Netsim.alpha *. float_of_int (max max_sender max_receiver))
+      +. (params.Netsim.beta *. float_of_int max_link_load)
+      +. (params.Netsim.hop *. float_of_int !max_hops)
+  in
+  let stats =
+    {
+      Netsim.time;
+      messages = !priced;
+      total_bytes = !total_bytes;
+      total_hops = !total_hops;
+      max_link_load;
+      max_sender;
+      max_receiver;
+      max_hops = !max_hops;
+      unreachable = !unreachable;
+    }
+  in
+  let links =
+    List.map
+      (fun ((a, b), carried) ->
+        {
+          Obs.Telemetry.link_src = a;
+          link_dst = b;
+          busy = 0;
+          carried;
+          packets = Hashtbl.find packets (a, b);
+          peak_queue = 0;
+          queue_area = 0;
+          stalled = 0;
+        })
+      (sorted loads)
+  in
+  let record =
+    {
+      Obs.Telemetry.sim = "netsim";
+      label;
+      dims = (if Topology.is_grid topo then Topology.dims topo else [||]);
+      torus = Topology.is_torus topo;
+      topo_spec = (if Topology.is_grid topo then "" else Topology.to_string topo);
+      total_cycles = 0;
+      fault_spec = Fault.label faults;
+      messages =
+        List.map (fun m -> tele_message 0 m Obs.Telemetry.Delivered) locals
+        @ List.rev !t_msgs;
+      links;
+      events = [];
+    }
+  in
+  (stats, record)
+
+(* ------------------------------------------------------------------ *)
+(* Folded flows                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The layout fold point by point, [remap] composed after it. *)
+let place ?remap layout ~vgrid ~topo v =
+  let r = Distrib.Layout.place layout ~vgrid ~topo v in
+  match remap with None -> r | Some perm -> perm.(r)
+
+(* [Foldsim.time]: stats and record. *)
+let foldsim_time ?(coalesce = true) ?(faults = Fault.none) ?remap
+    (model : Models.t) ~layout ~vgrid ~flow ?offset ~bytes () =
+  let topo = model.Models.topo in
+  let place = place ?remap layout ~vgrid ~topo in
+  run ~coalesce ~faults topo model.Models.net
+    (affine_messages ~vgrid ~flow ?offset ~bytes ~place ())
+
+(* [Foldsim.decomposed_time]: one (stats, record) per phase. *)
+let decomposed_time ?(faults = Fault.none) ?remap (model : Models.t) ~layout ~vgrid
+    ~factors ~bytes () =
+  let topo = model.Models.topo in
+  let place = place ?remap layout ~vgrid ~topo in
+  let wrap v = Array.map2 (fun x e -> ((x mod e) + e) mod e) v vgrid in
+  let positions = ref [] in
+  Patterns.iter_box vgrid (fun v -> positions := v :: !positions);
+  List.map
+    (fun f ->
+      let moved = ref [] and msgs = ref [] in
+      List.iter
+        (fun v ->
+          let dst = wrap (Linalg.Mat.mul_vec f v) in
+          moved := dst :: !moved;
+          msgs := Message.make ~src:(place v) ~dst:(place dst) ~bytes :: !msgs)
+        !positions;
+      positions := !moved;
+      run ~coalesce:true ~faults topo model.Models.net !msgs)
+    (List.rev factors)

@@ -53,6 +53,13 @@ let test_rank () =
 (* Volume bound goldens                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The cell→rank table of a placement function, cells in row-major
+   order. *)
+let owner_of vgrid place =
+  let ranks = ref [] in
+  Machine.Patterns.iter_box vgrid (fun v -> ranks := place v :: !ranks);
+  Array.of_list (List.rev !ranks)
+
 (* 1-D circular shift: v -> v + 1 on 6 cells, 3 processors holding 2
    cells each in blocks.  One orbit of length 6; cap 2 forces >= 3
    processors on it, so >= 3 boundary crossings — and block placement
@@ -61,7 +68,7 @@ let test_rank () =
 let test_volume_shift () =
   let v =
     Bounds.volume ~vgrid:[| 6 |] ~offset:[| 1 |] ~bytes:10
-      ~place:(fun c -> c.(0) / 2)
+      ~owner:(owner_of [| 6 |] (fun c -> c.(0) / 2))
       [ Mat.identity 1 ]
   in
   Alcotest.(check int) "cells" 6 v.Bounds.cells;
@@ -81,7 +88,7 @@ let test_volume_shift () =
 let test_volume_transpose () =
   let v =
     Bounds.volume ~vgrid:[| 4; 4 |] ~bytes:5
-      ~place:(fun c -> (2 * (c.(0) / 2)) + (c.(1) / 2))
+      ~owner:(owner_of [| 4; 4 |] (fun c -> (2 * (c.(0) / 2)) + (c.(1) / 2)))
       [ Mat.of_lists [ [ 0; 1 ]; [ 1; 0 ] ] ]
   in
   Alcotest.(check int) "cells" 16 v.Bounds.cells;
@@ -99,7 +106,7 @@ let test_volume_shape_mismatch () =
     (fun () ->
       ignore
         (Bounds.volume ~vgrid:[| 4; 4 |] ~bytes:1
-           ~place:(fun _ -> 0)
+           ~owner:(Array.make 16 0)
            [ Mat.identity 1 ]))
 
 (* ------------------------------------------------------------------ *)
@@ -109,12 +116,12 @@ let test_volume_shape_mismatch () =
 let test_transfer_empty () =
   let topo = Topology.make ~torus:true [| 4; 4 |] in
   let params = (Machine.Models.paragon ()).Machine.Models.net in
-  let t = Bounds.transfer_time topo params [] in
+  let t = Bounds.transfer_time topo params (Machine.Message.of_list []) in
   Alcotest.(check (float 0.0)) "no traffic: zero bound" 0.0 t.Bounds.bound_time;
   Alcotest.(check (float 0.0)) "no traffic: efficiency 1" 1.0 t.Bounds.efficiency;
   (* local-only traffic is the same as none *)
   let local = [ { Machine.Message.src = 3; dst = 3; bytes = 64 } ] in
-  let t = Bounds.transfer_time topo params local in
+  let t = Bounds.transfer_time topo params (Machine.Message.of_list local) in
   Alcotest.(check (float 0.0)) "local-only: efficiency 1" 1.0 t.Bounds.efficiency
 
 let check_time_components name topo (t : Bounds.time) =
@@ -258,9 +265,9 @@ let prop_bound_le_achieved =
       let _, topo = List.nth grid2d_instances ti in
       let vgrid = [| 2 * Topology.dim topo 0; 2 * Topology.dim topo 1 |] in
       let layout = Distrib.Layout.all_cyclic 2 in
-      let place v = Distrib.Layout.place layout ~vgrid ~topo v in
+      let owner = Distrib.Layout.ranks layout ~vgrid ~topo in
       let v =
-        Bounds.volume ~vgrid ~bytes:8 ~place [ flow_of (k1, k2, k3) ]
+        Bounds.volume ~vgrid ~bytes:8 ~owner [ flow_of (k1, k2, k3) ]
       in
       v.Bounds.bound_bytes <= v.Bounds.achieved_bytes
       && v.Bounds.bound_bytes >= 0)
@@ -277,11 +284,11 @@ let prop_transfer_efficiency =
       let layout = Distrib.Layout.all_cyclic 2 in
       let place v = Distrib.Layout.place layout ~vgrid ~topo v in
       let msgs =
-        Machine.Patterns.affine_messages ~vgrid ~flow:(flow_of (k1, k2, k3))
+        Reference.affine_messages ~vgrid ~flow:(flow_of (k1, k2, k3))
           ~bytes:8 ~place ()
       in
       let params = (Machine.Models.of_topo topo).Machine.Models.net in
-      let t = Bounds.transfer_time topo params msgs in
+      let t = Bounds.transfer_time topo params (Machine.Message.of_list msgs) in
       t.Bounds.efficiency > 0.0
       && t.Bounds.efficiency <= 1.0
       && t.Bounds.bound_time

@@ -316,7 +316,7 @@ let test_eventsim_agrees_with_netsim () =
   let vgrid = [| 32; 16 |] in
   let layout = Distrib.Layout.all_cyclic 2 in
   let place v = Distrib.Layout.place layout ~vgrid ~topo v in
-  let msgs flow = Machine.Patterns.affine_messages ~vgrid ~flow ~bytes:8 ~place () in
+  let msgs flow = Reference.affine_messages ~vgrid ~flow ~bytes:8 ~place () in
   let t = Linalg.Mat.of_lists [ [ 1; 2 ]; [ 3; 7 ] ] in
   let u = Linalg.Mat.of_lists [ [ 1; 2 ]; [ 0; 1 ] ] in
   let l = Linalg.Mat.of_lists [ [ 1; 0 ]; [ 3; 1 ] ] in

@@ -193,7 +193,7 @@ let chaos_setup () =
   let topo = Topology.mesh2d ~p:4 ~q:4 in
   let place v = Topology.rank_of topo [| v.(0) mod 4; v.(1) mod 4 |] in
   let flow = Linalg.Mat.of_lists [ [ 1; 2 ]; [ 3; 7 ] ] in
-  let msgs = Patterns.affine_messages ~vgrid:[| 8; 8 |] ~flow ~bytes:8 ~place () in
+  let msgs = Reference.affine_messages ~vgrid:[| 8; 8 |] ~flow ~bytes:8 ~place () in
   (topo, msgs)
 
 let chaos_props =

@@ -205,18 +205,21 @@ let test_patterns_wrap_bijective () =
   let vgrid = [| 6; 4 |] in
   let flow = Linalg.Mat.of_lists [ [ 1; 1 ]; [ 0; 1 ] ] in
   let place v = (v.(0) * 4) + v.(1) in
-  let msgs = Patterns.affine_messages ~vgrid ~flow ~bytes:1 ~place () in
+  let msgs = Reference.affine_messages ~vgrid ~flow ~bytes:1 ~place () in
   Alcotest.(check int) "one message per virtual proc" 24 (List.length msgs);
   let srcs = List.sort compare (List.map (fun m -> m.Message.src) msgs) in
   let dsts = List.sort compare (List.map (fun m -> m.Message.dst) msgs) in
-  Alcotest.(check (list int)) "permutation" srcs dsts
+  Alcotest.(check (list int)) "permutation" srcs dsts;
+  let succ = Patterns.successors ~vgrid flow in
+  Alcotest.(check (list int)) "successors permute the cells" (List.init 24 Fun.id)
+    (List.sort compare (Array.to_list succ))
 
 let test_patterns_clip () =
   let vgrid = [| 4; 4 |] in
   let flow = Linalg.Mat.of_lists [ [ 1; 0 ]; [ 0; 1 ] ] in
   let place v = (v.(0) * 4) + v.(1) in
   let msgs =
-    Patterns.affine_messages ~boundary:`Clip ~vgrid ~flow
+    Reference.affine_messages ~boundary:`Clip ~vgrid ~flow
       ~offset:[| 2; 0 |] ~bytes:1 ~place ()
   in
   (* shift by 2 clips half the grid *)
@@ -393,132 +396,11 @@ let test_compiled_shared () =
 (* Netsim differential                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The pricer Netsim used before topologies were compiled to link ids:
-   a hop list per message and a Hashtbl keyed by directed link.  The
-   compiled pricer must agree with it on the stats, on the per-link
-   loads of [link_loads], and on the telemetry a run records (message
-   order, link list, packet counts). *)
-module Reference = struct
-  let route_of faults topo (m : Message.t) =
-    if Fault.is_none faults then
-      Some (Topology.route topo ~src:m.Message.src ~dst:m.Message.dst)
-    else Fault.route faults topo ~src:m.Message.src ~dst:m.Message.dst
-
-  let effective_load topo faults l bytes =
-    let cap = Topology.link_capacity topo l in
-    if Fault.is_none faults && cap = 1 then bytes
-    else
-      let w =
-        if Fault.is_none faults then 1.0
-        else Fault.expected_transmissions faults l /. Fault.bandwidth_factor faults l
-      in
-      int_of_float (ceil (float_of_int bytes *. w /. float_of_int cap))
-
-  let bump tbl key v =
-    Hashtbl.replace tbl key (v + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-
-  let add_route_loads topo faults loads bytes path =
-    List.iter (fun link -> bump loads link (effective_load topo faults link bytes)) path
-
-  let sorted tbl = List.sort compare (Hashtbl.fold (fun k v l -> (k, v) :: l) tbl [])
-
-  let link_loads faults topo msgs =
-    let loads = Hashtbl.create 64 in
-    List.iter
-      (fun (m : Message.t) ->
-        if not (Message.is_local m) then
-          match route_of faults topo m with
-          | Some path -> add_route_loads topo faults loads m.Message.bytes path
-          | None -> ())
-      msgs;
-    sorted loads
-
-  let tele_message hops (m : Message.t) outcome =
-    let unreachable = outcome = Obs.Telemetry.Unreachable in
-    {
-      Obs.Telemetry.msg_src = m.Message.src;
-      msg_dst = m.Message.dst;
-      msg_bytes = m.Message.bytes;
-      injected_at = (if unreachable then -1 else 0);
-      finished_at = (if unreachable then -1 else 0);
-      hops;
-      queue_wait = 0;
-      retransmits = 0;
-      outcome;
-    }
-
-  (* stats, telemetry messages and telemetry links *)
-  let run ~coalesce ~faults topo (params : Netsim.params) msgs =
-    let remote, locals = List.partition (fun m -> not (Message.is_local m)) msgs in
-    let remote = if coalesce then Netsim.coalesce_messages remote else remote in
-    let n = Topology.size topo in
-    let send = Array.make n 0 and recv = Array.make n 0 in
-    let total_bytes = ref 0 and total_hops = ref 0 and max_hops = ref 0 in
-    let unreachable = ref 0 and priced = ref 0 in
-    let loads = Hashtbl.create 64 and packets = Hashtbl.create 64 in
-    let t_msgs = ref [] in
-    List.iter
-      (fun (m : Message.t) ->
-        match route_of faults topo m with
-        | None ->
-          incr unreachable;
-          t_msgs := tele_message 0 m Obs.Telemetry.Unreachable :: !t_msgs
-        | Some path ->
-          incr priced;
-          send.(m.Message.src) <- send.(m.Message.src) + 1;
-          recv.(m.Message.dst) <- recv.(m.Message.dst) + 1;
-          total_bytes := !total_bytes + m.Message.bytes;
-          let h = List.length path in
-          total_hops := !total_hops + h;
-          if h > !max_hops then max_hops := h;
-          add_route_loads topo faults loads m.Message.bytes path;
-          t_msgs := tele_message h m Obs.Telemetry.Delivered :: !t_msgs;
-          List.iter (fun l -> bump packets l 1) path)
-      remote;
-    let max_link_load = Hashtbl.fold (fun _ v acc -> max v acc) loads 0 in
-    let max_sender = Array.fold_left max 0 send in
-    let max_receiver = Array.fold_left max 0 recv in
-    let time =
-      if !priced = 0 then 0.0
-      else
-        (params.Netsim.alpha *. float_of_int (max max_sender max_receiver))
-        +. (params.Netsim.beta *. float_of_int max_link_load)
-        +. (params.Netsim.hop *. float_of_int !max_hops)
-    in
-    let stats =
-      {
-        Netsim.time;
-        messages = !priced;
-        total_bytes = !total_bytes;
-        total_hops = !total_hops;
-        max_link_load;
-        max_sender;
-        max_receiver;
-        max_hops = !max_hops;
-        unreachable = !unreachable;
-      }
-    in
-    let messages =
-      List.map (fun m -> tele_message 0 m Obs.Telemetry.Delivered) locals
-      @ List.rev !t_msgs
-    in
-    let links =
-      List.map
-        (fun ((a, b), carried) ->
-          {
-            Obs.Telemetry.link_src = a;
-            link_dst = b;
-            busy = 0;
-            carried;
-            packets = Hashtbl.find packets (a, b);
-            peak_queue = 0;
-            queue_area = 0;
-            stalled = 0;
-          })
-        (sorted loads)
-    in
-    (stats, messages, links)
-end
+(* [Reference] holds the pricer Netsim used before topologies were
+   compiled to link ids: a hop list per message and a Hashtbl keyed by
+   directed link.  The compiled pricer must agree with it on the
+   stats, on the per-link loads of [link_loads], and on the telemetry
+   a run records (message order, link list, packet counts). *)
 
 type fault_kind = Healthy | Flaky | Severed
 
@@ -591,9 +473,7 @@ let netsim_diff spec =
           (gen_faults topo kind) (gen_messages topo))
   in
   prop ~count:300 spec arb (fun (coalesce, _, faults, msgs) ->
-      let stats, messages, links =
-        Reference.run ~coalesce ~faults topo params msgs
-      in
+      let stats, record = Reference.run ~coalesce ~faults topo params msgs in
       let plain = Netsim.run ~coalesce ~faults topo params msgs in
       Obs.Telemetry.reset ();
       Obs.Telemetry.enable ();
@@ -604,8 +484,7 @@ let netsim_diff spec =
       let recorded = Option.get (Obs.Telemetry.last_run ()) in
       Obs.Telemetry.reset ();
       plain = stats && traced = stats
-      && recorded.Obs.Telemetry.messages = messages
-      && recorded.Obs.Telemetry.links = links
+      && recorded = record
       && Netsim.link_loads ~faults topo msgs = Reference.link_loads faults topo msgs)
 
 let netsim_diff_props =
@@ -617,6 +496,178 @@ let netsim_diff_props =
       "dragonfly:4:4:2";
       "dragonfly:4:4:2:adaptive";
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Array pricing against the list path                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Residual traffic is carried as int arrays from placement to price:
+   [Layout.ranks] tables, [Patterns.successors] arrays and the Netsim
+   core.  [Reference] keeps the list path it replaced — per-point
+   [Layout.place], [affine_messages] and list pricing — and the two
+   must agree on the stats and, with telemetry on, on every recorded
+   run. *)
+
+type fold_case = {
+  layout : Distrib.Layout.t;
+  vgrid : int array;
+  remap : int array option;
+  bytes : int;
+  faults : Fault.t;
+}
+
+let pp_fold_case c =
+  Printf.sprintf "layout [%s] vgrid [%s] remap %s bytes %d faults %s"
+    (String.concat "; "
+       (Array.to_list (Array.map (Format.asprintf "%a" Distrib.Layout.pp_scheme) c.layout)))
+    (String.concat "x" (Array.to_list (Array.map string_of_int c.vgrid)))
+    (match c.remap with
+    | None -> "-"
+    | Some p -> String.concat "," (Array.to_list (Array.map string_of_int p)))
+    c.bytes (Fault.label c.faults)
+
+let gen_fold_case topo =
+  let open QCheck.Gen in
+  let d = Topology.ndims topo in
+  let scheme =
+    oneof
+      [
+        return Distrib.Layout.Block;
+        return Distrib.Layout.Cyclic;
+        map (fun b -> Distrib.Layout.Cyclic_block b) (int_range 1 3);
+        map (fun k -> Distrib.Layout.Grouped k) (int_range 1 4);
+      ]
+  in
+  let extents =
+    flatten_a (Array.init d (fun i -> int_range 1 (3 * Topology.dim topo i)))
+  in
+  let remap =
+    oneof
+      [
+        return None;
+        map (fun l -> Some (Array.of_list l))
+          (shuffle_l (List.init (Topology.size topo) Fun.id));
+      ]
+  in
+  let faults = oneofl [ Healthy; Flaky; Severed ] >>= gen_faults topo in
+  map
+    (fun (((layout, vgrid), (remap, bytes)), faults) ->
+      { layout; vgrid; remap; bytes; faults })
+    (pair
+       (pair
+          (pair (array_repeat d scheme) extents)
+          (pair remap (frequency [ (1, return 0); (4, int_bound 64) ])))
+       faults)
+
+(* A square flow with entries in [-3, 3]: any determinant, singular
+   included. *)
+let gen_flow d =
+  QCheck.Gen.(
+    map
+      (fun rows -> Linalg.Mat.of_arrays (Array.of_list (List.map Array.of_list rows)))
+      (list_repeat d (list_repeat d (int_range (-3) 3))))
+
+let pp_flows fs = String.concat " " (List.map Linalg.Mat.encode fs)
+
+(* The stats of [f ()] and every run it records. *)
+let traced f =
+  Obs.Telemetry.reset ();
+  Obs.Telemetry.enable ();
+  let stats = Fun.protect ~finally:Obs.Telemetry.disable f in
+  let runs = Obs.Telemetry.runs () in
+  Obs.Telemetry.reset ();
+  (stats, runs)
+
+let foldsim_diff spec =
+  let topo = Result.get_ok (Topology.of_string spec) in
+  let model = Models.of_topo topo in
+  let d = Topology.ndims topo in
+  let arb =
+    QCheck.make
+      ~print:(fun (coalesce, c, flow, offset) ->
+        Printf.sprintf "%s coalesce=%b %s flow %s offset [%s]" spec coalesce
+          (pp_fold_case c) (pp_flows [ flow ])
+          (String.concat ";" (Array.to_list (Array.map string_of_int offset))))
+      QCheck.Gen.(
+        quad bool (gen_fold_case topo) (gen_flow d)
+          (array_repeat d (int_range (-5) 5)))
+  in
+  prop ~count:150 ("foldsim " ^ spec) arb (fun (coalesce, c, flow, offset) ->
+      let { layout; vgrid; remap; bytes; faults } = c in
+      let stats, record =
+        Reference.foldsim_time ~coalesce ~faults ?remap model ~layout ~vgrid ~flow
+          ~offset ~bytes ()
+      in
+      let time () =
+        Distrib.Foldsim.time ~coalesce ~faults ?remap model ~layout ~vgrid ~flow ~offset
+          ~bytes ()
+      in
+      time () = stats && traced time = (stats, [ record ]))
+
+let decomposed_diff spec =
+  let topo = Result.get_ok (Topology.of_string spec) in
+  let model = Models.of_topo topo in
+  let d = Topology.ndims topo in
+  let arb =
+    QCheck.make
+      ~print:(fun (c, factors) ->
+        Printf.sprintf "%s %s factors %s" spec (pp_fold_case c) (pp_flows factors))
+      QCheck.Gen.(pair (gen_fold_case topo) (list_size (int_range 1 4) (gen_flow d)))
+  in
+  prop ~count:100 ("decomposed " ^ spec) arb (fun (c, factors) ->
+      let { layout; vgrid; remap; bytes; faults } = c in
+      let stats, records =
+        List.split
+          (Reference.decomposed_time ~faults ?remap model ~layout ~vgrid ~factors ~bytes
+             ())
+      in
+      let phases () =
+        Distrib.Foldsim.decomposed_time ~faults ?remap model ~layout ~vgrid ~factors
+          ~bytes ()
+      in
+      phases () = stats && traced phases = (stats, records))
+
+(* Residual traffic: the cyclic fold of every flow, concatenated, and
+   its sorted volume graph. *)
+let residual_diff =
+  let topo = Topology.mesh2d ~p:4 ~q:3 in
+  let arb =
+    QCheck.make
+      ~print:(fun (vgrid, flows) ->
+        Printf.sprintf "vgrid %dx%d flows %s" vgrid.(0) vgrid.(1) (pp_flows flows))
+      QCheck.Gen.(
+        pair
+          (array_repeat 2 (int_range 1 12))
+          (list_size (int_range 0 3) (gen_flow 2)))
+  in
+  prop ~count:100 "residual traffic" arb (fun (vgrid, flows) ->
+      let r = Resopt.Residual.make ~vgrid ~bytes:8 topo flows in
+      let place = Reference.place (Distrib.Layout.all_cyclic 2) ~vgrid ~topo in
+      let msgs =
+        List.concat_map
+          (fun flow -> Reference.affine_messages ~vgrid ~flow ~bytes:8 ~place ())
+          flows
+      in
+      Resopt.Residual.messages r = msgs
+      && Resopt.Residual.volume_graph r = Volgraph.sorted (Volgraph.of_messages msgs))
+
+(* The cell→rank table against per-point [Layout.place]. *)
+let ranks_diff spec =
+  let topo = Result.get_ok (Topology.of_string spec) in
+  let arb =
+    QCheck.make ~print:(fun c -> spec ^ " " ^ pp_fold_case c) (gen_fold_case topo)
+  in
+  prop ~count:100 ("cell ranks " ^ spec) arb (fun { layout; vgrid; _ } ->
+      let placed = ref [] in
+      Patterns.iter_box vgrid (fun v ->
+          placed := Distrib.Layout.place layout ~vgrid ~topo v :: !placed);
+      Distrib.Layout.ranks layout ~vgrid ~topo = Array.of_list (List.rev !placed))
+
+let pricing_diff_props =
+  List.concat_map
+    (fun spec -> [ foldsim_diff spec; decomposed_diff spec; ranks_diff spec ])
+    [ "mesh:4x3"; "torus:4x4"; "torus:3x2x2" ]
+  @ [ residual_diff ]
 
 (* ------------------------------------------------------------------ *)
 (* Generated-corpus golden                                             *)
@@ -698,6 +749,7 @@ let () =
       ( "compiled",
         [ Alcotest.test_case "shared across domains" `Quick test_compiled_shared ] );
       ("netsim-diff", netsim_diff_props);
+      ("pricing-diff", pricing_diff_props);
       ( "corpus-golden",
         [ Alcotest.test_case "gennest sweep CSV" `Quick test_corpus_golden ] );
     ]
