@@ -52,8 +52,7 @@ let on_model ~bytes (model : Machine.Models.t) flows =
     Some (make ~vgrid ~bytes topo flows)
   else None
 
-let ranks t =
-  Distrib.Layout.ranks (Distrib.Layout.all_cyclic 2) ~vgrid:t.vgrid ~topo:t.topo
+let ranks t = Machine.Patterns.ranks ~axes:(Lazy.force t.axes) ~vgrid:t.vgrid
 
 let traffic ?placement t =
   Machine.Patterns.traffic ~vgrid:t.vgrid ~axes:(Lazy.force t.axes) ?remap:placement

@@ -43,7 +43,9 @@ val on_model : bytes:int -> Machine.Models.t -> Mat.t list -> t option
     flows on.  [None] when the model's topology has no 2-D host grid. *)
 
 val ranks : t -> int array
-(** The cyclic fold as a cell→rank table ({!Distrib.Layout.ranks}). *)
+(** The cyclic fold as a cell→rank table, read off the fold's axis
+    tables ({!Machine.Patterns.ranks}); the same table as
+    {!Distrib.Layout.ranks}. *)
 
 val traffic : ?placement:Mapping.t -> t -> Machine.Message.traffic
 (** The flows' messages ({!Machine.Patterns.traffic}), flow after

@@ -37,6 +37,17 @@ val decomposed_time :
 (** One phase per factor, executed in sequence (paper §5.3: "L and U
     are performed one after the other, not in parallel"); the phase of
     factor [f_i] moves the data that the remaining product still has to
-    deliver. *)
+    deliver.  The rightmost factor moves first.
+
+    Each cell starts with one item.  Phase [p] (from 0) sends every
+    item from the cell the earlier phases left it on to that cell's
+    successor under the phase's factor; it lists the items by starting
+    cell, first to last in even phases and last to first in odd ones,
+    which is the order telemetry records their messages in.  Each item's
+    current cell is carried from phase to phase, so a call costs
+    O(cells x phases) walk steps.  Its three cell-sized tables (ranks,
+    item positions, successors) are borrowed from a
+    {!Machine.Volgraph.lender}: each domain reuses them from one call
+    to the next. *)
 
 val total_time : Machine.Netsim.stats list -> float

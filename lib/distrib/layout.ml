@@ -39,7 +39,7 @@ let place t ~vgrid ~topo vcoord =
 let axes t ~vgrid ~topo =
   let n = Array.length vgrid in
   if Array.length t <> n || Machine.Topology.ndims topo <> n then
-    invalid_arg "Layout.place: dimension mismatch";
+    invalid_arg "Layout.axes: dimension mismatch";
   (* [Topology.rank_of] is row-major: a coordinate adds its value
      times the product of the later extents *)
   let stride = ref 1 in
@@ -52,12 +52,7 @@ let axes t ~vgrid ~topo =
   done;
   tables
 
-let ranks t ~vgrid ~topo =
-  let axes = axes t ~vgrid ~topo in
-  let v = Array.make (Array.length vgrid) 0 in
-  Array.init (Machine.Patterns.cells vgrid) (fun i ->
-      Machine.Patterns.coords ~vgrid i v;
-      Machine.Patterns.rank ~axes v)
+let ranks t ~vgrid ~topo = Machine.Patterns.ranks ~axes:(axes t ~vgrid ~topo) ~vgrid
 
 let local_indices scheme ~nv ~np p =
   let rec go v acc =

@@ -22,30 +22,21 @@ let check_flow ~vgrid flow =
   if Mat.rows flow <> d || Mat.cols flow <> d then
     invalid_arg "Patterns: flow shape does not match vgrid"
 
-let move ?offset ~vgrid flow v w =
-  for r = 0 to Array.length vgrid - 1 do
-    let x = ref (match offset with Some o -> o.(r) | None -> 0) in
-    for c = 0 to Array.length vgrid - 1 do
-      x := !x + (Mat.get flow r c * v.(c))
-    done;
-    let e = vgrid.(r) in
-    w.(r) <- ((!x mod e) + e) mod e
-  done
-
 let index ~vgrid v =
   let idx = ref 0 in
   Array.iteri (fun d e -> idx := (!idx * e) + v.(d)) vgrid;
   !idx
 
-let coords ~vgrid i v =
-  let i = ref i in
-  for d = Array.length vgrid - 1 downto 0 do
-    v.(d) <- !i mod vgrid.(d);
-    i := !i / vgrid.(d)
-  done
+let reduce x e = ((x mod e) + e) mod e
 
-(* [f v w] for every cell [v], last to first with [rev], where [w] is
-   [v]'s successor; [v] and [w] are buffers reused from call to call. *)
+(* The odometer walk.  [v] moves through the cells one step at a time:
+   its last coordinate moves by one ([dir]) and, past the end of its
+   axis, wraps back and carries into the coordinate before.  As
+   [w = flow v + offset] is affine, moving [v] one step along axis [c]
+   moves each [w.(r)] by a fixed amount, and wrapping [v] along [c] by
+   another; both are reduced modulo [vgrid.(r)] once per call
+   ([step.(c * d + r)] and [wrap.(c * d + r)]), so following [v] costs
+   [w] one addition and at most one subtraction per coordinate. *)
 let iter_flow ?offset ~rev ~vgrid flow f =
   check_flow ~vgrid flow;
   let d = Array.length vgrid in
@@ -53,20 +44,60 @@ let iter_flow ?offset ~rev ~vgrid flow f =
   | Some o when Array.length o <> d ->
     invalid_arg "Patterns: offset length does not match vgrid"
   | _ -> ());
-  let v = Array.make d 0 and w = Array.make d 0 in
   let n = cells vgrid in
-  for k = 0 to n - 1 do
-    coords ~vgrid (if rev then n - 1 - k else k) v;
-    move ?offset ~vgrid flow v w;
-    f v w
-  done
+  if n > 0 then begin
+    let dir = if rev then -1 else 1 in
+    let first = Array.map (fun e -> if rev then e - 1 else 0) vgrid in
+    let last = Array.map (fun e -> if rev then 0 else e - 1) vgrid in
+    let step = Array.make (d * d) 0 and wrap = Array.make (d * d) 0 in
+    for c = 0 to d - 1 do
+      for r = 0 to d - 1 do
+        let e = vgrid.(r) in
+        let a = reduce (Mat.get flow r c) e in
+        step.((c * d) + r) <- reduce (dir * a) e;
+        wrap.((c * d) + r) <- reduce (-dir * a * reduce (vgrid.(c) - 1) e) e
+      done
+    done;
+    let v = Array.copy first in
+    let w =
+      Array.init d (fun r ->
+          let x = ref (match offset with Some o -> o.(r) | None -> 0) in
+          for c = 0 to d - 1 do
+            x := !x + (Mat.get flow r c * v.(c))
+          done;
+          reduce !x vgrid.(r))
+    in
+    let add moves c =
+      let base = c * d in
+      for r = 0 to d - 1 do
+        let x = w.(r) + moves.(base + r) and e = vgrid.(r) in
+        w.(r) <- (if x >= e then x - e else x)
+      done
+    in
+    for k = 1 to n do
+      f v w;
+      if k < n then begin
+        let c = ref (d - 1) in
+        while v.(!c) = last.(!c) do
+          v.(!c) <- first.(!c);
+          add wrap !c;
+          decr c
+        done;
+        v.(!c) <- v.(!c) + dir;
+        add step !c
+      end
+    done
+  end
 
-let successors ?offset ~vgrid flow =
-  let succ = Array.make (cells vgrid) 0 in
+let fill_successors ?offset ~vgrid flow succ =
   let i = ref 0 in
   iter_flow ?offset ~rev:false ~vgrid flow (fun _ w ->
       succ.(!i) <- index ~vgrid w;
-      incr i);
+      incr i)
+
+let successors ?offset ~vgrid flow =
+  let succ = Array.make (cells vgrid) 0 in
+  fill_successors ?offset ~vgrid flow succ;
   succ
 
 let rank ~axes ?remap v =
@@ -75,6 +106,28 @@ let rank ~axes ?remap v =
     r := !r + axes.(d).(v.(d))
   done;
   match remap with None -> !r | Some perm -> perm.(!r)
+
+(* Row-major like the walk, a cell's rank the running sum of its
+   coordinates' table entries. *)
+let fill_ranks ~axes ?remap ~vgrid table =
+  let d = Array.length vgrid in
+  let i = ref 0 in
+  let rec go k base =
+    if k = d then begin
+      table.(!i) <- (match remap with None -> base | Some perm -> perm.(base));
+      incr i
+    end
+    else
+      for x = 0 to vgrid.(k) - 1 do
+        go (k + 1) (base + axes.(k).(x))
+      done
+  in
+  if d > 0 then go 0 0
+
+let ranks ~axes ~vgrid =
+  let table = Array.make (cells vgrid) 0 in
+  fill_ranks ~axes ~vgrid table;
+  table
 
 let traffic ?offset ~vgrid ~axes ?remap ~bytes flows emit =
   if bytes < 0 then invalid_arg "Message.make: negative size";

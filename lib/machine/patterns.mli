@@ -11,9 +11,11 @@
     varies fastest), the order {!iter_box} visits them.  A placement
     is given per axis: [axes.(d).(x)] is what coordinate [x] of axis
     [d] adds to a cell's rank ([Distrib.Layout.axes]), so a cell's
-    rank is a sum of table lookups.  {!traffic} streams a flow's
-    messages to {!Netsim} with integer arithmetic alone: no message
-    record, and no array per cell. *)
+    rank is a sum of table lookups.  {!iter_flow} walks a flow's cells
+    with an odometer, so a destination costs additions and no
+    division, and {!traffic} streams a flow's messages to {!Netsim}
+    with integer arithmetic alone: no message record, and no array per
+    cell. *)
 
 open Linalg
 
@@ -29,23 +31,51 @@ val check_flow : vgrid:int array -> Mat.t -> unit
 (** @raise Invalid_argument when the flow is not [d x d], for [d] the
     rank of [vgrid]. *)
 
-val move : ?offset:int array -> vgrid:int array -> Mat.t -> int array -> int array -> unit
-(** [move ~vgrid flow v w] sets [w] to [flow v + offset] wrapped onto
-    [vgrid] ([offset] defaults to all zeros).  Shapes are not
-    checked. *)
+val iter_flow :
+  ?offset:int array ->
+  rev:bool ->
+  vgrid:int array ->
+  Mat.t ->
+  (int array -> int array -> unit) ->
+  unit
+(** [iter_flow ~rev ~vgrid flow f] calls [f v w] once per cell [v],
+    where [w] is [v]'s destination [flow v + offset] wrapped onto
+    [vgrid].  Cells are visited in row-major order, the order of
+    {!iter_box}, or exactly reversed (last to first) with [rev]; the
+    successor and traffic functions below inherit that order.
 
-val coords : vgrid:int array -> int -> int array -> unit
-(** [coords ~vgrid i v] writes the coordinates of cell [i] into [v]. *)
+    The walk is an odometer and pays no division per cell: [v] steps
+    its last coordinate by one and carries into the one before at the
+    end of an axis, and [w] follows by adding residues computed once
+    per call — for each axis, what one step of [v] along it adds to
+    each coordinate of [w] and what wrapping it back adds, both
+    reduced modulo the extents — then subtracting the extent at most
+    once per coordinate.  [v] and [w] are buffers the walk reuses and
+    updates in place: [f] must not modify them, and must copy them to
+    keep them.
+    @raise Invalid_argument when [flow] is not [d x d] or [offset] not
+    of length [d], for [d] the rank of [vgrid]. *)
 
 val successors : ?offset:int array -> vgrid:int array -> Mat.t -> int array
 (** [(successors ~vgrid flow).(i)] is the index of cell [i]'s
     destination [flow v + offset], wrapped.
-    @raise Invalid_argument when [flow] is not [d x d] or [offset] not
-    of length [d], for [d] the rank of [vgrid]. *)
+    @raise Invalid_argument as {!iter_flow}. *)
+
+val fill_successors : ?offset:int array -> vgrid:int array -> Mat.t -> int array -> unit
+(** {!successors} written into the first {!cells} entries of a
+    caller's array. *)
 
 val rank : axes:int array array -> ?remap:int array -> int array -> int
 (** A cell's rank under per-axis placement tables, then [remap]
     ([remap.(rank)]) when given. *)
+
+val fill_ranks :
+  axes:int array array -> ?remap:int array -> vgrid:int array -> int array -> unit
+(** Every cell's {!rank}, row-major, written into the first {!cells}
+    entries of a caller's array: the cell→rank table. *)
+
+val ranks : axes:int array array -> vgrid:int array -> int array
+(** {!fill_ranks} into a fresh array, without [remap]. *)
 
 val traffic :
   ?offset:int array ->

@@ -21,48 +21,66 @@ let total (g : t) = List.fold_left (fun s (_, b) -> s + b) 0 g
 
 let nonlocal (g : t) = List.filter (fun ((s, d), _) -> s <> d) g
 
-(* Dense tallies reuse one scratch table per domain.  A table of
-   [hosts^2] words is too large for the minor heap, and a fresh one per
-   coalesced pricing (about sixteen per sweep cell) fills the major
-   heap faster than the collector reclaims it.  The table is lent to
-   one tally at a time (a thread of the same domain that finds it lent
-   out allocates its own) and handed back with every entry -1; a tally
-   that raises keeps its table, dirty, and the next one starts
-   afresh. *)
+(* A lender keeps one buffer per domain and lends it to one borrower
+   at a time; a thread of the same domain that finds it lent out
+   allocates its own.  The buffer comes back when the borrower
+   returns; a borrower that raises keeps it, so a half-written buffer
+   is never lent again. *)
+type 'a lender = {
+  slot : 'a option Atomic.t Domain.DLS.key;
+  make : int -> 'a;
+  size : 'a -> int;
+}
+
+let lender ~make ~size =
+  { slot = Domain.DLS.new_key (fun () -> Atomic.make None); make; size }
+
+let borrow l n f =
+  let slot = Domain.DLS.get l.slot in
+  let buf =
+    match Atomic.exchange slot None with
+    | Some b when l.size b >= n -> b
+    | _ -> l.make n
+  in
+  let r = f buf in
+  Atomic.set slot (Some buf);
+  r
+
+(* Dense tallies borrow their table.  A table of [hosts^2] words is
+   too large for the minor heap, and a fresh one per coalesced pricing
+   (about sixteen per sweep cell) fills the major heap faster than the
+   collector reclaims it.  It is handed back with every entry -1. *)
 type scratch = { vol : int array; keys : int array }
 
-let spare = Domain.DLS.new_key (fun () -> Atomic.make None)
+let tables =
+  lender
+    ~make:(fun size -> { vol = Array.make size (-1); keys = Array.make size 0 })
+    ~size:(fun s -> Array.length s.vol)
 
 let tally ~hosts ~locals (traffic : Message.traffic) =
-  let slot = Domain.DLS.get spare in
-  let size = hosts * hosts in
-  let { vol; keys } =
-    match Atomic.exchange slot None with
-    | Some s when Array.length s.vol >= size -> s
-    | _ -> { vol = Array.make size (-1); keys = Array.make size 0 }
-  in
-  let k = ref 0 in
-  traffic (fun s d bytes ->
-      if locals || s <> d then begin
-        if s < 0 || s >= hosts || d < 0 || d >= hosts then
-          invalid_arg "Volgraph: message endpoint is not a host";
-        let key = (s * hosts) + d in
-        let v = vol.(key) in
-        if v < 0 then begin
-          vol.(key) <- bytes;
-          keys.(!k) <- key;
-          incr k
-        end
-        else vol.(key) <- v + bytes
-      end);
-  let pairs = Array.sub keys 0 !k in
-  let sums = Array.map (fun key -> vol.(key)) pairs in
-  Array.iter (fun key -> vol.(key) <- -1) pairs;
-  Atomic.set slot (Some { vol; keys });
-  (pairs, sums)
+  borrow tables (hosts * hosts) (fun { vol; keys } ->
+      let k = ref 0 in
+      traffic (fun s d bytes ->
+          if locals || s <> d then begin
+            if s < 0 || s >= hosts || d < 0 || d >= hosts then
+              invalid_arg "Volgraph: message endpoint is not a host";
+            let key = (s * hosts) + d in
+            let v = vol.(key) in
+            if v < 0 then begin
+              vol.(key) <- bytes;
+              keys.(!k) <- key;
+              incr k
+            end
+            else vol.(key) <- v + bytes
+          end);
+      let pairs = Array.sub keys 0 !k in
+      let sums = Array.map (fun key -> vol.(key)) pairs in
+      Array.iter (fun key -> vol.(key) <- -1) pairs;
+      (pairs, sums))
 
 let of_traffic ~hosts traffic =
   let pairs, sums = tally ~hosts ~locals:true traffic in
-  let g = Array.mapi (fun i key -> ((key / hosts, key mod hosts), sums.(i))) pairs in
-  Array.sort compare g;
-  Array.to_list g
+  (* keys are unique, so sorting them orders the pairs as [sorted] *)
+  let g = Array.map2 (fun key sum -> (key, sum)) pairs sums in
+  Array.sort (fun (a, _) (b, _) -> Int.compare a b) g;
+  Array.to_list (Array.map (fun (key, sum) -> ((key / hosts, key mod hosts), sum)) g)

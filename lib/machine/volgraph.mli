@@ -27,11 +27,30 @@ val total : t -> int
 val nonlocal : t -> t
 (** Drop the [src = dst] entries. *)
 
+type 'a lender
+(** Scratch buffers reused per domain.  A lender keeps one buffer per
+    domain and lends it to one borrower at a time: a thread of the
+    same domain that finds it lent out allocates its own.  The buffer
+    goes back to the domain when the borrower returns; a borrower that
+    raises keeps it, so a half-written buffer is never lent again.
+    Buffers larger than the minor heap, allocated per call, fill the
+    major heap faster than the collector reclaims them; the tally
+    below and [Distrib.Foldsim.decomposed_time] borrow theirs. *)
+
+val lender : make:(int -> 'a) -> size:('a -> int) -> 'a lender
+(** A lender of buffers [make n] of capacity [size]. *)
+
+val borrow : 'a lender -> int -> ('a -> 'b) -> 'b
+(** [borrow l n f] is [f buf] for the domain's buffer when its
+    capacity is at least [n], otherwise for a fresh [make n] that then
+    replaces it. *)
+
 val tally : hosts:int -> locals:bool -> Message.traffic -> int array * int array
 (** [(pairs, sums)]: the traffic's ordered pairs as keys
     [src * hosts + dst], in the order of their first message, and
     each pair's summed bytes — tallied in a dense [hosts x hosts]
-    table that each domain reuses from one tally to the next.
+    table {!borrow}ed from a lender, so each domain reuses it from one
+    tally to the next.
     [locals:false] leaves out the [src = dst] messages.
     @raise Invalid_argument on a counted endpoint outside
     [[0, hosts)]. *)

@@ -97,11 +97,18 @@ let hop_bytes topo vol perm =
    repeatedly place the unplaced process with the largest volume to
    already-placed ones on the free node minimizing its partial
    hop-bytes.  Every argmax/argmin scan keeps the first (lowest-index)
-   extremum, so the result is deterministic. *)
+   extremum, so the result is deterministic.
+
+   O(n^2 + n m) for n processes and m communicating pairs, O(n^2) on
+   the bounded-degree graphs residual flows leave: each unplaced
+   process's volume to the placed region is a running sum ([conn]),
+   raised per placement, and a candidate node is scored over the
+   chosen process's placed partners only. *)
 let grow dist w n =
   let perm = Array.make n (-1) in
   let placed = Array.make n false (* process placed? *) in
   let used = Array.make n false (* node occupied? *) in
+  let conn = Array.make n 0 (* volume to the placed processes *) in
   let strength = Array.map (Array.fold_left ( + ) 0) w in
   let first_proc =
     let best = ref 0 in
@@ -121,32 +128,41 @@ let grow dist w n =
     done;
     !best
   in
-  perm.(first_proc) <- central;
-  placed.(first_proc) <- true;
-  used.(central) <- true;
+  let place p node =
+    perm.(p) <- node;
+    placed.(p) <- true;
+    used.(node) <- true;
+    let wp = w.(p) in
+    for q = 0 to n - 1 do
+      conn.(q) <- conn.(q) + wp.(q)
+    done
+  in
+  place first_proc central;
+  let partners = Array.make n 0 and weights = Array.make n 0 in
   for _ = 2 to n do
-    (* connectivity of each unplaced process to the placed region *)
     let next = ref (-1) and next_conn = ref (-1) in
     for p = 0 to n - 1 do
-      if not placed.(p) then begin
-        let conn = ref 0 in
-        for q = 0 to n - 1 do
-          if placed.(q) then conn := !conn + w.(p).(q)
-        done;
-        if !conn > !next_conn then begin
-          next := p;
-          next_conn := !conn
-        end
+      if (not placed.(p)) && conn.(p) > !next_conn then begin
+        next := p;
+        next_conn := conn.(p)
       end
     done;
     let p = !next in
+    let k = ref 0 in
+    for q = 0 to n - 1 do
+      if placed.(q) && w.(p).(q) <> 0 then begin
+        partners.(!k) <- perm.(q);
+        weights.(!k) <- w.(p).(q);
+        incr k
+      end
+    done;
     let best_node = ref (-1) and best_cost = ref max_int in
     for node = 0 to n - 1 do
       if not used.(node) then begin
+        let dn = dist.(node) in
         let c = ref 0 in
-        for q = 0 to n - 1 do
-          if placed.(q) && w.(p).(q) <> 0 then
-            c := !c + (w.(p).(q) * dist.(node).(perm.(q)))
+        for i = 0 to !k - 1 do
+          c := !c + (weights.(i) * dn.(partners.(i)))
         done;
         if !c < !best_cost then begin
           best_node := node;
@@ -154,9 +170,7 @@ let grow dist w n =
         end
       end
     done;
-    perm.(p) <- !best_node;
-    placed.(p) <- true;
-    used.(!best_node) <- true
+    place p !best_node
   done;
   perm
 

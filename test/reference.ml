@@ -4,9 +4,137 @@
    placed through [Layout.place], and the list priced with a hop list
    per message and a Hashtbl keyed by directed link.  The int-array
    path (cell→rank tables, successor arrays, the Netsim core) must
-   agree with it on the stats and on the telemetry a run records. *)
+   agree with it on the stats and on the telemetry a run records.
+   The per-cell flow walk and the cubic greedy growing are kept here
+   too, for the odometer walk and the incremental growing. *)
 
 open Machine
+
+(* ------------------------------------------------------------------ *)
+(* Per-cell flow walk                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The coordinates of cell [i], row-major, by division. *)
+let coords ~vgrid i v =
+  let i = ref i in
+  for d = Array.length vgrid - 1 downto 0 do
+    v.(d) <- !i mod vgrid.(d);
+    i := !i / vgrid.(d)
+  done
+
+(* [w] := [flow v + offset], wrapped onto [vgrid]. *)
+let move ?offset ~vgrid flow v w =
+  for r = 0 to Array.length vgrid - 1 do
+    let x = ref (match offset with Some o -> o.(r) | None -> 0) in
+    for c = 0 to Array.length vgrid - 1 do
+      x := !x + (Linalg.Mat.get flow r c * v.(c))
+    done;
+    let e = vgrid.(r) in
+    w.(r) <- ((!x mod e) + e) mod e
+  done
+
+(* [Patterns.iter_flow] cell by cell: each cell's coordinates and its
+   destination computed afresh. *)
+let iter_flow ?offset ~rev ~vgrid flow f =
+  let d = Array.length vgrid in
+  let v = Array.make d 0 and w = Array.make d 0 in
+  let n = Patterns.cells vgrid in
+  for k = 0 to n - 1 do
+    coords ~vgrid (if rev then n - 1 - k else k) v;
+    move ?offset ~vgrid flow v w;
+    f v w
+  done
+
+let successors ?offset ~vgrid flow =
+  let index w =
+    let i = ref 0 in
+    Array.iteri (fun d x -> i := (!i * vgrid.(d)) + x) w;
+    !i
+  in
+  let succ = ref [] in
+  iter_flow ?offset ~rev:false ~vgrid flow (fun _ w -> succ := index w :: !succ);
+  Array.of_list (List.rev !succ)
+
+(* ------------------------------------------------------------------ *)
+(* Greedy growing                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [Mapping.greedy] with the O(n^3) growing: every unplaced process's
+   volume to the placed ones recomputed per step, and every free node
+   scored over all placed processes. *)
+let grow dist w n =
+  let perm = Array.make n (-1) in
+  let placed = Array.make n false and used = Array.make n false in
+  let strength = Array.map (Array.fold_left ( + ) 0) w in
+  let first_proc =
+    let best = ref 0 in
+    for p = 1 to n - 1 do
+      if strength.(p) > strength.(!best) then best := p
+    done;
+    !best
+  in
+  let central =
+    let best = ref 0 and best_d = ref max_int in
+    for node = 0 to n - 1 do
+      let d = Array.fold_left ( + ) 0 dist.(node) in
+      if d < !best_d then begin
+        best := node;
+        best_d := d
+      end
+    done;
+    !best
+  in
+  perm.(first_proc) <- central;
+  placed.(first_proc) <- true;
+  used.(central) <- true;
+  for _ = 2 to n do
+    let next = ref (-1) and next_conn = ref (-1) in
+    for p = 0 to n - 1 do
+      if not placed.(p) then begin
+        let conn = ref 0 in
+        for q = 0 to n - 1 do
+          if placed.(q) then conn := !conn + w.(p).(q)
+        done;
+        if !conn > !next_conn then begin
+          next := p;
+          next_conn := !conn
+        end
+      end
+    done;
+    let p = !next in
+    let best_node = ref (-1) and best_cost = ref max_int in
+    for node = 0 to n - 1 do
+      if not used.(node) then begin
+        let c = ref 0 in
+        for q = 0 to n - 1 do
+          if placed.(q) && w.(p).(q) <> 0 then
+            c := !c + (w.(p).(q) * dist.(node).(perm.(q)))
+        done;
+        if !c < !best_cost then begin
+          best_node := node;
+          best_cost := !c
+        end
+      end
+    done;
+    perm.(p) <- !best_node;
+    placed.(p) <- true;
+    used.(!best_node) <- true
+  done;
+  perm
+
+let greedy topo vol =
+  let n = Topology.size topo in
+  let w = Array.make_matrix n n 0 in
+  List.iter
+    (fun ((p, q), b) ->
+      if p <> q && p >= 0 && p < n && q >= 0 && q < n then begin
+        w.(p).(q) <- w.(p).(q) + b;
+        w.(q).(p) <- w.(q).(p) + b
+      end)
+    vol;
+  let grown = grow (Compiled.distances (Compiled.get topo)) w n in
+  let id = Mapping.identity n in
+  if Mapping.hop_bytes topo vol grown <= Mapping.hop_bytes topo vol id then grown else id
 
 (* ------------------------------------------------------------------ *)
 (* Messages of an affine flow                                          *)

@@ -91,7 +91,10 @@ let test_place_2d () =
   Alcotest.(check int) "rank" 3 r;
   Alcotest.check_raises "dimension mismatch"
     (Invalid_argument "Layout.place: dimension mismatch") (fun () ->
-      ignore (Layout.place layout ~vgrid:[| 8 |] ~topo [| 1 |]))
+      ignore (Layout.place layout ~vgrid:[| 8 |] ~topo [| 1 |]));
+  Alcotest.check_raises "axes dimension mismatch"
+    (Invalid_argument "Layout.axes: dimension mismatch") (fun () ->
+      ignore (Layout.axes layout ~vgrid:[| 8 |] ~topo))
 
 (* ------------------------------------------------------------------ *)
 (* Foldsim                                                             *)

@@ -559,13 +559,13 @@ let gen_fold_case topo =
           (pair remap (frequency [ (1, return 0); (4, int_bound 64) ])))
        faults)
 
-(* A square flow with entries in [-3, 3]: any determinant, singular
-   included. *)
-let gen_flow d =
+(* A square flow with entries in [-bound, bound] (default 3): any
+   determinant, singular included. *)
+let gen_flow ?(bound = 3) d =
   QCheck.Gen.(
     map
       (fun rows -> Linalg.Mat.of_arrays (Array.of_list (List.map Array.of_list rows)))
-      (list_repeat d (list_repeat d (int_range (-3) 3))))
+      (list_repeat d (list_repeat d (int_range (-bound) bound))))
 
 let pp_flows fs = String.concat " " (List.map Linalg.Mat.encode fs)
 
@@ -669,6 +669,38 @@ let pricing_diff_props =
     [ "mesh:4x3"; "torus:4x4"; "torus:3x2x2" ]
   @ [ residual_diff ]
 
+(* The odometer walk against the cell-by-cell reference: the same
+   (v, w) sequence either way round, and the same successor array, on
+   1-D to 3-D grids with any flow (singular included) and offset. *)
+let walk_diff d =
+  let arb =
+    QCheck.make
+      ~print:(fun (vgrid, flow, offset, rev) ->
+        Printf.sprintf "vgrid [%s] flow %s offset %s rev=%b"
+          (String.concat "x" (Array.to_list (Array.map string_of_int vgrid)))
+          (Linalg.Mat.encode flow)
+          (match offset with
+          | None -> "-"
+          | Some o -> String.concat ";" (Array.to_list (Array.map string_of_int o)))
+          rev)
+      QCheck.Gen.(
+        quad
+          (array_repeat d (int_range 1 (if d = 3 then 5 else 9)))
+          (gen_flow ~bound:5 d)
+          (opt (array_repeat d (int_range (-7) 7)))
+          bool)
+  in
+  prop ~count:300 (Printf.sprintf "walk %d-D" d) arb (fun (vgrid, flow, offset, rev) ->
+      let visits walk =
+        let seen = ref [] in
+        walk ?offset ~rev ~vgrid flow (fun v w -> seen := (Array.copy v, Array.copy w) :: !seen);
+        List.rev !seen
+      in
+      visits Patterns.iter_flow = visits Reference.iter_flow
+      && Patterns.successors ?offset ~vgrid flow = Reference.successors ?offset ~vgrid flow)
+
+let walk_diff_props = List.map walk_diff [ 1; 2; 3 ]
+
 (* ------------------------------------------------------------------ *)
 (* Generated-corpus golden                                             *)
 (* ------------------------------------------------------------------ *)
@@ -750,6 +782,7 @@ let () =
         [ Alcotest.test_case "shared across domains" `Quick test_compiled_shared ] );
       ("netsim-diff", netsim_diff_props);
       ("pricing-diff", pricing_diff_props);
+      ("walk-diff", walk_diff_props);
       ( "corpus-golden",
         [ Alcotest.test_case "gennest sweep CSV" `Quick test_corpus_golden ] );
     ]

@@ -1,7 +1,8 @@
 (* Tests for the process-mapping subsystem: the Volgraph accumulator,
    the sparse-QAP search invariants (validity, cost ordering,
    seed determinism, pool indifference), a hand-computed 2x2-grid
-   golden, and the zero-cost guarantee of the [?mapping] hooks. *)
+   golden, the greedy growing against its cubic reference, and the
+   zero-cost guarantee of the [?mapping] hooks. *)
 
 (* ------------------------------------------------------------------ *)
 (* Volgraph                                                            *)
@@ -238,6 +239,47 @@ let test_sweep_gain_map_column () =
     (strip_last_col csv)
 
 (* ------------------------------------------------------------------ *)
+(* Greedy growing against the cubic reference                          *)
+(* ------------------------------------------------------------------ *)
+
+(* [Mapping.greedy] keeps running connectivities and scores nodes over
+   placed partners only; [Reference.greedy] recomputes both per step.
+   The permutations must be identical: empty and one-edge graphs,
+   local entries, repeated pairs, and weights drawn from a small set
+   so that connectivities and node scores tie. *)
+let greedy_diff spec =
+  let topo = Result.get_ok (Machine.Topology.of_string spec) in
+  let n = Machine.Topology.size topo in
+  let edge =
+    QCheck.Gen.(
+      pair (pair (int_bound (n - 1)) (int_bound (n - 1))) (oneofl [ 1; 2; 8; 8; 64 ]))
+  in
+  let graph =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return []);
+          (2, map (fun e -> [ e ]) edge);
+          (6, list_size (int_range 2 (3 * n)) edge);
+        ])
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun vol ->
+        spec ^ " "
+        ^ String.concat " "
+            (List.map (fun ((p, q), b) -> Printf.sprintf "%d-%d:%d" p q b) vol))
+      graph
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:150 ~name:("matches reference " ^ spec) arb (fun vol ->
+         Mapping.greedy topo vol = Reference.greedy topo vol))
+
+let greedy_diff_props =
+  List.map greedy_diff
+    [ "mesh:4x3"; "torus:4x4"; "torus:8x4"; "fattree:3:3"; "dragonfly:4:4:2" ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "mapping"
@@ -250,6 +292,7 @@ let () =
             test_volgraph_coalesce_agrees;
         ] );
       ("golden", [ Alcotest.test_case "2x2 grid optimum" `Quick test_grid_golden ]);
+      ("greedy", greedy_diff_props);
       ( "invariants",
         [
           QCheck_alcotest.to_alcotest prop_search_valid;
