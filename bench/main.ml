@@ -721,63 +721,99 @@ let faultbench () =
   Format.eprintf "fault resilience snapshot written to BENCH_fault.json@."
 
 (* ------------------------------------------------------------------ *)
+(* Residual-traffic corpus: the rows of the next three tables          *)
+(* ------------------------------------------------------------------ *)
+
+(* The curated workloads and the first 200 nests of a seeded Gennest
+   corpus (all-parallel schedules), each optimized once at m = 2.  An
+   entry whose plan leaves no residual flow has nothing to map, route
+   or bound: it is counted, but gets no row.  A pipeline failure
+   aborts the bench and names the entry. *)
+let residual_corpus =
+  lazy
+    (let workloads =
+       Resopt.Workloads.all () @ Resopt.Workloads.generated ~seed:100003 ~count:200
+     in
+     let row (w : Resopt.Workloads.t) =
+       let name = w.Resopt.Workloads.name in
+       match Resopt.Residual.flows_of_workload ~m:2 w with
+       | [] -> None
+       | flows -> Some (name, flows)
+       | exception e ->
+         Format.eprintf "residual corpus: pipeline failed on %s: %s@." name
+           (Printexc.to_string e);
+         exit 1
+     in
+     (List.length workloads, List.filter_map row workloads))
+
+(* [f name flows] over the corpus rows *)
+let corpus_rows f =
+  List.map (fun (name, flows) -> f name flows) (snd (Lazy.force residual_corpus))
+
+(* the snapshot shape the three tables share: [head]'s fields, the
+   corpus counts (entries drawn, entries without residual traffic),
+   then the rows under [key] *)
+let write_corpus_snapshot file head key items =
+  let drawn, rows = Lazy.force residual_corpus in
+  let counts =
+    Printf.sprintf "{\"drawn\":%d,\"no_traffic\":%d}" drawn
+      (drawn - List.length rows)
+  in
+  Obs.write_file file
+    (Obs.Json.obj
+       (head @ [ ("corpus", counts); (key, "[" ^ String.concat "," items ^ "]") ]));
+  Format.eprintf "snapshot written to %s@." file
+
+(* ------------------------------------------------------------------ *)
 (* Process mapping: hop-bytes and link balance, identity vs searched   *)
 (* ------------------------------------------------------------------ *)
 
-(* Each Table-2 workload's residual traffic is collapsed to its
-   volume graph on the Paragon mesh and placed three ways: the paper's
-   fixed embedding (identity), the greedy-growing construction, and
-   greedy + seeded hill climbing.  Hop-bytes is the mapping objective;
-   the link-load Gini (over the closed-form byte loads, clean and at a
-   5% flaky rate) shows the balance effect on the wires.  Everything
-   is closed-form or exhaustively deterministic, so the snapshot diffs
+(* Each corpus entry's residual traffic is collapsed to its volume
+   graph on the Paragon mesh and placed three ways: the paper's fixed
+   embedding (identity), the greedy-growing construction, and greedy +
+   seeded hill climbing.  Hop-bytes is the mapping objective; the
+   link-load Gini (over the closed-form byte loads, clean and at a 5%
+   flaky rate) shows the balance effect on the wires.  Everything is
+   closed-form or exhaustively deterministic, so the snapshot diffs
    clean across runs and feeds the bench-compare gate. *)
 let mapbench () =
   section "Process mapping - hop-bytes and link balance (Paragon mesh)";
   let seed = 42 in
   let par = Machine.Models.paragon () in
   let topo = par.Machine.Models.topo in
-  let n = Machine.Topology.size topo in
-  let kinds = [ Mapping.Identity; Mapping.Greedy; Mapping.Search ] in
+  let kinds =
+    [ (Mapping.Identity, "identity"); (Mapping.Greedy, "greedy"); (Mapping.Search, "search") ]
+  in
   let rates = [ 0.0; 0.05 ] in
+  let fields fmt l = Obs.Json.obj (List.map (fun (k, v) -> (k, fmt v)) l) in
   Format.printf "%-12s %10s %10s %10s %7s" "workload" "hb id" "hb greedy"
     "hb search" "gain";
   List.iter
     (fun rate ->
       List.iter
-        (fun k ->
+        (fun (_, kname) ->
           Format.printf " %9s"
-            (Printf.sprintf "g%g:%s" (rate *. 100.0)
-               (match k with
-               | Mapping.Identity -> "id"
-               | Mapping.Greedy -> "gr"
-               | Mapping.Search -> "se")))
+            (Printf.sprintf "g%g:%s" (rate *. 100.0) (String.sub kname 0 2)))
         kinds)
     rates;
   Format.printf "@.";
   let ordered = ref true in
   let entries =
-    List.map
-      (fun (w : Resopt.Workloads.t) ->
-        let traffic =
-          Option.get
-            (Resopt.Residual.on_model ~bytes:8 par
-               (Resopt.Residual.flows_of_workload ~m:2 w))
-        in
+    corpus_rows (fun name flows ->
+        let traffic = Option.get (Resopt.Residual.on_model ~bytes:8 par flows) in
         let msgs = Resopt.Residual.messages traffic in
         let vol = Resopt.Residual.volume_graph traffic in
-        let perm_of = function
-          | Mapping.Identity -> Mapping.identity n
-          | Mapping.Greedy -> Mapping.greedy topo vol
-          | Mapping.Search -> Mapping.search ~seed topo vol
+        let perms =
+          List.map
+            (fun (k, kname) -> (kname, Mapping.compute (Mapping.spec ~seed k) topo vol))
+            kinds
         in
-        let perms = List.map (fun k -> (k, perm_of k)) kinds in
-        let hb k = Mapping.hop_bytes topo vol (List.assoc k perms) in
-        let hb_id = hb Mapping.Identity
-        and hb_gr = hb Mapping.Greedy
-        and hb_se = hb Mapping.Search in
+        let hb = List.map (fun (k, p) -> (k, Mapping.hop_bytes topo vol p)) perms in
+        let hb_id = List.assoc "identity" hb
+        and hb_gr = List.assoc "greedy" hb
+        and hb_se = List.assoc "search" hb in
         ordered := !ordered && hb_se <= hb_gr && hb_gr <= hb_id;
-        let gini rate k =
+        let gini rate perm =
           let faults =
             if rate = 0.0 then Machine.Fault.none
             else
@@ -785,60 +821,34 @@ let mapbench () =
                 [ Machine.Fault.Flaky { link = None; prob = rate } ]
           in
           let loads =
-            Machine.Netsim.link_loads ~faults topo
-              (Mapping.apply (List.assoc k perms) msgs)
+            Machine.Netsim.link_loads ~faults topo (Mapping.apply perm msgs)
           in
           Obs.Telemetry.gini
             (Array.of_list (List.map (fun (_, l) -> float_of_int l) loads))
         in
         let ginis =
-          List.concat_map
-            (fun rate -> List.map (fun k -> (rate, k, gini rate k)) kinds)
+          List.map
+            (fun rate ->
+              ( Printf.sprintf "gini%g" (rate *. 100.0),
+                List.map (fun (k, p) -> (k, gini rate p)) perms ))
             rates
         in
-        Format.printf "%-12s %10d %10d %10d %6.2fx" w.Resopt.Workloads.name
-          hb_id hb_gr hb_se
+        Format.printf "%-12s %10d %10d %10d %6.2fx" name hb_id hb_gr hb_se
           (if hb_se > 0 then float_of_int hb_id /. float_of_int hb_se else 1.0);
-        List.iter (fun (_, _, g) -> Format.printf " %9.4f" g) ginis;
+        List.iter (fun (_, gs) -> List.iter (fun (_, g) -> Format.printf " %9.4f" g) gs) ginis;
         Format.printf "@.";
-        let kname = function
-          | Mapping.Identity -> "identity"
-          | Mapping.Greedy -> "greedy"
-          | Mapping.Search -> "search"
-        in
         List.iter
-          (fun (k, _) ->
-            record
-              (Printf.sprintf "%s.hop_bytes.%s" w.Resopt.Workloads.name (kname k))
-              (float_of_int (hb k)))
-          perms;
+          (fun (k, h) ->
+            record (Printf.sprintf "%s.hop_bytes.%s" name k) (float_of_int h))
+          hb;
         List.iter
-          (fun (rate, k, g) ->
-            record
-              (Printf.sprintf "%s.gini%g.%s" w.Resopt.Workloads.name
-                 (rate *. 100.0) (kname k))
-              g)
+          (fun (r, gs) ->
+            List.iter (fun (k, g) -> record (Printf.sprintf "%s.%s.%s" name r k) g) gs)
           ginis;
-        Printf.sprintf
-          "{\"name\":\"%s\",\"hop_bytes\":{\"identity\":%d,\"greedy\":%d,\"search\":%d},%s}"
-          w.Resopt.Workloads.name hb_id hb_gr hb_se
-          (String.concat ","
-             (List.map
-                (fun rate ->
-                  Printf.sprintf "\"gini%g\":{%s}" (rate *. 100.0)
-                    (String.concat ","
-                       (List.map
-                          (fun k ->
-                            let g =
-                              List.find
-                                (fun (r, k', _) -> r = rate && k' = k)
-                                ginis
-                            in
-                            let _, _, g = g in
-                            Printf.sprintf "\"%s\":%.6f" (kname k) g)
-                          kinds)))
-                rates)))
-      (Resopt.Workloads.all ())
+        Obs.Json.obj
+          (("name", Obs.Json.str name)
+          :: ("hop_bytes", fields string_of_int hb)
+          :: List.map (fun (r, gs) -> (r, fields (Printf.sprintf "%.6f") gs)) ginis))
   in
   Format.printf
     "search <= greedy <= identity hop-bytes on every workload: %b@." !ordered;
@@ -846,22 +856,18 @@ let mapbench () =
     Format.eprintf "mapbench: hop-bytes ordering violated@.";
     exit 1
   end;
-  let json =
-    Printf.sprintf
-      "{\"seed\":%d,\"topology\":\"paragon-8x4\",\"workloads\":[%s]}" seed
-      (String.concat "," entries)
-  in
-  Obs.write_file "BENCH_map.json" json;
-  Format.eprintf "process-mapping snapshot written to BENCH_map.json@."
+  write_corpus_snapshot "BENCH_map.json"
+    [ ("seed", string_of_int seed); ("topology", Obs.Json.str "paragon-8x4") ]
+    "workloads" entries
 
 (* ------------------------------------------------------------------ *)
 (* Topology families: hop-bytes and simulated cycles per machine       *)
 (* ------------------------------------------------------------------ *)
 
-(* The Table-2 workloads re-run across the pluggable topology
-   families: the paper's torus plus a fat tree and a dragonfly in both
-   routing modes.  Per (topology, workload): residual hop-bytes before
-   and after placement search, and the event-simulated makespan of the
+(* The corpus re-run across the pluggable topology families: the
+   paper's torus plus a fat tree and a dragonfly in both routing
+   modes.  Per (topology, workload): residual hop-bytes before and
+   after placement search, and the event-simulated makespan of the
    searched placement's traffic.  Everything is closed-form or
    seed-deterministic, so BENCH_topo.json diffs clean and feeds the
    bench-compare gate — a routing or capacity regression on any family
@@ -889,12 +895,8 @@ let topobench () =
         in
         let n = Machine.Topology.size topo in
         let entries =
-          List.map
-            (fun (w : Resopt.Workloads.t) ->
-              let traffic =
-                Resopt.Residual.make ~vgrid ~bytes:8 topo
-                  (Resopt.Residual.flows_of_workload ~m:2 w)
-              in
+          corpus_rows (fun name flows ->
+              let traffic = Resopt.Residual.make ~vgrid ~bytes:8 topo flows in
               let msgs = Resopt.Residual.messages traffic in
               let vol = Resopt.Residual.volume_graph traffic in
               let perm = Mapping.search ~seed topo vol in
@@ -905,41 +907,34 @@ let topobench () =
                   (Mapping.apply perm msgs)
               in
               let cycles = ev.Machine.Eventsim.cycles in
-              Format.printf "%-28s %-12s %10d %10d %6.2fx %9d@." spec
-                w.Resopt.Workloads.name hb_id hb_se
+              Format.printf "%-28s %-12s %10d %10d %6.2fx %9d@." spec name hb_id
+                hb_se
                 (if hb_se > 0 then float_of_int hb_id /. float_of_int hb_se
                  else 1.0)
                 cycles;
               record
-                (Printf.sprintf "%s.%s.hop_bytes_search" spec
-                   w.Resopt.Workloads.name)
+                (Printf.sprintf "%s.%s.hop_bytes_search" spec name)
                 (float_of_int hb_se);
-              record
-                (Printf.sprintf "%s.%s.cycles" spec w.Resopt.Workloads.name)
-                (float_of_int cycles);
+              record (Printf.sprintf "%s.%s.cycles" spec name) (float_of_int cycles);
               Printf.sprintf
                 "{\"name\":\"%s\",\"hop_bytes\":{\"identity\":%d,\"search\":%d},\"cycles\":%d}"
-                w.Resopt.Workloads.name hb_id hb_se cycles)
-            (Resopt.Workloads.all ())
+                name hb_id hb_se cycles)
         in
         Printf.sprintf "{\"spec\":\"%s\",\"hosts\":%d,\"workloads\":[%s]}" spec
           n
           (String.concat "," entries))
       topos
   in
-  let json =
-    Printf.sprintf "{\"seed\":%d,\"topologies\":[%s]}" seed
-      (String.concat "," blocks)
-  in
-  Obs.write_file "BENCH_topo.json" json;
-  Format.eprintf "topology snapshot written to BENCH_topo.json@."
+  write_corpus_snapshot "BENCH_topo.json"
+    [ ("seed", string_of_int seed) ]
+    "topologies" blocks
 
 (* ------------------------------------------------------------------ *)
 (* Communication lower bounds: achieved vs optimal per topology        *)
 (* ------------------------------------------------------------------ *)
 
-(* Every Table-2 workload's residual traffic, bounded and priced on
-   one machine per topology family: the cycle-packing volume bound
+(* Every corpus entry's residual traffic, bounded and priced on one
+   machine per topology family: the cycle-packing volume bound
    (placement-independent bytes) next to the achieved nonlocal bytes,
    and the per-component transfer-time bound next to the fault-free
    Netsim price.  Everything is closed-form and deterministic, so
@@ -960,67 +955,52 @@ let boundsbench () =
     "topology" "bnd B" "ach B" "rank" "bnd t" "ach t" "eff";
   let violations = ref 0 in
   let blocks =
-    List.map
-      (fun (w : Resopt.Workloads.t) ->
-        let flows = Resopt.Residual.flows_of_workload ~m:2 w in
+    corpus_rows (fun name flows ->
         let entries =
           List.map
             (fun (key, topo) ->
               let model = Machine.Models.of_topo topo in
-              match
-                Option.map
-                  (Resopt.Efficiency.of_traffic model.Machine.Models.net)
-                  (Resopt.Residual.on_model ~bytes:64 model flows)
-              with
-              | None -> Printf.sprintf "\"%s\":null" key
-              | Some e ->
-                let v = e.Resopt.Efficiency.volume in
-                let tm = e.Resopt.Efficiency.time in
-                let eff = tm.Bounds.efficiency in
-                let ach = tm.Bounds.achieved.Machine.Netsim.time in
-                if
-                  v.Bounds.bound_bytes > v.Bounds.achieved_bytes
-                  || eff <= 0.0 || eff > 1.0
-                then begin
-                  incr violations;
-                  Format.eprintf "boundsbench: bound violated on %s/%s@."
-                    w.Resopt.Workloads.name key
-                end;
-                Format.printf "%-12s %-16s %10d %10d %6d %10.1f %10.1f %6.3f@."
-                  w.Resopt.Workloads.name key v.Bounds.bound_bytes
-                  v.Bounds.achieved_bytes v.Bounds.flow_rank
-                  tm.Bounds.bound_time ach eff;
-                let rec_one metric value =
-                  record
-                    (Printf.sprintf "%s.%s.%s" w.Resopt.Workloads.name key
-                       metric)
-                    value
-                in
-                rec_one "bound_bytes" (float_of_int v.Bounds.bound_bytes);
-                rec_one "achieved_bytes" (float_of_int v.Bounds.achieved_bytes);
-                rec_one "bound_time" tm.Bounds.bound_time;
-                rec_one "efficiency" eff;
-                Printf.sprintf
-                  "{\"topo\":\"%s\",\"bound_bytes\":%d,\"achieved_bytes\":%d,\"flow_rank\":%d,\"bound_time\":%.4f,\"achieved_time\":%.4f,\"efficiency\":%.6f}"
-                  key v.Bounds.bound_bytes v.Bounds.achieved_bytes
-                  v.Bounds.flow_rank tm.Bounds.bound_time ach eff)
+              let e =
+                Resopt.Efficiency.of_traffic model.Machine.Models.net
+                  (Option.get (Resopt.Residual.on_model ~bytes:64 model flows))
+              in
+              let v = e.Resopt.Efficiency.volume in
+              let tm = e.Resopt.Efficiency.time in
+              let eff = tm.Bounds.efficiency in
+              let ach = tm.Bounds.achieved.Machine.Netsim.time in
+              if
+                v.Bounds.bound_bytes > v.Bounds.achieved_bytes
+                || eff <= 0.0 || eff > 1.0
+              then begin
+                incr violations;
+                Format.eprintf "boundsbench: bound violated on %s/%s@." name key
+              end;
+              Format.printf "%-12s %-16s %10d %10d %6d %10.1f %10.1f %6.3f@." name
+                key v.Bounds.bound_bytes v.Bounds.achieved_bytes
+                v.Bounds.flow_rank tm.Bounds.bound_time ach eff;
+              let rec_one metric value =
+                record (Printf.sprintf "%s.%s.%s" name key metric) value
+              in
+              rec_one "bound_bytes" (float_of_int v.Bounds.bound_bytes);
+              rec_one "achieved_bytes" (float_of_int v.Bounds.achieved_bytes);
+              rec_one "bound_time" tm.Bounds.bound_time;
+              rec_one "efficiency" eff;
+              Printf.sprintf
+                "{\"topo\":\"%s\",\"bound_bytes\":%d,\"achieved_bytes\":%d,\"flow_rank\":%d,\"bound_time\":%.4f,\"achieved_time\":%.4f,\"efficiency\":%.6f}"
+                key v.Bounds.bound_bytes v.Bounds.achieved_bytes
+                v.Bounds.flow_rank tm.Bounds.bound_time ach eff)
             topos
         in
-        Printf.sprintf "{\"name\":\"%s\",\"topologies\":[%s]}"
-          w.Resopt.Workloads.name
+        Printf.sprintf "{\"name\":\"%s\",\"topologies\":[%s]}" name
           (String.concat "," entries))
-      (Resopt.Workloads.all ())
   in
   Format.printf
     "bound <= achieved and efficiency in (0, 1] everywhere: %b@."
     (!violations = 0);
   if !violations > 0 then exit 1;
-  let json =
-    Printf.sprintf "{\"bytes\":64,\"m\":2,\"workloads\":[%s]}"
-      (String.concat "," blocks)
-  in
-  Obs.write_file "BENCH_bounds.json" json;
-  Format.eprintf "lower-bound snapshot written to BENCH_bounds.json@."
+  write_corpus_snapshot "BENCH_bounds.json"
+    [ ("bytes", "64"); ("m", "2") ]
+    "workloads" blocks
 
 (* ------------------------------------------------------------------ *)
 (* Optimization service: throughput and latency, cold vs warm          *)

@@ -512,21 +512,10 @@ let chaos_cmd =
     let vgrid =
       [| 2 * Machine.Topology.dim topo 0; 2 * Machine.Topology.dim topo 1 |]
     in
-    (* traffic: the 2x2 data flows of the optimized workload plans,
-       falling back to the paper's T when a plan has none *)
+    (* traffic: the 2x2 data flows of the optimized workload plans *)
     let flows =
-      let all =
-        List.concat_map
-          (fun (w : Resopt.Workloads.t) ->
-            match
-              Resopt.Pipeline.run ~m:2 ~schedule:w.Resopt.Workloads.schedule
-                w.Resopt.Workloads.nest
-            with
-            | r -> Resopt.Residual.flows_of_plan r.Resopt.Pipeline.plan
-            | exception _ -> [])
-          (Resopt.Workloads.all ())
-      in
-      if all = [] then [ Resopt.Residual.default_flow ] else all
+      List.concat_map (Resopt.Residual.flows_of_workload ~m:2)
+        (Resopt.Workloads.all ())
     in
     let msgs =
       Array.of_list

@@ -39,7 +39,7 @@ let of_plan ?mapping model plan =
 let of_workload ?(bytes = default_bytes) ?mapping ~m model w =
   of_flows ~bytes ?mapping model (Residual.flows_of_workload ~m w)
 
-let pp ppf t =
+let pp_panel ppf t =
   let v = t.volume and tm = t.time in
   Format.fprintf ppf "  vgrid %s  procs %d  cap %d  flows %d  rank(F-I) %d@\n"
     (String.concat "x" (Array.to_list (Array.map string_of_int t.vgrid)))
@@ -63,3 +63,8 @@ let pp ppf t =
   Format.fprintf ppf "  efficiency %.3f %s %.1f%%@\n" tm.Bounds.efficiency
     (Bounds.bar tm.Bounds.efficiency)
     (100.0 *. tm.Bounds.efficiency)
+
+let pp ppf t =
+  if t.volume.Bounds.flows = 0 then
+    Format.fprintf ppf "  no residual traffic: efficiency n/a@\n"
+  else pp_panel ppf t

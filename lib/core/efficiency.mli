@@ -46,9 +46,8 @@ val of_workload :
   Machine.Models.t ->
   Workloads.t ->
   t option
-(** {!of_traffic} over {!Residual.flows_of_workload} (which falls back
-    to the paper's running-example flow when the pipeline leaves
-    none), on the model's simulation grid.  [bytes] defaults to
+(** {!of_traffic} over {!Residual.flows_of_workload} (possibly no
+    flows), on the model's simulation grid.  [bytes] defaults to
     {!default_bytes}. *)
 
 val pp : Format.formatter -> t -> unit
@@ -56,4 +55,5 @@ val pp : Format.formatter -> t -> unit
     time-bound components against their achieved counterparts, and the
     efficiency gauge.  Ends with a line of the form
     ["efficiency 0.729 \[...\] 72.9%"] — the line the CI smoke gate
-    parses. *)
+    parses.  Traffic without flows prints the one line
+    ["no residual traffic: efficiency n/a"] instead. *)

@@ -6,8 +6,6 @@
 
 open Linalg
 
-let default_flow = Mat.of_lists [ [ 1; 2 ]; [ 3; 7 ] ]
-
 let flows_of_plan plan =
   List.filter_map
     (fun (e : Commplan.entry) ->
@@ -19,12 +17,8 @@ let flows_of_plan plan =
     plan
 
 let flows_of_workload ~m (w : Workloads.t) =
-  let flows =
-    match Pipeline.run ~m ~schedule:w.Workloads.schedule w.Workloads.nest with
-    | r -> flows_of_plan r.Pipeline.plan
-    | exception _ -> []
-  in
-  if flows = [] then [ default_flow ] else flows
+  flows_of_plan
+    (Pipeline.run ~m ~schedule:w.Workloads.schedule w.Workloads.nest).Pipeline.plan
 
 type t = {
   topo : Machine.Topology.t;

@@ -9,18 +9,14 @@
 
 open Linalg
 
-val default_flow : Mat.t
-(** The paper's running example [T = [[1;2];[3;7]]] — the fallback
-    traffic when a plan has no 2x2 residual flows, so simulations
-    always have something to route. *)
-
 val flows_of_plan : Commplan.t -> Mat.t list
 (** The 2x2 data-flow matrices of the plan's [General] and
     [Decomposed] entries, in plan order.  Possibly empty. *)
 
 val flows_of_workload : m:int -> Workloads.t -> Mat.t list
-(** Run the optimizer on the workload and extract its residual flows;
-    [[{!default_flow}]] when the pipeline fails or leaves none. *)
+(** Run the optimizer on the workload and extract its residual flows
+    ({!flows_of_plan}): possibly empty.  A pipeline exception
+    propagates. *)
 
 type t = {
   topo : Machine.Topology.t;

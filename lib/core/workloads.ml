@@ -44,6 +44,11 @@ let all () =
      });
   ]
 
+let generated ~seed ~count =
+  List.map
+    (fun nest -> with_parallel nest "generated nest")
+    (Gennest.generate_many ~seed ~count)
+
 let find name = List.find (fun w -> w.name = name) (all ())
 
 let names () = List.map (fun w -> w.name) (all ())

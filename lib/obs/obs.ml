@@ -333,9 +333,7 @@ let metrics_json () =
     ]
 
 let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+  Out_channel.with_open_text path (fun oc -> output_string oc contents)
 
 let pp_summary ppf () =
   locked @@ fun c ->

@@ -131,7 +131,8 @@ val metrics_json : unit -> string
 
 val write_file : string -> string -> unit
 (** [write_file path contents] — tiny helper so callers need not link
-    anything for the common "dump the trace" case. *)
+    anything for the common "dump the trace" case.  The file is closed
+    even when the write raises. *)
 
 val pp_summary : Format.formatter -> unit -> unit
 (** ASCII tables: spans aggregated by name (count, total and max

@@ -4,9 +4,10 @@
    flows small enough to decompose on paper; the workload x topology
    x mapping matrix then property-checks the two contracts every
    observability surface relies on — [bound_bytes <= achieved_bytes]
-   and transfer-time efficiency in (0, 1] — across all Table-2
-   workloads, every topology-matrix instance and both the fixed and
-   the searched placement.  A qcheck generator does the same for
+   and transfer-time efficiency in (0, 1] — across every curated or
+   seeded-Gennest workload that leaves residual traffic, every
+   topology-matrix instance and both the fixed and the searched
+   placement.  A qcheck generator does the same for
    random unimodular flows.  Sweep integration: the eff column only
    exists when asked for, and the CSV without --bounds is
    byte-identical.  Benchstore: efficiency regressions gate, bound
@@ -165,14 +166,27 @@ let check_efficiency name (e : Resopt.Efficiency.t) =
     (v.Bounds.bound_bytes >= 0);
   check_time_components name () e.Resopt.Efficiency.time
 
+(* every entry of the curated workloads and the seeded Gennest corpus
+   that leaves residual traffic at m = 2, with its flows *)
+let traffic_corpus =
+  lazy
+    (List.filter_map
+       (fun (w : Resopt.Workloads.t) ->
+         match Resopt.Residual.flows_of_workload ~m:2 w with
+         | [] -> None
+         | flows -> Some (w.Resopt.Workloads.name, flows))
+       (Resopt.Workloads.all ()
+       @ Resopt.Workloads.generated ~seed:100003 ~count:200))
+
 let test_matrix_invariant () =
+  Alcotest.(check int) "corpus entries with traffic" 34
+    (List.length (Lazy.force traffic_corpus));
   List.iter
-    (fun (w : Resopt.Workloads.t) ->
-      let flows = Resopt.Residual.flows_of_workload ~m:2 w in
+    (fun (wname, flows) ->
       List.iter
         (fun (tname, topo) ->
           let model = Machine.Models.of_topo topo in
-          let name = w.Resopt.Workloads.name ^ "/" ^ tname in
+          let name = wname ^ "/" ^ tname in
           match efficiency model flows with
           | None ->
             Alcotest.(check bool)
@@ -184,16 +198,15 @@ let test_matrix_invariant () =
               (Topology.ndims topo = 2);
             check_efficiency name e)
         topo_matrix)
-    (Resopt.Workloads.all ())
+    (Lazy.force traffic_corpus)
 
 (* the searched placement re-prices the achieved side; the invariants
-   must survive it (volume bound is placement-independent) *)
+   must survive it (volume bound is placement-independent, and any
+   placement will do, so one restart keeps the corpus pass short) *)
 let test_matrix_mapped () =
-  let spec = Mapping.spec Mapping.Search in
+  let spec = Mapping.spec ~restarts:1 Mapping.Search in
   List.iter
-    (fun wname ->
-      let w = Resopt.Workloads.find wname in
-      let flows = Resopt.Residual.flows_of_workload ~m:2 w in
+    (fun (wname, flows) ->
       List.iter
         (fun (tname, topo) ->
           let model = Machine.Models.of_topo topo in
@@ -201,7 +214,17 @@ let test_matrix_mapped () =
           | None -> ()
           | Some e -> check_efficiency (wname ^ "/" ^ tname ^ "/mapped") e)
         topo_matrix)
-    [ "example1"; "transpose"; "matmul" ]
+    (Lazy.force traffic_corpus)
+
+(* residual traffic comes from the plan alone: matmul's plan leaves
+   none, transpose's leaves its flow *)
+let test_plan_traffic () =
+  Alcotest.(check int) "matmul has no residual flows" 0
+    (List.length
+       (Resopt.Residual.flows_of_workload ~m:2 (Resopt.Workloads.find "matmul")));
+  Alcotest.(check bool) "transpose has residual flows" true
+    (Resopt.Residual.flows_of_workload ~m:2 (Resopt.Workloads.find "transpose")
+    <> [])
 
 (* pinned end-to-end values: the running example on the reference
    machine.  Deterministic closed-form arithmetic — a change here is a
@@ -228,13 +251,16 @@ let test_empty_flows () =
     Alcotest.(check (float 0.0)) "efficiency 1" 1.0
       e.Resopt.Efficiency.time.Bounds.efficiency
 
+(* the paper's running example T *)
+let paper_t = Mat.of_lists [ [ 1; 2 ]; [ 3; 7 ] ]
+
 let test_obs_counters () =
   Obs.enable ();
   Fun.protect ~finally:Obs.disable @@ fun () ->
   Obs.reset ();
   let before = Obs.counter "bounds.computed" in
   (match
-     efficiency (Machine.Models.paragon ()) [ Resopt.Residual.default_flow ]
+     efficiency (Machine.Models.paragon ()) [ paper_t ]
    with
   | Some _ -> ()
   | None -> Alcotest.fail "expected Some");
@@ -413,6 +439,7 @@ let () =
           Alcotest.test_case "pinned example1/paragon" `Quick
             test_pinned_example1;
           Alcotest.test_case "no flows" `Quick test_empty_flows;
+          Alcotest.test_case "plan traffic only" `Quick test_plan_traffic;
           Alcotest.test_case "obs counters" `Quick test_obs_counters;
         ] );
       ( "random",

@@ -309,13 +309,16 @@ let test_zero_dimension_rejected () =
 let traffic_goldens =
   [
     ( "report matmul --net --bounds --map greedy --topo fattree:3:4",
-      "d7b89c882b96c04c4e3884ab42ef48bc" );
+      "a8ee0983657a120d0a364eb11c91badf" );
+    ( "report transpose --net --bounds --map greedy --topo fattree:3:4",
+      "ab952a97697409c3dbf760bca77dd184" );
     ("chaos -n 8", "836bc9721e7e4d01665d941a83f6eafd");
     ("chaos -n 6 --topo dragonfly:4:4:2 --jobs 2", "49ea4d24ec6370c8af147b96c5e7dbea");
     ("run example1 --map search --faults flaky:0.05", "bf417754b05dbdf44e11871eb48ce6f0");
     ("run example2 --map greedy --topo fattree:3:4", "cf1d6549772dff17ee3bddbd42586273");
     ("bounds example1 --map search", "c88a201f3a950005e149ebfcd1c791ae");
-    ("bounds stencil --topo dragonfly:4:4:2 --bytes 8", "284d277f55845f2d35facff3106c0bfa");
+    ("bounds stencil --topo dragonfly:4:4:2 --bytes 8", "435cbf66e83b03a366c3d296bc790f88");
+    ("bounds transpose --topo dragonfly:4:4:2 --bytes 8", "bf0df79d90a27a93a8e7c0bdea97b955");
     ("spmd example1", "3721d79b6c8b1f24e4099375380db918");
     ("autodim example1", "514dddd1a8ef50e86c36d1b112862d75");
   ]
@@ -711,24 +714,13 @@ let walk_diff_props = List.map walk_diff [ 1; 2; 3 ]
    pricing, greedy placement, bounds and the 0/1/5% resilience
    columns — and a 4-job sweep, whose workers share each topology's
    compiled tables, must reproduce it. *)
-let corpus_workloads () =
-  List.map
-    (fun (nest : Nestir.Loopnest.t) ->
-      {
-        Resopt.Workloads.name = nest.Nestir.Loopnest.nest_name;
-        description = "";
-        nest;
-        schedule = Nestir.Schedule.all_parallel nest;
-      })
-    (Nestir.Gennest.generate_many ~seed:100003 ~count:200)
-
 let corpus_csv ?jobs workloads =
   Resopt.Sweep.to_csv
     (Resopt.Sweep.run ?jobs ~ms:[ 2 ] ~workloads
        ~mapping:(Mapping.spec Mapping.Greedy) ~bounds:true ~faults:Fault.none ())
 
 let test_corpus_golden () =
-  let workloads = corpus_workloads () in
+  let workloads = Resopt.Workloads.generated ~seed:100003 ~count:200 in
   (* the 4-job sweep runs first, so its workers race to fill the
      compiled route memos *)
   let parallel = corpus_csv ~jobs:4 workloads in
