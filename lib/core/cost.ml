@@ -33,7 +33,13 @@ let general_cost ~faults ?remap ~vgrid model flow =
        +. (net.Machine.Netsim.hop
           *. float_of_int (Machine.Topology.diameter model.Machine.Models.topo)))
 
+(* The runtime keeps whichever implementation is cheaper; a
+   decomposition never has to be used when the direct path wins.  So
+   the direct path is priced first, and the phases stop as soon as
+   their running total reaches it: they cannot win from there, and
+   [min] returns the same float as after the whole walk. *)
 let decomposed_cost ~faults ?remap ~vgrid model ~flow factors =
+  let direct = general_cost ~faults ?remap ~vgrid model (Some flow) in
   let phases =
     match vgrid with
     | Some vgrid
@@ -46,17 +52,14 @@ let decomposed_cost ~faults ?remap ~vgrid model ~flow factors =
           1 factors
       in
       let layout = [| Distrib.Layout.Grouped k; Distrib.Layout.Grouped k |] in
-      Distrib.Foldsim.total_time
-        (Distrib.Foldsim.decomposed_time ~faults ?remap model ~layout ~vgrid ~factors ~bytes ())
+      Distrib.Foldsim.decomposed_total ~faults ?remap model ~layout ~vgrid ~factors
+        ~bytes ~limit:direct ()
     | _ ->
       (* fall back: one conflict-free axis communication per factor *)
       Machine.Fault.uniform_slowdown faults
       *. float_of_int (List.length factors)
       *. Machine.Models.translation_time model ~bytes
   in
-  (* the runtime keeps whichever implementation is cheaper; a
-     decomposition never has to be used when the direct path wins *)
-  let direct = general_cost ~faults ?remap ~vgrid model (Some flow) in
   min phases direct
 
 (* Collectives and translations are priced closed-form; under faults
@@ -96,10 +99,11 @@ let entry_cost ~faults ?remap ~vgrid model (e : Commplan.entry) =
    fault schedule and, per entry, exactly the classification fields
    that reach a cost formula. *)
 (* Schema v2: the topology joins the key through its spec grammar
-   (mesh/torus/fattree/dragonfly) instead of bare grid extents — v1
-   disk snapshots simply start cold. *)
+   (mesh/torus/fattree/dragonfly) instead of bare grid extents.
+   Schema v3: the fault seed leaves the key.  Older disk snapshots
+   simply start cold. *)
 let memo : breakdown Cache.Memo.t =
-  Cache.Memo.create ~name:"cost.of_plan" ~schema:"v2" ()
+  Cache.Memo.create ~name:"cost.of_plan" ~schema:"v3" ()
 
 let model_key (model : Machine.Models.t) =
   let topo = model.Machine.Models.topo in
@@ -112,11 +116,13 @@ let model_key (model : Machine.Models.t) =
     | Some { Machine.Models.coll_alpha; coll_beta } ->
       Printf.sprintf "hw:%h,%h" coll_alpha coll_beta)
 
+(* Pricing reads the fault specs and the retry cap only: the seed
+   drives per-packet drops in Eventsim, never a Netsim price, so two
+   seeds of one schedule share an entry. *)
 let faults_key f =
   if Machine.Fault.is_none f then "none"
   else
-    Printf.sprintf "%d/%d/%s" (Machine.Fault.seed f)
-      (Machine.Fault.max_retries f)
+    Printf.sprintf "%d/%s" (Machine.Fault.max_retries f)
       (Machine.Fault.to_string (Machine.Fault.specs f))
 
 let entry_key (e : Commplan.entry) =

@@ -30,7 +30,8 @@ val of_plan :
     When {!Cache} is enabled, a whole breakdown is memoized under a key
     covering every input the formulas read — machine name, grid,
     network parameters, hardware collectives, item size, the fault
-    schedule and each entry's priced classification — so a sweep that
+    schedule (its specs and retry cap; not its seed, which no price
+    reads) and each entry's priced classification — so a sweep that
     re-prices the same (model, plan) cell hits instead of re-running
     the fold simulation.  Cached or not, the result is byte-identical.
 

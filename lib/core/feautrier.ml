@@ -16,13 +16,16 @@ let downgrade (e : Commplan.entry) =
   | Commplan.Decomposed { flow; _ } ->
     { e with Commplan.classification = Commplan.General (Some flow) }
 
-let run ?(m = 2) ?schedule nest =
-  let schedule =
-    match schedule with Some s -> s | None -> Schedule.all_parallel nest
-  in
-  let alloc = Alignment.Alloc.run ~m nest in
-  let plan = List.map downgrade (Commplan.build alloc schedule) in
-  { nest; m; alloc; plan }
+let of_pipeline (r : Pipeline.result) =
+  {
+    nest = r.Pipeline.nest;
+    m = r.Pipeline.m;
+    alloc = r.Pipeline.step1_alloc;
+    plan = List.map downgrade r.Pipeline.step1_plan;
+  }
+
+let run ?m ?schedule nest =
+  of_pipeline (Pipeline.run ?m ?schedule ~axis_align:false nest)
 
 let summary r = Commplan.summarize r.plan
 

@@ -8,6 +8,8 @@ type result = {
   alloc : Alignment.Alloc.t;
   plan : Commplan.t;
   rotations : (int * Mat.t) list;
+  step1_alloc : Alignment.Alloc.t;
+  step1_plan : Commplan.t;
 }
 
 (* A partial macro-communication that is not yet parallel to the axes,
@@ -43,11 +45,13 @@ let run ?(m = 2) ?schedule ?(axis_align = true) nest =
   let schedule =
     match schedule with Some s -> s | None -> Schedule.all_parallel nest
   in
-  let alloc = ref (Obs.with_span "pipeline.alloc" (fun () -> Alignment.Alloc.run ~m nest)) in
-  let rotations = ref [] in
-  let plan =
-    ref (Obs.with_span "pipeline.classify" (fun () -> Commplan.build !alloc schedule))
+  let step1_alloc = Obs.with_span "pipeline.alloc" (fun () -> Alignment.Alloc.run ~m nest) in
+  let step1_plan =
+    Obs.with_span "pipeline.classify" (fun () -> Commplan.build step1_alloc schedule)
   in
+  let alloc = ref step1_alloc in
+  let rotations = ref [] in
+  let plan = ref step1_plan in
   (* Greedy axis alignment: rotate one component at a time and
      re-classify, at most once per entry. *)
   ( Obs.with_span "pipeline.rotate" @@ fun () ->
@@ -70,6 +74,8 @@ let run ?(m = 2) ?schedule ?(axis_align = true) nest =
     alloc = !alloc;
     plan = !plan;
     rotations = List.rev !rotations;
+    step1_alloc;
+    step1_plan;
   }
 
 let summary r = Commplan.summarize r.plan

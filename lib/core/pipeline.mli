@@ -23,6 +23,12 @@ type result = {
   plan : Commplan.t;
   rotations : (int * Mat.t) list;
       (** unimodular matrix applied to each rotated component *)
+  step1_alloc : Alignment.Alloc.t;
+      (** step 1's allocation, before any rotation: the one the
+          {!Feautrier} baseline keeps *)
+  step1_plan : Commplan.t;
+      (** {!Commplan.build} of [step1_alloc], the plan the rotations
+          start from; equal to [plan] when nothing was rotated *)
 }
 
 val run :

@@ -15,11 +15,13 @@ type row = {
   non_local : int;
   validated : bool;
   time_ms : float;
-      (** wall time of the optimizer + baseline runs for this
-          (workload, m) cell, via {!Obs.time_ms}.  The same value is
-          stamped into every model row of the cell (the pair runs
-          once), but the [sweep.time_ms] histogram observes it only
-          once per cell. *)
+      (** wall time of the optimizer run for this (workload, m) cell,
+          via {!Obs.time_ms}.  The baseline is not timed on its own:
+          it is derived from the run's step 1
+          ({!Feautrier.of_pipeline}).  The same value is stamped into
+          every model row of the cell (the optimizer runs once), but
+          the [sweep.time_ms] histogram observes it only once per
+          cell. *)
   cost_ms : float;
       (** wall time of pricing the two plans on this row's machine
           model — the only per-model work — observed per row in the

@@ -18,7 +18,9 @@ let buffers =
     ~make:(fun n -> { rank = Array.make n 0; cell = Array.make n 0; succ = Array.make n 0 })
     ~size:(fun b -> Array.length b.rank)
 
-let decomposed_time ?faults ?remap model ~layout ~vgrid ~factors ?(bytes = 8) () =
+(* The one phase loop: [on_phase] sees each phase's stats in order and
+   says whether to walk the next one. *)
+let walk_phases ?faults ?remap model ~layout ~vgrid ~factors ~bytes on_phase =
   if bytes < 0 then invalid_arg "Message.make: negative size";
   let axes = Layout.axes layout ~vgrid ~topo:model.Machine.Models.topo in
   List.iter (Machine.Patterns.check_flow ~vgrid) factors;
@@ -56,11 +58,23 @@ let decomposed_time ?faults ?remap model ~layout ~vgrid ~factors ?(bytes = 8) ()
         done;
         stats
       in
-      let stats = ref [] in
-      for p = 0 to Array.length phases - 1 do
-        stats := phase p :: !stats
-      done;
-      List.rev !stats)
+      let rec from p = if p < Array.length phases && on_phase (phase p) then from (p + 1) in
+      from 0)
+
+let decomposed_time ?faults ?remap model ~layout ~vgrid ~factors ?(bytes = 8) () =
+  let stats = ref [] in
+  walk_phases ?faults ?remap model ~layout ~vgrid ~factors ~bytes (fun s ->
+      stats := s :: !stats;
+      true);
+  List.rev !stats
 
 let total_time stats =
   List.fold_left (fun acc (s : Machine.Netsim.stats) -> acc +. s.Machine.Netsim.time) 0.0 stats
+
+let decomposed_total ?faults ?remap model ~layout ~vgrid ~factors ?(bytes = 8)
+    ?(limit = Float.infinity) () =
+  let total = ref 0.0 in
+  walk_phases ?faults ?remap model ~layout ~vgrid ~factors ~bytes (fun s ->
+      total := !total +. s.Machine.Netsim.time;
+      !total < limit);
+  !total

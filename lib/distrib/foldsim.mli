@@ -51,3 +51,23 @@ val decomposed_time :
     to the next. *)
 
 val total_time : Machine.Netsim.stats list -> float
+
+val decomposed_total :
+  ?faults:Machine.Fault.t ->
+  ?remap:int array ->
+  Machine.Models.t ->
+  layout:Layout.t ->
+  vgrid:int array ->
+  factors:Mat.t list ->
+  ?bytes:int ->
+  ?limit:float ->
+  unit ->
+  float
+(** [total_time (decomposed_time ...)], walked by the same phase loop
+    and summed in the same order from [0.0], except that the walk stops
+    at the first phase whose running total reaches [limit] (default
+    [infinity]) and returns that partial total.  Times are never
+    negative, so [min (decomposed_total ~limit:d ...) d] is bit-identical
+    to [min (total_time (decomposed_time ...)) d]: this is how a
+    decomposition is priced against the direct path without walking
+    the phases that cannot win. *)

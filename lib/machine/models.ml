@@ -109,7 +109,7 @@ let per_rank t ~bytes dst emit =
     if dst r <> r then emit r (dst r) bytes
   done
 
-let translation_time t ~bytes =
+let shift_time t ~bytes =
   (* shift by one along axis 0: every processor sends to its
      neighbour; conflict-free *)
   let topo = t.topo in
@@ -117,6 +117,39 @@ let translation_time t ~bytes =
   let stride = Topology.size topo / d0 in
   let dst r = if r / stride = d0 - 1 then r - ((d0 - 1) * stride) else r + stride in
   (price t (per_rank t ~bytes dst)).Netsim.time
+
+(* The shift reads only the topology and the wire parameters, so each
+   (topology, wire parameters, bytes) is priced once per process, in a
+   registry shared by every domain.  Both are plain data, equal
+   whenever their specs are, so they key the table as they are.  The
+   registry lock only finds or adds a slot.  A slot is priced under its
+   own lock, so no domain waits on a shift it did not ask for, and each
+   slot is priced exactly once: the [netsim.*] counters do not depend
+   on how many domains asked.  A pricing that raises leaves its slot
+   empty. *)
+type shift = { lock : Mutex.t; mutable time : float option }
+
+let shifts : (Topology.t * Netsim.params * int, shift) Hashtbl.t = Hashtbl.create 8
+let shifts_lock = Mutex.create ()
+
+let translation_time t ~bytes =
+  let key = (t.topo, t.net, bytes) in
+  let slot =
+    Mutex.protect shifts_lock (fun () ->
+        match Hashtbl.find_opt shifts key with
+        | Some slot -> slot
+        | None ->
+          let slot = { lock = Mutex.create (); time = None } in
+          Hashtbl.replace shifts key slot;
+          slot)
+  in
+  Mutex.protect slot.lock (fun () ->
+      match slot.time with
+      | Some time -> time
+      | None ->
+        let time = shift_time t ~bytes in
+        slot.time <- Some time;
+        time)
 
 let general_time t ~bytes =
   (* the rank-reversal permutation: every message crosses the centre,

@@ -52,7 +52,12 @@ val scatter_time : t -> bytes:int -> float
 val gather_time : t -> bytes:int -> float
 
 val translation_time : t -> bytes:int -> float
-(** Uniform shift by one grid step: conflict-free by construction. *)
+(** Uniform shift by one grid step: conflict-free by construction.
+    The shift depends on the topology and the wire parameters only, so
+    {!Netsim} prices it once per process for each (topology spec, wire
+    parameters, [bytes]); every later call, from any domain, reads that
+    price.  Only the first call records [netsim.*] counters and a
+    telemetry run. *)
 
 val general_time : t -> bytes:int -> float
 (** A representative general affine communication: the transpose

@@ -16,11 +16,8 @@ let models_of = function
 (* the same comparison Sweep runs per row: does the optimized plan keep
    its lead over the step-1-only baseline once the machine is
    imperfect? *)
-let resilience_block ppf ~models w m (r : Resopt.Pipeline.result) faults =
-  let base =
-    Resopt.Feautrier.run ~m ~schedule:w.Resopt.Workloads.schedule
-      w.Resopt.Workloads.nest
-  in
+let resilience_block ppf ~models (r : Resopt.Pipeline.result) faults =
+  let base = Resopt.Feautrier.of_pipeline r in
   Format.fprintf ppf "@.resilience under %a:@." Machine.Fault.pp faults;
   Format.fprintf ppf "  %-8s %12s %12s %8s %12s %12s %8s@." "model" "optimized"
     "baseline" "gain" "opt+fault" "base+fault" "gain+f";
@@ -86,7 +83,7 @@ let render ?faults ?mapping ?topo ~m (w : Resopt.Workloads.t) =
   let models = models_of topo in
   Format.fprintf ppf "%a@." Resopt.Pipeline.pp r;
   Option.iter (mapping_block ppf ~models r) mapping;
-  Option.iter (resilience_block ppf ~models w m r) faults;
+  Option.iter (resilience_block ppf ~models r) faults;
   Format.pp_print_flush ppf ();
   Buffer.contents buf
 

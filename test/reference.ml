@@ -6,7 +6,10 @@
    path (cell→rank tables, successor arrays, the Netsim core) must
    agree with it on the stats and on the telemetry a run records.
    The per-cell flow walk and the cubic greedy growing are kept here
-   too, for the odometer walk and the incremental growing. *)
+   too, for the odometer walk and the incremental growing, and so is
+   the work a sweep cell used to repeat: the baseline's own step 1,
+   the translation shift re-priced per entry, and every decomposition
+   phase walked before the direct price. *)
 
 open Machine
 
@@ -337,3 +340,101 @@ let decomposed_time ?(faults = Fault.none) ?remap (model : Models.t) ~layout ~vg
       positions := !moved;
       run ~coalesce:true ~faults topo model.Models.net !msgs)
     (List.rev factors)
+
+(* ------------------------------------------------------------------ *)
+(* Sweep-cell pricing                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The Feautrier baseline computed on its own: step 1 again, every
+   residual downgraded to a general communication. *)
+let feautrier ~m ~schedule nest =
+  let open Resopt in
+  let downgrade (e : Commplan.entry) =
+    match e.Commplan.classification with
+    | Commplan.Local | Commplan.Translation _ | Commplan.General _ -> e
+    | Commplan.Reduction _ | Commplan.Broadcast _ | Commplan.Scatter _
+    | Commplan.Gather _ ->
+      { e with Commplan.classification = Commplan.General None }
+    | Commplan.Decomposed { flow; _ } ->
+      { e with Commplan.classification = Commplan.General (Some flow) }
+  in
+  let alloc = Alignment.Alloc.run ~m nest in
+  (alloc, List.map downgrade (Commplan.build alloc schedule))
+
+(* [Models.translation_time] priced afresh: the shift by one along
+   axis 0, as a message list through [Netsim.run]. *)
+let shift_time (model : Models.t) ~bytes =
+  let topo = model.Models.topo in
+  let n = Topology.size topo in
+  let d0 = Topology.dim topo 0 in
+  let stride = n / d0 in
+  let dst r = if r / stride = d0 - 1 then r - ((d0 - 1) * stride) else r + stride in
+  let msgs =
+    List.filter_map
+      (fun r -> if dst r = r then None else Some (Message.make ~src:r ~dst:(dst r) ~bytes))
+      (List.init n (fun i -> n - 1 - i))
+  in
+  (Netsim.run topo model.Models.net msgs).Netsim.time
+
+let plan_bytes = 64
+
+(* [Cost]'s direct price of a general flow. *)
+let general_cost ~faults ?remap ~vgrid (model : Models.t) flow =
+  match vgrid with
+  | Some vgrid when Linalg.Mat.rows flow = 2 && Linalg.Mat.cols flow = 2 ->
+    (Distrib.Foldsim.time ~coalesce:false ~faults ?remap model
+       ~layout:(Distrib.Layout.all_cyclic 2) ~vgrid ~flow ~bytes:plan_bytes ())
+      .Netsim.time
+  | _ ->
+    let n = Topology.size model.Models.topo in
+    let net = model.Models.net in
+    Fault.uniform_slowdown faults
+    *. ((float_of_int (n - 1)
+        *. (net.Netsim.alpha +. (net.Netsim.beta *. float_of_int plan_bytes)))
+       +. (net.Netsim.hop *. float_of_int (Topology.diameter model.Models.topo)))
+
+(* A decomposed entry's two candidate prices, every phase walked:
+   [Cost] charges [min phases direct]. *)
+let decomposed_prices ~faults ?remap ~vgrid (model : Models.t) ~flow factors =
+  let phases =
+    match vgrid with
+    | Some vgrid
+      when List.for_all (fun f -> Linalg.Mat.rows f = 2 && Linalg.Mat.cols f = 2) factors ->
+      let k =
+        List.fold_left
+          (fun acc f ->
+            max acc (max (abs (Linalg.Mat.get f 0 1)) (abs (Linalg.Mat.get f 1 0))))
+          1 factors
+      in
+      let layout = [| Distrib.Layout.Grouped k; Distrib.Layout.Grouped k |] in
+      Distrib.Foldsim.total_time
+        (Distrib.Foldsim.decomposed_time ~faults ?remap model ~layout ~vgrid ~factors
+           ~bytes:plan_bytes ())
+    | _ ->
+      Fault.uniform_slowdown faults
+      *. float_of_int (List.length factors)
+      *. shift_time model ~bytes:plan_bytes
+  in
+  (phases, general_cost ~faults ?remap ~vgrid model flow)
+
+(* [decomposed_prices] of every decomposed entry of [plan], in plan
+   order, on the residual grid and under the placement [Cost.of_plan]
+   would use. *)
+let decomposed_costs ?mapping ~faults model plan =
+  let open Resopt in
+  let traffic =
+    Residual.on_model ~bytes:plan_bytes model (Residual.flows_of_plan plan)
+  in
+  let vgrid = Option.map (fun (t : Residual.t) -> t.Residual.vgrid) traffic in
+  let remap =
+    match (mapping, traffic) with
+    | Some spec, Some t when t.Residual.flows <> [] -> Some (Residual.placement spec t)
+    | _ -> None
+  in
+  List.filter_map
+    (fun (e : Commplan.entry) ->
+      match e.Commplan.classification with
+      | Commplan.Decomposed { flow; factors } ->
+        Some (decomposed_prices ~faults ?remap ~vgrid model ~flow factors)
+      | _ -> None)
+    plan

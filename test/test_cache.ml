@@ -356,6 +356,51 @@ let test_cost_differential () =
             (off = cold && cold = warm)))
     [ Machine.Models.cm5 (); Machine.Models.paragon (); Machine.Models.t3d () ]
 
+(* No Netsim price reads the fault seed, so the cost key leaves it out:
+   re-pricing a plan under another seed of the same schedule hits. *)
+let flaky seed =
+  Machine.Fault.make ~seed
+    [
+      Machine.Fault.Flaky { link = None; prob = 0.05 };
+      Machine.Fault.Link_down { a = 1; b = 2; from_cycle = 0; until_cycle = max_int };
+    ]
+
+let example1_plan () =
+  let w = Resopt.Workloads.find "example1" in
+  (Resopt.Pipeline.run ~m:2 ~schedule:w.Resopt.Workloads.schedule
+     w.Resopt.Workloads.nest)
+    .Resopt.Pipeline.plan
+
+let test_cost_seed_hit () =
+  let plan = example1_plan () in
+  let model = Machine.Models.paragon () in
+  fresh @@ fun () ->
+  let seed0 = Resopt.Cost.of_plan ~faults:(flaky 0) model plan in
+  let before = Cache.stats () in
+  let seed1 = Resopt.Cost.of_plan ~faults:(flaky 1) model plan in
+  let after = Cache.stats () in
+  Alcotest.(check int) "seed 1 after seed 0 hits" (before.Cache.hits + 1) after.Cache.hits;
+  Alcotest.(check int) "and misses nothing" before.Cache.misses after.Cache.misses;
+  Alcotest.(check bool) "same breakdown" true (seed0 = seed1)
+
+let test_cost_seeds_differential () =
+  let plan = example1_plan () in
+  let seeds = [ 0; 1; 7; 42 ] in
+  List.iter
+    (fun model ->
+      Cache.disable ();
+      let off =
+        List.map (fun seed -> Resopt.Cost.of_plan ~faults:(flaky seed) model plan) seeds
+      in
+      fresh (fun () ->
+          let on =
+            List.map (fun seed -> Resopt.Cost.of_plan ~faults:(flaky seed) model plan) seeds
+          in
+          Alcotest.(check bool)
+            (model.Machine.Models.name ^ ": cache on = cache off across seeds")
+            true (on = off)))
+    [ Machine.Models.cm5 (); Machine.Models.paragon (); Machine.Models.t3d () ]
+
 (* ------------------------------------------------------------------ *)
 (* Parallel safety: shared cache under Par                             *)
 (* ------------------------------------------------------------------ *)
@@ -437,6 +482,12 @@ let () =
             Alcotest.test_case "cost breakdowns" `Quick test_cost_differential;
           ]
         @ pipeline_props );
+      ( "cost-key",
+        [
+          Alcotest.test_case "another seed hits" `Quick test_cost_seed_hit;
+          Alcotest.test_case "cache on = off across seeds" `Quick
+            test_cost_seeds_differential;
+        ] );
       ( "parallel",
         [
           Alcotest.test_case "sweep: cached/parallel = uncached" `Quick

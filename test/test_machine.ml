@@ -396,6 +396,60 @@ let test_compiled_shared () =
     (Compiled.distances c)
 
 (* ------------------------------------------------------------------ *)
+(* Translation shift                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let bits = Int64.bits_of_float
+
+(* The shift priced once per process equals the shift priced afresh,
+   on the first call and on every later one. *)
+let test_translation_shift () =
+  List.iter
+    (fun spec ->
+      let model = Models.of_topo (Result.get_ok (Topology.of_string spec)) in
+      List.iter
+        (fun bytes ->
+          let want = bits (Reference.shift_time model ~bytes) in
+          let label = Printf.sprintf "%s, %d bytes" spec bytes in
+          Alcotest.(check int64) label want (bits (Models.translation_time model ~bytes));
+          Alcotest.(check int64) (label ^ ", again") want
+            (bits (Models.translation_time model ~bytes)))
+        [ 0; 1; 64; 256 ])
+    [ "mesh:8x4"; "torus:8x8"; "fattree:3:4"; "dragonfly:4:4:2" ];
+  (* the wire parameters are part of the key *)
+  let cm5 = Models.cm5 () and paragon = Models.paragon () in
+  Alcotest.(check int64) "cm5 wire" (bits (Reference.shift_time cm5 ~bytes:64))
+    (bits (Models.translation_time cm5 ~bytes:64));
+  Alcotest.(check int64) "paragon wire" (bits (Reference.shift_time paragon ~bytes:64))
+    (bits (Models.translation_time paragon ~bytes:64))
+
+(* Four domains, released together, ask for the shift of a spec
+   nothing else prices: each reads the uncached price, and Netsim ran
+   once. *)
+let test_translation_race () =
+  let model () = Models.of_topo (Result.get_ok (Topology.of_string "torus:7x3")) in
+  let waiting = Atomic.make 4 in
+  let price () =
+    let m = model () in
+    Atomic.decr waiting;
+    while Atomic.get waiting > 0 do
+      Domain.cpu_relax ()
+    done;
+    Models.translation_time m ~bytes:48
+  in
+  Obs.reset ();
+  Obs.enable ();
+  let raced, runs =
+    Fun.protect ~finally:Obs.disable (fun () ->
+        let raced = List.map Domain.join (List.init 4 (fun _ -> Domain.spawn price)) in
+        (raced, Obs.counter "netsim.runs"))
+  in
+  Obs.reset ();
+  let want = bits (Reference.shift_time (model ()) ~bytes:48) in
+  List.iter (fun t -> Alcotest.(check int64) "every domain reads the price" want (bits t)) raced;
+  Alcotest.(check int) "priced once" 1 runs
+
+(* ------------------------------------------------------------------ *)
 (* Netsim differential                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -772,6 +826,11 @@ let () =
         [ Alcotest.test_case "residual traffic surfaces" `Quick test_traffic_goldens ] );
       ( "compiled",
         [ Alcotest.test_case "shared across domains" `Quick test_compiled_shared ] );
+      ( "translation",
+        [
+          Alcotest.test_case "priced once = priced afresh" `Quick test_translation_shift;
+          Alcotest.test_case "four domains, one pricing" `Quick test_translation_race;
+        ] );
       ("netsim-diff", netsim_diff_props);
       ("pricing-diff", pricing_diff_props);
       ("walk-diff", walk_diff_props);

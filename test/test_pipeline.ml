@@ -189,6 +189,149 @@ let pipeline_props =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Cell pricing differential                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The baseline derived from a pipeline run, and the one [Feautrier.run]
+   builds alone, against step 1 computed on its own: same allocation,
+   same plan, same summary.  A pipeline that raises only skips the
+   derived side: a sweep skips that cell whichever step raised. *)
+let baseline_matches ~m ~schedule nest =
+  let attempt f = match f () with x -> Some x | exception _ -> None in
+  let encode alloc plan summary m =
+    ( Format.asprintf "%a" Alignment.Alloc.pp alloc,
+      Format.asprintf "%a" Commplan.pp plan,
+      summary,
+      m )
+  in
+  let of_result (b : Feautrier.result) =
+    encode b.Feautrier.alloc b.Feautrier.plan (Feautrier.summary b) b.Feautrier.m
+  in
+  let reference =
+    attempt (fun () ->
+        let alloc, plan = Reference.feautrier ~m ~schedule nest in
+        encode alloc plan (Commplan.summarize plan) m)
+  in
+  let alone = attempt (fun () -> of_result (Feautrier.run ~m ~schedule nest)) in
+  let derived =
+    attempt (fun () -> of_result (Feautrier.of_pipeline (Pipeline.run ~m ~schedule nest)))
+  in
+  alone = reference && (derived = None || derived = reference)
+
+let baseline_props =
+  let arb =
+    QCheck.make
+      ~print:(fun (seed, m) -> Printf.sprintf "gennest seed %d, m = %d" seed m)
+      QCheck.Gen.(pair (int_range 0 50_000) (int_range 1 3))
+  in
+  [
+    prop ~count:150 "of_pipeline = run (generated)" arb (fun (seed, m) ->
+        let nest = Nestir.Gennest.generate ~seed:(seed + 11_000_000) in
+        baseline_matches ~m ~schedule:(Nestir.Schedule.all_parallel nest) nest);
+  ]
+
+let test_baseline_curated () =
+  List.iter
+    (fun (w : Workloads.t) ->
+      List.iter
+        (fun m ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s m=%d" w.Workloads.name m)
+            true
+            (baseline_matches ~m ~schedule:w.Workloads.schedule w.Workloads.nest))
+        [ 1; 2; 3 ])
+    (Workloads.all ())
+
+(* Every plan of the curated workloads (m = 1..3) and of 200 generated
+   nests (m = 2) that carries a decomposed entry. *)
+let decomposed_plans () =
+  List.filter_map
+    (fun ((w : Workloads.t), m) ->
+      match Pipeline.run ~m ~schedule:w.Workloads.schedule w.Workloads.nest with
+      | exception _ -> None
+      | r ->
+        let plan = r.Pipeline.plan in
+        if
+          List.exists
+            (fun e ->
+              match e.Commplan.classification with
+              | Commplan.Decomposed _ -> true
+              | _ -> false)
+            plan
+        then Some (Printf.sprintf "%s m=%d" w.Workloads.name m, plan)
+        else None)
+    (List.concat_map (fun w -> [ (w, 1); (w, 2); (w, 3) ]) (Workloads.all ())
+    @ List.map (fun w -> (w, 2)) (Workloads.generated ~seed:100003 ~count:200))
+
+let diff_models () =
+  let of_spec s = Machine.Models.of_topo (Result.get_ok (Machine.Topology.of_string s)) in
+  [ Machine.Models.cm5 (); Machine.Models.paragon (); of_spec "torus:8x8"; of_spec "fattree:3:4" ]
+
+(* Healthy; a global and a one-link drop rate; the topology's first
+   link cut for the whole run. *)
+let diff_faults topo =
+  let a, b = fst (List.hd (Machine.Topology.links topo)) in
+  [
+    Machine.Fault.none;
+    Machine.Fault.make
+      [
+        Machine.Fault.Flaky { link = None; prob = 0.05 };
+        Machine.Fault.Flaky { link = Some (a, b); prob = 0.3 };
+      ];
+    Machine.Fault.make
+      [ Machine.Fault.Link_down { a; b; from_cycle = 0; until_cycle = max_int } ];
+  ]
+
+(* [Cost.of_plan] stops a decomposition's phases at the direct price;
+   the reference walks them all, then takes the minimum.  Every
+   decomposed entry must price to the same bits, and the corpus must
+   see both sides win. *)
+let test_decomposed_diff () =
+  let plans = decomposed_plans () in
+  Alcotest.(check bool) "corpus has decomposed plans" true (List.length plans >= 5);
+  let direct_wins = ref 0 and phases_win = ref 0 in
+  Cache.scoped ~enable:false @@ fun () ->
+  List.iter
+    (fun (name, plan) ->
+      List.iter
+        (fun (model : Machine.Models.t) ->
+          List.iter
+            (fun faults ->
+              List.iter
+                (fun mapping ->
+                  let b = Cost.of_plan ~faults ?mapping model plan in
+                  let got =
+                    List.filter_map
+                      (fun ((e : Commplan.entry), (c : Cost.entry_cost)) ->
+                        match e.Commplan.classification with
+                        | Commplan.Decomposed _ -> Some c.Cost.cost
+                        | _ -> None)
+                      (List.combine plan b.Cost.entries)
+                  in
+                  let want =
+                    List.map
+                      (fun (phases, direct) ->
+                        incr (if direct < phases then direct_wins else phases_win);
+                        min phases direct)
+                      (Reference.decomposed_costs ?mapping ~faults model plan)
+                  in
+                  let label =
+                    Printf.sprintf "%s on %s, %s%s" name model.Machine.Models.name
+                      (if Machine.Fault.is_none faults then "healthy"
+                       else Machine.Fault.label faults)
+                      (if mapping = None then "" else ", greedy")
+                  in
+                  Alcotest.(check (list int64)) label
+                    (List.map Int64.bits_of_float want)
+                    (List.map Int64.bits_of_float got))
+                [ None; Some (Mapping.spec Mapping.Greedy) ])
+            (diff_faults model.Machine.Models.topo))
+        (diff_models ()))
+    plans;
+  Alcotest.(check bool) "the direct path wins somewhere" true (!direct_wins > 0);
+  Alcotest.(check bool) "the phases win somewhere" true (!phases_win > 0)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "pipeline"
@@ -221,5 +364,10 @@ let () =
         ] );
       ( "feautrier",
         [ Alcotest.test_case "ablation" `Quick test_feautrier_ablation ] );
+      ( "baseline",
+        Alcotest.test_case "of_pipeline = run (curated)" `Quick test_baseline_curated
+        :: baseline_props );
+      ( "decomposed",
+        [ Alcotest.test_case "early stop = all phases" `Quick test_decomposed_diff ] );
       ("properties", pipeline_props);
     ]
