@@ -594,10 +594,14 @@ let eventsim () =
   let topo = par.Machine.Models.topo in
   let vgrid = [| 64; 32 |] in
   let layout = Distrib.Layout.all_cyclic 2 in
-  let msgs flow =
-    Resopt.Residual.messages (Resopt.Residual.make ~vgrid ~bytes:8 topo [ flow ])
+  let traffic flow =
+    Resopt.Residual.traffic (Resopt.Residual.make ~vgrid ~bytes:8 topo [ flow ])
   in
-  let p = Machine.Eventsim.default_params in
+  let events ~coalesce flow =
+    (Machine.Eventsim.run topo Machine.Eventsim.default_params
+       (Machine.Netsim.volume ~coalesce topo (traffic flow)))
+      .Machine.Eventsim.cycles
+  in
   let closed_direct =
     (Distrib.Foldsim.time ~coalesce:false par ~layout ~vgrid ~flow:paper_t ())
       .Machine.Netsim.time
@@ -606,14 +610,9 @@ let eventsim () =
     Distrib.Foldsim.total_time
       (Distrib.Foldsim.decomposed_time par ~layout ~vgrid ~factors:[ paper_l; paper_u ] ())
   in
-  let ev_direct = (Machine.Eventsim.run topo p (msgs paper_t)).Machine.Eventsim.cycles in
+  let ev_direct = events ~coalesce:false paper_t in
   let ev_lu =
-    List.fold_left
-      (fun acc f ->
-        acc
-        + (Machine.Eventsim.run topo p (Machine.Netsim.coalesce_messages (msgs f)))
-            .Machine.Eventsim.cycles)
-      0 [ paper_u; paper_l ]
+    List.fold_left (fun acc f -> acc + events ~coalesce:true f) 0 [ paper_u; paper_l ]
   in
   Format.printf "%-22s %14s %14s@." "simulator" "direct" "decomposed";
   Format.printf "%-22s %14.1f %14.1f  (%.1fx)@." "closed-form (time)" closed_direct
@@ -627,7 +626,7 @@ let eventsim () =
   record "ev_direct_cycles" (float_of_int ev_direct);
   record "ev_decomposed_cycles" (float_of_int ev_lu);
   Format.printf "@.sender-load heatmap of the direct pattern (8x4 mesh):@.%s"
-    (Machine.Trace.load_heatmap topo (msgs paper_t))
+    (Machine.Trace.load_heatmap topo (traffic paper_t))
 
 (* ------------------------------------------------------------------ *)
 (* Resilience: does decomposing still win on an imperfect machine?     *)
@@ -639,10 +638,11 @@ let faultbench () =
   let topo = par.Machine.Models.topo in
   let vgrid = [| 64; 32 |] in
   let layout = Distrib.Layout.all_cyclic 2 in
-  let msgs flow =
-    Resopt.Residual.messages (Resopt.Residual.make ~vgrid ~bytes:8 topo [ flow ])
+  let events ~faults ~coalesce flow =
+    Machine.Eventsim.run ~faults topo Machine.Eventsim.default_params
+      (Machine.Netsim.volume ~coalesce topo
+         (Resopt.Residual.traffic (Resopt.Residual.make ~vgrid ~bytes:8 topo [ flow ])))
   in
-  let p = Machine.Eventsim.default_params in
   let rates = [ 0.0; 0.01; 0.05; 0.1 ] in
   Format.printf "%-6s %10s %10s %7s %6s %5s %12s %12s %7s@." "rate" "ev direct"
     "ev decomp" "ratio" "retx" "drop" "cf direct" "cf decomp" "ratio";
@@ -653,14 +653,8 @@ let faultbench () =
           if rate = 0.0 then Machine.Fault.none
           else Machine.Fault.make ~seed:42 [ Machine.Fault.Flaky { link = None; prob = rate } ]
         in
-        let ev_direct = Machine.Eventsim.run ~faults topo p (msgs paper_t) in
-        let ev_lu =
-          List.map
-            (fun f ->
-              Machine.Eventsim.run ~faults topo p
-                (Machine.Netsim.coalesce_messages (msgs f)))
-            [ paper_u; paper_l ]
-        in
+        let ev_direct = events ~faults ~coalesce:false paper_t in
+        let ev_lu = List.map (events ~faults ~coalesce:true) [ paper_u; paper_l ] in
         let lu_cycles =
           List.fold_left (fun acc (r : Machine.Eventsim.result) -> acc + r.Machine.Eventsim.cycles) 0 ev_lu
         in
@@ -801,7 +795,6 @@ let mapbench () =
   let entries =
     corpus_rows (fun name flows ->
         let traffic = Option.get (Resopt.Residual.on_model ~bytes:8 par flows) in
-        let msgs = Resopt.Residual.messages traffic in
         let vol = Resopt.Residual.volume_graph traffic in
         let perms =
           List.map
@@ -821,7 +814,8 @@ let mapbench () =
                 [ Machine.Fault.Flaky { link = None; prob = rate } ]
           in
           let loads =
-            Machine.Netsim.link_loads ~faults topo (Mapping.apply perm msgs)
+            Machine.Netsim.link_loads ~faults topo
+              (Resopt.Residual.traffic ~placement:perm traffic)
           in
           Obs.Telemetry.gini
             (Array.of_list (List.map (fun (_, l) -> float_of_int l) loads))
@@ -897,14 +891,14 @@ let topobench () =
         let entries =
           corpus_rows (fun name flows ->
               let traffic = Resopt.Residual.make ~vgrid ~bytes:8 topo flows in
-              let msgs = Resopt.Residual.messages traffic in
               let vol = Resopt.Residual.volume_graph traffic in
               let perm = Mapping.search ~seed topo vol in
               let hb_id = Mapping.hop_bytes topo vol (Mapping.identity n) in
               let hb_se = Mapping.hop_bytes topo vol perm in
               let ev =
                 Machine.Eventsim.run topo Machine.Eventsim.default_params
-                  (Mapping.apply perm msgs)
+                  (Machine.Netsim.volume ~coalesce:false topo
+                     (Resopt.Residual.traffic ~placement:perm traffic))
               in
               let cycles = ev.Machine.Eventsim.cycles in
               Format.printf "%-28s %-12s %10d %10d %6.2fx %9d@." spec name hb_id

@@ -517,26 +517,29 @@ let chaos_cmd =
       List.concat_map (Resopt.Residual.flows_of_workload ~m:2)
         (Resopt.Workloads.all ())
     in
-    let msgs =
+    let traffic =
       Array.of_list
         (List.map
            (fun flow ->
-             Resopt.Residual.messages
-               (Resopt.Residual.make ~vgrid ~bytes:8 topo [ flow ]))
+             Resopt.Residual.traffic (Resopt.Residual.make ~vgrid ~bytes:8 topo [ flow ]))
            flows)
     in
     let trial i =
       let rng = Machine.Fault.Rng.make (seed + i) in
       let specs = Machine.Fault.random_specs rng topo in
       let faults = Machine.Fault.make ~seed:(seed + i) specs in
-      let m = msgs.(i mod Array.length msgs) in
-      let run () = Machine.Eventsim.run ~faults topo Machine.Eventsim.default_params m in
+      let m = traffic.(i mod Array.length traffic) in
+      let run () =
+        Machine.Eventsim.run ~faults topo Machine.Eventsim.default_params
+          (Machine.Netsim.volume ~coalesce:false topo m)
+      in
       let r = run () in
-      let total = List.length m in
+      let total = ref 0 in
+      m (fun _ _ _ -> incr total);
       let invariant =
         r.Machine.Eventsim.delivered + r.Machine.Eventsim.dropped
         + r.Machine.Eventsim.unreachable
-        = total
+        = !total
       in
       (* same seed, same schedule, same result — twice over *)
       (i, Machine.Fault.to_string specs, r, run () = r, invariant)
@@ -790,7 +793,6 @@ let report_cmd =
       Resopt.Residual.make ~vgrid ~bytes topo
         (Resopt.Residual.flows_of_workload ~m w)
     in
-    let msgs = Resopt.Residual.messages traffic in
     (* --bounds: lower-bound the very traffic this report simulates.
        Computed before the telemetry sink opens so the Netsim pricing
        inside Bounds.transfer_time never pollutes the dashboard. *)
@@ -802,11 +804,12 @@ let report_cmd =
       else None
     in
     Obs.Telemetry.enable ();
-    let simulate label msgs =
+    let simulate label placed =
       (try
          ignore
            (Machine.Eventsim.run ?faults ~label topo
-              Machine.Eventsim.default_params msgs
+              Machine.Eventsim.default_params
+              (Machine.Netsim.volume ~coalesce:false topo placed)
              : Machine.Eventsim.result)
        with Machine.Eventsim.Deadlock { cycles; in_flight } ->
          Format.eprintf
@@ -818,7 +821,7 @@ let report_cmd =
       Option.iter (fun run -> print_string (Obs.Telemetry.render_ascii run)) run;
       run
     in
-    let before = simulate name msgs in
+    let before = simulate name (Resopt.Residual.traffic traffic) in
     (* --map: simulate the same traffic again under the searched
        placement — both runs land in the telemetry sink, so the ASCII
        heatmaps (and the HTML dashboard) show before and after *)
@@ -827,7 +830,9 @@ let report_cmd =
     | Some spec ->
       let vol = Resopt.Residual.volume_graph traffic in
       let perm = Mapping.compute spec topo vol in
-      let after = simulate (name ^ ":mapped") (Mapping.apply perm msgs) in
+      let after =
+        simulate (name ^ ":mapped") (Resopt.Residual.traffic ~placement:perm traffic)
+      in
       let gini r = Obs.Telemetry.gini (Obs.Telemetry.link_loads r) in
       Format.printf
         "mapping (--map %s): hop-bytes %d -> %d, link-load gini %s -> %s@."

@@ -38,7 +38,8 @@ let () =
             Machine.Patterns.translation_messages ~boundary:`Clip ~vgrid ~shift
               ~bytes:8 ~place ()
           in
-          total := !total +. (Machine.Models.run par msgs).Machine.Netsim.time)
+          let priced = Machine.Models.price par (Machine.Message.of_list msgs) in
+          total := !total +. priced.Machine.Netsim.time)
         [ [| 1; 0 |]; [| -1; 0 |]; [| 0; 1 |]; [| 0; -1 |] ];
       Format.printf "four shifts under %-18s: %.1f time units@." name !total)
     [

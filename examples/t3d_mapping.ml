@@ -54,7 +54,11 @@ let () =
         let layout = Distrib.Layout.all_cyclic 3 in
         let axes = Distrib.Layout.axes layout ~vgrid ~topo in
         let traffic flow = Machine.Patterns.traffic ~vgrid ~axes ~bytes:8 [ flow ] in
-        let msgs flow = Machine.Message.to_list (traffic flow) in
+        let events ~coalesce flow =
+          (Machine.Eventsim.run topo Machine.Eventsim.default_params
+             (Machine.Netsim.volume ~coalesce topo (traffic flow)))
+            .Machine.Eventsim.cycles
+        in
         let direct_closed =
           (Machine.Models.price ~coalesce:false t3d (traffic flow)).Machine.Netsim.time
         in
@@ -65,16 +69,9 @@ let () =
         in
         Format.printf "closed-form model: direct %.0f vs phases %.0f (%.1fx)@."
           direct_closed phase_closed (direct_closed /. phase_closed);
-        let p = Machine.Eventsim.default_params in
-        let direct_ev = (Machine.Eventsim.run topo p (msgs flow)).Machine.Eventsim.cycles in
+        let direct_ev = events ~coalesce:false flow in
         let phase_ev =
-          List.fold_left
-            (fun acc f ->
-              acc
-              + (Machine.Eventsim.run topo p
-                   (Machine.Netsim.coalesce_messages (msgs f)))
-                  .Machine.Eventsim.cycles)
-            0 factors
+          List.fold_left (fun acc f -> acc + events ~coalesce:true f) 0 factors
         in
         Format.printf "event simulation:  direct %d vs phases %d (%.1fx)@."
           direct_ev phase_ev

@@ -80,11 +80,12 @@ let estimate ~(model : Machine.Models.t) ~(nest : Loopnest.t)
         acc +. ceil (float_of_int !count /. nprocs))
       step_instances 0.0
   in
-  let hoisted_comm = (Machine.Models.run model !hoisted).Machine.Netsim.time in
+  let comm msgs =
+    (Machine.Models.price model (Machine.Message.of_list msgs)).Machine.Netsim.time
+  in
+  let hoisted_comm = comm !hoisted in
   let per_step_comm =
-    Hashtbl.fold
-      (fun _ msgs acc -> acc +. (Machine.Models.run model !msgs).Machine.Netsim.time)
-      step_msgs 0.0
+    Hashtbl.fold (fun _ msgs acc -> acc +. comm !msgs) step_msgs 0.0
   in
   {
     timesteps = Hashtbl.length step_instances;

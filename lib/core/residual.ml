@@ -52,8 +52,6 @@ let traffic ?placement t =
   Machine.Patterns.traffic ~vgrid:t.vgrid ~axes:(Lazy.force t.axes) ?remap:placement
     ~bytes:t.bytes t.flows
 
-let messages t = Machine.Message.to_list (traffic t)
-
 let volume_graph t =
   Machine.Volgraph.of_traffic ~hosts:(Machine.Topology.size t.topo) (traffic t)
 

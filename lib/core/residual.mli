@@ -47,9 +47,6 @@ val traffic : ?placement:Mapping.t -> t -> Machine.Message.traffic
 (** The flows' messages ({!Machine.Patterns.traffic}), flow after
     flow, with [placement] composed after the fold when given. *)
 
-val messages : t -> Machine.Message.t list
-(** {!traffic} as a list, for the list consumers ({!Machine.Eventsim}). *)
-
 val volume_graph : t -> Machine.Volgraph.t
 (** The messages collapsed to a canonical (sorted) volume graph — the
     input the mapping search minimizes over. *)

@@ -19,7 +19,7 @@ val time :
     virtual grid, folded onto the model's topology by [layout].
     [coalesce:false] models the generic (non-vectorizable) runtime
     path used for a general affine communication; [faults] prices it
-    on the degraded machine ({!Machine.Netsim.run}); [remap] composes
+    on the degraded machine ({!Machine.Netsim.price}); [remap] composes
     a process placement (a permutation of physical ranks, from the
     mapping layer) after the layout fold, so the same traffic is
     priced under a searched embedding. *)

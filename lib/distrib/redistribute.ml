@@ -8,7 +8,8 @@ let messages ~vgrid ~topo ~from_layout ~to_layout ~bytes =
 
 let time model ~vgrid ~from_layout ~to_layout ?(bytes = 8) () =
   let topo = model.Machine.Models.topo in
-  Machine.Models.run model (messages ~vgrid ~topo ~from_layout ~to_layout ~bytes)
+  Machine.Models.price model
+    (Machine.Message.of_list (messages ~vgrid ~topo ~from_layout ~to_layout ~bytes))
 
 let break_even model ~vgrid ~from_layout ~to_layout ~flow =
   let bytes = 8 in

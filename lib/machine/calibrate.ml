@@ -26,7 +26,8 @@ let linear_fit samples =
 let measure_pingpong topo params ~sizes =
   List.map
     (fun bytes ->
-      let r = Eventsim.run topo params [ Message.make ~src:0 ~dst:1 ~bytes ] in
+      let ping = Message.of_list [ Message.make ~src:0 ~dst:1 ~bytes ] in
+      let r = Eventsim.run topo params (Netsim.volume ~coalesce:false topo ping) in
       (bytes, float_of_int r.Eventsim.cycles))
     sizes
 

@@ -56,6 +56,8 @@ let broadcast_rounds topo ~root ~bytes =
 
 let simulate_broadcast topo p ~root ~bytes =
   List.fold_left
-    (fun acc round -> acc +. (Netsim.run topo p round).Netsim.time)
+    (fun acc round ->
+      let v = Netsim.volume topo (Message.of_list round) in
+      acc +. (Netsim.price topo p v).Netsim.time)
     0.0
     (broadcast_rounds topo ~root ~bytes)

@@ -27,9 +27,10 @@ val partial_broadcast :
 val broadcast_rounds : Topology.t -> root:int -> bytes:int -> Message.t list list
 (** The binomial-tree broadcast as explicit per-round message lists:
     in round [r], every rank that already holds the item forwards it
-    to [rank + 2^r] (rank space relative to the root).  Feed the
-    rounds to {!Netsim.run} or {!Eventsim.run} to price the tree under
-    the actual network rather than the closed form. *)
+    to [rank + 2^r] (rank space relative to the root).  Turn a round
+    into a {!Netsim.volume} with {!Message.of_list} and hand it to
+    {!Netsim.price} or {!Eventsim.run} to price the tree under the
+    actual network rather than the closed form. *)
 
 val simulate_broadcast :
   Topology.t -> Netsim.params -> root:int -> bytes:int -> float

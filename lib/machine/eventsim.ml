@@ -90,64 +90,50 @@ let tele_links tbl =
       })
     (List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []))
 
-let tele_message ?(injected_at = -1) ?(finished_at = -1) ?(hops = 0)
-    ?(queue_wait = 0) ?(retransmits = 0) (m : Message.t) outcome =
-  {
-    Obs.Telemetry.msg_src = m.Message.src;
-    msg_dst = m.Message.dst;
-    msg_bytes = m.Message.bytes;
-    injected_at;
-    finished_at;
-    hops;
-    queue_wait;
-    retransmits;
-    outcome;
-  }
-
-let local_records locals =
-  List.map
-    (fun m -> tele_message ~injected_at:0 ~finished_at:0 m Obs.Telemetry.Delivered)
-    locals
-
-let unreachable_records msgs =
-  List.map (fun m -> tele_message m Obs.Telemetry.Unreachable) msgs
-
 let max_events = 20_000
 
-let tele_run ~sim ~label ~(topo : Topology.t) ~faults ~total_cycles ~messages
-    ~links ~events =
-  {
-    Obs.Telemetry.sim;
-    label;
-    dims = (if Topology.is_grid topo then Topology.dims topo else [||]);
-    torus = Topology.is_torus topo;
-    topo_spec = (if Topology.is_grid topo then "" else Topology.to_string topo);
-    total_cycles;
-    fault_spec = Fault.label faults;
-    messages;
-    links;
-    events;
-  }
+(* A replayed message: its endpoints, size and route ([[]] when local
+   or unreachable). *)
+type flight = { src : int; dst : int; bytes : int; path : (int * int) list }
 
-(* Split the remote messages into routable packets-to-be and
-   unreachable ones (dead endpoint, or every path severed). *)
-let classify_remote faults topo remote =
-  let unreachable = ref [] in
-  let routable =
-    List.filter_map
-      (fun (m : Message.t) ->
-           if Fault.is_none faults then
-             Some (m, Topology.route topo ~src:m.Message.src ~dst:m.Message.dst)
-           else
-             match Fault.route faults topo ~src:m.Message.src ~dst:m.Message.dst with
-             | Some path -> Some (m, path)
-             | None ->
-               unreachable := m :: !unreachable;
-               if Obs.enabled () then Obs.incr "fault.injected";
-               None)
-      remote
-  in
-  (routable, List.rev !unreachable)
+let record f ~hops outcome =
+  Netsim.tele_message ~src:f.src ~dst:f.dst ~bytes:f.bytes ~hops outcome
+
+(* A routed message's record, with the cycles it lived through. *)
+let timed f ~injected_at ~finished_at ~hops ~queue_wait ~retransmits outcome =
+  { (record f ~hops outcome) with
+    Obs.Telemetry.injected_at; finished_at; queue_wait; retransmits }
+
+(* The replayed traffic split, each part in replay order: local
+   messages (delivered at time 0), routable remote messages with their
+   routes, and unreachable ones (dead endpoint, or every path
+   severed). *)
+let split faults topo (traffic : Message.traffic) =
+  let locals = ref [] and routable = ref [] and unreachable = ref [] in
+  traffic (fun src dst bytes ->
+      let f = { src; dst; bytes; path = [] } in
+      if src = dst then locals := f :: !locals
+      else if Fault.is_none faults then
+        routable := { f with path = Topology.route topo ~src ~dst } :: !routable
+      else
+        match Fault.route faults topo ~src ~dst with
+        | Some path -> routable := { f with path } :: !routable
+        | None ->
+          unreachable := f :: !unreachable;
+          if Obs.enabled () then Obs.incr "fault.injected");
+  (List.rev !locals, List.rev !routable, List.rev !unreachable)
+
+(* The telemetry run of a simulation: local records first, then the
+   routed ones, then the unreachable ones. *)
+let record_tele ~sim ~label ~faults ~total_cycles topo ~locals ~routed ~unreachable
+    ~links ~events =
+  Obs.Telemetry.record_run
+    (Netsim.tele_run ~sim ~label ~faults ~total_cycles topo
+       ~messages:
+         (List.map (fun f -> record f ~hops:0 Obs.Telemetry.Delivered) locals
+         @ routed
+         @ List.map (fun f -> record f ~hops:0 Obs.Telemetry.Unreachable) unreachable)
+       ~links:(tele_links links) ~events)
 
 (* Link speed in bytes per cycle: the base wire rate scaled by the
    link's capacity (1 on every grid link, [arity^level] up a fat tree,
@@ -166,10 +152,7 @@ let effective_rate topo faults params l =
    [hops + ceil(bytes / bw)] cycles.  Per-packet drops are not
    modelled here (a circuit either holds or it does not); dead nodes,
    severed links and degraded bandwidth are. *)
-let run_wormhole ~label faults topo params msgs =
-  let remote, locals = List.partition (fun m -> not (Message.is_local m)) msgs in
-  let n_local = List.length locals in
-  let routable, unreachable_msgs = classify_remote faults topo remote in
+let run_wormhole ~label faults topo params (locals, routable, unreachable_msgs) =
   let unreachable = List.length unreachable_msgs in
   let tele = Obs.Telemetry.enabled () in
   let tstats : (int * int, tlink) Hashtbl.t = Hashtbl.create 64 in
@@ -196,14 +179,14 @@ let run_wormhole ~label faults topo params msgs =
   let max_wait = ref 0 in
   let idx = ref 0 in
   List.iter
-    (fun ((m : Message.t), path) ->
+    (fun ({ src; bytes; path; _ } as f) ->
       let id = !idx in
       incr idx;
       let inject =
         Option.value ~default:params.startup_cycles
-          (Hashtbl.find_opt next_inject m.Message.src)
+          (Hashtbl.find_opt next_inject src)
       in
-      Hashtbl.replace next_inject m.Message.src (inject + params.startup_cycles);
+      Hashtbl.replace next_inject src (inject + params.startup_cycles);
       let path_free =
         List.fold_left
           (fun acc l -> max acc (Option.value ~default:0 (Hashtbl.find_opt link_free l)))
@@ -232,7 +215,7 @@ let run_wormhole ~label faults topo params msgs =
             max_int path
       in
       let duration =
-        List.length path + ((max 1 m.Message.bytes + bw - 1) / bw)
+        List.length path + ((max 1 bytes + bw - 1) / bw)
       in
       let done_at = start + duration in
       List.iter
@@ -246,15 +229,14 @@ let run_wormhole ~label faults topo params msgs =
       if done_at > !finish then finish := done_at;
       if tele then begin
         t_msgs :=
-          tele_message ~injected_at:inject ~finished_at:done_at
-            ~hops:(List.length path) ~queue_wait:(start - inject) m
-            Obs.Telemetry.Delivered
+          timed f ~injected_at:inject ~finished_at:done_at ~hops:(List.length path)
+            ~queue_wait:(start - inject) ~retransmits:0 Obs.Telemetry.Delivered
           :: !t_msgs;
         List.iter
           (fun l ->
             let t = tstat tstats l in
             t.t_busy <- t.t_busy + duration;
-            t.t_carried <- t.t_carried + max 1 m.Message.bytes;
+            t.t_carried <- t.t_carried + max 1 bytes;
             t.t_packets <- t.t_packets + 1)
           path;
         push_event inject "inject" id;
@@ -262,16 +244,12 @@ let run_wormhole ~label faults topo params msgs =
       end)
     routable;
   if tele then
-    Obs.Telemetry.record_run
-      (tele_run ~sim:"eventsim-wormhole" ~label ~topo ~faults
-         ~total_cycles:!finish
-         ~messages:
-           (local_records locals @ List.rev !t_msgs
-           @ unreachable_records unreachable_msgs)
-         ~links:(tele_links tstats) ~events:(List.rev !t_events));
+    record_tele ~sim:"eventsim-wormhole" ~label ~faults ~total_cycles:!finish topo
+      ~locals ~routed:(List.rev !t_msgs) ~unreachable:unreachable_msgs
+      ~links:tstats ~events:(List.rev !t_events);
   {
     cycles = !finish;
-    delivered = List.length routable + n_local;
+    delivered = List.length routable + List.length locals;
     dropped = 0;
     retransmits = 0;
     unreachable;
@@ -281,38 +259,36 @@ let run_wormhole ~label faults topo params msgs =
   }
 
 let run ?(faults = Fault.none) ?(label = "") ?sampler ?(sample_every = 64) topo
-    params msgs =
+    params volume =
   if params.bytes_per_cycle <= 0 || params.startup_cycles < 0 then
     invalid_arg "Eventsim.run: bad parameters";
   if sample_every <= 0 then invalid_arg "Eventsim.run: sample_every <= 0";
+  let flights = split faults topo (Netsim.replay volume) in
   if params.mode = Wormhole then
-    record_result (run_wormhole ~label faults topo params msgs)
+    record_result (run_wormhole ~label faults topo params flights)
   else begin
   let faults_active = not (Fault.is_none faults) in
-  let remote, locals = List.partition (fun m -> not (Message.is_local m)) msgs in
-  let n_local = List.length locals in
-  let routable, unreachable_msgs = classify_remote faults topo remote in
+  let locals, routable, unreachable_msgs = flights in
   let unreachable = List.length unreachable_msgs in
   (* injection schedule: per sender, messages go out one every
-     startup_cycles, in list order *)
+     startup_cycles, in replay order *)
   let next_inject : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let injections =
     List.mapi
-      (fun id ((m : Message.t), path) ->
+      (fun id { src; bytes; path; _ } ->
         (* the k-th message of a sender reaches the wire after k+1
            software start-ups *)
         let t =
-          Option.value ~default:params.startup_cycles
-            (Hashtbl.find_opt next_inject m.Message.src)
+          Option.value ~default:params.startup_cycles (Hashtbl.find_opt next_inject src)
         in
-        Hashtbl.replace next_inject m.Message.src (t + params.startup_cycles);
+        Hashtbl.replace next_inject src (t + params.startup_cycles);
         ( t,
           {
             id;
             route = Array.of_list path;
-            bytes = max 1 m.Message.bytes;
+            bytes = max 1 bytes;
             hop = 0;
-            remaining = max 1 m.Message.bytes;
+            remaining = max 1 bytes;
             attempts = 0;
             enq = 0;
           } ))
@@ -522,23 +498,19 @@ let run ?(faults = Fault.none) ?(label = "") ?sampler ?(sample_every = 64) topo
     incr cycle
   done;
   if tele then
-    Obs.Telemetry.record_run
-      (tele_run ~sim:"eventsim" ~label ~topo ~faults ~total_cycles:!cycle
-         ~messages:
-           (local_records locals
-           @ List.mapi
-               (fun id ((m : Message.t), _) ->
-                 tele_message ~injected_at:m_inject.(id)
-                   ~finished_at:m_finish.(id) ~hops:m_hops.(id)
-                   ~queue_wait:m_qwait.(id) ~retransmits:m_retrans.(id) m
-                   m_outcome.(id))
-               routable
-           @ unreachable_records unreachable_msgs)
-         ~links:(tele_links tstats) ~events:(List.rev !t_events));
+    record_tele ~sim:"eventsim" ~label ~faults ~total_cycles:!cycle topo ~locals
+      ~routed:
+        (List.mapi
+           (fun id f ->
+             timed f ~injected_at:m_inject.(id) ~finished_at:m_finish.(id)
+               ~hops:m_hops.(id) ~queue_wait:m_qwait.(id) ~retransmits:m_retrans.(id)
+               m_outcome.(id))
+           routable)
+      ~unreachable:unreachable_msgs ~links:tstats ~events:(List.rev !t_events);
   record_result
     {
       cycles = !cycle;
-      delivered = !delivered + n_local;
+      delivered = !delivered + List.length locals;
       dropped = !dropped;
       retransmits = !retransmits;
       unreachable;

@@ -86,13 +86,15 @@ val run :
   ?sample_every:int ->
   Topology.t ->
   params ->
-  Message.t list ->
+  Netsim.volume ->
   result
-(** Local messages are delivered at time 0.  Deterministic: messages
-    are injected in list order, one per sender per [startup_cycles],
-    and fault decisions are pure hashes of (seed, packet, hop,
-    attempt) — the same [faults] value always reproduces the same
-    result, at any {!Par} jobs level.
+(** Runs the volume's {!Netsim.replay}: the uncoalesced traffic, or
+    one message per ordered pair when the volume was built with
+    [~coalesce:true].  Local messages are delivered at time 0.
+    Deterministic: messages are injected in replay order, one per
+    sender per [startup_cycles], and fault decisions are pure hashes
+    of (seed, packet, hop, attempt) — the same [faults] value always
+    reproduces the same result, at any {!Par} jobs level.
 
     [faults] (default {!Fault.none}, which costs nothing) injects the
     fault model described in the module header.  In [Wormhole] mode

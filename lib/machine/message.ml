@@ -14,8 +14,3 @@ let pp ppf m = Format.fprintf ppf "%d -> %d (%dB)" m.src m.dst m.bytes
 type traffic = (int -> int -> int -> unit) -> unit
 
 let of_list msgs emit = List.iter (fun m -> emit m.src m.dst m.bytes) msgs
-
-let to_list traffic =
-  let acc = ref [] in
-  traffic (fun src dst bytes -> acc := make ~src ~dst ~bytes :: !acc);
-  List.rev !acc

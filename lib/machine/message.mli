@@ -1,8 +1,8 @@
 (** A point-to-point message between physical ranks.
 
-    The unit of traffic every simulator consumes: {!Netsim} prices
-    {!traffic} closed-form, {!Eventsim} routes message lists packet by
-    packet. *)
+    The unit of traffic every simulator consumes, as a {!traffic}
+    stream made into a {!Netsim.volume}: {!Netsim} prices it
+    closed-form, {!Eventsim} routes it packet by packet. *)
 
 type t = { src : int; dst : int; bytes : int }
 
@@ -22,6 +22,6 @@ type traffic = (int -> int -> int -> unit) -> unit
     per message, no record and no array per message. *)
 
 val of_list : t list -> traffic
-
-val to_list : traffic -> t list
-(** @raise Invalid_argument on a negative size. *)
+(** The one adapter from a batch of messages built as a list
+    ({!Collective.broadcast_rounds}, [Redistribute], [Progtime]) to
+    the stream the simulators read. *)

@@ -96,8 +96,6 @@ let scatter_time t ~bytes =
 
 let gather_time t ~bytes = scatter_time t ~bytes
 
-let run ?coalesce ?faults t msgs = Netsim.run ?coalesce ?faults t.topo t.net msgs
-
 let price ?coalesce ?faults t traffic =
   Netsim.price ?faults t.topo t.net (Netsim.volume ?coalesce t.topo traffic)
 

@@ -64,8 +64,5 @@ val general_time : t -> bytes:int -> float
     pattern [p -> reversal(p)], which concentrates traffic on the
     bisection. *)
 
-val run : ?coalesce:bool -> ?faults:Fault.t -> t -> Message.t list -> Netsim.stats
-(** {!Netsim.run} on the model's topology and wire parameters. *)
-
 val price : ?coalesce:bool -> ?faults:Fault.t -> t -> Message.traffic -> Netsim.stats
 (** {!Netsim.price} of the batch's {!Netsim.volume} on the model. *)

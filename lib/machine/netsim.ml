@@ -73,25 +73,16 @@ let crossed_links c loads f =
   done;
   !acc
 
-let link_loads ?(faults = Fault.none) topo msgs =
+let link_loads ?(faults = Fault.none) topo (traffic : Message.traffic) =
   let c = Compiled.get topo in
   let weights = fault_weights c faults in
   let loads = fresh_loads c in
-  List.iter
-    (fun (m : Message.t) ->
-      if not (Message.is_local m) then
-        match route_ids c faults ~src:m.Message.src ~dst:m.Message.dst with
-        | Some route -> add_route_loads c weights loads m.Message.bytes route
-        | None -> ())
-    msgs;
+  traffic (fun src dst bytes ->
+      if src <> dst then
+        match route_ids c faults ~src ~dst with
+        | Some route -> add_route_loads c weights loads bytes route
+        | None -> ());
   crossed_links c loads (fun _ l carried -> (l, carried))
-
-(* Coalesce messages sharing (src, dst): one start-up, summed bytes —
-   the volume graph turned back into messages. *)
-let coalesce_messages msgs =
-  List.map
-    (fun ((src, dst), bytes) -> Message.make ~src ~dst ~bytes)
-    (Volgraph.of_messages msgs)
 
 (* Coalesced remote traffic: pair keys [src * hosts + dst] in the
    order of their first message, and their summed bytes. *)
@@ -114,23 +105,53 @@ let emit_pairs p emit =
 
 let priced v = match v.coalesced with Some p -> emit_pairs p | None -> v.traffic
 
-(* The coalesced pairs in the order [coalesce_messages] lists them,
-   which telemetry records.  That order depends only on the sequence
-   in which pairs first appear, which the tally kept. *)
-let volgraph_order p = Message.of_list (coalesce_messages (Message.to_list (emit_pairs p)))
+(* Pair keys (in the order of their first message) and their sums,
+   replayed in the order a [Hashtbl] keyed by [(src, dst)] folds them
+   into a list: the order message lists were coalesced in before
+   traffic became a stream.  The table's shape depends only on the
+   keys and the order they were added in, not on the sums, so adding
+   each key once rebuilds it.  [replay] and the telemetry of a
+   coalesced [price] keep this order. *)
+let legacy_order ~hosts keys sums =
+  let tbl = Hashtbl.create 64 in
+  Array.iteri (fun i key -> Hashtbl.replace tbl (key / hosts, key mod hosts) i) keys;
+  let order = Hashtbl.fold (fun pair i l -> (pair, i) :: l) tbl [] in
+  fun emit -> List.iter (fun ((src, dst), i) -> emit src dst sums.(i)) order
 
-let tele_message ~src ~dst ~bytes hops outcome =
-  let unreachable = outcome = Obs.Telemetry.Unreachable in
+let replay v =
+  match v.coalesced with
+  | None -> v.traffic
+  | Some p ->
+    (* local pairs too, each summed once *)
+    let keys, sums = Volgraph.tally ~hosts:p.hosts ~locals:true v.traffic in
+    legacy_order ~hosts:p.hosts keys sums
+
+let tele_message ~src ~dst ~bytes ~hops outcome =
+  let at = if outcome = Obs.Telemetry.Unreachable then -1 else 0 in
   {
     Obs.Telemetry.msg_src = src;
     msg_dst = dst;
     msg_bytes = bytes;
-    injected_at = (if unreachable then -1 else 0);
-    finished_at = (if unreachable then -1 else 0);
+    injected_at = at;
+    finished_at = at;
     hops;
     queue_wait = 0;
     retransmits = 0;
     outcome;
+  }
+
+let tele_run ~sim ~label ~faults ~total_cycles topo ~messages ~links ~events =
+  {
+    Obs.Telemetry.sim;
+    label;
+    dims = (if Topology.is_grid topo then Topology.dims topo else [||]);
+    torus = Topology.is_torus topo;
+    topo_spec = (if Topology.is_grid topo then "" else Topology.to_string topo);
+    total_cycles;
+    fault_spec = Fault.label faults;
+    messages;
+    links;
+    events;
   }
 
 let price ?(faults = Fault.none) ?(label = "") topo params v =
@@ -153,7 +174,8 @@ let price ?(faults = Fault.none) ?(label = "") topo params v =
         incr unreachable;
         if Obs.enabled () then Obs.incr "fault.injected";
         if tele then
-          t_msgs := tele_message ~src ~dst ~bytes 0 Obs.Telemetry.Unreachable :: !t_msgs
+          t_msgs :=
+            tele_message ~src ~dst ~bytes ~hops:0 Obs.Telemetry.Unreachable :: !t_msgs
       | Some route ->
         incr delivered;
         send.(src) <- send.(src) + 1;
@@ -165,12 +187,16 @@ let price ?(faults = Fault.none) ?(label = "") topo params v =
         if h > !max_hops then max_hops := h;
         add_route_loads c weights loads bytes route;
         if tele then begin
-          t_msgs := tele_message ~src ~dst ~bytes h Obs.Telemetry.Delivered :: !t_msgs;
+          t_msgs :=
+            tele_message ~src ~dst ~bytes ~hops:h Obs.Telemetry.Delivered :: !t_msgs;
           Array.iter (fun id -> t_packets.(id) <- t_packets.(id) + 1) route
         end
     end
   in
-  (match v.coalesced with Some p when tele -> volgraph_order p | _ -> priced v) price_one;
+  (match v.coalesced with
+  | Some p when tele -> legacy_order ~hosts:p.hosts p.keys p.sums
+  | _ -> priced v)
+    price_one;
   let max_link_load = array_max loads in
   let max_sender = array_max send in
   let max_receiver = array_max recv in
@@ -205,20 +231,12 @@ let price ?(faults = Fault.none) ?(label = "") topo params v =
     let locals = ref [] (* reverse *) in
     v.traffic (fun src dst bytes ->
         if src = dst then
-          locals := tele_message ~src ~dst ~bytes 0 Obs.Telemetry.Delivered :: !locals);
+          locals :=
+            tele_message ~src ~dst ~bytes ~hops:0 Obs.Telemetry.Delivered :: !locals);
     Obs.Telemetry.record_run
-      {
-        Obs.Telemetry.sim = "netsim";
-        label;
-        dims = (if Topology.is_grid topo then Topology.dims topo else [||]);
-        torus = Topology.is_torus topo;
-        topo_spec = (if Topology.is_grid topo then "" else Topology.to_string topo);
-        total_cycles = 0;
-        fault_spec = Fault.label faults;
-        messages = List.rev_append !locals (List.rev !t_msgs);
-        links;
-        events = [];
-      }
+      (tele_run ~sim:"netsim" ~label ~faults ~total_cycles:0 topo
+         ~messages:(List.rev_append !locals (List.rev !t_msgs))
+         ~links ~events:[])
   end;
   {
     time;
@@ -231,9 +249,6 @@ let price ?(faults = Fault.none) ?(label = "") topo params v =
     max_hops = !max_hops;
     unreachable = !unreachable;
   }
-
-let run ?coalesce ?faults ?label topo params msgs =
-  price ?faults ?label topo params (volume ?coalesce topo (Message.of_list msgs))
 
 let pp_stats ppf s =
   Format.fprintf ppf

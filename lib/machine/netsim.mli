@@ -34,11 +34,11 @@
     {!Message.traffic} stream whose local messages cost nothing and
     whose remote messages, when coalescing, are summed per host pair
     in a dense [n x n] table ({!Volgraph.tally}), pairs kept in the
-    order of their first message.  {!run} streams a message list
-    through the same path, as do the residual-traffic producers
-    ([Foldsim], [Residual]), the lower bounds
-    ([Bounds.transfer_time], which reads its bounds off the same
-    coalesced volume) and {!Models}.
+    order of their first message.  The residual-traffic producers
+    ([Foldsim], [Residual]), the lower bounds ([Bounds.transfer_time],
+    which reads its bounds off the same coalesced volume) and
+    {!Models} all price through it, and {!Eventsim} replays the same
+    {!volume}: a stream is the one form traffic takes.
 
     Pricing runs on the topology's {!Compiled} form, built once per
     process and shared across domains: each route is an [int array]
@@ -73,8 +73,12 @@ type volume
     Telemetry records the traffic's local messages either way. *)
 
 val volume : ?coalesce:bool -> Topology.t -> Message.traffic -> volume
-(** [coalesce] as in {!run}.  Coalescing runs the traffic once, into a
-    dense {!Volgraph.tally}; otherwise it is run by {!price}.
+(** [coalesce] (default [true]) merges same-pair messages.  Pass
+    [false] to model the runtime's generic path for a {e general}
+    affine communication: the pattern is too irregular to vectorize,
+    so every element pays its own start-up — the very overhead the
+    paper's decomposition removes.  Coalescing runs the traffic once,
+    into a dense {!Volgraph.tally}; otherwise it is run by {!price}.
     @raise Invalid_argument when coalescing a remote message whose
     endpoint is not a host. *)
 
@@ -82,52 +86,74 @@ val priced : volume -> Message.traffic
 (** The messages {!price} walks: the coalesced remote pairs in the
     order of their first message, or the uncoalesced traffic. *)
 
+val replay : volume -> Message.traffic
+(** The messages a simulator replays, in the order it injects them:
+    the uncoalesced traffic itself, or one message per ordered pair,
+    local pairs included, in the order a [Hashtbl] keyed by
+    [(src, dst)] lists the pairs when they are added in the order of
+    their first message.  That is the order message lists were
+    coalesced in before traffic became a stream, and {!Eventsim}'s
+    fault decisions, keyed on injection index, depend on it.  A
+    coalesced volume runs its traffic again to tally the local pairs
+    with the remote ones.
+    @raise Invalid_argument, on a coalesced volume, when a message
+    endpoint is not a host. *)
+
 val price :
   ?faults:Fault.t -> ?label:string -> Topology.t -> params -> volume -> stats
-(** The pricing core: [faults] and [label] as in {!run}, which is
-    [price (volume (Message.of_list msgs))].
-    @raise Invalid_argument when a message endpoint is not a host. *)
-
-val run :
-  ?coalesce:bool ->
-  ?faults:Fault.t ->
-  ?label:string ->
-  Topology.t ->
-  params ->
-  Message.t list ->
-  stats
-(** [coalesce] (default [true]) merges same-pair messages.  Pass
-    [false] to model the runtime's generic path for a {e general}
-    affine communication: the pattern is too irregular to vectorize,
-    so every element pays its own start-up — the very overhead the
-    paper's decomposition removes.
+(** The pricing core.
 
     [faults] (default {!Fault.none}, zero-cost) switches on the
     degraded-capacity model described above.
 
-    When {!Obs.enabled}, each run increments the [netsim.runs] /
+    When {!Obs.enabled}, each pricing increments the [netsim.runs] /
     [netsim.messages] counters and feeds the [netsim.time] and
     [netsim.max_link_load] histograms, so a sweep leaves a
     machine-readable record of every pricing it performed;
     undeliverable messages also bump [fault.injected].
 
-    When {!Obs.Telemetry.enabled}, each run additionally records one
-    {!Obs.Telemetry.run} (sim ["netsim"], [total_cycles = 0] — the
-    model is closed-form, so link loads are carried bytes and there
-    are no latency series), tagged with [label].
+    When {!Obs.Telemetry.enabled}, each pricing additionally records
+    one {!Obs.Telemetry.run} (sim ["netsim"], [total_cycles = 0] — the
+    model is closed-form, so link loads are effective loads and there
+    are no latency series), tagged with [label]: the traffic's local
+    messages as they come, then the priced ones.  A coalesced volume
+    lists its remote pairs in {!replay}'s order, computed over the
+    remote pairs alone.
 
     @raise Invalid_argument when a message endpoint is not a host. *)
-
-val coalesce_messages : Message.t list -> Message.t list
-(** Merge messages sharing (src, dst) into one with summed bytes —
-    {!Volgraph.of_messages} turned back into messages. *)
 
 val link_loads :
-  ?faults:Fault.t -> Topology.t -> Message.t list -> ((int * int) * int) list
-(** Bytes per directed link crossed by some route, sorted by link,
-    for inspection — the same accumulation {!run} prices (without
-    coalescing), fault inflation included; undeliverable messages
-    contribute nothing.
+  ?faults:Fault.t -> Topology.t -> Message.traffic -> ((int * int) * int) list
+(** The effective load of every directed link some route crosses,
+    sorted by link, for inspection: the accumulation {!price} takes
+    the maximum of, without coalescing.  A link's effective load is
+    the bytes routed over it divided by its capacity (a fat-tree
+    uplink of capacity k carries k bytes per unit), inflated by the
+    fault weight, rounded up per message — so it is bytes only on a
+    healthy unit-capacity link.  Undeliverable messages contribute
+    nothing.
     @raise Invalid_argument when a message endpoint is not a host. *)
+
+val tele_message :
+  src:int -> dst:int -> bytes:int -> hops:int -> Obs.Telemetry.outcome ->
+  Obs.Telemetry.message
+(** A message's telemetry record as a closed-form pricing writes it:
+    injected and finished at 0, or at -1 when [Unreachable]; no queue
+    wait, no retransmission.  {!Eventsim} fills in the times of the
+    messages it routes. *)
+
+val tele_run :
+  sim:string ->
+  label:string ->
+  faults:Fault.t ->
+  total_cycles:int ->
+  Topology.t ->
+  messages:Obs.Telemetry.message list ->
+  links:Obs.Telemetry.link list ->
+  events:Obs.Telemetry.event list ->
+  Obs.Telemetry.run
+(** A simulation's telemetry record, its header (grid extents, torus
+    flag, topology and fault specs) read off the topology and the
+    faults. *)
 
 val pp_stats : Format.formatter -> stats -> unit

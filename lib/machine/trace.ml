@@ -1,15 +1,10 @@
-let out_bytes topo msgs =
-  let n = Topology.size topo in
-  let send = Array.make n 0 in
-  List.iter
-    (fun (m : Message.t) ->
-      if not (Message.is_local m) then
-        send.(m.Message.src) <- send.(m.Message.src) + m.Message.bytes)
-    msgs;
+let out_bytes topo (traffic : Message.traffic) =
+  let send = Array.make (Topology.size topo) 0 in
+  traffic (fun src dst bytes -> if src <> dst then send.(src) <- send.(src) + bytes);
   send
 
-let load_heatmap topo msgs =
-  let send = out_bytes topo msgs in
+let load_heatmap topo traffic =
+  let send = out_bytes topo traffic in
   let peak = Array.fold_left max 1 send in
   let glyph v =
     if v = 0 then '.'
@@ -26,9 +21,9 @@ let load_heatmap topo msgs =
     send;
   Buffer.contents buf
 
-let link_table topo msgs =
+let link_table topo traffic =
   let loads =
-    List.sort (fun (_, a) (_, b) -> compare b a) (Netsim.link_loads topo msgs)
+    List.sort (fun (_, a) (_, b) -> compare b a) (Netsim.link_loads topo traffic)
   in
   let buf = Buffer.create 256 in
   List.iter

@@ -1,7 +1,7 @@
 (** Communication-volume graphs: bytes per ordered endpoint pair.
 
     This is the residual-communication summary everything downstream
-    shares — {!Netsim.coalesce_messages} turns it back into one
+    shares — a coalesced {!Netsim.volume} prices its {!tally} as one
     message per pair, and the mapping layer ([lib/mapping]) reads it
     as the volume side of the sparse quadratic-assignment objective
     [sum volume(p,q) * dist(p, q)].  Link loads are not a volume
@@ -11,11 +11,6 @@
 type t = ((int * int) * int) list
 (** One entry per ordered pair that communicates; pairs are unique but
     the list order is unspecified (see {!sorted}). *)
-
-val of_messages : Message.t list -> t
-(** The volume graph of a message list: [(src, dst) -> summed bytes].
-    Local messages ([src = dst]) are kept; they carry no distance
-    cost, but they do carry volume. *)
 
 val sorted : t -> t
 (** Sorted by endpoint pair — a canonical order for goldens and for
@@ -56,4 +51,6 @@ val tally : hosts:int -> locals:bool -> Message.traffic -> int array * int array
     [[0, hosts)]. *)
 
 val of_traffic : hosts:int -> Message.traffic -> t
-(** {!of_messages} of the traffic, {!sorted}, read off {!tally}. *)
+(** The volume graph of the traffic, [(src, dst) -> summed bytes],
+    {!sorted}, read off {!tally}.  Local messages ([src = dst]) are
+    kept; they carry no distance cost, but they do carry volume. *)

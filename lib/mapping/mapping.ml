@@ -273,15 +273,6 @@ let compute s topo vol =
   | Greedy -> greedy topo vol
   | Search -> search ~seed:s.seed ~restarts:s.restarts topo vol
 
-let apply perm msgs =
-  let n = Array.length perm in
-  let node p = if p >= 0 && p < n then perm.(p) else p in
-  List.map
-    (fun (m : Machine.Message.t) ->
-      Machine.Message.make ~src:(node m.Machine.Message.src)
-        ~dst:(node m.Machine.Message.dst) ~bytes:m.Machine.Message.bytes)
-    msgs
-
 let pp ppf perm =
   Format.fprintf ppf "[%s]"
     (String.concat " " (Array.to_list (Array.map string_of_int perm)))

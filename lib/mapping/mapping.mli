@@ -71,8 +71,4 @@ val search :
 val compute : spec -> Machine.Topology.t -> Machine.Volgraph.t -> t
 (** Dispatch on [spec.kind]. *)
 
-val apply : t -> Machine.Message.t list -> Machine.Message.t list
-(** Remap message endpoints through the placement (endpoints outside
-    the permutation's range pass through unchanged). *)
-
 val pp : Format.formatter -> t -> unit

@@ -9,7 +9,10 @@
    too, for the odometer walk and the incremental growing, and so is
    the work a sweep cell used to repeat: the baseline's own step 1,
    the translation shift re-priced per entry, and every decomposition
-   phase walked before the direct price. *)
+   phase walked before the direct price.  So are the message-list
+   forms the simulators took before traffic became a stream: the
+   Hashtbl coalescing whose order a coalesced [Netsim.replay] keeps,
+   a stream read back as a list, and list-to-volume adapters. *)
 
 open Machine
 
@@ -168,6 +171,43 @@ let affine_messages ?(boundary = `Wrap) ~vgrid ~flow ?offset ~bytes ~place () =
   !msgs
 
 (* ------------------------------------------------------------------ *)
+(* Message lists                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The volume graph of a message list: [(src, dst) -> summed bytes],
+   local pairs kept, in the order a Hashtbl keyed by [(src, dst)]
+   folds the pairs into a list. *)
+let volgraph msgs =
+  let a = Hashtbl.create 64 in
+  List.iter
+    (fun (m : Message.t) ->
+      let key = (m.Message.src, m.Message.dst) in
+      let cur = Option.value ~default:0 (Hashtbl.find_opt a key) in
+      Hashtbl.replace a key (cur + m.Message.bytes))
+    msgs;
+  Hashtbl.fold (fun k v l -> (k, v) :: l) a []
+
+(* One message per (src, dst) pair with summed bytes, in [volgraph]
+   order: the order message lists were coalesced in, which a coalesced
+   [Netsim.replay] must keep. *)
+let coalesce msgs =
+  List.map (fun ((src, dst), bytes) -> Message.make ~src ~dst ~bytes) (volgraph msgs)
+
+(* A stream's messages as a list. *)
+let messages (traffic : Message.traffic) =
+  let acc = ref [] in
+  traffic (fun src dst bytes -> acc := Message.make ~src ~dst ~bytes :: !acc);
+  List.rev !acc
+
+(* A message list as an uncoalesced volume, as simulators took lists. *)
+let raw topo msgs = Netsim.volume ~coalesce:false topo (Message.of_list msgs)
+
+(* [Netsim.price] of a message list, coalesced by default. *)
+let price ?coalesce ?faults ?label topo params msgs =
+  Netsim.price ?faults ?label topo params
+    (Netsim.volume ?coalesce topo (Message.of_list msgs))
+
+(* ------------------------------------------------------------------ *)
 (* List pricing                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -220,9 +260,9 @@ let tele_message hops (m : Message.t) outcome =
   }
 
 (* The stats and the telemetry record of one pricing. *)
-let run ?(label = "") ~coalesce ~faults topo (params : Netsim.params) msgs =
+let run ?(label = "") ~coalesce:merge ~faults topo (params : Netsim.params) msgs =
   let remote, locals = List.partition (fun m -> not (Message.is_local m)) msgs in
-  let remote = if coalesce then Netsim.coalesce_messages remote else remote in
+  let remote = if merge then coalesce remote else remote in
   let n = Topology.size topo in
   let send = Array.make n 0 and recv = Array.make n 0 in
   let total_bytes = ref 0 and total_hops = ref 0 and max_hops = ref 0 in
@@ -362,7 +402,7 @@ let feautrier ~m ~schedule nest =
   (alloc, List.map downgrade (Commplan.build alloc schedule))
 
 (* [Models.translation_time] priced afresh: the shift by one along
-   axis 0, as a message list through [Netsim.run]. *)
+   axis 0, as a message list through [Netsim.price]. *)
 let shift_time (model : Models.t) ~bytes =
   let topo = model.Models.topo in
   let n = Topology.size topo in
@@ -374,7 +414,7 @@ let shift_time (model : Models.t) ~bytes =
       (fun r -> if dst r = r then None else Some (Message.make ~src:r ~dst:(dst r) ~bytes))
       (List.init n (fun i -> n - 1 - i))
   in
-  (Netsim.run topo model.Models.net msgs).Netsim.time
+  (price topo model.Models.net msgs).Netsim.time
 
 let plan_bytes = 64
 

@@ -277,16 +277,18 @@ let ev_params = { Machine.Eventsim.bytes_per_cycle = 16; startup_cycles = 8; mod
 
 let test_eventsim_empty () =
   let t = Machine.Topology.mesh2d ~p:4 ~q:4 in
-  let r = Machine.Eventsim.run t ev_params [] in
+  let r = Machine.Eventsim.run t ev_params (Reference.raw t []) in
   Alcotest.(check int) "no cycles needed" 0 r.Machine.Eventsim.cycles;
   let local = [ Machine.Message.make ~src:2 ~dst:2 ~bytes:100 ] in
   Alcotest.(check int) "local delivered free" 1
-    (Machine.Eventsim.run t ev_params local).Machine.Eventsim.delivered
+    (Machine.Eventsim.run t ev_params (Reference.raw t local))
+      .Machine.Eventsim.delivered
 
 let test_eventsim_single () =
   let t = Machine.Topology.line 4 in
   let r =
-    Machine.Eventsim.run t ev_params [ Machine.Message.make ~src:0 ~dst:1 ~bytes:32 ]
+    Machine.Eventsim.run t ev_params
+      (Reference.raw t [ Machine.Message.make ~src:0 ~dst:1 ~bytes:32 ])
   in
   Alcotest.(check int) "delivered" 1 r.Machine.Eventsim.delivered;
   (* 32 bytes at 16/cycle over one link = 2 busy cycles *)
@@ -296,14 +298,16 @@ let test_eventsim_contention_serializes () =
   (* two messages over the same link take twice as long as one *)
   let t = Machine.Topology.line 2 in
   let one =
-    Machine.Eventsim.run t ev_params [ Machine.Message.make ~src:0 ~dst:1 ~bytes:160 ]
+    Machine.Eventsim.run t ev_params
+      (Reference.raw t [ Machine.Message.make ~src:0 ~dst:1 ~bytes:160 ])
   in
   let two =
     Machine.Eventsim.run t ev_params
-      [
-        Machine.Message.make ~src:0 ~dst:1 ~bytes:160;
-        Machine.Message.make ~src:0 ~dst:1 ~bytes:160;
-      ]
+      (Reference.raw t
+         [
+           Machine.Message.make ~src:0 ~dst:1 ~bytes:160;
+           Machine.Message.make ~src:0 ~dst:1 ~bytes:160;
+         ])
   in
   Alcotest.(check bool) "serialized" true
     (two.Machine.Eventsim.cycles >= one.Machine.Eventsim.cycles + 10)
@@ -320,16 +324,13 @@ let test_eventsim_agrees_with_netsim () =
   let t = Linalg.Mat.of_lists [ [ 1; 2 ]; [ 3; 7 ] ] in
   let u = Linalg.Mat.of_lists [ [ 1; 2 ]; [ 0; 1 ] ] in
   let l = Linalg.Mat.of_lists [ [ 1; 0 ]; [ 3; 1 ] ] in
-  let p = Machine.Eventsim.default_params in
-  let direct = (Machine.Eventsim.run topo p (msgs t)).Machine.Eventsim.cycles in
-  let phases =
-    List.fold_left
-      (fun acc f ->
-        acc
-        + (Machine.Eventsim.run topo p (Machine.Netsim.coalesce_messages (msgs f)))
-            .Machine.Eventsim.cycles)
-      0 [ u; l ]
+  let events ~coalesce flow =
+    (Machine.Eventsim.run topo Machine.Eventsim.default_params
+       (Machine.Netsim.volume ~coalesce topo (Machine.Message.of_list (msgs flow))))
+      .Machine.Eventsim.cycles
   in
+  let direct = events ~coalesce:false t in
+  let phases = List.fold_left (fun acc f -> acc + events ~coalesce:true f) 0 [ u; l ] in
   Alcotest.(check bool) "decomposition wins in the event simulator too" true
     (phases < direct)
 

@@ -95,9 +95,12 @@ let test_route_partitioned () =
   Alcotest.(check bool) "0->1 unreachable" true (Fault.route f topo ~src:0 ~dst:1 = None);
   Alcotest.(check bool) "1->0 unreachable" true (Fault.route f topo ~src:1 ~dst:0 = None);
   let net = { Netsim.alpha = 10.0; beta = 0.1; hop = 0.4 } in
-  let stats = Netsim.run ~faults:f topo net [ Message.make ~src:0 ~dst:1 ~bytes:8 ] in
+  let stats = Reference.price ~faults:f topo net [ Message.make ~src:0 ~dst:1 ~bytes:8 ] in
   Alcotest.(check int) "netsim counts it" 1 stats.Netsim.unreachable;
-  let r = Eventsim.run ~faults:f topo Eventsim.default_params [ Message.make ~src:0 ~dst:1 ~bytes:8 ] in
+  let r =
+    Eventsim.run ~faults:f topo Eventsim.default_params
+      (Reference.raw topo [ Message.make ~src:0 ~dst:1 ~bytes:8 ])
+  in
   Alcotest.(check int) "eventsim counts it" 1 r.Eventsim.unreachable;
   Alcotest.(check int) "nothing delivered" 0 r.Eventsim.delivered
 
@@ -105,7 +108,7 @@ let test_dead_source () =
   let topo = Topology.line 4 in
   let f = Fault.make [ Fault.Dead_node 0 ] in
   let msgs = [ Message.make ~src:0 ~dst:3 ~bytes:8; Message.make ~src:1 ~dst:2 ~bytes:8 ] in
-  let r = Eventsim.run ~faults:f topo Eventsim.default_params msgs in
+  let r = Eventsim.run ~faults:f topo Eventsim.default_params (Reference.raw topo msgs) in
   Alcotest.(check int) "dead source unreachable" 1 r.Eventsim.unreachable;
   Alcotest.(check int) "live message delivered" 1 r.Eventsim.delivered
 
@@ -118,13 +121,16 @@ let line_msgs = [ Message.make ~src:0 ~dst:3 ~bytes:32; Message.make ~src:1 ~dst
 let test_drop_prob_zero () =
   (* prob 0.0 is indistinguishable from no faults at all *)
   let topo = Topology.line 4 in
-  let clean = Eventsim.run topo Eventsim.default_params line_msgs in
+  let clean = Eventsim.run topo Eventsim.default_params (Reference.raw topo line_msgs) in
   let f = Fault.make ~seed:5 [ Fault.Flaky { link = None; prob = 0.0 } ] in
-  let faulty = Eventsim.run ~faults:f topo Eventsim.default_params line_msgs in
+  let faulty =
+    Eventsim.run ~faults:f topo Eventsim.default_params
+      (Reference.raw topo line_msgs)
+  in
   Alcotest.(check bool) "identical results" true (clean = faulty);
   let net = { Netsim.alpha = 10.0; beta = 0.1; hop = 0.4 } in
-  let s_clean = Netsim.run topo net line_msgs in
-  let s_faulty = Netsim.run ~faults:f topo net line_msgs in
+  let s_clean = Reference.price topo net line_msgs in
+  let s_faulty = Reference.price ~faults:f topo net line_msgs in
   Alcotest.(check bool) "netsim identical too" true (s_clean = s_faulty)
 
 let test_drop_prob_one () =
@@ -132,7 +138,10 @@ let test_drop_prob_one () =
      run terminates and accounts for every message *)
   let topo = Topology.line 4 in
   let f = Fault.make ~seed:5 [ Fault.Flaky { link = None; prob = 1.0 } ] in
-  let r = Eventsim.run ~faults:f topo Eventsim.default_params line_msgs in
+  let r =
+    Eventsim.run ~faults:f topo Eventsim.default_params
+      (Reference.raw topo line_msgs)
+  in
   Alcotest.(check int) "all dropped" (List.length line_msgs) r.Eventsim.dropped;
   Alcotest.(check int) "none delivered" 0 r.Eventsim.delivered;
   Alcotest.(check int) "every packet retried to the cap"
@@ -153,7 +162,7 @@ let test_degraded_loads () =
   (* a global 50% flaky probability doubles expected transmissions,
      which doubles every link load in the closed-form model *)
   let topo = Topology.line 3 in
-  let msgs = [ Message.make ~src:0 ~dst:2 ~bytes:10 ] in
+  let msgs = Message.of_list [ Message.make ~src:0 ~dst:2 ~bytes:10 ] in
   let f = Fault.make [ Fault.Flaky { link = None; prob = 0.5 } ] in
   let clean = Netsim.link_loads topo msgs in
   let degraded = Netsim.link_loads ~faults:f topo msgs in
@@ -172,10 +181,10 @@ let test_wormhole_queue_split () =
   let wh = { Eventsim.default_params with Eventsim.mode = Eventsim.Wormhole } in
   (* both messages need link 1->2 at the same time: one waits *)
   let msgs = [ Message.make ~src:0 ~dst:2 ~bytes:64; Message.make ~src:1 ~dst:2 ~bytes:64 ] in
-  let r = Eventsim.run topo wh msgs in
+  let r = Eventsim.run topo wh (Reference.raw topo msgs) in
   Alcotest.(check bool) "contended link has queue depth" true (r.Eventsim.max_link_queue >= 1);
   Alcotest.(check bool) "loser waited cycles" true (r.Eventsim.max_inject_wait > 0);
-  let sf = Eventsim.run topo Eventsim.default_params msgs in
+  let sf = Eventsim.run topo Eventsim.default_params (Reference.raw topo msgs) in
   Alcotest.(check int) "store-forward never inject-waits" 0 sf.Eventsim.max_inject_wait;
   Alcotest.(check bool) "store-forward queue depth" true (sf.Eventsim.max_link_queue >= 1)
 
@@ -187,7 +196,7 @@ let trial topo msgs seed =
   let rng = Fault.Rng.make seed in
   let specs = Fault.random_specs rng topo in
   let faults = Fault.make ~seed specs in
-  Eventsim.run ~faults topo Eventsim.default_params msgs
+  Eventsim.run ~faults topo Eventsim.default_params (Reference.raw topo msgs)
 
 let chaos_setup () =
   let topo = Topology.mesh2d ~p:4 ~q:4 in

@@ -92,14 +92,14 @@ let params = { Netsim.alpha = 10.0; beta = 0.1; hop = 0.4 }
 
 let test_netsim_empty () =
   let t = Topology.mesh2d ~p:4 ~q:4 in
-  let s = Netsim.run t params [] in
+  let s = Reference.price t params [] in
   Alcotest.(check (float 0.0)) "zero time" 0.0 s.Netsim.time;
   let local = [ Message.make ~src:3 ~dst:3 ~bytes:100 ] in
-  Alcotest.(check (float 0.0)) "local free" 0.0 (Netsim.run t params local).Netsim.time
+  Alcotest.(check (float 0.0)) "local free" 0.0 (Reference.price t params local).Netsim.time
 
 let test_netsim_single () =
   let t = Topology.line 4 in
-  let s = Netsim.run t params [ Message.make ~src:0 ~dst:1 ~bytes:100 ] in
+  let s = Reference.price t params [ Message.make ~src:0 ~dst:1 ~bytes:100 ] in
   (* alpha + beta*100 + hop*1 *)
   Alcotest.(check (float 1e-9)) "time" (10.0 +. 10.0 +. 0.4) s.Netsim.time;
   Alcotest.(check int) "one message" 1 s.Netsim.messages
@@ -109,11 +109,11 @@ let test_netsim_coalescing () =
   let msgs =
     [ Message.make ~src:0 ~dst:1 ~bytes:50; Message.make ~src:0 ~dst:1 ~bytes:50 ]
   in
-  let merged = Netsim.run t params msgs in
+  let merged = Reference.price t params msgs in
   Alcotest.(check int) "coalesced to one" 1 merged.Netsim.messages;
   Alcotest.(check (float 1e-9)) "one startup" (10.0 +. 10.0 +. 0.4)
     merged.Netsim.time;
-  let raw = Netsim.run ~coalesce:false t params msgs in
+  let raw = Reference.price ~coalesce:false t params msgs in
   Alcotest.(check int) "uncoalesced" 2 raw.Netsim.messages;
   Alcotest.(check (float 1e-9)) "two startups" (20.0 +. 10.0 +. 0.4)
     raw.Netsim.time
@@ -124,20 +124,20 @@ let test_netsim_contention () =
   let msgs =
     [ Message.make ~src:0 ~dst:3 ~bytes:100; Message.make ~src:1 ~dst:2 ~bytes:100 ]
   in
-  let s = Netsim.run t params msgs in
+  let s = Reference.price t params msgs in
   Alcotest.(check int) "max link load" 200 s.Netsim.max_link_load;
   Alcotest.(check int) "max hops" 3 s.Netsim.max_hops
 
 let test_netsim_link_loads () =
   let t = Topology.line 3 in
   let loads =
-    Netsim.link_loads t [ Message.make ~src:0 ~dst:2 ~bytes:10 ]
+    Netsim.link_loads t (Message.of_list [ Message.make ~src:0 ~dst:2 ~bytes:10 ])
   in
   Alcotest.(check int) "two links" 2 (List.length loads);
   List.iter (fun (_, l) -> Alcotest.(check int) "load 10" 10 l) loads
 
 let test_netsim_torus_loads () =
-  (* pins the load accumulation shared by [run] and [link_loads]: a +1
+  (* pins the load accumulation shared by [price] and [link_loads]: a +1
      shift on a 4x4 torus is one wrap-aware hop per node, so 16
      messages put exactly 10 bytes on each of 16 distinct links *)
   let t = Topology.make ~torus:true [| 4; 4 |] in
@@ -146,12 +146,12 @@ let test_netsim_torus_loads () =
     Patterns.translation_messages ~vgrid:[| 4; 4 |] ~shift:[| 1; 0 |] ~bytes:10
       ~place ()
   in
-  let loads = Netsim.link_loads t msgs in
+  let loads = Netsim.link_loads t (Message.of_list msgs) in
   Alcotest.(check int) "16 distinct links" 16 (List.length loads);
   Alcotest.(check int) "total bytes x hops" 160
     (List.fold_left (fun acc (_, l) -> acc + l) 0 loads);
   List.iter (fun (_, l) -> Alcotest.(check int) "each link 10" 10 l) loads;
-  let s = Netsim.run t params msgs in
+  let s = Reference.price t params msgs in
   Alcotest.(check int) "run agrees: hottest link" 10 s.Netsim.max_link_load;
   Alcotest.(check int) "run agrees: total hops" 16 s.Netsim.total_hops
 
@@ -531,18 +531,19 @@ let netsim_diff spec =
   in
   prop ~count:300 spec arb (fun (coalesce, _, faults, msgs) ->
       let stats, record = Reference.run ~coalesce ~faults topo params msgs in
-      let plain = Netsim.run ~coalesce ~faults topo params msgs in
+      let plain = Reference.price ~coalesce ~faults topo params msgs in
       Obs.Telemetry.reset ();
       Obs.Telemetry.enable ();
       let traced =
         Fun.protect ~finally:Obs.Telemetry.disable (fun () ->
-            Netsim.run ~coalesce ~faults topo params msgs)
+            Reference.price ~coalesce ~faults topo params msgs)
       in
       let recorded = Option.get (Obs.Telemetry.last_run ()) in
       Obs.Telemetry.reset ();
       plain = stats && traced = stats
       && recorded = record
-      && Netsim.link_loads ~faults topo msgs = Reference.link_loads faults topo msgs)
+      && Netsim.link_loads ~faults topo (Message.of_list msgs)
+         = Reference.link_loads faults topo msgs)
 
 let netsim_diff_props =
   List.map netsim_diff
@@ -553,6 +554,66 @@ let netsim_diff_props =
       "dragonfly:4:4:2";
       "dragonfly:4:4:2:adaptive";
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Coalesced replay order                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Eventsim keys its drop decisions on injection index, so the order a
+   coalesced volume replays its pairs in is observable.  It must be
+   the order message lists were coalesced in ([Reference.coalesce]),
+   local pairs included: a coalesced volume and the uncoalesced volume
+   of the reference-coalesced list must simulate alike, result and
+   telemetry, in both modes, healthy and under flaky links.  Lists of
+   a few pairs test the order within a table of 64 buckets; lists of
+   hundreds of pairs make the table resize. *)
+let eventsim_order spec =
+  let topo = Result.get_ok (Topology.of_string spec) in
+  let arb =
+    QCheck.make
+      ~print:(fun msgs ->
+        Printf.sprintf "%s [%s]" spec
+          (String.concat "; " (List.map (Format.asprintf "%a" Message.pp) msgs)))
+      QCheck.Gen.(
+        let host = int_bound (Topology.size topo - 1) in
+        let many =
+          list_size (int_range 150 250)
+            (map2 (fun (src, dst) bytes -> Message.make ~src ~dst ~bytes) (pair host host)
+               (int_bound 64))
+        in
+        pair (frequency [ (4, gen_messages topo); (1, many) ]) host
+        >>= fun (msgs, h) ->
+        (* a local pair twice, and the first two messages again *)
+        let local = Message.make ~src:h ~dst:h ~bytes:16 in
+        shuffle_l ((local :: local :: List.filteri (fun i _ -> i < 2) msgs) @ msgs))
+  in
+  let simulate faults params v =
+    Obs.Telemetry.reset ();
+    Obs.Telemetry.enable ();
+    let r =
+      Fun.protect ~finally:Obs.Telemetry.disable (fun () ->
+          Eventsim.run ~faults topo params v)
+    in
+    let recorded = Obs.Telemetry.runs () in
+    Obs.Telemetry.reset ();
+    (r, recorded)
+  in
+  let flaky = Fault.make ~seed:42 [ Fault.Flaky { link = None; prob = 0.1 } ] in
+  let wormhole = { Eventsim.default_params with Eventsim.mode = Eventsim.Wormhole } in
+  prop ~count:60 spec arb (fun msgs ->
+      List.for_all
+        (fun (faults, params) ->
+          simulate faults params (Netsim.volume ~coalesce:true topo (Message.of_list msgs))
+          = simulate faults params (Reference.raw topo (Reference.coalesce msgs)))
+        [
+          (Fault.none, Eventsim.default_params);
+          (flaky, Eventsim.default_params);
+          (Fault.none, wormhole);
+          (flaky, wormhole);
+        ])
+
+let eventsim_order_props =
+  List.map eventsim_order [ "mesh:8x4"; "torus:4x4x2"; "fattree:3:4"; "dragonfly:4:4:2" ]
 
 (* ------------------------------------------------------------------ *)
 (* Array pricing against the list path                                 *)
@@ -705,8 +766,8 @@ let residual_diff =
           (fun flow -> Reference.affine_messages ~vgrid ~flow ~bytes:8 ~place ())
           flows
       in
-      Resopt.Residual.messages r = msgs
-      && Resopt.Residual.volume_graph r = Volgraph.sorted (Volgraph.of_messages msgs))
+      Reference.messages (Resopt.Residual.traffic r) = msgs
+      && Resopt.Residual.volume_graph r = Volgraph.sorted (Reference.volgraph msgs))
 
 (* The cell→rank table against per-point [Layout.place]. *)
 let ranks_diff spec =
@@ -832,6 +893,7 @@ let () =
           Alcotest.test_case "four domains, one pricing" `Quick test_translation_race;
         ] );
       ("netsim-diff", netsim_diff_props);
+      ("eventsim-order", eventsim_order_props);
       ("pricing-diff", pricing_diff_props);
       ("walk-diff", walk_diff_props);
       ( "corpus-golden",

@@ -12,9 +12,8 @@ let msg src dst bytes = Machine.Message.make ~src ~dst ~bytes
 
 let test_volgraph_of_messages () =
   let vol =
-    Machine.Volgraph.sorted
-      (Machine.Volgraph.of_messages
-         [ msg 0 1 10; msg 0 1 5; msg 2 2 7; msg 1 0 3 ])
+    Machine.Volgraph.of_traffic ~hosts:3
+      (Machine.Message.of_list [ msg 0 1 10; msg 0 1 5; msg 2 2 7; msg 1 0 3 ])
   in
   (* duplicate (src, dst) pairs are summed; the two directions stay
      distinct; local traffic is kept *)
@@ -29,19 +28,24 @@ let test_volgraph_of_messages () =
     (Machine.Volgraph.nonlocal vol)
 
 let test_volgraph_coalesce_agrees () =
-  (* Netsim's message coalescing is the same accumulation: one message
-     per pair, bytes summed *)
-  let msgs = [ msg 0 1 10; msg 3 2 4; msg 0 1 1 ] in
-  let coalesced = Machine.Netsim.coalesce_messages msgs in
-  let as_pairs =
-    List.sort compare
-      (List.map
-         (fun (m : Machine.Message.t) ->
-           ((m.Machine.Message.src, m.Machine.Message.dst), m.Machine.Message.bytes))
-         coalesced)
+  (* a coalesced Netsim volume is the same accumulation: one message
+     per pair, bytes summed, both where it prices and where it
+     replays *)
+  let topo = Machine.Topology.line 4 in
+  let msgs = Machine.Message.of_list [ msg 0 1 10; msg 3 2 4; msg 0 1 1 ] in
+  let v = Machine.Netsim.volume topo msgs in
+  let pairs traffic =
+    let acc = ref [] in
+    traffic (fun src dst bytes -> acc := ((src, dst), bytes) :: !acc);
+    List.sort compare !acc
   in
   Alcotest.(check (list (pair (pair int int) int)))
-    "coalesce = volgraph" [ ((0, 1), 11); ((3, 2), 4) ] as_pairs
+    "coalesce = volgraph" [ ((0, 1), 11); ((3, 2), 4) ]
+    (pairs (Machine.Netsim.priced v));
+  Alcotest.(check (list (pair (pair int int) int)))
+    "replay = volgraph"
+    (Machine.Volgraph.of_traffic ~hosts:4 msgs)
+    (pairs (Machine.Netsim.replay v))
 
 (* ------------------------------------------------------------------ *)
 (* 2x2-grid golden: the optimum is known by hand                       *)
@@ -95,8 +99,9 @@ let instance (torus, dims, raw) =
   let topo = Machine.Topology.make ~torus dims in
   let n = Machine.Topology.size topo in
   let vol =
-    Machine.Volgraph.of_messages
-      (List.map (fun ((s, d), b) -> msg (s mod n) (d mod n) b) raw)
+    Machine.Volgraph.of_traffic ~hosts:n
+      (Machine.Message.of_list
+         (List.map (fun ((s, d), b) -> msg (s mod n) (d mod n) b) raw))
   in
   (topo, vol)
 
@@ -125,16 +130,23 @@ let prop_seed_deterministic =
       let s2 = Mapping.search ~seed:11 ~restarts:4 topo vol in
       s1 = s2)
 
+(* A placement composed after the fold ([Patterns.traffic ?remap])
+   emits the unplaced sequence with both endpoints remapped. *)
 let prop_apply_preserves_traffic =
   QCheck.Test.make ~count:60 ~name:"apply permutes endpoints, keeps bytes"
     case_arb (fun case ->
       let topo, vol = instance case in
       let n = Machine.Topology.size topo in
-      let msgs =
-        List.map (fun ((s, d), b) -> msg s d b) (Machine.Volgraph.nonlocal vol)
-      in
       let perm = Mapping.search ~seed:5 ~restarts:1 topo vol in
-      let mapped = Mapping.apply perm msgs in
+      let vgrid = Array.map (( * ) 2) (Machine.Topology.dims topo) in
+      let axes = Distrib.Layout.axes (Distrib.Layout.all_cyclic 2) ~vgrid ~topo in
+      let flows =
+        List.map Linalg.Mat.of_lists [ [ [ 1; 1 ]; [ 0; 1 ] ]; [ [ 1; 0 ]; [ 1; 1 ] ] ]
+      in
+      let traffic ?remap () =
+        Reference.messages (Machine.Patterns.traffic ~vgrid ~axes ?remap ~bytes:8 flows)
+      in
+      let msgs = traffic () and mapped = traffic ~remap:perm () in
       List.length mapped = List.length msgs
       && List.for_all2
            (fun (a : Machine.Message.t) (b : Machine.Message.t) ->

@@ -359,7 +359,7 @@ let test_eventsim_sampler () =
   let r =
     Machine.Eventsim.run
       ~sampler:(fun s -> samples := s :: !samples)
-      ~sample_every:8 topo Machine.Eventsim.default_params msgs
+      ~sample_every:8 topo Machine.Eventsim.default_params (Reference.raw topo msgs)
   in
   Alcotest.(check int) "all delivered" 12 r.Machine.Eventsim.delivered;
   let samples = List.rev !samples in
@@ -377,7 +377,9 @@ let test_eventsim_sampler () =
     samples;
   (* with Obs enabled, time-series points are recorded too *)
   fresh ();
-  ignore (Machine.Eventsim.run ~sample_every:8 topo Machine.Eventsim.default_params msgs);
+  ignore
+    (Machine.Eventsim.run ~sample_every:8 topo Machine.Eventsim.default_params
+       (Reference.raw topo msgs));
   Alcotest.(check bool) "eventsim counters" true (Obs.counter "eventsim.runs" = 1);
   let json = Obs.chrome_trace () in
   valid_json "eventsim trace" json;
@@ -387,8 +389,9 @@ let test_eventsim_bad_sample_every () =
   Alcotest.check_raises "sample_every must be positive"
     (Invalid_argument "Eventsim.run: sample_every <= 0") (fun () ->
       ignore
-        (Machine.Eventsim.run ~sample_every:0 (Machine.Topology.line 2)
-           Machine.Eventsim.default_params []))
+        (let topo = Machine.Topology.line 2 in
+         Machine.Eventsim.run ~sample_every:0 topo Machine.Eventsim.default_params
+           (Reference.raw topo [])))
 
 (* ------------------------------------------------------------------ *)
 (* Sweep time_ms                                                       *)
@@ -424,7 +427,7 @@ let test_load_heatmap () =
       Machine.Message.make ~src:7 ~dst:7 ~bytes:999 (* local: excluded *);
     ]
   in
-  let map = Machine.Trace.load_heatmap topo msgs in
+  let map = Machine.Trace.load_heatmap topo (Machine.Message.of_list msgs) in
   let lines = String.split_on_char '\n' (String.trim map) in
   Alcotest.(check int) "one row per mesh row" 2 (List.length lines);
   List.iter
@@ -444,7 +447,7 @@ let test_load_heatmap () =
 
 let test_load_heatmap_all_idle () =
   let topo = Machine.Topology.mesh2d ~p:2 ~q:2 in
-  let map = Machine.Trace.load_heatmap topo [] in
+  let map = Machine.Trace.load_heatmap topo (Machine.Message.of_list []) in
   String.iter
     (fun c ->
       Alcotest.(check bool) "only idle glyphs" true
@@ -459,7 +462,7 @@ let test_link_table () =
       Machine.Message.make ~src:1 ~dst:2 ~bytes:5;
     ]
   in
-  let table = Machine.Trace.link_table topo msgs in
+  let table = Machine.Trace.link_table topo (Machine.Message.of_list msgs) in
   let lines = String.split_on_char '\n' (String.trim table) in
   (* links 0->1 (10 bytes) and 1->2 (15 bytes), sorted by load desc *)
   Alcotest.(check int) "two links" 2 (List.length lines);
@@ -467,7 +470,16 @@ let test_link_table () =
   Alcotest.(check (triple int int int)) "hottest first" (1, 2, 15)
     (parse (List.nth lines 0));
   Alcotest.(check (triple int int int)) "then the feeder" (0, 1, 10)
-    (parse (List.nth lines 1))
+    (parse (List.nth lines 1));
+  (* the table lists effective loads, not bytes: 8 bytes up a fat-tree
+     link of capacity 4 are 2 units *)
+  let fattree = Result.get_ok (Machine.Topology.of_string "fattree:3:4") in
+  let table =
+    Machine.Trace.link_table fattree
+      (Machine.Message.of_list [ Machine.Message.make ~src:0 ~dst:63 ~bytes:8 ])
+  in
+  Alcotest.(check bool) "fat-tree uplink divided by its capacity" true
+    (List.mem "  64 -> 80          2" (String.split_on_char '\n' table))
 
 (* ------------------------------------------------------------------ *)
 

@@ -225,7 +225,8 @@ let sim_task i =
   ignore
     (Machine.Eventsim.run ~label:(string_of_int i) topo
        Machine.Eventsim.default_params
-       [ Machine.Message.make ~src:0 ~dst:(1 + (i mod 15)) ~bytes:(16 * (i + 1)) ])
+       (Reference.raw topo
+          [ Machine.Message.make ~src:0 ~dst:(1 + (i mod 15)) ~bytes:(16 * (i + 1)) ]))
 
 let test_obs_disabled_stays_silent () =
   Obs.reset ();

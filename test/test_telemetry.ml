@@ -113,7 +113,7 @@ let test_broadcast_report_golden () =
       let topo = Machine.Topology.make ~torus:true [| 4; 4 |] in
       let r =
         Machine.Eventsim.run ~label:"bcast" topo Machine.Eventsim.default_params
-          broadcast_msgs
+          (Reference.raw topo broadcast_msgs)
       in
       let run = Option.get (Obs.Telemetry.last_run ()) in
       let actual = Obs.Telemetry.render_ascii run in
@@ -215,9 +215,9 @@ let test_dashboard_html () =
       let topo = Machine.Topology.make ~torus:true [| 4; 4 |] in
       ignore
         (Machine.Eventsim.run ~label:"bcast" topo Machine.Eventsim.default_params
-           broadcast_msgs);
+           (Reference.raw topo broadcast_msgs));
       ignore
-        (Machine.Netsim.run ~label:"priced" topo
+        (Reference.price ~label:"priced" topo
            { Machine.Netsim.alpha = 10.0; beta = 0.1; hop = 1.0 }
            broadcast_msgs);
       let html = Obs.Telemetry.render_html (Obs.Telemetry.runs ()) in
@@ -239,7 +239,7 @@ let test_dashboard_script_safe () =
       let topo = Machine.Topology.make ~torus:true [| 4; 4 |] in
       ignore
         (Machine.Eventsim.run ~label:"a<b</script>" topo
-           Machine.Eventsim.default_params broadcast_msgs);
+           Machine.Eventsim.default_params (Reference.raw topo broadcast_msgs));
       let html = Obs.Telemetry.render_html (Obs.Telemetry.runs ()) in
       let payload = String.trim (extract_payload html) in
       Alcotest.(check bool) "no raw '<' between the script tags" false
@@ -285,7 +285,8 @@ let prop_no_observer_effect =
       in
       let run () =
         result_tuple
-          (Machine.Eventsim.run ~faults topo Machine.Eventsim.default_params msgs)
+          (Machine.Eventsim.run ~faults topo Machine.Eventsim.default_params
+             (Reference.raw topo msgs))
       in
       Obs.Telemetry.disable ();
       let off = run () in

@@ -201,7 +201,7 @@ let test_conservation topo () =
   let total = List.length msgs in
   List.iter
     (fun faults ->
-      let r = Eventsim.run ~faults topo Eventsim.default_params msgs in
+      let r = Eventsim.run ~faults topo Eventsim.default_params (Reference.raw topo msgs) in
       Alcotest.(check int)
         ("delivered + dropped + unreachable = total under "
         ^ Fault.label faults)
@@ -215,18 +215,19 @@ let test_conservation topo () =
 let test_no_observer topo () =
   let msgs = msgs_for topo in
   let faults = Fault.make ~seed:5 [ Fault.Flaky { link = None; prob = 0.1 } ] in
-  let quiet = Eventsim.run ~faults topo Eventsim.default_params msgs in
+  let quiet = Eventsim.run ~faults topo Eventsim.default_params (Reference.raw topo msgs) in
   let watched =
     Obs.Telemetry.enable ();
     Fun.protect
       ~finally:(fun () ->
         Obs.Telemetry.disable ();
         Obs.Telemetry.reset ())
-      (fun () -> Eventsim.run ~faults topo Eventsim.default_params msgs)
+      (fun () ->
+        Eventsim.run ~faults topo Eventsim.default_params (Reference.raw topo msgs))
   in
   Alcotest.(check bool) "telemetry does not change the simulation" true
     (quiet = watched);
-  let nquiet = Netsim.run topo { Netsim.alpha = 10.0; beta = 0.1; hop = 0.4 } msgs in
+  let nquiet = Reference.price topo { Netsim.alpha = 10.0; beta = 0.1; hop = 0.4 } msgs in
   let nwatched =
     Obs.Telemetry.enable ();
     Fun.protect
@@ -234,7 +235,7 @@ let test_no_observer topo () =
         Obs.Telemetry.disable ();
         Obs.Telemetry.reset ())
       (fun () ->
-        Netsim.run topo { Netsim.alpha = 10.0; beta = 0.1; hop = 0.4 } msgs)
+        Reference.price topo { Netsim.alpha = 10.0; beta = 0.1; hop = 0.4 } msgs)
   in
   Alcotest.(check bool) "telemetry does not change the pricing" true
     (nquiet = nwatched)
@@ -263,13 +264,13 @@ let test_determinism name topo () =
   let faults =
     Fault.make ~seed:11 [ Fault.Flaky { link = None; prob = 0.15 } ]
   in
-  let r1 = Eventsim.run ~faults topo Eventsim.default_params msgs in
-  let r2 = Eventsim.run ~faults topo Eventsim.default_params msgs in
+  let r1 = Eventsim.run ~faults topo Eventsim.default_params (Reference.raw topo msgs) in
+  let r2 = Eventsim.run ~faults topo Eventsim.default_params (Reference.raw topo msgs) in
   Alcotest.(check bool) "same seed, same result" true (r1 = r2);
   match List.assoc_opt name cycle_goldens with
   | None -> ()
   | Some golden ->
-    let r = Eventsim.run topo Eventsim.default_params msgs in
+    let r = Eventsim.run topo Eventsim.default_params (Reference.raw topo msgs) in
     Alcotest.(check int) "pinned cycle count" golden r.Eventsim.cycles
 
 let test_sweep_jobs topo () =

@@ -142,7 +142,7 @@ let test_lamport_legal () =
 let test_trace_heatmap () =
   let topo = Machine.Topology.mesh2d ~p:2 ~q:2 in
   let msgs = [ Machine.Message.make ~src:0 ~dst:3 ~bytes:100 ] in
-  let map = Machine.Trace.load_heatmap topo msgs in
+  let map = Machine.Trace.load_heatmap topo (Machine.Message.of_list msgs) in
   (* node 0 hot, others idle; 2 columns -> two lines *)
   Alcotest.(check bool) "node 0 marked" true (map.[0] <> '.');
   Alcotest.(check int) "two lines" 2
@@ -151,7 +151,7 @@ let test_trace_heatmap () =
 let test_trace_link_table () =
   let topo = Machine.Topology.line 3 in
   let msgs = [ Machine.Message.make ~src:0 ~dst:2 ~bytes:10 ] in
-  let table = Machine.Trace.link_table topo msgs in
+  let table = Machine.Trace.link_table topo (Machine.Message.of_list msgs) in
   Alcotest.(check int) "two links listed" 2
     (List.length (String.split_on_char '\n' (String.trim table)))
 

@@ -87,7 +87,10 @@ let wh p = { p with Machine.Eventsim.mode = Machine.Eventsim.Wormhole }
 let test_wormhole_single () =
   let topo = Machine.Topology.line 5 in
   let p = wh { Machine.Eventsim.bytes_per_cycle = 16; startup_cycles = 10; mode = Machine.Eventsim.Store_forward } in
-  let r = Machine.Eventsim.run topo p [ Machine.Message.make ~src:0 ~dst:4 ~bytes:160 ] in
+  let r =
+    Machine.Eventsim.run topo p
+      (Reference.raw topo [ Machine.Message.make ~src:0 ~dst:4 ~bytes:160 ])
+  in
   (* startup + hops + bytes/bw = 10 + 4 + 10 *)
   Alcotest.(check int) "pipeline latency" 24 r.Machine.Eventsim.cycles
 
@@ -97,8 +100,8 @@ let test_wormhole_vs_store_forward () =
   let topo = Machine.Topology.line 8 in
   let base = { Machine.Eventsim.bytes_per_cycle = 16; startup_cycles = 10; mode = Machine.Eventsim.Store_forward } in
   let msgs = [ Machine.Message.make ~src:0 ~dst:7 ~bytes:1600 ] in
-  let sf = Machine.Eventsim.run topo base msgs in
-  let whr = Machine.Eventsim.run topo (wh base) msgs in
+  let sf = Machine.Eventsim.run topo base (Reference.raw topo msgs) in
+  let whr = Machine.Eventsim.run topo (wh base) (Reference.raw topo msgs) in
   Alcotest.(check bool) "wormhole faster on long paths" true
     (whr.Machine.Eventsim.cycles < sf.Machine.Eventsim.cycles)
 
@@ -106,13 +109,17 @@ let test_wormhole_contention () =
   (* two messages sharing a link serialize in both modes *)
   let topo = Machine.Topology.line 2 in
   let base = { Machine.Eventsim.bytes_per_cycle = 16; startup_cycles = 0; mode = Machine.Eventsim.Wormhole } in
-  let one = Machine.Eventsim.run topo base [ Machine.Message.make ~src:0 ~dst:1 ~bytes:160 ] in
+  let one =
+    Machine.Eventsim.run topo base
+      (Reference.raw topo [ Machine.Message.make ~src:0 ~dst:1 ~bytes:160 ])
+  in
   let two =
     Machine.Eventsim.run topo base
-      [
-        Machine.Message.make ~src:0 ~dst:1 ~bytes:160;
-        Machine.Message.make ~src:0 ~dst:1 ~bytes:160;
-      ]
+      (Reference.raw topo
+         [
+           Machine.Message.make ~src:0 ~dst:1 ~bytes:160;
+           Machine.Message.make ~src:0 ~dst:1 ~bytes:160;
+         ])
   in
   Alcotest.(check bool) "serialized" true
     (two.Machine.Eventsim.cycles >= 2 * one.Machine.Eventsim.cycles - 1)
@@ -128,8 +135,10 @@ let wormhole_props =
         let topo = Machine.Topology.mesh2d ~p:4 ~q:4 in
         let msgs = [ Machine.Message.make ~src:s ~dst:d ~bytes:b ] in
         let base = Machine.Eventsim.default_params in
-        (Machine.Eventsim.run topo base msgs).Machine.Eventsim.delivered = 1
-        && (Machine.Eventsim.run topo (wh base) msgs).Machine.Eventsim.delivered = 1);
+        let delivered p =
+          (Machine.Eventsim.run topo p (Reference.raw topo msgs)).Machine.Eventsim.delivered
+        in
+        delivered base = 1 && delivered (wh base) = 1);
   ]
 
 (* ------------------------------------------------------------------ *)

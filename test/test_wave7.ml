@@ -268,10 +268,11 @@ let test_error_paths () =
          Machine.Topology.rank_of (Machine.Topology.line 4) [| 1; 2 |]));
   Alcotest.(check bool) "Eventsim bad params" true
     (raises_invalid (fun () ->
-         Machine.Eventsim.run (Machine.Topology.line 2)
+         let topo = Machine.Topology.line 2 in
+         Machine.Eventsim.run topo
            { Machine.Eventsim.bytes_per_cycle = 0; startup_cycles = 0;
              mode = Machine.Eventsim.Store_forward }
-           []));
+           (Reference.raw topo [])));
   Alcotest.(check bool) "Layout grouped k=0" true
     (raises_invalid (fun () ->
          Distrib.Layout.place1d (Distrib.Layout.Grouped 0) ~nv:4 ~np:2 1));
