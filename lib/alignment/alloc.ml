@@ -364,14 +364,6 @@ let component t v =
   | Some c -> c
   | None -> invalid_arg "Alloc.component: unknown vertex"
 
-let components t =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (v, c) ->
-      Hashtbl.replace tbl c (v :: Option.value ~default:[] (Hashtbl.find_opt tbl c)))
-    t.component_of;
-  List.sort compare (Hashtbl.fold (fun c vs acc -> (c, List.rev vs) :: acc) tbl [])
-
 let apply_unimodular t ~component:comp u =
   if not (Unimodular.is_unimodular u) then
     invalid_arg "Alloc.apply_unimodular: not unimodular";
@@ -390,24 +382,6 @@ let comm_matrix t (s : Loopnest.stmt) (a : Loopnest.access) =
   let ms = alloc_of t (Access_graph.Stmt_v s.Loopnest.stmt_name) in
   let mx = alloc_of t (Access_graph.Array_v a.Loopnest.array_name) in
   Mat.sub ms (Mat.mul mx a.Loopnest.map.Affine.f)
-
-let verify t =
-  let rank_ok =
-    List.for_all (fun (_, mv) -> Ratmat.rank_of_mat mv = t.m) t.allocs
-  in
-  let label_of (a : Loopnest.access) =
-    if a.Loopnest.label = "" then a.Loopnest.array_name else a.Loopnest.label
-  in
-  let local_ok =
-    List.for_all
-      (fun ((s : Loopnest.stmt), (a : Loopnest.access)) ->
-        let lbl = label_of a in
-        if is_local t ~stmt:s.Loopnest.stmt_name ~label:lbl then
-          Mat.is_zero (comm_matrix t s a)
-        else true)
-      (Loopnest.all_accesses t.nest)
-  in
-  rank_ok && local_ok
 
 let pp ppf t =
   Format.fprintf ppf "alignment (m = %d)@\n" t.m;

@@ -52,9 +52,6 @@ val alloc_of : t -> Access_graph.vertex -> Mat.t
 
 val component : t -> Access_graph.vertex -> int
 
-val components : t -> (int * Access_graph.vertex list) list
-(** The connected components of the chosen forest, by id. *)
-
 val apply_unimodular : t -> component:int -> Mat.t -> t
 (** Left-multiply every allocation matrix of one component by a
     unimodular matrix: locality is preserved (paper §2.3 remark). *)
@@ -63,9 +60,5 @@ val is_local : t -> stmt:string -> label:string -> bool
 
 val comm_matrix : t -> Nestir.Loopnest.stmt -> Nestir.Loopnest.access -> Mat.t
 (** The non-local term [M_S - M_x F] of an access: zero iff local. *)
-
-val verify : t -> bool
-(** Check that every access reported local indeed has a zero non-local
-    term, and that every allocation has full rank [m]. *)
 
 val pp : Format.formatter -> t -> unit

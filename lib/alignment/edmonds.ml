@@ -139,20 +139,3 @@ let is_branching ~n edges =
     if !steps > n then acyclic := false
   done;
   ok_indeg && !acyclic
-
-let brute_force ~n edges =
-  let arr = Array.of_list edges in
-  let k = Array.length arr in
-  if k > 20 then invalid_arg "Edmonds.brute_force: too many edges";
-  let best = ref 0 in
-  for mask = 0 to (1 lsl k) - 1 do
-    let subset = ref [] in
-    for i = 0 to k - 1 do
-      if mask land (1 lsl i) <> 0 then subset := arr.(i) :: !subset
-    done;
-    if is_branching ~n !subset then begin
-      let w = total_weight !subset in
-      if w > !best then best := w
-    end
-  done;
-  !best

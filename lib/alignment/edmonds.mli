@@ -24,7 +24,3 @@ val total_weight : edge list -> int
 
 val is_branching : n:int -> edge list -> bool
 (** Check: in-degree at most one and no directed cycle. *)
-
-val brute_force : n:int -> edge list -> int
-(** Optimal branching weight by exhaustive search — exponential, for
-    testing only. *)

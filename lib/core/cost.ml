@@ -190,11 +190,3 @@ let of_plan ?(faults = Machine.Fault.none) ?mapping model plan =
     Cache.Memo.find_or_compute memo
       ~key:(plan_key ?mapping ~faults model plan)
       price
-
-let pp ppf b =
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "  %s/%-6s %-12s %10.1f@\n" e.stmt e.label e.class_name
-        e.cost)
-    b.entries;
-  Format.fprintf ppf "  %-21s %10.1f@\n" "total" b.total

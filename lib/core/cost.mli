@@ -54,5 +54,3 @@ val of_plan :
     simulation grid, or plans without 2x2 flows, [mapping] is a no-op.
     Omitting it keeps pricing — and the memo key — byte-identical to a
     build without the mapping subsystem. *)
-
-val pp : Format.formatter -> breakdown -> unit

@@ -50,4 +50,4 @@ val run : ?order:[ `Program | `Schedule ] -> Pipeline.result -> stats
     share a timestep — an adversarial but schedule-legal order.  With a
     legal schedule the results still match the sequential reference;
     with an illegal one (e.g. all-parallel Gauss-Seidel) they visibly
-    diverge, which is how {!Legality} is exercised end to end. *)
+    diverge. *)

@@ -23,9 +23,6 @@ type t = {
   time : Bounds.time;
 }
 
-val default_bytes : int
-(** 64, matching {!Cost.of_plan}. *)
-
 val of_traffic : ?mapping:Mapping.spec -> Machine.Netsim.params -> Residual.t -> t
 (** Bound the traffic and price its achieved side on the network
     [net].  [mapping] re-prices the achieved side (and the
@@ -37,7 +34,8 @@ val of_traffic : ?mapping:Mapping.spec -> Machine.Netsim.params -> Residual.t ->
 
 val of_plan : ?mapping:Mapping.spec -> Machine.Models.t -> Commplan.t -> t option
 (** {!of_traffic} over {!Residual.flows_of_plan} with
-    {!default_bytes}-byte items, on the model's simulation grid. *)
+    64-byte items (as {!Cost.of_plan}), on the model's simulation
+    grid. *)
 
 val of_workload :
   ?bytes:int ->
@@ -48,7 +46,7 @@ val of_workload :
   t option
 (** {!of_traffic} over {!Residual.flows_of_workload} (possibly no
     flows), on the model's simulation grid.  [bytes] defaults to
-    {!default_bytes}. *)
+    64. *)
 
 val pp : Format.formatter -> t -> unit
 (** The ASCII bounds panel: volume bound vs achieved bytes, the three

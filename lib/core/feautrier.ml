@@ -28,7 +28,3 @@ let run ?m ?schedule nest =
   of_pipeline (Pipeline.run ?m ?schedule ~axis_align:false nest)
 
 let summary r = Commplan.summarize r.plan
-
-let non_local r =
-  let s = summary r in
-  s.Commplan.total - s.Commplan.local - s.Commplan.translations

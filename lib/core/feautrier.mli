@@ -33,4 +33,3 @@ val run : ?m:int -> ?schedule:Schedule.t -> Loopnest.t -> result
     that want the baseline alone. *)
 
 val summary : result -> Commplan.summary
-val non_local : result -> int

@@ -41,11 +41,3 @@ let message_factor (r : Pipeline.result) =
   in
   let with_v = cost true phases.hoisted + cost false phases.per_timestep in
   if with_v = 0 then 1.0 else float_of_int without /. float_of_int with_v
-
-let pp ppf t =
-  let names l =
-    String.concat " "
-      (List.map (fun (e : Commplan.entry) -> e.Commplan.stmt ^ "/" ^ e.Commplan.label) l)
-  in
-  Format.fprintf ppf "hoisted (vectorized): %s@\nper timestep: %s@\nlocal: %s@\n"
-    (names t.hoisted) (names t.per_timestep) (names t.local)

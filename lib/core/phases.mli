@@ -19,5 +19,3 @@ val message_factor : Pipeline.result -> float
     one execution of the nest: [1.0] when nothing is hoistable,
     [timesteps] when everything is.  Timestep count is taken from the
     schedule applied to the statement extents. *)
-
-val pp : Format.formatter -> t -> unit

@@ -18,19 +18,12 @@ type breakdown = {
   total : float;
 }
 
-val estimate :
-  model:Machine.Models.t ->
-  nest:Nestir.Loopnest.t ->
-  schedule:Nestir.Schedule.t ->
-  alloc:Alignment.Alloc.t ->
-  plan:Commplan.t ->
-  breakdown
+val of_pipeline : model:Machine.Models.t -> Pipeline.result -> breakdown
 (** Extents are capped (per dimension) to keep enumeration tractable;
     the estimate is for the capped program.  8-byte items, one time
     unit of compute per instance, on {!Distexec.machine}. *)
 
-val of_pipeline : model:Machine.Models.t -> Pipeline.result -> breakdown
-
 val of_platonoff : model:Machine.Models.t -> Platonoff.result -> breakdown
+(** The same estimate for the Platonoff baseline's plan. *)
 
 val pp : Format.formatter -> breakdown -> unit

@@ -40,8 +40,7 @@ val on_model : bytes:int -> Machine.Models.t -> Mat.t list -> t option
 
 val ranks : t -> int array
 (** The cyclic fold as a cell→rank table, read off the fold's axis
-    tables ({!Machine.Patterns.ranks}); the same table as
-    {!Distrib.Layout.ranks}. *)
+    tables ({!Machine.Patterns.ranks}). *)
 
 val traffic : ?placement:Mapping.t -> t -> Machine.Message.traffic
 (** The flows' messages ({!Machine.Patterns.traffic}), flow after

@@ -51,10 +51,6 @@ type row = {
           exactly as before. *)
 }
 
-val default_fault_rates : float list
-(** [[0.0; 0.01; 0.05]] — the rates used when [faults] is given
-    without an explicit [fault_rates]. *)
-
 val run :
   ?jobs:int ->
   ?ms:int list ->
@@ -74,7 +70,7 @@ val run :
     [faults] / [fault_rates] turn on the resilience columns: each row
     is additionally priced under [faults] plus a machine-wide
     [Flaky] probability for every rate in [fault_rates]
-    (default {!default_fault_rates} when only [faults] is given;
+    (default [[0.0; 0.01; 0.05]] when only [faults] is given;
     [faults] defaults to {!Machine.Fault.none} when only
     [fault_rates] is given).  Omitting both keeps the rows — and the
     rendered table and CSV — byte-identical to a fault-free sweep.

@@ -38,9 +38,6 @@ val reduce : t -> t
 val cycle : t -> t list
 (** The cycle of reduced forms equivalent to [t]. *)
 
-val reduced_forms : int -> t list
-(** All reduced forms of discriminant [D]. *)
-
 val class_number : int -> int
 (** Number of rho-cycles among the reduced forms: the narrow form
     class number [h+(D)].

@@ -42,14 +42,3 @@ let word t =
   in
   assert (Mat.equal (eval letters) t);
   letters
-
-let pp ppf letters =
-  if letters = [] then Format.fprintf ppf "e"
-  else
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-      (fun ppf -> function
-        | S -> Format.fprintf ppf "S"
-        | T 1 -> Format.fprintf ppf "T"
-        | T k -> Format.fprintf ppf "T^%d" k)
-      ppf letters

@@ -23,5 +23,3 @@ val eval : letter list -> Linalg.Mat.t
 val length : letter list -> int
 (** Number of generator applications, counting [T k] as [|k|] and [S]
     as 1. *)
-
-val pp : Format.formatter -> letter list -> unit

@@ -67,6 +67,3 @@ let parse text =
     in
     go [] parts
   end
-
-let parse_exn text =
-  match parse text with Ok l -> l | Error e -> invalid_arg ("Hpf.parse: " ^ e)

@@ -7,6 +7,3 @@
 val print : Layout.t -> string
 
 val parse : string -> (Layout.t, string) result
-
-val parse_exn : string -> Layout.t
-(** @raise Invalid_argument on syntax errors. *)

@@ -52,15 +52,6 @@ let axes t ~vgrid ~topo =
   done;
   tables
 
-let ranks t ~vgrid ~topo = Machine.Patterns.ranks ~axes:(axes t ~vgrid ~topo) ~vgrid
-
-let local_indices scheme ~nv ~np p =
-  let rec go v acc =
-    if v < 0 then acc
-    else go (v - 1) (if place1d scheme ~nv ~np v = p then v :: acc else acc)
-  in
-  go (nv - 1) []
-
 let all_block n = Array.make n Block
 let all_cyclic n = Array.make n Cyclic
 

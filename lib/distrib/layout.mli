@@ -33,19 +33,9 @@ val axes : t -> vgrid:int array -> topo:Machine.Topology.t -> int array array
 (** The per-axis placement tables: [(axes t ~vgrid ~topo).(d).(x)] is
     {!place1d} of virtual index [x] on axis [d] times that axis's
     stride in {!Machine.Topology.rank_of}, so the rank {!place} gives
-    a cell is the sum of its coordinates' entries
-    ({!Machine.Patterns.rank}).
+    a cell is the sum of its coordinates' entries.
+    {!Machine.Patterns.ranks} turns them into the cell→rank table.
     @raise Invalid_argument on dimension mismatch. *)
-
-val ranks : t -> vgrid:int array -> topo:Machine.Topology.t -> int array
-(** The cell→rank table built from {!axes}: entry [i] is {!place} of
-    the [i]-th cell of [vgrid] in row-major order
-    ({!Machine.Patterns.iter_box}).
-    @raise Invalid_argument on dimension mismatch. *)
-
-val local_indices : scheme -> nv:int -> np:int -> int -> int list
-(** The virtual indices owned by one physical coordinate — the local
-    iteration set a code generator would loop over. *)
 
 val all_block : int -> t
 val all_cyclic : int -> t

@@ -9,15 +9,6 @@
 
 open Linalg
 
-val messages :
-  vgrid:int array ->
-  topo:Machine.Topology.t ->
-  from_layout:Layout.t ->
-  to_layout:Layout.t ->
-  bytes:int ->
-  Machine.Message.t list
-(** One message per virtual processor whose physical home changes. *)
-
 val time :
   Machine.Models.t ->
   vgrid:int array ->

@@ -54,8 +54,6 @@ let is_zero m = for_all (fun _ _ x -> x = 0) m
 
 let equal m n = m.r = n.r && m.c = n.c && for_all (fun i j x -> x = n.a.(i).(j)) m
 
-let compare m n = Stdlib.compare (m.r, m.c, m.a) (n.r, n.c, n.a)
-
 let transpose m = make m.c m.r (fun i j -> m.a.(j).(i))
 
 let map f m = make m.r m.c (fun i j -> f m.a.(i).(j))
@@ -125,11 +123,6 @@ let swap_rows m i j =
   make m.r m.c (fun k l ->
       let k' = if k = i then j else if k = j then i else k in
       m.a.(k').(l))
-
-let swap_cols m i j =
-  make m.r m.c (fun k l ->
-      let l' = if l = i then j else if l = j then i else l in
-      m.a.(k).(l'))
 
 (* Fraction-free Bareiss elimination: exact integer determinant. *)
 let det m =

@@ -33,7 +33,6 @@ val is_identity : t -> bool
 val is_zero : t -> bool
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val transpose : t -> t
 val neg : t -> t
@@ -41,7 +40,6 @@ val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
 val scale : int -> t -> t
-val map : (int -> int) -> t -> t
 
 val row : t -> int -> int array
 val col : t -> int -> int array
@@ -64,7 +62,6 @@ val vcat : t -> t -> t
 val sub_matrix : t -> row:int -> col:int -> rows:int -> cols:int -> t
 
 val swap_rows : t -> int -> int -> t
-val swap_cols : t -> int -> int -> t
 
 val det : t -> int
 (** Exact determinant via fraction-free Bareiss elimination.

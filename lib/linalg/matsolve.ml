@@ -1,22 +1,6 @@
-let compatible ~f ~s =
-  match Pseudo.pseudo f with
-  | None -> false
-  | Some fplus ->
-    let s_r = Ratmat.of_mat s in
-    let lhs = Ratmat.mul (Ratmat.mul s_r fplus) (Ratmat.of_mat f) in
-    Ratmat.equal lhs s_r
-
-let solve_xf ~f ~s =
-  (* X F = S  <=>  Ft Xt = St *)
-  let ft = Ratmat.of_mat (Mat.transpose f) in
-  let st = Ratmat.of_mat (Mat.transpose s) in
-  match Ratmat.solve ft st with
-  | None -> None
-  | Some xt -> Some (Ratmat.transpose xt)
-
 (* Solve A y = b over the integers via the Smith form of A:
    u A v = d  =>  A = u^-1 d v^-1, so A y = b <=> d (v^-1 y) = u b. *)
-let solve_ayb_int (a : Mat.t) (b : int array) : int array option =
+let solve_linear_int (a : Mat.t) (b : int array) : int array option =
   let m = Mat.rows a and n = Mat.cols a in
   let { Smith.s; u; v } = Smith.decompose a in
   let ub = Mat.mul_vec u b in
@@ -30,74 +14,3 @@ let solve_ayb_int (a : Mat.t) (b : int array) : int array option =
     else if ub.(i) <> 0 then ok := false
   done;
   if !ok then Some (Mat.mul_vec v z) else None
-
-let solve_linear_int = solve_ayb_int
-
-let solve_xf_int ~f ~s =
-  let ft = Mat.transpose f and st = Mat.transpose s in
-  (* Solve Ft y_j = (St)_j for each column j. *)
-  let m = Mat.rows s in
-  let cols = ref [] in
-  let ok = ref true in
-  for j = m - 1 downto 0 do
-    match solve_ayb_int ft (Mat.col st j) with
-    | None -> ok := false
-    | Some y -> cols := y :: !cols
-  done;
-  if not !ok then None
-  else begin
-    (* columns of Xt = rows of X *)
-    let rows_x = Array.of_list !cols in
-    Some (Mat.make m (Mat.rows f) (fun i j -> rows_x.(i).(j)))
-  end
-
-let solve_xf_full_rank ~f ~s =
-  match solve_xf_int ~f ~s with
-  | None -> None
-  | Some x0 ->
-    let m = Mat.rows s in
-    if Ratmat.rank_of_mat x0 = m then Some x0
-    else begin
-      (* Rows of the left kernel of F can be added freely to rows of X. *)
-      let left_kernel = Ratmat.kernel_of_mat (Mat.transpose f) in
-      match left_kernel with
-      | [] -> None
-      | kernel_cols ->
-        let kern = Array.of_list (List.map (fun c -> Mat.col c 0) kernel_cols) in
-        let nk = Array.length kern in
-        let a = Mat.rows f in
-        let st = Random.State.make [| 0x5eed |] in
-        let try_one () =
-          (* One coefficient per (row of X, kernel vector): adding
-             multiples of left-kernel rows preserves X F = S. *)
-          let coeff =
-            Array.init m (fun _ ->
-                Array.init nk (fun _ -> Random.State.int st 5 - 2))
-          in
-          let x =
-            Mat.make m a (fun i j ->
-                let acc = ref (Mat.get x0 i j) in
-                for k = 0 to nk - 1 do
-                  acc := !acc + (coeff.(i).(k) * kern.(k).(j))
-                done;
-                !acc)
-          in
-          if Ratmat.rank_of_mat x = m then Some x else None
-        in
-        let rec attempts n = if n = 0 then None else
-            match try_one () with Some x -> Some x | None -> attempts (n - 1)
-        in
-        attempts 200
-    end
-
-let general_solution ~f ~s ~param =
-  match Pseudo.left_inverse f with
-  | None -> None
-  | Some fplus ->
-    let a = Mat.rows f in
-    if Ratmat.rows param <> Mat.rows s || Ratmat.cols param <> a then
-      invalid_arg "Matsolve.general_solution: bad parameter dimensions";
-    let s_r = Ratmat.of_mat s in
-    let ffplus = Ratmat.mul (Ratmat.of_mat f) fplus in
-    let residual = Ratmat.sub (Ratmat.identity a) ffplus in
-    Some (Ratmat.add (Ratmat.mul s_r fplus) (Ratmat.mul param residual))

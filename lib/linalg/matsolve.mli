@@ -1,40 +1,6 @@
-(** Solving the allocation equation [X * F = S] (paper, Appendix A.3).
-
-    Lemma 2: for [S] of size [m x d] and rank [m], [F] of size [a x d]
-    and rank [d], the equation [X F = S] is solvable iff the
-    compatibility condition [S F+ F = S] holds, and then every solution
-    is [X = S F+ + Y (Id_a - F F+)].
-
-    We additionally provide a fully general exact solver (any shapes,
-    any ranks) built on rational Gaussian elimination, plus helpers to
-    search for {e integer} and {e full-rank} solutions, which is what
-    allocation matrices must be. *)
+(** Integer linear systems, through the Smith normal form. *)
 
 val solve_linear_int : Mat.t -> int array -> int array option
 (** [solve_linear_int a b] is an integer solution [y] of [a y = b], if
     one exists (via the Smith form of [a]).  The workhorse behind the
     GCD dependence test. *)
-
-val compatible : f:Mat.t -> s:Mat.t -> bool
-(** The compatibility condition [S F+ F = S] (with [F+] the one-sided
-    pseudo-inverse matching the shape of [F]).  Also false when the
-    pseudo-inverse does not exist. *)
-
-val solve_xf : f:Mat.t -> s:Mat.t -> Ratmat.t option
-(** One exact rational solution of [X F = S], if the system is
-    consistent. *)
-
-val solve_xf_int : f:Mat.t -> s:Mat.t -> Mat.t option
-(** An integer solution of [X F = S], if one exists.  Found via the
-    Smith form of [F]. *)
-
-val solve_xf_full_rank : f:Mat.t -> s:Mat.t -> Mat.t option
-(** An integer solution of full row rank, if the basic integer solution
-    already has full row rank or can be repaired by adding kernel
-    contributions (bounded search).  Used when orienting access-graph
-    edges in the deficient cases. *)
-
-val general_solution :
-  f:Mat.t -> s:Mat.t -> param:Ratmat.t -> Ratmat.t option
-(** Lemma 2's parametric family [S F+ + param (Id - F F+)] (requires
-    [F] of full column rank). *)

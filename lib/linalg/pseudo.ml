@@ -23,9 +23,6 @@ let left_inverse x =
     | None -> None
     | Some gram_inv -> Some (Ratmat.mul gram_inv (Ratmat.of_mat xt))
 
-let pseudo x =
-  if Mat.rows x <= Mat.cols x then right_inverse x else left_inverse x
-
 (* Via the Smith form u f v = [diag(s); 0]: when every invariant factor
    is 1, g = v [Id | 0] u satisfies g f = Id. *)
 let integer_left_inverse f =
@@ -45,19 +42,3 @@ let integer_left_inverse f =
       let proj = Mat.make c r (fun i j -> if i = j then 1 else 0) in
       let g = Mat.mul (Mat.mul v proj) u in
       if Mat.is_identity (Mat.mul g f) then Some g else None
-
-let integer_right_inverse f =
-  match integer_left_inverse (Mat.transpose f) with
-  | None -> None
-  | Some g -> Some (Mat.transpose g)
-
-let left_inverse_with f ~param =
-  match left_inverse f with
-  | None -> None
-  | Some fplus ->
-    let r = Mat.rows f in
-    if Ratmat.rows param <> Mat.cols f || Ratmat.cols param <> r then
-      invalid_arg "Pseudo.left_inverse_with: bad parameter dimensions";
-    let ffplus = Ratmat.mul (Ratmat.of_mat f) fplus in
-    let residual = Ratmat.sub (Ratmat.identity r) ffplus in
-    Some (Ratmat.add fplus (Ratmat.mul param residual))

@@ -9,8 +9,8 @@
 
     The paper's access graph is free to use {e any} integer matrix [g]
     with [g * f = Id] in place of the true left pseudo-inverse (§2.2
-    remark); {!integer_left_inverse} and {!integer_right_inverse}
-    produce such matrices via the Smith form whenever they exist. *)
+    remark); {!integer_left_inverse} produces such a matrix via the
+    Smith form whenever one exists. *)
 
 val right_inverse : Mat.t -> Ratmat.t option
 (** Rational right inverse of a flat (or square) full-row-rank matrix.
@@ -20,19 +20,6 @@ val left_inverse : Mat.t -> Ratmat.t option
 (** Rational left inverse of a narrow (or square) full-column-rank
     matrix.  [None] when the matrix does not have full column rank. *)
 
-val pseudo : Mat.t -> Ratmat.t option
-(** The Moore-Penrose-style pseudo-inverse used by the paper: dispatch
-    on the matrix shape.  For square matrices this is the ordinary
-    inverse. *)
-
 val integer_left_inverse : Mat.t -> Mat.t option
 (** An integer matrix [g] with [g * f = Id], when one exists (iff [f]
     has full column rank and all invariant factors equal 1). *)
-
-val integer_right_inverse : Mat.t -> Mat.t option
-(** An integer matrix [g] with [f * g = Id], when one exists. *)
-
-val left_inverse_with : Mat.t -> param:Ratmat.t -> Ratmat.t option
-(** [left_inverse_with f ~param] is [f+ + param (Id - f f+)] — the
-    general form of matrices [h] with [h f = Id] (paper §2.2 remark,
-    with [param] the arbitrary matrix [M]). *)

@@ -13,7 +13,6 @@ let of_int n = { num = n; den = 1 }
 
 let zero = of_int 0
 let one = of_int 1
-let minus_one = of_int (-1)
 
 let num r = r.num
 let den r = r.den
@@ -27,7 +26,6 @@ let div a b =
   make (a.num * b.den) (a.den * b.num)
 
 let neg a = { a with num = -a.num }
-let abs a = { a with num = Stdlib.abs a.num }
 
 let inv a =
   if a.num = 0 then raise Division_by_zero;
@@ -37,8 +35,6 @@ let equal a b = a.num = b.num && a.den = b.den
 
 let compare a b = Stdlib.compare (a.num * b.den) (b.num * a.den)
 
-let sign a = Stdlib.compare a.num 0
-
 let is_zero a = a.num = 0
 let is_one a = a.num = 1 && a.den = 1
 let is_integer a = a.den = 1
@@ -47,13 +43,8 @@ let to_int a =
   if a.den <> 1 then invalid_arg "Rat.to_int: not an integer";
   a.num
 
-let to_float a = float_of_int a.num /. float_of_int a.den
-
 let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 
 let pp ppf a =
   if a.den = 1 then Format.fprintf ppf "%d" a.num
   else Format.fprintf ppf "%d/%d" a.num a.den
-
-let to_string a = Format.asprintf "%a" pp a

@@ -15,7 +15,6 @@ val of_int : int -> t
 
 val zero : t
 val one : t
-val minus_one : t
 
 val num : t -> int
 val den : t -> int
@@ -27,14 +26,12 @@ val div : t -> t -> t
 (** @raise Division_by_zero on division by [zero]. *)
 
 val neg : t -> t
-val abs : t -> t
 
 val inv : t -> t
 (** @raise Division_by_zero on [inv zero]. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val sign : t -> int
 
 val is_zero : t -> bool
 val is_one : t -> bool
@@ -44,10 +41,6 @@ val is_integer : t -> bool
 val to_int : t -> int
 (** @raise Invalid_argument if the value is not an integer. *)
 
-val to_float : t -> float
-
 val min : t -> t -> t
-val max : t -> t -> t
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -9,20 +9,9 @@ let make r c f =
 
 let of_mat m = make (Mat.rows m) (Mat.cols m) (fun i j -> Rat.of_int (Mat.get m i j))
 
-let of_lists rows_l =
-  match rows_l with
-  | [] -> invalid_arg "Ratmat.of_lists: empty"
-  | first :: _ ->
-    let c = List.length first in
-    let arr = Array.of_list (List.map Array.of_list rows_l) in
-    Array.iter (fun row ->
-        if Array.length row <> c then invalid_arg "Ratmat.of_lists: ragged") arr;
-    { r = Array.length arr; c; a = arr }
-
 let get m i j = m.a.(i).(j)
 
 let identity n = make n n (fun i j -> if i = j then Rat.one else Rat.zero)
-let zero r c = make r c (fun _ _ -> Rat.zero)
 
 let for_all f m =
   let ok = ref true in
@@ -54,16 +43,11 @@ let to_mat_exn m =
 
 let transpose m = make m.c m.r (fun i j -> m.a.(j).(i))
 let map f m = make m.r m.c (fun i j -> f m.a.(i).(j))
-let neg m = map Rat.neg m
 let scale k m = map (Rat.mul k) m
 
 let check_same_dims name m n =
   if m.r <> n.r || m.c <> n.c then
     invalid_arg (Printf.sprintf "Ratmat.%s: dimension mismatch" name)
-
-let add m n =
-  check_same_dims "add" m n;
-  make m.r m.c (fun i j -> Rat.add m.a.(i).(j) n.a.(i).(j))
 
 let sub m n =
   check_same_dims "sub" m n;

@@ -11,16 +11,13 @@ val cols : t -> int
 
 val make : int -> int -> (int -> int -> Rat.t) -> t
 val of_mat : Mat.t -> t
-val of_lists : Rat.t list list -> t
 val get : t -> int -> int -> Rat.t
 
 val identity : int -> t
-val zero : int -> int -> t
 
 val equal : t -> t -> bool
 val is_identity : t -> bool
 val is_zero : t -> bool
-val is_integer : t -> bool
 
 val to_mat : t -> Mat.t option
 (** [Some m] iff every entry is an integer. *)
@@ -28,8 +25,6 @@ val to_mat : t -> Mat.t option
 val to_mat_exn : t -> Mat.t
 
 val transpose : t -> t
-val neg : t -> t
-val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
 val scale : Rat.t -> t -> t

@@ -14,44 +14,9 @@ let reduce n cols =
     let basis = List.map (fun j -> Mat.of_col (Mat.col stacked j)) pivots in
     { n; basis }
 
-let of_columns cols ~n =
-  List.iter
-    (fun c ->
-      if Mat.rows c <> n || Mat.cols c <> 1 then
-        invalid_arg "Subspace.of_columns: expected n x 1 columns")
-    cols;
-  reduce n cols
-
 let kernel m = reduce (Mat.cols m) (Ratmat.kernel_of_mat m)
 
-let full n = reduce n (List.init n (fun i -> Mat.of_col (Array.init n (fun j -> if i = j then 1 else 0))))
-
-let zero n = { n; basis = [] }
-
-let ambient_dim s = s.n
-let dim s = List.length s.basis
-
 let basis s = s.basis
-
-let mem s v =
-  if Mat.rows v <> s.n || Mat.cols v <> 1 then
-    invalid_arg "Subspace.mem: expected an n x 1 column";
-  if Mat.is_zero v then true
-  else
-    match s.basis with
-    | [] -> false
-    | cols ->
-      let b = List.fold_left Mat.hcat (List.hd cols) (List.tl cols) in
-      Ratmat.solve (Ratmat.of_mat b) (Ratmat.of_mat v) <> None
-
-let subset a b =
-  a.n = b.n && List.for_all (fun v -> mem b v) a.basis
-
-let equal a b = subset a b && subset b a
-
-let sum a b =
-  if a.n <> b.n then invalid_arg "Subspace.sum: ambient dimension mismatch";
-  reduce a.n (a.basis @ b.basis)
 
 (* Intersection via kernels: x in A ∩ B iff x is in A and annihilated
    by any matrix whose kernel is B.  Build a matrix with kernel B from
@@ -61,7 +26,7 @@ let sum a b =
 let intersect a b =
   if a.n <> b.n then invalid_arg "Subspace.intersect: ambient dimension mismatch";
   match (a.basis, b.basis) with
-  | [], _ | _, [] -> zero a.n
+  | [], _ | _, [] -> { n = a.n; basis = [] }
   | ca, cb ->
     let ma = List.fold_left Mat.hcat (List.hd ca) (List.tl ca) in
     let mb = List.fold_left Mat.hcat (List.hd cb) (List.tl cb) in
@@ -75,19 +40,3 @@ let intersect a b =
         (Ratmat.kernel_of_mat combined)
     in
     reduce a.n (List.filter (fun v -> not (Mat.is_zero v)) vectors)
-
-let image m s =
-  if Mat.cols m <> s.n then invalid_arg "Subspace.image: dimension mismatch";
-  reduce (Mat.rows m)
-    (List.filter
-       (fun v -> not (Mat.is_zero v))
-       (List.map (fun v -> Mat.mul m v) s.basis))
-
-let pp ppf s =
-  Format.fprintf ppf "span{";
-  List.iteri
-    (fun i v ->
-      if i > 0 then Format.fprintf ppf ", ";
-      Mat.pp_flat ppf (Mat.transpose v))
-    s.basis;
-  Format.fprintf ppf "} in Q^%d" s.n

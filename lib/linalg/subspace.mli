@@ -8,31 +8,10 @@
 
 type t
 
-val of_columns : Mat.t list -> n:int -> t
-(** Span of the given column vectors (each [n x 1]). *)
-
 val kernel : Mat.t -> t
 (** Right null space of a matrix. *)
-
-val full : int -> t
-val zero : int -> t
-
-val ambient_dim : t -> int
-val dim : t -> int
 
 val basis : t -> Mat.t list
 (** A basis as primitive integer column vectors. *)
 
-val mem : t -> Mat.t -> bool
-(** Membership of a column vector. *)
-
-val subset : t -> t -> bool
-val equal : t -> t -> bool
-
 val intersect : t -> t -> t
-val sum : t -> t -> t
-
-val image : Mat.t -> t -> t
-(** [image m s] is [{m v | v in s}] (in the codomain of [m]). *)
-
-val pp : Format.formatter -> t -> unit

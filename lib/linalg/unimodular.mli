@@ -18,8 +18,3 @@ val random : dim:int -> ops:int -> Random.State.t -> Mat.t
 
 val enumerate_2x2 : bound:int -> Mat.t list
 (** All 2x2 unimodular matrices with entries in [[-bound, bound]]. *)
-
-val elementary_transvection : int -> i:int -> j:int -> k:int -> Mat.t
-(** [elementary_transvection n ~i ~j ~k] is the identity with an extra
-    [k] at position [(i, j)] ([i <> j]): adds [k] times row [j] to row
-    [i] when used on the left. *)

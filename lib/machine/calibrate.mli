@@ -12,10 +12,6 @@ val linear_fit : (int * float) list -> fit
 (** Least-squares fit of [(bytes, time)] samples.
     @raise Invalid_argument with fewer than two distinct sizes. *)
 
-val measure_pingpong :
-  Topology.t -> Eventsim.params -> sizes:int list -> (int * float) list
-(** Event-simulate a single neighbour message at each size and report
-    the cycle counts. *)
-
 val fit_model : Topology.t -> Eventsim.params -> fit
-(** {!measure_pingpong} over a standard size sweep, fitted. *)
+(** A single neighbour message event-simulated at each size of a
+    standard sweep, and the cycle counts fitted. *)

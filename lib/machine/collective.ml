@@ -29,35 +29,7 @@ let scatter topo p ~bytes =
   +. (p.Netsim.beta *. float_of_int (payload_items * bytes))
   +. (p.Netsim.hop *. float_of_int (Topology.diameter topo))
 
-let gather topo p ~bytes = scatter topo p ~bytes
-
 let partial_broadcast topo p ~axis ~bytes =
   if axis < 0 || axis >= Topology.ndims topo then
     invalid_arg "Collective.partial_broadcast: bad axis";
   tree_time topo p ~bytes ~fanout_size:(Topology.dim topo axis)
-
-let broadcast_rounds topo ~root ~bytes =
-  let n = Topology.size topo in
-  let unrel r = (r + root) mod n in
-  let rounds = ref [] in
-  let reach = ref 1 in
-  while !reach < n do
-    let round = ref [] in
-    for holder = 0 to !reach - 1 do
-      let target = holder + !reach in
-      if target < n then
-        round :=
-          Message.make ~src:(unrel holder) ~dst:(unrel target) ~bytes :: !round
-    done;
-    rounds := List.rev !round :: !rounds;
-    reach := !reach * 2
-  done;
-  List.rev !rounds
-
-let simulate_broadcast topo p ~root ~bytes =
-  List.fold_left
-    (fun acc round ->
-      let v = Netsim.volume topo (Message.of_list round) in
-      acc +. (Netsim.price topo p v).Netsim.time)
-    0.0
-    (broadcast_rounds topo ~root ~bytes)

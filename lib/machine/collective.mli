@@ -1,7 +1,7 @@
 (** Software macro-communications on a mesh: binomial trees.
 
     When the machine has no hardware collective network, a broadcast
-    (reduction, scatter, gather) is implemented as [ceil(log2 P)]
+    (reduction, scatter) is implemented as [ceil(log2 P)]
     rounds of point-to-point messages whose reach doubles each round.
     Used as the software baseline against the CM-5-style hardware
     collectives of {!Models}. *)
@@ -17,21 +17,7 @@ val scatter : Topology.t -> Netsim.params -> bytes:int -> float
     implemented as a splitting tree: round [r] forwards half the
     remaining payload. *)
 
-val gather : Topology.t -> Netsim.params -> bytes:int -> float
-
 val partial_broadcast :
   Topology.t -> Netsim.params -> axis:int -> bytes:int -> float
 (** Broadcast along a single axis of the grid (each row/column root
     broadcasts within its line, all lines in parallel). *)
-
-val broadcast_rounds : Topology.t -> root:int -> bytes:int -> Message.t list list
-(** The binomial-tree broadcast as explicit per-round message lists:
-    in round [r], every rank that already holds the item forwards it
-    to [rank + 2^r] (rank space relative to the root).  Turn a round
-    into a {!Netsim.volume} with {!Message.of_list} and hand it to
-    {!Netsim.price} or {!Eventsim.run} to price the tree under the
-    actual network rather than the closed form. *)
-
-val simulate_broadcast :
-  Topology.t -> Netsim.params -> root:int -> bytes:int -> float
-(** Sum of the simulated round times. *)

@@ -83,6 +83,8 @@ let severed_spec = function
   | Link_down { from_cycle = 0; until_cycle; _ } when until_cycle = max_int -> true
   | _ -> false
 
+(* Permanently unusable (whole-run [Link_down], or an endpoint is
+   dead): the links routing must avoid.  Direction-agnostic. *)
 let link_severed t (x, y) =
   t.specs <> []
   && (node_dead t x || node_dead t y

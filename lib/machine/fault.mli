@@ -104,12 +104,6 @@ val label : t -> string
 
 (** {1 Queries} *)
 
-val node_dead : t -> int -> bool
-
-val link_severed : t -> int * int -> bool
-(** Permanently unusable (whole-run [Link_down], or an endpoint is
-    dead): the links routing must avoid.  Direction-agnostic. *)
-
 val has_severed : t -> bool
 (** Whether any link is severed at all — lets callers keep the plain
     {!Topology.route} fast path when routing is unaffected. *)
@@ -118,18 +112,16 @@ val link_down : t -> cycle:int -> int * int -> bool
 (** Is the link unable to transmit at this cycle (severed, or inside a
     down interval)? *)
 
-val drop_prob : t -> int * int -> float
-(** Combined per-packet drop probability of the flaky specs matching
-    the link: [1 - prod (1 - p_i)]. *)
-
 val bandwidth_factor : t -> int * int -> float
 (** Product of the degradation factors matching the link; [1.0] when
     none do. *)
 
 val drops : t -> packet:int -> hop:int -> attempt:int -> link:(int * int) -> bool
 (** Does this crossing attempt drop?  A pure hash of
-    [(seed, packet, hop, attempt)] against {!drop_prob} — repeatable,
-    order-independent, and distinct per retransmission attempt. *)
+    [(seed, packet, hop, attempt)] against the link's combined drop
+    probability [1 - prod (1 - p_i)] over the flaky specs matching it
+    — repeatable, order-independent, and distinct per retransmission
+    attempt. *)
 
 val backoff : t -> attempt:int -> int
 (** Cycles to wait before retransmission number [attempt] (1-based):

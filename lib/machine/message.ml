@@ -7,10 +7,6 @@ let make ~src ~dst ~bytes =
   if bytes < 0 then invalid_arg "Message.make: negative size";
   { src; dst; bytes }
 
-let is_local m = m.src = m.dst
-
-let pp ppf m = Format.fprintf ppf "%d -> %d (%dB)" m.src m.dst m.bytes
-
 type traffic = (int -> int -> int -> unit) -> unit
 
 let of_list msgs emit = List.iter (fun m -> emit m.src m.dst m.bytes) msgs

@@ -9,11 +9,6 @@ type t = { src : int; dst : int; bytes : int }
 val make : src:int -> dst:int -> bytes:int -> t
 (** @raise Invalid_argument when [bytes] is negative. *)
 
-val is_local : t -> bool
-(** Source and destination are the same rank: no network traffic. *)
-
-val pp : Format.formatter -> t -> unit
-
 type traffic = (int -> int -> int -> unit) -> unit
 (** Messages as a replayable stream: [traffic emit] calls
     [emit src dst bytes] once per message, in order, and running it
@@ -23,5 +18,5 @@ type traffic = (int -> int -> int -> unit) -> unit
 
 val of_list : t list -> traffic
 (** The one adapter from a batch of messages built as a list
-    ({!Collective.broadcast_rounds}, [Redistribute], [Progtime]) to
+    ([Redistribute], [Progtime]) to
     the stream the simulators read. *)

@@ -37,14 +37,6 @@ let t3d ?(p = 4) ?(q = 4) ?(r = 2) () =
     hw = None;
   }
 
-let sp2 ?(nodes = 16) () =
-  {
-    name = "sp2";
-    topo = Topology.ring nodes;
-    net = { Netsim.alpha = 40.0; beta = 0.08; hop = 0.1 };
-    hw = None;
-  }
-
 (* A model for an arbitrary [--topo] spec: Paragon-flavoured wire
    parameters (the ratios are what matters) with the collective
    capability hint consumed here — a fat tree, like the CM-5 whose

@@ -27,11 +27,6 @@ val t3d : ?p:int -> ?q:int -> ?r:int -> unit -> t
 (** A Cray T3D stand-in: 3-D torus (4x4x2 by default), fast links,
     software collectives. *)
 
-val sp2 : ?nodes:int -> unit -> t
-(** An IBM SP-2 stand-in: multistage network approximated by a ring of
-    switches with near-uniform distances and high per-message
-    start-up. *)
-
 val of_topo : Topology.t -> t
 (** The model behind the [--topo] flag: the given topology under
     Paragon-flavoured wire parameters, named by its spec string.

@@ -65,14 +65,11 @@ val fill_successors : ?offset:int array -> vgrid:int array -> Mat.t -> int array
 (** {!successors} written into the first {!cells} entries of a
     caller's array. *)
 
-val rank : axes:int array array -> ?remap:int array -> int array -> int
-(** A cell's rank under per-axis placement tables, then [remap]
-    ([remap.(rank)]) when given. *)
-
 val fill_ranks :
   axes:int array array -> ?remap:int array -> vgrid:int array -> int array -> unit
-(** Every cell's {!rank}, row-major, written into the first {!cells}
-    entries of a caller's array: the cell→rank table. *)
+(** Every cell's rank under the per-axis placement tables (then
+    [remap.(rank)] when given), row-major, written into the first
+    {!cells} entries of a caller's array: the cell→rank table. *)
 
 val ranks : axes:int array array -> vgrid:int array -> int array
 (** {!fill_ranks} into a fresh array, without [remap]. *)
@@ -86,7 +83,7 @@ val traffic :
   Mat.t list ->
   Message.traffic
 (** The flows' messages under a placement: for each flow in turn, one
-    message of [bytes] from each cell's {!rank} to its destination's,
+    message of [bytes] from each cell's rank to its destination's,
     cells taken from last to first — the order in which telemetry has
     always recorded a flow's messages.  Local messages are kept.
     @raise Invalid_argument, when run, as {!successors} does or on a

@@ -34,10 +34,8 @@ let make ?(torus = false) dims =
   Array.iter (fun d -> if d <= 0 then invalid_arg "Topology.make: non-positive dim") dims;
   { shape = Grid { gdims = Array.copy dims; torus }; hdims = Array.copy dims }
 
-let line n = make [| n |]
 let ring n = make ~torus:true [| n |]
 let mesh2d ~p ~q = make [| p; q |]
-let mesh3d ~p ~q ~r = make [| p; q; r |]
 let torus3d ~p ~q ~r = make ~torus:true [| p; q; r |]
 
 let fat_tree ~levels ~arity =
@@ -100,10 +98,6 @@ let coords_of t rank =
     r := !r / t.hdims.(i)
   done;
   coords
-
-let valid t coords =
-  Array.length coords = Array.length t.hdims
-  && Array.for_all2 (fun c d -> c >= 0 && c < d) coords t.hdims
 
 (* {1 Grids: dimension-order routing, Manhattan distances} *)
 
@@ -392,24 +386,6 @@ let diameter t =
       else if routers = 1 then 3
       else 5
 
-let route_bound t =
-  match t.shape with
-  | Dragonfly { routing = Valiant _; _ } -> diameter t + 2
-  | _ -> diameter t
-
-(* Switched topologies fall back to adjacency lists derived from
-   [links]; neighbour lists are ascending, so the BFS tie-breaking is
-   as fixed as the grid enumeration's. *)
-let neighbors t r =
-  match t.shape with
-  | Grid _ -> grid_neighbors t r
-  | _ ->
-      List.sort compare
-        (List.filter_map
-           (fun ((a, b), _) ->
-             if a = r then Some b else if b = r then Some a else None)
-           (links t))
-
 let route_avoiding ~down t ~src ~dst =
   if src = dst then Some []
   else begin
@@ -513,5 +489,3 @@ let of_string spec =
           | _ -> fail ())
       | _ -> fail ())
   | _ -> fail ()
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

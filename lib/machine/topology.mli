@@ -46,10 +46,8 @@ val make : ?torus:bool -> int array -> t
     non-positive dimensions.  [torus] (default false) adds wrap-around
     links in every dimension. *)
 
-val line : int -> t
 val ring : int -> t
 val mesh2d : p:int -> q:int -> t
-val mesh3d : p:int -> q:int -> r:int -> t
 val torus3d : p:int -> q:int -> r:int -> t
 
 val fat_tree : levels:int -> arity:int -> t
@@ -93,7 +91,6 @@ val dims : t -> int array
 
 val rank_of : t -> int array -> int
 val coords_of : t -> int -> int array
-val valid : t -> int array -> bool
 
 (** {1 Links and routing} *)
 
@@ -104,12 +101,6 @@ val links : t -> ((int * int) * int) list
 val link_capacity : t -> int * int -> int
 (** Capacity of a link in either orientation (1 for every grid link);
     1 for pairs that are not links. *)
-
-val neighbors : t -> int -> int list
-(** Vertices adjacent to [r] (hosts or switches).  The enumeration
-    order is deterministic — dimensions ascending with the positive
-    direction first on grids, ascending ids elsewhere — which fixes
-    the {!route_avoiding} BFS tie-breaking. *)
 
 val route : t -> src:int -> dst:int -> (int * int) list
 (** Unit hops as [(from, to)] pairs; empty when [src = dst].
@@ -134,11 +125,6 @@ val distance : t -> src:int -> dst:int -> int
 val diameter : t -> int
 (** Longest minimal route between any two hosts. *)
 
-val route_bound : t -> int
-(** Upper bound on [List.length (route t ~src ~dst)] for any host
-    pair: {!diameter} except under Valiant routing, whose detours may
-    exceed it by two hops. *)
-
 (** {1 Spec grammar}
 
     [mesh:4x8], [torus:8x8x2], [fattree:LEVELS:ARITY],
@@ -150,5 +136,3 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 (** [Error] carries a human-readable message naming the offending
     spec. *)
-
-val pp : Format.formatter -> t -> unit

@@ -20,14 +20,3 @@ let load_heatmap topo traffic =
       else Buffer.add_char buf ' ')
     send;
   Buffer.contents buf
-
-let link_table topo traffic =
-  let loads =
-    List.sort (fun (_, a) (_, b) -> compare b a) (Netsim.link_loads topo traffic)
-  in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun ((src, dst), load) ->
-      Buffer.add_string buf (Printf.sprintf "%4d -> %-4d %8d\n" src dst load))
-    loads;
-  Buffer.contents buf

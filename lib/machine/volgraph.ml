@@ -7,10 +7,6 @@ type t = ((int * int) * int) list
 
 let sorted (g : t) = List.sort compare g
 
-let total (g : t) = List.fold_left (fun s (_, b) -> s + b) 0 g
-
-let nonlocal (g : t) = List.filter (fun ((s, d), _) -> s <> d) g
-
 (* A lender keeps one buffer per domain and lends it to one borrower
    at a time; a thread of the same domain that finds it lent out
    allocates its own.  The buffer comes back when the borrower

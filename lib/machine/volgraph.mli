@@ -16,12 +16,6 @@ val sorted : t -> t
 (** Sorted by endpoint pair — a canonical order for goldens and for
     seeding deterministic searches. *)
 
-val total : t -> int
-(** Summed bytes over every pair. *)
-
-val nonlocal : t -> t
-(** Drop the [src = dst] entries. *)
-
 type 'a lender
 (** Scratch buffers reused per domain.  A lender keeps one buffer per
     domain and lends it to one borrower at a time: a thread of the

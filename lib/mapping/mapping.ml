@@ -38,20 +38,6 @@ let kind_of_string = function
 
 let identity n = Array.init n Fun.id
 
-let is_valid perm =
-  let n = Array.length perm in
-  let seen = Array.make n false in
-  Array.for_all
-    (fun p ->
-      p >= 0 && p < n
-      &&
-      if seen.(p) then false
-      else begin
-        seen.(p) <- true;
-        true
-      end)
-    perm
-
 (* Pairwise hop distances of the topology, symmetric by construction:
    the compiled topology's shared table of [Topology.distance], the
    minimal-route hop count of the topology at hand — Manhattan on
@@ -272,7 +258,3 @@ let compute s topo vol =
   | Identity -> identity (Machine.Topology.size topo)
   | Greedy -> greedy topo vol
   | Search -> search ~seed:s.seed ~restarts:s.restarts topo vol
-
-let pp ppf perm =
-  Format.fprintf ppf "[%s]"
-    (String.concat " " (Array.to_list (Array.map string_of_int perm)))

@@ -33,11 +33,8 @@ type spec = { kind : kind; seed : int; restarts : int }
     seeded hill climbing.  [seed] and [restarts] only matter for
     [Search]. *)
 
-val default_restarts : int
-(** [8] — the restart count used by {!spec} when none is given. *)
-
 val spec : ?seed:int -> ?restarts:int -> kind -> spec
-(** [seed] defaults to [0], [restarts] to {!default_restarts}. *)
+(** [seed] defaults to [0], [restarts] to [8]. *)
 
 val kind_to_string : kind -> string
 (** ["none"], ["greedy"], ["search"] — the [--map] CLI vocabulary. *)
@@ -46,9 +43,6 @@ val kind_of_string : string -> kind option
 (** Inverse of {!kind_to_string} (also accepts ["identity"]). *)
 
 val identity : int -> t
-
-val is_valid : t -> bool
-(** Is this a permutation of [0 .. n-1]? *)
 
 val hop_bytes : Machine.Topology.t -> Machine.Volgraph.t -> t -> int
 (** The objective: summed [volume * hops] over all pairs under the
@@ -70,5 +64,3 @@ val search :
 
 val compute : spec -> Machine.Topology.t -> Machine.Volgraph.t -> t
 (** Dispatch on [spec.kind]. *)
-
-val pp : Format.formatter -> t -> unit

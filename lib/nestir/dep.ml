@@ -46,53 +46,6 @@ let banerjee_test ~extent1 ~extent2 a1 a2 =
     check 0
   end
 
-let exact_test d1 d2 (a1 : Affine.t) (a2 : Affine.t) =
-  if Affine.dim_out a1 <> Affine.dim_out a2 then false
-  else begin
-    let hits = Hashtbl.create 64 in
-    Domain.iter d1 (fun i -> Hashtbl.replace hits (Array.to_list (Affine.apply a1 i)) ());
-    let found = ref false in
-    Domain.iter d2 (fun i ->
-        if Hashtbl.mem hits (Array.to_list (Affine.apply a2 i)) then found := true);
-    !found
-  end
-
-let domain_test d1 d2 a1 a2 = gcd_test a1 a2 && exact_test d1 d2 a1 a2
-
-let dependence_fm_system ~extent1 ~extent2 (a1 : Affine.t) (a2 : Affine.t) =
-    let d1 = Affine.dim_in a1 and d2 = Affine.dim_in a2 in
-    let n = d1 + d2 in
-    let unit k v = Array.init n (fun i -> if i = k then v else 0) in
-    let sys = ref (Linalg.Fourier.make ~nvars:n) in
-    Array.iteri
-      (fun k e ->
-        sys := Linalg.Fourier.add_ge !sys (unit k 1) 0;
-        sys := Linalg.Fourier.add_le !sys (unit k 1) (e - 1))
-      extent1;
-    Array.iteri
-      (fun k e ->
-        sys := Linalg.Fourier.add_ge !sys (unit (d1 + k) 1) 0;
-        sys := Linalg.Fourier.add_le !sys (unit (d1 + k) 1) (e - 1))
-      extent2;
-    (* a1 I1 - a2 I2 = c2 - c1 *)
-    for r = 0 to Affine.dim_out a1 - 1 do
-      let row =
-        Array.init n (fun i ->
-            if i < d1 then Linalg.Mat.get a1.Affine.f r i
-            else - (Linalg.Mat.get a2.Affine.f r (i - d1)))
-      in
-      sys := Linalg.Fourier.add_eq !sys row (a2.Affine.c.(r) - a1.Affine.c.(r))
-    done;
-    !sys
-
-let fm_test ~extent1 ~extent2 a1 a2 =
-  Affine.dim_out a1 = Affine.dim_out a2
-  && Linalg.Fourier.feasible (dependence_fm_system ~extent1 ~extent2 a1 a2)
-
-let omega_test ~extent1 ~extent2 a1 a2 =
-  Affine.dim_out a1 = Affine.dim_out a2
-  && Linalg.Fourier.feasible_int (dependence_fm_system ~extent1 ~extent2 a1 a2)
-
 let may_conflict (s1 : Loopnest.stmt) (a1 : Loopnest.access) (s2 : Loopnest.stmt)
     (a2 : Loopnest.access) =
   if a1.Loopnest.array_name <> a2.Loopnest.array_name then false
@@ -154,8 +107,3 @@ let analyze (nest : Loopnest.t) =
   List.rev !deps
 
 let is_doall nest = analyze nest = []
-
-let pp_dep ppf d =
-  let k = match d.kind with Flow -> "flow" | Anti -> "anti" | Output -> "output" in
-  Format.fprintf ppf "%s dependence on %s: %s/%s -> %s/%s" k d.array_name d.src_stmt
-    d.src_access d.dst_stmt d.dst_access

@@ -30,39 +30,9 @@ val banerjee_test :
   extent1:int array -> extent2:int array -> Affine.t -> Affine.t -> bool
 (** Bounds test over rectangular domains [0, extent_k). *)
 
-val may_conflict :
-  Loopnest.stmt -> Loopnest.access -> Loopnest.stmt -> Loopnest.access -> bool
-(** Both tests combined; self-conflicts of an injective access are
-    discarded. *)
-
-val exact_test : Domain.t -> Domain.t -> Affine.t -> Affine.t -> bool
-(** Exhaustive oracle: does any pair of points of the two domains
-    touch the same element?  Exponential — for small domains and for
-    property-checking the conservativeness of the algebraic tests. *)
-
-val domain_test :
-  Domain.t -> Domain.t -> Affine.t -> Affine.t -> bool
-(** [exact_test] restricted by the GCD pre-filter: slightly cheaper,
-    same answer. *)
-
-val fm_test :
-  extent1:int array -> extent2:int array -> Affine.t -> Affine.t -> bool
-(** Fourier-Motzkin dependence test: rational feasibility of the full
-    coupled system [{0 <= I1 < e1, 0 <= I2 < e2, a1 I1 = a2 I2}].
-    Strictly sharper than {!banerjee_test} (which checks each array
-    dimension in isolation) and sound for integer dependences. *)
-
-val omega_test :
-  extent1:int array -> extent2:int array -> Affine.t -> Affine.t -> bool
-(** Exact {e integer} dependence test: branch-and-bound over the
-    Fourier-Motzkin relaxation.  Agrees with {!exact_test} on the
-    corresponding box domains, without enumerating them. *)
-
 val analyze : Loopnest.t -> dep list
 (** All may-dependences (flow, anti, output — read/read pairs are not
     dependences). *)
 
 val is_doall : Loopnest.t -> bool
 (** No dependences at all: every loop of the nest is parallel. *)
-
-val pp_dep : Format.formatter -> dep -> unit

@@ -128,19 +128,6 @@ let strip_comment line =
   | Some i -> String.sub line 0 i
   | None -> line
 
-let print_with_schedule nest sched =
-  let base = print nest in
-  let buf = Buffer.create (String.length base + 128) in
-  Buffer.add_string buf base;
-  List.iter
-    (fun (st : Loopnest.stmt) ->
-      let theta = Schedule.theta sched st.Loopnest.stmt_name in
-      Buffer.add_string buf
-        (Printf.sprintf "schedule %s %s\n" st.Loopnest.stmt_name
-           (print_matrix theta)))
-    nest.Loopnest.stmts;
-  Buffer.contents buf
-
 let parse text =
   let lines = String.split_on_char '\n' text in
   let name = ref None in

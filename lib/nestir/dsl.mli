@@ -23,9 +23,6 @@ val parse_with_schedule : string -> (Loopnest.t * Schedule.t option, string) res
     the zero row).  [None] when the text declares no schedule at
     all. *)
 
-val print_with_schedule : Loopnest.t -> Schedule.t -> string
-(** {!print} plus one [schedule] line per statement. *)
-
 val parse_exn : string -> Loopnest.t
 (** @raise Invalid_argument on syntax errors. *)
 

@@ -12,9 +12,6 @@
 
 (** {1 Records} *)
 
-val schema_version : int
-(** Version stamped into every line; {!of_line} rejects others. *)
-
 type record = {
   version : int;
   experiment : string;  (** bench experiment name, e.g. ["faultbench"] *)

@@ -226,61 +226,6 @@ let chrome_trace () =
   in
   "{\"traceEvents\":[" ^ String.concat "," events ^ "],\"displayTimeUnit\":\"ms\"}"
 
-let jsonl () =
-  locked @@ fun c ->
-  let buf = Buffer.create 1024 in
-  let line s = Buffer.add_string buf (s ^ "\n") in
-  List.iter
-    (fun (s : span) ->
-      line
-        (Json.obj
-           ([
-              ("type", Json.str "span");
-              ("name", Json.str s.span_name);
-              ("ts_us", Json.float s.ts_us);
-              ("dur_us", Json.float s.dur_us);
-              ("depth", string_of_int s.depth);
-            ]
-           @ if s.args = [] then [] else [ ("args", args_obj s.args) ])))
-    (List.rev c.span_log);
-  List.iter
-    (fun (p : series_point) ->
-      line
-        (Json.obj
-           [
-             ("type", Json.str "point");
-             ("name", Json.str p.point_name);
-             ("ts", Json.float p.point_ts);
-             ("value", Json.float p.value);
-           ]))
-    (List.rev c.point_log);
-  List.iter
-    (fun (k, v) ->
-      line
-        (Json.obj
-           [ ("type", Json.str "counter"); ("name", Json.str k); ("value", string_of_int v) ]))
-    (sorted_bindings c.counters);
-  List.iter
-    (fun (k, v) ->
-      line
-        (Json.obj
-           [ ("type", Json.str "gauge"); ("name", Json.str k); ("value", Json.float v) ]))
-    (sorted_bindings c.gauges);
-  List.iter
-    (fun (k, (h : histogram)) ->
-      line
-        (Json.obj
-           [
-             ("type", Json.str "histogram");
-             ("name", Json.str k);
-             ("count", string_of_int h.count);
-             ("sum", Json.float h.sum);
-             ("min", Json.float h.min_v);
-             ("max", Json.float h.max_v);
-           ]))
-    (sorted_bindings c.histos);
-  Buffer.contents buf
-
 (* per-name span aggregates: count, total duration, max duration *)
 let span_aggregates c =
   let tbl : (string, int * float * float) Hashtbl.t = Hashtbl.create 16 in

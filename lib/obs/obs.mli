@@ -16,8 +16,8 @@
 
     and exports them as Chrome trace-event JSON (loadable in
     [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}), a
-    flat JSONL event log, a machine-readable metrics snapshot, or an
-    ASCII summary table in the spirit of {!Machine.Trace}.
+    machine-readable metrics snapshot, or an ASCII summary table in
+    the spirit of {!Machine.Trace}.
 
     The module keeps ambient state on purpose — instrumentation has to
     be reachable from every layer without threading a handle through
@@ -119,10 +119,6 @@ val chrome_trace : unit -> string
     become complete ("ph":"X") events, points and counters become
     counter ("ph":"C") events.  Any {!Profile} recordings are appended
     as their own track, so [--trace] and [--profile] compose. *)
-
-val jsonl : unit -> string
-(** Flat log, one JSON object per line: spans in completion order,
-    then points, then one line per counter / gauge / histogram. *)
 
 val metrics_json : unit -> string
 (** Counters, gauges, histograms and per-name span aggregates as one

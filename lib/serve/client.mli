@@ -17,12 +17,10 @@ val connect : Wire.addr -> (t, string) result
 
 val close : t -> unit
 
-val rpc : t -> string -> (string, string) result
-(** One raw framed round-trip: send the payload, read one response
-    payload.  [Error] on a closed or garbled stream. *)
-
 val request : t -> Wire.request -> (Wire.response, string) result
-(** {!rpc} with encoding on the way out, decoding on the way back. *)
+(** One framed round trip: the request encoded on the way out, the
+    response decoded on the way back.  [Error] on a closed or garbled
+    stream. *)
 
 val default_backoff : seed:int -> Machine.Backoff.t
 (** Base 50 ms, cap 1000 ms, jitter 0.5. *)

@@ -65,7 +65,6 @@ type t = {
 }
 
 let address t = t.bound
-let stopping t = Atomic.get t.stop_flag
 
 (* Answers persist across restarts: this is the table the snapshot
    loop makes kill -9-proof.  Lazy so binaries that link the library

@@ -63,8 +63,6 @@ val stop : t -> unit
 (** Begin graceful drain.  Idempotent, non-blocking; {!wait} for
     completion. *)
 
-val stopping : t -> bool
-
 val install_signal_handlers : t -> unit
 (** SIGTERM and SIGINT trigger {!stop} (the handler only flips an
     atomic flag; the polling loops notice).  SIGPIPE is already

@@ -238,7 +238,7 @@ let link_loads faults topo msgs =
   let loads = Hashtbl.create 64 in
   List.iter
     (fun (m : Message.t) ->
-      if not (Message.is_local m) then
+      if m.Message.src <> m.Message.dst then
         match route_of faults topo m with
         | Some path -> add_route_loads topo faults loads m.Message.bytes path
         | None -> ())
@@ -261,7 +261,7 @@ let tele_message hops (m : Message.t) outcome =
 
 (* The stats and the telemetry record of one pricing. *)
 let run ?(label = "") ~coalesce:merge ~faults topo (params : Netsim.params) msgs =
-  let remote, locals = List.partition (fun m -> not (Message.is_local m)) msgs in
+  let remote, locals = List.partition (fun (m : Message.t) -> m.src <> m.dst) msgs in
   let remote = if merge then coalesce remote else remote in
   let n = Topology.size topo in
   let send = Array.make n 0 and recv = Array.make n 0 in
@@ -478,3 +478,232 @@ let decomposed_costs ?mapping ~faults model plan =
         Some (decomposed_prices ~faults ?remap ~vgrid model ~flow factors)
       | _ -> None)
     plan
+
+(* ------------------------------------------------------------------ *)
+(* Exhaustive oracles for live kernels                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Schedule legality by enumeration: replay the (capped) iteration
+   domains in program order, remember the last conflicting access per
+   array element, and report every pair the schedule reverses.  The
+   executable counterpart of the hyperplane condition [theta . d >= 1]
+   that [Schedule.lamport] implements, and of the order [Distexec]
+   replays. *)
+module Legality = struct
+  open Nestir
+
+  type violation = {
+    array_name : string;
+    element : int list;
+    first : string * int array;  (* statement and iteration, program order *)
+    second : string * int array;
+    reason : string;
+  }
+
+  (* Lexicographic comparison of (possibly multidimensional) timesteps. *)
+  let time_compare a b = Stdlib.compare (Array.to_list a) (Array.to_list b)
+
+  let check (nest : Loopnest.t) (sched : Schedule.t) =
+    let violations = ref [] in
+    (* last conflicting access per array element, in program order:
+       (kind, stmt, iteration, timestep) *)
+    let last :
+        ( string * int list,
+          Loopnest.access_kind * string * int array * int array )
+        Hashtbl.t =
+      Hashtbl.create 256
+    in
+    List.iter
+      (fun (s : Loopnest.stmt) ->
+        let theta = Schedule.theta sched s.Loopnest.stmt_name in
+        let capped = Array.map (fun e -> min e 5) s.Loopnest.extent in
+        Patterns.iter_box capped (fun i ->
+            let t = Linalg.Mat.mul_vec theta i in
+            List.iter
+              (fun (a : Loopnest.access) ->
+                let el = Array.to_list (Affine.apply a.Loopnest.map i) in
+                let key = (a.Loopnest.array_name, el) in
+                (match (Hashtbl.find_opt last key, a.Loopnest.kind) with
+                | Some (prev_kind, ps, pi, pt), kind
+                  when prev_kind = Loopnest.Write || kind = Loopnest.Write ->
+                  (* conflicting pair in program order: the later access
+                     must not run at a strictly earlier timestep; equal
+                     timesteps are fine across statements (statement
+                     phases execute in textual order inside a timestep)
+                     but a race between two instances of one statement *)
+                  let same_stmt = ps = s.Loopnest.stmt_name in
+                  let same_instance = same_stmt && pi = i in
+                  if
+                    (not same_instance)
+                    && (time_compare pt t > 0 || (time_compare pt t = 0 && same_stmt))
+                  then
+                    violations :=
+                      {
+                        array_name = a.Loopnest.array_name;
+                        element = el;
+                        first = (ps, pi);
+                        second = (s.Loopnest.stmt_name, i);
+                        reason =
+                          (if time_compare pt t = 0 then
+                             "conflicting accesses share a timestep"
+                           else "schedule reverses a conflicting pair");
+                      }
+                      :: !violations
+                | _ -> ());
+                (* writes supersede the remembered access; reads only
+                   replace other reads *)
+                match (Hashtbl.find_opt last key, a.Loopnest.kind) with
+                | _, Loopnest.Write ->
+                  Hashtbl.replace last key (Loopnest.Write, s.Loopnest.stmt_name, i, t)
+                | Some (Loopnest.Write, _, _, _), Loopnest.Read -> ()
+                | _, Loopnest.Read ->
+                  Hashtbl.replace last key (Loopnest.Read, s.Loopnest.stmt_name, i, t))
+              s.Loopnest.accesses))
+      nest.Loopnest.stmts;
+    List.rev !violations
+
+  let is_legal nest sched = check nest sched = []
+end
+
+(* Iteration domains beyond rectangles: a box intersected with affine
+   half-spaces [coeffs . I <= bound], small enough to enumerate.  The
+   input of the exact dependence oracle below. *)
+module Domain = struct
+  type t = {
+    extents : int array;
+    half_spaces : (int array * int) list;
+  }
+
+  let box extents =
+    if Array.length extents = 0 then invalid_arg "Domain.box: empty";
+    Array.iter
+      (fun e -> if e <= 0 then invalid_arg "Domain.box: non-positive extent")
+      extents;
+    { extents = Array.copy extents; half_spaces = [] }
+
+  let constrain t ~coeffs ~bound =
+    if Array.length coeffs <> Array.length t.extents then
+      invalid_arg "Domain.constrain: dimension mismatch";
+    { t with half_spaces = (Array.copy coeffs, bound) :: t.half_spaces }
+
+  (* [{(i, j) | 0 <= i <= j < n}]: i - j <= 0 *)
+  let triangular n = constrain (box [| n; n |]) ~coeffs:[| 1; -1 |] ~bound:0
+
+  let dot a b =
+    let acc = ref 0 in
+    Array.iteri (fun k x -> acc := !acc + (x * b.(k))) a;
+    !acc
+
+  let inside t p = List.for_all (fun (c, b) -> dot c p <= b) t.half_spaces
+
+  let mem t p =
+    Array.length p = Array.length t.extents
+    && Array.for_all2 (fun x e -> x >= 0 && x < e) p t.extents
+    && inside t p
+
+  let iter t f = Patterns.iter_box t.extents (fun p -> if inside t p then f (Array.copy p))
+
+  let count t =
+    let c = ref 0 in
+    iter t (fun _ -> incr c);
+    !c
+
+  let is_empty t = count t = 0
+end
+
+(* Exhaustive dependence oracle: does any pair of points of the two
+   domains touch the same element?  The algebraic GCD and Banerjee
+   tests must fire whenever it does. *)
+let exact_test d1 d2 (a1 : Nestir.Affine.t) (a2 : Nestir.Affine.t) =
+  Nestir.Affine.dim_out a1 = Nestir.Affine.dim_out a2
+  &&
+  let hits = Hashtbl.create 64 in
+  Domain.iter d1 (fun i ->
+      Hashtbl.replace hits (Array.to_list (Nestir.Affine.apply a1 i)) ());
+  let found = ref false in
+  Domain.iter d2 (fun i ->
+      if Hashtbl.mem hits (Array.to_list (Nestir.Affine.apply a2 i)) then found := true);
+  !found
+
+(* Optimal branching weight by trying every edge subset (at most 20
+   edges): the oracle for [Edmonds.max_branching]. *)
+let brute_force_branching ~n edges =
+  let open Alignment in
+  let arr = Array.of_list edges in
+  let k = Array.length arr in
+  if k > 20 then invalid_arg "brute_force_branching: too many edges";
+  let best = ref 0 in
+  for mask = 0 to (1 lsl k) - 1 do
+    let subset = ref [] in
+    for i = 0 to k - 1 do
+      if mask land (1 lsl i) <> 0 then subset := arr.(i) :: !subset
+    done;
+    if Edmonds.is_branching ~n !subset then
+      best := max !best (Edmonds.total_weight !subset)
+  done;
+  !best
+
+(* Is this a permutation of [0 .. n-1]?  What every placement must be. *)
+let is_permutation perm =
+  let n = Array.length perm in
+  let seen = Array.make n false in
+  Array.for_all
+    (fun p ->
+      p >= 0 && p < n && (not seen.(p))
+      && begin
+           seen.(p) <- true;
+           true
+         end)
+    perm
+
+(* Every access an alignment reports local has a zero non-local term,
+   and every allocation has full rank [m]. *)
+let verify_alloc (t : Alignment.Alloc.t) =
+  let open Nestir in
+  List.for_all (fun (_, mv) -> Linalg.Ratmat.rank_of_mat mv = t.m) t.allocs
+  && List.for_all
+       (fun ((s : Loopnest.stmt), (a : Loopnest.access)) ->
+         let label = if a.label = "" then a.array_name else a.label in
+         (not (Alignment.Alloc.is_local t ~stmt:s.stmt_name ~label))
+         || Linalg.Mat.is_zero (Alignment.Alloc.comm_matrix t s a))
+       (Loopnest.all_accesses t.nest)
+
+(* The binomial-tree broadcast as explicit rounds: in round [r] every
+   rank that holds the item forwards it to [rank + 2^r], in rank space
+   relative to the root.  Priced round by round under the network, it
+   is the simulation [Collective.broadcast]'s closed form stands for. *)
+let broadcast_rounds topo ~root ~bytes =
+  let n = Topology.size topo in
+  let unrel r = (r + root) mod n in
+  let rec rounds reach acc =
+    if reach >= n then List.rev acc
+    else
+      let round =
+        List.filter_map
+          (fun holder ->
+            let target = holder + reach in
+            if target < n then
+              Some (Message.make ~src:(unrel holder) ~dst:(unrel target) ~bytes)
+            else None)
+          (List.init reach Fun.id)
+      in
+      rounds (2 * reach) (round :: acc)
+  in
+  rounds 1 []
+
+let simulate_broadcast topo p ~root ~bytes =
+  List.fold_left
+    (fun acc round -> acc +. (price topo p round).Netsim.time)
+    0.0
+    (broadcast_rounds topo ~root ~bytes)
+
+(* The virtual indices one physical coordinate owns under
+   [Layout.place1d]: the local iteration set of a code generator. *)
+let local_indices scheme ~nv ~np p =
+  List.filter (fun v -> Distrib.Layout.place1d scheme ~nv ~np v = p) (List.init nv Fun.id)
+
+(* The longest route any host pair may take: the diameter, two more
+   under Valiant routing, whose detours may exceed it. *)
+let route_bound topo =
+  Topology.diameter topo
+  + if (Topology.capability topo).Topology.adaptive_routing then 2 else 0

@@ -1,5 +1,5 @@
 (* Tests for the access graph, Edmonds' maximum branching and the
-   allocation heuristic (step 1 of the paper). *)
+   allocation heuristic with its components (step 1 of the paper). *)
 
 open Linalg
 open Alignment
@@ -25,7 +25,7 @@ let test_edmonds_cycle () =
   let edges = mk_edges [ (0, 1, 10); (1, 0, 10); (2, 0, 1); (2, 1, 1) ] in
   let sel = Edmonds.maximum_branching ~n:3 edges in
   Alcotest.(check bool) "branching" true (Edmonds.is_branching ~n:3 sel);
-  Alcotest.(check int) "weight = brute force" (Edmonds.brute_force ~n:3 edges)
+  Alcotest.(check int) "weight = brute force" (Reference.brute_force_branching ~n:3 edges)
     (Edmonds.total_weight sel)
 
 let test_edmonds_negative_ignored () =
@@ -62,7 +62,7 @@ let edmonds_props =
         let edges = mk_edges es in
         let sel = Edmonds.maximum_branching ~n edges in
         Edmonds.is_branching ~n sel
-        && Edmonds.total_weight sel = Edmonds.brute_force ~n edges);
+        && Edmonds.total_weight sel = Reference.brute_force_branching ~n edges);
     prop ~count:300 "selected ids are valid and distinct" arb_graph (fun (n, es) ->
         let edges = mk_edges es in
         let sel = Edmonds.maximum_branching ~n edges in
@@ -174,7 +174,7 @@ let test_alloc_example1 () =
     (labels t.Alloc.residual);
   Alcotest.(check int) "branching has 5 edges" 5 (List.length t.Alloc.branching);
   Alcotest.(check int) "one step-1c addition" 1 (List.length t.Alloc.added);
-  Alcotest.(check bool) "verify" true (Alloc.verify t);
+  Alcotest.(check bool) "verify" true (Reference.verify_alloc t);
   (* one connected component *)
   let comps =
     List.sort_uniq compare (List.map snd t.Alloc.component_of)
@@ -194,24 +194,24 @@ let test_alloc_full_rank () =
 let test_alloc_stencil_all_local () =
   let t = Alloc.run ~m:2 (Nestir.Paper_examples.stencil ()) in
   Alcotest.(check int) "no residuals" 0 (List.length t.Alloc.residual);
-  Alcotest.(check bool) "verify" true (Alloc.verify t)
+  Alcotest.(check bool) "verify" true (Reference.verify_alloc t)
 
 let test_alloc_example5_all_local () =
   let t = Alloc.run ~m:2 (Nestir.Paper_examples.example5 ()) in
   Alcotest.(check int) "no residuals" 0 (List.length t.Alloc.residual);
-  Alcotest.(check bool) "verify" true (Alloc.verify t)
+  Alcotest.(check bool) "verify" true (Reference.verify_alloc t)
 
 let test_alloc_matmul () =
   let t = Alloc.run ~m:2 (Nestir.Paper_examples.matmul ()) in
   (* matmul cannot be mapped on a 2-D grid without residuals *)
   Alcotest.(check bool) "has residuals" true (List.length t.Alloc.residual >= 1);
-  Alcotest.(check bool) "verify" true (Alloc.verify t)
+  Alcotest.(check bool) "verify" true (Reference.verify_alloc t)
 
 let test_alloc_unimodular () =
   let t = Alloc.run ~m:2 (Nestir.Paper_examples.example1 ()) in
   let v = Mat.of_lists [ [ 1; 0 ]; [ 1; 1 ] ] in
   let t' = Alloc.apply_unimodular t ~component:0 v in
-  Alcotest.(check bool) "still verifies" true (Alloc.verify t');
+  Alcotest.(check bool) "still verifies" true (Reference.verify_alloc t');
   Alcotest.(check (list (pair string string))) "same locals" t.Alloc.local
     t'.Alloc.local;
   Alcotest.check_raises "rejects non-unimodular"
@@ -279,8 +279,44 @@ let test_alloc_cross_tree_merge () =
         ]
   in
   let t = Alloc.run ~m:2 nest in
-  Alcotest.(check bool) "verify" true (Alloc.verify t);
+  Alcotest.(check bool) "verify" true (Reference.verify_alloc t);
   Alcotest.(check bool) "Fy local" true (Alloc.is_local t ~stmt:"S2" ~label:"Fy")
+
+(* Step 1c case ii (paper §2.2): two accesses of [a] in one statement
+   close a multiple path whose products differ by a rank-1 matrix.
+   The second access is local exactly when a full-rank root survives
+   the constraint [M_a (F2 - F1) = 0]: for m = 1 the root is forced to
+   a multiple of (1, -1); for m = 2 no such root exists. *)
+let test_alloc_deficient_rank_path () =
+  let open Nestir.Loopnest in
+  let nest =
+    make ~name:"twopaths"
+      ~arrays:[ { array_name = "a"; dim = 2 } ]
+      ~stmts:
+        [
+          {
+            stmt_name = "S";
+            depth = 2;
+            extent = [| 4; 4 |];
+            accesses =
+              [
+                access ~array_name:"a" ~label:"F1" Write (Nestir.Affine.identity 2);
+                access ~array_name:"a" ~label:"F2" Read
+                  (Nestir.Affine.of_lists [ [ 1; 1 ]; [ 0; 2 ] ] [ 0; 0 ]);
+              ];
+          };
+        ]
+  in
+  let t1 = Alloc.run ~m:1 nest in
+  Alcotest.(check bool) "m = 1: both accesses local" true
+    (Alloc.is_local t1 ~stmt:"S" ~label:"F1" && Alloc.is_local t1 ~stmt:"S" ~label:"F2");
+  Alcotest.(check bool) "verify" true (Reference.verify_alloc t1);
+  let ma = Alloc.alloc_of t1 (Access_graph.Array_v "a") in
+  Alcotest.(check bool) "root constrained to (1, -1)" true
+    (Mat.get ma 0 0 <> 0 && Mat.get ma 0 0 = - Mat.get ma 0 1);
+  let t2 = Alloc.run ~m:2 nest in
+  Alcotest.(check (list (pair string string))) "m = 2: F2 residual" [ ("S", "F2") ]
+    t2.Alloc.residual
 
 let alloc_nest_props =
   (* random nests built from unimodular accesses are always fully
@@ -325,7 +361,7 @@ let alloc_nest_props =
             ~stmts
         in
         let t = Alloc.run ~m:2 nest in
-        Alloc.verify t);
+        Reference.verify_alloc t);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -378,6 +414,43 @@ let optimality_props =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Components                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let test_components () =
+  let t = Alignment.Alloc.run ~m:2 (Nestir.Paper_examples.example1 ()) in
+  match List.sort_uniq compare (List.map snd t.Alloc.component_of) with
+  | [ 0 ] ->
+    Alcotest.(check int) "all six vertices" 6 (List.length t.Alloc.component_of)
+  | l -> Alcotest.failf "expected one component, got %d" (List.length l)
+
+let test_components_disconnected () =
+  (* two statements on two disjoint arrays: two components *)
+  let open Nestir.Loopnest in
+  let nest =
+    make ~name:"disjoint"
+      ~arrays:[ { array_name = "x"; dim = 2 }; { array_name = "y"; dim = 2 } ]
+      ~stmts:
+        [
+          {
+            stmt_name = "S0";
+            depth = 2;
+            extent = [| 4; 4 |];
+            accesses = [ access ~array_name:"x" Write (Nestir.Affine.identity 2) ];
+          };
+          {
+            stmt_name = "S1";
+            depth = 2;
+            extent = [| 4; 4 |];
+            accesses = [ access ~array_name:"y" Write (Nestir.Affine.identity 2) ];
+          };
+        ]
+  in
+  let t = Alignment.Alloc.run ~m:2 nest in
+  Alcotest.(check int) "two components" 2
+    (List.length (List.sort_uniq compare (List.map snd t.Alloc.component_of)))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "alignment"
@@ -409,6 +482,7 @@ let () =
           Alcotest.test_case "unimodular freedom" `Quick test_alloc_unimodular;
           Alcotest.test_case "comm matrices" `Quick test_alloc_comm_matrix;
           Alcotest.test_case "cross-tree merge" `Quick test_alloc_cross_tree_merge;
+          Alcotest.test_case "deficient-rank path" `Quick test_alloc_deficient_rank_path;
         ]
         @ alloc_nest_props );
       ( "optimality",
@@ -418,4 +492,10 @@ let () =
           Alcotest.test_case "feasibility sanity" `Quick test_feasibility_sanity;
         ]
         @ optimality_props );
+      ( "components",
+        [
+          Alcotest.test_case "example 1: one component" `Quick test_components;
+          Alcotest.test_case "disconnected nests" `Quick
+            test_components_disconnected;
+        ] );
     ]

@@ -291,7 +291,7 @@ let prop_bound_le_achieved =
       let _, topo = List.nth grid2d_instances ti in
       let vgrid = [| 2 * Topology.dim topo 0; 2 * Topology.dim topo 1 |] in
       let layout = Distrib.Layout.all_cyclic 2 in
-      let owner = Distrib.Layout.ranks layout ~vgrid ~topo in
+      let owner = Machine.Patterns.ranks ~axes:(Distrib.Layout.axes layout ~vgrid ~topo) ~vgrid in
       let v =
         Bounds.volume ~vgrid ~bytes:8 ~owner [ flow_of (k1, k2, k3) ]
       in

@@ -254,6 +254,81 @@ let test_search_similarity () =
   Alcotest.(check bool) "not everything is similar to LU" true (srch < total)
 
 (* ------------------------------------------------------------------ *)
+(* Continued fractions                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_cfrac_expansion () =
+  Alcotest.(check (list int)) "22/7" [ 3; 7 ] (Decomp.Cfrac.expansion 22 7);
+  Alcotest.(check (list int)) "7/22" [ 0; 3; 7 ] (Decomp.Cfrac.expansion 7 22);
+  Alcotest.check_raises "q = 0" Division_by_zero (fun () ->
+      ignore (Decomp.Cfrac.expansion 5 0))
+
+let cfrac_props =
+  let gen_det1 =
+    QCheck.Gen.(
+      list_size (int_range 0 6)
+        (map2
+           (fun is_l k -> if is_l then Decomp.Elementary.l2 k else Decomp.Elementary.u2 k)
+           bool (int_range (-3) 3)))
+  in
+  let arb =
+    QCheck.make
+      ~print:(fun fs -> Mat.to_string (Decomp.Elementary.product (Mat.identity 2 :: fs)))
+      gen_det1
+  in
+  [
+    prop ~count:200 "expansion reconstructs the fraction" (QCheck.make
+      ~print:(fun (p, q) -> Printf.sprintf "%d/%d" p q)
+      QCheck.Gen.(pair (int_range 1 200) (int_range 1 200)))
+      (fun (p, q) ->
+        (* fold the expansion back: h_k/k_k convergent equals p/q after
+           reduction; check via evaluation *)
+        let e = Decomp.Cfrac.expansion p q in
+        let rec eval = function
+          | [] -> (1, 0)
+          | a :: rest ->
+            let num, den = eval rest in
+            ((a * num) + den, num)
+        in
+        let num, den = eval e in
+        den * p = num * q);
+    prop ~count:200 "euclid length within the bound" arb (fun fs ->
+        let t = Decomp.Elementary.product (Mat.identity 2 :: fs) in
+        List.length (Decomp.Decompose.euclid t) <= Decomp.Cfrac.length_bound t + 1);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* Unicolumn factorization                                             *)
+(* ------------------------------------------------------------------ *)
+
+let gen_nonsingular =
+  QCheck.Gen.(
+    int_range 2 3 >>= fun n ->
+    map
+      (fun entries -> Mat.make n n (fun i j -> entries.(i).(j)))
+      (array_size (return n) (array_size (return n) (int_range (-4) 4))))
+
+let arb_nonsingular = QCheck.make ~print:Mat.to_string gen_nonsingular
+
+let test_unicolumn_basic () =
+  let t = Mat.of_lists [ [ 2; 1 ]; [ 1; 1 ] ] in
+  let cols = Decomp.Gendet.decompose_columns t in
+  Alcotest.(check bool) "reconstructs" true
+    (Mat.equal t (Decomp.Elementary.product cols));
+  Alcotest.(check bool) "all unicolumn" true
+    (List.for_all Decomp.Gendet.is_unicolumn cols)
+
+let unicolumn_props =
+  [
+    prop ~count:200 "unicolumn factorization reconstructs" arb_nonsingular
+      (fun t ->
+        QCheck.assume (Mat.det t <> 0);
+        let cols = Decomp.Gendet.decompose_columns t in
+        Mat.equal t (Decomp.Elementary.product cols)
+        && List.for_all Decomp.Gendet.is_unicolumn cols);
+  ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "decomp"
@@ -295,4 +370,10 @@ let () =
           Alcotest.test_case "histogram invariants" `Quick test_search_histogram;
           Alcotest.test_case "similarity histogram" `Quick test_search_similarity;
         ] );
+      ( "cfrac",
+        [ Alcotest.test_case "expansion" `Quick test_cfrac_expansion ] @ cfrac_props
+      );
+      ( "unicolumn",
+        [ Alcotest.test_case "basic" `Quick test_unicolumn_basic ]
+        @ unicolumn_props );
     ]

@@ -1,5 +1,7 @@
-(* Tests for the sixth wave: schedule-ordered distributed execution,
-   explicit collective rounds and layout ownership queries. *)
+(* Tests for running a mapped program on the distributed machine:
+   execution in schedule order, a broadcast as explicit point-to-point
+   rounds, the index sets each processor owns, and redistribution
+   between layouts. *)
 
 let prop ?(count = 150) name arb f =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
@@ -23,7 +25,7 @@ let test_schedule_order_illegal () =
      order corrupts the results, exactly as Legality predicts *)
   let nest = Nestir.Paper_examples.seidel ~n:5 () in
   let ap = Nestir.Schedule.all_parallel nest in
-  Alcotest.(check bool) "legality flags it" false (Resopt.Legality.is_legal nest ap);
+  Alcotest.(check bool) "legality flags it" false (Reference.Legality.is_legal nest ap);
   let r = Resopt.Pipeline.run ~schedule:ap nest in
   let s = Resopt.Distexec.run ~order:`Schedule r in
   Alcotest.(check bool) "and execution confirms" false
@@ -34,7 +36,7 @@ let test_schedule_order_agrees_with_legality () =
      adversarial execution preserves semantics *)
   List.iter
     (fun (w : Resopt.Workloads.t) ->
-      if Resopt.Legality.is_legal w.Resopt.Workloads.nest w.Resopt.Workloads.schedule
+      if Reference.Legality.is_legal w.Resopt.Workloads.nest w.Resopt.Workloads.schedule
       then begin
         let r =
           Resopt.Pipeline.run ~schedule:w.Resopt.Workloads.schedule
@@ -53,7 +55,7 @@ let test_schedule_order_agrees_with_legality () =
 
 let test_broadcast_rounds_cover () =
   let topo = Machine.Topology.mesh2d ~p:4 ~q:4 in
-  let rounds = Machine.Collective.broadcast_rounds topo ~root:3 ~bytes:8 in
+  let rounds = Reference.broadcast_rounds topo ~root:3 ~bytes:8 in
   Alcotest.(check int) "log2 16 rounds" 4 (List.length rounds);
   (* every rank receives exactly once; the root never receives *)
   let received = Hashtbl.create 16 in
@@ -69,7 +71,7 @@ let test_broadcast_rounds_cover () =
 let test_broadcast_rounds_causal () =
   (* a sender in round r must have received in some round < r (or be
      the root) *)
-  let topo = Machine.Topology.line 8 in
+  let topo = Machine.Topology.make [| 8 |] in
   let root = 2 in
   let holders = Hashtbl.create 8 in
   Hashtbl.replace holders root ();
@@ -84,14 +86,14 @@ let test_broadcast_rounds_causal () =
         (fun (m : Machine.Message.t) ->
           Hashtbl.replace holders m.Machine.Message.dst ())
         round)
-    (Machine.Collective.broadcast_rounds topo ~root ~bytes:8)
+    (Reference.broadcast_rounds topo ~root ~bytes:8)
 
 let test_simulated_vs_closed_form () =
   (* the simulated tree should be within a small factor of the closed
      form — same rounds, same payloads *)
   let topo = Machine.Topology.mesh2d ~p:4 ~q:4 in
   let p = { Machine.Netsim.alpha = 10.0; beta = 0.1; hop = 0.4 } in
-  let sim = Machine.Collective.simulate_broadcast topo p ~root:0 ~bytes:64 in
+  let sim = Reference.simulate_broadcast topo p ~root:0 ~bytes:64 in
   let closed = Machine.Collective.broadcast topo p ~bytes:64 in
   Alcotest.(check bool) "same order of magnitude" true
     (sim /. closed < 3.0 && closed /. sim < 3.0)
@@ -102,13 +104,13 @@ let test_simulated_vs_closed_form () =
 
 let test_local_indices_block () =
   Alcotest.(check (list int)) "block owner 1" [ 3; 4; 5 ]
-    (Distrib.Layout.local_indices Distrib.Layout.Block ~nv:12 ~np:4 1)
+    (Reference.local_indices Distrib.Layout.Block ~nv:12 ~np:4 1)
 
 let test_local_indices_grouped () =
   (* figure 6: processor 0 owns the first block of the grouped order *)
   Alcotest.(check (list int)) "grouped owner 0" [ 0; 3; 6 ]
     (List.sort compare
-       (Distrib.Layout.local_indices (Distrib.Layout.Grouped 3) ~nv:12 ~np:4 0))
+       (Reference.local_indices (Distrib.Layout.Grouped 3) ~nv:12 ~np:4 0))
 
 let local_indices_props =
   let arb =
@@ -124,25 +126,59 @@ let local_indices_props =
         >>= fun s -> return (s, nv, np))
   in
   [
-    prop "local index sets partition the virtual axis" arb (fun (s, nv, np) ->
+    prop ~count:150 "local index sets partition the virtual axis" arb (fun (s, nv, np) ->
         let all =
           List.concat
-            (List.init np (fun p -> Distrib.Layout.local_indices s ~nv ~np p))
+            (List.init np (fun p -> Reference.local_indices s ~nv ~np p))
         in
         List.sort compare all = List.init nv (fun v -> v));
-    prop "ownership is consistent with placement" arb (fun (s, nv, np) ->
+    prop ~count:150 "ownership is consistent with placement" arb (fun (s, nv, np) ->
         List.for_all
           (fun p ->
             List.for_all
               (fun v -> Distrib.Layout.place1d s ~nv ~np v = p)
-              (Distrib.Layout.local_indices s ~nv ~np p))
+              (Reference.local_indices s ~nv ~np p))
           (List.init np (fun p -> p)));
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Redistribution                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let test_redistribute_identity () =
+  (* same layout: nothing moves *)
+  let par = Machine.Models.paragon () in
+  let l = Distrib.Layout.all_cyclic 2 in
+  let s = Distrib.Redistribute.time par ~vgrid:[| 16; 8 |] ~from_layout:l ~to_layout:l () in
+  Alcotest.(check int) "no messages" 0 s.Machine.Netsim.messages
+
+let test_redistribute_moves () =
+  let par = Machine.Models.paragon () in
+  let s =
+    Distrib.Redistribute.time par ~vgrid:[| 16; 8 |]
+      ~from_layout:(Distrib.Layout.all_block 2)
+      ~to_layout:(Distrib.Layout.all_cyclic 2) ()
+  in
+  Alcotest.(check bool) "data moves" true (s.Machine.Netsim.messages > 0)
+
+let test_redistribute_break_even () =
+  (* adopting GROUPED(6) for a U_6 communication pays off after a
+     finite number of repetitions *)
+  let par = Machine.Models.paragon ~p:16 ~q:4 () in
+  let u6 = Linalg.Mat.of_lists [ [ 1; 6 ]; [ 0; 1 ] ] in
+  match
+    Distrib.Redistribute.break_even par ~vgrid:[| 120; 8 |]
+      ~from_layout:[| Distrib.Layout.Block; Distrib.Layout.Block |]
+      ~to_layout:[| Distrib.Layout.Grouped 6; Distrib.Layout.Block |]
+      ~flow:u6
+  with
+  | Some n -> Alcotest.(check bool) "finite break-even" true (n >= 1 && n < 1000)
+  | None -> Alcotest.fail "grouped should win eventually"
+
+(* ------------------------------------------------------------------ *)
 
 let () =
-  Alcotest.run "wave6"
+  Alcotest.run "distexec"
     [
       ( "schedule-order",
         [
@@ -166,4 +202,10 @@ let () =
           Alcotest.test_case "grouped (figure 6)" `Quick test_local_indices_grouped;
         ]
         @ local_indices_props );
+      ( "redistribute",
+        [
+          Alcotest.test_case "identity" `Quick test_redistribute_identity;
+          Alcotest.test_case "moves data" `Quick test_redistribute_moves;
+          Alcotest.test_case "break-even" `Quick test_redistribute_break_even;
+        ] );
     ]

@@ -1,5 +1,5 @@
-(* Tests for the data distributions, the grouped partition and the
-   folding simulator. *)
+(* Tests for the data distributions, the grouped partition, the
+   folding simulator and HPF directives. *)
 
 open Distrib
 
@@ -167,6 +167,36 @@ let test_foldsim_total_time () =
   Alcotest.(check (float 0.0)) "empty" 0.0 (Foldsim.total_time [])
 
 (* ------------------------------------------------------------------ *)
+(* HPF directives                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let test_hpf_roundtrip () =
+  let layouts =
+    [
+      [| Distrib.Layout.Block; Distrib.Layout.Cyclic |];
+      [| Distrib.Layout.Cyclic_block 4; Distrib.Layout.Grouped 3 |];
+      [| Distrib.Layout.Block |];
+    ]
+  in
+  List.iter
+    (fun l ->
+      let s = Distrib.Hpf.print l in
+      match Distrib.Hpf.parse s with
+      | Ok l' -> Alcotest.(check string) ("round-trip " ^ s) s (Distrib.Hpf.print l')
+      | Error e -> Alcotest.failf "%s: %s" s e)
+    layouts
+
+let test_hpf_parse () =
+  (match Distrib.Hpf.parse "( block , CYCLIC(2) )" with
+  | Ok [| Distrib.Layout.Block; Distrib.Layout.Cyclic_block 2 |] -> ()
+  | Ok _ -> Alcotest.fail "wrong parse"
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "garbage rejected" true
+    (Result.is_error (Distrib.Hpf.parse "(SPIRAL)"));
+  Alcotest.(check bool) "missing parens rejected" true
+    (Result.is_error (Distrib.Hpf.parse "BLOCK"))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "distrib"
@@ -190,5 +220,10 @@ let () =
           Alcotest.test_case "grouped beats block (figure 8 shape)" `Slow
             test_foldsim_grouped_beats_block;
           Alcotest.test_case "total time" `Quick test_foldsim_total_time;
+        ] );
+      ( "hpf",
+        [
+          Alcotest.test_case "round-trip" `Quick test_hpf_roundtrip;
+          Alcotest.test_case "parse" `Quick test_hpf_parse;
         ] );
     ]

@@ -1,6 +1,8 @@
 (* Tests for the extension modules: torus topologies and the T3D
    model, the nest DSL, the n-dimensional decomposition, the plan
-   pricer, the semantic validator and the code generator. *)
+   pricer, the semantic validator, the code generator and its SPMD
+   output, Eventsim's wormhole mode, and the argument checks of every
+   layer. *)
 
 open Linalg
 
@@ -21,7 +23,7 @@ let test_torus_basics () =
   Alcotest.(check int) "wrap distance" 1 (Machine.Topology.distance t ~src:0 ~dst:7);
   Alcotest.(check int) "path length" 1
     (List.length (Machine.Topology.route t ~src:0 ~dst:7));
-  let mesh = Machine.Topology.line 8 in
+  let mesh = Machine.Topology.make [| 8 |] in
   Alcotest.(check int) "mesh distance" 7 (Machine.Topology.distance mesh ~src:0 ~dst:7)
 
 let test_torus3d () =
@@ -263,7 +265,7 @@ let test_weighting_flag () =
   let rank_w = Alignment.Alloc.run ~m:2 nest in
   let unit_w = Alignment.Alloc.run ~weighting:`Unit ~m:2 nest in
   Alcotest.(check bool) "both verify" true
-    (Alignment.Alloc.verify rank_w && Alignment.Alloc.verify unit_w);
+    (Reference.verify_alloc rank_w && Reference.verify_alloc unit_w);
   (* unit weights lose the volume priority but still local-count 6 on
      this example (ties resolved by program order) *)
   Alcotest.(check bool) "unit weights keep a legal branching" true
@@ -285,7 +287,7 @@ let test_eventsim_empty () =
       .Machine.Eventsim.delivered
 
 let test_eventsim_single () =
-  let t = Machine.Topology.line 4 in
+  let t = Machine.Topology.make [| 4 |] in
   let r =
     Machine.Eventsim.run t ev_params
       (Reference.raw t [ Machine.Message.make ~src:0 ~dst:1 ~bytes:32 ])
@@ -296,7 +298,7 @@ let test_eventsim_single () =
 
 let test_eventsim_contention_serializes () =
   (* two messages over the same link take twice as long as one *)
-  let t = Machine.Topology.line 2 in
+  let t = Machine.Topology.make [| 2 |] in
   let one =
     Machine.Eventsim.run t ev_params
       (Reference.raw t [ Machine.Message.make ~src:0 ~dst:1 ~bytes:160 ])
@@ -347,13 +349,6 @@ let test_report () =
   Alcotest.(check bool) "validated" true (contains md "[validated]");
   Alcotest.(check bool) "has directives" true (contains md "!HPF$")
 
-let test_sp2_model () =
-  let m = Machine.Models.sp2 () in
-  Alcotest.(check bool) "software collectives" true (m.Machine.Models.hw = None);
-  Alcotest.(check bool) "translation < general" true
-    (Machine.Models.translation_time m ~bytes:256
-     < Machine.Models.general_time m ~bytes:256)
-
 (* ------------------------------------------------------------------ *)
 (* Distexec                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -390,6 +385,133 @@ let test_distexec_residuals_speak () =
   Alcotest.(check bool) "F6 broadcast sends" true (msgs "F6" > 0);
   Alcotest.(check bool) "F3 decomposed sends" true (msgs "F3" > 0);
   Alcotest.(check int) "F1 local silent" 0 (msgs "F1")
+
+(* ------------------------------------------------------------------ *)
+(* Error paths                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let test_error_paths () =
+  let inv name f = Alcotest.check_raises name (Invalid_argument name) f in
+  ignore inv;
+  let raises_invalid f =
+    match f () with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  Alcotest.(check bool) "Mat.make 0x0" true
+    (raises_invalid (fun () -> Mat.make 0 1 (fun _ _ -> 0)));
+  Alcotest.(check bool) "Mat.pow negative" true
+    (raises_invalid (fun () -> Mat.pow (Mat.identity 2) (-1)));
+  Alcotest.(check bool) "Mat.minor 1x1" true
+    (raises_invalid (fun () -> Mat.minor (Mat.identity 1) 0 0));
+  Alcotest.(check bool) "Rat.to_int fraction" true
+    (raises_invalid (fun () -> Rat.to_int (Rat.make 1 2)));
+  Alcotest.(check bool) "Elementary bad axis" true
+    (raises_invalid (fun () -> Decomp.Elementary.make ~dim:2 ~axis:5 [| 1; 0 |]));
+  Alcotest.(check bool) "Topology bad coords" true
+    (raises_invalid (fun () ->
+         Machine.Topology.rank_of (Machine.Topology.make [| 4 |]) [| 1; 2 |]));
+  Alcotest.(check bool) "Eventsim bad params" true
+    (raises_invalid (fun () ->
+         let topo = Machine.Topology.make [| 2 |] in
+         Machine.Eventsim.run topo
+           { Machine.Eventsim.bytes_per_cycle = 0; startup_cycles = 0;
+             mode = Machine.Eventsim.Store_forward }
+           (Reference.raw topo [])));
+  Alcotest.(check bool) "Layout grouped k=0" true
+    (raises_invalid (fun () ->
+         Distrib.Layout.place1d (Distrib.Layout.Grouped 0) ~nv:4 ~np:2 1));
+  Alcotest.(check bool) "Collective bad axis" true
+    (raises_invalid (fun () ->
+         Machine.Collective.partial_broadcast (Machine.Topology.make [| 4 |])
+           { Machine.Netsim.alpha = 1.0; beta = 0.1; hop = 0.1 }
+           ~axis:3 ~bytes:8))
+
+(* ------------------------------------------------------------------ *)
+(* SPMD generation                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let test_spmd_example1 () =
+  let r = Resopt.Pipeline.run ~m:2 (Nestir.Paper_examples.example1 ()) in
+  let code = Resopt.Codegen.emit_spmd r in
+  Alcotest.(check bool) "hoisted preamble" true (contains code "hoisted");
+  Alcotest.(check bool) "per-timestep broadcast" true
+    (contains code "partial_broadcast(a);  /* per timestep: F6 */");
+  Alcotest.(check bool) "distributed loops" true (contains code "my_indices(BLOCK");
+  Alcotest.(check bool) "local inner loop" true (contains code "for (i3 = 0; i3 < 16; i3++)");
+  Alcotest.(check bool) "decomposed phases called" true
+    (contains code "decomposed_phases(a, 2)")
+
+let test_spmd_local_nest () =
+  (* a fully local nest: no communication calls at all *)
+  let w = Resopt.Workloads.find "example5" in
+  let r = Resopt.Pipeline.run ~schedule:w.Resopt.Workloads.schedule w.Resopt.Workloads.nest in
+  let code = Resopt.Codegen.emit_spmd r in
+  Alcotest.(check bool) "no broadcast" false (contains code "broadcast(");
+  Alcotest.(check bool) "no general" false (contains code "general_comm(")
+
+(* ------------------------------------------------------------------ *)
+(* Wormhole                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let wh p = { p with Machine.Eventsim.mode = Machine.Eventsim.Wormhole }
+
+let test_wormhole_single () =
+  let topo = Machine.Topology.make [| 5 |] in
+  let p = wh { Machine.Eventsim.bytes_per_cycle = 16; startup_cycles = 10; mode = Machine.Eventsim.Store_forward } in
+  let r =
+    Machine.Eventsim.run topo p
+      (Reference.raw topo [ Machine.Message.make ~src:0 ~dst:4 ~bytes:160 ])
+  in
+  (* startup + hops + bytes/bw = 10 + 4 + 10 *)
+  Alcotest.(check int) "pipeline latency" 24 r.Machine.Eventsim.cycles
+
+let test_wormhole_vs_store_forward () =
+  (* a long path with one message: wormhole pipelines the flits and
+     wins; store-and-forward pays bytes/bw per hop *)
+  let topo = Machine.Topology.make [| 8 |] in
+  let base = { Machine.Eventsim.bytes_per_cycle = 16; startup_cycles = 10; mode = Machine.Eventsim.Store_forward } in
+  let msgs = [ Machine.Message.make ~src:0 ~dst:7 ~bytes:1600 ] in
+  let sf = Machine.Eventsim.run topo base (Reference.raw topo msgs) in
+  let whr = Machine.Eventsim.run topo (wh base) (Reference.raw topo msgs) in
+  Alcotest.(check bool) "wormhole faster on long paths" true
+    (whr.Machine.Eventsim.cycles < sf.Machine.Eventsim.cycles)
+
+let test_wormhole_contention () =
+  (* two messages sharing a link serialize in both modes *)
+  let topo = Machine.Topology.make [| 2 |] in
+  let base = { Machine.Eventsim.bytes_per_cycle = 16; startup_cycles = 0; mode = Machine.Eventsim.Wormhole } in
+  let one =
+    Machine.Eventsim.run topo base
+      (Reference.raw topo [ Machine.Message.make ~src:0 ~dst:1 ~bytes:160 ])
+  in
+  let two =
+    Machine.Eventsim.run topo base
+      (Reference.raw topo
+         [
+           Machine.Message.make ~src:0 ~dst:1 ~bytes:160;
+           Machine.Message.make ~src:0 ~dst:1 ~bytes:160;
+         ])
+  in
+  Alcotest.(check bool) "serialized" true
+    (two.Machine.Eventsim.cycles >= 2 * one.Machine.Eventsim.cycles - 1)
+
+let wormhole_props =
+  let arb =
+    QCheck.make
+      ~print:(fun (s, d, b) -> Printf.sprintf "%d->%d %dB" s d b)
+      QCheck.Gen.(triple (int_range 0 15) (int_range 0 15) (int_range 1 512))
+  in
+  [
+    prop ~count:100 "both modes deliver everything" arb (fun (s, d, b) ->
+        let topo = Machine.Topology.mesh2d ~p:4 ~q:4 in
+        let msgs = [ Machine.Message.make ~src:s ~dst:d ~bytes:b ] in
+        let base = Machine.Eventsim.default_params in
+        let delivered p =
+          (Machine.Eventsim.run topo p (Reference.raw topo msgs)).Machine.Eventsim.delivered
+        in
+        delivered base = 1 && delivered (wh base) = 1);
+  ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -458,6 +580,19 @@ let () =
       ( "report",
         [
           Alcotest.test_case "markdown report" `Quick test_report;
-          Alcotest.test_case "sp2 model" `Quick test_sp2_model;
         ] );
+      ("errors", [ Alcotest.test_case "systematic" `Quick test_error_paths ]);
+      ( "spmd",
+        [
+          Alcotest.test_case "example 1" `Quick test_spmd_example1;
+          Alcotest.test_case "local nest" `Quick test_spmd_local_nest;
+        ] );
+      ( "wormhole",
+        [
+          Alcotest.test_case "single message latency" `Quick test_wormhole_single;
+          Alcotest.test_case "beats store-and-forward on long paths" `Quick
+            test_wormhole_vs_store_forward;
+          Alcotest.test_case "contention serializes" `Quick test_wormhole_contention;
+        ]
+        @ wormhole_props );
     ]

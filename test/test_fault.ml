@@ -90,7 +90,7 @@ let test_route_detour () =
 let test_route_partitioned () =
   (* a two-node machine with its only link severed: both directions
      unreachable, and the query returns (no hang, no exception) *)
-  let topo = Topology.line 2 in
+  let topo = Topology.make [| 2 |] in
   let f = Fault.make [ Fault.Link_down { a = 0; b = 1; from_cycle = 0; until_cycle = max_int } ] in
   Alcotest.(check bool) "0->1 unreachable" true (Fault.route f topo ~src:0 ~dst:1 = None);
   Alcotest.(check bool) "1->0 unreachable" true (Fault.route f topo ~src:1 ~dst:0 = None);
@@ -105,7 +105,7 @@ let test_route_partitioned () =
   Alcotest.(check int) "nothing delivered" 0 r.Eventsim.delivered
 
 let test_dead_source () =
-  let topo = Topology.line 4 in
+  let topo = Topology.make [| 4 |] in
   let f = Fault.make [ Fault.Dead_node 0 ] in
   let msgs = [ Message.make ~src:0 ~dst:3 ~bytes:8; Message.make ~src:1 ~dst:2 ~bytes:8 ] in
   let r = Eventsim.run ~faults:f topo Eventsim.default_params (Reference.raw topo msgs) in
@@ -120,7 +120,7 @@ let line_msgs = [ Message.make ~src:0 ~dst:3 ~bytes:32; Message.make ~src:1 ~dst
 
 let test_drop_prob_zero () =
   (* prob 0.0 is indistinguishable from no faults at all *)
-  let topo = Topology.line 4 in
+  let topo = Topology.make [| 4 |] in
   let clean = Eventsim.run topo Eventsim.default_params (Reference.raw topo line_msgs) in
   let f = Fault.make ~seed:5 [ Fault.Flaky { link = None; prob = 0.0 } ] in
   let faulty =
@@ -136,7 +136,7 @@ let test_drop_prob_zero () =
 let test_drop_prob_one () =
   (* prob 1.0 drops every attempt: nothing non-local arrives, but the
      run terminates and accounts for every message *)
-  let topo = Topology.line 4 in
+  let topo = Topology.make [| 4 |] in
   let f = Fault.make ~seed:5 [ Fault.Flaky { link = None; prob = 1.0 } ] in
   let r =
     Eventsim.run ~faults:f topo Eventsim.default_params
@@ -161,7 +161,7 @@ let test_backoff_cap () =
 let test_degraded_loads () =
   (* a global 50% flaky probability doubles expected transmissions,
      which doubles every link load in the closed-form model *)
-  let topo = Topology.line 3 in
+  let topo = Topology.make [| 3 |] in
   let msgs = Message.of_list [ Message.make ~src:0 ~dst:2 ~bytes:10 ] in
   let f = Fault.make [ Fault.Flaky { link = None; prob = 0.5 } ] in
   let clean = Netsim.link_loads topo msgs in
@@ -177,7 +177,7 @@ let test_degraded_loads () =
 (* ------------------------------------------------------------------ *)
 
 let test_wormhole_queue_split () =
-  let topo = Topology.line 3 in
+  let topo = Topology.make [| 3 |] in
   let wh = { Eventsim.default_params with Eventsim.mode = Eventsim.Wormhole } in
   (* both messages need link 1->2 at the same time: one waits *)
   let msgs = [ Message.make ~src:0 ~dst:2 ~bytes:64; Message.make ~src:1 ~dst:2 ~bytes:64 ] in

@@ -16,7 +16,7 @@ let fuzz_props =
         match Resopt.Pipeline.run ~m:2 nest with
         | exception Failure _ -> true (* no full-rank materialization *)
         | r ->
-          Alignment.Alloc.verify r.Resopt.Pipeline.alloc
+          Reference.verify_alloc r.Resopt.Pipeline.alloc
           && Resopt.Validate.is_valid r);
     prop ~count:60 "distributed execution preserves semantics" arb_seed
       (fun seed ->

@@ -437,92 +437,6 @@ let pseudo_props =
         match Pseudo.integer_left_inverse a with
         | None -> true
         | Some g -> Mat.is_identity (Mat.mul g a));
-    prop "parametric left inverses all work" arb_mat (fun a ->
-        QCheck.assume (Mat.cols a < Mat.rows a);
-        QCheck.assume (Ratmat.rank_of_mat a = Mat.cols a);
-        let param =
-          Ratmat.make (Mat.cols a) (Mat.rows a) (fun i j ->
-              Rat.of_int ((i + j) mod 3 - 1))
-        in
-        match Pseudo.left_inverse_with a ~param with
-        | None -> false
-        | Some h -> Ratmat.is_identity (Ratmat.mul h (Ratmat.of_mat a)));
-  ]
-
-(* ------------------------------------------------------------------ *)
-(* Matsolve                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_matsolve_basic () =
-  (* M_S = M_x F with F square invertible: solvable. *)
-  let f = m_of [ [ 1; 1 ]; [ 0; 1 ] ] in
-  let s = m_of [ [ 1; 0 ]; [ 0; 1 ] ] in
-  match Matsolve.solve_xf ~f ~s with
-  | None -> Alcotest.fail "solvable"
-  | Some x ->
-    let xf = Ratmat.mul x (Ratmat.of_mat f) in
-    Alcotest.check ratmat "x f = s" (Ratmat.of_mat s) xf
-
-let test_matsolve_compatibility () =
-  (* Paper §2.2: for flat F, M_x = M_S F+ is a solution iff
-     M_S F+ F = M_S. *)
-  let f = m_of [ [ 1; 1; 0 ]; [ 0; 1; 1 ] ] in
-  (* S = F works trivially. *)
-  Alcotest.(check bool) "compatible with itself" true
-    (Matsolve.compatible ~f ~s:f);
-  (* A random S generally fails the condition. *)
-  let s_bad = m_of [ [ 1; 0; 0 ]; [ 0; 0; 1 ] ] in
-  Alcotest.(check bool) "incompatible" false (Matsolve.compatible ~f ~s:s_bad);
-  Alcotest.(check bool) "solve agrees with compatibility" true
-    (Matsolve.solve_xf ~f:(Mat.transpose f) ~s:(Mat.transpose s_bad) = None
-     || true)
-
-let test_matsolve_int () =
-  let f = m_of [ [ 1; 0 ]; [ 0; 1 ]; [ 1; 1 ] ] in
-  let s = m_of [ [ 2; 3 ]; [ 1; 4 ] ] in
-  match Matsolve.solve_xf_int ~f ~s with
-  | None -> Alcotest.fail "integer-solvable (F has an integer left inverse)"
-  | Some x -> Alcotest.check mat "x f = s" s (Mat.mul x f)
-
-let test_matsolve_int_unsolvable () =
-  (* X * (2 Id) = Id has no integer solution. *)
-  let f = m_of [ [ 2; 0 ]; [ 0; 2 ] ] in
-  let s = Mat.identity 2 in
-  Alcotest.(check bool) "no integer solution" true
-    (Matsolve.solve_xf_int ~f ~s = None);
-  (* but a rational one exists *)
-  Alcotest.(check bool) "rational solution exists" true
-    (Matsolve.solve_xf ~f ~s <> None)
-
-let test_matsolve_full_rank () =
-  let f = m_of [ [ 1; 0 ]; [ 0; 1 ]; [ 1; 1 ] ] in
-  let s = m_of [ [ 1; 1 ]; [ 2; 2 ] ] in
-  (* s has rank 1; plain integer solutions X0 may be rank-deficient, but
-     the left kernel of F can repair it. *)
-  match Matsolve.solve_xf_full_rank ~f ~s with
-  | None -> Alcotest.fail "repairable"
-  | Some x ->
-    Alcotest.check mat "x f = s" s (Mat.mul x f);
-    Alcotest.(check int) "full rank" 2 (Ratmat.rank_of_mat x)
-
-let matsolve_props =
-  [
-    prop "solve_xf finds real solutions" (QCheck.pair arb_square3 arb_square3)
-      (fun (f, s) ->
-        match Matsolve.solve_xf ~f ~s with
-        | None -> true
-        | Some x ->
-          Ratmat.equal (Ratmat.mul x (Ratmat.of_mat f)) (Ratmat.of_mat s));
-    prop "solve_xf_int solutions verify" (QCheck.pair arb_square3 arb_square3)
-      (fun (f, s) ->
-        match Matsolve.solve_xf_int ~f ~s with
-        | None -> true
-        | Some x -> Mat.equal (Mat.mul x f) s);
-    prop "integer solvable => rationally solvable"
-      (QCheck.pair arb_square3 arb_square3) (fun (f, s) ->
-        match Matsolve.solve_xf_int ~f ~s with
-        | None -> true
-        | Some _ -> Matsolve.solve_xf ~f ~s <> None);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -586,15 +500,4 @@ let () =
           Alcotest.test_case "square: the ordinary inverse" `Quick test_pseudo_square;
         ]
         @ pseudo_props );
-      ( "matsolve",
-        [
-          Alcotest.test_case "basic" `Quick test_matsolve_basic;
-          Alcotest.test_case "compatibility condition" `Quick
-            test_matsolve_compatibility;
-          Alcotest.test_case "integer solutions" `Quick test_matsolve_int;
-          Alcotest.test_case "integer unsolvable" `Quick
-            test_matsolve_int_unsolvable;
-          Alcotest.test_case "full-rank repair" `Quick test_matsolve_full_rank;
-        ]
-        @ matsolve_props );
     ]

@@ -1,5 +1,6 @@
 (* Tests for the DMPC simulator: topology, routing, the contention
-   cost model, collectives and the machine models. *)
+   cost model, collectives, the machine models and their calibration
+   on the event simulator. *)
 
 open Machine
 
@@ -21,7 +22,7 @@ let test_topology_basics () =
 let test_topology_errors () =
   Alcotest.check_raises "empty" (Invalid_argument "Topology.make: no dimensions")
     (fun () -> ignore (Topology.make [||]));
-  let t = Topology.line 4 in
+  let t = Topology.make [| 4 |] in
   Alcotest.check_raises "rank out of range"
     (Invalid_argument "Topology.rank_of: out of range") (fun () ->
       ignore (Topology.rank_of t [| 4 |]))
@@ -98,14 +99,14 @@ let test_netsim_empty () =
   Alcotest.(check (float 0.0)) "local free" 0.0 (Reference.price t params local).Netsim.time
 
 let test_netsim_single () =
-  let t = Topology.line 4 in
+  let t = Topology.make [| 4 |] in
   let s = Reference.price t params [ Message.make ~src:0 ~dst:1 ~bytes:100 ] in
   (* alpha + beta*100 + hop*1 *)
   Alcotest.(check (float 1e-9)) "time" (10.0 +. 10.0 +. 0.4) s.Netsim.time;
   Alcotest.(check int) "one message" 1 s.Netsim.messages
 
 let test_netsim_coalescing () =
-  let t = Topology.line 4 in
+  let t = Topology.make [| 4 |] in
   let msgs =
     [ Message.make ~src:0 ~dst:1 ~bytes:50; Message.make ~src:0 ~dst:1 ~bytes:50 ]
   in
@@ -120,7 +121,7 @@ let test_netsim_coalescing () =
 
 let test_netsim_contention () =
   (* two messages share the 1->2 link: its load doubles *)
-  let t = Topology.line 4 in
+  let t = Topology.make [| 4 |] in
   let msgs =
     [ Message.make ~src:0 ~dst:3 ~bytes:100; Message.make ~src:1 ~dst:2 ~bytes:100 ]
   in
@@ -129,7 +130,7 @@ let test_netsim_contention () =
   Alcotest.(check int) "max hops" 3 s.Netsim.max_hops
 
 let test_netsim_link_loads () =
-  let t = Topology.line 3 in
+  let t = Topology.make [| 3 |] in
   let loads =
     Netsim.link_loads t (Message.of_list [ Message.make ~src:0 ~dst:2 ~bytes:10 ])
   in
@@ -500,6 +501,8 @@ let gen_faults topo kind =
 
 (* Messages over a handful of host pairs, so coalescing has
    duplicates to merge; pairs may be local; bytes may be zero. *)
+let show_message (m : Message.t) = Printf.sprintf "%d -> %d (%dB)" m.src m.dst m.bytes
+
 let gen_messages topo =
   let open QCheck.Gen in
   let host = int_bound (Topology.size topo - 1) in
@@ -521,7 +524,7 @@ let netsim_diff spec =
         Printf.sprintf "%s coalesce=%b %s [%s] [%s]" spec coalesce
           (fault_kind_name kind) (Fault.label faults)
           (String.concat "; "
-             (List.map (fun m -> Format.asprintf "%a" Message.pp m) msgs)))
+             (List.map show_message msgs)))
       QCheck.Gen.(
         bool >>= fun coalesce ->
         oneofl [ Healthy; Flaky; Severed ] >>= fun kind ->
@@ -573,7 +576,7 @@ let eventsim_order spec =
     QCheck.make
       ~print:(fun msgs ->
         Printf.sprintf "%s [%s]" spec
-          (String.concat "; " (List.map (Format.asprintf "%a" Message.pp) msgs)))
+          (String.concat "; " (List.map show_message msgs)))
       QCheck.Gen.(
         let host = int_bound (Topology.size topo - 1) in
         let many =
@@ -620,7 +623,7 @@ let eventsim_order_props =
 (* ------------------------------------------------------------------ *)
 
 (* Residual traffic is carried as int arrays from placement to price:
-   [Layout.ranks] tables, [Patterns.successors] arrays and the Netsim
+   [Patterns.ranks] tables, [Patterns.successors] arrays and the Netsim
    core.  [Reference] keeps the list path it replaced — per-point
    [Layout.place], [affine_messages] and list pricing — and the two
    must agree on the stats and, with telemetry on, on every recorded
@@ -779,7 +782,7 @@ let ranks_diff spec =
       let placed = ref [] in
       Patterns.iter_box vgrid (fun v ->
           placed := Distrib.Layout.place layout ~vgrid ~topo v :: !placed);
-      Distrib.Layout.ranks layout ~vgrid ~topo = Array.of_list (List.rev !placed))
+      Machine.Patterns.ranks ~axes:(Distrib.Layout.axes layout ~vgrid ~topo) ~vgrid = Array.of_list (List.rev !placed))
 
 let pricing_diff_props =
   List.concat_map
@@ -844,6 +847,55 @@ let test_corpus_golden () =
     (Digest.to_hex (Digest.string csv));
   Alcotest.(check string) "jobs 4 = sequential" csv parallel
 
+(* ------------------------------------------------------------------ *)
+(* Calibration                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let test_linear_fit_exact () =
+  (* perfectly linear data: recovered exactly *)
+  let samples = List.map (fun b -> (b, 10.0 +. (0.5 *. float_of_int b))) [ 1; 2; 4; 8 ] in
+  let fit = Machine.Calibrate.linear_fit samples in
+  Alcotest.(check (float 1e-6)) "alpha" 10.0 fit.Machine.Calibrate.alpha;
+  Alcotest.(check (float 1e-6)) "beta" 0.5 fit.Machine.Calibrate.beta;
+  Alcotest.(check (float 1e-6)) "residual" 0.0 fit.Machine.Calibrate.residual
+
+let test_linear_fit_rejects () =
+  Alcotest.check_raises "one sample"
+    (Invalid_argument "Calibrate.linear_fit: need at least two samples") (fun () ->
+      ignore (Machine.Calibrate.linear_fit [ (1, 1.0) ]));
+  Alcotest.check_raises "same sizes"
+    (Invalid_argument "Calibrate.linear_fit: need two distinct sizes") (fun () ->
+      ignore (Machine.Calibrate.linear_fit [ (4, 1.0); (4, 2.0) ]))
+
+let test_fit_recovers_eventsim () =
+  (* the event simulator's neighbour message costs
+     startup + ceil(bytes / bw) cycles; the fit must find a slope near
+     1/bw and an intercept near the startup *)
+  let params = { Machine.Eventsim.bytes_per_cycle = 16; startup_cycles = 50; mode = Machine.Eventsim.Store_forward } in
+  let topo = Machine.Topology.make [| 2 |] in
+  let fit = Machine.Calibrate.fit_model topo params in
+  Alcotest.(check bool) "slope ~ 1/16" true
+    (abs_float (fit.Machine.Calibrate.beta -. (1.0 /. 16.0)) < 0.02);
+  Alcotest.(check bool) "intercept ~ startup" true
+    (abs_float (fit.Machine.Calibrate.alpha -. 50.0) < 10.0)
+
+let calibrate_props =
+  let arb =
+    QCheck.make
+      ~print:(fun (a, b) -> Printf.sprintf "a=%d b=%d" a b)
+      QCheck.Gen.(pair (int_range 0 100) (int_range 1 50))
+  in
+  [
+    prop "fit recovers synthetic linear data" arb (fun (a, b) ->
+        let alpha = float_of_int a and beta = float_of_int b /. 10.0 in
+        let samples =
+          List.map (fun x -> (x, alpha +. (beta *. float_of_int x))) [ 3; 7; 20; 41 ]
+        in
+        let fit = Machine.Calibrate.linear_fit samples in
+        abs_float (fit.Machine.Calibrate.alpha -. alpha) < 1e-6
+        && abs_float (fit.Machine.Calibrate.beta -. beta) < 1e-6);
+  ]
+
 let () =
   Alcotest.run "machine"
     [
@@ -898,4 +950,12 @@ let () =
       ("walk-diff", walk_diff_props);
       ( "corpus-golden",
         [ Alcotest.test_case "gennest sweep CSV" `Quick test_corpus_golden ] );
+      ( "calibrate",
+        [
+          Alcotest.test_case "exact fit" `Quick test_linear_fit_exact;
+          Alcotest.test_case "input validation" `Quick test_linear_fit_rejects;
+          Alcotest.test_case "recovers eventsim parameters" `Quick
+            test_fit_recovers_eventsim;
+        ]
+        @ calibrate_props );
     ]

@@ -1,13 +1,14 @@
 (* Tests for the loop-nest IR: affine maps, nest validation, schedules
-   and the dependence analysis. *)
+   (Lamport hyperplanes, legality by enumeration), the dependence
+   analysis against an exact oracle, and the C printer. *)
 
 open Linalg
 open Nestir
 
 let mat = Alcotest.testable Mat.pp Mat.equal
 
-let prop name arb f =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:200 arb f)
+let prop ?(count = 200) name arb f =
+  QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count arb f)
 
 (* ------------------------------------------------------------------ *)
 (* Affine                                                              *)
@@ -167,7 +168,6 @@ let test_example1_doall () =
      loops are DOALL loops". *)
   let nest = Paper_examples.example1 ~n:6 ~m:5 () in
   let deps = Dep.analyze nest in
-  List.iter (fun d -> Format.printf "%a@." Dep.pp_dep d) deps;
   Alcotest.(check int) "no dependences" 0 (List.length deps);
   Alcotest.(check bool) "doall" true (Dep.is_doall nest)
 
@@ -198,6 +198,204 @@ let test_reduction_self_dep () =
   let deps = Dep.analyze nest in
   Alcotest.(check bool) "has deps on s" true
     (List.exists (fun d -> d.Dep.array_name = "s") deps)
+
+(* ------------------------------------------------------------------ *)
+(* Lamport scheduling                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let test_distance_vectors () =
+  let nest = Nestir.Paper_examples.seidel () in
+  match Nestir.Schedule.distance_vectors nest with
+  | None -> Alcotest.fail "uniform nest"
+  | Some ds ->
+    let sorted = List.sort compare (List.map Array.to_list ds) in
+    Alcotest.(check (list (list int))) "distances" [ [ 0; 1 ]; [ 1; 0 ] ] sorted
+
+let test_lamport_seidel () =
+  let nest = Nestir.Paper_examples.seidel () in
+  match Nestir.Schedule.lamport nest with
+  | None -> Alcotest.fail "schedulable"
+  | Some s ->
+    let th = Nestir.Schedule.theta s "S" in
+    (* h . (1,0) >= 1 and h . (0,1) >= 1 with minimal weight: (1,1) *)
+    Alcotest.(check bool) "theta = (1,1)" true
+      (Mat.equal th (Mat.of_lists [ [ 1; 1 ] ]))
+
+let test_lamport_parallel_nest () =
+  (* no dependences: the all-parallel schedule comes back *)
+  let nest = Nestir.Paper_examples.stencil () in
+  match Nestir.Schedule.lamport nest with
+  | None -> Alcotest.fail "schedulable"
+  | Some s ->
+    Alcotest.(check bool) "zero schedule" true
+      (Mat.is_zero (Nestir.Schedule.theta s "S"))
+
+let test_lamport_nonuniform () =
+  (* matmul reads C through the same map it writes: uniform, fine; but
+     gauss reads A through a different matrix than it writes: not
+     uniform *)
+  Alcotest.(check bool) "gauss is not uniform" true
+    (Nestir.Schedule.distance_vectors (Nestir.Paper_examples.gauss ()) = None)
+
+let test_lamport_legal () =
+  (* legality: along every dependence distance the schedule advances *)
+  let nest = Nestir.Paper_examples.seidel () in
+  match (Nestir.Schedule.lamport nest, Nestir.Schedule.distance_vectors nest) with
+  | Some s, Some ds ->
+    let th = Nestir.Schedule.theta s "S" in
+    List.iter
+      (fun d ->
+        let v = Mat.mul_vec th d in
+        Alcotest.(check bool) "advances" true (v.(0) >= 1))
+      ds
+  | _ -> Alcotest.fail "schedulable"
+
+(* ------------------------------------------------------------------ *)
+(* Legality                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let test_legality_seidel () =
+  let nest = Nestir.Paper_examples.seidel ~n:5 () in
+  let lam = Option.get (Nestir.Schedule.lamport nest) in
+  Alcotest.(check bool) "lamport legal" true (Reference.Legality.is_legal nest lam);
+  Alcotest.(check bool) "all-parallel illegal" false
+    (Reference.Legality.is_legal nest (Nestir.Schedule.all_parallel nest))
+
+let test_legality_matmul () =
+  let nest = Nestir.Paper_examples.matmul ~n:4 () in
+  Alcotest.(check bool) "all-parallel illegal" false
+    (Reference.Legality.is_legal nest (Nestir.Schedule.all_parallel nest));
+  (* the k loop carries the accumulation: sequential k is legal *)
+  let seq_k = Nestir.Schedule.make [ ("S", Linalg.Mat.of_lists [ [ 0; 0; 1 ] ]) ] in
+  Alcotest.(check bool) "k-sequential legal" true
+    (Reference.Legality.is_legal nest seq_k);
+  (* and lamport finds a legal one on its own *)
+  match Nestir.Schedule.lamport nest with
+  | None -> Alcotest.fail "matmul is uniform"
+  | Some s -> Alcotest.(check bool) "lamport legal" true (Reference.Legality.is_legal nest s)
+
+let test_legality_paper_claims () =
+  (* the paper: Example 1 has no dependences, all loops DOALL *)
+  let e1 = Nestir.Paper_examples.example1 ~n:5 ~m:5 () in
+  Alcotest.(check bool) "example1 all-parallel legal" true
+    (Reference.Legality.is_legal e1 (Nestir.Schedule.all_parallel e1));
+  (* Example 5: sequential outer loop, parallel inner loops *)
+  let e5 = Nestir.Paper_examples.example5 ~n:4 () in
+  Alcotest.(check bool) "example5 schedule legal" true
+    (Reference.Legality.is_legal e5 (Nestir.Paper_examples.example5_schedule e5));
+  let stencil = Nestir.Paper_examples.stencil ~n:5 () in
+  Alcotest.(check bool) "stencil all-parallel legal" true
+    (Reference.Legality.is_legal stencil (Nestir.Schedule.all_parallel stencil))
+
+let test_legality_agrees_with_lamport () =
+  (* whenever lamport produces a schedule for a uniform nest, it is
+     legal by the enumeration check *)
+  List.iter
+    (fun nest ->
+      match Nestir.Schedule.lamport nest with
+      | None -> ()
+      | Some s ->
+        if not (Reference.Legality.is_legal nest s) then
+          Alcotest.failf "lamport schedule illegal on %s"
+            nest.Nestir.Loopnest.nest_name)
+    [
+      Nestir.Paper_examples.seidel ~n:5 ();
+      Nestir.Paper_examples.stencil ~n:5 ();
+      Nestir.Paper_examples.matmul ~n:4 ();
+      Nestir.Paper_examples.transpose ~n:5 ();
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* C pretty-printer                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  go 0
+
+let test_cprint () =
+  let c = Nestir.Cprint.to_c (Nestir.Paper_examples.matmul ~n:4 ()) in
+  Alcotest.(check bool) "loops" true (contains c "for (int i0 = 0; i0 < 4; i0++)");
+  Alcotest.(check bool) "subscripts" true (contains c "C[i0][i1]");
+  Alcotest.(check bool) "rhs reads" true (contains c "A[i0][i2]");
+  let c1 = Nestir.Cprint.to_c (Nestir.Paper_examples.example1 ()) in
+  Alcotest.(check bool) "offset subscripts" true (contains c1 "a[i0+i1+1][i1]")
+
+(* ------------------------------------------------------------------ *)
+(* Domain                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let test_domain_box () =
+  let d = Reference.Domain.box [| 3; 4 |] in
+  Alcotest.(check int) "count" 12 (Reference.Domain.count d);
+  Alcotest.(check bool) "member" true (Reference.Domain.mem d [| 2; 3 |]);
+  Alcotest.(check bool) "outside" false (Reference.Domain.mem d [| 3; 0 |])
+
+let test_domain_triangular () =
+  let d = Reference.Domain.triangular 4 in
+  (* i <= j < 4: pairs (0,0)..(3,3): 4+3+2+1 = 10 *)
+  Alcotest.(check int) "count" 10 (Reference.Domain.count d);
+  Alcotest.(check bool) "diag" true (Reference.Domain.mem d [| 2; 2 |]);
+  Alcotest.(check bool) "below" false (Reference.Domain.mem d [| 3; 1 |])
+
+let test_domain_empty () =
+  let d =
+    Reference.Domain.constrain (Reference.Domain.box [| 4; 4 |]) ~coeffs:[| 1; 1 |]
+      ~bound:(-1)
+  in
+  Alcotest.(check bool) "empty" true (Reference.Domain.is_empty d)
+
+(* ------------------------------------------------------------------ *)
+(* Exact dependence oracle vs the algebraic tests                      *)
+(* ------------------------------------------------------------------ *)
+
+let gen_access =
+  QCheck.Gen.(
+    let entry = int_range (-2) 2 in
+    map2
+      (fun rows c -> Nestir.Affine.make (Mat.make 1 2 (fun _ j -> rows.(j))) [| c |])
+      (array_size (return 2) entry)
+      (int_range (-3) 3))
+
+let arb_access_pair =
+  QCheck.make
+    ~print:(fun (a, b) ->
+      Format.asprintf "%a vs %a" Nestir.Affine.pp a Nestir.Affine.pp b)
+    QCheck.Gen.(pair gen_access gen_access)
+
+let dep_props =
+  [
+    prop ~count:400 "GCD+Banerjee are conservative (no false negatives)"
+      arb_access_pair (fun (a1, a2) ->
+        let d = Reference.Domain.box [| 5; 5 |] in
+        let exact = Reference.exact_test d d a1 a2 in
+        let algebraic =
+          Nestir.Dep.gcd_test a1 a2
+          && Nestir.Dep.banerjee_test ~extent1:[| 5; 5 |] ~extent2:[| 5; 5 |] a1 a2
+        in
+        (* exact dependence implies the conservative tests fire *)
+        (not exact) || algebraic);
+  ]
+
+let test_triangular_refines_banerjee () =
+  (* write a(i - j), read a(1).  On the full box the write reaches
+     a(1) (e.g. i = 2, j = 1).  On the upper triangle (i <= j) the
+     written values are all <= 0, so there is no conflict — a
+     refinement the rectangular Banerjee test cannot see. *)
+  let w = Nestir.Affine.of_lists [ [ 1; -1 ] ] [ 0 ] in
+  let r = Nestir.Affine.of_lists [ [ 0; 0 ] ] [ 1 ] in
+  let box = Reference.Domain.box [| 4; 4 |] in
+  Alcotest.(check bool) "box oracle sees a conflict" true
+    (Reference.exact_test box box w r);
+  Alcotest.(check bool) "rectangular banerjee fires too" true
+    (Nestir.Dep.banerjee_test ~extent1:[| 4; 4 |] ~extent2:[| 4; 4 |] w r);
+  let triangle =
+    Reference.Domain.constrain (Reference.Domain.box [| 4; 4 |]) ~coeffs:[| 1; -1 |]
+      ~bound:0
+  in
+  Alcotest.(check bool) "triangular domain refutes it" false
+    (Reference.exact_test triangle triangle w r)
 
 (* ------------------------------------------------------------------ *)
 
@@ -236,4 +434,30 @@ let () =
           Alcotest.test_case "reduction self-dependence" `Quick
             test_reduction_self_dep;
         ] );
+      ( "lamport",
+        [
+          Alcotest.test_case "distance vectors" `Quick test_distance_vectors;
+          Alcotest.test_case "seidel hyperplane" `Quick test_lamport_seidel;
+          Alcotest.test_case "parallel nest" `Quick test_lamport_parallel_nest;
+          Alcotest.test_case "non-uniform rejected" `Quick test_lamport_nonuniform;
+          Alcotest.test_case "legality" `Quick test_lamport_legal;
+        ] );
+      ( "legality",
+        [
+          Alcotest.test_case "seidel" `Quick test_legality_seidel;
+          Alcotest.test_case "matmul" `Quick test_legality_matmul;
+          Alcotest.test_case "paper claims" `Quick test_legality_paper_claims;
+          Alcotest.test_case "lamport schedules are legal" `Quick
+            test_legality_agrees_with_lamport;
+        ] );
+      ("cprint", [ Alcotest.test_case "c output" `Quick test_cprint ]);
+      ( "domain",
+        [
+          Alcotest.test_case "box" `Quick test_domain_box;
+          Alcotest.test_case "triangular" `Quick test_domain_triangular;
+          Alcotest.test_case "empty" `Quick test_domain_empty;
+          Alcotest.test_case "triangular refines the box test" `Quick
+            test_triangular_refines_banerjee;
+        ]
+        @ dep_props );
     ]

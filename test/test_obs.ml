@@ -1,6 +1,6 @@
 (* Tests for the Obs instrumentation library (spans, metrics,
    exporters), the Eventsim per-cycle sampler, the Sweep time_ms
-   column, and the previously untested Machine.Trace renderers. *)
+   column, and the Machine.Trace renderers. *)
 
 (* A deterministic clock: each reading advances time by one second, so
    every span has a predictable, non-zero duration. *)
@@ -257,13 +257,6 @@ let test_chrome_trace_json () =
     (String.length json > 20 && String.sub json 0 16 = "{\"traceEvents\":[");
   teardown ()
 
-let test_jsonl_export () =
-  record_some_activity ();
-  let lines = String.split_on_char '\n' (String.trim (Obs.jsonl ())) in
-  Alcotest.(check bool) "several lines" true (List.length lines >= 5);
-  List.iter (valid_json "jsonl line") lines;
-  teardown ()
-
 let test_metrics_json () =
   record_some_activity ();
   valid_json "metrics_json" (Obs.metrics_json ());
@@ -389,7 +382,7 @@ let test_eventsim_bad_sample_every () =
   Alcotest.check_raises "sample_every must be positive"
     (Invalid_argument "Eventsim.run: sample_every <= 0") (fun () ->
       ignore
-        (let topo = Machine.Topology.line 2 in
+        (let topo = Machine.Topology.make [| 2 |] in
          Machine.Eventsim.run ~sample_every:0 topo Machine.Eventsim.default_params
            (Reference.raw topo [])))
 
@@ -454,32 +447,18 @@ let test_load_heatmap_all_idle () =
         (c = '.' || c = ' ' || c = '\n'))
     map
 
-let test_link_table () =
-  let topo = Machine.Topology.line 4 in
-  let msgs =
-    [
-      Machine.Message.make ~src:0 ~dst:2 ~bytes:10;
-      Machine.Message.make ~src:1 ~dst:2 ~bytes:5;
-    ]
-  in
-  let table = Machine.Trace.link_table topo (Machine.Message.of_list msgs) in
-  let lines = String.split_on_char '\n' (String.trim table) in
-  (* links 0->1 (10 bytes) and 1->2 (15 bytes), sorted by load desc *)
-  Alcotest.(check int) "two links" 2 (List.length lines);
-  let parse line = Scanf.sscanf line " %d -> %d %d" (fun a b c -> (a, b, c)) in
-  Alcotest.(check (triple int int int)) "hottest first" (1, 2, 15)
-    (parse (List.nth lines 0));
-  Alcotest.(check (triple int int int)) "then the feeder" (0, 1, 10)
-    (parse (List.nth lines 1));
-  (* the table lists effective loads, not bytes: 8 bytes up a fat-tree
-     link of capacity 4 are 2 units *)
-  let fattree = Result.get_ok (Machine.Topology.of_string "fattree:3:4") in
-  let table =
-    Machine.Trace.link_table fattree
-      (Machine.Message.of_list [ Machine.Message.make ~src:0 ~dst:63 ~bytes:8 ])
-  in
-  Alcotest.(check bool) "fat-tree uplink divided by its capacity" true
-    (List.mem "  64 -> 80          2" (String.split_on_char '\n' table))
+(* ------------------------------------------------------------------ *)
+(* Trace                                                               *)
+(* ------------------------------------------------------------------ *)
+
+let test_trace_heatmap () =
+  let topo = Machine.Topology.mesh2d ~p:2 ~q:2 in
+  let msgs = [ Machine.Message.make ~src:0 ~dst:3 ~bytes:100 ] in
+  let map = Machine.Trace.load_heatmap topo (Machine.Message.of_list msgs) in
+  (* node 0 hot, others idle; 2 columns -> two lines *)
+  Alcotest.(check bool) "node 0 marked" true (map.[0] <> '.');
+  Alcotest.(check int) "two lines" 2
+    (List.length (String.split_on_char '\n' (String.trim map)))
 
 (* ------------------------------------------------------------------ *)
 
@@ -502,7 +481,6 @@ let () =
       ( "export",
         [
           Alcotest.test_case "chrome trace JSON" `Quick test_chrome_trace_json;
-          Alcotest.test_case "jsonl" `Quick test_jsonl_export;
           Alcotest.test_case "metrics json" `Quick test_metrics_json;
           Alcotest.test_case "json escape golden" `Quick test_json_escape_golden;
           Alcotest.test_case "ascii summary" `Quick test_summary_nonempty;
@@ -520,6 +498,6 @@ let () =
         [
           Alcotest.test_case "load heatmap" `Quick test_load_heatmap;
           Alcotest.test_case "heatmap all idle" `Quick test_load_heatmap_all_idle;
-          Alcotest.test_case "link table" `Quick test_link_table;
         ] );
+      ("trace", [ Alcotest.test_case "heatmap" `Quick test_trace_heatmap ]);
     ]

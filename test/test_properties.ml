@@ -129,25 +129,6 @@ let monotonicity_props =
               (Alignment.Edmonds.maximum_branching ~n (mk (extra :: rest)))
           in
           w_big >= w_small);
-    prop ~count:200 "removing a constraint never shrinks the polyhedron"
-      (QCheck.make ~print:(fun _ -> "<sys>")
-         QCheck.Gen.(
-           int_range 1 3 >>= fun nvars ->
-           list_size (int_range 1 5)
-             (pair (array_size (return nvars) (int_range (-3) 3)) (int_range (-5) 5))
-           >>= fun cs -> return (nvars, cs)))
-      (fun (nvars, cs) ->
-        match cs with
-        | [] -> true
-        | _ :: rest ->
-          let build l =
-            List.fold_left
-              (fun s (c, b) -> Linalg.Fourier.add_le s c b)
-              (Linalg.Fourier.make ~nvars) l
-          in
-          (* feasible with all constraints => feasible with fewer *)
-          (not (Linalg.Fourier.feasible (build cs)))
-          || Linalg.Fourier.feasible (build rest));
   ]
 
 let () =
