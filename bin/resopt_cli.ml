@@ -354,26 +354,32 @@ let codegen_cmd =
   in
   Cmd.v (Cmd.info "codegen" ~doc) Term.(const run $ workload_arg $ m_arg)
 
+(* A DSL file read with its [schedule] lines: the nest, and the
+   schedule they declare or [None] (the all-parallel default). *)
+let read_dsl file =
+  let ic = open_in file in
+  let len = in_channel_length ic in
+  let text = really_input_string ic len in
+  close_in ic;
+  match Nestir.Dsl.parse_with_schedule text with
+  | Error e ->
+    Format.eprintf "parse error: %s@." e;
+    exit 1
+  | Ok parsed -> parsed
+
 let parse_cmd =
   let doc =
     "Parse a loop nest from a file in the resopt DSL and run the optimizer \
-     on it."
+     on it, under the schedule its $(b,schedule) lines declare (all \
+     statements parallel when it has none)."
   in
   let file_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"DSL file.")
   in
   let run file m =
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    match Nestir.Dsl.parse text with
-    | Error e ->
-      Format.eprintf "parse error: %s@." e;
-      exit 1
-    | Ok nest ->
-      let r = Resopt.Pipeline.run ~m nest in
-      Format.printf "%a@." Resopt.Pipeline.pp r
+    let nest, schedule = read_dsl file in
+    let r = Resopt.Pipeline.run ~m ?schedule nest in
+    Format.printf "%a@." Resopt.Pipeline.pp r
   in
   Cmd.v (Cmd.info "parse" ~doc) Term.(const run $ file_arg $ m_arg)
 
@@ -402,7 +408,9 @@ let autodim_cmd =
 let compile_cmd =
   let doc =
     "Compile a DSL nest file to an artifact bundle: mapping report, \
-     HPF directives and C-like pseudocode."
+     HPF directives and C-like pseudocode.  The optimizer runs under the \
+     schedule the file's $(b,schedule) lines declare, as $(b,parse) \
+     does."
   in
   let file_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"DSL file.")
@@ -413,29 +421,21 @@ let compile_cmd =
       & info [ "o"; "output" ] ~docv:"DIR" ~doc:"Output directory.")
   in
   let run file m outdir =
-    let ic = open_in file in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    match Nestir.Dsl.parse text with
-    | Error e ->
-      Format.eprintf "parse error: %s@." e;
-      exit 1
-    | Ok nest ->
-      let r = Resopt.Pipeline.run ~m nest in
-      (try Unix.mkdir outdir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      let write name contents =
-        let oc = open_out (Filename.concat outdir name) in
-        output_string oc contents;
-        close_out oc
-      in
-      write "report.md" (Resopt.Report.markdown r);
-      write "directives.hpf" (Resopt.Codegen.emit r);
-      write "nest.c" (Nestir.Cprint.to_c nest);
-      write "nest.resopt" (Nestir.Dsl.print nest);
-      Format.printf "%s@." (Resopt.Report.summary_line r);
-      Format.printf "wrote report.md, directives.hpf, nest.c, nest.resopt to %s/@."
-        outdir
+    let nest, schedule = read_dsl file in
+    let r = Resopt.Pipeline.run ~m ?schedule nest in
+    (try Unix.mkdir outdir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    let write name contents =
+      let oc = open_out (Filename.concat outdir name) in
+      output_string oc contents;
+      close_out oc
+    in
+    write "report.md" (Resopt.Report.markdown r);
+    write "directives.hpf" (Resopt.Codegen.emit r);
+    write "nest.c" (Nestir.Cprint.to_c nest);
+    write "nest.resopt" (Nestir.Dsl.print nest);
+    Format.printf "%s@." (Resopt.Report.summary_line r);
+    Format.printf "wrote report.md, directives.hpf, nest.c, nest.resopt to %s/@."
+      outdir
   in
   Cmd.v (Cmd.info "compile" ~doc) Term.(const run $ file_arg $ m_arg $ out_arg)
 

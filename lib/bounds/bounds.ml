@@ -89,11 +89,10 @@ type time = {
   efficiency : float;
 }
 
-let transfer_time topo params traffic =
+let transfer_time topo params volume =
   let open Machine in
-  (* one coalesced volume — a message per nonlocal ordered endpoint
+  (* one volume — coalesced, a message per nonlocal ordered endpoint
      pair, bytes summed — is both priced and bounded *)
-  let volume = Netsim.volume topo traffic in
   let achieved = Netsim.price topo params volume in
   (* fault-free, every remote pair is delivered *)
   if achieved.Netsim.messages = 0 then

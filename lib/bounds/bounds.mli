@@ -33,7 +33,7 @@
 
     {2 Transfer-time bound ({!transfer_time})}
 
-    For a concrete message multiset on a concrete {!Machine.Topology},
+    For a concrete coalesced volume on a concrete {!Machine.Topology},
     each component of {!Machine.Netsim}'s price
     [alpha * serial + beta * max_link_load + hop * max_hops] is bounded
     from below by a quantity no routing or scheduling can beat:
@@ -114,12 +114,12 @@ type time = {
 val transfer_time :
   Machine.Topology.t ->
   Machine.Netsim.params ->
-  Machine.Message.traffic ->
+  Machine.Netsim.volume ->
   time
-(** Bound and price the given messages: one coalesced
-    {!Machine.Netsim.volume} (locals left out, the rest summed per
-    endpoint pair) is priced by {!Machine.Netsim.price} and read for
-    the three lower bounds. *)
+(** Bound and price the given volume, coalesced as a rule (locals
+    left out, the rest summed per endpoint pair): it is priced by
+    {!Machine.Netsim.price} and its remote pairs
+    ({!Machine.Netsim.priced}) are read for the three lower bounds. *)
 
 val bar : float -> string
 (** [bar eff] renders an efficiency in [[0, 1]] as a 20-cell ASCII

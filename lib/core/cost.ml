@@ -12,13 +12,15 @@ type breakdown = { entries : entry_cost list; total : float }
 (* Every plan is priced at 64-byte items. *)
 let bytes = 64
 
-(* [vgrid] is the residual traffic's simulation grid
-   ({!Residual.on_model}); [None] on models without a 2-D grid. *)
-let general_cost ~faults ?remap ~vgrid model flow =
-  match (flow, vgrid) with
-  | Some flow, Some vgrid when Mat.rows flow = 2 && Mat.cols flow = 2 ->
-    (Distrib.Foldsim.time ~coalesce:false ~faults ?remap model
-       ~layout:(Distrib.Layout.all_cyclic 2) ~vgrid ~flow ~bytes ())
+(* [fold] is the plan's residual fold ({!Residual.of_plan}) with the
+   placement composed after it, if any; [None] on models without a
+   2-D grid.  A 2x2 flow's direct path is priced on the fold's count
+   of its messages, uncoalesced. *)
+let general_cost ~faults ~fold model flow =
+  match (flow, fold) with
+  | Some flow, Some (r, remap) when Mat.rows flow = 2 && Mat.cols flow = 2 ->
+    (Machine.Netsim.price ~faults model.Machine.Models.topo model.Machine.Models.net
+       (Residual.flow_volume r remap flow))
       .Machine.Netsim.time
   | _ ->
     (* unknown pattern: the generic runtime path serializes one
@@ -38,11 +40,11 @@ let general_cost ~faults ?remap ~vgrid model flow =
    the direct path is priced first, and the phases stop as soon as
    their running total reaches it: they cannot win from there, and
    [min] returns the same float as after the whole walk. *)
-let decomposed_cost ~faults ?remap ~vgrid model ~flow factors =
-  let direct = general_cost ~faults ?remap ~vgrid model (Some flow) in
+let decomposed_cost ~faults ~fold model ~flow factors =
+  let direct = general_cost ~faults ~fold model (Some flow) in
   let phases =
-    match vgrid with
-    | Some vgrid
+    match fold with
+    | Some ((r : Residual.t), remap)
       when List.for_all (fun f -> Mat.rows f = 2 && Mat.cols f = 2) factors ->
       (* elementary phases, grouped layout matched to the largest
          off-diagonal coefficient *)
@@ -52,8 +54,8 @@ let decomposed_cost ~faults ?remap ~vgrid model ~flow factors =
           1 factors
       in
       let layout = [| Distrib.Layout.Grouped k; Distrib.Layout.Grouped k |] in
-      Distrib.Foldsim.decomposed_total ~faults ?remap model ~layout ~vgrid ~factors
-        ~bytes ~limit:direct ()
+      Distrib.Foldsim.decomposed_total ~faults ?remap model ~layout
+        ~vgrid:r.Residual.vgrid ~factors ~bytes ~limit:direct ()
     | _ ->
       (* fall back: one conflict-free axis communication per factor *)
       Machine.Fault.uniform_slowdown faults
@@ -65,7 +67,7 @@ let decomposed_cost ~faults ?remap ~vgrid model ~flow factors =
 (* Collectives and translations are priced closed-form; under faults
    they degrade by the machine-wide slowdown (expected retransmissions
    over the global flaky probability / remaining bandwidth). *)
-let entry_cost ~faults ?remap ~vgrid model (e : Commplan.entry) =
+let entry_cost ~faults ~fold model (e : Commplan.entry) =
   let degrade c = Machine.Fault.uniform_slowdown faults *. c in
   match e.Commplan.classification with
   | Commplan.Local -> 0.0
@@ -85,8 +87,8 @@ let entry_cost ~faults ?remap ~vgrid model (e : Commplan.entry) =
   | Commplan.Scatter _ -> degrade (Machine.Models.scatter_time model ~bytes)
   | Commplan.Gather _ -> degrade (Machine.Models.gather_time model ~bytes)
   | Commplan.Decomposed { factors; flow } ->
-    decomposed_cost ~faults ?remap ~vgrid model ~flow factors
-  | Commplan.General flow -> general_cost ~faults ?remap ~vgrid model flow
+    decomposed_cost ~faults ~fold model ~flow factors
+  | Commplan.General flow -> general_cost ~faults ~fold model flow
 
 (* ------------------------------------------------------------------ *)
 (* Memoization of whole-plan pricing                                   *)
@@ -159,18 +161,18 @@ let plan_key ?mapping ~faults model plan =
     (mapping_key mapping)
     (String.concat ";" (List.map entry_key plan))
 
-let of_plan ?(faults = Machine.Fault.none) ?mapping model plan =
+let of_fold ~faults ~mapping model fold plan =
   let price () =
-    let traffic = Residual.on_model ~bytes model (Residual.flows_of_plan plan) in
-    let vgrid = Option.map (fun (t : Residual.t) -> t.Residual.vgrid) traffic in
     (* the placement a mapping spec picks for the plan's residual
-       traffic, composed after the cyclic fold [general_cost] prices;
-       none without a 2-D grid or 2x2 flows — pricing is untouched *)
-    let remap =
-      match (mapping, traffic) with
-      | Some spec, Some t when t.Residual.flows <> [] ->
-        Some (Residual.placement spec t)
-      | _ -> None
+       traffic, composed after the cyclic fold; none without a 2-D
+       grid or 2x2 flows — pricing is untouched *)
+    let fold =
+      Option.map
+        (fun (r : Residual.t) ->
+          match mapping with
+          | Some spec when r.Residual.flows <> [] -> (r, Some (Residual.placement spec r))
+          | _ -> (r, None))
+        fold
     in
     let entries =
       List.map
@@ -179,7 +181,7 @@ let of_plan ?(faults = Machine.Fault.none) ?mapping model plan =
             stmt = e.Commplan.stmt;
             label = e.Commplan.label;
             class_name = Commplan.classification_name e.Commplan.classification;
-            cost = entry_cost ~faults ?remap ~vgrid model e;
+            cost = entry_cost ~faults ~fold model e;
           })
         plan
     in
@@ -190,3 +192,6 @@ let of_plan ?(faults = Machine.Fault.none) ?mapping model plan =
     Cache.Memo.find_or_compute memo
       ~key:(plan_key ?mapping ~faults model plan)
       price
+
+let of_plan ?(faults = Machine.Fault.none) ?mapping model plan =
+  of_fold ~faults ~mapping model (Residual.of_plan model plan) plan

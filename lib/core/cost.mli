@@ -53,4 +53,23 @@ val of_plan :
     placement-invariant and unchanged.  On models without a 2-D
     simulation grid, or plans without 2x2 flows, [mapping] is a no-op.
     Omitting it keeps pricing — and the memo key — byte-identical to a
-    build without the mapping subsystem. *)
+    build without the mapping subsystem.
+
+    This is {!of_fold} over [Residual.of_plan model plan]. *)
+
+val of_fold :
+  faults:Machine.Fault.t ->
+  mapping:Mapping.spec option ->
+  Machine.Models.t ->
+  Residual.t option ->
+  Commplan.t ->
+  breakdown
+(** {!of_plan} on a fold the caller built: [of_fold ~faults ~mapping
+    model (Residual.of_plan model plan) plan] is [of_plan ~faults
+    ?mapping model plan], bit for bit, memo key included.  A caller
+    that prices one plan several ways — under fault rates, with and
+    without a placement — and bounds it ({!Efficiency.of_traffic})
+    passes every call the same fold, so each 2x2 flow's messages are
+    walked once and each placement is searched once.  The fold must be
+    this plan's on this model: a 2x2 flow it does not hold raises
+    [Invalid_argument]. *)

@@ -29,13 +29,25 @@ val of_traffic : ?mapping:Mapping.spec -> Machine.Netsim.params -> Residual.t ->
     placement-dependent time bound) under the searched process
     placement — the volume bound is placement-independent, so
     [volume.bound_bytes <= volume.achieved_bytes] holds either way.
+
+    The achieved side reads the fold's counts ({!Residual.volume}),
+    relabelled by the placement, and the placement is the fold's own
+    ({!Residual.placement}): bounding a fold that {!Cost.of_fold} has
+    already priced walks no flow's messages again and searches no
+    placement again.
+
     Traffic without flows bounds an empty set: zero bytes both sides,
-    efficiency 1.0. *)
+    efficiency 1.0.  That record is built directly, without the
+    bounds machinery — no cell→rank table, no orbit walk and no
+    Netsim price (so no [netsim.*] counters); [cells], [nprocs] and
+    [cap] are read off the fold's axis tables and equal what
+    {!Bounds.volume} reports for no flows.  The [bounds.*] counters
+    are fed as for any other traffic. *)
 
 val of_plan : ?mapping:Mapping.spec -> Machine.Models.t -> Commplan.t -> t option
-(** {!of_traffic} over {!Residual.flows_of_plan} with
-    64-byte items (as {!Cost.of_plan}), on the model's simulation
-    grid. *)
+(** {!of_traffic} over the plan's fold ({!Residual.of_plan}): its
+    flows with 64-byte items (as {!Cost.of_plan}), on the model's
+    simulation grid. *)
 
 val of_workload :
   ?bytes:int ->

@@ -26,16 +26,21 @@ type t = {
   bytes : int;
   flows : Mat.t list;
   axes : int array array Lazy.t;
+  volumes : Machine.Netsim.volume list Lazy.t;
+  mutable placements : (Mapping.spec * Mapping.t) list;
 }
 
 let make ~vgrid ~bytes topo flows =
-  {
-    topo;
-    vgrid;
-    bytes;
-    flows;
-    axes = lazy (Distrib.Layout.axes (Distrib.Layout.all_cyclic 2) ~vgrid ~topo);
-  }
+  let axes = lazy (Distrib.Layout.axes (Distrib.Layout.all_cyclic 2) ~vgrid ~topo) in
+  let volumes =
+    lazy
+      (List.map
+         (fun flow ->
+           Machine.Netsim.volume ~coalesce:false topo
+             (Machine.Patterns.traffic ~vgrid ~axes:(Lazy.force axes) ~bytes [ flow ]))
+         flows)
+  in
+  { topo; vgrid; bytes; flows; axes; volumes; placements = [] }
 
 let on_model ~bytes (model : Machine.Models.t) flows =
   let topo = model.Machine.Models.topo in
@@ -46,13 +51,38 @@ let on_model ~bytes (model : Machine.Models.t) flows =
     Some (make ~vgrid ~bytes topo flows)
   else None
 
+(* Every plan is priced at 64-byte items. *)
+let of_plan model plan = on_model ~bytes:64 model (flows_of_plan plan)
+
 let ranks t = Machine.Patterns.ranks ~axes:(Lazy.force t.axes) ~vgrid:t.vgrid
 
 let traffic ?placement t =
   Machine.Patterns.traffic ~vgrid:t.vgrid ~axes:(Lazy.force t.axes) ?remap:placement
     ~bytes:t.bytes t.flows
 
-let volume_graph t =
-  Machine.Volgraph.of_traffic ~hosts:(Machine.Topology.size t.topo) (traffic t)
+let placed placement v =
+  match placement with None -> v | Some perm -> Machine.Netsim.relabel perm v
 
-let placement spec t = Mapping.compute spec t.topo (volume_graph t)
+let flow_volume t placement flow =
+  let rec find flows volumes =
+    match (flows, volumes) with
+    | f :: flows, v :: volumes -> if Mat.equal f flow then placed placement v else find flows volumes
+    | _ -> invalid_arg "Residual.flow_volume: not a flow of this traffic"
+  in
+  find t.flows (Lazy.force t.volumes)
+
+let volume t placement =
+  Machine.Netsim.coalesce t.topo (List.map (placed placement) (Lazy.force t.volumes))
+
+let volume_graph t =
+  let streams = List.map Machine.Netsim.pairs (Lazy.force t.volumes) in
+  Machine.Volgraph.of_traffic ~hosts:(Machine.Topology.size t.topo) (fun emit ->
+      List.iter (fun pairs -> pairs emit) streams)
+
+let placement spec t =
+  match List.assoc_opt spec t.placements with
+  | Some perm -> perm
+  | None ->
+    let perm = Mapping.compute spec t.topo (volume_graph t) in
+    t.placements <- (spec, perm) :: t.placements;
+    perm

@@ -62,10 +62,17 @@ let eval_cell models fault_rates mapping bounds (w : Workloads.t) m =
               ("model", model.Machine.Models.name);
             ]
         @@ fun () ->
+        (* each plan's residual fold, built once for the row: every
+           price and the bounds below read its counts and placement *)
+        let opt_fold = Residual.of_plan model opt.Pipeline.plan in
+        let base_fold = Residual.of_plan model base.Feautrier.plan in
+        let price ?(faults = Machine.Fault.none) ?mapping fold plan =
+          (Cost.of_fold ~faults ~mapping model fold plan).Cost.total
+        in
         let (optimized, baseline), cost_ms =
           Obs.time_ms (fun () ->
-              ( (Cost.of_plan model opt.Pipeline.plan).Cost.total,
-                (Cost.of_plan model base.Feautrier.plan).Cost.total ))
+              ( price opt_fold opt.Pipeline.plan,
+                price base_fold base.Feautrier.plan ))
         in
         (* resilience: does the optimized plan keep its lead on an
            imperfect machine?  gain = baseline / optimized, both
@@ -73,8 +80,8 @@ let eval_cell models fault_rates mapping bounds (w : Workloads.t) m =
         let resilience =
           List.map
             (fun (rate, faults) ->
-              let o = (Cost.of_plan ~faults model opt.Pipeline.plan).Cost.total in
-              let b = (Cost.of_plan ~faults model base.Feautrier.plan).Cost.total in
+              let o = price ~faults opt_fold opt.Pipeline.plan in
+              let b = price ~faults base_fold base.Feautrier.plan in
               (rate, if o > 0.0 then b /. o else 0.0))
             fault_rates
         in
@@ -85,9 +92,7 @@ let eval_cell models fault_rates mapping bounds (w : Workloads.t) m =
         let map_gain =
           Option.map
             (fun spec ->
-              let mapped =
-                (Cost.of_plan ~mapping:spec model opt.Pipeline.plan).Cost.total
-              in
+              let mapped = price ~mapping:spec opt_fold opt.Pipeline.plan in
               if mapped > 0.0 then optimized /. mapped else 1.0)
             mapping
         in
@@ -98,8 +103,10 @@ let eval_cell models fault_rates mapping bounds (w : Workloads.t) m =
         let eff =
           if bounds then
             Option.map
-              (fun e -> e.Efficiency.time.Bounds.efficiency)
-              (Efficiency.of_plan ?mapping model opt.Pipeline.plan)
+              (fun fold ->
+                (Efficiency.of_traffic ?mapping model.Machine.Models.net fold)
+                  .Efficiency.time.Bounds.efficiency)
+              opt_fold
           else None
         in
         let row =

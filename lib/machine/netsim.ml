@@ -53,12 +53,15 @@ let effective_load c weights id bytes =
 
 (* The one per-link accumulation, shared by [link_loads] and [price]:
    [loads] is indexed by link id, and a negative entry marks a link no
-   route crossed (a zero-byte message still lists its links). *)
-let add_route_loads c weights loads bytes route =
+   route crossed (a zero-byte message still lists its links).  [count]
+   messages of [bytes] each add [count] times one message's effective
+   load: the load is rounded per message, so the product is exact. *)
+let add_route_loads c weights loads ~count bytes route =
   for i = 0 to Array.length route - 1 do
     let id = route.(i) in
     let cur = loads.(id) in
-    loads.(id) <- (if cur < 0 then 0 else cur) + effective_load c weights id bytes
+    loads.(id) <-
+      (if cur < 0 then 0 else cur) + (count * effective_load c weights id bytes)
   done
 
 let fresh_loads c = Array.make (Compiled.nlinks c) (-1)
@@ -73,58 +76,106 @@ let crossed_links c loads f =
   done;
   !acc
 
+(* Traffic counted for pricing: group [i] is [counts.(i)] messages of
+   [sizes.(i)] bytes over the pair keyed [keys.(i) = src * hosts +
+   dst], groups in the order of their first message, local ones
+   included.  A coalesced volume has one group per pair, of count 1
+   and its bytes summed. *)
+type groups = { hosts : int; keys : int array; sizes : int array; counts : int array }
+
+let iter_groups g f =
+  for i = 0 to Array.length g.keys - 1 do
+    let key = g.keys.(i) in
+    f (key / g.hosts) (key mod g.hosts) g.sizes.(i) g.counts.(i)
+  done
+
+let grouped ~hosts traffic =
+  let keys, sizes, counts = Volgraph.groups ~hosts traffic in
+  { hosts; keys; sizes; counts }
+
+let coalesced ~hosts traffic =
+  let keys, sums = Volgraph.tally ~hosts ~locals:true traffic in
+  { hosts; keys; sizes = sums; counts = Array.make (Array.length keys) 1 }
+
+(* A coalesced volume is tallied when it is made; an uncoalesced one
+   on its first price without telemetry, once. *)
+type volume = { traffic : Message.traffic; coalesce : bool; groups : groups Lazy.t }
+
+let volume ?(coalesce = true) topo traffic =
+  let hosts = Topology.size topo in
+  let groups =
+    if coalesce then Lazy.from_val (coalesced ~hosts traffic)
+    else lazy (grouped ~hosts traffic)
+  in
+  { traffic; coalesce; groups }
+
+let relabel perm v =
+  let rename g =
+    let h = g.hosts in
+    { g with keys = Array.map (fun key -> (perm.(key / h) * h) + perm.(key mod h)) g.keys }
+  in
+  {
+    traffic = (fun emit -> v.traffic (fun src dst bytes -> emit perm.(src) perm.(dst) bytes));
+    coalesce = v.coalesce;
+    groups = lazy (rename (Lazy.force v.groups));
+  }
+
+(* The count is taken when [pairs] is applied, not when the stream
+   runs: a stream that counted inside another tally would find the
+   domain's table lent out and allocate one of its own. *)
+let pairs v =
+  let g = Lazy.force v.groups in
+  fun emit -> iter_groups g (fun src dst bytes count -> emit src dst (bytes * count))
+
+(* A volume's groups, bytes summed, list its pairs in the order of
+   their first message, so tallying them volume after volume coalesces
+   the traffic run one volume after another. *)
+let coalesce topo vs =
+  let streams = List.map pairs vs in
+  {
+    traffic = (fun emit -> List.iter (fun v -> v.traffic emit) vs);
+    coalesce = true;
+    groups =
+      Lazy.from_val
+        (coalesced ~hosts:(Topology.size topo) (fun emit ->
+             List.iter (fun pairs -> pairs emit) streams));
+  }
+
+let remote_pairs g emit =
+  iter_groups g (fun src dst bytes _ -> if src <> dst then emit src dst bytes)
+
+let priced v = if v.coalesce then remote_pairs (Lazy.force v.groups) else v.traffic
+
+(* Pairs, in the order of their first message, replayed in the order a
+   [Hashtbl] keyed by [(src, dst)] folds them into a list: the order
+   message lists were coalesced in before traffic became a stream.
+   The table's shape depends only on the pairs and the order they were
+   added in, not on the sums, so adding each pair once rebuilds it.
+   [replay] and the telemetry of a coalesced [price] keep this
+   order. *)
+let legacy_order (pairs : Message.traffic) =
+  let tbl = Hashtbl.create 64 in
+  let sums = ref [] (* reverse *) and i = ref 0 in
+  pairs (fun src dst bytes ->
+      Hashtbl.replace tbl (src, dst) !i;
+      sums := bytes :: !sums;
+      incr i);
+  let sums = Array.of_list (List.rev !sums) in
+  let order = Hashtbl.fold (fun pair i l -> (pair, i) :: l) tbl [] in
+  fun emit -> List.iter (fun ((src, dst), i) -> emit src dst sums.(i)) order
+
+let replay v = if v.coalesce then legacy_order (pairs v) else v.traffic
+
 let link_loads ?(faults = Fault.none) topo (traffic : Message.traffic) =
   let c = Compiled.get topo in
   let weights = fault_weights c faults in
   let loads = fresh_loads c in
-  traffic (fun src dst bytes ->
+  iter_groups (grouped ~hosts:(Compiled.hosts c) traffic) (fun src dst bytes count ->
       if src <> dst then
         match route_ids c faults ~src ~dst with
-        | Some route -> add_route_loads c weights loads bytes route
+        | Some route -> add_route_loads c weights loads ~count bytes route
         | None -> ());
   crossed_links c loads (fun _ l carried -> (l, carried))
-
-(* Coalesced remote traffic: pair keys [src * hosts + dst] in the
-   order of their first message, and their summed bytes. *)
-type pairs = { keys : int array; sums : int array; hosts : int }
-
-type volume = { traffic : Message.traffic; coalesced : pairs option }
-
-let volume ?(coalesce = true) topo traffic =
-  let coalesced =
-    if not coalesce then None
-    else
-      let hosts = Topology.size topo in
-      let keys, sums = Volgraph.tally ~hosts ~locals:false traffic in
-      Some { keys; sums; hosts }
-  in
-  { traffic; coalesced }
-
-let emit_pairs p emit =
-  Array.iteri (fun i key -> emit (key / p.hosts) (key mod p.hosts) p.sums.(i)) p.keys
-
-let priced v = match v.coalesced with Some p -> emit_pairs p | None -> v.traffic
-
-(* Pair keys (in the order of their first message) and their sums,
-   replayed in the order a [Hashtbl] keyed by [(src, dst)] folds them
-   into a list: the order message lists were coalesced in before
-   traffic became a stream.  The table's shape depends only on the
-   keys and the order they were added in, not on the sums, so adding
-   each key once rebuilds it.  [replay] and the telemetry of a
-   coalesced [price] keep this order. *)
-let legacy_order ~hosts keys sums =
-  let tbl = Hashtbl.create 64 in
-  Array.iteri (fun i key -> Hashtbl.replace tbl (key / hosts, key mod hosts) i) keys;
-  let order = Hashtbl.fold (fun pair i l -> (pair, i) :: l) tbl [] in
-  fun emit -> List.iter (fun ((src, dst), i) -> emit src dst sums.(i)) order
-
-let replay v =
-  match v.coalesced with
-  | None -> v.traffic
-  | Some p ->
-    (* local pairs too, each summed once *)
-    let keys, sums = Volgraph.tally ~hosts:p.hosts ~locals:true v.traffic in
-    legacy_order ~hosts:p.hosts keys sums
 
 let tele_message ~src ~dst ~bytes ~hops outcome =
   let at = if outcome = Obs.Telemetry.Unreachable then -1 else 0 in
@@ -166,26 +217,27 @@ let price ?(faults = Fault.none) ?(label = "") topo params v =
   let loads = fresh_loads c in
   let t_msgs = ref [] (* reverse *) in
   let t_packets = if tele then Array.make (Compiled.nlinks c) 0 else [||] in
-  let price_one src dst bytes =
-    (* local messages are free *)
+  (* [count] messages of [bytes] from [src] to [dst]; local ones are
+     free *)
+  let price_group src dst bytes count =
     if src <> dst then begin
       match route_ids c faults ~src ~dst with
       | None ->
-        incr unreachable;
-        if Obs.enabled () then Obs.incr "fault.injected";
+        unreachable := !unreachable + count;
+        if Obs.enabled () then Obs.incr ~by:count "fault.injected";
         if tele then
           t_msgs :=
             tele_message ~src ~dst ~bytes ~hops:0 Obs.Telemetry.Unreachable :: !t_msgs
       | Some route ->
-        incr delivered;
-        send.(src) <- send.(src) + 1;
-        recv.(dst) <- recv.(dst) + 1;
-        total_bytes := !total_bytes + bytes;
+        delivered := !delivered + count;
+        send.(src) <- send.(src) + count;
+        recv.(dst) <- recv.(dst) + count;
+        total_bytes := !total_bytes + (count * bytes);
         (* hops follow the actual route, detours included *)
         let h = Array.length route in
-        total_hops := !total_hops + h;
+        total_hops := !total_hops + (count * h);
         if h > !max_hops then max_hops := h;
-        add_route_loads c weights loads bytes route;
+        add_route_loads c weights loads ~count bytes route;
         if tele then begin
           t_msgs :=
             tele_message ~src ~dst ~bytes ~hops:h Obs.Telemetry.Delivered :: !t_msgs;
@@ -193,10 +245,12 @@ let price ?(faults = Fault.none) ?(label = "") topo params v =
         end
     end
   in
-  (match v.coalesced with
-  | Some p when tele -> legacy_order ~hosts:p.hosts p.keys p.sums
-  | _ -> priced v)
-    price_one;
+  (* telemetry records messages in order, so it prices them one by
+     one; otherwise each group is routed once *)
+  if tele then
+    (if v.coalesce then legacy_order (priced v) else v.traffic)
+      (fun src dst bytes -> price_group src dst bytes 1)
+  else iter_groups (Lazy.force v.groups) price_group;
   let max_link_load = array_max loads in
   let max_sender = array_max send in
   let max_receiver = array_max recv in

@@ -31,14 +31,21 @@
     {2 One pricing core}
 
     Every price goes through {!price}, over a {!volume}: a
-    {!Message.traffic} stream whose local messages cost nothing and
-    whose remote messages, when coalescing, are summed per host pair
-    in a dense [n x n] table ({!Volgraph.tally}), pairs kept in the
-    order of their first message.  The residual-traffic producers
-    ([Foldsim], [Residual]), the lower bounds ([Bounds.transfer_time],
-    which reads its bounds off the same coalesced volume) and
-    {!Models} all price through it, and {!Eventsim} replays the same
-    {!volume}: a stream is the one form traffic takes.
+    {!Message.traffic} stream whose local messages cost nothing,
+    counted once in a dense [n x n] table borrowed per domain.  A
+    coalesced volume sums each host pair's bytes ({!Volgraph.tally});
+    an uncoalesced one counts the messages of each (pair, size) group
+    ({!Volgraph.groups}).  Groups keep the order of their first
+    message.  {!price} routes each group once and adds [count] times
+    its per-message load, sends, bytes and hops: integer sums, exact
+    under faults and fat-tree capacities, because a link's effective
+    load is rounded per message.  Only telemetry, which records
+    messages in order, prices them one by one.  The residual-traffic
+    producers ([Foldsim], [Residual]), the lower bounds
+    ([Bounds.transfer_time], which reads its bounds off the same
+    coalesced volume) and {!Models} all price through it, and
+    {!Eventsim} replays the same {!volume}: a stream is the one form
+    traffic takes.
 
     Pricing runs on the topology's {!Compiled} form, built once per
     process and shared across domains: each route is an [int array]
@@ -68,9 +75,11 @@ type stats = {
 
 type volume
 (** Traffic made ready to price: when coalesced, one message per
-    remote ordered host pair with bytes summed, tallied once; otherwise
-    the traffic itself, whose local messages the price skips.
-    Telemetry records the traffic's local messages either way. *)
+    ordered host pair with bytes summed, tallied when made; otherwise
+    the traffic itself, counted by (pair, size) on its first price
+    without telemetry and priced from that count from then on.  The
+    price skips local messages; telemetry records the traffic's local
+    messages either way. *)
 
 val volume : ?coalesce:bool -> Topology.t -> Message.traffic -> volume
 (** [coalesce] (default [true]) merges same-pair messages.  Pass
@@ -78,12 +87,34 @@ val volume : ?coalesce:bool -> Topology.t -> Message.traffic -> volume
     affine communication: the pattern is too irregular to vectorize,
     so every element pays its own start-up — the very overhead the
     paper's decomposition removes.  Coalescing runs the traffic once,
-    into a dense {!Volgraph.tally}; otherwise it is run by {!price}.
-    @raise Invalid_argument when coalescing a remote message whose
-    endpoint is not a host. *)
+    into a dense {!Volgraph.tally}; otherwise the first {!price} runs
+    it.
+    @raise Invalid_argument when coalescing a message whose endpoint
+    is not a host. *)
+
+val relabel : int array -> volume -> volume
+(** [relabel perm v] is [v] with every rank [r] renamed [perm.(r)]:
+    it prices, replays and records exactly like {!volume} of the
+    renamed traffic, coalesced as [v] is, since a permutation keeps
+    each pair's groups and the order of their first messages.  Its
+    count is [v]'s, renamed, not a second run of the traffic.
+    [perm] must be a permutation of the hosts, such as a
+    [Mapping.t]. *)
+
+val coalesce : Topology.t -> volume list -> volume
+(** The coalesced {!volume} of the volumes' traffic run one after
+    another, tallied from their counts ({!pairs}) rather than their
+    messages. *)
+
+val pairs : volume -> Message.traffic
+(** Each group of the volume's count once, its bytes summed over its
+    messages, local groups included, in the order of their first
+    message: for a coalesced volume, one message per ordered pair.
+    An uncoalesced volume not yet priced is counted when [pairs] is
+    applied, so the stream can run inside another tally. *)
 
 val priced : volume -> Message.traffic
-(** The messages {!price} walks: the coalesced remote pairs in the
+(** The messages {!price} prices: the coalesced remote pairs in the
     order of their first message, or the uncoalesced traffic. *)
 
 val replay : volume -> Message.traffic
@@ -93,11 +124,7 @@ val replay : volume -> Message.traffic
     [(src, dst)] lists the pairs when they are added in the order of
     their first message.  That is the order message lists were
     coalesced in before traffic became a stream, and {!Eventsim}'s
-    fault decisions, keyed on injection index, depend on it.  A
-    coalesced volume runs its traffic again to tally the local pairs
-    with the remote ones.
-    @raise Invalid_argument, on a coalesced volume, when a message
-    endpoint is not a host. *)
+    fault decisions, keyed on injection index, depend on it. *)
 
 val price :
   ?faults:Fault.t -> ?label:string -> Topology.t -> params -> volume -> stats
@@ -118,7 +145,9 @@ val price :
     are no latency series), tagged with [label]: the traffic's local
     messages as they come, then the priced ones.  A coalesced volume
     lists its remote pairs in {!replay}'s order, computed over the
-    remote pairs alone.
+    remote pairs alone.  This is the one case that prices message by
+    message, in order; otherwise each (pair, size) group is routed
+    once.
 
     @raise Invalid_argument when a message endpoint is not a host. *)
 
@@ -131,7 +160,8 @@ val link_loads :
     uplink of capacity k carries k bytes per unit), inflated by the
     fault weight, rounded up per message — so it is bytes only on a
     healthy unit-capacity link.  Undeliverable messages contribute
-    nothing.
+    nothing.  The traffic is counted by (pair, size) first, as an
+    uncoalesced {!price} counts it.
     @raise Invalid_argument when a message endpoint is not a host. *)
 
 val tele_message :

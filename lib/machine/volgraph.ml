@@ -36,20 +36,29 @@ let borrow l n f =
    too large for the minor heap, and a fresh one per coalesced pricing
    (about sixteen per sweep cell) fills the major heap faster than the
    collector reclaims it.  It is handed back with every entry -1. *)
-type scratch = { vol : int array; keys : int array }
+type scratch = { vol : int array; keys : int array; sizes : int array; counts : int array }
 
 let tables =
   lender
-    ~make:(fun size -> { vol = Array.make size (-1); keys = Array.make size 0 })
+    ~make:(fun size ->
+      {
+        vol = Array.make size (-1);
+        keys = Array.make size 0;
+        sizes = Array.make size 0;
+        counts = Array.make size 0;
+      })
     ~size:(fun s -> Array.length s.vol)
 
+let check_hosts ~hosts s d =
+  if s < 0 || s >= hosts || d < 0 || d >= hosts then
+    invalid_arg "Volgraph: message endpoint is not a host"
+
 let tally ~hosts ~locals (traffic : Message.traffic) =
-  borrow tables (hosts * hosts) (fun { vol; keys } ->
+  borrow tables (hosts * hosts) (fun { vol; keys; _ } ->
       let k = ref 0 in
       traffic (fun s d bytes ->
           if locals || s <> d then begin
-            if s < 0 || s >= hosts || d < 0 || d >= hosts then
-              invalid_arg "Volgraph: message endpoint is not a host";
+            check_hosts ~hosts s d;
             let key = (s * hosts) + d in
             let v = vol.(key) in
             if v < 0 then begin
@@ -63,6 +72,37 @@ let tally ~hosts ~locals (traffic : Message.traffic) =
       let sums = Array.map (fun key -> vol.(key)) pairs in
       Array.iter (fun key -> vol.(key) <- -1) pairs;
       (pairs, sums))
+
+(* [vol.(key)] holds the index of the pair's latest group.  Groups
+   outnumber the table's [hosts^2] slots only when pairs mix sizes; the
+   arrays then grow for this call alone. *)
+let groups ~hosts (traffic : Message.traffic) =
+  borrow tables (hosts * hosts) (fun s ->
+      let vol = s.vol in
+      let keys = ref s.keys and sizes = ref s.sizes and counts = ref s.counts in
+      let k = ref 0 in
+      let grow () =
+        let more a = Array.append a (Array.make (Array.length a + 1) 0) in
+        keys := more !keys;
+        sizes := more !sizes;
+        counts := more !counts
+      in
+      traffic (fun src dst bytes ->
+          check_hosts ~hosts src dst;
+          let key = (src * hosts) + dst in
+          let g = vol.(key) in
+          if g >= 0 && !sizes.(g) = bytes then !counts.(g) <- !counts.(g) + 1
+          else begin
+            if !k = Array.length !keys then grow ();
+            !keys.(!k) <- key;
+            !sizes.(!k) <- bytes;
+            !counts.(!k) <- 1;
+            vol.(key) <- !k;
+            incr k
+          end);
+      let keys = Array.sub !keys 0 !k in
+      Array.iter (fun key -> vol.(key) <- -1) keys;
+      (keys, Array.sub !sizes 0 !k, Array.sub !counts 0 !k))
 
 let of_traffic ~hosts traffic =
   let pairs, sums = tally ~hosts ~locals:true traffic in

@@ -23,8 +23,9 @@ type 'a lender
     goes back to the domain when the borrower returns; a borrower that
     raises keeps it, so a half-written buffer is never lent again.
     Buffers larger than the minor heap, allocated per call, fill the
-    major heap faster than the collector reclaims them; the tally
-    below and [Distrib.Foldsim.decomposed_time] borrow theirs. *)
+    major heap faster than the collector reclaims them; the two
+    tallies below and [Distrib.Foldsim.decomposed_time] borrow
+    theirs. *)
 
 val lender : make:(int -> 'a) -> size:('a -> int) -> 'a lender
 (** A lender of buffers [make n] of capacity [size]. *)
@@ -43,6 +44,16 @@ val tally : hosts:int -> locals:bool -> Message.traffic -> int array * int array
     [locals:false] leaves out the [src = dst] messages.
     @raise Invalid_argument on a counted endpoint outside
     [[0, hosts)]. *)
+
+val groups : hosts:int -> Message.traffic -> int array * int array * int array
+(** [(pairs, sizes, counts)]: the traffic counted by (pair, size) —
+    group [i] is [counts.(i)] messages of [sizes.(i)] bytes each over
+    the ordered pair [pairs.(i)] (keyed as in {!tally}), local
+    messages included.  Groups come in the order of their first
+    message; a pair that shows up with a size other than its latest
+    group's starts a new group, so a pair that mixes sizes may have
+    several.  Tallied in the same borrowed table as {!tally}.
+    @raise Invalid_argument on an endpoint outside [[0, hosts)]. *)
 
 val of_traffic : hosts:int -> Message.traffic -> t
 (** The volume graph of the traffic, [(src, dst) -> summed bytes],

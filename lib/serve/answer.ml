@@ -45,27 +45,26 @@ let mapping_block ppf ~models (r : Resopt.Pipeline.result) spec =
     "mapped" "gain" "cost" "cost+map" "gain_map";
   List.iter
     (fun model ->
-      match
-        Resopt.Residual.on_model ~bytes:64 model
-          (Resopt.Residual.flows_of_plan r.Resopt.Pipeline.plan)
-      with
+      let plan = r.Resopt.Pipeline.plan in
+      match Resopt.Residual.of_plan model plan with
       | None ->
         Format.fprintf ppf "  %-8s %12s@." model.Machine.Models.name
           "(no 2-D grid)"
-      | Some traffic ->
+      | Some fold ->
+        (* one fold for the row: the hop-bytes, both prices and the
+           placement they share *)
         let topo = model.Machine.Models.topo in
-        let vol = Resopt.Residual.volume_graph traffic in
+        let vol = Resopt.Residual.volume_graph fold in
         let n = Machine.Topology.size topo in
-        let perm = Mapping.compute spec topo vol in
+        let perm = Resopt.Residual.placement spec fold in
         let hb_id = Mapping.hop_bytes topo vol (Mapping.identity n) in
         let hb = Mapping.hop_bytes topo vol perm in
-        let cost =
-          (Resopt.Cost.of_plan model r.Resopt.Pipeline.plan).Resopt.Cost.total
-        in
-        let mapped =
-          (Resopt.Cost.of_plan ~mapping:spec model r.Resopt.Pipeline.plan)
+        let price mapping =
+          (Resopt.Cost.of_fold ~faults:Machine.Fault.none ~mapping model (Some fold) plan)
             .Resopt.Cost.total
         in
+        let cost = price None in
+        let mapped = price (Some spec) in
         let gain num den = if den > 0.0 then num /. den else 1.0 in
         Format.fprintf ppf "  %-8s %12d %12d %7.2fx %12.1f %12.1f %7.2fx@."
           model.Machine.Models.name hb_id hb

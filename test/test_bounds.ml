@@ -117,12 +117,16 @@ let test_volume_shape_mismatch () =
 let test_transfer_empty () =
   let topo = Topology.make ~torus:true [| 4; 4 |] in
   let params = (Machine.Models.paragon ()).Machine.Models.net in
-  let t = Bounds.transfer_time topo params (Machine.Message.of_list []) in
+  let price msgs =
+    Bounds.transfer_time topo params
+      (Machine.Netsim.volume topo (Machine.Message.of_list msgs))
+  in
+  let t = price [] in
   Alcotest.(check (float 0.0)) "no traffic: zero bound" 0.0 t.Bounds.bound_time;
   Alcotest.(check (float 0.0)) "no traffic: efficiency 1" 1.0 t.Bounds.efficiency;
   (* local-only traffic is the same as none *)
   let local = [ { Machine.Message.src = 3; dst = 3; bytes = 64 } ] in
-  let t = Bounds.transfer_time topo params (Machine.Message.of_list local) in
+  let t = price local in
   Alcotest.(check (float 0.0)) "local-only: efficiency 1" 1.0 t.Bounds.efficiency
 
 let check_time_components name topo (t : Bounds.time) =
@@ -249,7 +253,35 @@ let test_empty_flows () =
     Alcotest.(check int) "no flows, no bytes" 0
       e.Resopt.Efficiency.volume.Bounds.achieved_bytes;
     Alcotest.(check (float 0.0)) "efficiency 1" 1.0
-      e.Resopt.Efficiency.time.Bounds.efficiency
+      e.Resopt.Efficiency.time.Bounds.efficiency;
+  (* the no-flow record skips the bounds machinery: it must be what
+     the machinery reports, on balanced and unbalanced folds alike *)
+  let params = (Machine.Models.paragon ()).Machine.Models.net in
+  List.iter
+    (fun (spec, vgrid) ->
+      let topo = Result.get_ok (Topology.of_string spec) in
+      let r = Resopt.Residual.make ~vgrid ~bytes:64 topo [] in
+      let want =
+        {
+          Resopt.Efficiency.vgrid;
+          volume = Bounds.volume ~vgrid ~bytes:64 ~owner:(Resopt.Residual.ranks r) [];
+          time =
+            Bounds.transfer_time topo params
+              (Machine.Netsim.volume topo (Machine.Message.of_list []));
+        }
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s vgrid %dx%d: no-flow record" spec vgrid.(0) vgrid.(1))
+        true
+        (Resopt.Efficiency.of_traffic params r = want))
+    [
+      ("torus:8x8", [| 32; 32 |]);
+      ("mesh:8x4", [| 32; 16 |]);
+      ("mesh:4x3", [| 5; 3 |]);
+      ("mesh:4x3", [| 3; 7 |]);
+      ("torus:4x4", [| 1; 1 |]);
+      ("mesh:4x3", [| 0; 4 |]);
+    ]
 
 (* the paper's running example T *)
 let paper_t = Mat.of_lists [ [ 1; 2 ]; [ 3; 7 ] ]
@@ -314,7 +346,10 @@ let prop_transfer_efficiency =
           ~bytes:8 ~place ()
       in
       let params = (Machine.Models.of_topo topo).Machine.Models.net in
-      let t = Bounds.transfer_time topo params (Machine.Message.of_list msgs) in
+      let t =
+        Bounds.transfer_time topo params
+          (Machine.Netsim.volume topo (Machine.Message.of_list msgs))
+      in
       t.Bounds.efficiency > 0.0
       && t.Bounds.efficiency <= 1.0
       && t.Bounds.bound_time

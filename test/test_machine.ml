@@ -699,6 +699,95 @@ let traced f =
   Obs.Telemetry.reset ();
   (stats, runs)
 
+(* ------------------------------------------------------------------ *)
+(* Pair tally                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* An uncoalesced price routes each (pair, size) group once and adds
+   its count times one message's load.  Streams here repeat a few
+   pairs with sizes drawn from a short list, zero included, so a pair
+   forms several groups and returns to a size it left.  Against the
+   message-by-message reference: the volume itself, priced twice (the
+   second price reads the count the first made), with telemetry on and
+   off; the volume relabelled by a random permutation against the
+   renamed messages, replay order included; and two halves coalesced
+   from their counts against the whole stream coalesced. *)
+let gen_repeats topo =
+  let open QCheck.Gen in
+  let host = int_bound (Topology.size topo - 1) in
+  list_size (int_range 1 4) (pair host host) >>= fun pairs ->
+  let pairs = Array.of_list pairs in
+  list_size (int_range 1 60)
+    (map2
+       (fun i bytes ->
+         let src, dst = pairs.(i) in
+         Message.make ~src ~dst ~bytes)
+       (int_bound (Array.length pairs - 1))
+       (oneofl [ 0; 8; 64; 64; 300 ]))
+
+let pair_tally spec =
+  let topo = Result.get_ok (Topology.of_string spec) in
+  let hosts = Topology.size topo in
+  let arb =
+    QCheck.make
+      ~print:(fun ((coalesce, kind, faults), (msgs, perm)) ->
+        Printf.sprintf "%s coalesce=%b %s %s [%s] perm [%s]" spec coalesce
+          (fault_kind_name kind) (Fault.label faults)
+          (String.concat "; " (List.map show_message msgs))
+          (String.concat " " (Array.to_list (Array.map string_of_int perm))))
+      QCheck.Gen.(
+        bool >>= fun coalesce ->
+        oneofl [ Healthy; Flaky; Severed ] >>= fun kind ->
+        pair
+          (map (fun faults -> (coalesce, kind, faults)) (gen_faults topo kind))
+          (pair (gen_repeats topo)
+             (map Array.of_list (shuffle_l (List.init hosts Fun.id)))))
+  in
+  prop ~count:200 spec arb (fun ((coalesce, _, faults), (msgs, perm)) ->
+      let volume msgs = Netsim.volume ~coalesce topo (Message.of_list msgs) in
+      let price v = Netsim.price ~faults topo params v in
+      let traced_price v =
+        match traced (fun () -> price v) with
+        | stats, [ record ] -> (stats, record)
+        | _ -> Alcotest.fail "one run recorded"
+      in
+      let want = Reference.run ~coalesce ~faults topo params msgs in
+      let v = volume msgs in
+      let renamed =
+        List.map
+          (fun (m : Message.t) ->
+            Message.make ~src:perm.(m.src) ~dst:perm.(m.dst) ~bytes:m.bytes)
+          msgs
+      in
+      let want_renamed = Reference.run ~coalesce ~faults topo params renamed in
+      let relabelled = Netsim.relabel perm v in
+      let half = List.length msgs / 2 in
+      let first = List.filteri (fun i _ -> i < half) msgs
+      and rest = List.filteri (fun i _ -> i >= half) msgs in
+      let halves =
+        Netsim.coalesce topo
+          [
+            Netsim.volume ~coalesce:false topo (Message.of_list first);
+            Netsim.volume topo (Message.of_list rest);
+          ]
+      in
+      let whole = Netsim.volume topo (Message.of_list msgs) in
+      price v = fst want
+      && price v = fst want
+      && traced_price v = want
+      && price relabelled = fst want_renamed
+      && traced_price relabelled = want_renamed
+      && Reference.messages (Netsim.replay relabelled)
+         = Reference.messages (Netsim.replay (volume renamed))
+      && price halves = price whole
+      && traced_price halves = traced_price whole
+      && Reference.messages (Netsim.replay halves)
+         = Reference.messages (Netsim.replay whole))
+
+let pair_tally_props =
+  List.map pair_tally
+    [ "mesh:8x4"; "torus:4x4x2"; "fattree:3:4"; "dragonfly:4:4:2"; "dragonfly:4:4:2:adaptive" ]
+
 let foldsim_diff spec =
   let topo = Result.get_ok (Topology.of_string spec) in
   let model = Models.of_topo topo in
@@ -945,6 +1034,7 @@ let () =
           Alcotest.test_case "four domains, one pricing" `Quick test_translation_race;
         ] );
       ("netsim-diff", netsim_diff_props);
+      ("pair-tally", pair_tally_props);
       ("eventsim-order", eventsim_order_props);
       ("pricing-diff", pricing_diff_props);
       ("walk-diff", walk_diff_props);

@@ -113,6 +113,58 @@ let test_dsl_no_schedule () =
   | Ok (_, Some _) -> Alcotest.fail "phantom schedule"
   | Error e -> Alcotest.fail e
 
+(* The CLI's [parse] and [compile] read a file's schedule lines: the
+   written schedule reaches the optimizer and changes the plan, and a
+   file without one prints what the all-parallel run prints. *)
+let cli = Filename.concat (Filename.dirname Sys.executable_name) "../bin/resopt_cli.exe"
+
+let cli_stdout args =
+  let out = Filename.temp_file "resopt_dsl" ".out" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove out with Sys_error _ -> ())
+    (fun () ->
+      let rc =
+        Sys.command (Printf.sprintf "%s %s > %s" (Filename.quote cli) args (Filename.quote out))
+      in
+      Alcotest.(check int) (args ^ " exits 0") 0 rc;
+      In_channel.with_open_bin out In_channel.input_all)
+
+let with_dsl_file text f =
+  let file = Filename.temp_file "resopt_dsl" ".resopt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+    (fun () ->
+      Out_channel.with_open_bin file (fun oc -> output_string oc text);
+      f (Filename.quote file))
+
+let test_cli_schedule () =
+  (* x(i) read by every j: a broadcast while j is parallel, general
+     traffic once the schedule makes j sequential *)
+  let plain =
+    "nest bc\narray A 2\narray x 1\nstmt S depth 2 extent 8 8\n\
+    \  write A [1 0; 0 1]\n\
+    \  read x [1 0]\n"
+  in
+  let written = plain ^ "schedule S [0 1]\n" in
+  let nest, schedule = Result.get_ok (Nestir.Dsl.parse_with_schedule written) in
+  let run schedule = Resopt.Pipeline.run ~m:2 ?schedule nest in
+  let report schedule = Format.asprintf "%a@." Resopt.Pipeline.pp (run schedule) in
+  Alcotest.(check bool) "the schedule changes the plan" true
+    (report None <> report schedule);
+  with_dsl_file plain (fun file ->
+      Alcotest.(check string) "parse, no schedule line" (report None)
+        (cli_stdout ("parse " ^ file)));
+  with_dsl_file written (fun file ->
+      Alcotest.(check string) "parse, schedule line" (report schedule)
+        (cli_stdout ("parse " ^ file));
+      let dir = Filename.temp_dir "resopt_dsl" "" in
+      let out = cli_stdout (Printf.sprintf "compile %s -o %s" file (Filename.quote dir)) in
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir;
+      Alcotest.(check string) "compile, schedule line"
+        (Resopt.Report.summary_line (run schedule))
+        (List.hd (String.split_on_char '\n' out)))
+
 let test_platonoff_total_preserved () =
   (* every processor reads the same scalar cell: a total broadcast,
      which Platonoff's step 3a can keep total *)
@@ -218,6 +270,7 @@ let () =
           Alcotest.test_case "schedule round-trip" `Quick
             test_dsl_schedule_roundtrip;
           Alcotest.test_case "no schedule" `Quick test_dsl_no_schedule;
+          Alcotest.test_case "CLI parse and compile" `Quick test_cli_schedule;
           Alcotest.test_case "total broadcast preserved" `Quick
             test_platonoff_total_preserved;
         ] );

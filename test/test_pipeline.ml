@@ -333,6 +333,194 @@ let test_decomposed_diff () =
   Alcotest.(check bool) "the phases win somewhere" true (!phases_win > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Row fold                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A sweep row and a served mapping block build each plan's residual
+   fold once and read every price, the placement and the bounds off
+   it.  Each column must be, bit for bit, what the separate public
+   calls give, each of which builds a fold of its own. *)
+let row_models () =
+  let of_spec s = Machine.Models.of_topo (Result.get_ok (Machine.Topology.of_string s)) in
+  [
+    Machine.Models.cm5 ();
+    Machine.Models.paragon ();
+    Machine.Models.t3d ();
+    of_spec "fattree:2:4";
+    of_spec "torus:4x4";
+  ]
+
+(* The first generated nests, those with residual flows and some
+   without. *)
+let row_workloads () = Workloads.generated ~seed:100003 ~count:45
+
+let bits = Int64.bits_of_float
+
+(* [Sweep]'s fault model at one resilience rate. *)
+let faults_at base rate =
+  Machine.Fault.make ~seed:(Machine.Fault.seed base)
+    (Machine.Fault.specs base
+    @ if rate > 0.0 then [ Machine.Fault.Flaky { link = None; prob = rate } ] else [])
+
+let test_row_fold () =
+  let models = row_models () and workloads = row_workloads () in
+  let flaky = Machine.Fault.make [ Machine.Fault.Flaky { link = None; prob = 0.02 } ] in
+  let with_flows = ref 0 in
+  List.iter
+    (fun (mapping, base_faults) ->
+      let rates = [ 0.0; 0.05 ] in
+      let rows =
+        Sweep.run ~ms:[ 2 ] ~models ~workloads ~faults:base_faults ~fault_rates:rates
+          ~cache:false ~mapping ~bounds:true ()
+      in
+      Cache.scoped ~enable:false @@ fun () ->
+      List.iter
+        (fun (row : Sweep.row) ->
+          let w = List.find (fun (w : Workloads.t) -> w.Workloads.name = row.Sweep.workload) workloads in
+          let model = List.find (fun (m : Machine.Models.t) -> m.Machine.Models.name = row.Sweep.model) models in
+          let opt = Pipeline.run ~m:2 ~schedule:w.Workloads.schedule w.Workloads.nest in
+          let base = Feautrier.of_pipeline opt in
+          let price ?faults ?mapping plan = (Cost.of_plan ?faults ?mapping model plan).Cost.total in
+          let optimized = price opt.Pipeline.plan in
+          if Residual.flows_of_plan opt.Pipeline.plan <> [] then incr with_flows;
+          let label =
+            Printf.sprintf "%s on %s, %s, %s" row.Sweep.workload row.Sweep.model
+              (Mapping.kind_to_string mapping.Mapping.kind)
+              (Machine.Fault.label base_faults)
+          in
+          Alcotest.(check int64) (label ^ ": optimized") (bits optimized) (bits row.Sweep.optimized);
+          Alcotest.(check int64) (label ^ ": baseline")
+            (bits (price base.Feautrier.plan)) (bits row.Sweep.baseline);
+          let mapped = price ~mapping opt.Pipeline.plan in
+          Alcotest.(check (option int64)) (label ^ ": map_gain")
+            (Some (bits (if mapped > 0.0 then optimized /. mapped else 1.0)))
+            (Option.map bits row.Sweep.map_gain);
+          Alcotest.(check (option int64)) (label ^ ": eff")
+            (Option.map
+               (fun e -> bits e.Efficiency.time.Bounds.efficiency)
+               (Efficiency.of_plan ~mapping model opt.Pipeline.plan))
+            (Option.map bits row.Sweep.eff);
+          Alcotest.(check (list (pair int64 int64))) (label ^ ": resilience")
+            (List.map
+               (fun rate ->
+                 let faults = faults_at base_faults rate in
+                 let o = price ~faults opt.Pipeline.plan
+                 and b = price ~faults base.Feautrier.plan in
+                 (bits rate, bits (if o > 0.0 then b /. o else 0.0)))
+               rates)
+            (List.map (fun (r, g) -> (bits r, bits g)) row.Sweep.resilience))
+        rows)
+    (List.concat_map
+       (fun mapping -> [ (mapping, Machine.Fault.none); (mapping, flaky) ])
+       [
+         Mapping.spec Mapping.Identity;
+         Mapping.spec Mapping.Greedy;
+         Mapping.spec ~seed:3 ~restarts:2 Mapping.Search;
+       ]);
+  Alcotest.(check bool) "rows with residual flows" true (!with_flows >= 30)
+
+(* One fold priced under several specs in turn: each spec's placement
+   is its own search, and each price is what a fresh fold gives. *)
+let test_row_fold_specs () =
+  Cache.scoped ~enable:false @@ fun () ->
+  let specs =
+    [
+      Mapping.spec Mapping.Greedy;
+      Mapping.spec ~seed:3 ~restarts:2 Mapping.Search;
+      Mapping.spec Mapping.Identity;
+      Mapping.spec ~seed:4 ~restarts:2 Mapping.Search;
+      Mapping.spec Mapping.Greedy;
+    ]
+  in
+  let priced = ref 0 in
+  List.iter
+    (fun (w : Workloads.t) ->
+      match Pipeline.run ~m:2 ~schedule:w.Workloads.schedule w.Workloads.nest with
+      | exception _ -> ()
+      | r ->
+        let plan = r.Pipeline.plan in
+        List.iter
+          (fun (model : Machine.Models.t) ->
+            match Residual.of_plan model plan with
+            | Some fold when fold.Residual.flows <> [] ->
+              incr priced;
+              let topo = model.Machine.Models.topo in
+              let vol =
+                Machine.Volgraph.of_traffic ~hosts:(Machine.Topology.size topo)
+                  (Residual.traffic fold)
+              in
+              List.iter
+                (fun spec ->
+                  let label =
+                    Printf.sprintf "%s on %s, %s seed %d" w.Workloads.name
+                      model.Machine.Models.name
+                      (Mapping.kind_to_string spec.Mapping.kind) spec.Mapping.seed
+                  in
+                  Alcotest.(check (array int)) (label ^ ": placement")
+                    (Mapping.compute spec topo vol) (Residual.placement spec fold);
+                  Alcotest.(check int64) (label ^ ": price")
+                    (bits (Cost.of_plan ~mapping:spec model plan).Cost.total)
+                    (bits
+                       (Cost.of_fold ~faults:Machine.Fault.none ~mapping:(Some spec) model
+                          (Some fold) plan)
+                         .Cost.total))
+                specs
+            | _ -> ())
+          [ Machine.Models.cm5 (); Machine.Models.paragon () ])
+    (row_workloads ());
+  Alcotest.(check bool) "folds with flows" true (!priced >= 6)
+
+(* The served mapping block, against the block as separate calls
+   render it: the volume graph, the placement and both prices each
+   derived afresh. *)
+let mapping_block_reference ~m (w : Workloads.t) spec =
+  let r = Pipeline.run ~m ~schedule:w.Workloads.schedule w.Workloads.nest in
+  let plan = r.Pipeline.plan in
+  let buf = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer buf in
+  Format.fprintf ppf "%a@." Pipeline.pp r;
+  Format.fprintf ppf "@.process mapping (--map %s):@." (Mapping.kind_to_string spec.Mapping.kind);
+  Format.fprintf ppf "  %-8s %12s %12s %8s %12s %12s %8s@." "model" "hop-bytes"
+    "mapped" "gain" "cost" "cost+map" "gain_map";
+  List.iter
+    (fun (model : Machine.Models.t) ->
+      match Residual.on_model ~bytes:64 model (Residual.flows_of_plan plan) with
+      | None -> Format.fprintf ppf "  %-8s %12s@." model.Machine.Models.name "(no 2-D grid)"
+      | Some traffic ->
+        let topo = model.Machine.Models.topo in
+        let vol = Machine.Volgraph.of_traffic ~hosts:(Machine.Topology.size topo) (Residual.traffic traffic) in
+        let perm = Mapping.compute spec topo vol in
+        let hb_id = Mapping.hop_bytes topo vol (Mapping.identity (Machine.Topology.size topo)) in
+        let hb = Mapping.hop_bytes topo vol perm in
+        let cost = (Cost.of_plan model plan).Cost.total in
+        let mapped = (Cost.of_plan ~mapping:spec model plan).Cost.total in
+        let gain num den = if den > 0.0 then num /. den else 1.0 in
+        Format.fprintf ppf "  %-8s %12d %12d %7.2fx %12.1f %12.1f %7.2fx@."
+          model.Machine.Models.name hb_id hb
+          (gain (float_of_int hb_id) (float_of_int hb))
+          cost mapped (gain cost mapped))
+    [ Machine.Models.cm5 (); Machine.Models.paragon (); Machine.Models.t3d () ];
+  Format.pp_print_flush ppf ();
+  Buffer.contents buf
+
+let test_row_fold_answer () =
+  Cache.scoped ~enable:false @@ fun () ->
+  List.iter
+    (fun (w : Workloads.t) ->
+      List.iter
+        (fun (kind, spec) ->
+          let name = w.Workloads.name in
+          Alcotest.(check (result string string))
+            (Printf.sprintf "%s --map %s" name kind)
+            (Ok (mapping_block_reference ~m:2 w spec))
+            (Serve.Answer.of_request (Serve.Wire.run ~map:kind ~mseed:5 name)))
+        [
+          ("greedy", Mapping.spec ~seed:5 Mapping.Greedy);
+          ("search", Mapping.spec ~seed:5 Mapping.Search);
+        ])
+    (Workloads.all ())
+
+(* ------------------------------------------------------------------ *)
 (* Sweep                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -475,6 +663,12 @@ let () =
         :: baseline_props );
       ( "decomposed",
         [ Alcotest.test_case "early stop = all phases" `Quick test_decomposed_diff ] );
+      ( "row-fold",
+        [
+          Alcotest.test_case "sweep rows = separate calls" `Quick test_row_fold;
+          Alcotest.test_case "one fold, several specs" `Quick test_row_fold_specs;
+          Alcotest.test_case "served mapping block" `Quick test_row_fold_answer;
+        ] );
       ("properties", pipeline_props);
       ("sweep", [ Alcotest.test_case "full sweep" `Quick test_sweep ]);
       ("seidel", [ Alcotest.test_case "workload" `Quick test_seidel_workload ]);
