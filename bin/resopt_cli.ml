@@ -432,7 +432,7 @@ let compile_cmd =
     write "report.md" (Resopt.Report.markdown r);
     write "directives.hpf" (Resopt.Codegen.emit r);
     write "nest.c" (Nestir.Cprint.to_c nest);
-    write "nest.resopt" (Nestir.Dsl.print nest);
+    write "nest.resopt" (Nestir.Dsl.print_with_schedule nest schedule);
     Format.printf "%s@." (Resopt.Report.summary_line r);
     Format.printf "wrote report.md, directives.hpf, nest.c, nest.resopt to %s/@."
       outdir

@@ -17,9 +17,8 @@ let ceil_div a b = if b <= 0 then 0 else (a + b - 1) / b
 
 let volume ~vgrid ?offset ~bytes ~owner flows =
   let dims = Array.length vgrid in
-  let n = Array.length owner in
-  if n <> Machine.Patterns.cells vgrid then
-    invalid_arg "Bounds.volume: owner does not cover vgrid";
+  let n = Machine.Patterns.cells vgrid in
+  if Array.length owner < n then invalid_arg "Bounds.volume: owner does not cover vgrid";
   (* balance of the given placement: cells per processor, counted
      over the span of processor ranks the placement uses *)
   let lo = ref max_int and hi = ref min_int in

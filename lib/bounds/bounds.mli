@@ -92,10 +92,12 @@ val volume :
     permutation of the wrapped [vgrid] and accumulate the cycle-packing
     bound against the placement's balance.  [owner.(i)] is the rank
     of the [i]-th cell of [vgrid] in row-major order (a
-    {!Machine.Patterns.ranks} table); [offset] (default all zero)
-    translates destinations, as in {!Machine.Patterns.successors}.
+    {!Machine.Patterns.ranks} table); entries past the last cell are
+    ignored, so a borrowed buffer can serve.  [offset] (default all
+    zero) translates destinations, as in
+    {!Machine.Patterns.successors}.
     @raise Invalid_argument when a flow's shape does not match
-    [vgrid], or [owner] does not hold one rank per cell. *)
+    [vgrid], or [owner] is shorter than the cell count. *)
 
 type time = {
   serial_lb : int;

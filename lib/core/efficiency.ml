@@ -6,70 +6,19 @@ type t = {
 
 let default_bytes = 64
 
-(* [Bounds.volume] of no flows, read off the fold's axis tables rather
-   than a cell→rank table: a cell's rank sums one entry per axis at
-   row-major strides, so the ranks in use and the most cells on one
-   rank are products over the axes. *)
-let no_flow_volume (r : Residual.t) =
-  let nprocs, cap =
-    Array.fold_left
-      (fun (nprocs, cap) table ->
-        let values = List.sort_uniq compare (Array.to_list table) in
-        let count v = Array.fold_left (fun n x -> if x = v then n + 1 else n) 0 table in
-        (nprocs * List.length values, cap * List.fold_left (fun m v -> max m (count v)) 0 values))
-      (1, 1) (Lazy.force r.Residual.axes)
-  in
-  {
-    Bounds.flows = 0;
-    flow_rank = 0;
-    cells = Machine.Patterns.cells r.Residual.vgrid;
-    nprocs;
-    cap;
-    orbits = 0;
-    longest_orbit = 0;
-    bound_bytes = 0;
-    achieved_bytes = 0;
-    per_proc_bound = 0;
-  }
-
-(* [Bounds.transfer_time] of no messages *)
-let no_flow_time =
-  {
-    Bounds.serial_lb = 0;
-    link_lb = 0;
-    hops_lb = 0;
-    bound_time = 0.0;
-    achieved =
-      {
-        Machine.Netsim.time = 0.0;
-        messages = 0;
-        total_bytes = 0;
-        total_hops = 0;
-        max_link_load = 0;
-        max_sender = 0;
-        max_receiver = 0;
-        max_hops = 0;
-        unreachable = 0;
-      };
-    efficiency = 1.0;
-  }
-
 let of_traffic ?mapping net (r : Residual.t) =
-  let volume, time =
-    if r.Residual.flows = [] then (no_flow_volume r, no_flow_time)
-    else
-      let volume =
-        Bounds.volume ~vgrid:r.Residual.vgrid ~bytes:r.Residual.bytes
-          ~owner:(Residual.ranks r) r.Residual.flows
-      in
-      (* no traffic, nothing to place: skip the placement search *)
-      let placement =
-        match mapping with
-        | Some spec when volume.Bounds.cells > 0 -> Some (Residual.placement spec r)
-        | _ -> None
-      in
-      (volume, Bounds.transfer_time r.Residual.topo net (Residual.volume r placement))
+  let volume =
+    Residual.with_ranks r (fun owner ->
+        Bounds.volume ~vgrid:r.Residual.vgrid ~bytes:r.Residual.bytes ~owner r.Residual.flows)
   in
+  (* no traffic, nothing to place: skip the placement search *)
+  let placement =
+    match mapping with
+    | Some spec when volume.Bounds.cells > 0 && r.Residual.flows <> [] ->
+      Some (Residual.placement spec r)
+    | _ -> None
+  in
+  let time = Bounds.transfer_time r.Residual.topo net (Residual.volume r placement) in
   if Obs.enabled () then begin
     Obs.incr "bounds.computed";
     Obs.incr ~by:volume.Bounds.bound_bytes "bounds.bound_bytes";

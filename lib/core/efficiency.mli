@@ -37,12 +37,11 @@ val of_traffic : ?mapping:Mapping.spec -> Machine.Netsim.params -> Residual.t ->
     placement again.
 
     Traffic without flows bounds an empty set: zero bytes both sides,
-    efficiency 1.0.  That record is built directly, without the
-    bounds machinery — no cell→rank table, no orbit walk and no
-    Netsim price (so no [netsim.*] counters); [cells], [nprocs] and
-    [cap] are read off the fold's axis tables and equal what
-    {!Bounds.volume} reports for no flows.  The [bounds.*] counters
-    are fed as for any other traffic. *)
+    efficiency 1.0, and no placement is searched.  [cells], [nprocs]
+    and [cap] still describe the fold's balance, read by
+    {!Bounds.volume} off the cell→rank table, and the empty volume
+    is still priced (one [netsim.runs]), so the record and the
+    counters are those of any other traffic. *)
 
 val of_plan : ?mapping:Mapping.spec -> Machine.Models.t -> Commplan.t -> t option
 (** {!of_traffic} over the plan's fold ({!Residual.of_plan}): its

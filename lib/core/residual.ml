@@ -54,7 +54,16 @@ let on_model ~bytes (model : Machine.Models.t) flows =
 (* Every plan is priced at 64-byte items. *)
 let of_plan model plan = on_model ~bytes:64 model (flows_of_plan plan)
 
-let ranks t = Machine.Patterns.ranks ~axes:(Lazy.force t.axes) ~vgrid:t.vgrid
+(* A bounds row's cell→rank table is too large for the minor heap (512
+   words on an 8x4 machine), and a fresh one per sweep cell grows the
+   major heap faster than the collector reclaims it, so it is borrowed
+   per domain. *)
+let rank_tables = Machine.Volgraph.lender ~make:(fun n -> Array.make n 0) ~size:Array.length
+
+let with_ranks t f =
+  Machine.Volgraph.borrow rank_tables (Machine.Patterns.cells t.vgrid) (fun table ->
+      Machine.Patterns.fill_ranks ~axes:(Lazy.force t.axes) ~vgrid:t.vgrid table;
+      f table)
 
 let traffic ?placement t =
   Machine.Patterns.traffic ~vgrid:t.vgrid ~axes:(Lazy.force t.axes) ?remap:placement

@@ -65,9 +65,12 @@ val of_plan : Machine.Models.t -> Commplan.t -> t option
 (** The plan's flows ({!flows_of_plan}) {!on_model} at 64-byte items:
     the fold {!Cost} prices a plan on and {!Efficiency} bounds. *)
 
-val ranks : t -> int array
-(** The cyclic fold as a cell→rank table, read off the fold's axis
-    tables ({!Machine.Patterns.ranks}). *)
+val with_ranks : t -> (int array -> 'a) -> 'a
+(** [with_ranks t f] is [f] applied to the cyclic fold as a cell→rank
+    table, filled from the fold's axis tables
+    ({!Machine.Patterns.fill_ranks}).  The table is {!Machine.Volgraph.borrow}ed
+    per domain: it is valid only while [f] runs, and may be longer than
+    the fold's cells, which come first. *)
 
 val traffic : ?placement:Mapping.t -> t -> Machine.Message.traffic
 (** The flows' messages ({!Machine.Patterns.traffic}), flow after

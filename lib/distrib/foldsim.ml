@@ -1,13 +1,13 @@
 (* Residual traffic as int arrays from placement to price: the layout
    fold is one table per axis (with [remap], a process placement from
-   the mapping layer, composed after it), each message's endpoints
-   come from integer flow arithmetic, and the messages stream into the
-   Netsim core. *)
+   the mapping layer, composed after it in the phase walk), each
+   message's endpoints come from integer flow arithmetic, and the
+   messages stream into the Netsim core. *)
 
-let time ?coalesce ?faults ?remap model ~layout ~vgrid ~flow ?offset ?(bytes = 8) () =
+let time ?coalesce ?faults model ~layout ~vgrid ~flow ?offset ?(bytes = 8) () =
   let axes = Layout.axes layout ~vgrid ~topo:model.Machine.Models.topo in
   Machine.Models.price ?coalesce ?faults model
-    (Machine.Patterns.traffic ?offset ~vgrid ~axes ?remap ~bytes [ flow ])
+    (Machine.Patterns.traffic ?offset ~vgrid ~axes ~bytes [ flow ])
 
 (* Per-domain buffers of [decomposed_time]: the cell→rank table, the
    cell each item is on, and the phase's successor table. *)

@@ -6,7 +6,6 @@ open Linalg
 val time :
   ?coalesce:bool ->
   ?faults:Machine.Fault.t ->
-  ?remap:int array ->
   Machine.Models.t ->
   layout:Layout.t ->
   vgrid:int array ->
@@ -19,10 +18,9 @@ val time :
     virtual grid, folded onto the model's topology by [layout].
     [coalesce:false] models the generic (non-vectorizable) runtime
     path used for a general affine communication; [faults] prices it
-    on the degraded machine ({!Machine.Netsim.price}); [remap] composes
-    a process placement (a permutation of physical ranks, from the
-    mapping layer) after the layout fold, so the same traffic is
-    priced under a searched embedding. *)
+    on the degraded machine ({!Machine.Netsim.price}).  A searched
+    process placement is priced by relabelling the traffic's volume
+    ({!Machine.Netsim.relabel}), as [Residual] does. *)
 
 val decomposed_time :
   ?faults:Machine.Fault.t ->

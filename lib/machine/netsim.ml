@@ -94,7 +94,7 @@ let grouped ~hosts traffic =
   { hosts; keys; sizes; counts }
 
 let coalesced ~hosts traffic =
-  let keys, sums = Volgraph.tally ~hosts ~locals:true traffic in
+  let keys, sums = Volgraph.tally ~hosts traffic in
   { hosts; keys; sizes = sums; counts = Array.make (Array.length keys) 1 }
 
 (* A coalesced volume is tallied when it is made; an uncoalesced one

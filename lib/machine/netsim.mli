@@ -79,7 +79,12 @@ type volume
     the traffic itself, counted by (pair, size) on its first price
     without telemetry and priced from that count from then on.  The
     price skips local messages; telemetry records the traffic's local
-    messages either way. *)
+    messages either way.
+
+    A coalesced volume is immutable.  An uncoalesced one, and a
+    {!relabel}ling of any volume, caches its count when first priced
+    or read ({!pairs}), so until then it belongs to one domain: count
+    it in the domain that made it before sharing it. *)
 
 val volume : ?coalesce:bool -> Topology.t -> Message.traffic -> volume
 (** [coalesce] (default [true]) merges same-pair messages.  Pass

@@ -53,21 +53,19 @@ let check_hosts ~hosts s d =
   if s < 0 || s >= hosts || d < 0 || d >= hosts then
     invalid_arg "Volgraph: message endpoint is not a host"
 
-let tally ~hosts ~locals (traffic : Message.traffic) =
+let tally ~hosts (traffic : Message.traffic) =
   borrow tables (hosts * hosts) (fun { vol; keys; _ } ->
       let k = ref 0 in
       traffic (fun s d bytes ->
-          if locals || s <> d then begin
-            check_hosts ~hosts s d;
-            let key = (s * hosts) + d in
-            let v = vol.(key) in
-            if v < 0 then begin
-              vol.(key) <- bytes;
-              keys.(!k) <- key;
-              incr k
-            end
-            else vol.(key) <- v + bytes
-          end);
+          check_hosts ~hosts s d;
+          let key = (s * hosts) + d in
+          let v = vol.(key) in
+          if v < 0 then begin
+            vol.(key) <- bytes;
+            keys.(!k) <- key;
+            incr k
+          end
+          else vol.(key) <- v + bytes);
       let pairs = Array.sub keys 0 !k in
       let sums = Array.map (fun key -> vol.(key)) pairs in
       Array.iter (fun key -> vol.(key) <- -1) pairs;
@@ -105,7 +103,7 @@ let groups ~hosts (traffic : Message.traffic) =
       (keys, Array.sub !sizes 0 !k, Array.sub !counts 0 !k))
 
 let of_traffic ~hosts traffic =
-  let pairs, sums = tally ~hosts ~locals:true traffic in
+  let pairs, sums = tally ~hosts traffic in
   (* keys are unique, so sorting them orders the pairs as [sorted] *)
   let g = Array.map2 (fun key sum -> (key, sum)) pairs sums in
   Array.sort (fun (a, _) (b, _) -> Int.compare a b) g;

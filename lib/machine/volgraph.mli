@@ -24,8 +24,8 @@ type 'a lender
     raises keeps it, so a half-written buffer is never lent again.
     Buffers larger than the minor heap, allocated per call, fill the
     major heap faster than the collector reclaims them; the two
-    tallies below and [Distrib.Foldsim.decomposed_time] borrow
-    theirs. *)
+    tallies below, [Distrib.Foldsim.decomposed_time] and the rank
+    table of [Resopt.Residual.with_ranks] borrow theirs. *)
 
 val lender : make:(int -> 'a) -> size:('a -> int) -> 'a lender
 (** A lender of buffers [make n] of capacity [size]. *)
@@ -35,15 +35,13 @@ val borrow : 'a lender -> int -> ('a -> 'b) -> 'b
     capacity is at least [n], otherwise for a fresh [make n] that then
     replaces it. *)
 
-val tally : hosts:int -> locals:bool -> Message.traffic -> int array * int array
+val tally : hosts:int -> Message.traffic -> int array * int array
 (** [(pairs, sums)]: the traffic's ordered pairs as keys
     [src * hosts + dst], in the order of their first message, and
-    each pair's summed bytes — tallied in a dense [hosts x hosts]
-    table {!borrow}ed from a lender, so each domain reuses it from one
-    tally to the next.
-    [locals:false] leaves out the [src = dst] messages.
-    @raise Invalid_argument on a counted endpoint outside
-    [[0, hosts)]. *)
+    each pair's summed bytes, local pairs included — tallied in a
+    dense [hosts x hosts] table {!borrow}ed from a lender, so each
+    domain reuses it from one tally to the next.
+    @raise Invalid_argument on an endpoint outside [[0, hosts)]. *)
 
 val groups : hosts:int -> Message.traffic -> int array * int array * int array
 (** [(pairs, sizes, counts)]: the traffic counted by (pair, size) —

@@ -50,6 +50,17 @@ let print (nest : Loopnest.t) =
     nest.Loopnest.stmts;
   Buffer.contents buf
 
+let print_with_schedule nest = function
+  | None -> print nest
+  | Some sched ->
+    print nest
+    ^ String.concat ""
+        (List.map
+           (fun (s : Loopnest.stmt) ->
+             Printf.sprintf "schedule %s %s\n" s.Loopnest.stmt_name
+               (print_matrix (Schedule.theta sched s.Loopnest.stmt_name)))
+           nest.Loopnest.stmts)
+
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)

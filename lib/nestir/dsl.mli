@@ -27,3 +27,8 @@ val parse_exn : string -> Loopnest.t
 (** @raise Invalid_argument on syntax errors. *)
 
 val print : Loopnest.t -> string
+
+val print_with_schedule : Loopnest.t -> Schedule.t option -> string
+(** {!print}, then one [schedule] line per statement when a schedule
+    is given: {!parse_with_schedule} reads back the nest and an equal
+    schedule. *)

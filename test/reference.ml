@@ -422,8 +422,11 @@ let plan_bytes = 64
 let general_cost ~faults ?remap ~vgrid (model : Models.t) flow =
   match vgrid with
   | Some vgrid when Linalg.Mat.rows flow = 2 && Linalg.Mat.cols flow = 2 ->
-    (Distrib.Foldsim.time ~coalesce:false ~faults ?remap model
-       ~layout:(Distrib.Layout.all_cyclic 2) ~vgrid ~flow ~bytes:plan_bytes ())
+    let axes =
+      Distrib.Layout.axes (Distrib.Layout.all_cyclic 2) ~vgrid ~topo:model.Models.topo
+    in
+    (Models.price ~coalesce:false ~faults model
+       (Patterns.traffic ~vgrid ~axes ?remap ~bytes:plan_bytes [ flow ]))
       .Netsim.time
   | _ ->
     let n = Topology.size model.Models.topo in

@@ -808,9 +808,17 @@ let foldsim_diff spec =
         Reference.foldsim_time ~coalesce ~faults ?remap model ~layout ~vgrid ~flow
           ~offset ~bytes ()
       in
+      (* a placement is priced by relabelling the unplaced volume *)
       let time () =
-        Distrib.Foldsim.time ~coalesce ~faults ?remap model ~layout ~vgrid ~flow ~offset
-          ~bytes ()
+        match remap with
+        | None ->
+          Distrib.Foldsim.time ~coalesce ~faults model ~layout ~vgrid ~flow ~offset ~bytes ()
+        | Some perm ->
+          let axes = Distrib.Layout.axes layout ~vgrid ~topo in
+          Netsim.price ~faults topo model.Models.net
+            (Netsim.relabel perm
+               (Netsim.volume ~coalesce topo
+                  (Patterns.traffic ~offset ~vgrid ~axes ~bytes [ flow ])))
       in
       time () = stats && traced time = (stats, [ record ]))
 

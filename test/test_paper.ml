@@ -159,11 +159,15 @@ let test_cli_schedule () =
         (cli_stdout ("parse " ^ file));
       let dir = Filename.temp_dir "resopt_dsl" "" in
       let out = cli_stdout (Printf.sprintf "compile %s -o %s" file (Filename.quote dir)) in
+      (* the bundle's nest.resopt runs to the plan the bundle reports *)
+      let bundled = Filename.concat dir "nest.resopt" in
+      let reparsed = cli_stdout ("parse " ^ Filename.quote bundled) in
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Sys.rmdir dir;
       Alcotest.(check string) "compile, schedule line"
         (Resopt.Report.summary_line (run schedule))
-        (List.hd (String.split_on_char '\n' out)))
+        (List.hd (String.split_on_char '\n' out));
+      Alcotest.(check string) "compile, bundled nest.resopt" (report schedule) reparsed)
 
 let test_platonoff_total_preserved () =
   (* every processor reads the same scalar cell: a total broadcast,
