@@ -23,7 +23,13 @@ type spec = { kind : kind; seed : int; restarts : int }
 
 let default_restarts = 8
 
-let spec ?(seed = 0) ?(restarts = default_restarts) kind = { kind; seed; restarts }
+(* Only [Search] reads a seed or a restart count: the other kinds get
+   the defaults, so every greedy spec is one spec (one memo key, one
+   cached placement). *)
+let spec ?(seed = 0) ?(restarts = default_restarts) kind =
+  match kind with
+  | Search -> { kind; seed; restarts }
+  | Identity | Greedy -> { kind; seed = 0; restarts = default_restarts }
 
 let kind_to_string = function
   | Identity -> "none"

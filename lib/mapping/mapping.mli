@@ -34,7 +34,9 @@ type spec = { kind : kind; seed : int; restarts : int }
     [Search]. *)
 
 val spec : ?seed:int -> ?restarts:int -> kind -> spec
-(** [seed] defaults to [0], [restarts] to [8]. *)
+(** [seed] defaults to [0], [restarts] to [8].  Only [Search] keeps
+    them: [Identity] and [Greedy] always get the defaults, so specs
+    that compute the same placement are equal. *)
 
 val kind_to_string : kind -> string
 (** ["none"], ["greedy"], ["search"] — the [--map] CLI vocabulary. *)

@@ -46,11 +46,13 @@ let decode buf =
 (* Sockets                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* A signal landing on a thread blocked here interrupts the call
+   without ending the transfer: both loops retry EINTR. *)
 let rec write_all fd b off len =
-  if len > 0 then begin
-    let n = Unix.write fd b off len in
-    write_all fd b (off + n) (len - n)
-  end
+  if len > 0 then
+    match Unix.write fd b off len with
+    | n -> write_all fd b (off + n) (len - n)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd b off len
 
 let write_fd fd payload =
   let framed = encode payload in
@@ -65,6 +67,7 @@ let read_exact fd len =
       match Unix.read fd b off (len - off) with
       | 0 -> Error off
       | n -> go (off + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in
   go 0
 

@@ -38,10 +38,12 @@ val decode : string -> (string * string, error) result
     Blocking helpers over file descriptors, used by both ends. *)
 
 val write_fd : Unix.file_descr -> string -> unit
-(** Frame and send a payload.  Unix errors propagate ([EPIPE] on a
-    closed peer — callers treat it as disconnection). *)
+(** Frame and send a payload.  An interrupted write ([EINTR]) is
+    resumed; other Unix errors propagate ([EPIPE] on a closed peer —
+    callers treat it as disconnection). *)
 
 val read_fd : Unix.file_descr -> (string, [ `Eof | `Error of error ]) result
 (** Read one frame.  [`Eof] on a cleanly closed stream (no bytes at
-    all); mid-frame EOF is [`Error (Truncated _)]; a socket receive
-    timeout surfaces as the [Unix.Unix_error] it is. *)
+    all); mid-frame EOF is [`Error (Truncated _)]; an interrupted read
+    ([EINTR]) is resumed; a socket receive timeout surfaces as the
+    [Unix.Unix_error] it is. *)

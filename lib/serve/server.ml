@@ -8,8 +8,8 @@
      Obs is outside this rule: it records into one mutex-guarded
      store; the solver thread still does all the recording.
    - Connection threads only use: the server mutex (queue, counters,
-     waiter lists), their own socket, their own waiter pipe, and pure
-     code.
+     waiter lists), their own socket, their own waiter pipe (one per
+     connection, reused by every request on it), and pure code.
    - Signal handlers only flip an atomic; every blocking wait is a
      select with a short timeout, so the flag is noticed promptly. *)
 
@@ -135,11 +135,18 @@ let admit t (req : Wire.request) =
       end
 
 (* Wait for [e] to complete, bounded by the request's deadline.  The
-   waiter registers a pipe; the solver writes one byte per waiter at
-   completion.  On expiry the waiter unregisters and gets a structured
-   Timeout — the solve itself continues and warms the memo. *)
-let await t (e : entry) deadline_ms =
-  let r, w = Unix.pipe ~cloexec:true () in
+   waiter registers its connection's pipe; the solver writes one byte
+   per waiter at completion.  On expiry the waiter unregisters and gets
+   a structured Timeout — the solve itself continues and warms the
+   memo.
+
+   The pipe serves every request of its connection, so no byte may
+   outlive the request it woke: a waiter that registered and then finds
+   [result = Some _] reads back the one byte [finish] wrote (under the
+   lock, before the result became visible); one that finds [None]
+   unregisters under the same lock, so [finish] never writes to it.
+   The read end is non-blocking, so a lost write cannot hang it. *)
+let await t (e : entry) (r, w) deadline_ms =
   (* register-or-observe under one lock: [finish] sets [result] and
      notifies waiters under the same mutex, so either we see the result
      here (solve already done — a warm memo answers faster than this
@@ -154,32 +161,38 @@ let await t (e : entry) deadline_ms =
           e.waiters <- w :: e.waiters;
           false)
   in
-  let timeout =
-    match deadline_ms with
-    | Some d -> float_of_int d /. 1000.0
-    | None -> -1.0 (* infinite *)
+  (* a signal interrupts the select; only the deadline ends the wait *)
+  let until =
+    Option.map (fun d -> Unix.gettimeofday () +. (float_of_int d /. 1000.0)) deadline_ms
   in
-  if not done_already then ignore (select_r [ r ] timeout);
-  let resp =
-    locked t @@ fun () ->
-    match e.result with
-    | Some resp -> resp
-    | None ->
-      e.waiters <- List.filter (fun fd -> fd != w) e.waiters;
-      t.ctrs.c_timeout <- t.ctrs.c_timeout + 1;
-      Wire.Timeout
-        (Printf.sprintf "deadline %dms expired"
-           (Option.value deadline_ms ~default:0))
+  let rec wait () =
+    let timeout =
+      match until with
+      | None -> -1.0 (* infinite *)
+      | Some u -> Float.max 0.0 (u -. Unix.gettimeofday ())
+    in
+    match Unix.select [ r ] [] [] timeout with
+    | _ -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> if timeout <> 0.0 then wait ()
   in
-  ignore_unix (fun () -> Unix.close r);
-  ignore_unix (fun () -> Unix.close w);
-  resp
+  if not done_already then wait ();
+  locked t @@ fun () ->
+  match e.result with
+  | Some resp ->
+    if not done_already then
+      ignore_unix (fun () -> ignore (Unix.read r (Bytes.create 1) 0 1));
+    resp
+  | None ->
+    e.waiters <- List.filter (fun fd -> fd != w) e.waiters;
+    t.ctrs.c_timeout <- t.ctrs.c_timeout + 1;
+    Wire.Timeout
+      (Printf.sprintf "deadline %dms expired" (Option.value deadline_ms ~default:0))
 
 (* ------------------------------------------------------------------ *)
 (* Connection threads                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let handle_request t payload =
+let handle_request t pipe payload =
   match Wire.decode_request payload with
   | Error msg -> Wire.Failed msg
   | Ok req -> (
@@ -194,12 +207,12 @@ let handle_request t payload =
           | Some d -> Some d
           | None -> if t.cfg.deadline_ms > 0 then Some t.cfg.deadline_ms else None
         in
-        await t e deadline))
+        await t e pipe deadline))
 
 let conn_loop t fd =
-  let rec loop () =
+  let rec loop pipe =
     if Atomic.get t.stop_flag then ()
-    else if select_r [ fd ] 0.25 = [] then loop ()
+    else if select_r [ fd ] 0.25 = [] then loop pipe
     else
       match Frame.read_fd fd with
       | Error `Eof -> ()
@@ -210,17 +223,27 @@ let conn_loop t fd =
             Frame.write_fd fd
               (Wire.encode_response (Wire.Failed (Frame.error_to_string e))))
       | Ok payload ->
-        let resp = handle_request t payload in
+        let resp = handle_request t pipe payload in
         let ok =
           try
             Frame.write_fd fd (Wire.encode_response resp);
             true
           with Unix.Unix_error _ -> false
         in
-        if ok then loop ()
+        if ok then loop pipe
   in
-  (try loop () with _ -> ());
-  ignore_unix (fun () -> Unix.close fd);
+  (* a failed pipe or socket call ends this connection, never the
+     server: the thread still closes its descriptors and unregisters *)
+  let close fd = ignore_unix (fun () -> Unix.close fd) in
+  (try
+     let ((r, w) as pipe) = Unix.pipe ~cloexec:true () in
+     Fun.protect
+       ~finally:(fun () -> List.iter close [ r; w ])
+       (fun () ->
+         Unix.set_nonblock r;
+         loop pipe)
+   with _ -> ());
+  close fd;
   let me = Thread.id (Thread.self ()) in
   locked t (fun () ->
       t.conns <- List.filter (fun th -> Thread.id th <> me) t.conns)
@@ -300,6 +323,11 @@ let render_stats t =
   line "cache_misses=%d" cs.Cache.misses;
   line "cache_entries=%d" cs.Cache.entries;
   line "cache_load_corrupt=%d" (Obs.counter "cache.load_corrupt");
+  (* the response memo alone: cache_* above sums every memo table *)
+  let rs = Cache.Memo.stats (Lazy.force response_memo) in
+  line "responses_hits=%d" rs.Cache.hits;
+  line "responses_misses=%d" rs.Cache.misses;
+  line "responses_entries=%d" rs.Cache.entries;
   Buffer.contents b
 
 let solve_batch t (batch : entry list) =

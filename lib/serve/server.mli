@@ -6,7 +6,10 @@
     thread owns every piece of per-domain ambient state ({!Cache}
     shards, the {!Par} pool) and is the only thread that touches it —
     connection threads communicate with it through a mutex-guarded
-    queue and per-request wakeup pipes, nothing else.  That
+    queue and one wakeup pipe per connection, nothing else.  No wakeup
+    byte outlives its request: a waiter that finds its solve finished
+    reads back the one byte the solver wrote for it, and a waiter
+    that times out unregisters before the solver can write.  That
     single-mutator rule is what makes it safe to run the existing
     (deliberately lock-free, domain-local) caching layer under
     systhreads.  {!Obs} needs no such rule: it records into one
@@ -19,10 +22,13 @@
       beyond that, requests get an immediate [shed] response.
     - {e Deadlines}: a request carrying [deadline_ms] (or the server
       default) gets a [timeout] response when it expires — the solve
-      itself continues and warms the cache for the retry.
+      itself continues and warms the cache for the retry.  A signal
+      landing on a waiting thread never ends the wait early.
     - {e Coalescing}: concurrent requests for the same
       {!Wire.solve_key} share one computation; all waiters get the
-      same bytes.
+      same bytes.  The key holds only what the answer reads, so
+      requests differing in an unread field (a greedy [mseed]) share
+      it too.
     - {e Graceful drain}: {!stop} (or SIGTERM via
       {!install_signal_handlers}) stops accepting, sheds new work,
       finishes the queue, snapshots the cache and exits.

@@ -23,13 +23,16 @@ type request = {
   deadline_ms : int option;
 }
 
-(* [map=none] asks for the fixed embedding, exactly like omitting the
-   field: normalise it (and its seed) away so both spellings of one
-   solve share one key. *)
+(* A field the answer does not read does not enter the key.  [map=none]
+   asks for the fixed embedding, exactly like omitting the field, so it
+   is dropped with its seed; only the [search] placement reads [mseed],
+   so every other kind zeroes it.  Equal answers then share one key,
+   one memo entry and one coalesced solve. *)
 let normalise r =
   match r.map with
   | None | Some "none" -> { r with map = None; mseed = 0 }
-  | Some _ -> r
+  | Some k when Mapping.kind_of_string k = Some Mapping.Search -> r
+  | Some _ -> { r with mseed = 0 }
 
 let run ?(m = 2) ?faults ?(fseed = 0) ?map ?(mseed = 0) ?deadline_ms workload =
   normalise { op = Run; workload; m; faults; fseed; map; mseed; deadline_ms }

@@ -4,7 +4,9 @@
     version sentinel line followed by [key=value] lines in a {e fixed}
     field order, so equal requests encode to equal bytes — the server
     coalesces identical in-flight solves by comparing {!solve_key}
-    strings, nothing cleverer.  A response is a status line ([ok],
+    strings, nothing cleverer.  Requests are normalised on construction
+    and on decode by one rule: {e a field the answer does not read does
+    not enter the key}.  A response is a status line ([ok],
     [shed], [timeout] or [error]) followed by the body: for [ok] the
     body is {e exactly} what the offline CLI would have printed, so
     clients verify correctness with a byte comparison. *)
@@ -25,7 +27,7 @@ type request = {
   faults : string option;  (** fault spec in {!Machine.Fault.parse} grammar *)
   fseed : int;  (** fault schedule seed *)
   map : string option;  (** mapping kind: [greedy] or [search] *)
-  mseed : int;  (** mapping search seed *)
+  mseed : int;  (** mapping search seed; [0] unless [map] is [search] *)
   deadline_ms : int option;
       (** per-request deadline; overrides the server default.  [Some 0]
           expires immediately (useful to exercise the timeout path). *)
@@ -34,8 +36,9 @@ type request = {
 val run : ?m:int -> ?faults:string -> ?fseed:int -> ?map:string -> ?mseed:int ->
   ?deadline_ms:int -> string -> request
 (** [run workload] with the same defaults as [resopt-cli run].  [map]
-    ["none"] is the same request as no [map] (its [mseed] dropped), so
-    the two spellings coalesce. *)
+    ["none"] is the same request as no [map] (its [mseed] dropped), and
+    [mseed] is zeroed for every kind but [search] — the only placement
+    that reads a seed — so requests with one answer coalesce. *)
 
 val ping : request
 val stats : request
@@ -45,8 +48,8 @@ val encode_request : request -> string
 val decode_request : string -> (request, string) result
 (** Strict inverse of {!encode_request} (unknown keys, bad integers,
     [m < 1], a missing workload on [Run], or a foreign version line
-    are [Error]).  [map=none] is normalised away as in {!run}.  Never
-    raises. *)
+    are [Error]).  The result is normalised as in {!run}, whatever
+    [mseed] the client sent.  Never raises. *)
 
 val solve_key : request -> string
 (** The canonical identity of the {e solve} a request asks for — its

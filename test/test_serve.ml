@@ -105,6 +105,52 @@ let test_wire_solve_key_ignores_deadline () =
       (Wire.solve_key r)
   | Error e -> Alcotest.fail ("decode failed: " ^ e)
 
+(* Folding the seed is sound: identity and greedy never read it, so a
+   seed-7 request has the seed-0 key and the seed-0 bytes — checked
+   against answers rendered from the raw, unfolded seed, the way a
+   server without the fold would compute them. *)
+let test_wire_folds_unread_seed () =
+  Alcotest.(check bool) "Mapping.spec drops a greedy seed" true
+    (Mapping.spec ~seed:5 Mapping.Greedy = Mapping.spec Mapping.Greedy);
+  Alcotest.(check bool) "search keeps its seeds apart" true
+    (Wire.solve_key (Wire.run ~map:"search" ~mseed:0 "example1")
+    <> Wire.solve_key (Wire.run ~map:"search" ~mseed:7 "example1"));
+  Cache.scoped ~enable:false @@ fun () ->
+  List.iter
+    (fun (w : Resopt.Workloads.t) ->
+      let name = w.Resopt.Workloads.name in
+      List.iter
+        (fun m ->
+          List.iter
+            (fun (map, kind) ->
+              let label = Printf.sprintf "%s m=%d map=%s" name m map in
+              let folded = Wire.run ~m ~map ~mseed:0 name in
+              let sent =
+                Printf.sprintf
+                  "resopt-serve/1\nop=run\nworkload=%s\nm=%d\nmap=%s\nmseed=7\n" name
+                  m map
+              in
+              (match Wire.decode_request sent with
+              | Ok r ->
+                Alcotest.(check string) (label ^ ": decoded key") (Wire.solve_key folded)
+                  (Wire.solve_key r)
+              | Error e -> Alcotest.fail ("decode failed: " ^ e));
+              Alcotest.(check string) (label ^ ": built key") (Wire.solve_key folded)
+                (Wire.solve_key (Wire.run ~m ~map ~mseed:7 name));
+              let want =
+                match Answer.of_request folded with
+                | Ok s -> s
+                | Error e -> Alcotest.fail e
+              in
+              Alcotest.(check (result string string)) (label ^ ": answer") (Ok want)
+                (Answer.of_request { folded with Wire.mseed = 7 });
+              let raw = { Mapping.kind; seed = 7; restarts = 1 } in
+              Alcotest.(check string) (label ^ ": unfolded spec") want
+                (Answer.render ~mapping:raw ~m w))
+            [ ("identity", Mapping.Identity); ("greedy", Mapping.Greedy) ])
+        [ 1; 2; 3 ])
+    (Resopt.Workloads.all ())
+
 let test_wire_request_rejects () =
   let bad s =
     match Wire.decode_request s with
@@ -309,6 +355,20 @@ let test_server_repeat_and_stats () =
     has "requests=";
     has "ok=";
     has "cache_hits=";
+    (* the response memo's own tallies; the repeat above was a hit *)
+    has "responses_misses=";
+    has "responses_entries=";
+    let value key =
+      let prefix = key ^ "=" and n = String.length key + 1 in
+      List.find_map
+        (fun l ->
+          if String.starts_with ~prefix l then
+            int_of_string_opt (String.sub l n (String.length l - n))
+          else None)
+        (String.split_on_char '\n' body)
+    in
+    Alcotest.(check bool) "the repeat hit the response memo" true
+      (Option.value (value "responses_hits") ~default:0 >= 1);
     (* two solves went through, so the latency histogram has samples
        and the bounds pipeline ran for (matmul, 1) *)
     has "latency_ms_p50=";
@@ -353,6 +413,97 @@ let test_server_deadline_timeout () =
       | r -> Alcotest.fail ("expected Timeout or Answer, got " ^ Wire.status r))
     reqs expected;
   Alcotest.(check bool) "at least one attempt timed out" true (!timeouts > 0)
+
+(* Open descriptors of this process, or None where /proc is absent. *)
+let open_fds () =
+  match Sys.readdir "/proc/self/fd" with
+  | fds -> Some (Array.length fds)
+  | exception Sys_error _ -> None
+
+let test_server_conn_pipe_no_leak () =
+  with_server @@ fun t ->
+  let c = must_connect t in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let ask () =
+    match must_request c (Wire.run ~m:1 "example1") with
+    | Wire.Answer _ -> ()
+    | r -> Alcotest.fail ("expected Answer, got " ^ Wire.status r)
+  in
+  ask ();
+  match open_fds () with
+  | None -> ()
+  | Some first ->
+    for _ = 2 to 200 do
+      ask ()
+    done;
+    Alcotest.(check (option int)) "open fds after 200 requests" (Some first) (open_fds ())
+
+let test_server_timeout_leaves_no_stale_wakeup () =
+  (* a timed-out waiter unregisters, so the solve's completion byte
+     never reaches the pipe the next request on the connection waits
+     on *)
+  let want =
+    match Answer.of_request (Wire.run "example1") with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  with_server @@ fun t ->
+  let c = must_connect t in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  (match must_request c (Wire.run ~m:3 ~map:"search" ~mseed:41 ~deadline_ms:0 "lu") with
+  | Wire.Timeout _ | Wire.Answer _ -> ()
+  | r -> Alcotest.fail ("expected Timeout or Answer, got " ^ Wire.status r));
+  match must_request c (Wire.run "example1") with
+  | Wire.Answer got -> Alcotest.(check string) "the request's own answer" want got
+  | r -> Alcotest.fail ("expected Answer, got " ^ Wire.status r)
+
+let test_server_signal_does_not_time_out () =
+  (* signals interrupt the waiter's select; without a deadline only the
+     answer may end the wait.  The kernel hands a process signal to the
+     first thread that wants it, nearly always the busy solver, so each
+     round sends two distinct signals: while the first is pending on the
+     solver, the second moves on to the other server threads, the
+     waiting connection thread among them.  (Three per round crashed
+     the test process under OCaml 5.1.)  This thread and the signalling
+     one block both.  The no-op handlers stay installed: a late
+     delivery must not kill the test process. *)
+  let signals = [ Sys.sigusr1; Sys.sigusr2 ] in
+  List.iter (fun s -> Sys.set_signal s (Sys.Signal_handle ignore)) signals;
+  let reqs =
+    List.init 12 (fun i ->
+        Wire.run ~faults:"flaky:0.5;degrade:0.5" ~map:"search" ~mseed:(100 + i) "transpose")
+  in
+  let expected =
+    List.map
+      (fun r -> match Answer.of_request r with Ok s -> s | Error e -> Alcotest.fail e)
+      reqs
+  in
+  with_server @@ fun t ->
+  let c = must_connect t in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let mask = Thread.sigmask Unix.SIG_BLOCK signals in
+  let stop = Atomic.make false in
+  let signaller =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          List.iter (Unix.kill (Unix.getpid ())) signals;
+          Thread.delay 0.0005
+        done)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join signaller;
+      ignore (Thread.sigmask Unix.SIG_SETMASK mask))
+    (fun () ->
+      List.iter2
+        (fun req want ->
+          match must_request c req with
+          | Wire.Answer got -> Alcotest.(check string) "answer despite signals" want got
+          | r -> Alcotest.fail ("expected Answer, got " ^ Wire.status r))
+        reqs expected)
 
 let test_server_sheds_when_full () =
   with_server ~max_queue:0 @@ fun t ->
@@ -492,6 +643,7 @@ let () =
           Alcotest.test_case "request roundtrip" `Quick test_wire_request_roundtrip;
           Alcotest.test_case "solve_key ignores deadline" `Quick
             test_wire_solve_key_ignores_deadline;
+          Alcotest.test_case "unread seed folds" `Quick test_wire_folds_unread_seed;
           Alcotest.test_case "request rejects" `Quick test_wire_request_rejects;
           Alcotest.test_case "response roundtrip" `Quick
             test_wire_response_roundtrip;
@@ -519,6 +671,12 @@ let () =
           Alcotest.test_case "repeat + stats" `Quick test_server_repeat_and_stats;
           Alcotest.test_case "deadline 0 times out" `Quick
             test_server_deadline_timeout;
+          Alcotest.test_case "one pipe per connection" `Quick
+            test_server_conn_pipe_no_leak;
+          Alcotest.test_case "timeout leaves no stale wakeup" `Quick
+            test_server_timeout_leaves_no_stale_wakeup;
+          Alcotest.test_case "signal does not time out" `Quick
+            test_server_signal_does_not_time_out;
           Alcotest.test_case "full queue sheds" `Quick test_server_sheds_when_full;
           Alcotest.test_case "malformed frame answered" `Quick
             test_server_malformed_frame;
