@@ -228,8 +228,8 @@ module Memo = struct
       };
     t
 
-  let find_or_compute t ~key f =
-    if not !enabled_flag then f ()
+  let find_opt t key =
+    if not !enabled_flag then None
     else begin
       let sh = shard t in
       Obs.incr "cache.lookups";
@@ -238,14 +238,24 @@ module Memo = struct
         sh.s_hits <- sh.s_hits + 1;
         Obs.incr "cache.hits";
         touch sh n;
-        n.nvalue
+        Some n.nvalue
       | None ->
         sh.s_misses <- sh.s_misses + 1;
         Obs.incr "cache.misses";
-        let v = f () in
-        put sh ~capacity:t.capacity key v;
-        v
+        None
     end
+
+  let add t ~key v = if !enabled_flag then put (shard t) ~capacity:t.capacity key v
+
+  let find_or_compute t ~key f =
+    if not !enabled_flag then f ()
+    else
+      match find_opt t key with
+      | Some v -> v
+      | None ->
+        let v = f () in
+        add t ~key v;
+        v
 
   let mem t key = Hashtbl.mem (shard t).tbl key
   let length t = Hashtbl.length (shard t).tbl

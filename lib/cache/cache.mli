@@ -87,11 +87,25 @@ module Memo : sig
       load. *)
 
   val find_or_compute : 'a t -> key:string -> (unit -> 'a) -> 'a
-  (** The only lookup.  With the cache disabled this is just the
+  (** The memoizing lookup.  With the cache disabled this is just the
       thunk.  Enabled: return the cached value for [key] (refreshing
       its recency) or run the thunk, store the result and return it —
       evicting the least-recently-used entry if the shard is full.  If
       the thunk raises, nothing is stored. *)
+
+  val find_opt : 'a t -> string -> 'a option
+  (** The lookup half of {!find_or_compute}, for callers that compute
+      misses elsewhere (a batch fanned out over workers): [Some] the
+      cached value, refreshing its recency and counting a hit, or
+      [None] counting a miss — exactly the tallies {!find_or_compute}
+      would move.  [None] without counting when the cache is
+      disabled. *)
+
+  val add : 'a t -> key:string -> 'a -> unit
+  (** The insertion half: store [key] (or refresh its recency, keeping
+      the stored value), evicting like {!find_or_compute}.  Counts
+      nothing — the {!find_opt} that missed already did.  A no-op when
+      the cache is disabled. *)
 
   val mem : 'a t -> string -> bool
   (** Current domain, no recency update, no counters. *)

@@ -15,10 +15,12 @@ let models_of = function
 
 (* the same comparison Sweep runs per row: does the optimized plan keep
    its lead over the step-1-only baseline once the machine is
-   imperfect? *)
-let resilience_block ppf ~models (r : Resopt.Pipeline.result) faults =
+   imperfect?  Prints what follows the header's fault model; the
+   header is [solve_parts]'s, since that model, seed included, is the
+   one piece of an answer that reads the fault seed. *)
+let resilience_rows ppf ~models (r : Resopt.Pipeline.result) faults =
   let base = Resopt.Feautrier.of_pipeline r in
-  Format.fprintf ppf "@.resilience under %a:@." Machine.Fault.pp faults;
+  Format.fprintf ppf ":@.";
   Format.fprintf ppf "  %-8s %12s %12s %8s %12s %12s %8s@." "model" "optimized"
     "baseline" "gain" "opt+fault" "base+fault" "gain+f";
   List.iter
@@ -72,9 +74,24 @@ let mapping_block ppf ~models (r : Resopt.Pipeline.result) spec =
           cost mapped (gain cost mapped))
     models
 
-let render ?faults ?mapping ?topo ~m (w : Resopt.Workloads.t) =
+type solved =
+  | Unseeded of string
+  | Seeded of { head : string; specs : Machine.Fault.spec list; tail : string }
+
+(* Render the report in pieces around the resilience header's fault
+   model: flushing the formatter at each cut puts everything printed
+   so far in the buffer, so the cut is exact without looking at the
+   text.  [faults] is priced as given; its seed only reaches the
+   middle piece. *)
+let solve_parts ?faults ?mapping ?topo ~m (w : Resopt.Workloads.t) =
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
+  let cut () =
+    Format.pp_print_flush ppf ();
+    let s = Buffer.contents buf in
+    Buffer.clear buf;
+    s
+  in
   let r =
     Resopt.Pipeline.run ~m ~schedule:w.Resopt.Workloads.schedule
       w.Resopt.Workloads.nest
@@ -82,11 +99,30 @@ let render ?faults ?mapping ?topo ~m (w : Resopt.Workloads.t) =
   let models = models_of topo in
   Format.fprintf ppf "%a@." Resopt.Pipeline.pp r;
   Option.iter (mapping_block ppf ~models r) mapping;
-  Option.iter (resilience_block ppf ~models r) faults;
-  Format.pp_print_flush ppf ();
-  Buffer.contents buf
+  match faults with
+  | None -> Unseeded (cut ())
+  | Some faults ->
+    Format.fprintf ppf "@.resilience under ";
+    let head = cut () in
+    Machine.Fault.pp ppf faults;
+    let model = cut () in
+    resilience_rows ppf ~models r faults;
+    let tail = cut () in
+    if Machine.Fault.is_none faults then Unseeded (head ^ model ^ tail)
+    else Seeded { head; specs = Machine.Fault.specs faults; tail }
 
-let of_request (req : Wire.request) =
+let stamp_seed seed = function
+  | Unseeded s -> s
+  | Seeded { head; specs; tail } ->
+    String.concat ""
+      [ head; Format.asprintf "%a" Machine.Fault.pp (Machine.Fault.make ~seed specs); tail ]
+
+let render ?faults ?mapping ?topo ~m w =
+  stamp_seed
+    (Option.fold ~none:0 ~some:Machine.Fault.seed faults)
+    (solve_parts ?faults ?mapping ?topo ~m w)
+
+let solve (req : Wire.request) =
   let ( let* ) = Result.bind in
   let* w =
     match Resopt.Workloads.find req.Wire.workload with
@@ -98,7 +134,7 @@ let of_request (req : Wire.request) =
     | None -> Ok None
     | Some s -> (
       match Machine.Fault.parse s with
-      | Ok specs -> Ok (Some (Machine.Fault.make ~seed:req.Wire.fseed specs))
+      | Ok specs -> Ok (Some (Machine.Fault.make specs))
       | Error e -> Error ("bad fault spec: " ^ e))
   in
   let* mapping =
@@ -109,6 +145,10 @@ let of_request (req : Wire.request) =
       | Some kind -> Ok (Some (Mapping.spec ~seed:req.Wire.mseed kind))
       | None -> Error ("bad mapping kind " ^ k))
   in
-  match render ?faults ?mapping ~m:req.Wire.m w with
+  match solve_parts ?faults ?mapping ~m:req.Wire.m w with
   | s -> Ok s
   | exception e -> Error ("solve failed: " ^ Printexc.to_string e)
+
+let stamp (req : Wire.request) solved = stamp_seed req.Wire.fseed solved
+
+let of_request req = Result.map (stamp req) (solve req)

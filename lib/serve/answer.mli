@@ -23,8 +23,37 @@ val render :
     requested topology ({!Machine.Models.of_topo}) in both blocks;
     omitted, the output is byte-identical to what it always was. *)
 
+(** {1 Solving once, stamping per request}
+
+    A fault seed decides only the drop schedule of a simulated run,
+    which an answer never replays: no price in the report reads it.
+    The one place an answer shows the seed is the [(seed N)] of the
+    resilience header ({!Machine.Fault.pp}).  So a request is solved
+    once for every seed ({!solve}) and each request's own seed is
+    printed into that solve afterwards ({!stamp}); [of_request] is
+    exactly [stamp ∘ solve]. *)
+
+(** A rendered answer, cut where the seed is printed. *)
+type solved =
+  | Unseeded of string
+      (** the whole answer: it prints no seed (no [faults], or a spec
+          that parses to no fault at all — [<no faults>]) *)
+  | Seeded of { head : string; specs : Machine.Fault.spec list; tail : string }
+      (** the answer is [head], then {!Machine.Fault.pp} of [specs]
+          under the request's seed, then [tail] *)
+
+val solve : Wire.request -> (solved, string) result
+(** Render a request without reading its [fseed]: what every request
+    that differs from it only in [fseed] shares.  [Error] (a one-line
+    message) on an unknown workload, bad fault spec or bad mapping
+    kind.  Only [Run] requests reach this; never raises. *)
+
+val stamp : Wire.request -> solved -> string
+(** Print the request's [fseed] into a solve: [stamp r s] is
+    {!render} of [r] with [Machine.Fault.make ~seed:r.fseed] whenever
+    [s] is [solve r'] for any [r'] equal to [r] up to [fseed].  An
+    [Unseeded] solve stamps to its own text.  Pure: safe on any
+    thread. *)
+
 val of_request : Wire.request -> (string, string) result
-(** {!render} driven by a wire request: looks up the workload and
-    parses the fault / mapping fields, [Error] (a one-line message) on
-    an unknown workload, bad fault spec or bad mapping kind.  Only
-    [Run] requests reach this; never raises. *)
+(** {!render} driven by a wire request — [stamp r] of [solve r]. *)

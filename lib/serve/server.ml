@@ -9,7 +9,9 @@
      store; the solver thread still does all the recording.
    - Connection threads only use: the server mutex (queue, counters,
      waiter lists), their own socket, their own waiter pipe (one per
-     connection, reused by every request on it), and pure code.
+     connection, reused by every request on it), and pure code — which
+     includes stamping their request's fault seed into the shared
+     solve (Answer.stamp).
    - Signal handlers only flip an atomic; every blocking wait is a
      select with a short timeout, so the flag is noticed promptly. *)
 
@@ -26,14 +28,17 @@ let default_config addr =
   { addr; jobs = 1; max_queue = 64; deadline_ms = 0; snapshot_every = 8;
     cache_file = None }
 
-(* One queued solve; [waiters] are the write ends of the pipes the
-   connection threads select on.  Protected by the server mutex. *)
+(* One queued solve, keyed by [Wire.work_key]: [req] carries no fault
+   seed, and [result] is the seed-free solve that every waiter stamps
+   its own seed into, or the response that ends the request.
+   [waiters] are the write ends of the pipes the connection threads
+   select on.  Protected by the server mutex. *)
 type entry = {
   key : string;
   req : Wire.request;
   t_enq : float;
   mutable waiters : Unix.file_descr list;
-  mutable result : Wire.response option;
+  mutable result : (Answer.solved, Wire.response) result option;
 }
 
 type counters = {
@@ -66,13 +71,16 @@ type t = {
 
 let address t = t.bound
 
-(* Answers persist across restarts: this is the table the snapshot
-   loop makes kill -9-proof.  Lazy so binaries that link the library
-   but never serve register nothing. *)
-let response_memo =
+(* Solves persist across restarts: this is the table the snapshot
+   loop makes kill -9-proof.  Keyed by [Wire.work_key], holding
+   seed-free [Answer.solved] values (schema 2; schema 1 held answer
+   strings keyed by [Wire.solve_key], and [Cache.load] skips it).
+   Lazy so binaries that link the library but never serve register
+   nothing. *)
+let response_memo : Answer.solved Cache.Memo.t Lazy.t =
   lazy
     (Cache.Memo.create ~capacity:512 ~name:"serve.responses"
-       ~schema:"resopt-serve/1" ())
+       ~schema:"resopt-serve/2" ())
 
 let locked t f =
   Mutex.lock t.mu;
@@ -104,7 +112,7 @@ let admit t (req : Wire.request) =
       locked t (fun () ->
           t.stats_serial <- t.stats_serial + 1;
           Printf.sprintf "#stats/%d" t.stats_serial)
-    | _ -> Wire.solve_key req
+    | _ -> Wire.work_key req
   in
   locked t @@ fun () ->
   t.ctrs.c_requests <- t.ctrs.c_requests + 1;
@@ -126,7 +134,8 @@ let admit t (req : Wire.request) =
       end
       else begin
         let e =
-          { key; req; t_enq = Unix.gettimeofday (); waiters = []; result = None }
+          { key; req = { req with Wire.fseed = 0 }; t_enq = Unix.gettimeofday ();
+            waiters = []; result = None }
         in
         Hashtbl.replace t.inflight key e;
         Queue.add e t.queue;
@@ -145,7 +154,8 @@ let admit t (req : Wire.request) =
    [result = Some _] reads back the one byte [finish] wrote (under the
    lock, before the result became visible); one that finds [None]
    unregisters under the same lock, so [finish] never writes to it.
-   The read end is non-blocking, so a lost write cannot hang it. *)
+   The read end is non-blocking, so a lost write cannot hang it.
+   Returns the shared solve, or the response that ends the request. *)
 let await t (e : entry) (r, w) deadline_ms =
   (* register-or-observe under one lock: [finish] sets [result] and
      notifies waiters under the same mutex, so either we see the result
@@ -185,8 +195,9 @@ let await t (e : entry) (r, w) deadline_ms =
   | None ->
     e.waiters <- List.filter (fun fd -> fd != w) e.waiters;
     t.ctrs.c_timeout <- t.ctrs.c_timeout + 1;
-    Wire.Timeout
-      (Printf.sprintf "deadline %dms expired" (Option.value deadline_ms ~default:0))
+    Error
+      (Wire.Timeout
+         (Printf.sprintf "deadline %dms expired" (Option.value deadline_ms ~default:0)))
 
 (* ------------------------------------------------------------------ *)
 (* Connection threads                                                  *)
@@ -207,7 +218,11 @@ let handle_request t pipe payload =
           | Some d -> Some d
           | None -> if t.cfg.deadline_ms > 0 then Some t.cfg.deadline_ms else None
         in
-        await t e pipe deadline))
+        (* the solve is shared across fault seeds; this request's own
+           seed goes in here, outside the lock *)
+        match await t e pipe deadline with
+        | Ok solved -> Wire.Answer (Answer.stamp req solved)
+        | Error resp -> resp))
 
 let conn_loop t fd =
   let rec loop pipe =
@@ -342,15 +357,16 @@ let solve_batch t (batch : entry list) =
      over the pool (Par merges each worker's cache shards back here at
      join, keeping the single-mutator rule intact; workers record
      into the shared Obs store directly) *)
-  let hits, misses = List.partition (fun e -> Cache.Memo.mem memo e.key) runs in
-  let hit_results =
-    List.map
+  let hit_results, misses =
+    List.partition_map
       (fun e ->
-        (e, Ok (Cache.Memo.find_or_compute memo ~key:e.key (fun () -> ""))))
-      hits
+        match Cache.Memo.find_opt memo e.key with
+        | Some solved -> Left (e, Ok solved)
+        | None -> Right e)
+      runs
   in
   let miss_results =
-    let compute e = Answer.of_request e.req in
+    let compute e = Answer.solve e.req in
     let computed =
       match misses with
       | [] | [ _ ] -> List.map compute misses
@@ -360,20 +376,15 @@ let solve_batch t (batch : entry list) =
     in
     List.map2
       (fun e res ->
-        (match res with
-        | Ok body ->
-          ignore (Cache.Memo.find_or_compute memo ~key:e.key (fun () -> body) : string)
-        | Error _ -> ());
+        Result.iter (Cache.Memo.add memo ~key:e.key) res;
         (e, res))
       misses computed
   in
   let stats_results =
-    List.map (fun e -> (e, Ok (render_stats t))) stats_es
+    List.map (fun e -> (e, Ok (Answer.Unseeded (render_stats t)))) stats_es
   in
   let finish (e, res) =
-    let resp =
-      match res with Ok body -> Wire.Answer body | Error msg -> Wire.Failed msg
-    in
+    let resp = Result.map_error (fun msg -> Wire.Failed msg) res in
     Obs.observe "serve.latency_ms" ((Unix.gettimeofday () -. e.t_enq) *. 1000.0);
     locked t @@ fun () ->
     (match res with

@@ -24,11 +24,14 @@
       default) gets a [timeout] response when it expires — the solve
       itself continues and warms the cache for the retry.  A signal
       landing on a waiting thread never ends the wait early.
-    - {e Coalescing}: concurrent requests for the same
-      {!Wire.solve_key} share one computation; all waiters get the
-      same bytes.  The key holds only what the answer reads, so
-      requests differing in an unread field (a greedy [mseed]) share
-      it too.
+    - {e Coalescing}: concurrent requests with the same
+      {!Wire.work_key} share one computation, and the response memo
+      keeps one entry per work key.  The key holds only what the
+      computation reads, so requests differing in an unread field (a
+      greedy [mseed]) share it, and so do requests differing only in
+      their fault seed: each waiter stamps its own [fseed] into the
+      shared solve ({!Answer.stamp}) on its connection thread, so
+      every client still gets its own answer's bytes.
     - {e Graceful drain}: {!stop} (or SIGTERM via
       {!install_signal_handlers}) stops accepting, sheds new work,
       finishes the queue, snapshots the cache and exits.
@@ -38,7 +41,9 @@
       the last interval and a restart answers warm.
 
     Answers are {!Answer.render} bytes — byte-identical to the offline
-    CLI, which is how the CI soak gate checks the whole tower. *)
+    CLI, which is how the CI soak gate checks the whole tower.  The
+    memo persists under schema [resopt-serve/2] (seed-free solves); a
+    cache file written under [resopt-serve/1] loads cold. *)
 
 type config = {
   addr : Wire.addr;

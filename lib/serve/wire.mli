@@ -3,10 +3,10 @@
     Both directions are plain text inside a {!Frame}: a request is a
     version sentinel line followed by [key=value] lines in a {e fixed}
     field order, so equal requests encode to equal bytes — the server
-    coalesces identical in-flight solves by comparing {!solve_key}
-    strings, nothing cleverer.  Requests are normalised on construction
-    and on decode by one rule: {e a field the answer does not read does
-    not enter the key}.  A response is a status line ([ok],
+    coalesces in-flight solves by comparing {!work_key} strings,
+    nothing cleverer.  Requests are normalised on construction and on
+    decode by one rule: {e a field the answer does not read does not
+    enter the key}.  A response is a status line ([ok],
     [shed], [timeout] or [error]) followed by the body: for [ok] the
     body is {e exactly} what the offline CLI would have printed, so
     clients verify correctness with a byte comparison. *)
@@ -52,10 +52,20 @@ val decode_request : string -> (request, string) result
     [mseed] the client sent.  Never raises. *)
 
 val solve_key : request -> string
-(** The canonical identity of the {e solve} a request asks for — its
+(** The canonical identity of the {e answer} a request asks for — its
     encoding with the deadline erased, since two clients with
-    different patience still want the same answer.  Requests with
-    equal keys are coalesced onto one computation. *)
+    different patience still want the same bytes.  Two requests get
+    the same answer bytes exactly when their keys are equal, so
+    byte-comparing oracles key by it. *)
+
+val work_key : request -> string
+(** The identity of the {e computation} behind the answer: {!solve_key}
+    with [fseed] zeroed.  The fault seed is printed into the answer
+    ({!Answer.stamp}) but read by none of its prices, so requests that
+    differ only in [fseed] share one solve.  The server coalesces and
+    memoizes by this key.  [fseed] itself is {e not} zeroed in the
+    request ({!run} and {!decode_request} keep it), because the answer
+    prints it. *)
 
 type response =
   | Answer of string  (** the bytes the offline CLI would print *)

@@ -98,6 +98,54 @@ let test_raising_thunk_not_cached () =
   Alcotest.(check int) "later success stored" 41 v;
   Alcotest.(check bool) "stored now" true (Cache.Memo.mem t "k")
 
+(* The split lookup: [find_opt], then [add] on a miss, must leave the
+   table and every tally where [find_or_compute] leaves them, and never
+   invent a value — [None] after eviction and while disabled. *)
+let test_find_opt_matches_find_or_compute () =
+  let a = Cache.Memo.create ~capacity:2 ~name:"test.split.whole" ~schema:"v1" () in
+  let b = Cache.Memo.create ~capacity:2 ~name:"test.split.halves" ~schema:"v1" () in
+  let obs () =
+    List.map Obs.counter [ "cache.lookups"; "cache.hits"; "cache.misses"; "cache.evictions" ]
+  in
+  let tallies t =
+    let s = Cache.Memo.stats t in
+    (s.Cache.hits, s.Cache.misses, s.Cache.evictions, s.Cache.entries)
+  in
+  let whole key = ignore (get a key) in
+  let halves key =
+    match Cache.Memo.find_opt b key with
+    | Some v -> Alcotest.(check string) ("stored value of " ^ key) ("v:" ^ key) v
+    | None -> Cache.Memo.add b ~key ("v:" ^ key)
+  in
+  Obs.enable ();
+  Fun.protect ~finally:(fun () -> Obs.reset (); Obs.disable ()) @@ fun () ->
+  fresh @@ fun () ->
+  let trace = [ "x"; "x"; "y"; "x"; "z"; "y"; "x"; "z"; "z" ] in
+  let moved run =
+    Obs.reset ();
+    List.iter run trace;
+    obs ()
+  in
+  let by_whole = moved whole in
+  let by_halves = moved halves in
+  Alcotest.(check (list int)) "same Obs counter moves" by_whole by_halves;
+  Alcotest.(check bool) "the trace hit, missed and evicted" true
+    (List.for_all (fun n -> n > 0) by_whole);
+  Alcotest.(check (pair (pair int int) (pair int int))) "same table tallies"
+    (let h, m, e, n = tallies a in ((h, m), (e, n)))
+    (let h, m, e, n = tallies b in ((h, m), (e, n)));
+  Alcotest.(check (list string)) "same recency order" (Cache.Memo.keys a)
+    (Cache.Memo.keys b);
+  Alcotest.(check (option string)) "evicted key" None (Cache.Memo.find_opt b "y");
+  Alcotest.(check (option string)) "kept key" (Some "v:z") (Cache.Memo.find_opt b "z");
+  Cache.scoped ~enable:false (fun () ->
+      let before = (tallies b, obs ()) in
+      Alcotest.(check (option string)) "disabled finds nothing" None
+        (Cache.Memo.find_opt b "z");
+      Cache.Memo.add b ~key:"w" "v:w";
+      Alcotest.(check bool) "disabled counts and stores nothing" true
+        (before = (tallies b, obs ())))
+
 (* ------------------------------------------------------------------ *)
 (* Worker capture / merge                                              *)
 (* ------------------------------------------------------------------ *)
@@ -464,6 +512,8 @@ let () =
           Alcotest.test_case "scoped restores" `Quick test_scoped_restores;
           Alcotest.test_case "raising thunk not cached" `Quick
             test_raising_thunk_not_cached;
+          Alcotest.test_case "find_opt = find_or_compute" `Quick
+            test_find_opt_matches_find_or_compute;
         ] );
       ("worker", [ Alcotest.test_case "capture and merge" `Quick test_worker_merge ]);
       ( "persistence",

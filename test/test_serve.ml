@@ -1,6 +1,7 @@
 (* The serve tower, bottom-up: framing (property-tested — malformed
    bytes must come back as structured errors, never exceptions), the
-   wire encoding, the shared backoff math, the crash-safe cache
+   wire encoding, the seed fold (one solve stamped with each fault
+   seed), the shared backoff math, the crash-safe cache
    persistence, and finally an in-process server exercised end-to-end
    over real sockets: ok path byte-identical to the offline renderer,
    deadline -> timeout, full queue -> shed, coalesced concurrent
@@ -148,6 +149,82 @@ let test_wire_folds_unread_seed () =
               Alcotest.(check string) (label ^ ": unfolded spec") want
                 (Answer.render ~mapping:raw ~m w))
             [ ("identity", Mapping.Identity); ("greedy", Mapping.Greedy) ])
+        [ 1; 2; 3 ])
+    (Resopt.Workloads.all ())
+
+(* ------------------------------------------------------------------ *)
+(* Seed fold: one solve serves every fault seed                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The server solves a request once for every fault seed and stamps
+   each request's own seed in afterwards.  That is sound only while no
+   price reads the seed, so the stamped bytes are checked against
+   [render] with a fault model carrying the real seed: the first price
+   to read [Fault.seed] fails here, before the server answers one seed
+   with another seed's numbers. *)
+let fold_seeds = [ 0; 1; 9; 63 ]
+
+let test_seed_fold_bytes () =
+  Cache.scoped ~enable:false @@ fun () ->
+  let must = function Ok s -> s | Error e -> Alcotest.fail e in
+  List.iter
+    (fun (w : Resopt.Workloads.t) ->
+      let name = w.Resopt.Workloads.name in
+      List.iter
+        (fun m ->
+          List.iter
+            (fun map ->
+              let mapping =
+                Option.map
+                  (fun k -> Mapping.spec (Option.get (Mapping.kind_of_string k)))
+                  map
+              in
+              List.iter
+                (fun faults ->
+                  let label =
+                    Printf.sprintf "%s m=%d map=%s faults=%s" name m
+                      (Option.value map ~default:"none") faults
+                  in
+                  let specs = must (Machine.Fault.parse faults) in
+                  let base = Wire.run ~m ~faults ?map name in
+                  let solved = must (Answer.solve base) in
+                  (match solved with
+                  | Answer.Seeded _ -> ()
+                  | Answer.Unseeded _ -> Alcotest.fail (label ^ ": seed not cut out"));
+                  List.iter
+                    (fun seed ->
+                      let r = Wire.run ~m ~faults ~fseed:seed ?map name in
+                      let label = Printf.sprintf "%s seed=%d" label seed in
+                      let stamped = Answer.stamp r solved in
+                      Alcotest.(check (result string string)) (label ^ ": of_request")
+                        (Ok stamped) (Answer.of_request r);
+                      Alcotest.(check string) (label ^ ": render") stamped
+                        (Answer.render ~faults:(Machine.Fault.make ~seed specs) ?mapping ~m w);
+                      Alcotest.(check string) (label ^ ": work_key") (Wire.work_key base)
+                        (Wire.work_key r))
+                    fold_seeds;
+                  Alcotest.(check int) (label ^ ": one solve_key per seed")
+                    (List.length fold_seeds)
+                    (List.length
+                       (List.sort_uniq compare
+                          (List.map
+                             (fun seed -> Wire.solve_key (Wire.run ~m ~faults ~fseed:seed ?map name))
+                             fold_seeds))))
+                [ "flaky:0.05"; "flaky:0.1;down:3-4"; "flaky:0.3;degrade:0.5" ];
+              (* no fault model prints no seed: the solve is the answer *)
+              let r = Wire.run ~m ?map name in
+              let label = Printf.sprintf "%s m=%d map=%s" name m (Option.value map ~default:"none") in
+              match must (Answer.solve r) with
+              | Answer.Unseeded body ->
+                List.iter
+                  (fun seed ->
+                    Alcotest.(check string) (label ^ ": unseeded stamps to itself") body
+                      (Answer.stamp { r with Wire.fseed = seed } (Answer.Unseeded body)))
+                  fold_seeds;
+                Alcotest.(check string) (label ^ ": unseeded = render") body
+                  (Answer.render ?mapping ~m w)
+              | Answer.Seeded _ -> Alcotest.fail (label ^ ": no faults, yet seeded"))
+            [ None; Some "greedy" ])
         [ 1; 2; 3 ])
     (Resopt.Workloads.all ())
 
@@ -336,6 +413,16 @@ let test_server_ok_bytes () =
   | Wire.Answer "pong" -> ()
   | _ -> Alcotest.fail "expected pong"
 
+(* an integer line [key=N] of a stats answer *)
+let stat body key =
+  let prefix = key ^ "=" and n = String.length key + 1 in
+  List.find_map
+    (fun l ->
+      if String.starts_with ~prefix l then
+        int_of_string_opt (String.sub l n (String.length l - n))
+      else None)
+    (String.split_on_char '\n' body)
+
 let test_server_repeat_and_stats () =
   with_server @@ fun t ->
   let c = must_connect t in
@@ -358,17 +445,8 @@ let test_server_repeat_and_stats () =
     (* the response memo's own tallies; the repeat above was a hit *)
     has "responses_misses=";
     has "responses_entries=";
-    let value key =
-      let prefix = key ^ "=" and n = String.length key + 1 in
-      List.find_map
-        (fun l ->
-          if String.starts_with ~prefix l then
-            int_of_string_opt (String.sub l n (String.length l - n))
-          else None)
-        (String.split_on_char '\n' body)
-    in
     Alcotest.(check bool) "the repeat hit the response memo" true
-      (Option.value (value "responses_hits") ~default:0 >= 1);
+      (Option.value (stat body "responses_hits") ~default:0 >= 1);
     (* two solves went through, so the latency histogram has samples
        and the bounds pipeline ran for (matmul, 1) *)
     has "latency_ms_p50=";
@@ -624,6 +702,102 @@ let test_server_snapshot_restart_warm () =
         (entries_after_load > 0);
       Alcotest.(check string) "warm restart serves identical bytes" a b)
 
+(* one counter of a fresh stats answer *)
+let stats_value c key =
+  match must_request c Wire.stats with
+  | Wire.Answer body -> (
+    match stat body key with
+    | Some v -> v
+    | None -> Alcotest.fail ("stats without " ^ key))
+  | r -> Alcotest.fail ("expected stats Answer, got " ^ Wire.status r)
+
+let distinct f l = List.length (List.sort_uniq compare (List.map f l))
+
+let test_server_one_solve_per_work_key () =
+  (* the loadgen mix over 64 fault seeds, every body checked against
+     its own offline answer (computed before the server exists), and
+     the response memo emptied first so each miss is one solve *)
+  let reqs = Loadgen.mix ~seed:1 ~n:600 () in
+  let expected = Hashtbl.create 256 in
+  List.iter
+    (fun r ->
+      let key = Wire.solve_key r in
+      if not (Hashtbl.mem expected key) then
+        Hashtbl.add expected key (Answer.of_request r))
+    reqs;
+  let work_keys = distinct Wire.work_key reqs in
+  Alcotest.(check bool) "the mix repeats solves across fault seeds" true
+    (work_keys < Hashtbl.length expected && work_keys <= 132);
+  Cache.clear ();
+  with_server @@ fun t ->
+  let clients = 2 in
+  let mismatches = Array.make clients 0 and failures = Array.make clients 0 in
+  let worker c =
+    match Client.connect (Server.address t) with
+    | Error _ -> failures.(c) <- failures.(c) + 1
+    | Ok conn ->
+      Fun.protect ~finally:(fun () -> Client.close conn) @@ fun () ->
+      List.iteri
+        (fun i r ->
+          if i mod clients = c then
+            match Client.request conn r with
+            | Ok (Wire.Answer body) ->
+              if Hashtbl.find expected (Wire.solve_key r) <> Ok body then
+                mismatches.(c) <- mismatches.(c) + 1
+            | _ -> failures.(c) <- failures.(c) + 1)
+        reqs
+  in
+  List.iter Thread.join (List.init clients (fun c -> Thread.create worker c));
+  let sum = Array.fold_left ( + ) 0 in
+  Alcotest.(check int) "every request answered" 0 (sum failures);
+  Alcotest.(check int) "every body is its own request's answer" 0 (sum mismatches);
+  let c = must_connect t in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let misses = stats_value c "responses_misses" in
+  Alcotest.(check int) "one solve per work key" work_keys misses;
+  Alcotest.(check int) "every request hit, missed or coalesced" (List.length reqs)
+    (misses + stats_value c "responses_hits" + stats_value c "coalesced")
+
+let test_server_seeds_share_one_solve () =
+  (* two slow requests that differ only in their fault seed, sent at
+     once: one solve (coalesced or answered from the memo), each body
+     carrying its own seed *)
+  let reqs =
+    List.map
+      (fun fseed -> Wire.run ~faults:"flaky:0.5" ~fseed ~map:"search" ~mseed:5 "transpose")
+      [ 3; 4 ]
+  in
+  let expected =
+    List.map
+      (fun r -> match Answer.of_request r with Ok s -> s | Error e -> Alcotest.fail e)
+      reqs
+  in
+  Alcotest.(check bool) "the two answers differ" true
+    (List.nth expected 0 <> List.nth expected 1);
+  Cache.clear ();
+  with_server @@ fun t ->
+  let addr = Server.address t in
+  let results = Array.make 2 None in
+  List.mapi
+    (fun i req ->
+      Thread.create (fun () -> results.(i) <- Some (Client.call ~attempts:3 addr req)) ())
+    reqs
+  |> List.iter Thread.join;
+  List.iteri
+    (fun i want ->
+      match results.(i) with
+      | Some (Ok (Wire.Answer got)) ->
+        Alcotest.(check string) (Printf.sprintf "client %d: its own seed's bytes" i) want got
+      | Some (Ok r) -> Alcotest.fail ("client got " ^ Wire.status r)
+      | Some (Error e) -> Alcotest.fail e
+      | None -> Alcotest.fail "client never finished")
+    expected;
+  let c = must_connect t in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  Alcotest.(check int) "one solve for both seeds" 1 (stats_value c "responses_misses");
+  Alcotest.(check int) "the other coalesced or hit" 1
+    (stats_value c "responses_hits" + stats_value c "coalesced")
+
 let () =
   Alcotest.run "serve"
     [
@@ -648,6 +822,7 @@ let () =
           Alcotest.test_case "response roundtrip" `Quick
             test_wire_response_roundtrip;
         ] );
+      ("seed-fold", [ Alcotest.test_case "stamp (solve r) = render" `Quick test_seed_fold_bytes ]);
       ( "backoff",
         [
           Alcotest.test_case "matches Fault.backoff" `Quick
@@ -688,5 +863,9 @@ let () =
             test_server_drain_refuses_new_work;
           Alcotest.test_case "snapshot restart warm" `Quick
             test_server_snapshot_restart_warm;
+          Alcotest.test_case "one solve per work key" `Quick
+            test_server_one_solve_per_work_key;
+          Alcotest.test_case "fault seeds share one solve" `Quick
+            test_server_seeds_share_one_solve;
         ] );
     ]
