@@ -516,19 +516,17 @@ let parbench () =
 (* ------------------------------------------------------------------ *)
 
 (* The workload a user actually repeats: re-running the full sweep (a
-   tweak-and-rerun loop re-prices the same plans on the same models)
-   and re-running the exhaustive decomposition scan.  Both sides do
-   the identical work [reps] times; the cached side keeps its memo
-   tables warm across repetitions, exactly as repeated CLI invocations
+   tweak-and-rerun loop validates the same plans again).  Both sides
+   do the identical work [reps] times; the cached side keeps its memo
+   table warm across repetitions, exactly as repeated CLI invocations
    with --cache FILE would. *)
 let cachebench () =
-  section "Cache - repeated sweeps and searches, memoized vs not";
+  section "Cache - repeated sweeps, memoized vs not";
   let reps = 3 in
   let ms = [ 1; 2; 3 ] in
   let sweep_once () =
     strip_rows (Resopt.Sweep.run ~ms ~fault_rates:[ 0.01; 0.05 ] ())
   in
-  let search_once () = Decomp.Search.factor_histogram ~bound:12 () in
   let timed f =
     let t0 = Unix.gettimeofday () in
     let v = f () in
@@ -539,49 +537,30 @@ let cachebench () =
   ignore (Resopt.Sweep.run ~ms:[ 2 ] ());
   Cache.disable ();
   let cold_rows, cold_sweep = repeat sweep_once in
-  let cold_hists, cold_search = repeat search_once in
-  let warm_rows, warm_sweep, warm_hists, warm_search =
+  let warm_rows, warm_sweep =
     Cache.scoped ~enable:true (fun () ->
         Cache.clear ();
-        let r, ts = repeat sweep_once in
-        let h, tr = repeat search_once in
-        (r, ts, h, tr))
+        repeat sweep_once)
   in
-  let identical = warm_rows = cold_rows && warm_hists = cold_hists in
-  let speedup cold warm = if warm > 0.0 then cold /. warm else 0.0 in
-  let s_sweep = speedup cold_sweep warm_sweep in
-  let s_search = speedup cold_search warm_search in
-  let s_total =
-    speedup (cold_sweep +. cold_search) (warm_sweep +. warm_search)
-  in
+  let identical = warm_rows = cold_rows in
+  let s_sweep = if warm_sweep > 0.0 then cold_sweep /. warm_sweep else 0.0 in
   let cs = Cache.stats () in
   Format.printf "%-24s %10s %10s %9s@." "workload (x3)" "uncached" "cached"
     "speedup";
   Format.printf "%-24s %9.3fs %9.3fs %8.2fx@." "sweep ms=1,2,3 +faults"
     cold_sweep warm_sweep s_sweep;
-  Format.printf "%-24s %9.3fs %9.3fs %8.2fx@." "search bound=12" cold_search
-    warm_search s_search;
-  Format.printf "%-24s %9.3fs %9.3fs %8.2fx@." "total"
-    (cold_sweep +. cold_search)
-    (warm_sweep +. warm_search)
-    s_total;
   Format.printf
     "results identical: %b; %d hits / %d misses / %d evictions, %d entries@."
     identical cs.Cache.hits cs.Cache.misses cs.Cache.evictions cs.Cache.entries;
   let json =
     Printf.sprintf
-      "{\"reps\":%d,\"ms\":[1,2,3],\"fault_rates\":[0.01,0.05],\"search_bound\":12,\"sweep\":{\"uncached_s\":%.6f,\"cached_s\":%.6f,\"speedup\":%.3f},\"search\":{\"uncached_s\":%.6f,\"cached_s\":%.6f,\"speedup\":%.3f},\"total\":{\"uncached_s\":%.6f,\"cached_s\":%.6f,\"speedup\":%.3f},\"results_identical\":%b,\"cache\":{\"hits\":%d,\"misses\":%d,\"evictions\":%d,\"entries\":%d}}"
-      reps cold_sweep warm_sweep s_sweep cold_search warm_search s_search
-      (cold_sweep +. cold_search)
-      (warm_sweep +. warm_search)
-      s_total identical cs.Cache.hits cs.Cache.misses cs.Cache.evictions
-      cs.Cache.entries
+      "{\"reps\":%d,\"ms\":[1,2,3],\"fault_rates\":[0.01,0.05],\"sweep\":{\"uncached_s\":%.6f,\"cached_s\":%.6f,\"speedup\":%.3f},\"results_identical\":%b,\"cache\":{\"hits\":%d,\"misses\":%d,\"evictions\":%d,\"entries\":%d}}"
+      reps cold_sweep warm_sweep s_sweep identical cs.Cache.hits cs.Cache.misses
+      cs.Cache.evictions cs.Cache.entries
   in
   Obs.write_file "BENCH_cache.json" json;
   Format.eprintf "cache speedup snapshot written to BENCH_cache.json@.";
   record ~cache_on:true "sweep.speedup" s_sweep;
-  record ~cache_on:true "search.speedup" s_search;
-  record ~cache_on:true "total.speedup" s_total;
   record ~cache_on:true "results_identical" (if identical then 1.0 else 0.0)
 
 (* ------------------------------------------------------------------ *)

@@ -11,8 +11,9 @@
 
    The commands that price or simulate communications also take
    --faults SPEC --seed N to run on an imperfect machine, and the
-   ones that repeat linear-algebra solves take --cache [FILE] to
-   memoize them (in memory, or persisted to FILE across invocations).
+   ones that validate plans (sweep, profile, fuzz) take --cache [FILE]
+   to memoize the validation enumeration (in memory, or persisted to
+   FILE across invocations).
 *)
 
 open Cmdliner
@@ -61,9 +62,9 @@ let with_obs (trace, stats) f =
     v
   end
 
-(* --cache [FILE]: shared memoization flag.  Bare --cache serves the
-   repeated Hermite/Smith/decomposition solves and plan pricings from
-   in-memory memo tables; --cache FILE additionally loads the tables
+(* --cache [FILE]: shared memoization flag.  Bare --cache serves
+   repeated plan validations (Validate's brute-force enumeration) from
+   an in-memory memo table; --cache FILE additionally loads the tables
    from FILE before the command and saves them back after, so repeated
    invocations start warm.  A missing, corrupted or stale FILE starts
    cold, never fails.  Without the flag the tables stay off and output
@@ -72,7 +73,7 @@ let with_obs (trace, stats) f =
 
 let cache_term =
   let doc =
-    "Memoize repeated linear-algebra solves and plan pricings.  With \
+    "Memoize repeated plan validations.  With \
      $(docv), also load the memo tables from that file first and save \
      them back afterwards (a missing or corrupted file just starts \
      cold).  Cached output is byte-identical to uncached."
@@ -230,8 +231,7 @@ let topo_term =
        $(b,fattree:LEVELS:ARITY), or \
        $(b,dragonfly:GROUPS:ROUTERS:HOSTS)[$(b,:adaptive)[$(b,:SEED)]] \
        for Valiant-style seeded adaptive routing.  Composes with \
-       $(b,--faults), $(b,--map), $(b,--jobs) and $(b,--cache) \
-       unchanged."
+       $(b,--faults), $(b,--map) and $(b,--jobs) unchanged."
     in
     Arg.(value & opt (some string) None & info [ "topo" ] ~docv:"SPEC" ~doc)
   in
@@ -299,10 +299,9 @@ let run_cmd =
     let doc = "Baseline to run instead: $(b,platonoff) or $(b,feautrier)." in
     Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"NAME" ~doc)
   in
-  let run name m baseline faults cache mapping topo obs =
+  let run name m baseline faults mapping topo obs =
     let w = find_workload name in
     with_obs obs @@ fun () ->
-    with_cache cache @@ fun () ->
     match baseline with
     | None ->
       (* the report (plus mapping / resilience blocks) renders through
@@ -329,8 +328,8 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run $ workload_arg $ m_arg $ baseline_arg $ faults_term $ cache_term
-      $ map_term $ topo_term $ obs_term)
+      const run $ workload_arg $ m_arg $ baseline_arg $ faults_term $ map_term
+      $ topo_term $ obs_term)
 
 let graph_cmd =
   let doc = "Print the access graph of a workload." in
@@ -653,10 +652,9 @@ let search_cmd =
     let doc = "Scan matrices with |entries| <= $(docv)." in
     Arg.(value & opt int 6 & info [ "bound" ] ~docv:"BOUND" ~doc)
   in
-  let run bound jobs cache obs profile =
+  let run bound jobs obs profile =
     with_obs obs @@ fun () ->
     with_profile profile @@ fun () ->
-    with_cache cache @@ fun () ->
     let hist =
       match jobs with
       | None -> Decomp.Search.factor_histogram ~bound ()
@@ -670,8 +668,7 @@ let search_cmd =
       hist.Decomp.Search.witnesses_beyond
   in
   Cmd.v (Cmd.info "search" ~doc)
-    Term.(
-      const run $ bound_arg $ jobs_arg $ cache_term $ obs_term $ profile_term)
+    Term.(const run $ bound_arg $ jobs_arg $ obs_term $ profile_term)
 
 let profile_cmd =
   let doc =
@@ -899,10 +896,9 @@ let bounds_cmd =
     let doc = "Bytes per message." in
     Arg.(value & opt int 64 & info [ "bytes" ] ~docv:"B" ~doc)
   in
-  let run name m bytes mapping topo cache obs =
+  let run name m bytes mapping topo obs =
     let w = find_workload name in
     with_obs obs @@ fun () ->
-    with_cache cache @@ fun () ->
     let model =
       match topo with
       | None -> Machine.Models.paragon ()
@@ -924,7 +920,7 @@ let bounds_cmd =
   Cmd.v (Cmd.info "bounds" ~doc)
     Term.(
       const run $ workload_arg $ m_arg $ bytes_arg $ map_term $ topo_term
-      $ cache_term $ obs_term)
+      $ obs_term)
 
 let bench_compare_cmd =
   let doc =

@@ -1,14 +1,24 @@
 (** Dependency-free memoization of repeated solves.
 
-    The pipeline re-solves the same integer-linear-algebra subproblems
-    over and over: every sweep cell runs the Hermite/Smith machinery on
-    matrices earlier cells already reduced, and the decomposition
-    search revisits the same data-flow matrices [T] across workloads.
-    This module gives those hot paths a content-addressed memo table —
-    keyed by a canonical encoding of the input (see
-    {!Linalg.Mat.encode}), size-bounded with LRU eviction — in the
-    same spirit as {!Obs} and {!Par}: standard library only, and zero
-    cost when unused.
+    A content-addressed memo table — canonical string keys,
+    size-bounded with LRU eviction — in the same spirit as {!Obs} and
+    {!Par}: standard library only, and zero cost when unused.  Two
+    tables exist, each kept because a workload hits it:
+
+    - [validate.check] ({!Resopt.Validate}): the brute-force
+      enumeration that checks a plan is quadratic in the iteration
+      domain and is nearly all of a curated sweep's time, so a
+      repeated [sweep], [profile] or [fuzz] run skips it.
+    - [serve.responses] ({!Serve.Server}): the daemon's seed-free
+      solves, keyed by request; a repeated request is answered from
+      it, and it is what the server's crash-safe snapshots persist.
+
+    The integer linear algebra below them (Hermite, Smith, unimodular
+    inverses, decompositions) and per-plan pricing take microseconds
+    per call and are not memoized: a key costs about as much as the
+    solve.  For the same reason a caller must not build a key while
+    the cache is off: test {!enabled} first, so that cache-off work
+    pays one boolean test and nothing else.
 
     {e Caching never changes results.}  Until {!enable} is called,
     {!Memo.find_or_compute} calls its thunk directly — one boolean

@@ -90,108 +90,30 @@ let entry_cost ~faults ~fold model (e : Commplan.entry) =
     decomposed_cost ~faults ~fold model ~flow factors
   | Commplan.General flow -> general_cost ~faults ~fold model flow
 
-(* ------------------------------------------------------------------ *)
-(* Memoization of whole-plan pricing                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Pricing is the per-model work a sweep repeats most: the same
-   (model, plan) pairs come back for every fault rate, every repeated
-   CLI invocation and every baseline comparison.  The key encodes
-   everything [entry_cost] reads — machine parameters, item size,
-   fault schedule and, per entry, exactly the classification fields
-   that reach a cost formula. *)
-(* Schema v2: the topology joins the key through its spec grammar
-   (mesh/torus/fattree/dragonfly) instead of bare grid extents.
-   Schema v3: the fault seed leaves the key.  Older disk snapshots
-   simply start cold. *)
-let memo : breakdown Cache.Memo.t =
-  Cache.Memo.create ~name:"cost.of_plan" ~schema:"v3" ()
-
-let model_key (model : Machine.Models.t) =
-  let topo = model.Machine.Models.topo in
-  let net = model.Machine.Models.net in
-  Printf.sprintf "%s|%s|%h,%h,%h|%s" model.Machine.Models.name
-    (Machine.Topology.to_string topo)
-    net.Machine.Netsim.alpha net.Machine.Netsim.beta net.Machine.Netsim.hop
-    (match model.Machine.Models.hw with
-    | None -> "sw"
-    | Some { Machine.Models.coll_alpha; coll_beta } ->
-      Printf.sprintf "hw:%h,%h" coll_alpha coll_beta)
-
-(* Pricing reads the fault specs and the retry cap only: the seed
-   drives per-packet drops in Eventsim, never a Netsim price, so two
-   seeds of one schedule share an entry. *)
-let faults_key f =
-  if Machine.Fault.is_none f then "none"
-  else
-    Printf.sprintf "%d/%s" (Machine.Fault.max_retries f)
-      (Machine.Fault.to_string (Machine.Fault.specs f))
-
-let entry_key (e : Commplan.entry) =
-  let class_part =
-    match e.Commplan.classification with
-    | Commplan.Local -> "local"
-    | Commplan.Translation _ -> "transl"
-    | Commplan.Reduction _ -> "red"
-    | Commplan.Scatter _ -> "scat"
-    | Commplan.Gather _ -> "gath"
-    | Commplan.Broadcast info -> (
-      match info.Macrocomm.Broadcast.classification with
-      | Macrocomm.Broadcast.Total -> "bcast:total"
-      | Macrocomm.Broadcast.Hidden -> "bcast:hidden"
-      | Macrocomm.Broadcast.Partial -> "bcast:partial")
-    | Commplan.Decomposed { flow; factors } ->
-      Printf.sprintf "dec:%s=%s" (Mat.encode flow)
-        (String.concat "*" (List.map Mat.encode factors))
-    | Commplan.General (Some flow) -> "gen:" ^ Mat.encode flow
-    | Commplan.General None -> "gen"
-  in
-  Printf.sprintf "%s/%s:%s" e.Commplan.stmt e.Commplan.label class_part
-
-(* The mapping spec joins the key only when given: a mapping-free
-   pricing keeps the exact PR-6 key (and behavior). *)
-let mapping_key = function
-  | None -> ""
-  | Some (s : Mapping.spec) ->
-    Printf.sprintf "|map:%s:%d:%d" (Mapping.kind_to_string s.Mapping.kind)
-      s.Mapping.seed s.Mapping.restarts
-
-let plan_key ?mapping ~faults model plan =
-  Printf.sprintf "%s|b%d|f%s%s|%s" (model_key model) bytes (faults_key faults)
-    (mapping_key mapping)
-    (String.concat ";" (List.map entry_key plan))
-
 let of_fold ~faults ~mapping model fold plan =
-  let price () =
-    (* the placement a mapping spec picks for the plan's residual
-       traffic, composed after the cyclic fold; none without a 2-D
-       grid or 2x2 flows — pricing is untouched *)
-    let fold =
-      Option.map
-        (fun (r : Residual.t) ->
-          match mapping with
-          | Some spec when r.Residual.flows <> [] -> (r, Some (Residual.placement spec r))
-          | _ -> (r, None))
-        fold
-    in
-    let entries =
-      List.map
-        (fun (e : Commplan.entry) ->
-          {
-            stmt = e.Commplan.stmt;
-            label = e.Commplan.label;
-            class_name = Commplan.classification_name e.Commplan.classification;
-            cost = entry_cost ~faults ~fold model e;
-          })
-        plan
-    in
-    { entries; total = List.fold_left (fun acc e -> acc +. e.cost) 0.0 entries }
+  (* the placement a mapping spec picks for the plan's residual
+     traffic, composed after the cyclic fold; none without a 2-D
+     grid or 2x2 flows — pricing is untouched *)
+  let fold =
+    Option.map
+      (fun (r : Residual.t) ->
+        match mapping with
+        | Some spec when r.Residual.flows <> [] -> (r, Some (Residual.placement spec r))
+        | _ -> (r, None))
+      fold
   in
-  if not (Cache.enabled ()) then price ()
-  else
-    Cache.Memo.find_or_compute memo
-      ~key:(plan_key ?mapping ~faults model plan)
-      price
+  let entries =
+    List.map
+      (fun (e : Commplan.entry) ->
+        {
+          stmt = e.Commplan.stmt;
+          label = e.Commplan.label;
+          class_name = Commplan.classification_name e.Commplan.classification;
+          cost = entry_cost ~faults ~fold model e;
+        })
+      plan
+  in
+  { entries; total = List.fold_left (fun acc e -> acc +. e.cost) 0.0 entries }
 
 let of_plan ?(faults = Machine.Fault.none) ?mapping model plan =
   of_fold ~faults ~mapping model (Residual.of_plan model plan) plan

@@ -27,14 +27,6 @@ val of_plan :
     residual traffic grid ({!Residual.on_model}); models without a 2-D
     grid price them through the closed-form fallbacks.
 
-    When {!Cache} is enabled, a whole breakdown is memoized under a key
-    covering every input the formulas read — machine name, grid,
-    network parameters, hardware collectives, item size, the fault
-    schedule (its specs and retry cap; not its seed, which no price
-    reads) and each entry's priced classification — so a sweep that
-    re-prices the same (model, plan) cell hits instead of re-running
-    the fold simulation.  Cached or not, the result is byte-identical.
-
     [faults] (default {!Machine.Fault.none}, zero-cost) prices the
     plan on the degraded machine: simulated entries (decomposed and
     2x2 general flows) go through {!Machine.Netsim}'s
@@ -43,7 +35,8 @@ val of_plan :
     {!Machine.Fault.uniform_slowdown}.  Comparing a plan's price with
     and without faults — or the optimized plan against the baseline
     under the same faults — is how mapping {e resilience} is
-    measured ({!Sweep}).
+    measured ({!Sweep}).  No price reads the schedule's seed, which
+    only drives Eventsim's per-packet drops.
 
     [mapping] prices the plan under a searched process placement: the
     placement {!Residual.placement} picks for the plan's residual
@@ -52,8 +45,8 @@ val of_plan :
     closed-form entries (collectives, translations) are
     placement-invariant and unchanged.  On models without a 2-D
     simulation grid, or plans without 2x2 flows, [mapping] is a no-op.
-    Omitting it keeps pricing — and the memo key — byte-identical to a
-    build without the mapping subsystem.
+    Omitting it keeps pricing byte-identical to a build without the
+    mapping subsystem.
 
     This is {!of_fold} over [Residual.of_plan model plan]. *)
 
@@ -66,7 +59,7 @@ val of_fold :
   breakdown
 (** {!of_plan} on a fold the caller built: [of_fold ~faults ~mapping
     model (Residual.of_plan model plan) plan] is [of_plan ~faults
-    ?mapping model plan], bit for bit, memo key included.  A caller
+    ?mapping model plan], bit for bit.  A caller
     that prices one plan several ways — under fault rates, with and
     without a placement — and bounds it ({!Efficiency.of_traffic})
     passes every call the same fold, so each 2x2 flow's messages are

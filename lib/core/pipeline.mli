@@ -41,8 +41,7 @@ val run :
     [schedule] defaults to the all-parallel schedule.  [axis_align]
     (default true) enables the unimodular rotations of step 2a; turning
     it off is the ablation that leaves partial macro-communications
-    diagonal.  When {!Cache} is enabled the Hermite/Smith/rotation
-    solves are memoized; the result is byte-identical either way. *)
+    diagonal. *)
 
 val summary : result -> Commplan.summary
 

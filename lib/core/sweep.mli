@@ -92,11 +92,10 @@ val run :
     byte-identical to a bounds-free sweep.
 
     [cache] scopes {!Cache} around the whole sweep ([true] memoizes
-    the linear-algebra solves and per-cell pricing, [false] forces the
-    tables off, omitted inherits the ambient state).  Sweeps repeat
-    work aggressively — every cell re-reduces matrices earlier cells
-    already solved — but caching never changes a row: cached output is
-    byte-identical to uncached, with or without [jobs].
+    each cell's {!Validate} enumeration, [false] forces the table off,
+    omitted inherits the ambient state).  A repeated sweep validates
+    the same plans again; caching never changes a row: cached output
+    is byte-identical to uncached, with or without [jobs].
 
     [jobs] fans the (workload, m) cells over a {!Par.Pool} of that
     size.  Parallelism never changes the rows: results are assembled

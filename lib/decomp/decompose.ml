@@ -185,18 +185,8 @@ let four_factors_lulu t =
         end)
       (divisors (a - 1))
 
-(* The same data-flow matrices [T] recur across sweep cells and the
-   §4.2 box scans; both entry points are pure in [t], so the factor
-   lists are safe to memoize. *)
-let memo_min : Mat.t list option Cache.Memo.t =
-  Cache.Memo.create ~name:"decompose.min_factors" ~schema:"v1" ()
-
-let memo_euclid : Mat.t list Cache.Memo.t =
-  Cache.Memo.create ~name:"decompose.euclid" ~schema:"v1" ()
-
 let min_factors t =
   check_input t;
-  Cache.Memo.find_or_compute memo_min ~key:(Mat.encode t) @@ fun () ->
   if Mat.is_identity t then Some []
   else
     match one_factor t with
@@ -216,7 +206,6 @@ let factor_count t = Option.map List.length (min_factors t)
 
 let euclid t =
   check_input t;
-  Cache.Memo.find_or_compute memo_euclid ~key:(Mat.encode t) @@ fun () ->
   (* Reduce the first column to (+-1, 0) by left-multiplication with
      elementary inverses; collect the inverses' inverses. *)
   let ops = ref [] in

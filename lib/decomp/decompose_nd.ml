@@ -4,13 +4,9 @@ open Linalg
 let transvection n i j k =
   Mat.make n n (fun r c -> if r = c then 1 else if r = i && c = j then k else 0)
 
-let memo : Mat.t list Cache.Memo.t =
-  Cache.Memo.create ~name:"decompose_nd" ~schema:"v1" ()
-
 let decompose t =
   if not (Mat.is_square t) then invalid_arg "Decompose_nd: non-square";
   if Mat.det t <> 1 then invalid_arg "Decompose_nd: determinant must be 1";
-  Cache.Memo.find_or_compute memo ~key:(Mat.encode t) @@ fun () ->
   let n = Mat.rows t in
   let cur = ref t in
   let ops = ref [] in

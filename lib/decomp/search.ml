@@ -63,18 +63,7 @@ let factor_slice ~bound a =
     s_witnesses = List.rev !witnesses;
   }
 
-(* Full search results keyed by the scan parameters: a repeated CLI
-   [search] or bench run reloads the histogram instead of re-scanning
-   the whole box.  The result is pool-independent (slices land in [a]
-   order either way), so cached and fanned-out scans agree. *)
-let memo_factor : histogram Cache.Memo.t =
-  Cache.Memo.create ~name:"search.factor_histogram" ~schema:"v1" ()
-
-let memo_similarity : (int * int * int) Cache.Memo.t =
-  Cache.Memo.create ~name:"search.similarity_histogram" ~schema:"v1" ()
-
 let factor_histogram ?pool ~bound () =
-  Cache.Memo.find_or_compute memo_factor ~key:(string_of_int bound) @@ fun () ->
   let slices = slice_map ?pool ~bound (factor_slice ~bound) in
   let by_factors = Array.make 5 0 in
   let total, beyond, witnesses_rev =
@@ -90,9 +79,6 @@ let factor_histogram ?pool ~bound () =
   { bound; total; by_factors; beyond_four = beyond; witnesses_beyond = witnesses }
 
 let similarity_histogram ?pool ~bound ~conj_bound () =
-  Cache.Memo.find_or_compute memo_similarity
-    ~key:(Printf.sprintf "%d/%d" bound conj_bound)
-  @@ fun () ->
   let slice a =
     let total = ref 0 and suff = ref 0 and srch = ref 0 in
     iter_det1_slice ~bound a (fun t ->

@@ -2,18 +2,9 @@ type row_result = { h : Mat.t; u : Mat.t }
 type col_result = { h : Mat.t; v : Mat.t }
 type right_result = { q : Mat.t; h : Mat.t }
 
-(* Memo tables for the two entry points the pipeline hammers:
-   col_style funnels through row_style (on the transpose), so one
-   table covers both. *)
-let memo_row : row_result Cache.Memo.t =
-  Cache.Memo.create ~name:"hermite.row" ~schema:"v1" ()
-
-let memo_right : right_result Cache.Memo.t =
-  Cache.Memo.create ~name:"hermite.right" ~schema:"v1" ()
-
 (* Row-style HNF by integer row operations.  We keep [a] and the
    transform [u] as mutable arrays and apply every operation to both. *)
-let row_style_uncached a0 =
+let row_style a0 =
   let m = Mat.rows a0 and n = Mat.cols a0 in
   let a = Mat.to_arrays a0 in
   let u = Mat.to_arrays (Mat.identity m) in
@@ -79,15 +70,11 @@ let row_style_uncached a0 =
   done;
   { h = Mat.of_arrays a; u = Mat.of_arrays u }
 
-let row_style a0 =
-  Cache.Memo.find_or_compute memo_row ~key:(Mat.encode a0) (fun () ->
-      row_style_uncached a0)
-
 let col_style a0 =
   let { h; u } = row_style (Mat.transpose a0) in
   { h = Mat.transpose h; v = Mat.transpose u }
 
-let paper_right_uncached a =
+let paper_right a =
   let m = Mat.rows a and p = Mat.cols a in
   if p > m then invalid_arg "Hermite.paper_right: more columns than rows";
   if Ratmat.rank_of_mat a <> p then
@@ -113,7 +100,3 @@ let paper_right_uncached a =
     | None -> assert false
   in
   { q; h }
-
-let paper_right a =
-  Cache.Memo.find_or_compute memo_right ~key:(Mat.encode a) (fun () ->
-      paper_right_uncached a)

@@ -100,4 +100,5 @@ val pp_flat : Format.formatter -> t -> unit
 val encode : t -> string
 (** Canonical content key, ["RxC:e00,e01,..."] in row-major order:
     equal matrices encode equally and different matrices differently.
-    This is the key format of the {!Cache} memo tables. *)
+    Memo keys built above this library (Validate's) spell matrices
+    this way. *)

@@ -1,9 +1,6 @@
 type result = { s : Mat.t; u : Mat.t; v : Mat.t }
 
-let memo : result Cache.Memo.t =
-  Cache.Memo.create ~name:"smith" ~schema:"v1" ()
-
-let decompose_uncached a0 =
+let decompose a0 =
   let m = Mat.rows a0 and n = Mat.cols a0 in
   let a = Mat.to_arrays a0 in
   let u = Mat.to_arrays (Mat.identity m) in
@@ -95,10 +92,6 @@ let decompose_uncached a0 =
     reduce ()
   done;
   { s = Mat.of_arrays a; u = Mat.of_arrays u; v = Mat.of_arrays v }
-
-let decompose a0 =
-  Cache.Memo.find_or_compute memo ~key:(Mat.encode a0) (fun () ->
-      decompose_uncached a0)
 
 let invariant_factors a =
   let { s; _ } = decompose a in

@@ -1,13 +1,7 @@
 let is_unimodular m = Mat.is_square m && abs (Mat.det m) = 1
 
-(* The right-Hermite rotations of step 2a invert the same small
-   unimodular matrices across every sweep cell. *)
-let memo_inverse : Mat.t Cache.Memo.t =
-  Cache.Memo.create ~name:"unimodular.inverse" ~schema:"v1" ()
-
 let inverse m =
   if not (is_unimodular m) then invalid_arg "Unimodular.inverse: not unimodular";
-  Cache.Memo.find_or_compute memo_inverse ~key:(Mat.encode m) @@ fun () ->
   (* integer path: m^-1 = adjugate m / det m with det = +-1 *)
   let adj = Mat.adjugate m in
   if Mat.det m = 1 then adj else Mat.neg adj

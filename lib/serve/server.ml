@@ -338,7 +338,8 @@ let render_stats t =
   line "cache_misses=%d" cs.Cache.misses;
   line "cache_entries=%d" cs.Cache.entries;
   line "cache_load_corrupt=%d" (Obs.counter "cache.load_corrupt");
-  (* the response memo alone: cache_* above sums every memo table *)
+  (* the response memo alone; a solve reaches no other table, so
+     cache_* above reads the same counts *)
   let rs = Cache.Memo.stats (Lazy.force response_memo) in
   line "responses_hits=%d" rs.Cache.hits;
   line "responses_misses=%d" rs.Cache.misses;

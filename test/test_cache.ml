@@ -1,7 +1,8 @@
 (* The memo-cache layer: LRU mechanics, persistence hygiene, worker
-   merging, and — the property the whole subsystem rests on — that
-   caching never changes a result: every memoized path must produce
-   byte-identical output with the cache off, on and warm. *)
+   merging, which paths memoize, and — the property the whole
+   subsystem rests on — that caching never changes a result: a
+   memoized path produces byte-identical output with the cache off,
+   on and warm. *)
 
 open Linalg
 
@@ -284,7 +285,7 @@ let test_stale_sections_skipped () =
   Alcotest.(check string) "absorbed value intact" "v:fresh" (get persist "fresh")
 
 (* ------------------------------------------------------------------ *)
-(* Differential properties: cached = uncached, everywhere              *)
+(* Which paths memoize                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let arb_mat =
@@ -313,14 +314,16 @@ let arb_det1 =
 
 let arb_seed = QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 50_000)
 
-(* [uncached = cached = warm-hit] for one memoized function *)
+(* [f] with the cache off and on: the same result, and — these paths
+   take microseconds and keep no memo table — nothing looked up or
+   stored while the cache was on *)
 let differential f m =
   Cache.disable ();
   let off = f m in
   fresh (fun () ->
-      let cold = f m in
-      let warm = f m in
-      off = cold && cold = warm)
+      let on = f m in
+      let s = Cache.stats () in
+      off = on && (s.Cache.hits, s.Cache.misses, s.Cache.entries) = (0, 0, 0))
 
 let diff_props =
   [
@@ -342,16 +345,28 @@ let diff_props =
 let test_search_differential () =
   List.iter
     (fun bound ->
-      Cache.disable ();
-      let off = Decomp.Search.factor_histogram ~bound () in
-      fresh (fun () ->
-          let cold = Decomp.Search.factor_histogram ~bound () in
-          let warm = Decomp.Search.factor_histogram ~bound () in
-          Alcotest.(check bool)
-            (Printf.sprintf "bound %d identical" bound)
-            true
-            (off = cold && cold = warm)))
+      Alcotest.(check bool)
+        (Printf.sprintf "bound %d identical, no table" bound)
+        true
+        (differential (fun bound -> Decomp.Search.factor_histogram ~bound ()) bound))
     [ 1; 2; 3 ]
+
+let test_cost_differential () =
+  let w = Resopt.Workloads.find "example1" in
+  let r =
+    Resopt.Pipeline.run ~m:2 ~schedule:w.Resopt.Workloads.schedule
+      w.Resopt.Workloads.nest
+  in
+  let faults =
+    Machine.Fault.make ~seed:7 [ Machine.Fault.Flaky { link = None; prob = 0.05 } ]
+  in
+  List.iter
+    (fun model ->
+      Alcotest.(check bool)
+        (model.Machine.Models.name ^ " breakdown identical, no table")
+        true
+        (differential (Resopt.Cost.of_plan ~faults model) r.Resopt.Pipeline.plan))
+    [ Machine.Models.cm5 (); Machine.Models.paragon (); Machine.Models.t3d () ]
 
 let plan_fingerprint (r : Resopt.Pipeline.result) =
   List.map
@@ -382,72 +397,37 @@ let pipeline_props =
         | _ -> false);
   ]
 
-let test_cost_differential () =
-  let w = Resopt.Workloads.find "example1" in
-  let r =
-    Resopt.Pipeline.run ~m:2 ~schedule:w.Resopt.Workloads.schedule
-      w.Resopt.Workloads.nest
-  in
-  let faults =
-    Machine.Fault.make ~seed:7 [ Machine.Fault.Flaky { link = None; prob = 0.05 } ]
-  in
-  List.iter
-    (fun model ->
-      Cache.disable ();
-      let off = Resopt.Cost.of_plan ~faults model r.Resopt.Pipeline.plan in
-      fresh (fun () ->
-          let cold = Resopt.Cost.of_plan ~faults model r.Resopt.Pipeline.plan in
-          let warm = Resopt.Cost.of_plan ~faults model r.Resopt.Pipeline.plan in
-          Alcotest.(check bool)
-            (model.Machine.Models.name ^ " breakdown identical")
-            true
-            (off = cold && cold = warm)))
-    [ Machine.Models.cm5 (); Machine.Models.paragon (); Machine.Models.t3d () ]
-
-(* No Netsim price reads the fault seed, so the cost key leaves it out:
-   re-pricing a plan under another seed of the same schedule hits. *)
-let flaky seed =
-  Machine.Fault.make ~seed
-    [
-      Machine.Fault.Flaky { link = None; prob = 0.05 };
-      Machine.Fault.Link_down { a = 1; b = 2; from_cycle = 0; until_cycle = max_int };
-    ]
-
-let example1_plan () =
-  let w = Resopt.Workloads.find "example1" in
-  (Resopt.Pipeline.run ~m:2 ~schedule:w.Resopt.Workloads.schedule
-     w.Resopt.Workloads.nest)
-    .Resopt.Pipeline.plan
-
-let test_cost_seed_hit () =
-  let plan = example1_plan () in
-  let model = Machine.Models.paragon () in
+(* The curated workloads end to end — the pipeline's solves, pricing
+   on every model and the served answer — keep no table either: the
+   per-function properties above, on real nests *)
+let test_curated_keep_no_table () =
   fresh @@ fun () ->
-  let seed0 = Resopt.Cost.of_plan ~faults:(flaky 0) model plan in
-  let before = Cache.stats () in
-  let seed1 = Resopt.Cost.of_plan ~faults:(flaky 1) model plan in
-  let after = Cache.stats () in
-  Alcotest.(check int) "seed 1 after seed 0 hits" (before.Cache.hits + 1) after.Cache.hits;
-  Alcotest.(check int) "and misses nothing" before.Cache.misses after.Cache.misses;
-  Alcotest.(check bool) "same breakdown" true (seed0 = seed1)
-
-let test_cost_seeds_differential () =
-  let plan = example1_plan () in
-  let seeds = [ 0; 1; 7; 42 ] in
+  let models = [ Machine.Models.cm5 (); Machine.Models.paragon (); Machine.Models.t3d () ] in
   List.iter
-    (fun model ->
-      Cache.disable ();
-      let off =
-        List.map (fun seed -> Resopt.Cost.of_plan ~faults:(flaky seed) model plan) seeds
-      in
-      fresh (fun () ->
-          let on =
-            List.map (fun seed -> Resopt.Cost.of_plan ~faults:(flaky seed) model plan) seeds
-          in
-          Alcotest.(check bool)
-            (model.Machine.Models.name ^ ": cache on = cache off across seeds")
-            true (on = off)))
-    [ Machine.Models.cm5 (); Machine.Models.paragon (); Machine.Models.t3d () ]
+    (fun (w : Resopt.Workloads.t) ->
+      (match
+         Resopt.Pipeline.run ~m:2 ~schedule:w.Resopt.Workloads.schedule
+           w.Resopt.Workloads.nest
+       with
+      | exception Failure _ -> ()
+      | r ->
+        List.iter (fun model -> ignore (Resopt.Cost.of_plan model r.Resopt.Pipeline.plan)) models);
+      ignore (Serve.Answer.of_request (Serve.Wire.run ~m:2 w.Resopt.Workloads.name)))
+    (Resopt.Workloads.all ());
+  let s = Cache.stats () in
+  Alcotest.(check (list int)) "hits, misses, entries" [ 0; 0; 0 ]
+    [ s.Cache.hits; s.Cache.misses; s.Cache.entries ];
+  (* the validation memo is the one a sweep still hits *)
+  ignore (Resopt.Sweep.run ~cache:true ~ms:[ 2 ] ());
+  let cold = Cache.stats () in
+  ignore (Resopt.Sweep.run ~cache:true ~ms:[ 2 ] ());
+  let warm = Cache.stats () in
+  Alcotest.(check bool) "the cold sweep validated" true (cold.Cache.misses > 0);
+  Alcotest.(check int) "every warm lookup hits"
+    (cold.Cache.hits + cold.Cache.misses)
+    (warm.Cache.hits - cold.Cache.hits);
+  Alcotest.(check int) "the warm sweep misses nothing" cold.Cache.misses
+    warm.Cache.misses
 
 (* ------------------------------------------------------------------ *)
 (* Parallel safety: shared cache under Par                             *)
@@ -532,11 +512,10 @@ let () =
             Alcotest.test_case "cost breakdowns" `Quick test_cost_differential;
           ]
         @ pipeline_props );
-      ( "cost-key",
+      ( "tables",
         [
-          Alcotest.test_case "another seed hits" `Quick test_cost_seed_hit;
-          Alcotest.test_case "cache on = off across seeds" `Quick
-            test_cost_seeds_differential;
+          Alcotest.test_case "curated workloads keep no table" `Quick
+            test_curated_keep_no_table;
         ] );
       ( "parallel",
         [

@@ -53,7 +53,7 @@ let test_table2_cached () =
   Fun.protect ~finally:(fun () -> Cache.clear ()) @@ fun () ->
   Cache.scoped ~enable:true (fun () ->
       check_table2 ();
-      (* warm pass: served from the memo tables, same constants *)
+      (* second pass with the cache on: the same constants *)
       check_table2 ())
 
 let test_min_factors () =

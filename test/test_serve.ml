@@ -754,9 +754,14 @@ let test_server_one_solve_per_work_key () =
   let c = must_connect t in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   let misses = stats_value c "responses_misses" in
+  let hits = stats_value c "responses_hits" in
   Alcotest.(check int) "one solve per work key" work_keys misses;
   Alcotest.(check int) "every request hit, missed or coalesced" (List.length reqs)
-    (misses + stats_value c "responses_hits" + stats_value c "coalesced")
+    (misses + hits + stats_value c "coalesced");
+  (* the response memo is the only table a served request reaches *)
+  Alcotest.(check (pair int int)) "cache_hits/misses are the response memo's"
+    (hits, misses)
+    (stats_value c "cache_hits", stats_value c "cache_misses")
 
 let test_server_seeds_share_one_solve () =
   (* two slow requests that differ only in their fault seed, sent at
