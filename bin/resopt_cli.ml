@@ -1020,7 +1020,9 @@ let serve_cmd =
   let deadline_arg =
     let doc =
       "Default per-request deadline in milliseconds (0 = none); a \
-       request's own $(b,deadline_ms) field overrides it."
+       request's own $(b,deadline_ms) field overrides it.  It bounds only \
+       the wait for a solve: a request answered from the response memo \
+       never times out."
     in
     Arg.(value & opt int 0 & info [ "deadline-ms" ] ~docv:"MS" ~doc)
   in

@@ -1,4 +1,5 @@
-(* Content-addressed memo tables, one LRU shard per domain.  The
+(* Content-addressed memo tables, one LRU shard per domain (or one
+   locked shard for a [~shared] table).  The
    hot-path contract matches Obs: every entry point first tests
    [enabled_flag], so a disabled build runs the thunk directly and
    touches no table (not even the domain-local-storage read). *)
@@ -116,7 +117,8 @@ let entries_oldest_first sh =
    capture) need from a table, with the value type hidden behind
    closures.  Tables are created at module initialization on the main
    domain, but tests create them dynamically too, so the list is
-   mutex-protected; shard access itself needs no lock (per-domain). *)
+   mutex-protected; a per-domain shard needs no lock, a shared one
+   takes its own. *)
 type ops = {
   o_name : string;
   o_schema : string;
@@ -169,83 +171,99 @@ let stats () =
 (* ------------------------------------------------------------------ *)
 
 module Memo = struct
-  type 'a t = {
-    name : string;
-    capacity : int;
-    shard_key : 'a shard Domain.DLS.key;
-  }
+  (* A table keeps one shard per domain, or — for a table every thread
+     and domain must see ([~shared:true]) — one shard behind a lock. *)
+  type 'a store = Local of 'a shard Domain.DLS.key | Shared of Mutex.t * 'a shard
 
-  let shard t = Domain.DLS.get t.shard_key
+  type 'a t = { name : string; capacity : int; store : 'a store }
 
-  let create ?(capacity = 1024) ~name ~schema () =
-    let capacity = max 1 capacity in
-    let shard_key = Domain.DLS.new_key new_shard in
-    let t = { name; capacity; shard_key } in
-    let o_swap_fresh () =
-      let prev = shard t in
-      Domain.DLS.set shard_key (new_shard ());
+  (* run [f] on the shard this caller sees, under the lock if shared *)
+  let with_shard t f =
+    match t.store with
+    | Local key -> f (Domain.DLS.get key)
+    | Shared (mu, sh) -> Mutex.protect mu (fun () -> f sh)
+
+  (* capture support for a per-domain table; a shared one is left
+     alone: the worker slot and the caller already see the same shard *)
+  let swap_fresh t () =
+    match t.store with
+    | Shared _ -> fun () () -> ()
+    | Local key ->
+      let prev = Domain.DLS.get key in
+      Domain.DLS.set key (new_shard ());
       fun () ->
-        let captured = shard t in
-        Domain.DLS.set shard_key prev;
+        let captured = Domain.DLS.get key in
+        Domain.DLS.set key prev;
         fun () ->
           (* merge closure, run on the merging domain: replay through
              the normal insertion path so capacity holds there too *)
-          let dst = shard t in
+          let dst = Domain.DLS.get key in
           List.iter
-            (fun (k, v) -> put dst ~capacity k v)
+            (fun (k, v) -> put dst ~capacity:t.capacity k v)
             (entries_oldest_first captured);
           dst.s_hits <- dst.s_hits + captured.s_hits;
           dst.s_misses <- dst.s_misses + captured.s_misses;
           dst.s_evictions <- dst.s_evictions + captured.s_evictions
+
+  let stats t =
+    with_shard t (fun sh ->
+        {
+          hits = sh.s_hits;
+          misses = sh.s_misses;
+          evictions = sh.s_evictions;
+          entries = Hashtbl.length sh.tbl;
+        })
+
+  let create ?(capacity = 1024) ?(shared = false) ~name ~schema () =
+    let capacity = max 1 capacity in
+    let store =
+      if shared then Shared (Mutex.create (), new_shard ())
+      else Local (Domain.DLS.new_key new_shard)
     in
+    let t = { name; capacity; store } in
     register
       {
         o_name = name;
         o_schema = schema;
-        o_clear = (fun () -> shard_clear (shard t));
-        o_stats =
-          (fun () ->
-            let sh = shard t in
-            {
-              hits = sh.s_hits;
-              misses = sh.s_misses;
-              evictions = sh.s_evictions;
-              entries = Hashtbl.length sh.tbl;
-            });
-        o_swap_fresh;
+        o_clear = (fun () -> with_shard t shard_clear);
+        o_stats = (fun () -> stats t);
+        o_swap_fresh = swap_fresh t;
         o_dump =
           (fun () ->
+            (* list under the lock, marshal outside it: values are
+               immutable once stored *)
             List.map
               (fun (k, v) -> (k, Marshal.to_string v []))
-              (entries_oldest_first (shard t)));
+              (with_shard t entries_oldest_first));
         o_absorb =
           (fun pairs ->
-            let sh = shard t in
-            List.iter
-              (fun (k, bytes) ->
-                put sh ~capacity:t.capacity k (Marshal.from_string bytes 0))
-              pairs);
+            let pairs = List.map (fun (k, bytes) -> (k, Marshal.from_string bytes 0)) pairs in
+            with_shard t (fun sh ->
+                List.iter (fun (k, v) -> put sh ~capacity:t.capacity k v) pairs));
       };
     t
 
   let find_opt t key =
     if not !enabled_flag then None
     else begin
-      let sh = shard t in
+      let found =
+        with_shard t (fun sh ->
+            match Hashtbl.find_opt sh.tbl key with
+            | Some n ->
+              sh.s_hits <- sh.s_hits + 1;
+              touch sh n;
+              Some n.nvalue
+            | None ->
+              sh.s_misses <- sh.s_misses + 1;
+              None)
+      in
       Obs.incr "cache.lookups";
-      match Hashtbl.find_opt sh.tbl key with
-      | Some n ->
-        sh.s_hits <- sh.s_hits + 1;
-        Obs.incr "cache.hits";
-        touch sh n;
-        Some n.nvalue
-      | None ->
-        sh.s_misses <- sh.s_misses + 1;
-        Obs.incr "cache.misses";
-        None
+      Obs.incr (if Option.is_some found then "cache.hits" else "cache.misses");
+      found
     end
 
-  let add t ~key v = if !enabled_flag then put (shard t) ~capacity:t.capacity key v
+  let add t ~key v =
+    if !enabled_flag then with_shard t (fun sh -> put sh ~capacity:t.capacity key v)
 
   let find_or_compute t ~key f =
     if not !enabled_flag then f ()
@@ -257,8 +275,8 @@ module Memo = struct
         add t ~key v;
         v
 
-  let mem t key = Hashtbl.mem (shard t).tbl key
-  let length t = Hashtbl.length (shard t).tbl
+  let mem t key = with_shard t (fun sh -> Hashtbl.mem sh.tbl key)
+  let length t = with_shard t (fun sh -> Hashtbl.length sh.tbl)
   let capacity t = t.capacity
 
   let keys t =
@@ -266,16 +284,7 @@ module Memo = struct
       | None -> List.rev acc
       | Some n -> walk (n.nkey :: acc) n.next
     in
-    walk [] (shard t).first
-
-  let stats t =
-    let sh = shard t in
-    {
-      hits = sh.s_hits;
-      misses = sh.s_misses;
-      evictions = sh.s_evictions;
-      entries = Hashtbl.length sh.tbl;
-    }
+    with_shard t (fun sh -> walk [] sh.first)
 end
 
 (* ------------------------------------------------------------------ *)

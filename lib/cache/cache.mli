@@ -27,13 +27,22 @@
     on, only pure functions are memoized, so every output is
     byte-identical to cache-off; the CI gate diffs the two.
 
-    The tables are {e per-domain}: each domain reads and writes its
-    own shard (held in [Domain.DLS]), so workers spawned by {!Par}
+    [validate.check] is {e per-domain}: each domain reads and writes
+    its own shard (held in [Domain.DLS]), so workers spawned by {!Par}
     never contend and never need a lock.  {!capture} is the one
     capture/merge pair left in the code base: a parallel runner gives
-    every worker slot fresh shards for its whole drain loop and folds
-    what the slot cached back into the caller's shards at join, in
-    slot order.
+    every worker slot fresh per-domain shards for its whole drain loop
+    and folds what the slot cached back into the caller's shards at
+    join, in slot order.
+
+    [serve.responses] is {e shared} ([~shared:true]): one table that
+    every thread and domain of the server sees.  The server's
+    connection threads look requests up and refresh recency in it
+    while its solver thread solves, possibly under {!Par}; one lock
+    guards every lookup, insert, dump and stats read, {!capture}
+    leaves the table alone, and {!save} lists its entries under that
+    lock and writes the file outside it.  The [shared] flag exists for
+    that one table and goes away with the per-domain shards.
 
     An optional on-disk format ({!save} / {!load}) persists the tables
     across CLI invocations.  The format is versioned and checksummed;
@@ -59,15 +68,15 @@ val scoped : ?enable:bool -> (unit -> 'a) -> 'a
     {!Resopt.Sweep.run} passes through. *)
 
 val clear : unit -> unit
-(** Drop every entry of every table in the current domain's shards and
-    reset their hit/miss/eviction tallies.  Does not change the
-    enabled flag. *)
+(** Drop every entry of every table in the current domain's shards
+    (and a shared table's one shard) and reset their
+    hit/miss/eviction tallies.  Does not change the enabled flag. *)
 
 (** {1 Statistics} *)
 
 type stats = { hits : int; misses : int; evictions : int; entries : int }
-(** Tallies for the current domain's shard(s).  [entries] is the
-    current size; the counters are cumulative since the last {!clear}.
+(** Tallies for the current domain's shard(s), or a shared table's
+    one shard.  [entries] is the current size; the counters are cumulative since the last {!clear}.
     When recording is on ({!Obs.enabled}), every lookup also feeds the
     [cache.lookups] / [cache.hits] / [cache.misses] /
     [cache.evictions] counters, which {!Par} merges across workers
@@ -85,10 +94,14 @@ module Memo : sig
       Each memoized function owns one table, created once at module
       initialization. *)
 
-  val create : ?capacity:int -> name:string -> schema:string -> unit -> 'a t
+  val create :
+    ?capacity:int -> ?shared:bool -> name:string -> schema:string -> unit -> 'a t
   (** [capacity] (default 1024, clamped to >= 1) bounds every
       per-domain shard; the least-recently-used entry is evicted when
-      a fresh key would overflow it.  Every table takes part in
+      a fresh key would overflow it.  [shared] (default [false])
+      replaces the per-domain shards with one lock-guarded shard that
+      every domain and thread reads and writes, and that {!capture}
+      does not swap; every operation below then takes that lock.  Every table takes part in
       {!save} / {!load}, so its values must be marshallable (no
       closures).  [name] must be unique —
       it keys the on-disk sections — and [schema] is a free-form
@@ -118,7 +131,8 @@ module Memo : sig
       the cache is disabled. *)
 
   val mem : 'a t -> string -> bool
-  (** Current domain, no recency update, no counters. *)
+  (** Current domain's shard (or the shared one), no recency update,
+      no counters. *)
 
   val length : 'a t -> int
 
@@ -134,8 +148,9 @@ end
 
 val capture : (unit -> 'a) -> 'a * (unit -> unit)
 (** [capture f] runs [f ()] (a worker slot) with a fresh, empty shard
-    per table for the current domain and restores the previous shards
-    afterwards; if [f] raises, its insertions are dropped.  The
+    per per-domain table for the current domain (a shared table is
+    left alone) and restores the previous shards afterwards; if [f]
+    raises, its insertions are dropped.  The
     returned merge folds the slot's shards into the shards of the
     domain that calls it: entries are replayed oldest-first through
     the normal insertion path (capacity and eviction included) and the
@@ -155,8 +170,8 @@ val capture : (unit -> 'a) -> 'a * (unit -> unit)
     cache, never to a crash. *)
 
 val save : string -> unit
-(** Write the current domain's shards of every table —
-    crash-safely: the bytes go to [file ^ ".tmp"] first and are moved
+(** Write the current domain's shards of every table (and the one
+    shard of a shared table) — crash-safely: the bytes go to [file ^ ".tmp"] first and are moved
     into place with an atomic [Sys.rename], so a crash (or [kill -9],
     as the serve snapshot loop invites) mid-save leaves the previous
     complete file intact rather than a truncated one.  Raises
@@ -164,7 +179,7 @@ val save : string -> unit
 
 val load : string -> bool
 (** [load file] merges the file's entries into the current domain's
-    shards (through the normal insertion path, so capacities hold) and
+    shards, or a shared table's one shard (through the normal insertion path, so capacities hold) and
     returns [true]; returns [false] — caching simply starts cold — if
     the file is missing, truncated, corrupted, from another format
     version, or fails to unmarshal.  A file that {e exists} but fails

@@ -1,17 +1,17 @@
 (* The serving loop.  Threading rules, which every edit must keep:
 
-   - Only the solver thread touches Cache, Par or the response memo.
-     Cache keeps its shards (the response memo's too) in Domain.DLS,
-     which all systhreads of the domain SHARE — two threads mutating
-     those hashtables would corrupt them.  One mutator, no locks
-     needed, and the existing zero-cost subsystems run unmodified.
-     Obs is outside this rule: it records into one mutex-guarded
-     store; the solver thread still does all the recording.
-   - Connection threads only use: the server mutex (queue, counters,
-     waiter lists), their own socket, their own waiter pipe (one per
-     connection, reused by every request on it), and pure code — which
-     includes stamping their request's fault seed into the shared
-     solve (Answer.stamp).
+   - Only the solver thread solves, and only it touches Par or the
+     per-domain Cache shards (Domain.DLS, shared by every systhread of
+     the domain).
+   - The response memo is one shared Cache table with its own lock.
+     Connection threads look requests up in it and answer the hits;
+     the solver adds each solve.  Both do so under the server mutex
+     (then the memo's lock), so no key is both memoized and in flight.
+     No lock is held while solving, stamping or writing a file.
+   - Connection threads otherwise use only the server mutex (queue,
+     counters, waiter lists), their own socket and waiter pipe (one
+     per connection), Obs (one mutex-guarded store) and pure code,
+     such as stamping their request's fault seed (Answer.stamp).
    - Signal handlers only flip an atomic; every blocking wait is a
      select with a short timeout, so the flag is noticed promptly. *)
 
@@ -59,7 +59,6 @@ type t = {
   queue : entry Queue.t;
   inflight : (string, entry) Hashtbl.t;
   ctrs : counters;
-  mutable stats_serial : int;
   wake_r : Unix.file_descr;  (* solver wakeup pipe *)
   wake_w : Unix.file_descr;
   mutable mirrored : int * int * int * int * int * int;
@@ -75,11 +74,12 @@ let address t = t.bound
    loop makes kill -9-proof.  Keyed by [Wire.work_key], holding
    seed-free [Answer.solved] values (schema 2; schema 1 held answer
    strings keyed by [Wire.solve_key], and [Cache.load] skips it).
-   Lazy so binaries that link the library but never serve register
-   nothing. *)
+   Shared, so connection threads still see it while [Par] swaps the
+   solver domain's shards.  Lazy so binaries that link the library but
+   never serve register nothing. *)
 let response_memo : Answer.solved Cache.Memo.t Lazy.t =
   lazy
-    (Cache.Memo.create ~capacity:512 ~name:"serve.responses"
+    (Cache.Memo.create ~capacity:512 ~shared:true ~name:"serve.responses"
        ~schema:"resopt-serve/2" ())
 
 let locked t f =
@@ -100,20 +100,12 @@ let wake t = ignore_unix (fun () -> ignore (Unix.write t.wake_w (Bytes.make 1 '!
 (* Admission (connection threads)                                      *)
 (* ------------------------------------------------------------------ *)
 
-type admitted = Entry of entry | Refused of Wire.response
+type admitted = Hit of Answer.solved | Entry of entry | Refused of Wire.response
 
+(* Join an in-flight solve, else answer a run from the memo, else queue
+   it.  A full queue sheds before the lookup. *)
 let admit t (req : Wire.request) =
-  let key =
-    match req.op with
-    | Wire.Stats ->
-      (* stats are answered by the solver too (it owns the metrics),
-         but each request is its own entry — never coalesced, never
-         memoized *)
-      locked t (fun () ->
-          t.stats_serial <- t.stats_serial + 1;
-          Printf.sprintf "#stats/%d" t.stats_serial)
-    | _ -> Wire.work_key req
-  in
+  let key = Wire.work_key req in
   locked t @@ fun () ->
   t.ctrs.c_requests <- t.ctrs.c_requests + 1;
   if Atomic.get t.stop_flag then begin
@@ -132,16 +124,20 @@ let admit t (req : Wire.request) =
           (Wire.Shed
              (Printf.sprintf "queue full (%d pending)" (Queue.length t.queue)))
       end
-      else begin
-        let e =
-          { key; req = { req with Wire.fseed = 0 }; t_enq = Unix.gettimeofday ();
-            waiters = []; result = None }
-        in
-        Hashtbl.replace t.inflight key e;
-        Queue.add e t.queue;
-        wake t;
-        Entry e
-      end
+      else
+        match Cache.Memo.find_opt (Lazy.force response_memo) key with
+        | Some solved ->
+          t.ctrs.c_ok <- t.ctrs.c_ok + 1;
+          Hit solved
+        | None ->
+          let e =
+            { key; req = { req with Wire.fseed = 0 }; t_enq = Unix.gettimeofday ();
+              waiters = []; result = None }
+          in
+          Hashtbl.replace t.inflight key e;
+          Queue.add e t.queue;
+          wake t;
+          Entry e
 
 (* Wait for [e] to complete, bounded by the request's deadline.  The
    waiter registers its connection's pipe; the solver writes one byte
@@ -159,8 +155,8 @@ let admit t (req : Wire.request) =
 let await t (e : entry) (r, w) deadline_ms =
   (* register-or-observe under one lock: [finish] sets [result] and
      notifies waiters under the same mutex, so either we see the result
-     here (solve already done — a warm memo answers faster than this
-     thread gets here) or our pipe is registered before it runs.
+     here (solve already done) or our pipe is registered before it
+     runs.
      Registering first and checking after the select would lose the
      wakeup and block forever on requests without a deadline. *)
   let done_already =
@@ -199,6 +195,50 @@ let await t (e : entry) (r, w) deadline_ms =
       (Wire.Timeout
          (Printf.sprintf "deadline %dms expired" (Option.value deadline_ms ~default:0)))
 
+let read_counters t =
+  locked t (fun () ->
+      let c = t.ctrs in
+      (c.c_requests, c.c_ok, c.c_errors, c.c_shed, c.c_timeout, c.c_coalesced))
+
+let render_stats t =
+  let requests, ok, errors, shed, timeout, coalesced = read_counters t in
+  let cs = Cache.stats () in
+  let b = Buffer.create 256 in
+  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
+  line "requests=%d" requests;
+  line "ok=%d" ok;
+  line "errors=%d" errors;
+  line "shed=%d" shed;
+  line "timeout=%d" timeout;
+  line "coalesced=%d" coalesced;
+  line "queue_depth=%d" (locked t (fun () -> Queue.length t.queue));
+  (match Obs.histogram_percentiles "serve.latency_ms" with
+  | Some (p50, p95, p99) ->
+    line "latency_ms_p50=%.3f" p50;
+    line "latency_ms_p95=%.3f" p95;
+    line "latency_ms_p99=%.3f" p99
+  | None -> ());
+  line "bounds_computed=%d" (Obs.counter "bounds.computed");
+  (match Obs.histogram "bounds.efficiency" with
+  | Some h when h.Obs.count > 0 ->
+    line "bounds_eff_mean=%.3f" (h.Obs.sum /. float_of_int h.Obs.count);
+    line "bounds_eff_min=%.3f" h.Obs.min_v
+  | _ -> ());
+  (match Obs.gauge "bounds.last_efficiency" with
+  | Some g -> line "bounds_eff_last=%.3f" g
+  | None -> ());
+  line "cache_hits=%d" cs.Cache.hits;
+  line "cache_misses=%d" cs.Cache.misses;
+  line "cache_entries=%d" cs.Cache.entries;
+  line "cache_load_corrupt=%d" (Obs.counter "cache.load_corrupt");
+  (* the response memo alone; a solve reaches no other table, so
+     cache_* above reads the same counts *)
+  let rs = Cache.Memo.stats (Lazy.force response_memo) in
+  line "responses_hits=%d" rs.Cache.hits;
+  line "responses_misses=%d" rs.Cache.misses;
+  line "responses_entries=%d" rs.Cache.entries;
+  Buffer.contents b
+
 (* ------------------------------------------------------------------ *)
 (* Connection threads                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -209,20 +249,33 @@ let handle_request t pipe payload =
   | Ok req -> (
     match req.Wire.op with
     | Wire.Ping -> Wire.Answer "pong"
-    | Wire.Run | Wire.Stats -> (
-      match admit t req with
-      | Refused resp -> resp
-      | Entry e ->
-        let deadline =
-          match req.Wire.deadline_ms with
-          | Some d -> Some d
-          | None -> if t.cfg.deadline_ms > 0 then Some t.cfg.deadline_ms else None
-        in
-        (* the solve is shared across fault seeds; this request's own
-           seed goes in here, outside the lock *)
-        match await t e pipe deadline with
-        | Ok solved -> Wire.Answer (Answer.stamp req solved)
-        | Error resp -> resp))
+    | Wire.Stats ->
+      (* answered here and now: never queued, coalesced or memoized *)
+      locked t (fun () -> t.ctrs.c_requests <- t.ctrs.c_requests + 1);
+      let body = render_stats t in
+      locked t (fun () -> t.ctrs.c_ok <- t.ctrs.c_ok + 1);
+      Wire.Answer body
+    | Wire.Run -> (
+      let t_admit = Unix.gettimeofday () in
+      let deadline =
+        match req.Wire.deadline_ms with
+        | Some d -> Some d
+        | None -> if t.cfg.deadline_ms > 0 then Some t.cfg.deadline_ms else None
+      in
+      let result =
+        match admit t req with
+        | Refused resp -> Error resp
+        | Hit solved ->
+          (* a hit never waits, so no deadline applies to it *)
+          Obs.observe "serve.latency_ms" ((Unix.gettimeofday () -. t_admit) *. 1000.0);
+          Ok solved
+        | Entry e -> await t e pipe deadline
+      in
+      (* the solve is shared across fault seeds; this request's own
+         seed goes in here, outside the lock *)
+      match result with
+      | Ok solved -> Wire.Answer (Answer.stamp req solved)
+      | Error resp -> resp))
 
 let conn_loop t fd =
   let rec loop pipe =
@@ -267,11 +320,6 @@ let conn_loop t fd =
 (* Solver thread                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let read_counters t =
-  locked t (fun () ->
-      let c = t.ctrs in
-      (c.c_requests, c.c_ok, c.c_errors, c.c_shed, c.c_timeout, c.c_coalesced))
-
 (* Mirror the mutex-guarded counters into Obs (additively, via deltas)
    so --stats-style tooling sees serve.* next to cache.*.  Solver
    thread only. *)
@@ -307,89 +355,28 @@ let observe_bounds (req : Wire.request) =
              : Resopt.Efficiency.t option)
        with _ -> ())
 
-let render_stats t =
-  let requests, ok, errors, shed, timeout, coalesced = read_counters t in
-  let cs = Cache.stats () in
-  let b = Buffer.create 256 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
-  line "requests=%d" requests;
-  line "ok=%d" ok;
-  line "errors=%d" errors;
-  line "shed=%d" shed;
-  line "timeout=%d" timeout;
-  line "coalesced=%d" coalesced;
-  line "queue_depth=%d" (locked t (fun () -> Queue.length t.queue));
-  (match Obs.histogram_percentiles "serve.latency_ms" with
-  | Some (p50, p95, p99) ->
-    line "latency_ms_p50=%.3f" p50;
-    line "latency_ms_p95=%.3f" p95;
-    line "latency_ms_p99=%.3f" p99
-  | None -> ());
-  line "bounds_computed=%d" (Obs.counter "bounds.computed");
-  (match Obs.histogram "bounds.efficiency" with
-  | Some h when h.Obs.count > 0 ->
-    line "bounds_eff_mean=%.3f" (h.Obs.sum /. float_of_int h.Obs.count);
-    line "bounds_eff_min=%.3f" h.Obs.min_v
-  | _ -> ());
-  (match Obs.gauge "bounds.last_efficiency" with
-  | Some g -> line "bounds_eff_last=%.3f" g
-  | None -> ());
-  line "cache_hits=%d" cs.Cache.hits;
-  line "cache_misses=%d" cs.Cache.misses;
-  line "cache_entries=%d" cs.Cache.entries;
-  line "cache_load_corrupt=%d" (Obs.counter "cache.load_corrupt");
-  (* the response memo alone; a solve reaches no other table, so
-     cache_* above reads the same counts *)
-  let rs = Cache.Memo.stats (Lazy.force response_memo) in
-  line "responses_hits=%d" rs.Cache.hits;
-  line "responses_misses=%d" rs.Cache.misses;
-  line "responses_entries=%d" rs.Cache.entries;
-  Buffer.contents b
-
-let solve_batch t (batch : entry list) =
-  let memo = Lazy.force response_memo in
-  let runs, stats_es =
-    List.partition (fun e -> e.req.Wire.op = Wire.Run) batch
-  in
+(* Every queued run missed the memo at admission.  Distinct misses fan
+   out over the pool (Par merges each worker's per-domain cache shards
+   back here at join; workers record into the shared Obs store). *)
+let solve_batch t (runs : entry list) =
   (* bound every solved (workload, m) once, so stats answers carry
      efficiency next to the latency percentiles *)
   List.iter (fun e -> observe_bounds e.req) runs;
-  (* memo hits answer on the solver thread; distinct misses fan out
-     over the pool (Par merges each worker's cache shards back here at
-     join, keeping the single-mutator rule intact; workers record
-     into the shared Obs store directly) *)
-  let hit_results, misses =
-    List.partition_map
-      (fun e ->
-        match Cache.Memo.find_opt memo e.key with
-        | Some solved -> Left (e, Ok solved)
-        | None -> Right e)
-      runs
-  in
-  let miss_results =
+  let solved =
     let compute e = Answer.solve e.req in
-    let computed =
-      match misses with
-      | [] | [ _ ] -> List.map compute misses
-      | _ when t.cfg.jobs > 1 ->
-        Par.map (Par.Shared.get ~jobs:t.cfg.jobs) compute misses
-      | _ -> List.map compute misses
-    in
-    List.map2
-      (fun e res ->
-        Result.iter (Cache.Memo.add memo ~key:e.key) res;
-        (e, res))
-      misses computed
+    match runs with
+    | _ :: _ :: _ when t.cfg.jobs > 1 ->
+      Par.map (Par.Shared.get ~jobs:t.cfg.jobs) compute runs
+    | _ -> List.map compute runs
   in
-  let stats_results =
-    List.map (fun e -> (e, Ok (Answer.Unseeded (render_stats t)))) stats_es
-  in
-  let finish (e, res) =
+  let finish e res =
     let resp = Result.map_error (fun msg -> Wire.Failed msg) res in
     Obs.observe "serve.latency_ms" ((Unix.gettimeofday () -. e.t_enq) *. 1000.0);
     locked t @@ fun () ->
     (match res with
-    | Ok _ -> t.ctrs.c_ok <- t.ctrs.c_ok + 1
+    | Ok solved ->
+      t.ctrs.c_ok <- t.ctrs.c_ok + 1;
+      Cache.Memo.add (Lazy.force response_memo) ~key:e.key solved
     | Error _ -> t.ctrs.c_errors <- t.ctrs.c_errors + 1);
     e.result <- Some resp;
     Hashtbl.remove t.inflight e.key;
@@ -398,7 +385,7 @@ let solve_batch t (batch : entry list) =
         ignore_unix (fun () -> ignore (Unix.write fd (Bytes.make 1 '.') 0 1)))
       e.waiters
   in
-  List.iter finish (hit_results @ miss_results @ stats_results)
+  List.iter2 finish runs solved
 
 let snapshot t =
   match t.cfg.cache_file with
@@ -468,8 +455,11 @@ let accept_loop t =
       (if select_r [ t.lfd ] 0.25 <> [] then
          match Unix.accept ~cloexec:true t.lfd with
          | fd, _ ->
-           let th = Thread.create (fun () -> conn_loop t fd) () in
-           locked t (fun () -> t.conns <- th :: t.conns)
+           (* listed under the lock its exit takes to unlist itself: a
+              thread that ended first would stay listed, and [wait]
+              would spin joining it *)
+           locked t (fun () ->
+               t.conns <- Thread.create (fun () -> conn_loop t fd) () :: t.conns)
          | exception Unix.Unix_error _ -> ());
       loop ()
     end
@@ -507,8 +497,7 @@ let start cfg =
   Obs.enable ();
   Cache.enable ();
   ignore (Lazy.force response_memo);
-  (* load before any thread exists: start is still single-threaded,
-     so touching the cache here keeps the single-mutator rule *)
+  (* load before any thread exists *)
   (match cfg.cache_file with
   | Some file -> ignore (Cache.load file : bool)
   | None -> ());
@@ -526,7 +515,6 @@ let start cfg =
       ctrs =
         { c_requests = 0; c_ok = 0; c_errors = 0; c_shed = 0; c_timeout = 0;
           c_coalesced = 0 };
-      stats_serial = 0;
       wake_r;
       wake_w;
       mirrored = (0, 0, 0, 0, 0, 0);

@@ -3,27 +3,31 @@
     One process, three kinds of threads.  An {e accept} thread takes
     connections; a {e connection} thread per client reads framed
     {!Wire} requests and writes framed responses; a single {e solver}
-    thread owns every piece of per-domain ambient state ({!Cache}
-    shards, the {!Par} pool) and is the only thread that touches it —
-    connection threads communicate with it through a mutex-guarded
-    queue and one wakeup pipe per connection, nothing else.  No wakeup
-    byte outlives its request: a waiter that finds its solve finished
-    reads back the one byte the solver wrote for it, and a waiter
-    that times out unregisters before the solver can write.  That
-    single-mutator rule is what makes it safe to run the existing
-    (deliberately lock-free, domain-local) caching layer under
-    systhreads.  {!Obs} needs no such rule: it records into one
-    mutex-guarded store.
+    thread solves.  Connection threads read and refresh the response
+    memo under its lock, and answer a hit themselves at admission;
+    only a miss is queued for the solver, which alone solves and alone
+    touches per-domain ambient state ({!Par}, per-domain {!Cache}
+    shards).  The memo is a shared {!Cache} table, one for every
+    thread and domain, so a {!Par} fan-out on the solver's domain
+    cannot hide it from the connection threads.  A miss waits on one
+    wakeup pipe per connection.  No wakeup byte outlives its request:
+    a waiter that finds its solve finished reads back the one byte the
+    solver wrote for it, and a waiter that times out unregisters
+    before the solver can write.  {!Obs} records into one
+    mutex-guarded store from any thread.
 
     Robustness contract, each piece visible to clients as a structured
     response rather than a hung or dropped connection:
 
     - {e Admission control}: at most [max_queue] solves wait at once;
-      beyond that, requests get an immediate [shed] response.
+      beyond that, run requests get an immediate [shed] response,
+      memo hits included.
     - {e Deadlines}: a request carrying [deadline_ms] (or the server
       default) gets a [timeout] response when it expires — the solve
-      itself continues and warms the cache for the retry.  A signal
-      landing on a waiting thread never ends the wait early.
+      itself continues and warms the cache for the retry.  A deadline
+      bounds only the wait for a solve: a memo hit never waits, so it
+      never times out.  A signal landing on a waiting thread never
+      ends the wait early.
     - {e Coalescing}: concurrent requests with the same
       {!Wire.work_key} share one computation, and the response memo
       keeps one entry per work key.  The key holds only what the
@@ -39,6 +43,15 @@
       snapshots the memo tables every [snapshot_every] batches through
       {!Cache.save}'s atomic rename, so even [kill -9] loses at most
       the last interval and a restart answers warm.
+
+    Stats: a [stats] request is answered at once on its connection
+    thread, never queued, coalesced or shed for a full queue.
+    [latency_ms_p50/p95/p99] cover every answered run: a hit timed
+    from its admission to its memo lookup, a miss from its admission
+    to its solve's completion.  [bounds_computed] and [bounds_eff_*]
+    cover only the (workload, m) pairs this process has solved: a pair
+    answered only from a memo loaded from [cache_file] is not bounded
+    after a restart.
 
     Answers are {!Answer.render} bytes — byte-identical to the offline
     CLI, which is how the CI soak gate checks the whole tower.  The

@@ -3,8 +3,7 @@
    cost of T = L.U on the Paragon model) and the Figure 4-5 broadcast
    rotation, so a regression anywhere in the linalg -> decomp ->
    distrib -> machine stack shows up as a changed constant, not as a
-   silently different table.  Each snapshot is also re-checked with
-   the memo cache on: golden values must not depend on caching. *)
+   silently different table. *)
 
 open Linalg
 
@@ -35,7 +34,7 @@ let table2_times () =
     (direct, l_phase.Machine.Netsim.time, u_phase.Machine.Netsim.time)
   | _ -> Alcotest.fail "expected two phases for L.U"
 
-let check_table2 () =
+let test_table2 () =
   let direct, tl, tu = table2_times () in
   check_f1 "not decomposed" "848.4" direct;
   check_f1 "L" "113.6" tl;
@@ -43,18 +42,6 @@ let check_table2 () =
   check_f1 "L.U" "330.8" (tl +. tu);
   Alcotest.(check string) "direct / decomposed" "2.56"
     (Printf.sprintf "%.2f" (direct /. (tl +. tu)))
-
-let test_table2 () =
-  Cache.disable ();
-  check_table2 ()
-
-let test_table2_cached () =
-  Cache.clear ();
-  Fun.protect ~finally:(fun () -> Cache.clear ()) @@ fun () ->
-  Cache.scoped ~enable:true (fun () ->
-      check_table2 ();
-      (* second pass with the cache on: the same constants *)
-      check_table2 ())
 
 let test_min_factors () =
   Alcotest.(check bool) "T = L(3) . U(2)" true
@@ -66,7 +53,7 @@ let test_min_factors () =
 (* Figures 4-5: the broadcast rotation of Example 1, F6                *)
 (* ------------------------------------------------------------------ *)
 
-let check_fig45 () =
+let test_fig45 () =
   let f6 = Nestir.Paper_examples.example1_f 6 in
   let ms = Mat.of_lists [ [ 1; 1; 0 ]; [ 0; 1; 0 ] ] in
   (match Macrocomm.Broadcast.detect ~theta:(Mat.zero 1 3) ~f:f6 ~ms with
@@ -89,23 +76,11 @@ let check_fig45 () =
       (Format.asprintf "%a" Macrocomm.Broadcast.pp info)
   | None -> Alcotest.fail "rotated F6 not detected as a broadcast"
 
-let test_fig45 () =
-  Cache.disable ();
-  check_fig45 ()
-
-let test_fig45_cached () =
-  Cache.clear ();
-  Fun.protect ~finally:(fun () -> Cache.clear ()) @@ fun () ->
-  Cache.scoped ~enable:true (fun () ->
-      check_fig45 ();
-      check_fig45 ())
-
 (* ------------------------------------------------------------------ *)
 (* The §4.2 exhaustive scan at bound 3                                 *)
 (* ------------------------------------------------------------------ *)
 
 let test_search_bound3 () =
-  Cache.disable ();
   let h = Decomp.Search.factor_histogram ~bound:3 () in
   Alcotest.(check int) "det-1 matrices" 116 h.Decomp.Search.total;
   Alcotest.(check (array int)) "factor counts" [| 1; 12; 36; 62; 5 |]
@@ -118,13 +93,11 @@ let () =
       ( "table2",
         [
           Alcotest.test_case "costs" `Quick test_table2;
-          Alcotest.test_case "costs, cached" `Quick test_table2_cached;
           Alcotest.test_case "factorization" `Quick test_min_factors;
         ] );
       ( "fig45",
         [
           Alcotest.test_case "rotation" `Quick test_fig45;
-          Alcotest.test_case "rotation, cached" `Quick test_fig45_cached;
         ] );
       ("search", [ Alcotest.test_case "bound 3 histogram" `Quick test_search_bound3 ]);
     ]

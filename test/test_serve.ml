@@ -5,7 +5,8 @@
    persistence, and finally an in-process server exercised end-to-end
    over real sockets: ok path byte-identical to the offline renderer,
    deadline -> timeout, full queue -> shed, coalesced concurrent
-   clients, graceful drain, and a snapshot/restart answering warm. *)
+   clients, graceful drain, a snapshot/restart answering warm, and
+   memo hits answered at admission while the solver is busy. *)
 
 open Serve
 
@@ -803,6 +804,159 @@ let test_server_seeds_share_one_solve () =
   Alcotest.(check int) "the other coalesced or hit" 1
     (stats_value c "responses_hits" + stats_value c "coalesced")
 
+(* ------------------------------------------------------------------ *)
+(* Hit path: memo hits answered at admission                           *)
+(* ------------------------------------------------------------------ *)
+
+let offline r = match Answer.of_request r with Ok s -> s | Error e -> Alcotest.fail e
+
+(* distinct slow misses: a mapping search over three machine models *)
+let slow_misses ~from n =
+  List.init n (fun i ->
+      Wire.run ~m:2 ~faults:"flaky:0.5" ~map:"search" ~mseed:(from + i) "example1")
+
+(* Send every request of [reqs] at once, one connection each.  Returns
+   the threads and a function giving, once they are joined, each
+   request's (wall time answered, response). *)
+let fire t reqs =
+  let n = List.length reqs in
+  let out = Array.make n None in
+  let conns = List.map (fun _ -> must_connect t) reqs in
+  let ths =
+    List.mapi
+      (fun i (c, r) ->
+        Thread.create
+          (fun () ->
+            let resp = Client.request c r in
+            out.(i) <- Some (Unix.gettimeofday (), resp);
+            Client.close c)
+          ())
+      (List.combine conns reqs)
+  in
+  (ths, fun () -> Array.to_list out)
+
+(* each response is the expected answer *)
+let check_answers wants results =
+  List.iter2
+    (fun want res ->
+      match res with
+      | Some (_, Ok (Wire.Answer got)) -> Alcotest.(check string) "answer bytes" want got
+      | Some (_, Ok resp) -> Alcotest.fail ("expected Answer, got " ^ Wire.status resp)
+      | Some (_, Error e) -> Alcotest.fail e
+      | None -> Alcotest.fail "client never finished")
+    wants results
+
+let test_hit_while_solver_busy () =
+  (* a hit with deadline 0, sent while a batch of slow misses keeps the
+     solver busy: answered on its own connection thread, it neither
+     waits for the batch nor times out *)
+  let warm = Wire.run ~m:1 ~faults:"flaky:0.1" ~fseed:3 "example1" in
+  let hit = { warm with Wire.fseed = 8; deadline_ms = Some 0 } in
+  let misses = slow_misses ~from:300 32 in
+  let want_hit = offline { hit with Wire.deadline_ms = None } in
+  let want_misses = List.map offline misses in
+  Cache.clear ();
+  with_server @@ fun t ->
+  let c = must_connect t in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  ignore (must_request c warm : Wire.response);
+  let ths, results = fire t misses in
+  Thread.delay 0.02;
+  let resp = must_request c hit in
+  let t_hit = Unix.gettimeofday () in
+  List.iter Thread.join ths;
+  let results = results () in
+  check_answers want_misses results;
+  (match resp with
+  | Wire.Answer got -> Alcotest.(check string) "the hit's own seed's bytes" want_hit got
+  | r -> Alcotest.fail ("expected the hit's Answer, got " ^ Wire.status r));
+  let last_miss =
+    List.fold_left
+      (fun acc res -> match res with Some (at, _) -> Float.max acc at | None -> acc)
+      0.0 results
+  in
+  Alcotest.(check bool) "the hit came back before the batch finished" true
+    (t_hit < last_miss)
+
+let test_hits_during_par_fan_out () =
+  (* at jobs 2 a batch of distinct misses fans out over Par, whose
+     slot 0 runs on the solver's own domain under Cache.capture; hits
+     arriving from another client meanwhile must still find the memo,
+     never miss and re-solve *)
+  let warm =
+    [ Wire.run ~m:1 "example1"; Wire.run ~m:2 "gauss";
+      Wire.run ~m:1 ~faults:"flaky:0.1" ~fseed:1 "transpose" ]
+  in
+  let hits = List.concat_map (fun fseed -> List.map (fun r -> { r with Wire.fseed }) warm) [ 2; 3 ] in
+  let waves = List.init 4 (fun i -> slow_misses ~from:(400 + (100 * i)) 8) in
+  let want_hits = List.map offline hits in
+  let want_waves = List.map (List.map offline) waves in
+  Cache.clear ();
+  with_server ~jobs:2 @@ fun t ->
+  let c = must_connect t in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  List.iter (fun r -> ignore (must_request c r : Wire.response)) warm;
+  let stop = Atomic.make false and sent = ref 0 and bad = ref 0 in
+  let hitter =
+    Thread.create
+      (fun () ->
+        let h = must_connect t in
+        while not (Atomic.get stop) do
+          List.iter2
+            (fun r want ->
+              incr sent;
+              match Client.request h r with
+              | Ok (Wire.Answer got) when got = want -> ()
+              | _ -> incr bad)
+            hits want_hits
+        done;
+        Client.close h)
+      ()
+  in
+  List.iter2
+    (fun wave wants ->
+      let ths, results = fire t wave in
+      List.iter Thread.join ths;
+      check_answers wants (results ()))
+    waves want_waves;
+  Atomic.set stop true;
+  Thread.join hitter;
+  Alcotest.(check int) "every hit answered with its own bytes" 0 !bad;
+  let all = warm @ hits @ List.concat waves in
+  let misses = stats_value c "responses_misses" in
+  Alcotest.(check int) "one solve per work key" (distinct Wire.work_key all) misses;
+  Alcotest.(check int) "every request hit, missed or coalesced"
+    (List.length warm + !sent + List.length (List.concat waves))
+    (misses + stats_value c "responses_hits" + stats_value c "coalesced")
+
+let test_restart_answers_from_memo () =
+  (* after a restart from the cache file, every known work key is a
+     hit, whatever fault seed asks for it *)
+  let reqs =
+    [ Wire.run ~m:1 "matmul"; Wire.run ~m:2 ~map:"greedy" "stencil";
+      Wire.run ~m:2 ~faults:"flaky:0.2" ~fseed:4 "lu" ]
+  in
+  let again = List.map (fun r -> { r with Wire.fseed = r.Wire.fseed + 1 }) reqs in
+  let want = List.map offline reqs and want_again = List.map offline again in
+  let file = Filename.temp_file "serve_hits" ".bin" in
+  Fun.protect ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+  @@ fun () ->
+  let answers t rs =
+    let ths, results = fire t rs in
+    List.iter Thread.join ths;
+    results ()
+  in
+  Cache.clear ();
+  with_server ~cache_file:file (fun t -> check_answers want (answers t reqs));
+  Cache.clear ();
+  with_server ~cache_file:file @@ fun t ->
+  check_answers want_again (answers t again);
+  let c = must_connect t in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  Alcotest.(check int) "no solve after the restart" 0 (stats_value c "responses_misses");
+  Alcotest.(check int) "every request a hit" (List.length again)
+    (stats_value c "responses_hits")
+
 let () =
   Alcotest.run "serve"
     [
@@ -872,5 +1026,14 @@ let () =
             test_server_one_solve_per_work_key;
           Alcotest.test_case "fault seeds share one solve" `Quick
             test_server_seeds_share_one_solve;
+        ] );
+      ( "hit-path",
+        [
+          Alcotest.test_case "hit answered while solver busy" `Quick
+            test_hit_while_solver_busy;
+          Alcotest.test_case "no re-solve during a Par fan-out" `Quick
+            test_hits_during_par_fan_out;
+          Alcotest.test_case "restart answers from the memo" `Quick
+            test_restart_answers_from_memo;
         ] );
     ]
