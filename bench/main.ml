@@ -28,10 +28,10 @@ let run_timestamp = ref ""
 let cur_experiment = ref ""
 let recorded : Obs.Benchstore.record list ref = ref [] (* reverse *)
 
-let record ?jobs ?cache_on ?faults metric value =
+let record ?jobs ?faults metric value =
   if !record_enabled then
     recorded :=
-      Obs.Benchstore.make ?jobs ?cache_on ?faults ~git_rev:!git_rev
+      Obs.Benchstore.make ?jobs ?faults ~git_rev:!git_rev
         ~timestamp:!run_timestamp ~experiment:!cur_experiment ~metric value
       :: !recorded
 
@@ -510,58 +510,6 @@ let parbench () =
   in
   Obs.write_file "BENCH_par.json" json;
   Format.eprintf "parallel sweep snapshot written to BENCH_par.json@."
-
-(* ------------------------------------------------------------------ *)
-(* Memo cache: repeated solves, memoized vs not                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The workload a user actually repeats: re-running the full sweep (a
-   tweak-and-rerun loop validates the same plans again).  Both sides
-   do the identical work [reps] times; the cached side keeps its memo
-   table warm across repetitions, exactly as repeated CLI invocations
-   with --cache FILE would. *)
-let cachebench () =
-  section "Cache - repeated sweeps, memoized vs not";
-  let reps = 3 in
-  let ms = [ 1; 2; 3 ] in
-  let sweep_once () =
-    strip_rows (Resopt.Sweep.run ~ms ~fault_rates:[ 0.01; 0.05 ] ())
-  in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
-  let repeat f = timed (fun () -> List.init reps (fun _ -> f ())) in
-  (* warm-up so neither side pays one-time costs *)
-  ignore (Resopt.Sweep.run ~ms:[ 2 ] ());
-  Cache.disable ();
-  let cold_rows, cold_sweep = repeat sweep_once in
-  let warm_rows, warm_sweep =
-    Cache.scoped ~enable:true (fun () ->
-        Cache.clear ();
-        repeat sweep_once)
-  in
-  let identical = warm_rows = cold_rows in
-  let s_sweep = if warm_sweep > 0.0 then cold_sweep /. warm_sweep else 0.0 in
-  let cs = Cache.stats () in
-  Format.printf "%-24s %10s %10s %9s@." "workload (x3)" "uncached" "cached"
-    "speedup";
-  Format.printf "%-24s %9.3fs %9.3fs %8.2fx@." "sweep ms=1,2,3 +faults"
-    cold_sweep warm_sweep s_sweep;
-  Format.printf
-    "results identical: %b; %d hits / %d misses / %d evictions, %d entries@."
-    identical cs.Cache.hits cs.Cache.misses cs.Cache.evictions cs.Cache.entries;
-  let json =
-    Printf.sprintf
-      "{\"reps\":%d,\"ms\":[1,2,3],\"fault_rates\":[0.01,0.05],\"sweep\":{\"uncached_s\":%.6f,\"cached_s\":%.6f,\"speedup\":%.3f},\"results_identical\":%b,\"cache\":{\"hits\":%d,\"misses\":%d,\"evictions\":%d,\"entries\":%d}}"
-      reps cold_sweep warm_sweep s_sweep identical cs.Cache.hits cs.Cache.misses
-      cs.Cache.evictions cs.Cache.entries
-  in
-  Obs.write_file "BENCH_cache.json" json;
-  Format.eprintf "cache speedup snapshot written to BENCH_cache.json@.";
-  record ~cache_on:true "sweep.speedup" s_sweep;
-  record ~cache_on:true "results_identical" (if identical then 1.0 else 0.0)
 
 (* ------------------------------------------------------------------ *)
 (* Event-driven cross-validation of Table 2                            *)
@@ -1191,7 +1139,6 @@ let experiments =
     ("plancost", plancost);
     ("sweep", sweep);
     ("parbench", parbench);
-    ("cachebench", cachebench);
     ("autodim", autodim);
     ("progtime", progtime);
     ("optimality", optimality);

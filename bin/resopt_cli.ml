@@ -10,10 +10,7 @@
      resopt-cli chaos [-n 25] [--seed 0] [--jobs 4]
 
    The commands that price or simulate communications also take
-   --faults SPEC --seed N to run on an imperfect machine, and the
-   ones that validate plans (sweep, profile, fuzz) take --cache [FILE]
-   to memoize the validation enumeration (in memory, or persisted to
-   FILE across invocations).
+   --faults SPEC --seed N to run on an imperfect machine.
 *)
 
 open Cmdliner
@@ -62,46 +59,12 @@ let with_obs (trace, stats) f =
     v
   end
 
-(* --cache [FILE]: shared memoization flag.  Bare --cache serves
-   repeated plan validations (Validate's brute-force enumeration) from
-   an in-memory memo table; --cache FILE additionally loads the tables
-   from FILE before the command and saves them back after, so repeated
-   invocations start warm.  A missing, corrupted or stale FILE starts
-   cold, never fails.  Without the flag the tables stay off and output
-   is byte-identical to a build without the cache subsystem; with it,
-   output is byte-identical anyway — only the timing changes. *)
-
-let cache_term =
-  let doc =
-    "Memoize repeated plan validations.  With \
-     $(docv), also load the memo tables from that file first and save \
-     them back afterwards (a missing or corrupted file just starts \
-     cold).  Cached output is byte-identical to uncached."
-  in
-  Arg.(
-    value
-    & opt ~vopt:(Some "") (some string) None
-    & info [ "cache" ] ~docv:"FILE" ~doc)
-
-let with_cache cache f =
-  match cache with
-  | None -> f ()
-  | Some file ->
-    Cache.enable ();
-    if file = "" then f ()
-    else begin
-      ignore (Cache.load file : bool);
-      Fun.protect f ~finally:(fun () ->
-          try Cache.save file
-          with Sys_error msg -> Format.eprintf "cannot write cache: %s@." msg)
-    end
-
 (* --profile FILE / --flame FILE: shared scheduler-profiling flags.
    Either flag turns the Obs.Profile sink on for the command; the
    utilization report goes to stderr and the artifacts to the given
    files, so stdout (and any --csv) stays byte-identical to an
-   unprofiled run — the same zero-observer-effect contract as --trace
-   and --cache. *)
+   unprofiled run — the same zero-observer-effect contract as
+   --trace. *)
 
 let profile_term =
   let profile_arg =
@@ -454,10 +417,9 @@ let fuzz_cmd =
   let seed_arg =
     Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Base seed.")
   in
-  let run count seed jobs cache obs profile =
+  let run count seed jobs obs profile =
     with_obs obs @@ fun () ->
     with_profile profile @@ fun () ->
-    with_cache cache @@ fun () ->
     let nests = Nestir.Gennest.generate_many ~seed ~count in
     let verdict nest =
       match Resopt.Pipeline.run ~m:2 nest with
@@ -485,8 +447,7 @@ let fuzz_cmd =
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(
-      const run $ count_arg $ seed_arg $ jobs_arg $ cache_term $ obs_term
-      $ profile_term)
+      const run $ count_arg $ seed_arg $ jobs_arg $ obs_term $ profile_term)
 
 let chaos_cmd =
   let doc =
@@ -617,10 +578,9 @@ let sweep_cmd =
     in
     Arg.(value & flag & info [ "bounds" ] ~doc)
   in
-  let run jobs ms csv faults cache mapping topo bounds obs profile =
+  let run jobs ms csv faults mapping topo bounds obs profile =
     with_obs obs @@ fun () ->
     with_profile profile @@ fun () ->
-    with_cache cache @@ fun () ->
     (* --faults adds the resilience columns (gain re-priced at the
        default fault rates on top of the given spec), --map the
        gain_map column and --bounds the eff column; without them the
@@ -639,8 +599,8 @@ let sweep_cmd =
   in
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(
-      const run $ jobs_arg $ ms_arg $ csv_arg $ faults_term $ cache_term
-      $ map_term $ topo_term $ bounds_arg $ obs_term $ profile_term)
+      const run $ jobs_arg $ ms_arg $ csv_arg $ faults_term $ map_term
+      $ topo_term $ bounds_arg $ obs_term $ profile_term)
 
 let search_cmd =
   let doc =
@@ -676,8 +636,7 @@ let profile_cmd =
      dimension cells over a pool, record per-worker timelines, pool \
      lifecycle costs and GC attribution, and print the utilization \
      report with a diagnosis of where the wall-clock budget goes \
-     (work / GC / spawn / merge / idle) and a measured \
-     recommended_domains."
+     (work / GC / spawn / idle) and a measured recommended_domains."
   in
   let workload_opt_arg =
     let doc = "Profile only this workload (default: all of them)." in
@@ -700,10 +659,9 @@ let profile_cmd =
     let doc = "Also write collapsed stacks to $(docv) for flamegraph tools." in
     Arg.(value & opt (some string) None & info [ "flame" ] ~docv:"FILE" ~doc)
   in
-  let run name jobs ms cache profile_file flame =
+  let run name jobs ms profile_file flame =
     let workloads = Option.map (fun n -> [ find_workload n ]) name in
     Obs.Profile.enable ();
-    with_cache cache @@ fun () ->
     let rows = Resopt.Sweep.run ?jobs ~ms ?workloads () in
     (* the report is this command's output, so it goes to stdout *)
     print_string (Obs.Profile.utilization_report ());
@@ -721,8 +679,8 @@ let profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(
-      const run $ workload_opt_arg $ jobs_arg $ ms_arg $ cache_term
-      $ profile_file_arg $ flame_arg)
+      const run $ workload_opt_arg $ jobs_arg $ ms_arg $ profile_file_arg
+      $ flame_arg)
 
 let report_cmd =
   let doc =

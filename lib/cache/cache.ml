@@ -1,8 +1,7 @@
-(* Content-addressed memo tables, one LRU shard per domain (or one
-   locked shard for a [~shared] table).  The
-   hot-path contract matches Obs: every entry point first tests
-   [enabled_flag], so a disabled build runs the thunk directly and
-   touches no table (not even the domain-local-storage read). *)
+(* Content-addressed memo tables, each one LRU shard behind its own
+   lock.  The hot-path contract matches Obs: [find_opt] and [add]
+   first test [enabled_flag], so a disabled build touches no table
+   and takes no lock. *)
 
 let enabled_flag = ref false
 let enable () = enabled_flag := true
@@ -113,21 +112,15 @@ let entries_oldest_first sh =
 (* Registry of tables                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Everything the module-level operations (clear, stats, save, load,
-   capture) need from a table, with the value type hidden behind
-   closures.  Tables are created at module initialization on the main
-   domain, but tests create them dynamically too, so the list is
-   mutex-protected; a per-domain shard needs no lock, a shared one
-   takes its own. *)
+(* Everything the module-level operations (clear, stats, save, load)
+   need from a table, with the value type hidden behind closures.
+   Tests create tables dynamically, so the list is mutex-protected;
+   each table takes its own lock. *)
 type ops = {
   o_name : string;
   o_schema : string;
   o_clear : unit -> unit;
   o_stats : unit -> stats;
-  (* capture support: swap in a fresh shard, returning an [undo] that
-     restores the previous shard and yields the captured one as a
-     merge closure (run later, on the merging domain). *)
-  o_swap_fresh : unit -> unit -> unit -> unit;
   (* persistence: marshalled (key, value) pairs, oldest-first *)
   o_dump : unit -> (string * string) list;
   o_absorb : (string * string) list -> unit;
@@ -171,39 +164,9 @@ let stats () =
 (* ------------------------------------------------------------------ *)
 
 module Memo = struct
-  (* A table keeps one shard per domain, or — for a table every thread
-     and domain must see ([~shared:true]) — one shard behind a lock. *)
-  type 'a store = Local of 'a shard Domain.DLS.key | Shared of Mutex.t * 'a shard
+  type 'a t = { capacity : int; mu : Mutex.t; shard : 'a shard }
 
-  type 'a t = { name : string; capacity : int; store : 'a store }
-
-  (* run [f] on the shard this caller sees, under the lock if shared *)
-  let with_shard t f =
-    match t.store with
-    | Local key -> f (Domain.DLS.get key)
-    | Shared (mu, sh) -> Mutex.protect mu (fun () -> f sh)
-
-  (* capture support for a per-domain table; a shared one is left
-     alone: the worker slot and the caller already see the same shard *)
-  let swap_fresh t () =
-    match t.store with
-    | Shared _ -> fun () () -> ()
-    | Local key ->
-      let prev = Domain.DLS.get key in
-      Domain.DLS.set key (new_shard ());
-      fun () ->
-        let captured = Domain.DLS.get key in
-        Domain.DLS.set key prev;
-        fun () ->
-          (* merge closure, run on the merging domain: replay through
-             the normal insertion path so capacity holds there too *)
-          let dst = Domain.DLS.get key in
-          List.iter
-            (fun (k, v) -> put dst ~capacity:t.capacity k v)
-            (entries_oldest_first captured);
-          dst.s_hits <- dst.s_hits + captured.s_hits;
-          dst.s_misses <- dst.s_misses + captured.s_misses;
-          dst.s_evictions <- dst.s_evictions + captured.s_evictions
+  let with_shard t f = Mutex.protect t.mu (fun () -> f t.shard)
 
   let stats t =
     with_shard t (fun sh ->
@@ -214,20 +177,16 @@ module Memo = struct
           entries = Hashtbl.length sh.tbl;
         })
 
-  let create ?(capacity = 1024) ?(shared = false) ~name ~schema () =
-    let capacity = max 1 capacity in
-    let store =
-      if shared then Shared (Mutex.create (), new_shard ())
-      else Local (Domain.DLS.new_key new_shard)
+  let create ?(capacity = 1024) ~name ~schema () =
+    let t =
+      { capacity = max 1 capacity; mu = Mutex.create (); shard = new_shard () }
     in
-    let t = { name; capacity; store } in
     register
       {
         o_name = name;
         o_schema = schema;
         o_clear = (fun () -> with_shard t shard_clear);
         o_stats = (fun () -> stats t);
-        o_swap_fresh = swap_fresh t;
         o_dump =
           (fun () ->
             (* list under the lock, marshal outside it: values are
@@ -265,16 +224,6 @@ module Memo = struct
   let add t ~key v =
     if !enabled_flag then with_shard t (fun sh -> put sh ~capacity:t.capacity key v)
 
-  let find_or_compute t ~key f =
-    if not !enabled_flag then f ()
-    else
-      match find_opt t key with
-      | Some v -> v
-      | None ->
-        let v = f () in
-        add t ~key v;
-        v
-
   let mem t key = with_shard t (fun sh -> Hashtbl.mem sh.tbl key)
   let length t = with_shard t (fun sh -> Hashtbl.length sh.tbl)
   let capacity t = t.capacity
@@ -286,23 +235,6 @@ module Memo = struct
     in
     with_shard t (fun sh -> walk [] sh.first)
 end
-
-(* ------------------------------------------------------------------ *)
-(* Parallel workers                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let capture f =
-  if not !enabled_flag then (f (), ignore)
-  else begin
-    let undos = List.map (fun o -> o.o_swap_fresh ()) (registered ()) in
-    match f () with
-    | v ->
-      let merges = List.map (fun undo -> undo ()) undos in
-      (v, fun () -> List.iter (fun m -> m ()) merges)
-    | exception e ->
-      List.iter (fun undo -> ignore (undo () : unit -> unit)) undos;
-      raise e
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Persistence                                                         *)

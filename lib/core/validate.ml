@@ -17,7 +17,7 @@ let domain_points (s : Loopnest.stmt) =
 
 let vec_eq a b = Array.for_all2 ( = ) a b
 
-let check_uncached (r : Pipeline.result) =
+let check (r : Pipeline.result) =
   let nest = r.Pipeline.nest in
   let violations = ref [] in
   let report stmt label reason = violations := { stmt; label; reason } :: !violations in
@@ -146,65 +146,5 @@ let check_uncached (r : Pipeline.result) =
       | _ -> ())
     r.Pipeline.plan;
   List.rev !violations
-
-(* The brute-force enumeration is the sweep's single most expensive
-   step (quadratic in the capped domain), and a pure function of what
-   it enumerates.  The key spells out exactly the inputs [check]
-   reads per entry: the statement's extents, its schedule row, the
-   access map, the two allocation matrices and the claimed
-   classification.  Two results agreeing on all of those validate
-   identically, whatever nest they came from. *)
-let memo : violation list Cache.Memo.t =
-  Cache.Memo.create ~name:"validate.check" ~schema:"v1" ()
-
-let check_key (r : Pipeline.result) =
-  let nest = r.Pipeline.nest in
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun (e : Commplan.entry) ->
-      let s = Loopnest.find_stmt nest e.Commplan.stmt in
-      let a =
-        List.find
-          (fun (a : Loopnest.access) ->
-            (if a.Loopnest.label = "" then a.Loopnest.array_name else a.Loopnest.label)
-            = e.Commplan.label)
-          s.Loopnest.accesses
-      in
-      let theta = Schedule.theta r.Pipeline.schedule s.Loopnest.stmt_name in
-      let alloc_enc v =
-        match Alignment.Alloc.alloc_of r.Pipeline.alloc v with
-        | m -> Mat.encode m
-        | exception Not_found -> "-"
-      in
-      let ints l = String.concat "," (List.map string_of_int l) in
-      let class_tag =
-        match e.Commplan.classification with
-        | Commplan.Local -> "L"
-        | Commplan.Translation o -> "T" ^ ints (Array.to_list o)
-        | Commplan.Reduction _ -> "R"
-        | Commplan.Broadcast _ -> "B"
-        | Commplan.Scatter _ -> "S"
-        | Commplan.Gather _ -> "G"
-        | Commplan.Decomposed _ -> "D"
-        | Commplan.General _ -> "N"
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "%s/%s[%s]t%s f%s c%s p%s o%s %s%b;" e.Commplan.stmt
-           e.Commplan.label
-           (ints (Array.to_list s.Loopnest.extent))
-           (Mat.encode theta)
-           (Mat.encode a.Loopnest.map.Affine.f)
-           (ints (Array.to_list a.Loopnest.map.Affine.c))
-           (alloc_enc (Alignment.Access_graph.Stmt_v e.Commplan.stmt))
-           (alloc_enc (Alignment.Access_graph.Array_v e.Commplan.array_name))
-           class_tag e.Commplan.vectorizable))
-    r.Pipeline.plan;
-  Buffer.contents buf
-
-let check r =
-  if not (Cache.enabled ()) then check_uncached r
-  else
-    Cache.Memo.find_or_compute memo ~key:(check_key r) (fun () ->
-        check_uncached r)
 
 let is_valid r = check r = []

@@ -269,17 +269,3 @@ let pp_flat ppf m =
   Format.fprintf ppf "]"
 
 let to_string m = Format.asprintf "%a" pp m
-
-let encode m =
-  let buf = Buffer.create (16 + (4 * m.r * m.c)) in
-  Buffer.add_string buf (string_of_int m.r);
-  Buffer.add_char buf 'x';
-  Buffer.add_string buf (string_of_int m.c);
-  Buffer.add_char buf ':';
-  for i = 0 to m.r - 1 do
-    for j = 0 to m.c - 1 do
-      if i > 0 || j > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (string_of_int m.a.(i).(j))
-    done
-  done;
-  Buffer.contents buf

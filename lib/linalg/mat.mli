@@ -96,9 +96,3 @@ val to_string : t -> string
 
 val pp_flat : Format.formatter -> t -> unit
 (** One-line rendering [[a b; c d]], convenient in reports. *)
-
-val encode : t -> string
-(** Canonical content key, ["RxC:e00,e01,..."] in row-major order:
-    equal matrices encode equally and different matrices differently.
-    Memo keys built above this library (Validate's) spell matrices
-    this way. *)

@@ -11,13 +11,12 @@ type record = {
   metric : string;
   value : float;
   jobs : int option;
-  cache_on : bool;
   faults : string;
   git_rev : string;
   timestamp : string;
 }
 
-let make ?jobs ?(cache_on = false) ?(faults = "") ?(git_rev = "")
+let make ?jobs ?(faults = "") ?(git_rev = "")
     ?(timestamp = "") ~experiment ~metric value =
   {
     version = schema_version;
@@ -25,7 +24,6 @@ let make ?jobs ?(cache_on = false) ?(faults = "") ?(git_rev = "")
     metric;
     value;
     jobs;
-    cache_on;
     faults;
     git_rev;
     timestamp;
@@ -44,10 +42,10 @@ let json_num v =
 
 let to_line r =
   Printf.sprintf
-    "{\"v\":%d,\"experiment\":%s,\"metric\":%s,\"value\":%s,\"jobs\":%s,\"cache\":%b,\"faults\":%s,\"rev\":%s,\"ts\":%s}"
+    "{\"v\":%d,\"experiment\":%s,\"metric\":%s,\"value\":%s,\"jobs\":%s,\"faults\":%s,\"rev\":%s,\"ts\":%s}"
     r.version (Json.str r.experiment) (Json.str r.metric) (json_num r.value)
     (match r.jobs with None -> "null" | Some j -> string_of_int j)
-    r.cache_on (Json.str r.faults) (Json.str r.git_rev) (Json.str r.timestamp)
+    (Json.str r.faults) (Json.str r.git_rev) (Json.str r.timestamp)
 
 (* ------------------------------------------------------------------ *)
 (* JSON reading (minimal recursive-descent parser)                     *)
@@ -241,7 +239,6 @@ let of_line line =
             (match find "jobs" with
             | Some (Num j) -> Some (int_of_float j)
             | _ -> None);
-          cache_on = (match find "cache" with Some (Bool b) -> b | _ -> false);
           faults = Option.value ~default:"" (str "faults");
           git_rev = Option.value ~default:"" (str "rev");
           timestamp = Option.value ~default:"" (str "ts");

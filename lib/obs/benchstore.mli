@@ -18,7 +18,6 @@ type record = {
   metric : string;  (** dotted metric path, e.g. ["rates.0.ev_direct_cycles"] *)
   value : float;
   jobs : int option;  (** worker count, when the experiment is parallel *)
-  cache_on : bool;
   faults : string;  (** fault-spec string, [""] when none *)
   git_rev : string;  (** passed in by the caller, never shelled out here *)
   timestamp : string;  (** ISO-8601 UTC, passed in by the caller *)
@@ -26,7 +25,6 @@ type record = {
 
 val make :
   ?jobs:int ->
-  ?cache_on:bool ->
   ?faults:string ->
   ?git_rev:string ->
   ?timestamp:string ->
@@ -40,7 +38,9 @@ val to_line : record -> string
 
 val of_line : string -> (record, string) result
 (** Parse one line; [Error] on malformed JSON, missing fields or a
-    schema-version mismatch. *)
+    schema-version mismatch.  Keys it does not know are ignored, so
+    older history lines, such as those carrying a ["cache"] flag,
+    still load. *)
 
 val append : string -> record list -> unit
 (** [append file records] appends one line per record, creating the

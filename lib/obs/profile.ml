@@ -227,7 +227,6 @@ type diagnosis = {
   d_work_us : float;
   d_gc_us : float;
   d_spawn_us : float;
-  d_merge_us : float;
   d_idle_us : float;
   d_minor : int;
   d_major : int;
@@ -251,18 +250,17 @@ let window ts es =
   if lo < 0.0 then (0.0, 0.0) else (lo, hi)
 
 (* Measured cost model: running [items] items of mean cost [w] on [d]
-   domains costs one spawn per extra domain, the work divided over at
-   most [cores] truly concurrent domains, and one merge per slot.
+   domains costs one spawn per extra domain and the work divided over
+   at most [cores] truly concurrent domains.
    Oversubscribing past [cores] therefore only ever adds overhead —
    which is exactly what the committed 0.355x BENCH_par.json measured
    on a 1-core container. *)
-let recommend ~cores ~items ~work_us ~spawn_us ~merge_us =
+let recommend ~cores ~items ~work_us ~spawn_us =
   let cores = max 1 cores in
   let w = if items > 0 then work_us /. float_of_int items else 0.0 in
   let pred d =
     (spawn_us *. float_of_int (d - 1))
     +. (float_of_int items *. w /. float_of_int (min d cores))
-    +. (merge_us *. float_of_int d)
   in
   let best = ref 1 and best_cost = ref (pred 1) in
   for d = 2 to max 8 cores do
@@ -311,10 +309,7 @@ let diagnose ?cores () =
         0.0 es
     in
     let spawn = sum_events (fun k -> k = "spawn" || k = "teardown") in
-    let merge =
-      sum_events (fun k -> String.length k >= 5 && String.sub k 0 5 = "merge")
-    in
-    let covered = work +. gc +. spawn +. merge in
+    let covered = work +. gc +. spawn in
     let idle = Float.max 0.0 (budget -. covered) in
     let attributed =
       if budget > 0.0 then Float.min 1.0 ((covered +. idle) /. budget) else 1.0
@@ -323,17 +318,8 @@ let diagnose ?cores () =
     let spawn_events =
       List.length (List.filter (fun e -> e.e_kind = "spawn") es)
     in
-    let merge_events =
-      List.length
-        (List.filter
-           (fun e -> String.length e.e_kind >= 5 && String.sub e.e_kind 0 5 = "merge")
-           es)
-    in
     let spawn_per = if spawn_events > 0 then spawn /. float_of_int spawn_events else 0.0 in
-    let merge_per = if merge_events > 0 then merge /. float_of_int merge_events else 0.0 in
-    let recommended =
-      recommend ~cores ~items ~work_us:work ~spawn_us:spawn_per ~merge_us:merge_per
-    in
+    let recommended = recommend ~cores ~items ~work_us:work ~spawn_us:spawn_per in
     Some
       {
         d_jobs = jobs;
@@ -343,7 +329,6 @@ let diagnose ?cores () =
         d_work_us = work;
         d_gc_us = gc;
         d_spawn_us = spawn;
-        d_merge_us = merge;
         d_idle_us = idle;
         d_minor = minor;
         d_major = major;
@@ -426,22 +411,13 @@ let utilization_report ?cores () =
         (ms (Telemetry.percentile durs 99.0)));
     let es = events () in
     let lifecycle kind =
-      let matching =
-        List.filter
-          (fun e ->
-            e.e_kind = kind
-            || String.length e.e_kind > String.length kind
-               && String.sub e.e_kind 0 (String.length kind) = kind)
-          es
-      in
+      let matching = List.filter (fun e -> e.e_kind = kind) es in
       ( List.length matching,
         List.fold_left (fun acc e -> acc +. e.e_dur_us) 0.0 matching )
     in
     let ns, ds = lifecycle "spawn" in
-    let nm, dm = lifecycle "merge" in
     let nt, dt = lifecycle "teardown" in
-    pr "lifecycle: %d spawns %.3f ms, %d merges %.3f ms, %d teardowns %.3f ms\n"
-      ns (ms ds) nm (ms dm) nt (ms dt);
+    pr "lifecycle: %d spawns %.3f ms, %d teardowns %.3f ms\n" ns (ms ds) nt (ms dt);
     pr "diagnosis (budget %d x %.3f ms = %.3f ms):\n" d.d_width (ms d.d_wall_us)
       (ms d.d_budget_us);
     let bucket name v =
@@ -452,7 +428,6 @@ let utilization_report ?cores () =
     bucket "work" d.d_work_us;
     bucket "gc" d.d_gc_us;
     bucket "spawn" d.d_spawn_us;
-    bucket "merge" d.d_merge_us;
     bucket "idle" d.d_idle_us;
     pr "  gc pressure: %d minor + %d major collections, %.0f promoted words\n"
       d.d_minor d.d_major d.d_promoted;

@@ -3,18 +3,17 @@
 
     {!Obs} spans answer "where did the time go between phases"; this
     module answers the scheduling questions the spans cannot: how busy
-    was each worker domain, what did domain spawns and cache-shard
-    merges cost, how large were the task chunks, and how much garbage
-    collection each worker induced.  {!Par.run_tasks} records one
-    {!task} per chunk it drains (plus [spawn]/[merge.cache]/[teardown]
-    lifecycle {!event}s), {!Resopt.Sweep} and {!Decomp.Search} nest
-    labelled tasks inside those chunks for per-cell / per-slice
-    attribution, and the renderers below turn the recordings into an
-    ASCII utilization report, a collapsed-stack file for flamegraph
-    tools, Chrome-trace rows (merged into {!Obs.chrome_trace}) and a
-    diagnosis that buckets the wall-clock budget into
-    work / GC / spawn / merge / idle and derives a measured
-    [recommended_domains].
+    was each worker domain, what did domain spawns and teardowns cost,
+    how large were the task chunks, and how much garbage collection
+    each worker induced.  {!Par.run_tasks} records one {!task} per
+    chunk it drains (plus [spawn]/[teardown] lifecycle {!event}s),
+    {!Resopt.Sweep} and {!Decomp.Search} nest labelled tasks inside
+    those chunks for per-cell / per-slice attribution, and the
+    renderers below turn the recordings into an ASCII utilization
+    report, a collapsed-stack file for flamegraph tools, Chrome-trace
+    rows (merged into {!Obs.chrome_trace}) and a diagnosis that
+    buckets the wall-clock budget into work / GC / spawn / idle and
+    derives a measured [recommended_domains].
 
     Like the rest of [lib/obs] the module is dependency-free and off
     by default: until {!enable} is called every recording entry point
@@ -73,9 +72,7 @@ val task : ?index:int -> ?size:int -> string -> (unit -> 'a) -> 'a
 
 val event : string -> (unit -> 'a) -> 'a
 (** [event kind f] — like {!task} but for pool lifecycle work that is
-    not task execution: [kind] is ["spawn"], ["teardown"] or
-    ["merge.cache"], the fold of one worker slot's cache shards
-    ({!Cache.capture}) that {!Par} runs after the join.  No GC
+    not task execution: [kind] is ["spawn"] or ["teardown"].  No GC
     accounting, no stack. *)
 
 (** {1 Recorded data} *)
@@ -129,8 +126,7 @@ type diagnosis = {
   d_budget_us : float;  (** [wall * width]: the time being attributed *)
   d_work_us : float;  (** top-level task time minus the GC estimate *)
   d_gc_us : float;  (** estimated from collection counts (see below) *)
-  d_spawn_us : float;
-  d_merge_us : float;
+  d_spawn_us : float;  (** spawn and teardown events *)
   d_idle_us : float;  (** budget not covered by any bucket above *)
   d_minor : int;
   d_major : int;
@@ -145,14 +141,14 @@ val diagnose : ?cores:int -> unit -> diagnosis option
     worker's clock).  [work] is the per-worker top-level busy time
     (nested tasks are not double-counted) minus the GC estimate, [gc]
     prices the recorded collection counts at the pause cost calibrated
-    by {!enable}, [spawn]/[merge] sum the lifecycle events, and [idle]
-    is the uncovered remainder — on an oversubscribed machine this is
+    by {!enable}, [spawn] sums the lifecycle events, and [idle] is
+    the uncovered remainder — on an oversubscribed machine this is
     where the missing speedup shows up.  [d_recommended] minimizes the
     measured cost model
-    [spawn_per_domain * (d - 1) + items * work_per_item / min d cores
-     + merge_per_slot * d] over [d]; [cores] defaults to
-    [Domain.recommended_domain_count ()] and is overridable for
-    deterministic tests.  [None] when nothing was recorded. *)
+    [spawn_per_domain * (d - 1) + items * work_per_item / min d cores]
+    over [d]; [cores] defaults to [Domain.recommended_domain_count ()]
+    and is overridable for deterministic tests.  [None] when nothing
+    was recorded. *)
 
 (** {1 Renderers} *)
 

@@ -215,14 +215,8 @@ let run_tasks pool n task =
       end
     in
     (* Obs, Telemetry and Profile record into shared stores; a slot
-       only needs its worker id set and, for the memo cache, its own
-       shards, folded back after the join. *)
-    let merges = Array.make slots ignore in
-    Pool.run pool (fun slot ->
-        Obs.Profile.with_worker slot (fun () ->
-            let (), merge = Cache.capture drain in
-            merges.(slot) <- merge));
-    Array.iter (fun merge -> Obs.Profile.event "merge.cache" merge) merges;
+       only needs its worker id set. *)
+    Pool.run pool (fun slot -> Obs.Profile.with_worker slot drain);
     match Atomic.get err with
     | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ()

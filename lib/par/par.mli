@@ -22,11 +22,8 @@
     histogram totals therefore match a sequential run, every span
     recorded inside a task carries a [("worker", <slot>)] arg, and
     simulation runs recorded on workers land in
-    {!Obs.Telemetry.runs}.  The memo cache is the one per-domain state
-    left: each slot runs its whole drain loop inside {!Cache.capture},
-    and at join the caller folds the slots' shards back, slot by slot,
-    each as a ["merge.cache"] {!Obs.Profile.event}, so the [cache.*]
-    counters still satisfy [hits + misses = lookups].
+    {!Obs.Telemetry.runs}.  A slot keeps no state of its own, so
+    nothing is folded back at join.
 
     Pools are coordinated from one domain at a time: do not share a
     pool between concurrent orchestrators, and do not call a

@@ -1,9 +1,7 @@
 (* The serving loop.  Threading rules, which every edit must keep:
 
-   - Only the solver thread solves, and only it touches Par or the
-     per-domain Cache shards (Domain.DLS, shared by every systhread of
-     the domain).
-   - The response memo is one shared Cache table with its own lock.
+   - Only the solver thread solves, and only it touches Par.
+   - The response memo is one Cache table with its own lock.
      Connection threads look requests up in it and answer the hits;
      the solver adds each solve.  Both do so under the server mutex
      (then the memo's lock), so no key is both memoized and in flight.
@@ -74,12 +72,11 @@ let address t = t.bound
    loop makes kill -9-proof.  Keyed by [Wire.work_key], holding
    seed-free [Answer.solved] values (schema 2; schema 1 held answer
    strings keyed by [Wire.solve_key], and [Cache.load] skips it).
-   Shared, so connection threads still see it while [Par] swaps the
-   solver domain's shards.  Lazy so binaries that link the library but
-   never serve register nothing. *)
+   Lazy so binaries that link the library but never serve register
+   nothing. *)
 let response_memo : Answer.solved Cache.Memo.t Lazy.t =
   lazy
-    (Cache.Memo.create ~capacity:512 ~shared:true ~name:"serve.responses"
+    (Cache.Memo.create ~capacity:512 ~name:"serve.responses"
        ~schema:"resopt-serve/2" ())
 
 let locked t f =
@@ -356,8 +353,7 @@ let observe_bounds (req : Wire.request) =
        with _ -> ())
 
 (* Every queued run missed the memo at admission.  Distinct misses fan
-   out over the pool (Par merges each worker's per-domain cache shards
-   back here at join; workers record into the shared Obs store). *)
+   out over the pool (workers record into the shared Obs store). *)
 let solve_batch t (runs : entry list) =
   (* bound every solved (workload, m) once, so stats answers carry
      efficiency next to the latency percentiles *)

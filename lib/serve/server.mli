@@ -6,15 +6,14 @@
     thread solves.  Connection threads read and refresh the response
     memo under its lock, and answer a hit themselves at admission;
     only a miss is queued for the solver, which alone solves and alone
-    touches per-domain ambient state ({!Par}, per-domain {!Cache}
-    shards).  The memo is a shared {!Cache} table, one for every
-    thread and domain, so a {!Par} fan-out on the solver's domain
-    cannot hide it from the connection threads.  A miss waits on one
-    wakeup pipe per connection.  No wakeup byte outlives its request:
-    a waiter that finds its solve finished reads back the one byte the
-    solver wrote for it, and a waiter that times out unregisters
-    before the solver can write.  {!Obs} records into one
-    mutex-guarded store from any thread.
+    touches {!Par}.  The memo is one {!Cache} table under its own
+    lock, which every thread and domain sees, so a {!Par} fan-out on
+    the solver's domain cannot hide it from the connection threads.
+    A miss waits on one wakeup pipe per connection.  No wakeup byte
+    outlives its request: a waiter that finds its solve finished reads
+    back the one byte the solver wrote for it, and a waiter that times
+    out unregisters before the solver can write.  {!Obs} records into
+    one mutex-guarded store from any thread.
 
     Robustness contract, each piece visible to clients as a structured
     response rather than a hung or dropped connection:

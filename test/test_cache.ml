@@ -1,8 +1,8 @@
-(* The memo-cache layer: LRU mechanics, persistence hygiene, worker
-   merging, which paths memoize, and — the property the whole
-   subsystem rests on — that caching never changes a result: a
-   memoized path produces byte-identical output with the cache off,
-   on and warm. *)
+(* The memo-cache layer: LRU mechanics, one table shared by every
+   domain, persistence hygiene, which paths memoize (none but the
+   server's), and — the property the whole subsystem rests on — that
+   caching never changes a result: output is byte-identical with the
+   cache off, on and warm. *)
 
 open Linalg
 
@@ -22,9 +22,20 @@ let temp_file () = Filename.temp_file "resopt_cache" ".bin"
 (* LRU mechanics                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The memoizing lookup a caller builds from the table's two halves,
+   as the server does: with the cache off it is just the thunk, and a
+   raising thunk stores nothing. *)
+let find_or_compute t ~key f =
+  match Cache.Memo.find_opt t key with
+  | Some v -> v
+  | None ->
+    let v = f () in
+    Cache.Memo.add t ~key v;
+    v
+
 let lru = Cache.Memo.create ~capacity:3 ~name:"test.lru" ~schema:"v1" ()
 
-let get t key = Cache.Memo.find_or_compute t ~key (fun () -> "v:" ^ key)
+let get t key = find_or_compute t ~key (fun () -> "v:" ^ key)
 
 let test_lru_eviction_order () =
   fresh @@ fun () ->
@@ -45,7 +56,7 @@ let test_capacity_bound () =
   fresh @@ fun () ->
   let t = Cache.Memo.create ~capacity:8 ~name:"test.bound" ~schema:"v1" () in
   for i = 0 to 99 do
-    ignore (Cache.Memo.find_or_compute t ~key:(string_of_int i) (fun () -> i))
+    ignore (find_or_compute t ~key:(string_of_int i) (fun () -> i))
   done;
   Alcotest.(check int) "never exceeds capacity" 8 (Cache.Memo.length t);
   Alcotest.(check int) "evicted the rest" 92 (Cache.Memo.stats t).Cache.evictions;
@@ -58,7 +69,7 @@ let test_hit_miss_tallies () =
   let t = Cache.Memo.create ~name:"test.tallies" ~schema:"v1" () in
   let runs = ref 0 in
   let look key =
-    Cache.Memo.find_or_compute t ~key (fun () -> incr runs; !runs)
+    find_or_compute t ~key (fun () -> incr runs; !runs)
   in
   let first = look "k" in
   let second = look "k" in
@@ -72,11 +83,17 @@ let test_disabled_is_passthrough () =
   Alcotest.(check bool) "cache off" false (Cache.enabled ());
   let t = Cache.Memo.create ~name:"test.disabled" ~schema:"v1" () in
   let runs = ref 0 in
-  let look () = Cache.Memo.find_or_compute t ~key:"k" (fun () -> incr runs) in
+  let look () = find_or_compute t ~key:"k" (fun () -> incr runs) in
+  Obs.enable ();
+  Fun.protect ~finally:(fun () -> Obs.reset (); Obs.disable ()) @@ fun () ->
+  Obs.reset ();
   look ();
   look ();
   Alcotest.(check int) "thunk runs every time" 2 !runs;
-  Alcotest.(check int) "nothing stored" 0 (Cache.Memo.length t)
+  Alcotest.(check int) "nothing stored" 0 (Cache.Memo.length t);
+  let s = Cache.Memo.stats t in
+  Alcotest.(check (list int)) "nothing counted" [ 0; 0; 0 ]
+    [ s.Cache.hits; s.Cache.misses; Obs.counter "cache.lookups" ]
 
 let test_scoped_restores () =
   Cache.disable ();
@@ -92,83 +109,50 @@ let test_raising_thunk_not_cached () =
   fresh @@ fun () ->
   let t = Cache.Memo.create ~name:"test.raise" ~schema:"v1" () in
   (try
-     ignore (Cache.Memo.find_or_compute t ~key:"k" (fun () -> failwith "no"))
+     ignore (find_or_compute t ~key:"k" (fun () -> failwith "no"))
    with Failure _ -> ());
   Alcotest.(check bool) "failure not stored" false (Cache.Memo.mem t "k");
-  let v = Cache.Memo.find_or_compute t ~key:"k" (fun () -> 41) in
+  let v = find_or_compute t ~key:"k" (fun () -> 41) in
   Alcotest.(check int) "later success stored" 41 v;
   Alcotest.(check bool) "stored now" true (Cache.Memo.mem t "k")
 
-(* The split lookup: [find_opt], then [add] on a miss, must leave the
-   table and every tally where [find_or_compute] leaves them, and never
-   invent a value — [None] after eviction and while disabled. *)
-let test_find_opt_matches_find_or_compute () =
-  let a = Cache.Memo.create ~capacity:2 ~name:"test.split.whole" ~schema:"v1" () in
-  let b = Cache.Memo.create ~capacity:2 ~name:"test.split.halves" ~schema:"v1" () in
-  let obs () =
-    List.map Obs.counter [ "cache.lookups"; "cache.hits"; "cache.misses"; "cache.evictions" ]
-  in
-  let tallies t =
-    let s = Cache.Memo.stats t in
-    (s.Cache.hits, s.Cache.misses, s.Cache.evictions, s.Cache.entries)
-  in
-  let whole key = ignore (get a key) in
-  let halves key =
-    match Cache.Memo.find_opt b key with
-    | Some v -> Alcotest.(check string) ("stored value of " ^ key) ("v:" ^ key) v
-    | None -> Cache.Memo.add b ~key ("v:" ^ key)
-  in
+(* One table, every domain: four domains look up and insert
+   overlapping keys at once.  Each sees the others' inserts, so every
+   key ends up stored once, and no lookup goes uncounted. *)
+let test_one_table_across_domains () =
+  let t = Cache.Memo.create ~name:"test.domains" ~schema:"v1" () in
+  let domains = 4 and per_domain = 200 and keys = 300 in
+  let key_of d i = (i + (d * 50)) mod keys in
   Obs.enable ();
   Fun.protect ~finally:(fun () -> Obs.reset (); Obs.disable ()) @@ fun () ->
   fresh @@ fun () ->
-  let trace = [ "x"; "x"; "y"; "x"; "z"; "y"; "x"; "z"; "z" ] in
-  let moved run =
-    Obs.reset ();
-    List.iter run trace;
-    obs ()
-  in
-  let by_whole = moved whole in
-  let by_halves = moved halves in
-  Alcotest.(check (list int)) "same Obs counter moves" by_whole by_halves;
-  Alcotest.(check bool) "the trace hit, missed and evicted" true
-    (List.for_all (fun n -> n > 0) by_whole);
-  Alcotest.(check (pair (pair int int) (pair int int))) "same table tallies"
-    (let h, m, e, n = tallies a in ((h, m), (e, n)))
-    (let h, m, e, n = tallies b in ((h, m), (e, n)));
-  Alcotest.(check (list string)) "same recency order" (Cache.Memo.keys a)
-    (Cache.Memo.keys b);
-  Alcotest.(check (option string)) "evicted key" None (Cache.Memo.find_opt b "y");
-  Alcotest.(check (option string)) "kept key" (Some "v:z") (Cache.Memo.find_opt b "z");
-  Cache.scoped ~enable:false (fun () ->
-      let before = (tallies b, obs ()) in
-      Alcotest.(check (option string)) "disabled finds nothing" None
-        (Cache.Memo.find_opt b "z");
-      Cache.Memo.add b ~key:"w" "v:w";
-      Alcotest.(check bool) "disabled counts and stores nothing" true
-        (before = (tallies b, obs ())))
-
-(* ------------------------------------------------------------------ *)
-(* Worker capture / merge                                              *)
-(* ------------------------------------------------------------------ *)
-
-let test_worker_merge () =
-  fresh @@ fun () ->
-  let t = Cache.Memo.create ~name:"test.worker" ~schema:"v1" () in
-  ignore (Cache.Memo.find_or_compute t ~key:"parent" (fun () -> 0));
-  let (), merge =
-    Cache.capture (fun () ->
-        Alcotest.(check bool) "fresh shard inside" false
-          (Cache.Memo.mem t "parent");
-        ignore (Cache.Memo.find_or_compute t ~key:"w1" (fun () -> 1));
-        ignore (Cache.Memo.find_or_compute t ~key:"w2" (fun () -> 2)))
-  in
-  Alcotest.(check bool) "parent restored" true (Cache.Memo.mem t "parent");
-  Alcotest.(check bool) "not merged yet" false (Cache.Memo.mem t "w1");
-  merge ();
-  Alcotest.(check bool) "w1 merged" true (Cache.Memo.mem t "w1");
-  Alcotest.(check bool) "w2 merged" true (Cache.Memo.mem t "w2");
+  Obs.reset ();
+  let wrong = Atomic.make 0 in
+  List.init domains (fun d ->
+      Domain.spawn (fun () ->
+          for i = 0 to per_domain - 1 do
+            let k = key_of d i in
+            let key = string_of_int k in
+            match Cache.Memo.find_opt t key with
+            | Some v -> if v <> k then Atomic.incr wrong
+            | None -> Cache.Memo.add t ~key k
+          done))
+  |> List.iter Domain.join;
+  let lookups = domains * per_domain in
   let s = Cache.Memo.stats t in
-  Alcotest.(check int) "misses summed across shards" 3 s.Cache.misses
+  Alcotest.(check int) "every hit returned its key's value" 0 (Atomic.get wrong);
+  Alcotest.(check bool) "every key present" true
+    (List.for_all
+       (fun d ->
+         List.for_all
+           (fun i -> Cache.Memo.mem t (string_of_int (key_of d i)))
+           (List.init per_domain Fun.id))
+       (List.init domains Fun.id));
+  Alcotest.(check int) "each key stored once" keys (Cache.Memo.length t);
+  Alcotest.(check int) "hits + misses = lookups" lookups (s.Cache.hits + s.Cache.misses);
+  Alcotest.(check (pair int int)) "Obs counts every lookup" (lookups, lookups)
+    ( Obs.counter "cache.lookups",
+      Obs.counter "cache.hits" + Obs.counter "cache.misses" )
 
 (* ------------------------------------------------------------------ *)
 (* Persistence                                                         *)
@@ -188,7 +172,7 @@ let test_save_load_roundtrip () =
   Alcotest.(check (list string)) "entries and recency restored" [ "c"; "b"; "a" ]
     (Cache.Memo.keys persist);
   let runs = ref 0 in
-  let v = Cache.Memo.find_or_compute persist ~key:"b" (fun () -> incr runs; "x") in
+  let v = find_or_compute persist ~key:"b" (fun () -> incr runs; "x") in
   Alcotest.(check int) "loaded entry is a hit" 0 !runs;
   Alcotest.(check string) "loaded value intact" "v:b" v
 
@@ -417,20 +401,19 @@ let test_curated_keep_no_table () =
   let s = Cache.stats () in
   Alcotest.(check (list int)) "hits, misses, entries" [ 0; 0; 0 ]
     [ s.Cache.hits; s.Cache.misses; s.Cache.entries ];
-  (* the validation memo is the one a sweep still hits *)
-  ignore (Resopt.Sweep.run ~cache:true ~ms:[ 2 ] ());
-  let cold = Cache.stats () in
-  ignore (Resopt.Sweep.run ~cache:true ~ms:[ 2 ] ());
-  let warm = Cache.stats () in
-  Alcotest.(check bool) "the cold sweep validated" true (cold.Cache.misses > 0);
-  Alcotest.(check int) "every warm lookup hits"
-    (cold.Cache.hits + cold.Cache.misses)
-    (warm.Cache.hits - cold.Cache.hits);
-  Alcotest.(check int) "the warm sweep misses nothing" cold.Cache.misses
-    warm.Cache.misses
+  (* nor does a sweep, with the cache on, sequential or parallel *)
+  List.iter
+    (fun jobs ->
+      ignore (Resopt.Sweep.run ~jobs ~cache:true ~ms:[ 2 ] ());
+      let s = Cache.stats () in
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "jobs-%d sweep: lookups, entries" jobs)
+        (0, 0)
+        (s.Cache.hits + s.Cache.misses, s.Cache.entries))
+    [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
-(* Parallel safety: shared cache under Par                             *)
+(* Parallel sweeps: the cache flag changes no row                      *)
 (* ------------------------------------------------------------------ *)
 
 let strip_rows rows =
@@ -460,23 +443,6 @@ let test_sweep_parallel_cache () =
   Alcotest.(check string) "CSV byte-identical" (Resopt.Sweep.to_csv uncached)
     (Resopt.Sweep.to_csv par)
 
-let test_counters_consistent_after_merge () =
-  Obs.enable ();
-  Obs.reset ();
-  Cache.clear ();
-  Fun.protect ~finally:(fun () ->
-      Cache.clear ();
-      Obs.reset ();
-      Obs.disable ())
-  @@ fun () ->
-  ignore (Resopt.Sweep.run ~jobs:4 ~ms:[ 1; 2 ] ~cache:true ());
-  let lookups = Obs.counter "cache.lookups" in
-  let hits = Obs.counter "cache.hits" in
-  let misses = Obs.counter "cache.misses" in
-  Alcotest.(check bool) "cache was exercised" true (lookups > 0);
-  Alcotest.(check int) "hits + misses = lookups after worker merge" lookups
-    (hits + misses)
-
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -492,10 +458,9 @@ let () =
           Alcotest.test_case "scoped restores" `Quick test_scoped_restores;
           Alcotest.test_case "raising thunk not cached" `Quick
             test_raising_thunk_not_cached;
-          Alcotest.test_case "find_opt = find_or_compute" `Quick
-            test_find_opt_matches_find_or_compute;
+          Alcotest.test_case "one table across domains" `Quick
+            test_one_table_across_domains;
         ] );
-      ("worker", [ Alcotest.test_case "capture and merge" `Quick test_worker_merge ]);
       ( "persistence",
         [
           Alcotest.test_case "save/load roundtrip" `Quick test_save_load_roundtrip;
@@ -521,7 +486,5 @@ let () =
         [
           Alcotest.test_case "sweep: cached/parallel = uncached" `Quick
             test_sweep_parallel_cache;
-          Alcotest.test_case "counters consistent after merge" `Quick
-            test_counters_consistent_after_merge;
         ] );
     ]

@@ -688,7 +688,9 @@ let gen_flow ?(bound = 3) d =
       (fun rows -> Linalg.Mat.of_arrays (Array.of_list (List.map Array.of_list rows)))
       (list_repeat d (list_repeat d (int_range (-bound) bound))))
 
-let pp_flows fs = String.concat " " (List.map Linalg.Mat.encode fs)
+let pp_flat = Format.asprintf "%a" Linalg.Mat.pp_flat
+
+let pp_flows fs = String.concat " " (List.map pp_flat fs)
 
 (* The stats of [f ()] and every run it records. *)
 let traced f =
@@ -896,7 +898,7 @@ let walk_diff d =
       ~print:(fun (vgrid, flow, offset, rev) ->
         Printf.sprintf "vgrid [%s] flow %s offset %s rev=%b"
           (String.concat "x" (Array.to_list (Array.map string_of_int vgrid)))
-          (Linalg.Mat.encode flow)
+          (pp_flat flow)
           (match offset with
           | None -> "-"
           | Some o -> String.concat ";" (Array.to_list (Array.map string_of_int o)))

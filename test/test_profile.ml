@@ -1,7 +1,7 @@
 (* The scheduler profiler: a hand-computed utilization golden on a
    fake clock, collapsed-stack and diagnosis pins, GC-delta accounting
    units, and the no-observer-effect property (profiled runs produce
-   byte-identical results, including under --jobs 4 and --cache). *)
+   byte-identical results, including under --jobs 4). *)
 
 let t = ref 0.0
 let at ms = t := ms /. 1000.0 (* the clock is in seconds *)
@@ -22,10 +22,10 @@ let teardown () =
      0..1    spawn event
      1..5    worker 0: chunk (2 items), nesting cell:a over 2..4
      1..9    worker 1: chunk (2 items)
-     9..9.5  merge.obs        9.5..10  merge.cache
+     9..10   teardown event
 
    wall = 10 ms, width = 2 so the budget is 20 ms; busy = 4 + 8 = 12,
-   spawn = 1, merge = 1, idle = 20 - 14 = 6. *)
+   spawn = 1 + 1 (teardowns count as spawns), idle = 20 - 14 = 6. *)
 let scenario () =
   (* empty the minor heap so the few words the scenario allocates
      cannot trigger a collection mid-task: the GC columns are exactly
@@ -43,8 +43,7 @@ let scenario () =
       at 1.0;
       Obs.Profile.task "chunk" ~index:2 ~size:2 (fun () -> at 9.0));
   at 9.0;
-  Obs.Profile.event "merge.obs" (fun () -> at 9.5);
-  Obs.Profile.event "merge.cache" (fun () -> at 10.0)
+  Obs.Profile.event "teardown" (fun () -> at 10.0)
 
 (* ------------------------------------------------------------------ *)
 (* Recorded data                                                       *)
@@ -63,7 +62,7 @@ let test_records () =
     nested.Obs.Profile.t_stack;
   Alcotest.(check (float 1e-6)) "nested start" 2000.0 nested.Obs.Profile.t_start_us;
   Alcotest.(check (float 1e-6)) "nested dur" 2000.0 nested.Obs.Profile.t_dur_us;
-  Alcotest.(check int) "3 lifecycle events" 3
+  Alcotest.(check int) "2 lifecycle events" 2
     (List.length (Obs.Profile.events ()));
   (match Obs.Profile.pool_shape () with
   | Some (4, 2) -> ()
@@ -110,15 +109,15 @@ let test_diagnosis () =
   Alcotest.(check (float 1e-6)) "work" 12_000.0 d.Obs.Profile.d_work_us;
   Alcotest.(check (float 1e-6)) "gc (frozen clock => 0)" 0.0
     d.Obs.Profile.d_gc_us;
-  Alcotest.(check (float 1e-6)) "spawn" 1000.0 d.Obs.Profile.d_spawn_us;
-  Alcotest.(check (float 1e-6)) "merge" 1000.0 d.Obs.Profile.d_merge_us;
+  Alcotest.(check (float 1e-6)) "spawn + teardown" 2000.0 d.Obs.Profile.d_spawn_us;
   Alcotest.(check (float 1e-6)) "idle = budget - covered" 6000.0
     d.Obs.Profile.d_idle_us;
   Alcotest.(check (float 1e-9)) "everything attributed" 1.0
     d.Obs.Profile.d_attributed;
-  (* cost model by hand: items 4, 3 ms/item, spawn 1 ms/domain, merge
-     0.5 ms/slot => pred(1) = 12.5 ms, pred(2) = 8 ms, pred(3) = 9.5:
-     the measured optimum on 2 cores is 2 domains *)
+  (* cost model by hand: items 4, 3 ms/item, spawn 2 ms/domain (the
+     2 ms of spawn and teardown over the one spawn event) =>
+     pred(1) = 12 ms, pred(2) = 8 ms, pred(3) = 10 ms: the measured
+     optimum on 2 cores is 2 domains *)
   Alcotest.(check int) "recommended domains" 2 d.Obs.Profile.d_recommended;
   Alcotest.(check bool) "nothing recorded => no diagnosis" true
     (Obs.Profile.reset ();
@@ -138,12 +137,11 @@ let report_golden =
   \  w0  |....+###################........................|\n\
   \  w1  |....+######################################+....|\n\
    task granularity: count 2, mean 6.000 ms, p50 4.000 / p95 8.000 / p99 8.000 ms\n\
-   lifecycle: 1 spawns 1.000 ms, 2 merges 1.000 ms, 0 teardowns 0.000 ms\n\
+   lifecycle: 1 spawns 1.000 ms, 1 teardowns 1.000 ms\n\
    diagnosis (budget 2 x 10.000 ms = 20.000 ms):\n\
   \  work    60.0%       12.000 ms\n\
   \  gc       0.0%        0.000 ms\n\
-  \  spawn    5.0%        1.000 ms\n\
-  \  merge    5.0%        1.000 ms\n\
+  \  spawn   10.0%        2.000 ms\n\
   \  idle    30.0%        6.000 ms\n\
   \  gc pressure: 0 minor + 0 major collections, 0 promoted words\n\
   \  attributed: 100.0% of the budget\n\
@@ -172,7 +170,7 @@ let test_chrome_merge () =
   setup ();
   scenario ();
   let events = Obs.Profile.chrome_events () in
-  Alcotest.(check int) "3 tasks + 3 lifecycle events" 6 (List.length events);
+  Alcotest.(check int) "3 tasks + 2 lifecycle events" 5 (List.length events);
   let trace = Obs.chrome_trace () in
   let contains needle hay =
     let nl = String.length needle and hl = String.length hay in
@@ -249,11 +247,8 @@ let qcheck_no_observer_effect =
 
 let test_sweep_unaffected () =
   (* the CLI contract behind --profile: the sweep CSV is byte-identical
-     with the profiler on, under --jobs 4 and --cache *)
-  let run () =
-    Resopt.Sweep.to_csv
-      (Resopt.Sweep.run ~jobs:4 ~ms:[ 1; 2 ] ~cache:true ())
-  in
+     with the profiler on, under --jobs 4 *)
+  let run () = Resopt.Sweep.to_csv (Resopt.Sweep.run ~jobs:4 ~ms:[ 1; 2 ] ()) in
   let off = run () in
   setup ();
   let on = run () in
@@ -261,7 +256,7 @@ let test_sweep_unaffected () =
   Alcotest.(check bool) "profiler recorded the run" true
     (Obs.Profile.tasks () <> []);
   teardown ();
-  Alcotest.(check string) "profiled jobs-4 cached CSV = unprofiled" off on;
+  Alcotest.(check string) "profiled jobs-4 CSV = unprofiled" off on;
   Alcotest.(check string) "profiled parallel CSV = sequential" seq_on on;
   Par.Shared.shutdown_all ()
 

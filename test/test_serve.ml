@@ -327,7 +327,7 @@ let test_cache_save_atomic () =
     ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
     (fun () ->
       Cache.scoped ~enable:true (fun () ->
-          ignore (Cache.Memo.find_or_compute save_table ~key:"k" (fun () -> "v"));
+          Cache.Memo.add save_table ~key:"k" "v";
           Cache.save file;
           (* the temp staging file must be gone: only the complete,
              renamed-into-place file remains *)
@@ -691,7 +691,7 @@ let test_server_snapshot_restart_warm () =
         | Error e -> Alcotest.fail e
       in
       let a = with_server ~cache_file:file answer_of in
-      (* simulate the restart: drop every in-memory shard, then start a
+      (* simulate the restart: drop every in-memory entry, then start a
          fresh server on the snapshot file *)
       Cache.clear ();
       Alcotest.(check int) "cleared" 0 (Cache.stats ()).Cache.entries;
@@ -880,9 +880,9 @@ let test_hit_while_solver_busy () =
 
 let test_hits_during_par_fan_out () =
   (* at jobs 2 a batch of distinct misses fans out over Par, whose
-     slot 0 runs on the solver's own domain under Cache.capture; hits
-     arriving from another client meanwhile must still find the memo,
-     never miss and re-solve *)
+     slot 0 runs on the solver's own domain; hits arriving from
+     another client meanwhile must still find the memo, never miss and
+     re-solve *)
   let warm =
     [ Wire.run ~m:1 "example1"; Wire.run ~m:2 "gauss";
       Wire.run ~m:1 ~faults:"flaky:0.1" ~fseed:1 "transpose" ]
@@ -957,6 +957,42 @@ let test_restart_answers_from_memo () =
   Alcotest.(check int) "every request a hit" (List.length again)
     (stats_value c "responses_hits")
 
+(* serve_parent.cache was written by [serve --cache-file] when the
+   cache still held a [validate.check] table, after
+   [loadgen -n 12 --clients 1 --seed 7]: that section must be skipped,
+   and the [serve.responses] one must answer the same mix unsolved *)
+let test_parent_cache_file_loads () =
+  let fixture =
+    List.find Sys.file_exists [ "serve_parent.cache"; "test/serve_parent.cache" ]
+  in
+  let bytes = In_channel.with_open_bin fixture In_channel.input_all in
+  let has needle =
+    match Str.search_forward (Str.regexp_string needle) bytes 0 with
+    | _ -> true
+    | exception Not_found -> false
+  in
+  Alcotest.(check (pair bool bool)) "the fixture holds both sections" (true, true)
+    (has "validate.check", has "serve.responses");
+  let file = Filename.temp_file "serve_parent" ".bin" in
+  Fun.protect ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+  @@ fun () ->
+  Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc bytes);
+  let reqs = Loadgen.mix ~seed:7 ~n:12 () in
+  let want = List.map offline reqs in
+  Cache.clear ();
+  Obs.enable ();
+  Fun.protect ~finally:(fun () -> Obs.reset (); Obs.disable ()) @@ fun () ->
+  Obs.reset ();
+  with_server ~cache_file:file @@ fun t ->
+  Alcotest.(check int) "loaded without corruption" 0 (Obs.counter "cache.load_corrupt");
+  let ths, results = fire t reqs in
+  List.iter Thread.join ths;
+  check_answers want (results ());
+  let c = must_connect t in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  Alcotest.(check int) "no solve: every answer came from the file" 0
+    (stats_value c "responses_misses")
+
 let () =
   Alcotest.run "serve"
     [
@@ -998,6 +1034,8 @@ let () =
           Alcotest.test_case "save is atomic" `Quick test_cache_save_atomic;
           Alcotest.test_case "corrupt load counted" `Quick
             test_cache_corrupt_load_counted;
+          Alcotest.test_case "parent cache file loads" `Quick
+            test_parent_cache_file_loads;
         ] );
       ( "server",
         [

@@ -316,13 +316,20 @@ let prop_no_observer_effect =
 
 let test_benchstore_roundtrip () =
   let r =
-    Obs.Benchstore.make ~jobs:4 ~cache_on:true ~faults:"flaky:0.05"
-      ~git_rev:"abc123" ~timestamp:"2026-08-06T12:00:00Z" ~experiment:"faultbench"
+    Obs.Benchstore.make ~jobs:4 ~faults:"flaky:0.05" ~git_rev:"abc123"
+      ~timestamp:"2026-08-06T12:00:00Z" ~experiment:"faultbench"
       ~metric:"rate0.05.ev_direct_cycles" 4102.0
   in
   (match Obs.Benchstore.of_line (Obs.Benchstore.to_line r) with
   | Ok r' -> Alcotest.(check bool) "round-trip" true (r = r')
   | Error e -> Alcotest.failf "round-trip failed: %s" e);
+  (* a history line written before records lost their cache flag *)
+  (match
+     Obs.Benchstore.of_line
+       "{\"v\":1,\"experiment\":\"faultbench\",\"metric\":\"rate0.05.ev_direct_cycles\",\"value\":4102,\"jobs\":4,\"cache\":true,\"faults\":\"flaky:0.05\",\"rev\":\"abc123\",\"ts\":\"2026-08-06T12:00:00Z\"}"
+   with
+  | Ok old -> Alcotest.(check bool) "old line with a cache key loads" true (old = r)
+  | Error e -> Alcotest.failf "old line rejected: %s" e);
   (* defaults *)
   let d = Obs.Benchstore.make ~experiment:"e" ~metric:"m" 1.5 in
   (match Obs.Benchstore.of_line (Obs.Benchstore.to_line d) with
