@@ -378,11 +378,6 @@ let apply_unimodular t ~component:comp u =
 
 let is_local t ~stmt ~label = List.mem (stmt, label) t.local
 
-let comm_matrix t (s : Loopnest.stmt) (a : Loopnest.access) =
-  let ms = alloc_of t (Access_graph.Stmt_v s.Loopnest.stmt_name) in
-  let mx = alloc_of t (Access_graph.Array_v a.Loopnest.array_name) in
-  Mat.sub ms (Mat.mul mx a.Loopnest.map.Affine.f)
-
 let pp ppf t =
   Format.fprintf ppf "alignment (m = %d)@\n" t.m;
   Format.fprintf ppf "  branching:";

@@ -58,7 +58,5 @@ val apply_unimodular : t -> component:int -> Mat.t -> t
 
 val is_local : t -> stmt:string -> label:string -> bool
 
-val comm_matrix : t -> Nestir.Loopnest.stmt -> Nestir.Loopnest.access -> Mat.t
-(** The non-local term [M_S - M_x F] of an access: zero iff local. *)
 
 val pp : Format.formatter -> t -> unit

@@ -119,23 +119,3 @@ let maximum_branching ~n edges =
     List.map (fun e -> { gs = e.src; gd = e.dst; gw = e.weight; gid = e.id; pay = [ e ] }) edges
   in
   solve n gedges
-
-let total_weight edges = List.fold_left (fun acc e -> acc + e.weight) 0 edges
-
-let is_branching ~n edges =
-  let indeg = Array.make n 0 in
-  List.iter (fun e -> indeg.(e.dst) <- indeg.(e.dst) + 1) edges;
-  let ok_indeg = Array.for_all (fun d -> d <= 1) indeg in
-  (* acyclicity: follow unique parents *)
-  let parent = Array.make n (-1) in
-  List.iter (fun e -> parent.(e.dst) <- e.src) edges;
-  let acyclic = ref true in
-  for start = 0 to n - 1 do
-    let v = ref start and steps = ref 0 in
-    while parent.(!v) >= 0 && !steps <= n do
-      v := parent.(!v);
-      incr steps
-    done;
-    if !steps > n then acyclic := false
-  done;
-  ok_indeg && !acyclic

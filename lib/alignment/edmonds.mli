@@ -19,8 +19,3 @@ val maximum_branching : n:int -> edge list -> edge list
 (** The selected edges (in no particular order).  Vertices are
     [0 .. n-1]; self-loops are ignored.  Deterministic: ties are broken
     towards the smallest [id]. *)
-
-val total_weight : edge list -> int
-
-val is_branching : n:int -> edge list -> bool
-(** Check: in-degree at most one and no directed cycle. *)

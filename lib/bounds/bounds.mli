@@ -92,7 +92,7 @@ val volume :
     permutation of the wrapped [vgrid] and accumulate the cycle-packing
     bound against the placement's balance.  [owner.(i)] is the rank
     of the [i]-th cell of [vgrid] in row-major order (a
-    {!Machine.Patterns.ranks} table); entries past the last cell are
+    {!Machine.Patterns.fill_ranks} table); entries past the last cell are
     ignored, so a borrowed buffer can serve.  [offset] (default all
     zero) translates destinations, as in
     {!Machine.Patterns.successors}.

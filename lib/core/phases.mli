@@ -4,7 +4,7 @@
     Message vectorization (§3.5) lets an access whose data does not
     depend on the timestep hoist its communication out of the time
     loop: one large message instead of one per timestep.  This module
-    splits a plan accordingly and quantifies the saving. *)
+    splits a plan accordingly. *)
 
 type t = {
   hoisted : Commplan.entry list;  (** vectorizable: sent once, up front *)
@@ -13,9 +13,3 @@ type t = {
 }
 
 val of_result : Pipeline.result -> t
-
-val message_factor : Pipeline.result -> float
-(** Ratio of messages without vectorization to messages with it, over
-    one execution of the nest: [1.0] when nothing is hoistable,
-    [timesteps] when everything is.  Timestep count is taken from the
-    schedule applied to the statement extents. *)

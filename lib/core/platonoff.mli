@@ -27,6 +27,5 @@ type result = {
 
 val run : ?m:int -> ?schedule:Schedule.t -> Loopnest.t -> result
 
-val summary : result -> Commplan.summary
 val non_local : result -> int
 val pp : Format.formatter -> result -> unit

@@ -28,14 +28,11 @@
 
 open Linalg
 
-val flows_of_plan : Commplan.t -> Mat.t list
-(** The 2x2 data-flow matrices of the plan's [General] and
-    [Decomposed] entries, in plan order.  Possibly empty. *)
-
 val flows_of_workload : m:int -> Workloads.t -> Mat.t list
-(** Run the optimizer on the workload and extract its residual flows
-    ({!flows_of_plan}): possibly empty.  A pipeline exception
-    propagates. *)
+(** Run the optimizer on the workload and extract its residual flows,
+    the 2x2 data-flow matrices of the plan's [General] and
+    [Decomposed] entries in plan order: possibly empty.  A pipeline
+    exception propagates. *)
 
 type t = {
   topo : Machine.Topology.t;
@@ -62,7 +59,7 @@ val on_model : bytes:int -> Machine.Models.t -> Mat.t list -> t option
     flows on.  [None] when the model's topology has no 2-D host grid. *)
 
 val of_plan : Machine.Models.t -> Commplan.t -> t option
-(** The plan's flows ({!flows_of_plan}) {!on_model} at 64-byte items:
+(** The plan's residual flows {!on_model} at 64-byte items:
     the fold {!Cost} prices a plan on and {!Efficiency} bounds. *)
 
 val with_ranks : t -> (int array -> 'a) -> 'a

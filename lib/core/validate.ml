@@ -3,9 +3,6 @@ open Nestir
 
 type violation = { stmt : string; label : string; reason : string }
 
-let pp_violation ppf v =
-  Format.fprintf ppf "%s/%s: %s" v.stmt v.label v.reason
-
 (* Enumerate the iteration domain, capping every extent so the point
    count stays tractable; the cap keeps enough diversity for every
    pairwise condition below. *)

@@ -32,5 +32,3 @@ val check : Pipeline.result -> violation list
     point count stays tractable whatever the domain's size. *)
 
 val is_valid : Pipeline.result -> bool
-
-val pp_violation : Format.formatter -> violation -> unit

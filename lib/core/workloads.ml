@@ -51,4 +51,3 @@ let generated ~seed ~count =
 
 let find name = List.find (fun w -> w.name = name) (all ())
 
-let names () = List.map (fun w -> w.name) (all ())

@@ -18,5 +18,3 @@ val generated : seed:int -> count:int -> t list
 
 val find : string -> t
 (** @raise Not_found on unknown name. *)
-
-val names : unit -> string list

@@ -84,5 +84,3 @@ let decompose t =
   assert (factors = [] || Mat.equal t (Elementary.product factors));
   assert (List.for_all Elementary.is_elementary factors);
   factors
-
-let factor_count t = List.length (decompose t)

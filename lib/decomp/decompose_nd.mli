@@ -22,5 +22,3 @@ val decompose : Mat.t -> Mat.t list
     identity.
     @raise Invalid_argument unless the input is square with
     determinant 1. *)
-
-val factor_count : Mat.t -> int

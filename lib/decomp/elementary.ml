@@ -3,13 +3,6 @@ open Linalg
 let l2 l = Mat.of_lists [ [ 1; 0 ]; [ l; 1 ] ]
 let u2 k = Mat.of_lists [ [ 1; k ]; [ 0; 1 ] ]
 
-let make ~dim ~axis coeffs =
-  if axis < 0 || axis >= dim then invalid_arg "Elementary.make: bad axis";
-  if Array.length coeffs <> dim then invalid_arg "Elementary.make: bad row length";
-  if coeffs.(axis) = 0 then invalid_arg "Elementary.make: zero diagonal";
-  Mat.make dim dim (fun i j ->
-      if i = axis then coeffs.(j) else if i = j then 1 else 0)
-
 let special_rows m =
   (* rows that differ from the identity *)
   let n = Mat.rows m in

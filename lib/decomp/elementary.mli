@@ -14,12 +14,6 @@ val l2 : int -> Mat.t
 val u2 : int -> Mat.t
 (** [[[1, k], [0, 1]]]. *)
 
-val make : dim:int -> axis:int -> int array -> Mat.t
-(** Identity with row [axis] replaced by [coeffs]; [coeffs.(axis)] must
-    be non-zero (it is the determinant).  With [coeffs.(axis) = 1] this
-    is the paper's elementary [L_i]; other diagonal values give the
-    {e unirow} matrices of §5.5. *)
-
 val is_elementary : Mat.t -> bool
 (** Identity except for (at most) one row whose diagonal entry is 1. *)
 

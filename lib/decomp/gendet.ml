@@ -66,14 +66,3 @@ let decompose t =
   assert (Mat.equal t (Elementary.product factors));
   assert (List.for_all Elementary.is_unirow factors);
   factors
-
-let is_unicolumn m = Elementary.is_unirow (Linalg.Mat.transpose m)
-
-let decompose_columns t =
-  (* (f1 f2 .. fk)^T = fk^T .. f1^T: transpose the unirow factors of
-     t^T and reverse the order *)
-  let factors = decompose (Linalg.Mat.transpose t) in
-  let cols = List.rev_map Linalg.Mat.transpose factors in
-  assert (Linalg.Mat.equal t (Elementary.product cols));
-  assert (List.for_all is_unicolumn cols);
-  cols

@@ -16,11 +16,3 @@ val decompose : Mat.t -> Mat.t list
 (** Factors multiply (left to right) to the input.  All factors satisfy
     {!Elementary.is_unirow}.
     @raise Invalid_argument on singular or non-square input. *)
-
-val decompose_columns : Mat.t -> Mat.t list
-(** The dual factorization into {e unicolumn} matrices (identity except
-    for one column), obtained from the unirow factorization of the
-    transpose.  A unicolumn factor generates communication where a
-    single source coordinate feeds the others. *)
-
-val is_unicolumn : Mat.t -> bool

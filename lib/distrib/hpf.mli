@@ -1,9 +1,6 @@
 (** HPF DISTRIBUTE directive syntax for layouts.
 
     [(BLOCK, CYCLIC(4))] and friends; the grouped partition is printed
-    as the extension keyword [GROUPED(k)].  Round-trips with
-    {!parse}. *)
+    as the extension keyword [GROUPED(k)]. *)
 
 val print : Layout.t -> string
-
-val parse : string -> (Layout.t, string) result

@@ -34,7 +34,7 @@ val axes : t -> vgrid:int array -> topo:Machine.Topology.t -> int array array
     {!place1d} of virtual index [x] on axis [d] times that axis's
     stride in {!Machine.Topology.rank_of}, so the rank {!place} gives
     a cell is the sum of its coordinates' entries.
-    {!Machine.Patterns.ranks} turns them into the cell→rank table.
+    {!Machine.Patterns.fill_ranks} turns them into the cell→rank table.
     @raise Invalid_argument on dimension mismatch. *)
 
 val all_block : int -> t

@@ -1,5 +1,4 @@
 type row_result = { h : Mat.t; u : Mat.t }
-type col_result = { h : Mat.t; v : Mat.t }
 type right_result = { q : Mat.t; h : Mat.t }
 
 (* Row-style HNF by integer row operations.  We keep [a] and the
@@ -69,10 +68,6 @@ let row_style a0 =
     end
   done;
   { h = Mat.of_arrays a; u = Mat.of_arrays u }
-
-let col_style a0 =
-  let { h; u } = row_style (Mat.transpose a0) in
-  { h = Mat.transpose h; v = Mat.transpose u }
 
 let paper_right a =
   let m = Mat.rows a and p = Mat.cols a in

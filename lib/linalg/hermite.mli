@@ -1,10 +1,9 @@
 (** Hermite normal forms over the integers, with unimodular factors.
 
-    Three variants are exposed:
+    Two variants are exposed:
     - {!row_style}: [u * a = h] with [h] in row echelon (upper
       triangular on the pivot block), pivots positive, entries above a
       pivot reduced into [[0, pivot)].
-    - {!col_style}: [a * v = h], the column-operation dual.
     - {!paper_right}: the decomposition used by the paper (Appendix
       Definition 1 and the partial-broadcast axis alignment of §3.1):
       [a = q * h] with [q] unimodular and [h] lower triangular on its
@@ -13,15 +12,10 @@
 type row_result = { h : Mat.t; u : Mat.t }
 (** [u * a = h], [u] unimodular. *)
 
-type col_result = { h : Mat.t; v : Mat.t }
-(** [a * v = h], [v] unimodular. *)
-
 type right_result = { q : Mat.t; h : Mat.t }
 (** [a = q * h], [q] unimodular. *)
 
 val row_style : Mat.t -> row_result
-
-val col_style : Mat.t -> col_result
 
 val paper_right : Mat.t -> right_result
 (** Requires [a] of full column rank (columns <= rows).  The result has

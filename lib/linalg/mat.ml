@@ -2,7 +2,6 @@ type t = { r : int; c : int; a : int array array }
 
 let rows m = m.r
 let cols m = m.c
-let dims m = (m.r, m.c)
 
 let make r c f =
   if r <= 0 || c <= 0 then invalid_arg "Mat.make: non-positive dimension";
@@ -18,8 +17,6 @@ let of_lists rows_l =
       invalid_arg "Mat.of_lists: ragged rows";
     let a = Array.of_list (List.map Array.of_list rows_l) in
     { r = Array.length a; c; a }
-
-let to_lists m = Array.to_list (Array.map Array.to_list m.a)
 
 let of_arrays a =
   if Array.length a = 0 then invalid_arg "Mat.of_arrays: empty";
@@ -59,16 +56,11 @@ let transpose m = make m.c m.r (fun i j -> m.a.(j).(i))
 let map f m = make m.r m.c (fun i j -> f m.a.(i).(j))
 
 let neg m = map (fun x -> -x) m
-let scale k m = map (fun x -> k * x) m
 
 let check_same_dims name m n =
   if m.r <> n.r || m.c <> n.c then
     invalid_arg (Printf.sprintf "Mat.%s: dimension mismatch %dx%d vs %dx%d"
                    name m.r m.c n.r n.c)
-
-let add m n =
-  check_same_dims "add" m n;
-  make m.r m.c (fun i j -> m.a.(i).(j) + n.a.(i).(j))
 
 let sub m n =
   check_same_dims "sub" m n;
@@ -87,10 +79,6 @@ let mul m n =
 
 let row m i = Array.copy m.a.(i)
 let col m j = Array.init m.r (fun i -> m.a.(i).(j))
-
-let of_row v =
-  if Array.length v = 0 then invalid_arg "Mat.of_row: empty";
-  make 1 (Array.length v) (fun _ j -> v.(j))
 
 let of_col v =
   if Array.length v = 0 then invalid_arg "Mat.of_col: empty";
@@ -219,44 +207,6 @@ let adjugate m =
         let sign = if (i + j) mod 2 = 0 then 1 else -1 in
         sign * det (minor m j i))
 
-let pow m n =
-  if not (is_square m) then invalid_arg "Mat.pow: non-square";
-  if n < 0 then invalid_arg "Mat.pow: negative exponent";
-  let rec go acc b n =
-    if n = 0 then acc
-    else
-      let acc = if n land 1 = 1 then mul acc b else acc in
-      go acc (mul b b) (n lsr 1)
-  in
-  go (identity m.r) m n
-
-let max_abs m =
-  let best = ref 0 in
-  for i = 0 to m.r - 1 do
-    for j = 0 to m.c - 1 do
-      if abs m.a.(i).(j) > !best then best := abs m.a.(i).(j)
-    done
-  done;
-  !best
-
-let pp ppf m =
-  let widths = Array.make m.c 1 in
-  for j = 0 to m.c - 1 do
-    for i = 0 to m.r - 1 do
-      let w = String.length (string_of_int m.a.(i).(j)) in
-      if w > widths.(j) then widths.(j) <- w
-    done
-  done;
-  for i = 0 to m.r - 1 do
-    Format.fprintf ppf "[";
-    for j = 0 to m.c - 1 do
-      if j > 0 then Format.fprintf ppf " ";
-      Format.fprintf ppf "%*d" widths.(j) m.a.(i).(j)
-    done;
-    Format.fprintf ppf "]";
-    if i < m.r - 1 then Format.fprintf ppf "@\n"
-  done
-
 let pp_flat ppf m =
   Format.fprintf ppf "[";
   for i = 0 to m.r - 1 do
@@ -267,5 +217,3 @@ let pp_flat ppf m =
     done
   done;
   Format.fprintf ppf "]"
-
-let to_string m = Format.asprintf "%a" pp m

@@ -9,7 +9,6 @@ type t
 
 val rows : t -> int
 val cols : t -> int
-val dims : t -> int * int
 
 val make : int -> int -> (int -> int -> int) -> t
 (** [make r c f] is the [r]x[c] matrix whose [(i,j)] entry is [f i j]. *)
@@ -17,8 +16,6 @@ val make : int -> int -> (int -> int -> int) -> t
 val of_lists : int list list -> t
 (** [of_lists rows] builds a matrix from its rows.
     @raise Invalid_argument on ragged or empty input. *)
-
-val to_lists : t -> int list list
 
 val of_arrays : int array array -> t
 val to_arrays : t -> int array array
@@ -36,16 +33,11 @@ val equal : t -> t -> bool
 
 val transpose : t -> t
 val neg : t -> t
-val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val scale : int -> t -> t
 
 val row : t -> int -> int array
 val col : t -> int -> int array
-
-val of_row : int array -> t
-(** A 1xn matrix. *)
 
 val of_col : int array -> t
 (** An nx1 matrix. *)
@@ -80,19 +72,6 @@ val adjugate : t -> t
 (** The transposed cofactor matrix: [a * adjugate a = det a * Id],
     entirely over the integers.
     @raise Invalid_argument on non-square input. *)
-
-val minor : t -> int -> int -> t
-(** Delete one row and one column.
-    @raise Invalid_argument on non-square 1x1 or out-of-range input. *)
-
-val pow : t -> int -> t
-(** [pow a n] for [n >= 0]. *)
-
-val max_abs : t -> int
-(** Largest absolute value of an entry. *)
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 val pp_flat : Format.formatter -> t -> unit
 (** One-line rendering [[a b; c d]], convenient in reports. *)

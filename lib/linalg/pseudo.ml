@@ -1,17 +1,6 @@
 (* Square input takes the ordinary inverse: the normal equations
    square the entries, which the unchecked rational arithmetic can
    overflow. *)
-let right_inverse x =
-  let u = Mat.rows x in
-  if u = Mat.cols x then Ratmat.inverse_mat x
-  else if Ratmat.rank_of_mat x <> u then None
-  else
-    let xt = Mat.transpose x in
-    let gram = Mat.mul x xt in
-    match Ratmat.inverse_mat gram with
-    | None -> None
-    | Some gram_inv -> Some (Ratmat.mul (Ratmat.of_mat xt) gram_inv)
-
 let left_inverse x =
   let v = Mat.cols x in
   if v = Mat.rows x then Ratmat.inverse_mat x

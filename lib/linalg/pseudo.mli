@@ -1,20 +1,14 @@
 (** One-sided pseudo-inverses (paper, Appendix A.2).
 
-    For a full-rank rectangular integer matrix [x] of size [u x v]:
-    - flat ([u < v]): the right inverse [x+ = xt (x xt)^-1] satisfies
-      [x * x+ = Id_u];
-    - narrow ([u > v]): the left inverse [x+ = (xt x)^-1 xt] satisfies
-      [x+ * x = Id_v];
-    - square non-singular: the ordinary inverse.
+    For a full-column-rank integer matrix [x] of size [u x v]
+    ([u >= v]), the left inverse [x+ = (xt x)^-1 xt] satisfies
+    [x+ * x = Id_v]; a square non-singular [x] takes the ordinary
+    inverse.
 
     The paper's access graph is free to use {e any} integer matrix [g]
     with [g * f = Id] in place of the true left pseudo-inverse (§2.2
     remark); {!integer_left_inverse} produces such a matrix via the
     Smith form whenever one exists. *)
-
-val right_inverse : Mat.t -> Ratmat.t option
-(** Rational right inverse of a flat (or square) full-row-rank matrix.
-    [None] when the matrix does not have full row rank. *)
 
 val left_inverse : Mat.t -> Ratmat.t option
 (** Rational left inverse of a narrow (or square) full-column-rank

@@ -7,40 +7,27 @@
 
 type t = private { num : int; den : int }
 
-val make : int -> int -> t
-(** [make num den] is the normalized rational [num/den].
-    @raise Division_by_zero if [den = 0]. *)
-
 val of_int : int -> t
 
 val zero : t
 val one : t
 
-val num : t -> int
 val den : t -> int
 
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val div : t -> t -> t
-(** @raise Division_by_zero on division by [zero]. *)
 
 val neg : t -> t
 
 val inv : t -> t
 (** @raise Division_by_zero on [inv zero]. *)
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
-
 val is_zero : t -> bool
-val is_one : t -> bool
 
 val is_integer : t -> bool
 
 val to_int : t -> int
 (** @raise Invalid_argument if the value is not an integer. *)
-
-val min : t -> t -> t
 
 val pp : Format.formatter -> t -> unit

@@ -22,13 +22,6 @@ let for_all f m =
   done;
   !ok
 
-let equal m n =
-  m.r = n.r && m.c = n.c && for_all (fun i j x -> Rat.equal x n.a.(i).(j)) m
-
-let is_identity m =
-  m.r = m.c
-  && for_all (fun i j x -> Rat.equal x (if i = j then Rat.one else Rat.zero)) m
-
 let is_zero m = for_all (fun _ _ x -> Rat.is_zero x) m
 let is_integer m = for_all (fun _ _ x -> Rat.is_integer x) m
 
@@ -151,24 +144,6 @@ let kernel m =
   !basis
 
 let kernel_of_mat m = kernel (of_mat m)
-
-let solve a b =
-  if a.r <> b.r then invalid_arg "Ratmat.solve: dimension mismatch";
-  let aug = make a.r (a.c + b.c) (fun i j ->
-      if j < a.c then a.a.(i).(j) else b.a.(i).(j - a.c))
-  in
-  let red, pivots = rref aug in
-  (* Inconsistent iff some pivot lies in the augmented part. *)
-  if List.exists (fun p -> p >= a.c) pivots then None
-  else begin
-    let x = Array.make_matrix a.c b.c Rat.zero in
-    List.iteri (fun prow pcol ->
-        for j = 0 to b.c - 1 do
-          x.(pcol).(j) <- red.a.(prow).(j + a.c)
-        done)
-      pivots;
-    Some { r = a.c; c = b.c; a = x }
-  end
 
 let pp ppf m =
   for i = 0 to m.r - 1 do

@@ -15,8 +15,6 @@ val get : t -> int -> int -> Rat.t
 
 val identity : int -> t
 
-val equal : t -> t -> bool
-val is_identity : t -> bool
 val is_zero : t -> bool
 
 val to_mat : t -> Mat.t option
@@ -45,10 +43,6 @@ val kernel : t -> Mat.t list
     kernel. *)
 
 val kernel_of_mat : Mat.t -> Mat.t list
-
-val solve : t -> t -> t option
-(** [solve a b] is [Some x] with [a * x = b] when the system is
-    consistent (any one solution), [None] otherwise. *)
 
 val rref : t -> t * int list
 (** Reduced row echelon form together with the pivot column indices. *)

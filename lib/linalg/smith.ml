@@ -92,14 +92,3 @@ let decompose a0 =
     reduce ()
   done;
   { s = Mat.of_arrays a; u = Mat.of_arrays u; v = Mat.of_arrays v }
-
-let invariant_factors a =
-  let { s; _ } = decompose a in
-  let r = min (Mat.rows s) (Mat.cols s) in
-  let rec collect i acc =
-    if i >= r then List.rev acc
-    else
-      let d = Mat.get s i i in
-      if d = 0 then List.rev acc else collect (i + 1) (d :: acc)
-  in
-  collect 0 []

@@ -9,6 +9,3 @@
 type result = { s : Mat.t; u : Mat.t; v : Mat.t }
 
 val decompose : Mat.t -> result
-
-val invariant_factors : Mat.t -> int list
-(** The non-zero diagonal entries of the Smith form, in order. *)

@@ -124,11 +124,6 @@ let fill_ranks ~axes ?remap ~vgrid table =
   in
   if d > 0 then go 0 0
 
-let ranks ~axes ~vgrid =
-  let table = Array.make (cells vgrid) 0 in
-  fill_ranks ~axes ~vgrid table;
-  table
-
 let traffic ?offset ~vgrid ~axes ?remap ~bytes flows emit =
   if bytes < 0 then invalid_arg "Message.make: negative size";
   List.iter

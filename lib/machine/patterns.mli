@@ -71,9 +71,6 @@ val fill_ranks :
     [remap.(rank)] when given), row-major, written into the first
     {!cells} entries of a caller's array: the cell→rank table. *)
 
-val ranks : axes:int array array -> vgrid:int array -> int array
-(** {!fill_ranks} into a fresh array, without [remap]. *)
-
 val traffic :
   ?offset:int array ->
   vgrid:int array ->

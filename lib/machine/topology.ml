@@ -34,7 +34,6 @@ let make ?(torus = false) dims =
   Array.iter (fun d -> if d <= 0 then invalid_arg "Topology.make: non-positive dim") dims;
   { shape = Grid { gdims = Array.copy dims; torus }; hdims = Array.copy dims }
 
-let ring n = make ~torus:true [| n |]
 let mesh2d ~p ~q = make [| p; q |]
 let torus3d ~p ~q ~r = make ~torus:true [| p; q; r |]
 

@@ -46,7 +46,6 @@ val make : ?torus:bool -> int array -> t
     non-positive dimensions.  [torus] (default false) adds wrap-around
     links in every dimension. *)
 
-val ring : int -> t
 val mesh2d : p:int -> q:int -> t
 val torus3d : p:int -> q:int -> r:int -> t
 

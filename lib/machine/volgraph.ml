@@ -5,8 +5,6 @@
 
 type t = ((int * int) * int) list
 
-let sorted (g : t) = List.sort compare g
-
 (* A lender keeps one buffer per domain and lends it to one borrower
    at a time; a thread of the same domain that finds it lent out
    allocates its own.  The buffer comes back when the borrower
@@ -104,7 +102,7 @@ let groups ~hosts (traffic : Message.traffic) =
 
 let of_traffic ~hosts traffic =
   let pairs, sums = tally ~hosts traffic in
-  (* keys are unique, so sorting them orders the pairs as [sorted] *)
+  (* keys are unique, so sorting them orders the pairs by endpoints *)
   let g = Array.map2 (fun key sum -> (key, sum)) pairs sums in
   Array.sort (fun (a, _) (b, _) -> Int.compare a b) g;
   Array.to_list (Array.map (fun (key, sum) -> ((key / hosts, key mod hosts), sum)) g)

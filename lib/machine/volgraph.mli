@@ -9,12 +9,7 @@
     {!Compiled}. *)
 
 type t = ((int * int) * int) list
-(** One entry per ordered pair that communicates; pairs are unique but
-    the list order is unspecified (see {!sorted}). *)
-
-val sorted : t -> t
-(** Sorted by endpoint pair — a canonical order for goldens and for
-    seeding deterministic searches. *)
+(** One entry per ordered pair that communicates; pairs are unique. *)
 
 type 'a lender
 (** Scratch buffers reused per domain.  A lender keeps one buffer per
@@ -55,5 +50,6 @@ val groups : hosts:int -> Message.traffic -> int array * int array * int array
 
 val of_traffic : hosts:int -> Message.traffic -> t
 (** The volume graph of the traffic, [(src, dst) -> summed bytes],
-    {!sorted}, read off {!tally}.  Local messages ([src = dst]) are
-    kept; they carry no distance cost, but they do carry volume. *)
+    sorted by endpoint pair, read off {!tally}.  Local messages
+    ([src = dst]) are kept; they carry no distance cost, but they do
+    carry volume. *)

@@ -1,7 +1,5 @@
 open Linalg
 
-let is_axis_aligned d = Kernelutil.nonzero_rows d = Ratmat.rank_of_mat d
-
 (* Select rank-many independent columns of d (pivot columns of the
    rref), giving a full-column-rank basis of the column space. *)
 let column_basis d =

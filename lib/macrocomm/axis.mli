@@ -10,9 +10,6 @@
 
 open Linalg
 
-val is_axis_aligned : Mat.t -> bool
-(** Exactly [rank D] rows of [D] are non-zero. *)
-
 val aligning_matrix : Mat.t -> Mat.t option
 (** A unimodular [V] such that [V D] has non-zero entries only in its
     first [rank D] rows.  [None] when [D] is the zero matrix (nothing

@@ -50,19 +50,16 @@ val hop_bytes : Machine.Topology.t -> Machine.Volgraph.t -> t -> int
 (** The objective: summed [volume * hops] over all pairs under the
     placement.  Local volume ([p = q]) costs nothing. *)
 
-val greedy : Machine.Topology.t -> Machine.Volgraph.t -> t
-(** The growing construction.  Never returns a placement costing more
-    than {!identity}. *)
-
 val search :
   ?seed:int ->
   ?restarts:int ->
   Machine.Topology.t ->
   Machine.Volgraph.t ->
   t
-(** Hill climbing from {!greedy} plus [restarts] climbs from seeded
-    random permutations; the best local optimum wins.  Never returns a
-    placement costing more than {!greedy}. *)
+(** Hill climbing from the [Greedy] placement plus [restarts] climbs
+    from seeded random permutations; the best local optimum wins.
+    Never returns a placement costing more than [Greedy]. *)
 
 val compute : spec -> Machine.Topology.t -> Machine.Volgraph.t -> t
-(** Dispatch on [spec.kind]. *)
+(** Dispatch on [spec.kind].  [Greedy] never returns a placement
+    costing more than {!identity}. *)

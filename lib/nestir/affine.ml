@@ -26,14 +26,6 @@ let is_full_rank t = rank t = min (dim_in t) (dim_out t)
 
 let is_translation t = Mat.is_identity t.f
 
-let kernel t = Ratmat.kernel_of_mat t.f
-
-let compose g h =
-  if dim_in g <> dim_out h then invalid_arg "Affine.compose: dimension mismatch";
-  let f = Mat.mul g.f h.f in
-  let c = Array.mapi (fun k x -> x + g.c.(k)) (Mat.mul_vec g.f h.c) in
-  { f; c }
-
 let equal a b =
   Mat.equal a.f b.f && a.c = b.c
 

@@ -35,12 +35,6 @@ val is_full_rank : t -> bool
 val is_translation : t -> bool
 (** [f] is the identity: the access is a pure shift. *)
 
-val kernel : t -> Mat.t list
-(** Basis of [ker f] (integer column vectors). *)
-
-val compose : t -> t -> t
-(** [compose g h] is [I -> g (h I)]. *)
-
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -11,8 +11,8 @@
 
     One declaration per line; [#] starts a comment.  The access label
     ([F1]) is optional, as is the constant part ([+ (..)], default
-    zero).  {!print} emits this format and {!parse} reads it back
-    (round-trip up to whitespace). *)
+    zero).  {!print_with_schedule} emits this format and {!parse} reads
+    it back (round-trip up to whitespace). *)
 
 val parse : string -> (Loopnest.t, string) result
 (** The error string carries the offending line number. *)
@@ -26,9 +26,7 @@ val parse_with_schedule : string -> (Loopnest.t * Schedule.t option, string) res
 val parse_exn : string -> Loopnest.t
 (** @raise Invalid_argument on syntax errors. *)
 
-val print : Loopnest.t -> string
-
 val print_with_schedule : Loopnest.t -> Schedule.t option -> string
-(** {!print}, then one [schedule] line per statement when a schedule
+(** The nest, then one [schedule] line per statement when a schedule
     is given: {!parse_with_schedule} reads back the nest and an equal
     schedule. *)

@@ -7,7 +7,5 @@
     nest must pass the brute-force {!Resopt.Validate} oracle and the
     {!Resopt.Distexec} execution check. *)
 
-val generate : seed:int -> Loopnest.t
-(** Deterministic in [seed]. *)
-
 val generate_many : seed:int -> count:int -> Loopnest.t list
+(** Deterministic in [seed]: nest [i] depends on [seed + i] alone. *)

@@ -69,9 +69,6 @@ let all_accesses t =
 let writes_to t name =
   List.filter (fun (_, a) -> a.kind = Write && a.array_name = name) (all_accesses t)
 
-let reads_of t name =
-  List.filter (fun (_, a) -> a.kind = Read && a.array_name = name) (all_accesses t)
-
 let iteration_count s = Array.fold_left ( * ) 1 s.extent
 
 let pp ppf t =

@@ -40,7 +40,6 @@ val all_accesses : t -> (stmt * access) list
 (** In program order. *)
 
 val writes_to : t -> string -> (stmt * access) list
-val reads_of : t -> string -> (stmt * access) list
 
 val iteration_count : stmt -> int
 

@@ -1,6 +1,6 @@
-(* 4-byte big-endian length + payload.  Decoding never raises: the
-   accept loop feeds it whatever arrives on the socket, including
-   garbage, and must get a structured verdict back. *)
+(* 4-byte big-endian length + payload.  Reading never raises on bad
+   bytes: the accept loop feeds it whatever arrives on the socket,
+   including garbage, and must get a structured verdict back. *)
 
 let max_payload = 4 * 1024 * 1024
 let header_len = 4
@@ -23,24 +23,6 @@ let encode payload =
   Bytes.set_int32_be b 0 (Int32.of_int n);
   Bytes.blit_string payload 0 b header_len n;
   Bytes.unsafe_to_string b
-
-let decode buf =
-  let have = String.length buf in
-  if have < header_len then Error (Truncated { wanted = header_len; got = have })
-  else begin
-    (* read the length as unsigned: a negative int32 from garbage bytes
-       must land in Oversized, not in a negative String.sub *)
-    let length =
-      Int32.to_int (String.get_int32_be buf 0) land 0xFFFFFFFF
-    in
-    if length > max_payload then Error (Oversized { length; limit = max_payload })
-    else if have < header_len + length then
-      Error (Truncated { wanted = header_len + length; got = have })
-    else
-      Ok
-        ( String.sub buf header_len length,
-          String.sub buf (header_len + length) (have - header_len - length) )
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Sockets                                                             *)

@@ -3,19 +3,15 @@
     A frame is a 4-byte big-endian payload length followed by that
     many payload bytes.  Nothing else: requests and responses
     ({!Wire}) are carried as opaque payloads, so the framing layer
-    can be property-tested in isolation — {!decode} [(]{!encode}
-    [s ^ rest) = Ok (s, rest)] for every string [s].
+    can be property-tested in isolation — {!read_fd} after
+    {!write_fd} [s] gives back [s] for every string [s].
 
     Malformed input {e always} comes back as a structured {!error},
     never as an exception: a truncated length or payload is
-    {!Truncated}, a length beyond {!max_payload} (which is what
-    garbage bytes in the length slot almost surely claim) is
-    {!Oversized}.  The server's accept loop relies on this to survive
-    arbitrary bytes on the socket. *)
-
-val max_payload : int
-(** Upper bound on a payload (4 MiB) — far above any optimizer
-    answer, far below a length forged from garbage. *)
+    {!Truncated}, a length beyond the 4 MiB payload limit (far above
+    any optimizer answer, far below what garbage bytes in the length
+    slot almost surely claim) is {!Oversized}.  The server's accept
+    loop relies on this to survive arbitrary bytes on the socket. *)
 
 type error =
   | Truncated of { wanted : int; got : int }
@@ -26,13 +22,6 @@ type error =
 
 val error_to_string : error -> string
 
-val encode : string -> string
-(** Frame a payload.  @raise Invalid_argument beyond {!max_payload}. *)
-
-val decode : string -> (string * string, error) result
-(** [decode buf] splits one leading frame off [buf]: [Ok (payload,
-    rest)] or a structured {!error}.  Never raises. *)
-
 (** {1 Sockets}
 
     Blocking helpers over file descriptors, used by both ends. *)
@@ -40,7 +29,9 @@ val decode : string -> (string * string, error) result
 val write_fd : Unix.file_descr -> string -> unit
 (** Frame and send a payload.  An interrupted write ([EINTR]) is
     resumed; other Unix errors propagate ([EPIPE] on a closed peer —
-    callers treat it as disconnection). *)
+    callers treat it as disconnection).
+    @raise Invalid_argument beyond the payload limit, before writing
+    anything. *)
 
 val read_fd : Unix.file_descr -> (string, [ `Eof | `Error of error ]) result
 (** Read one frame.  [`Eof] on a cleanly closed stream (no bytes at

@@ -65,9 +65,10 @@ let successors ?offset ~vgrid flow =
 (* Greedy growing                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* [Mapping.greedy] with the O(n^3) growing: every unplaced process's
-   volume to the placed ones recomputed per step, and every free node
-   scored over all placed processes. *)
+(* The [Greedy] placement of [Mapping.compute] with the O(n^3)
+   growing: every unplaced process's volume to the placed ones
+   recomputed per step, and every free node scored over all placed
+   processes. *)
 let grow dist w n =
   let perm = Array.make n (-1) in
   let placed = Array.make n false and used = Array.make n false in
@@ -465,9 +466,7 @@ let decomposed_prices ~faults ?remap ~vgrid (model : Models.t) ~flow factors =
    would use. *)
 let decomposed_costs ?mapping ~faults model plan =
   let open Resopt in
-  let traffic =
-    Residual.on_model ~bytes:plan_bytes model (Residual.flows_of_plan plan)
-  in
+  let traffic = Residual.of_plan model plan in
   let vgrid = Option.map (fun (t : Residual.t) -> t.Residual.vgrid) traffic in
   let remap =
     match (mapping, traffic) with
@@ -628,10 +627,34 @@ let exact_test d1 d2 (a1 : Nestir.Affine.t) (a2 : Nestir.Affine.t) =
       if Hashtbl.mem hits (Array.to_list (Nestir.Affine.apply a2 i)) then found := true);
   !found
 
+(* A branching's total weight. *)
+let total_weight edges =
+  List.fold_left (fun acc (e : Alignment.Edmonds.edge) -> acc + e.weight) 0 edges
+
+(* Is this edge set a branching: in-degree at most one and no directed
+   cycle? *)
+let is_branching ~n edges =
+  let open Alignment.Edmonds in
+  let indeg = Array.make n 0 in
+  List.iter (fun e -> indeg.(e.dst) <- indeg.(e.dst) + 1) edges;
+  let ok_indeg = Array.for_all (fun d -> d <= 1) indeg in
+  (* acyclicity: follow unique parents *)
+  let parent = Array.make n (-1) in
+  List.iter (fun e -> parent.(e.dst) <- e.src) edges;
+  let acyclic = ref true in
+  for start = 0 to n - 1 do
+    let v = ref start and steps = ref 0 in
+    while parent.(!v) >= 0 && !steps <= n do
+      v := parent.(!v);
+      incr steps
+    done;
+    if !steps > n then acyclic := false
+  done;
+  ok_indeg && !acyclic
+
 (* Optimal branching weight by trying every edge subset (at most 20
-   edges): the oracle for [Edmonds.max_branching]. *)
+   edges): the oracle for [Edmonds.maximum_branching]. *)
 let brute_force_branching ~n edges =
-  let open Alignment in
   let arr = Array.of_list edges in
   let k = Array.length arr in
   if k > 20 then invalid_arg "brute_force_branching: too many edges";
@@ -641,8 +664,7 @@ let brute_force_branching ~n edges =
     for i = 0 to k - 1 do
       if mask land (1 lsl i) <> 0 then subset := arr.(i) :: !subset
     done;
-    if Edmonds.is_branching ~n !subset then
-      best := max !best (Edmonds.total_weight !subset)
+    if is_branching ~n !subset then best := max !best (total_weight !subset)
   done;
   !best
 
@@ -659,6 +681,13 @@ let is_permutation perm =
          end)
     perm
 
+(* The non-local term [M_S - M_x F] of an access: zero iff local. *)
+let comm_matrix t (s : Nestir.Loopnest.stmt) (a : Nestir.Loopnest.access) =
+  let open Alignment in
+  let ms = Alloc.alloc_of t (Access_graph.Stmt_v s.stmt_name) in
+  let mx = Alloc.alloc_of t (Access_graph.Array_v a.array_name) in
+  Linalg.Mat.sub ms (Linalg.Mat.mul mx a.map.Nestir.Affine.f)
+
 (* Every access an alignment reports local has a zero non-local term,
    and every allocation has full rank [m]. *)
 let verify_alloc (t : Alignment.Alloc.t) =
@@ -668,7 +697,7 @@ let verify_alloc (t : Alignment.Alloc.t) =
        (fun ((s : Loopnest.stmt), (a : Loopnest.access)) ->
          let label = if a.label = "" then a.array_name else a.label in
          (not (Alignment.Alloc.is_local t ~stmt:s.stmt_name ~label))
-         || Linalg.Mat.is_zero (Alignment.Alloc.comm_matrix t s a))
+         || Linalg.Mat.is_zero (comm_matrix t s a))
        (Loopnest.all_accesses t.nest)
 
 (* The binomial-tree broadcast as explicit rounds: in round [r] every
@@ -710,3 +739,6 @@ let local_indices scheme ~nv ~np p =
 let route_bound topo =
   Topology.diameter topo
   + if (Topology.capability topo).Topology.adaptive_routing then 2 else 0
+
+(* The one nest [Gennest] draws from [seed]. *)
+let generated ~seed = List.hd (Nestir.Gennest.generate_many ~seed ~count:1)

@@ -39,7 +39,7 @@ let test_rank () =
   Alcotest.(check int) "paper T" 2 (Mat.rank (Mat.of_lists [ [ 1; 2 ]; [ 3; 7 ] ]));
   Alcotest.(check int) "rank-1 multiple rows" 1
     (Mat.rank (Mat.of_lists [ [ 2; 4 ]; [ 1; 2 ] ]));
-  Alcotest.(check int) "row vector" 1 (Mat.rank (Mat.of_row [| 0; 0; 5 |]));
+  Alcotest.(check int) "row vector" 1 (Mat.rank (Mat.of_lists [ [ 0; 0; 5 ] ]));
   (* the flow classifier: T - I full, shear - I rank 1, I - I zero *)
   let classify f = Mat.rank (Mat.sub f (Mat.identity 2)) in
   Alcotest.(check int) "T mixes fully" 2
@@ -295,7 +295,9 @@ let prop_bound_le_achieved =
       let _, topo = List.nth grid2d_instances ti in
       let vgrid = [| 2 * Topology.dim topo 0; 2 * Topology.dim topo 1 |] in
       let layout = Distrib.Layout.all_cyclic 2 in
-      let owner = Machine.Patterns.ranks ~axes:(Distrib.Layout.axes layout ~vgrid ~topo) ~vgrid in
+      let owner = Array.make (Machine.Patterns.cells vgrid) 0 in
+      Machine.Patterns.fill_ranks
+        ~axes:(Distrib.Layout.axes layout ~vgrid ~topo) ~vgrid owner;
       let v =
         Bounds.volume ~vgrid ~bytes:8 ~owner [ flow_of (k1, k2, k3) ]
       in

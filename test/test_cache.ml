@@ -281,7 +281,7 @@ let arb_mat =
       let a = Array.of_list entries in
       return (Mat.make r c (fun i j -> a.((i * c) + j))))
   in
-  QCheck.make ~print:Mat.to_string gen
+  QCheck.make ~print:(Format.asprintf "%a" Mat.pp_flat) gen
 
 (* determinant-1 2x2 matrices as short products of the elementary
    transvections L(k), U(k) — the decomposition's own vocabulary *)
@@ -294,7 +294,7 @@ let arb_det1 =
       let u k = Mat.of_lists [ [ 1; k ]; [ 0; 1 ] ] in
       return (Mat.mul (l k1) (Mat.mul (u k2) (l k3))))
   in
-  QCheck.make ~print:Mat.to_string gen
+  QCheck.make ~print:(Format.asprintf "%a" Mat.pp_flat) gen
 
 let arb_seed = QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 50_000)
 
@@ -313,8 +313,6 @@ let diff_props =
   [
     prop "hermite row_style: cached = uncached" arb_mat
       (differential Hermite.row_style);
-    prop "hermite col_style: cached = uncached" arb_mat
-      (differential Hermite.col_style);
     prop "smith: cached = uncached" arb_mat (differential Smith.decompose);
     prop "unimodular inverse: cached = uncached" arb_det1
       (differential Unimodular.inverse);
@@ -364,7 +362,7 @@ let plan_fingerprint (r : Resopt.Pipeline.result) =
 let pipeline_props =
   [
     prop ~count:40 "pipeline: cache on = cache off" arb_seed (fun seed ->
-        let nest = Nestir.Gennest.generate ~seed:(seed + 5_000_000) in
+        let nest = Reference.generated ~seed:(seed + 5_000_000) in
         let run enable =
           Cache.scoped ~enable @@ fun () ->
           try Ok (plan_fingerprint (Resopt.Pipeline.run ~m:2 nest))

@@ -12,7 +12,7 @@ let fuzz_props =
   [
     prop "pipeline output always passes the brute-force oracle" arb_seed
       (fun seed ->
-        let nest = Nestir.Gennest.generate ~seed in
+        let nest = Reference.generated ~seed in
         match Resopt.Pipeline.run ~m:2 nest with
         | exception Failure _ -> true (* no full-rank materialization *)
         | r ->
@@ -20,7 +20,7 @@ let fuzz_props =
           && Resopt.Validate.is_valid r);
     prop ~count:60 "distributed execution preserves semantics" arb_seed
       (fun seed ->
-        let nest = Nestir.Gennest.generate ~seed:(seed + 1_000_000) in
+        let nest = Reference.generated ~seed:(seed + 1_000_000) in
         match Resopt.Pipeline.run ~m:2 nest with
         | exception Failure _ -> true
         | r ->
@@ -28,7 +28,7 @@ let fuzz_props =
           s.Resopt.Distexec.semantics_preserved
           && s.Resopt.Distexec.local_accesses_silent);
     prop ~count:80 "m = 1 and m = 3 also hold" arb_seed (fun seed ->
-        let nest = Nestir.Gennest.generate ~seed:(seed + 2_000_000) in
+        let nest = Reference.generated ~seed:(seed + 2_000_000) in
         List.for_all
           (fun m ->
             match Resopt.Pipeline.run ~m nest with
@@ -37,13 +37,13 @@ let fuzz_props =
           [ 1; 3 ]);
     prop ~count:200 "generated nests round-trip through the DSL" arb_seed
       (fun seed ->
-        let nest = Nestir.Gennest.generate ~seed:(seed + 4_000_000) in
-        let txt = Nestir.Dsl.print nest in
+        let nest = Reference.generated ~seed:(seed + 4_000_000) in
+        let txt = Nestir.Dsl.print_with_schedule nest None in
         match Nestir.Dsl.parse txt with
         | Error _ -> false
-        | Ok nest2 -> Nestir.Dsl.print nest2 = txt);
+        | Ok nest2 -> Nestir.Dsl.print_with_schedule nest2 None = txt);
     prop ~count:100 "plans are complete" arb_seed (fun seed ->
-        let nest = Nestir.Gennest.generate ~seed:(seed + 3_000_000) in
+        let nest = Reference.generated ~seed:(seed + 3_000_000) in
         match Resopt.Pipeline.run ~m:2 nest with
         | exception Failure _ -> true
         | r ->
@@ -60,7 +60,7 @@ let par_props =
     prop ~count:15 "parallel nest generation matches sequential" arb_seed
       (fun seed ->
         let seeds = nest_seeds seed 24 in
-        let print s = Nestir.Dsl.print (Nestir.Gennest.generate ~seed:s) in
+        let print s = Nestir.Dsl.print_with_schedule (Reference.generated ~seed:s) None in
         let sequential = List.map print seeds in
         Par.Pool.with_pool ~jobs:4 (fun pool ->
             Par.map pool print seeds = sequential));
@@ -68,7 +68,7 @@ let par_props =
       (fun seed ->
         let seeds = nest_seeds (seed + 5_000_000) 12 in
         let verdict s =
-          let nest = Nestir.Gennest.generate ~seed:s in
+          let nest = Reference.generated ~seed:s in
           match Resopt.Pipeline.run ~m:2 nest with
           | exception Failure _ -> None
           | r ->

@@ -2,8 +2,7 @@
 
 open Linalg
 
-let mat = Alcotest.testable Mat.pp Mat.equal
-let ratmat = Alcotest.testable Ratmat.pp Ratmat.equal
+let mat = Alcotest.testable Mat.pp_flat Mat.equal
 
 (* ------------------------------------------------------------------ *)
 (* Generators                                                          *)
@@ -24,37 +23,40 @@ let gen_any_mat =
 
 let gen_square n = gen_mat ~rows:n ~cols:n
 
-let arb_mat = QCheck.make ~print:Mat.to_string gen_any_mat
-let arb_square2 = QCheck.make ~print:Mat.to_string (gen_square 2)
-let arb_square3 = QCheck.make ~print:Mat.to_string (gen_square 3)
+let arb_mat = QCheck.make ~print:(Format.asprintf "%a" Mat.pp_flat) gen_any_mat
+let arb_square2 = QCheck.make ~print:(Format.asprintf "%a" Mat.pp_flat) (gen_square 2)
+let arb_square3 = QCheck.make ~print:(Format.asprintf "%a" Mat.pp_flat) (gen_square 3)
 
 let prop name arb f = QCheck_alcotest.to_alcotest (QCheck.Test.make ~name ~count:300 arb f)
+
+(* [a] times the identity *)
+let scalar n a = Mat.make n n (fun i j -> if i = j then a else 0)
+
+let is_id m = Ratmat.is_zero (Ratmat.sub m (Ratmat.identity (Ratmat.rows m)))
 
 (* ------------------------------------------------------------------ *)
 (* Rat                                                                 *)
 (* ------------------------------------------------------------------ *)
 
+(* [a/b], normalized by the arithmetic, so [=] compares values *)
+let make a b = Rat.(mul (of_int a) (inv (of_int b)))
+
 let test_rat_normalization () =
-  let r = Rat.make 6 (-4) in
-  Alcotest.(check int) "num" (-3) (Rat.num r);
+  let r = make 6 (-4) in
+  Alcotest.(check int) "num" (-3) r.Rat.num;
   Alcotest.(check int) "den" 2 (Rat.den r);
-  Alcotest.(check bool) "eq" true Rat.(equal (make 2 4) (make 1 2));
-  Alcotest.(check bool) "zero" true (Rat.is_zero (Rat.make 0 7))
+  Alcotest.(check bool) "eq" true (make 2 4 = make 1 2);
+  Alcotest.(check bool) "zero" true (Rat.is_zero (make 0 7))
 
 let test_rat_arith () =
   let open Rat in
-  Alcotest.(check bool) "add" true (equal (add (make 1 2) (make 1 3)) (make 5 6));
-  Alcotest.(check bool) "sub" true (equal (sub (make 1 2) (make 1 3)) (make 1 6));
-  Alcotest.(check bool) "mul" true (equal (mul (make 2 3) (make 3 4)) (make 1 2));
-  Alcotest.(check bool) "div" true (equal (div (make 2 3) (make 4 3)) (make 1 2));
-  Alcotest.(check bool) "inv" true (equal (inv (make (-2) 5)) (make (-5) 2));
-  Alcotest.(check int) "cmp" (-1) (compare (make 1 3) (make 1 2));
+  Alcotest.(check bool) "add" true (add (make 1 2) (make 1 3) = make 5 6);
+  Alcotest.(check bool) "sub" true (sub (make 1 2) (make 1 3) = make 1 6);
+  Alcotest.(check bool) "mul" true (mul (make 2 3) (make 3 4) = make 1 2);
+  Alcotest.(check bool) "inv" true (inv (make (-2) 5) = make (-5) 2);
   Alcotest.(check int) "to_int" 7 (to_int (of_int 7))
 
 let test_rat_div_by_zero () =
-  Alcotest.check_raises "make" Division_by_zero (fun () -> ignore (Rat.make 1 0));
-  Alcotest.check_raises "div" Division_by_zero (fun () ->
-      ignore (Rat.div Rat.one Rat.zero));
   Alcotest.check_raises "inv" Division_by_zero (fun () -> ignore (Rat.inv Rat.zero))
 
 let arb_rat =
@@ -65,16 +67,16 @@ let arb_rat =
 let rat_props =
   [
     prop "rat add commutative" (QCheck.pair arb_rat arb_rat) (fun ((a, b), (c, d)) ->
-        let x = Rat.make a b and y = Rat.make c d in
-        Rat.(equal (add x y) (add y x)));
+        let x = make a b and y = make c d in
+        Rat.(add x y = add y x));
     prop "rat mul inverse" arb_rat (fun (a, b) ->
-        let x = Rat.make a b in
+        let x = make a b in
         QCheck.assume (not (Rat.is_zero x));
-        Rat.(is_one (mul x (inv x))));
+        Rat.(mul x (inv x) = one));
     prop "rat add assoc" (QCheck.triple arb_rat arb_rat arb_rat)
       (fun ((a, b), (c, d), (e, f)) ->
-        let x = Rat.make a b and y = Rat.make c d and z = Rat.make e f in
-        Rat.(equal (add (add x y) z) (add x (add y z))));
+        let x = make a b and y = make c d and z = make e f in
+        Rat.(add (add x y) z = add x (add y z)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -87,7 +89,6 @@ let test_mat_basic () =
   let a = m_of [ [ 1; 2 ]; [ 3; 4 ] ] in
   let b = m_of [ [ 5; 6 ]; [ 7; 8 ] ] in
   Alcotest.check mat "mul" (m_of [ [ 19; 22 ]; [ 43; 50 ] ]) (Mat.mul a b);
-  Alcotest.check mat "add" (m_of [ [ 6; 8 ]; [ 10; 12 ] ]) (Mat.add a b);
   Alcotest.check mat "transpose" (m_of [ [ 1; 3 ]; [ 2; 4 ] ]) (Mat.transpose a);
   Alcotest.(check int) "det" (-2) (Mat.det a);
   Alcotest.(check int) "trace" 5 (Mat.trace a)
@@ -101,12 +102,12 @@ let test_mat_det_3x3 () =
 let test_mat_cat_sub () =
   let a = m_of [ [ 1; 2 ]; [ 3; 4 ] ] in
   let h = Mat.hcat a (Mat.identity 2) in
-  Alcotest.(check (pair int int)) "hcat dims" (2, 4) (Mat.dims h);
+  Alcotest.(check (pair int int)) "hcat dims" (2, 4) (Mat.rows h, Mat.cols h);
   Alcotest.check mat "sub" a (Mat.sub_matrix h ~row:0 ~col:0 ~rows:2 ~cols:2);
   Alcotest.check mat "sub id" (Mat.identity 2)
     (Mat.sub_matrix h ~row:0 ~col:2 ~rows:2 ~cols:2);
   let v = Mat.vcat a a in
-  Alcotest.(check (pair int int)) "vcat dims" (4, 2) (Mat.dims v)
+  Alcotest.(check (pair int int)) "vcat dims" (4, 2) (Mat.rows v, Mat.cols v)
 
 let test_mat_errors () =
   let a = m_of [ [ 1; 2 ]; [ 3; 4 ] ] in
@@ -117,11 +118,6 @@ let test_mat_errors () =
     (fun () -> ignore (Mat.det b));
   Alcotest.check_raises "ragged" (Invalid_argument "Mat.of_lists: ragged rows")
     (fun () -> ignore (m_of [ [ 1 ]; [ 1; 2 ] ]))
-
-let test_mat_pow () =
-  let a = m_of [ [ 1; 1 ]; [ 0; 1 ] ] in
-  Alcotest.check mat "pow5" (m_of [ [ 1; 5 ]; [ 0; 1 ] ]) (Mat.pow a 5);
-  Alcotest.check mat "pow0" (Mat.identity 2) (Mat.pow a 0)
 
 let mat_props =
   [
@@ -135,13 +131,13 @@ let mat_props =
         Mat.equal a (Mat.mul a (Mat.identity (Mat.cols a)))
         && Mat.equal a (Mat.mul (Mat.identity (Mat.rows a)) a));
     prop "add/sub roundtrip" (QCheck.pair arb_square2 arb_square2) (fun (a, b) ->
-        Mat.equal a (Mat.sub (Mat.add a b) b));
+        Mat.equal a (Mat.sub (Mat.sub a b) (Mat.neg b)));
     prop "swap_rows involutive" arb_square3 (fun a ->
         Mat.equal a (Mat.swap_rows (Mat.swap_rows a 0 2) 0 2));
     prop "adjugate identity: a * adj a = det a * Id" arb_square3 (fun a ->
-        Mat.equal (Mat.mul a (Mat.adjugate a)) (Mat.scale (Mat.det a) (Mat.identity 3)));
+        Mat.equal (Mat.mul a (Mat.adjugate a)) (scalar 3 (Mat.det a)));
     prop "adjugate identity (2x2)" arb_square2 (fun a ->
-        Mat.equal (Mat.mul (Mat.adjugate a) a) (Mat.scale (Mat.det a) (Mat.identity 2)));
+        Mat.equal (Mat.mul (Mat.adjugate a) a) (scalar 2 (Mat.det a)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -154,7 +150,7 @@ let test_ratmat_inverse () =
   | None -> Alcotest.fail "should be invertible"
   | Some inv ->
     Alcotest.(check bool) "a * a^-1 = I" true
-      (Ratmat.is_identity (Ratmat.mul (Ratmat.of_mat a) inv))
+      (is_id (Ratmat.mul (Ratmat.of_mat a) inv))
 
 let test_ratmat_singular () =
   let a = m_of [ [ 1; 2 ]; [ 2; 4 ] ] in
@@ -166,7 +162,7 @@ let test_ratmat_kernel () =
   match Ratmat.kernel_of_mat a with
   | [ v ] ->
     Alcotest.(check bool) "Av = 0" true (Mat.is_zero (Mat.mul a v));
-    Alcotest.(check (pair int int)) "shape" (3, 1) (Mat.dims v)
+    Alcotest.(check (pair int int)) "shape" (3, 1) (Mat.rows v, Mat.cols v)
   | l -> Alcotest.failf "expected 1 kernel vector, got %d" (List.length l)
 
 let test_ratmat_kernel_paper_f7 () =
@@ -175,30 +171,9 @@ let test_ratmat_kernel_paper_f7 () =
   match Ratmat.kernel_of_mat f7 with
   | [ v ] ->
     Alcotest.(check bool) "F7 v = 0" true (Mat.is_zero (Mat.mul f7 v));
-    let entries = List.concat (Mat.to_lists v) in
+    let entries = Array.to_list (Mat.col v 0) in
     Alcotest.(check (list int)) "generator" [ 1; 1; -1 ] entries
   | l -> Alcotest.failf "expected 1 kernel vector, got %d" (List.length l)
-
-let test_ratmat_solve () =
-  let a = Ratmat.of_mat (m_of [ [ 1; 2 ]; [ 3; 4 ] ]) in
-  let b = Ratmat.of_mat (m_of [ [ 5 ]; [ 11 ] ]) in
-  match Ratmat.solve a b with
-  | None -> Alcotest.fail "solvable"
-  | Some x -> Alcotest.check ratmat "solution" (Ratmat.of_mat (m_of [ [ 1 ]; [ 2 ] ]))
-                x
-
-let test_ratmat_solve_inconsistent () =
-  let a = Ratmat.of_mat (m_of [ [ 1; 2 ]; [ 2; 4 ] ]) in
-  let b = Ratmat.of_mat (m_of [ [ 1 ]; [ 3 ] ]) in
-  Alcotest.(check bool) "inconsistent" true (Ratmat.solve a b = None)
-
-let test_ratmat_solve_underdetermined () =
-  let a = Ratmat.of_mat (m_of [ [ 1; 2; 3 ] ]) in
-  let b = Ratmat.of_mat (m_of [ [ 6 ] ]) in
-  match Ratmat.solve a b with
-  | None -> Alcotest.fail "solvable"
-  | Some x ->
-    Alcotest.(check bool) "a x = b" true (Ratmat.equal (Ratmat.mul a x) b)
 
 let ratmat_props =
   [
@@ -213,14 +188,8 @@ let ratmat_props =
         | None -> Mat.det a = 0
         | Some inv ->
           Mat.det a <> 0
-          && Ratmat.is_identity (Ratmat.mul (Ratmat.of_mat a) inv)
-          && Ratmat.is_identity (Ratmat.mul inv (Ratmat.of_mat a)));
-    prop "solve produces a solution" (QCheck.pair arb_square3 arb_square3)
-      (fun (a, b) ->
-        match Ratmat.solve (Ratmat.of_mat a) (Ratmat.of_mat b) with
-        | None -> true
-        | Some x ->
-          Ratmat.equal (Ratmat.mul (Ratmat.of_mat a) x) (Ratmat.of_mat b));
+          && is_id (Ratmat.mul (Ratmat.of_mat a) inv)
+          && is_id (Ratmat.mul inv (Ratmat.of_mat a)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -268,9 +237,6 @@ let hermite_props =
     prop "row_style: u*a = h, u unimodular, h echelon" arb_mat (fun a ->
         let { Hermite.h; u } = Hermite.row_style a in
         Unimodular.is_unimodular u && Mat.equal h (Mat.mul u a) && upper_echelon h);
-    prop "col_style: a*v = h, v unimodular" arb_mat (fun a ->
-        let { Hermite.h; v } = Hermite.col_style a in
-        Unimodular.is_unimodular v && Mat.equal h (Mat.mul a v));
     prop "rank preserved by row_style" arb_mat (fun a ->
         let ({ h; _ } : Hermite.row_result) = Hermite.row_style a in
         Ratmat.rank_of_mat h = Ratmat.rank_of_mat a);
@@ -293,9 +259,15 @@ let hermite_props =
 (* Smith                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* the non-zero diagonal of the Smith form, in order *)
+let invariant_factors a =
+  let { Smith.s; _ } = Smith.decompose a in
+  let diag = List.init (min (Mat.rows s) (Mat.cols s)) (fun i -> Mat.get s i i) in
+  List.filter (( <> ) 0) diag
+
 let test_smith_example () =
   let a = m_of [ [ 2; 4; 4 ]; [ -6; 6; 12 ]; [ 10; 4; 16 ] ] in
-  let factors = Smith.invariant_factors a in
+  let factors = invariant_factors a in
   Alcotest.(check (list int)) "invariant factors" [ 2; 2; 156 ] factors
 
 let smith_props =
@@ -320,7 +292,7 @@ let smith_props =
         && Mat.equal s (Mat.mul (Mat.mul u a) v)
         && !diag_ok && !div_ok);
     prop "number of factors = rank" arb_mat (fun a ->
-        List.length (Smith.invariant_factors a) = Ratmat.rank_of_mat a);
+        List.length (invariant_factors a) = Ratmat.rank_of_mat a);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -362,15 +334,6 @@ let test_unimodular_enumerate () =
 (* Pseudo-inverses                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let test_pseudo_right () =
-  (* F2 from Example 1: flat 1x2 matrix [1 1]. *)
-  let f = m_of [ [ 1; 1 ] ] in
-  match Pseudo.right_inverse f with
-  | None -> Alcotest.fail "full row rank"
-  | Some fp ->
-    Alcotest.(check bool) "F F+ = I" true
-      (Ratmat.is_identity (Ratmat.mul (Ratmat.of_mat f) fp))
-
 let test_pseudo_left () =
   (* F1 from Example 1: narrow 3x2 matrix. *)
   let f = m_of [ [ 1; 0 ]; [ 0; 1 ]; [ 1; 1 ] ] in
@@ -378,7 +341,7 @@ let test_pseudo_left () =
   | None -> Alcotest.fail "full column rank"
   | Some fp ->
     Alcotest.(check bool) "F+ F = I" true
-      (Ratmat.is_identity (Ratmat.mul fp (Ratmat.of_mat f)))
+      (is_id (Ratmat.mul fp (Ratmat.of_mat f)))
 
 let test_pseudo_integer_left () =
   let f = m_of [ [ 1; 0 ]; [ 0; 1 ]; [ 1; 1 ] ] in
@@ -403,36 +366,28 @@ let test_pseudo_paper_g6 () =
   | None -> Alcotest.fail "full column rank"
   | Some fp ->
     Alcotest.(check bool) "true pseudo works too" true
-      (Ratmat.is_identity (Ratmat.mul fp (Ratmat.of_mat f6)))
+      (is_id (Ratmat.mul fp (Ratmat.of_mat f6)))
 
 (* the normal equations (F^T F)^-1 F^T got this square one wrong *)
 let test_pseudo_square () =
   let f =
     m_of [ [ -5; -6; 6; -5 ]; [ 5; -6; 4; 0 ]; [ 2; -5; -6; -5 ]; [ -4; -4; -5; 1 ] ]
   in
-  let id = Ratmat.is_identity and ff = Ratmat.of_mat f in
-  match (Pseudo.left_inverse f, Pseudo.right_inverse f) with
-  | Some l, Some r ->
-    Alcotest.(check bool) "F+ F = I" true (id (Ratmat.mul l ff));
-    Alcotest.(check bool) "F F+ = I" true (id (Ratmat.mul ff r));
+  match Pseudo.left_inverse f with
+  | Some l ->
+    Alcotest.(check bool) "F+ F = I" true (is_id (Ratmat.mul l (Ratmat.of_mat f)));
     Alcotest.(check bool) "the ordinary inverse" true
-      (Ratmat.equal l (Option.get (Ratmat.inverse_mat f)))
-  | _ -> Alcotest.fail "non-singular"
+      (Ratmat.is_zero (Ratmat.sub l (Option.get (Ratmat.inverse_mat f))))
+  | None -> Alcotest.fail "non-singular"
 
 let pseudo_props =
   [
-    prop "right inverse: F F+ = I when full row rank" arb_mat (fun a ->
-        QCheck.assume (Mat.rows a <= Mat.cols a);
-        QCheck.assume (Ratmat.rank_of_mat a = Mat.rows a);
-        match Pseudo.right_inverse a with
-        | None -> false
-        | Some fp -> Ratmat.is_identity (Ratmat.mul (Ratmat.of_mat a) fp));
     prop "left inverse: F+ F = I when full column rank" arb_mat (fun a ->
         QCheck.assume (Mat.cols a <= Mat.rows a);
         QCheck.assume (Ratmat.rank_of_mat a = Mat.cols a);
         match Pseudo.left_inverse a with
         | None -> false
-        | Some fp -> Ratmat.is_identity (Ratmat.mul fp (Ratmat.of_mat a)));
+        | Some fp -> is_id (Ratmat.mul fp (Ratmat.of_mat a)));
     prop "integer left inverse is a left inverse" arb_mat (fun a ->
         match Pseudo.integer_left_inverse a with
         | None -> true
@@ -457,7 +412,6 @@ let () =
           Alcotest.test_case "det 3x3" `Quick test_mat_det_3x3;
           Alcotest.test_case "cat/sub" `Quick test_mat_cat_sub;
           Alcotest.test_case "errors" `Quick test_mat_errors;
-          Alcotest.test_case "pow" `Quick test_mat_pow;
         ]
         @ mat_props );
       ( "ratmat",
@@ -466,11 +420,6 @@ let () =
           Alcotest.test_case "singular" `Quick test_ratmat_singular;
           Alcotest.test_case "kernel" `Quick test_ratmat_kernel;
           Alcotest.test_case "kernel F7 (paper)" `Quick test_ratmat_kernel_paper_f7;
-          Alcotest.test_case "solve" `Quick test_ratmat_solve;
-          Alcotest.test_case "solve inconsistent" `Quick
-            test_ratmat_solve_inconsistent;
-          Alcotest.test_case "solve underdetermined" `Quick
-            test_ratmat_solve_underdetermined;
         ]
         @ ratmat_props );
       ( "hermite",
@@ -491,7 +440,6 @@ let () =
         ] );
       ( "pseudo",
         [
-          Alcotest.test_case "right inverse" `Quick test_pseudo_right;
           Alcotest.test_case "left inverse" `Quick test_pseudo_left;
           Alcotest.test_case "integer left inverse" `Quick test_pseudo_integer_left;
           Alcotest.test_case "integer left inverse absent" `Quick

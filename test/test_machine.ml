@@ -623,7 +623,7 @@ let eventsim_order_props =
 (* ------------------------------------------------------------------ *)
 
 (* Residual traffic is carried as int arrays from placement to price:
-   [Patterns.ranks] tables, [Patterns.successors] arrays and the Netsim
+   [Patterns.fill_ranks] tables, [Patterns.successors] arrays and the Netsim
    core.  [Reference] keeps the list path it replaced — per-point
    [Layout.place], [affine_messages] and list pricing — and the two
    must agree on the stats and, with telemetry on, on every recorded
@@ -869,7 +869,7 @@ let residual_diff =
           flows
       in
       Reference.messages (Resopt.Residual.traffic r) = msgs
-      && Resopt.Residual.volume_graph r = Volgraph.sorted (Reference.volgraph msgs))
+      && Resopt.Residual.volume_graph r = List.sort compare (Reference.volgraph msgs))
 
 (* The cell→rank table against per-point [Layout.place]. *)
 let ranks_diff spec =
@@ -881,7 +881,9 @@ let ranks_diff spec =
       let placed = ref [] in
       Patterns.iter_box vgrid (fun v ->
           placed := Distrib.Layout.place layout ~vgrid ~topo v :: !placed);
-      Machine.Patterns.ranks ~axes:(Distrib.Layout.axes layout ~vgrid ~topo) ~vgrid = Array.of_list (List.rev !placed))
+      let table = Array.make (Patterns.cells vgrid) 0 in
+      Patterns.fill_ranks ~axes:(Distrib.Layout.axes layout ~vgrid ~topo) ~vgrid table;
+      table = Array.of_list (List.rev !placed))
 
 let pricing_diff_props =
   List.concat_map

@@ -67,7 +67,7 @@ let test_grid_golden () =
     (Machine.Topology.distance topo ~src:s.(1) ~dst:s.(2));
   (* greedy alone already beats identity here *)
   Alcotest.(check bool) "greedy <= identity" true
-    (Mapping.hop_bytes topo vol (Mapping.greedy topo vol) <= 202)
+    (Mapping.hop_bytes topo vol (Mapping.(compute (spec Greedy)) topo vol) <= 202)
 
 (* ------------------------------------------------------------------ *)
 (* qcheck invariants                                                   *)
@@ -112,7 +112,7 @@ let prop_cost_ordering =
       let topo, vol = instance case in
       let cost p = Mapping.hop_bytes topo vol p in
       let id = cost (Mapping.identity (Machine.Topology.size topo)) in
-      let gr = cost (Mapping.greedy topo vol) in
+      let gr = cost (Mapping.(compute (spec Greedy)) topo vol) in
       let se = cost (Mapping.search ~seed:1 ~restarts:2 topo vol) in
       se <= gr && gr <= id)
 
@@ -249,8 +249,8 @@ let test_sweep_gain_map_column () =
 (* Greedy growing against the cubic reference                          *)
 (* ------------------------------------------------------------------ *)
 
-(* [Mapping.greedy] keeps running connectivities and scores nodes over
-   placed partners only; [Reference.greedy] recomputes both per step.
+(* The [Greedy] placement keeps running connectivities and scores
+   nodes over placed partners only; [Reference.greedy] recomputes both per step.
    The permutations must be identical: empty and one-edge graphs,
    local entries, repeated pairs, and weights drawn from a small set
    so that connectivities and node scores tie. *)
@@ -280,7 +280,7 @@ let greedy_diff spec =
   in
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:150 ~name:("matches reference " ^ spec) arb (fun vol ->
-         Mapping.greedy topo vol = Reference.greedy topo vol))
+         Mapping.(compute (spec Greedy)) topo vol = Reference.greedy topo vol))
 
 let greedy_diff_props =
   List.map greedy_diff

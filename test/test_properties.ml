@@ -24,7 +24,7 @@ let plan_fingerprint (r : Resopt.Pipeline.result) =
 let determinism_props =
   [
     prop ~count:60 "pipeline is deterministic" arb_seed (fun seed ->
-        let nest = Nestir.Gennest.generate ~seed:(seed + 8_000_000) in
+        let nest = Reference.generated ~seed:(seed + 8_000_000) in
         match
           (Resopt.Pipeline.run ~m:2 nest, Resopt.Pipeline.run ~m:2 nest)
         with
@@ -34,7 +34,7 @@ let determinism_props =
           && r1.Resopt.Pipeline.alloc.Alignment.Alloc.allocs
              = r2.Resopt.Pipeline.alloc.Alignment.Alloc.allocs);
     prop ~count:60 "distributed execution is deterministic" arb_seed (fun seed ->
-        let nest = Nestir.Gennest.generate ~seed:(seed + 8_500_000) in
+        let nest = Reference.generated ~seed:(seed + 8_500_000) in
         match Resopt.Pipeline.run ~m:2 nest with
         | exception Failure _ -> true
         | r ->
@@ -50,7 +50,7 @@ let consistency_props =
   [
     prop ~count:60 "plan Local/Translation iff zero non-local term" arb_seed
       (fun seed ->
-        let nest = Nestir.Gennest.generate ~seed:(seed + 9_000_000) in
+        let nest = Reference.generated ~seed:(seed + 9_000_000) in
         match Resopt.Pipeline.run ~m:2 nest with
         | exception Failure _ -> true
         | r ->
@@ -67,7 +67,7 @@ let consistency_props =
                   s.Nestir.Loopnest.accesses
               in
               match
-                Alignment.Alloc.comm_matrix r.Resopt.Pipeline.alloc s a
+                Reference.comm_matrix r.Resopt.Pipeline.alloc s a
               with
               | exception Not_found -> true
               | cm -> (
@@ -78,7 +78,7 @@ let consistency_props =
             r.Resopt.Pipeline.plan);
     prop ~count:40 "cost of a plan is non-negative and finite" arb_seed
       (fun seed ->
-        let nest = Nestir.Gennest.generate ~seed:(seed + 9_500_000) in
+        let nest = Reference.generated ~seed:(seed + 9_500_000) in
         match Resopt.Pipeline.run ~m:2 nest with
         | exception Failure _ -> true
         | r ->
@@ -121,11 +121,11 @@ let monotonicity_props =
               l
           in
           let w_small =
-            Alignment.Edmonds.total_weight
+            Reference.total_weight
               (Alignment.Edmonds.maximum_branching ~n (mk rest))
           in
           let w_big =
-            Alignment.Edmonds.total_weight
+            Reference.total_weight
               (Alignment.Edmonds.maximum_branching ~n (mk (extra :: rest)))
           in
           w_big >= w_small);

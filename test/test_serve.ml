@@ -14,48 +14,82 @@ open Serve
 (* Frame                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The payload limit: a length header beyond it is refused. *)
+let max_payload = 4 * 1024 * 1024
+
+(* [Frame.read_fd] on one end of a socket pair, after [write] filled
+   the other end and closed it; then the bytes left unread.  Every
+   input here fits in the socket buffer, so [write] never blocks. *)
+let read_back write =
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close r) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Unix.close w) (fun () -> write w);
+  let first = Frame.read_fd r in
+  let rest = Buffer.create 16 and b = Bytes.create 4096 in
+  let rec drain () =
+    match Unix.read r b 0 4096 with
+    | 0 -> ()
+    | n -> Buffer.add_subbytes rest b 0 n; drain ()
+  in
+  drain ();
+  (first, Buffer.contents rest)
+
+let raw s fd = ignore (Unix.write_substring fd s 0 (String.length s))
+
 let prop_frame_roundtrip =
-  QCheck.Test.make ~name:"decode (encode s ^ rest) = Ok (s, rest)" ~count:200
+  QCheck.Test.make ~name:"read_fd after write_fd s ^ rest = Ok s, rest unread" ~count:200
     QCheck.(pair string string)
     (fun (s, rest) ->
-      match Frame.decode (Frame.encode s ^ rest) with
-      | Ok (s', rest') -> s' = s && rest' = rest
-      | Error _ -> false)
+      read_back (fun fd -> Frame.write_fd fd s; raw rest fd) = (Ok s, rest))
 
 let prop_frame_garbage_never_raises =
-  QCheck.Test.make ~name:"decode never raises on garbage" ~count:500
+  QCheck.Test.make ~name:"read_fd never raises on garbage" ~count:500
     QCheck.string (fun junk ->
-      match Frame.decode junk with Ok _ | Error _ -> true)
+      match read_back (raw junk) with (Ok _ | Error _), _ -> true)
+
+let test_frame_clean_eof () =
+  match read_back (fun _ -> ()) with
+  | Error `Eof, "" -> ()
+  | _ -> Alcotest.fail "expected Eof"
 
 let test_frame_truncated_header () =
-  match Frame.decode "ab" with
-  | Error (Frame.Truncated { wanted = 4; got = 2 }) -> ()
-  | _ -> Alcotest.fail "expected Truncated {wanted=4; got=2}"
+  List.iter
+    (fun got ->
+      match read_back (raw (String.sub "\000\000\000\005" 0 got)) with
+      | Error (`Error (Frame.Truncated { wanted = 4; got = g })), "" when g = got -> ()
+      | _ -> Alcotest.failf "expected Truncated {wanted=4; got=%d}" got)
+    [ 1; 2; 3 ]
 
 let test_frame_truncated_payload () =
-  let framed = Frame.encode "hello world" in
-  let cut = String.sub framed 0 (String.length framed - 3) in
-  match Frame.decode cut with
-  | Error (Frame.Truncated { wanted; got }) ->
-    Alcotest.(check int) "wanted" (String.length framed) wanted;
-    Alcotest.(check int) "got" (String.length cut) got
-  | _ -> Alcotest.fail "expected Truncated"
+  let payload = "hello world" in
+  let len = String.length payload in
+  List.iter
+    (fun k ->
+      let header = Bytes.create 4 in
+      Bytes.set_int32_be header 0 (Int32.of_int len);
+      match read_back (raw (Bytes.to_string header ^ String.sub payload 0 k)) with
+      | Error (`Error (Frame.Truncated { wanted; got })), "" ->
+        Alcotest.(check int) "wanted" (4 + len) wanted;
+        Alcotest.(check int) "got" (4 + k) got
+      | _ -> Alcotest.failf "expected Truncated after %d payload bytes" k)
+    [ 0; 1; len - 3; len - 1 ]
 
 let test_frame_oversized () =
   (* a length header of 0xFFFFFFFF — what random garbage usually
      claims — must be refused as Oversized, not attempted *)
-  match Frame.decode "\xff\xff\xff\xffjunk" with
-  | Error (Frame.Oversized { length; limit }) ->
+  match read_back (raw "\xff\xff\xff\xffjunk") with
+  | Error (`Error (Frame.Oversized { length; limit })), _ ->
     Alcotest.(check bool) "length > limit" true (length > limit);
-    Alcotest.(check int) "limit" Frame.max_payload limit
+    Alcotest.(check int) "limit" max_payload limit
   | _ -> Alcotest.fail "expected Oversized"
 
 let test_frame_encode_rejects_oversized () =
-  Alcotest.check_raises "encode beyond max_payload"
+  let r, w = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close r; Unix.close w) @@ fun () ->
+  Alcotest.check_raises "write_fd beyond the payload limit"
     (Invalid_argument
-       (Printf.sprintf "Frame.encode: payload %d > max %d"
-          (Frame.max_payload + 1) Frame.max_payload))
-    (fun () -> ignore (Frame.encode (String.make (Frame.max_payload + 1) 'x')))
+       (Printf.sprintf "Frame.encode: payload %d > max %d" (max_payload + 1) max_payload))
+    (fun () -> Frame.write_fd w (String.make (max_payload + 1) 'x'))
 
 (* ------------------------------------------------------------------ *)
 (* Wire                                                                *)
@@ -1000,6 +1034,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_frame_roundtrip;
           QCheck_alcotest.to_alcotest prop_frame_garbage_never_raises;
+          Alcotest.test_case "clean EOF" `Quick test_frame_clean_eof;
           Alcotest.test_case "truncated header" `Quick test_frame_truncated_header;
           Alcotest.test_case "truncated payload" `Quick
             test_frame_truncated_payload;

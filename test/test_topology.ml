@@ -249,7 +249,7 @@ let test_mapping_order topo () =
   in
   let hb = Mapping.hop_bytes topo vol in
   let id = Mapping.identity n in
-  let g = Mapping.greedy topo vol in
+  let g = Mapping.(compute (spec Greedy)) topo vol in
   let s = Mapping.compute (Mapping.spec ~seed:1 Mapping.Search) topo vol in
   Alcotest.(check bool) "permutations valid" true
     (Reference.is_permutation g && Reference.is_permutation s);

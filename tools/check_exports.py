@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Fail if a library export has no caller outside its own module.
+"""Fail if a library export has no caller outside its module and test/.
 
 Every top-level `val` in lib/*/*.mli must be named in some source file
 other than its own .ml/.mli.  The files searched are the OCaml sources
-under lib/, bin/, bench/, examples/, perfbench/harness/ and test/.
+under lib/, bin/, bench/, examples/ and perfbench/harness/.  Tests do
+not count as callers: an export only a test names is test-only.
 
 A value `v` of module `M` counts as named in a file when, outside
 comments and string literals, the file contains
@@ -15,17 +16,28 @@ comments and string literals, the file contains
     rest of the file.
 An operator counts as named wherever its symbol appears.
 
+tools/exports_allowlist.txt names the test-only exports that stay, one
+per line, `lib/<lib>/<mod>.mli: val <name> — <reason>`; blank lines and
+lines starting with `#` are ignored.  The check fails on
+  - an export with no caller that the list does not name;
+  - a listed export that has a caller again, or is gone, so the list
+    only shrinks and never names what no longer needs it;
+  - a line without a reason, or in any other form.
+
 Run from the repository root: python3 tools/check_exports.py
-Prints each orphan as `lib/<lib>/<mod>.mli: val <name>` and exits 1 if
-there is any.
+Prints each problem, the unlisted exports as `lib/<lib>/<mod>.mli: val
+<name>`, and exits 1 if there is any.
 """
 
 import os
 import re
 import sys
 
-SEARCH_DIRS = ["lib", "bin", "bench", "examples", "perfbench/harness", "test"]
+SEARCH_DIRS = ["lib", "bin", "bench", "examples", "perfbench/harness"]
 IDENT = r"[a-z_][A-Za-z0-9_']*"
+ALLOWLIST = "tools/exports_allowlist.txt"
+LISTED_RE = re.compile(
+    r"^(lib/\w+/\w+\.mli): val (" + IDENT + r"|[!$%&*+\-./:<=>?@^|~#]+)(?: — (.*))?$")
 VAL_RE = re.compile(r"^val\s+(" + IDENT + r"|\([^)]*\))\s*:", re.M)
 MPATH = r"[A-Z][A-Za-z0-9_']*(?:\.[A-Z][A-Za-z0-9_']*)*"
 OPEN_RE = re.compile(r"\b(?:open!?|include)\s+(" + MPATH + r")")
@@ -168,14 +180,52 @@ def orphans(root):
             yield mli, value
 
 
+def read_allowlist(root):
+    """{(mli, value): line number} of the listed exports, and the
+    problems of the lines that do not say what they should."""
+    listed, problems = {}, []
+    path = os.path.join(root, ALLOWLIST)
+    if not os.path.exists(path):
+        return listed, problems
+    with open(path, encoding="utf-8") as f:
+        for n, line in enumerate(f, 1):
+            line = line.rstrip("\n")
+            if not line.strip() or line.startswith("#"):
+                continue
+            m = LISTED_RE.match(line)
+            if not m:
+                problems.append(f"{ALLOWLIST}:{n}: not `lib/<lib>/<mod>.mli: "
+                                f"val <name> — <reason>`: {line}")
+                continue
+            listed[(m.group(1), m.group(2))] = n
+            if not (m.group(3) or "").strip():
+                problems.append(f"{ALLOWLIST}:{n}: {m.group(1)}: val {m.group(2)} "
+                                "has no reason")
+    return listed, problems
+
+
+def problems(root):
+    listed, found = read_allowlist(root)
+    test_only = {(os.path.relpath(m, root).replace(os.sep, "/"), v)
+                 for m, v in orphans(root)}
+    for mli, value in sorted(test_only - listed.keys()):
+        found.append(f"{mli}: val {value}")
+    for (mli, value), n in sorted(listed.items(), key=lambda kv: kv[1]):
+        if (mli, value) not in test_only:
+            found.append(f"{ALLOWLIST}:{n}: {mli}: val {value} has a caller "
+                         "or is gone: delete the line")
+    return found
+
+
 def main():
     root = sys.argv[1] if len(sys.argv) > 1 else "."
-    found = [(os.path.relpath(m, root), v) for m, v in orphans(root)]
-    for mli, value in found:
-        print(f"{mli}: val {value}")
+    found = problems(root)
+    for line in found:
+        print(line)
     if found:
-        print(f"{len(found)} exported value(s) named nowhere outside "
-              "their own module", file=sys.stderr)
+        print(f"{len(found)} problem(s): an export only tests name must get a "
+              f"caller, go, or be listed with a reason in {ALLOWLIST}",
+              file=sys.stderr)
         return 1
     return 0
 
