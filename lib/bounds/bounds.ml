@@ -15,7 +15,7 @@ type volume = {
 
 let ceil_div a b = if b <= 0 then 0 else (a + b - 1) / b
 
-let volume ~vgrid ?offset ~bytes ~owner flows =
+let volume ~vgrid ~bytes ~owner flows =
   let dims = Array.length vgrid in
   let n = Machine.Patterns.cells vgrid in
   if Array.length owner < n then invalid_arg "Bounds.volume: owner does not cover vgrid";
@@ -41,8 +41,8 @@ let volume ~vgrid ?offset ~bytes ~owner flows =
       if Mat.rows flow <> dims || Mat.cols flow <> dims then
         invalid_arg "Bounds.volume: flow shape does not match vgrid";
       flow_rank := max !flow_rank (Mat.rank (Mat.sub flow (Mat.identity dims)));
-      (* successor of each cell under v -> F v + offset (mod vgrid) *)
-      let succ = Machine.Patterns.successors ?offset ~vgrid flow in
+      (* successor of each cell under v -> F v (mod vgrid) *)
+      let succ = Machine.Patterns.successors ~vgrid flow in
       for idx = 0 to n - 1 do
         if owner.(idx) <> owner.(succ.(idx)) then incr achieved_msgs
       done;

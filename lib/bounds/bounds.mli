@@ -15,7 +15,7 @@
     {2 Volume bound ({!volume})}
 
     A residual flow [F] (a unimodular data-flow matrix) makes virtual
-    cell [v] send its item to [F v + offset], taken modulo the virtual
+    cell [v] send its item to [F v], taken modulo the virtual
     grid — a {e permutation} of the cells.  Decompose that permutation
     into orbits (cycles).  Any placement that assigns at most [cap]
     cells per processor must color an orbit of length [L] with at least
@@ -83,7 +83,6 @@ type volume = {
 
 val volume :
   vgrid:int array ->
-  ?offset:int array ->
   bytes:int ->
   owner:int array ->
   Linalg.Mat.t list ->
@@ -93,9 +92,7 @@ val volume :
     bound against the placement's balance.  [owner.(i)] is the rank
     of the [i]-th cell of [vgrid] in row-major order (a
     {!Machine.Patterns.fill_ranks} table); entries past the last cell are
-    ignored, so a borrowed buffer can serve.  [offset] (default all
-    zero) translates destinations, as in
-    {!Machine.Patterns.successors}.
+    ignored, so a borrowed buffer can serve.
     @raise Invalid_argument when a flow's shape does not match
     [vgrid], or [owner] is shorter than the cell count. *)
 

@@ -226,7 +226,6 @@ module Memo = struct
 
   let mem t key = with_shard t (fun sh -> Hashtbl.mem sh.tbl key)
   let length t = with_shard t (fun sh -> Hashtbl.length sh.tbl)
-  let capacity t = t.capacity
 
   let keys t =
     let rec walk acc = function

@@ -96,8 +96,6 @@ module Memo : sig
 
   val length : 'a t -> int
 
-  val capacity : 'a t -> int
-
   val keys : 'a t -> string list
   (** Most-recently-used first — the reverse of eviction order. *)
 

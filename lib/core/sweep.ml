@@ -135,9 +135,9 @@ let eval_cell models fault_rates mapping bounds (w : Workloads.t) m =
         row)
       models
 
-let default_fault_rates = [ 0.0; 0.01; 0.05 ]
+let resilience_rates = [ 0.0; 0.01; 0.05 ]
 
-let run ?jobs ?(ms = [ 2 ]) ?models ?workloads ?faults ?fault_rates ?cache
+let run ?jobs ?(ms = [ 2 ]) ?models ?workloads ?faults ?cache
     ?mapping ?(bounds = false) () =
   Cache.scoped ?enable:cache @@ fun () ->
   let models =
@@ -147,12 +147,9 @@ let run ?jobs ?(ms = [ 2 ]) ?models ?workloads ?faults ?fault_rates ?cache
   in
   let workloads = match workloads with Some l -> l | None -> Workloads.all () in
   let fault_rates =
-    match (faults, fault_rates) with
-    | None, None -> []
-    | base, rates ->
-      let base = Option.value ~default:Machine.Fault.none base in
-      let rates = Option.value ~default:default_fault_rates rates in
-      List.map (fun r -> (r, faults_at base r)) rates
+    match faults with
+    | None -> []
+    | Some base -> List.map (fun r -> (r, faults_at base r)) resilience_rates
   in
   let cells =
     List.concat_map (fun w -> List.map (fun m -> (w, m)) ms) workloads

@@ -30,9 +30,8 @@ type row = {
       (** [(rate, gain)] pairs: the optimized-vs-baseline gain
           ([baseline / optimized]) re-priced under the sweep's fault
           model with a machine-wide flaky probability of [rate] added
-          on top.  Empty unless the sweep was given [faults] or
-          [fault_rates] — rows without resilience render and CSV
-          exactly as before. *)
+          on top.  Empty unless the sweep was given [faults] — rows
+          without resilience render and CSV exactly as before. *)
   map_gain : float option;
       (** the optimized plan's price under the paper's fixed embedding
           over its price under the searched process placement
@@ -57,7 +56,6 @@ val run :
   ?models:Machine.Models.t list ->
   ?workloads:Workloads.t list ->
   ?faults:Machine.Fault.t ->
-  ?fault_rates:float list ->
   ?cache:bool ->
   ?mapping:Mapping.spec ->
   ?bounds:bool ->
@@ -67,13 +65,10 @@ val run :
     Workload/dimension combinations the alignment cannot materialize
     are skipped.
 
-    [faults] / [fault_rates] turn on the resilience columns: each row
-    is additionally priced under [faults] plus a machine-wide
-    [Flaky] probability for every rate in [fault_rates]
-    (default [[0.0; 0.01; 0.05]] when only [faults] is given;
-    [faults] defaults to {!Machine.Fault.none} when only
-    [fault_rates] is given).  Omitting both keeps the rows — and the
-    rendered table and CSV — byte-identical to a fault-free sweep.
+    [faults] turns on the resilience columns: each row is additionally
+    priced under [faults] plus a machine-wide [Flaky] probability of
+    0, 0.01 and 0.05.  Omitting it keeps the rows — and the rendered
+    table and CSV — byte-identical to a fault-free sweep.
 
     [mapping] additionally prices every optimized plan under the
     searched process placement ({!Cost.of_plan} [?mapping]) and fills

@@ -4,10 +4,10 @@
    message's endpoints come from integer flow arithmetic, and the
    messages stream into the Netsim core. *)
 
-let time ?coalesce ?faults model ~layout ~vgrid ~flow ?offset ?(bytes = 8) () =
+let time ?coalesce ?faults model ~layout ~vgrid ~flow ?(bytes = 8) () =
   let axes = Layout.axes layout ~vgrid ~topo:model.Machine.Models.topo in
   Machine.Models.price ?coalesce ?faults model
-    (Machine.Patterns.traffic ?offset ~vgrid ~axes ~bytes [ flow ])
+    (Machine.Patterns.traffic ~vgrid ~axes ~bytes [ flow ])
 
 (* Per-domain buffers of [decomposed_time]: the cell→rank table, the
    cell each item is on, and the phase's successor table. *)
@@ -61,9 +61,9 @@ let walk_phases ?faults ?remap model ~layout ~vgrid ~factors ~bytes on_phase =
       let rec from p = if p < Array.length phases && on_phase (phase p) then from (p + 1) in
       from 0)
 
-let decomposed_time ?faults ?remap model ~layout ~vgrid ~factors ?(bytes = 8) () =
+let decomposed_time ?faults model ~layout ~vgrid ~factors () =
   let stats = ref [] in
-  walk_phases ?faults ?remap model ~layout ~vgrid ~factors ~bytes (fun s ->
+  walk_phases ?faults model ~layout ~vgrid ~factors ~bytes:8 (fun s ->
       stats := s :: !stats;
       true);
   List.rev !stats

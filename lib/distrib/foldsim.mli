@@ -10,7 +10,6 @@ val time :
   layout:Layout.t ->
   vgrid:int array ->
   flow:Mat.t ->
-  ?offset:int array ->
   ?bytes:int ->
   unit ->
   Machine.Netsim.stats
@@ -24,12 +23,10 @@ val time :
 
 val decomposed_time :
   ?faults:Machine.Fault.t ->
-  ?remap:int array ->
   Machine.Models.t ->
   layout:Layout.t ->
   vgrid:int array ->
   factors:Mat.t list ->
-  ?bytes:int ->
   unit ->
   Machine.Netsim.stats list
 (** One phase per factor, executed in sequence (paper §5.3: "L and U
@@ -37,7 +34,7 @@ val decomposed_time :
     factor [f_i] moves the data that the remaining product still has to
     deliver.  The rightmost factor moves first.
 
-    Each cell starts with one item.  Phase [p] (from 0) sends every
+    Each cell starts with one 8-byte item.  Phase [p] (from 0) sends every
     item from the cell the earlier phases left it on to that cell's
     successor under the phase's factor; it lists the items by starting
     cell, first to last in even phases and last to first in odd ones,

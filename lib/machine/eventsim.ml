@@ -18,13 +18,6 @@ type result = {
 
 exception Deadlock of { cycles : int; in_flight : int }
 
-type sample = {
-  cycle : int;
-  in_flight : int;
-  busy_links : int;
-  max_queue_now : int;
-}
-
 let record_result r =
   if Obs.enabled () then begin
     Obs.incr "eventsim.runs";
@@ -258,11 +251,9 @@ let run_wormhole ~label faults topo params (locals, routable, unreachable_msgs) 
     total_link_busy = !busy;
   }
 
-let run ?(faults = Fault.none) ?(label = "") ?sampler ?(sample_every = 64) topo
-    params volume =
+let run ?(faults = Fault.none) ?(label = "") topo params volume =
   if params.bytes_per_cycle <= 0 || params.startup_cycles < 0 then
     invalid_arg "Eventsim.run: bad parameters";
-  if sample_every <= 0 then invalid_arg "Eventsim.run: sample_every <= 0";
   let flights = split faults topo (Netsim.replay volume) in
   if params.mode = Wormhole then
     record_result (run_wormhole ~label faults topo params flights)
@@ -351,9 +342,9 @@ let run ?(faults = Fault.none) ?(label = "") ?sampler ?(sample_every = 64) topo
     end
   in
   (* Per-cycle observation: queue depths and link occupancy, sampled
-     every [sample_every] cycles.  Costs one modulo per cycle when
-     neither a sampler nor Obs recording is active. *)
-  let observing = sampler <> None || Obs.enabled () || tele in
+     every 64 cycles.  Costs one test per cycle when neither Obs
+     recording nor telemetry is active. *)
+  let observing = Obs.enabled () || tele in
   let take_sample () =
     let busy_links = ref 0 and max_q = ref 0 and in_flight = ref 0 in
     Hashtbl.iter
@@ -367,15 +358,6 @@ let run ?(faults = Fault.none) ?(label = "") ?sampler ?(sample_every = 64) topo
           t.t_area <- t.t_area + d
         end)
       links;
-    let smp =
-      {
-        cycle = !cycle;
-        in_flight = !in_flight;
-        busy_links = !busy_links;
-        max_queue_now = !max_q;
-      }
-    in
-    (match sampler with Some f -> f smp | None -> ());
     if Obs.enabled () then begin
       let ts = float_of_int !cycle in
       Obs.point "eventsim.in_flight" ~ts (float_of_int !in_flight);
@@ -391,7 +373,7 @@ let run ?(faults = Fault.none) ?(label = "") ?sampler ?(sample_every = 64) topo
     if !cycle > cap then
       raise
         (Deadlock { cycles = !cycle; in_flight = total - !delivered - !dropped });
-    if observing && !cycle mod sample_every = 0 then take_sample ();
+    if observing && !cycle mod 64 = 0 then take_sample ();
     (* inject the packets whose time has come (first sends and
        backed-off retransmissions alike) *)
     let now, later = List.partition (fun (t, _) -> t <= !cycle) !pending in
@@ -447,7 +429,7 @@ let run ?(faults = Fault.none) ?(label = "") ?sampler ?(sample_every = 64) topo
                    backoff, up to the retry cap *)
                 p.attempts <- p.attempts + 1;
                 if Obs.enabled () then Obs.incr "fault.injected";
-                if p.attempts > Fault.max_retries faults then begin
+                if p.attempts > Fault.max_retries then begin
                   incr dropped;
                   if tele then begin
                     m_outcome.(p.id) <- Obs.Telemetry.Dropped;
@@ -457,7 +439,7 @@ let run ?(faults = Fault.none) ?(label = "") ?sampler ?(sample_every = 64) topo
                 end
                 else begin
                   incr retransmits;
-                  let wait = Fault.backoff faults ~attempt:p.attempts in
+                  let wait = Fault.backoff ~attempt:p.attempts in
                   if Obs.enabled () then begin
                     Obs.incr "eventsim.retransmits";
                     Obs.observe "eventsim.backoff_ms" (float_of_int wait)

@@ -70,20 +70,9 @@ exception Deadlock of { cycles : int; in_flight : int }
     its cycle cap with [in_flight] packets still undelivered — a
     structured verdict the CLI can render as a clean error. *)
 
-type sample = {
-  cycle : int;
-  in_flight : int;  (** packets queued or crossing a link *)
-  busy_links : int;  (** links currently transmitting *)
-  max_queue_now : int;  (** deepest queue at this instant *)
-}
-(** One instant of the store-and-forward simulation, for time-series
-    observation of how congestion builds and drains. *)
-
 val run :
   ?faults:Fault.t ->
   ?label:string ->
-  ?sampler:(sample -> unit) ->
-  ?sample_every:int ->
   Topology.t ->
   params ->
   Netsim.volume ->
@@ -109,16 +98,14 @@ val run :
     peak-queue/stall series, and a bounded event log.  With telemetry
     disabled none of those branches execute and results are identical.
 
-    [sampler] (store-and-forward mode only — wormhole is not
-    cycle-stepped) is called every [sample_every] cycles (default 64)
-    with the instantaneous link state; independently, when
-    {!Obs.enabled} the same samples are recorded as {!Obs.point} time
-    series ([eventsim.in_flight], [eventsim.busy_links],
-    [eventsim.max_queue_now], and under faults
-    [eventsim.delivered_fraction], timestamped in cycles) and the
+    When {!Obs.enabled}, store-and-forward mode (wormhole is not
+    cycle-stepped) samples the instantaneous link state every 64
+    cycles into {!Obs.point} time series ([eventsim.in_flight],
+    [eventsim.busy_links], [eventsim.max_queue_now] and
+    [eventsim.delivered_fraction], timestamped in cycles), and the
     final result feeds the [eventsim.*] histograms plus the
     [fault.injected] / [eventsim.retransmits] counters and the
-    [eventsim.backoff_ms] histogram.  With no sampler and Obs disabled
+    [eventsim.backoff_ms] histogram.  With Obs and telemetry disabled
     the per-cycle overhead is a single test.
 
     @raise Deadlock when the cycle cap is exceeded. *)

@@ -31,16 +31,15 @@ type spec =
   | Degraded of { link : (int * int) option; factor : float }
   | Dead_node of int
 
-type t = {
-  specs : spec list;
-  seed : int;
-  ack_timeout : int;
-  backoff_cap : int;
-  max_retries : int;
-}
+type t = { specs : spec list; seed : int }
 
-let none =
-  { specs = []; seed = 0; ack_timeout = 128; backoff_cap = 4096; max_retries = 8 }
+(* The retransmission protocol: cycles before the first retransmission,
+   the cap its doubling stops at, and the failed attempts before a drop. *)
+let ack_timeout = 128
+let backoff_cap = 4096
+let max_retries = 8
+
+let none = { specs = []; seed = 0 }
 
 let is_none t = t.specs = []
 
@@ -56,17 +55,12 @@ let check_spec = function
       invalid_arg "Fault.make: bandwidth factor outside (0, 1]"
   | Dead_node r -> if r < 0 then invalid_arg "Fault.make: negative rank"
 
-let make ?(seed = 0) ?(ack_timeout = 128) ?(backoff_cap = 4096) ?(max_retries = 8)
-    specs =
-  if ack_timeout <= 0 then invalid_arg "Fault.make: ack_timeout <= 0";
-  if backoff_cap < ack_timeout then invalid_arg "Fault.make: backoff_cap < ack_timeout";
-  if max_retries < 0 then invalid_arg "Fault.make: negative max_retries";
+let make ?(seed = 0) specs =
   List.iter check_spec specs;
-  { specs; seed; ack_timeout; backoff_cap; max_retries }
+  { specs; seed }
 
 let specs t = t.specs
 let seed t = t.seed
-let max_retries t = t.max_retries
 
 (* Physical links are undirected as far as faults go: a broken cable
    kills both directions. *)
@@ -141,12 +135,11 @@ let drops t ~packet ~hop ~attempt ~link =
   p > 0.0
   && (p >= 1.0 || Backoff.hash_unit ~seed:t.seed [ packet; hop; attempt ] < p)
 
-let backoff t ~attempt =
-  Backoff.exp_delay ~base:t.ack_timeout ~cap:t.backoff_cap ~attempt
+let backoff ~attempt = Backoff.exp_delay ~base:ack_timeout ~cap:backoff_cap ~attempt
 
 let expected_transmissions t l =
   let p = drop_prob t l in
-  let cap = float_of_int (t.max_retries + 1) in
+  let cap = float_of_int (max_retries + 1) in
   if p <= 0.0 then 1.0 else if p >= 1.0 then cap else Float.min (1.0 /. (1.0 -. p)) cap
 
 let uniform_slowdown t =
@@ -167,7 +160,7 @@ let uniform_slowdown t =
           | _ -> acc)
         1.0 t.specs
     in
-    let cap = float_of_int (t.max_retries + 1) in
+    let cap = float_of_int (max_retries + 1) in
     let retrans =
       if p <= 0.0 then 1.0 else if p >= 1.0 then cap else Float.min (1.0 /. (1.0 -. p)) cap
     in

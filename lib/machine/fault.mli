@@ -4,7 +4,7 @@
     imperfect one and lets every layer above ask the same questions:
     is this link up at this cycle, does this packet crossing drop, how
     much bandwidth is left?  A fault model is a list of {!spec} items
-    plus a seed and the retransmission-protocol knobs; everything
+    plus a seed, under one fixed retransmission protocol; everything
     derived from it is {e deterministic} — the per-packet drop
     decision is a splitmix-style hash of (seed, packet, hop, attempt),
     not a draw from shared mutable state, so a given seed yields the
@@ -60,24 +60,19 @@ val none : t
 
 val is_none : t -> bool
 
-val make :
-  ?seed:int ->
-  ?ack_timeout:int ->
-  ?backoff_cap:int ->
-  ?max_retries:int ->
-  spec list ->
-  t
-(** Defaults: [seed = 0], [ack_timeout = 128] cycles before the first
-    retransmission, doubling per attempt up to [backoff_cap = 4096],
-    and [max_retries = 8] failed attempts before a packet is dropped
-    permanently.
+val make : ?seed:int -> spec list -> t
+(** [seed] defaults to [0].
     @raise Invalid_argument on a probability outside [\[0, 1]], a
-    factor outside [(0, 1]], a negative cycle interval, or bad
-    protocol knobs. *)
+    factor outside [(0, 1]], or a negative cycle interval. *)
 
 val specs : t -> spec list
 val seed : t -> int
-val max_retries : t -> int
+
+val max_retries : int
+(** The retransmission protocol every model shares: a dropped packet
+    is retransmitted [128] cycles after the first attempt, the wait
+    doubling per attempt up to [4096] cycles, and a packet is dropped
+    permanently after [max_retries = 8] failed attempts. *)
 
 (** {1 Spec grammar}
 
@@ -123,10 +118,10 @@ val drops : t -> packet:int -> hop:int -> attempt:int -> link:(int * int) -> boo
     — repeatable, order-independent, and distinct per retransmission
     attempt. *)
 
-val backoff : t -> attempt:int -> int
+val backoff : attempt:int -> int
 (** Cycles to wait before retransmission number [attempt] (1-based):
-    [min (ack_timeout * 2^(attempt-1)) backoff_cap], i.e.
-    {!Backoff.exp_delay} over the model's protocol knobs. *)
+    [min (128 * 2^(attempt-1)) 4096], i.e. {!Backoff.exp_delay} over
+    the protocol's knobs. *)
 
 val expected_transmissions : t -> int * int -> float
 (** [1 / (1 - p)] for the link's drop probability, capped at

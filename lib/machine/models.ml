@@ -12,11 +12,10 @@ type t = {
    reduction ~ broadcast << translation << general, with roughly an
    order of magnitude between broadcast and a general communication
    (§3.1). *)
-let cm5 ?(nodes = 32) () =
-  let q = max 1 (nodes / 8) in
+let cm5 () =
   {
     name = "cm5";
-    topo = Topology.mesh2d ~p:8 ~q;
+    topo = Topology.mesh2d ~p:8 ~q:4;
     net = { Netsim.alpha = 10.0; beta = 0.15; hop = 0.5 };
     hw = Some { coll_alpha = 6.0; coll_beta = 0.02 };
   }
@@ -29,10 +28,10 @@ let paragon ?(p = 8) ?(q = 4) () =
     hw = None;
   }
 
-let t3d ?(p = 4) ?(q = 4) ?(r = 2) () =
+let t3d () =
   {
     name = "t3d";
-    topo = Topology.torus3d ~p ~q ~r;
+    topo = Topology.torus3d ~p:4 ~q:4 ~r:2;
     net = { Netsim.alpha = 3.0; beta = 0.05; hop = 0.15 };
     hw = None;
   }

@@ -17,15 +17,15 @@ type t = {
   hw : hw_collective option;
 }
 
-val cm5 : ?nodes:int -> unit -> t
-(** 32 processors by default; hardware collectives enabled. *)
+val cm5 : unit -> t
+(** 32 processors as an 8x4 mesh; hardware collectives enabled. *)
 
 val paragon : ?p:int -> ?q:int -> unit -> t
 (** An 8x4 mesh by default; software collectives only. *)
 
-val t3d : ?p:int -> ?q:int -> ?r:int -> unit -> t
-(** A Cray T3D stand-in: 3-D torus (4x4x2 by default), fast links,
-    software collectives. *)
+val t3d : unit -> t
+(** A Cray T3D stand-in: a 4x4x2 3-D torus, fast links, software
+    collectives. *)
 
 val of_topo : Topology.t -> t
 (** The model behind the [--topo] flag: the given topology under

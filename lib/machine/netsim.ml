@@ -205,7 +205,7 @@ let tele_run ~sim ~label ~faults ~total_cycles topo ~messages ~links ~events =
     events;
   }
 
-let price ?(faults = Fault.none) ?(label = "") topo params v =
+let price ?(faults = Fault.none) topo params v =
   let tele = Obs.Telemetry.enabled () in
   let c = Compiled.get topo in
   let weights = fault_weights c faults in
@@ -288,7 +288,7 @@ let price ?(faults = Fault.none) ?(label = "") topo params v =
           locals :=
             tele_message ~src ~dst ~bytes ~hops:0 Obs.Telemetry.Delivered :: !locals);
     Obs.Telemetry.record_run
-      (tele_run ~sim:"netsim" ~label ~faults ~total_cycles:0 topo
+      (tele_run ~sim:"netsim" ~label:"" ~faults ~total_cycles:0 topo
          ~messages:(List.rev_append !locals (List.rev !t_msgs))
          ~links ~events:[])
   end;

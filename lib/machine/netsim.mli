@@ -131,8 +131,7 @@ val replay : volume -> Message.traffic
     coalesced in before traffic became a stream, and {!Eventsim}'s
     fault decisions, keyed on injection index, depend on it. *)
 
-val price :
-  ?faults:Fault.t -> ?label:string -> Topology.t -> params -> volume -> stats
+val price : ?faults:Fault.t -> Topology.t -> params -> volume -> stats
 (** The pricing core.
 
     [faults] (default {!Fault.none}, zero-cost) switches on the
@@ -147,7 +146,7 @@ val price :
     When {!Obs.Telemetry.enabled}, each pricing additionally records
     one {!Obs.Telemetry.run} (sim ["netsim"], [total_cycles = 0] — the
     model is closed-form, so link loads are effective loads and there
-    are no latency series), tagged with [label]: the traffic's local
+    are no latency series, and an empty label): the traffic's local
     messages as they come, then the priced ones.  A coalesced volume
     lists its remote pairs in {!replay}'s order, computed over the
     remote pairs alone.  This is the one case that prices message by

@@ -32,18 +32,14 @@ let reduce x e = ((x mod e) + e) mod e
 (* The odometer walk.  [v] moves through the cells one step at a time:
    its last coordinate moves by one ([dir]) and, past the end of its
    axis, wraps back and carries into the coordinate before.  As
-   [w = flow v + offset] is affine, moving [v] one step along axis [c]
+   [w = flow v] is linear, moving [v] one step along axis [c]
    moves each [w.(r)] by a fixed amount, and wrapping [v] along [c] by
    another; both are reduced modulo [vgrid.(r)] once per call
    ([step.(c * d + r)] and [wrap.(c * d + r)]), so following [v] costs
    [w] one addition and at most one subtraction per coordinate. *)
-let iter_flow ?offset ~rev ~vgrid flow f =
+let iter_flow ~rev ~vgrid flow f =
   check_flow ~vgrid flow;
   let d = Array.length vgrid in
-  (match offset with
-  | Some o when Array.length o <> d ->
-    invalid_arg "Patterns: offset length does not match vgrid"
-  | _ -> ());
   let n = cells vgrid in
   if n > 0 then begin
     let dir = if rev then -1 else 1 in
@@ -61,7 +57,7 @@ let iter_flow ?offset ~rev ~vgrid flow f =
     let v = Array.copy first in
     let w =
       Array.init d (fun r ->
-          let x = ref (match offset with Some o -> o.(r) | None -> 0) in
+          let x = ref 0 in
           for c = 0 to d - 1 do
             x := !x + (Mat.get flow r c * v.(c))
           done;
@@ -89,15 +85,15 @@ let iter_flow ?offset ~rev ~vgrid flow f =
     done
   end
 
-let fill_successors ?offset ~vgrid flow succ =
+let fill_successors ~vgrid flow succ =
   let i = ref 0 in
-  iter_flow ?offset ~rev:false ~vgrid flow (fun _ w ->
+  iter_flow ~rev:false ~vgrid flow (fun _ w ->
       succ.(!i) <- index ~vgrid w;
       incr i)
 
-let successors ?offset ~vgrid flow =
+let successors ~vgrid flow =
   let succ = Array.make (cells vgrid) 0 in
-  fill_successors ?offset ~vgrid flow succ;
+  fill_successors ~vgrid flow succ;
   succ
 
 let rank ~axes ?remap v =
@@ -124,11 +120,11 @@ let fill_ranks ~axes ?remap ~vgrid table =
   in
   if d > 0 then go 0 0
 
-let traffic ?offset ~vgrid ~axes ?remap ~bytes flows emit =
+let traffic ~vgrid ~axes ?remap ~bytes flows emit =
   if bytes < 0 then invalid_arg "Message.make: negative size";
   List.iter
     (fun flow ->
-      iter_flow ?offset ~rev:true ~vgrid flow (fun v w ->
+      iter_flow ~rev:true ~vgrid flow (fun v w ->
           emit (rank ~axes ?remap v) (rank ~axes ?remap w) bytes))
     flows
 

@@ -32,14 +32,13 @@ val check_flow : vgrid:int array -> Mat.t -> unit
     rank of [vgrid]. *)
 
 val iter_flow :
-  ?offset:int array ->
   rev:bool ->
   vgrid:int array ->
   Mat.t ->
   (int array -> int array -> unit) ->
   unit
 (** [iter_flow ~rev ~vgrid flow f] calls [f v w] once per cell [v],
-    where [w] is [v]'s destination [flow v + offset] wrapped onto
+    where [w] is [v]'s destination [flow v] wrapped onto
     [vgrid].  Cells are visited in row-major order, the order of
     {!iter_box}, or exactly reversed (last to first) with [rev]; the
     successor and traffic functions below inherit that order.
@@ -53,15 +52,15 @@ val iter_flow :
     once per coordinate.  [v] and [w] are buffers the walk reuses and
     updates in place: [f] must not modify them, and must copy them to
     keep them.
-    @raise Invalid_argument when [flow] is not [d x d] or [offset] not
-    of length [d], for [d] the rank of [vgrid]. *)
+    @raise Invalid_argument when [flow] is not [d x d], for [d] the
+    rank of [vgrid]. *)
 
-val successors : ?offset:int array -> vgrid:int array -> Mat.t -> int array
+val successors : vgrid:int array -> Mat.t -> int array
 (** [(successors ~vgrid flow).(i)] is the index of cell [i]'s
-    destination [flow v + offset], wrapped.
+    destination [flow v], wrapped.
     @raise Invalid_argument as {!iter_flow}. *)
 
-val fill_successors : ?offset:int array -> vgrid:int array -> Mat.t -> int array -> unit
+val fill_successors : vgrid:int array -> Mat.t -> int array -> unit
 (** {!successors} written into the first {!cells} entries of a
     caller's array. *)
 
@@ -72,7 +71,6 @@ val fill_ranks :
     {!cells} entries of a caller's array: the cell→rank table. *)
 
 val traffic :
-  ?offset:int array ->
   vgrid:int array ->
   axes:int array array ->
   ?remap:int array ->

@@ -19,17 +19,14 @@ type t = int array
 
 type kind = Identity | Greedy | Search
 
-type spec = { kind : kind; seed : int; restarts : int }
+type spec = { kind : kind; seed : int }
 
-let default_restarts = 8
-
-(* Only [Search] reads a seed or a restart count: the other kinds get
-   the defaults, so every greedy spec is one spec (one memo key, one
-   cached placement). *)
-let spec ?(seed = 0) ?(restarts = default_restarts) kind =
+(* Only [Search] reads a seed: the other kinds get seed 0, so every
+   greedy spec is one spec (one memo key, one cached placement). *)
+let spec ?(seed = 0) kind =
   match kind with
-  | Search -> { kind; seed; restarts }
-  | Identity | Greedy -> { kind; seed = 0; restarts = default_restarts }
+  | Search -> { kind; seed }
+  | Identity | Greedy -> { kind; seed = 0 }
 
 let kind_to_string = function
   | Identity -> "none"
@@ -239,7 +236,11 @@ let random_perm rng n =
    so the winner does not depend on evaluation order. *)
 let better (c1, p1) (c2, p2) = c1 < c2 || (c1 = c2 && compare p1 p2 < 0)
 
-let search ?(seed = 0) ?(restarts = default_restarts) topo vol =
+(* Restart 0 climbs from greedy, restarts 1 to 8 from random
+   permutations. *)
+let restarts = 8
+
+let search ?(seed = 0) topo vol =
   let n = Machine.Topology.size topo in
   let dist = dist_table topo in
   let w = weight_matrix n vol in
@@ -263,4 +264,4 @@ let compute s topo vol =
   match s.kind with
   | Identity -> identity (Machine.Topology.size topo)
   | Greedy -> greedy topo vol
-  | Search -> search ~seed:s.seed ~restarts:s.restarts topo vol
+  | Search -> search ~seed:s.seed topo vol

@@ -26,17 +26,16 @@ type t = int array
 
 type kind = Identity | Greedy | Search
 
-type spec = { kind : kind; seed : int; restarts : int }
+type spec = { kind : kind; seed : int }
 (** What to compute: [Identity] is the paper's fixed embedding (a
     no-op placement, kept so benches can price it explicitly),
     [Greedy] the growing construction alone, [Search] greedy plus
-    seeded hill climbing.  [seed] and [restarts] only matter for
-    [Search]. *)
+    seeded hill climbing.  [seed] only matters for [Search]. *)
 
-val spec : ?seed:int -> ?restarts:int -> kind -> spec
-(** [seed] defaults to [0], [restarts] to [8].  Only [Search] keeps
-    them: [Identity] and [Greedy] always get the defaults, so specs
-    that compute the same placement are equal. *)
+val spec : ?seed:int -> kind -> spec
+(** [seed] defaults to [0].  Only [Search] keeps it: [Identity] and
+    [Greedy] always get [0], so specs that compute the same placement
+    are equal. *)
 
 val kind_to_string : kind -> string
 (** ["none"], ["greedy"], ["search"] — the [--map] CLI vocabulary. *)
@@ -50,13 +49,8 @@ val hop_bytes : Machine.Topology.t -> Machine.Volgraph.t -> t -> int
 (** The objective: summed [volume * hops] over all pairs under the
     placement.  Local volume ([p = q]) costs nothing. *)
 
-val search :
-  ?seed:int ->
-  ?restarts:int ->
-  Machine.Topology.t ->
-  Machine.Volgraph.t ->
-  t
-(** Hill climbing from the [Greedy] placement plus [restarts] climbs
+val search : ?seed:int -> Machine.Topology.t -> Machine.Volgraph.t -> t
+(** Hill climbing from the [Greedy] placement and, as 8 restarts,
     from seeded random permutations; the best local optimum wins.
     Never returns a placement costing more than [Greedy]. *)
 

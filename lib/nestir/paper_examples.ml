@@ -22,7 +22,7 @@ let example1_f = function
   | 9 -> f9
   | k -> invalid_arg (Printf.sprintf "Paper_examples.example1_f: F%d" k)
 
-let example1 ?(n = 8) ?(m = 8) () =
+let example1 () =
   let open Loopnest in
   make ~name:"example1"
     ~arrays:
@@ -36,7 +36,7 @@ let example1 ?(n = 8) ?(m = 8) () =
         {
           stmt_name = "S1";
           depth = 2;
-          extent = [| n; m |];
+          extent = [| 8; 8 |];
           accesses =
             [
               access ~array_name:"b" ~label:"F1" Write (Affine.make f1 [| 0; 0; 0 |]);
@@ -48,7 +48,7 @@ let example1 ?(n = 8) ?(m = 8) () =
         {
           stmt_name = "S2";
           depth = 3;
-          extent = [| n; m; n + m |];
+          extent = [| 8; 8; 16 |];
           accesses =
             [
               access ~array_name:"b" ~label:"F5" Write (Affine.make f5 [| 0; 0; 1 |]);
@@ -58,7 +58,7 @@ let example1 ?(n = 8) ?(m = 8) () =
         {
           stmt_name = "S3";
           depth = 3;
-          extent = [| n; m; n + m |];
+          extent = [| 8; 8; 16 |];
           accesses =
             [
               access ~array_name:"c" ~label:"F7" Write (Affine.make f7 [| 0; 0; 1 |]);
@@ -68,7 +68,7 @@ let example1 ?(n = 8) ?(m = 8) () =
         };
       ]
 
-let example2_broadcast ?(n = 8) () =
+let example2_broadcast () =
   let open Loopnest in
   make ~name:"example2"
     ~arrays:[ { array_name = "a"; dim = 1 }; { array_name = "x"; dim = 2 } ]
@@ -77,7 +77,7 @@ let example2_broadcast ?(n = 8) () =
         {
           stmt_name = "S";
           depth = 2;
-          extent = [| n; n |];
+          extent = [| 8; 8 |];
           accesses =
             [
               access ~array_name:"x" Write (Affine.identity 2);
@@ -87,7 +87,7 @@ let example2_broadcast ?(n = 8) () =
         };
       ]
 
-let example3_gather ?(n = 8) () =
+let example3_gather () =
   let open Loopnest in
   make ~name:"example3"
     ~arrays:[ { array_name = "a"; dim = 1 }; { array_name = "x"; dim = 2 } ]
@@ -96,7 +96,7 @@ let example3_gather ?(n = 8) () =
         {
           stmt_name = "S";
           depth = 2;
-          extent = [| n; n |];
+          extent = [| 8; 8 |];
           accesses =
             [
               access ~array_name:"a" ~label:"Fa" Write
@@ -106,7 +106,7 @@ let example3_gather ?(n = 8) () =
         };
       ]
 
-let example4_reduction ?(n = 8) () =
+let example4_reduction () =
   let open Loopnest in
   make ~name:"example4"
     ~arrays:[ { array_name = "s"; dim = 1 }; { array_name = "b"; dim = 2 } ]
@@ -115,7 +115,7 @@ let example4_reduction ?(n = 8) () =
         {
           stmt_name = "S";
           depth = 2;
-          extent = [| n; n |];
+          extent = [| 8; 8 |];
           accesses =
             [
               access ~array_name:"s" Write (Affine.of_lists [ [ 0; 0 ] ] [ 0 ]);
@@ -177,7 +177,7 @@ let matmul ?(n = 8) () =
         };
       ]
 
-let gauss ?(n = 8) () =
+let gauss () =
   let open Loopnest in
   make ~name:"gauss"
     ~arrays:[ { array_name = "A"; dim = 2 }; { array_name = "P"; dim = 2 } ]
@@ -186,7 +186,7 @@ let gauss ?(n = 8) () =
         {
           stmt_name = "S";
           depth = 3;
-          extent = [| n; n; n |];
+          extent = [| 8; 8; 8 |];
           accesses =
             [
               access ~array_name:"A" ~label:"Fw" Write
@@ -199,7 +199,7 @@ let gauss ?(n = 8) () =
         };
       ]
 
-let lu ?(n = 8) () =
+let lu () =
   let open Loopnest in
   make ~name:"lu"
     ~arrays:[ { array_name = "A"; dim = 2 } ]
@@ -209,7 +209,7 @@ let lu ?(n = 8) () =
           stmt_name = "S";
           depth = 3;
           (* iteration order (k, i, j) *)
-          extent = [| n; n; n |];
+          extent = [| 8; 8; 8 |];
           accesses =
             [
               access ~array_name:"A" ~label:"Fw" Write
@@ -224,7 +224,7 @@ let lu ?(n = 8) () =
         };
       ]
 
-let transpose ?(n = 8) () =
+let transpose () =
   let open Loopnest in
   let swap = Affine.of_lists [ [ 0; 1 ]; [ 1; 0 ] ] [ 0; 0 ] in
   (* S2 aligns A, B and C identically, so S1's transposed read cannot
@@ -241,7 +241,7 @@ let transpose ?(n = 8) () =
         {
           stmt_name = "S1";
           depth = 2;
-          extent = [| n; n |];
+          extent = [| 8; 8 |];
           accesses =
             [
               access ~array_name:"B" ~label:"Fw" Write (Affine.identity 2);
@@ -251,7 +251,7 @@ let transpose ?(n = 8) () =
         {
           stmt_name = "S2";
           depth = 2;
-          extent = [| n; n |];
+          extent = [| 8; 8 |];
           accesses =
             [
               access ~array_name:"C" ~label:"Gw" Write (Affine.identity 2);
@@ -261,7 +261,7 @@ let transpose ?(n = 8) () =
         };
       ]
 
-let seidel ?(n = 8) () =
+let seidel () =
   let open Loopnest in
   let shift di dj = Affine.make (Mat.identity 2) [| di; dj |] in
   make ~name:"seidel"
@@ -271,7 +271,7 @@ let seidel ?(n = 8) () =
         {
           stmt_name = "S";
           depth = 2;
-          extent = [| n; n |];
+          extent = [| 8; 8 |];
           accesses =
             [
               access ~array_name:"A" ~label:"Fw" Write (shift 0 0);

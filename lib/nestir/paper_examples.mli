@@ -1,4 +1,5 @@
-(** The paper's running examples, as data.
+(** The paper's running examples, as data.  Every loop has extent 8,
+    or [n] (default 8) where a function takes one.
 
     The OCR of the source report lost the numeric entries of the
     Example 1 access matrices, so this module rebuilds an instance that
@@ -18,22 +19,22 @@
       the product of exactly two elementary matrices
       [[[1,0],[3,1]] * [[1,2],[0,1]]]. *)
 
-val example1 : ?n:int -> ?m:int -> unit -> Loopnest.t
-(** The motivating example (§2.1).  [n], [m] are the loop extents
-    (defaults 8 and 8; the inner loop runs to [n + m]). *)
+val example1 : unit -> Loopnest.t
+(** The motivating example (§2.1), with loop extents 8 and 8 (the
+    inner loop runs to 16). *)
 
 val example1_f : int -> Linalg.Mat.t
 (** [example1_f k] is the access matrix [F_k], [1 <= k <= 9]. *)
 
-val example2_broadcast : ?n:int -> unit -> Loopnest.t
+val example2_broadcast : unit -> Loopnest.t
 (** §3.1's Example 2 shape: [S(i,j): .. = a(Fa I + ca)] where every
     row of processors reads the same element — a broadcast. *)
 
-val example3_gather : ?n:int -> unit -> Loopnest.t
+val example3_gather : unit -> Loopnest.t
 (** §3.3's Example 3 shape: [S(i,j): a(Fa I + ca) = ..] with a
     rank-deficient access — a gather. *)
 
-val example4_reduction : ?n:int -> unit -> Loopnest.t
+val example4_reduction : unit -> Loopnest.t
 (** §3.4's Example 4 shape: [S(I): s = s + b(Fb I + cb)]. *)
 
 val example5 : ?n:int -> unit -> Loopnest.t
@@ -47,7 +48,7 @@ val matmul : ?n:int -> unit -> Loopnest.t
 (** [C(i,j) += A(i,k) * B(k,j)]: the classical kernel the introduction
     argues cannot be mapped without residual communications. *)
 
-val gauss : ?n:int -> unit -> Loopnest.t
+val gauss : unit -> Loopnest.t
 (** Gaussian-elimination update step
     [A(i,j) = A(i,j) - A(i,k) * A(k,j)]: same motivation. *)
 
@@ -55,16 +56,16 @@ val stencil : ?n:int -> unit -> Loopnest.t
 (** A 5-point Jacobi step: all accesses are translations; everything
     can be made local, residuals are nearest-neighbour shifts. *)
 
-val lu : ?n:int -> unit -> Loopnest.t
+val lu : unit -> Loopnest.t
 (** The LU-factorization update [A(i,j) -= A(i,k) * A(k,j)] in
     k-outer form: like [gauss], a kernel the introduction says cannot
     map onto a 2-D grid without residual communications. *)
 
-val transpose : ?n:int -> unit -> Loopnest.t
+val transpose : unit -> Loopnest.t
 (** [B(i,j) = A(j,i)]: the minimal nest whose residual data-flow is a
     pure transposition — decomposed into unirow factors (det -1). *)
 
-val seidel : ?n:int -> unit -> Loopnest.t
+val seidel : unit -> Loopnest.t
 (** A Gauss-Seidel sweep [A(i,j) = f(A(i-1,j), A(i,j-1), A(i,j))]:
     uniform flow dependences with distances (1,0) and (0,1), so the
     nest needs a Lamport hyperplane schedule ([theta = (1,1)]) rather

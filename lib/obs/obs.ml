@@ -13,7 +13,7 @@
 (* Clock                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let set_clock = Profile.set_clock
+let set_clock f = Ambient.clock := f
 let now_us = Ambient.now_us
 
 (* ------------------------------------------------------------------ *)

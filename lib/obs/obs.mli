@@ -33,9 +33,9 @@ val set_clock : (unit -> float) -> unit
     float.  The default is [Sys.time] (processor time), the only clock
     the standard library offers; executables that link [unix] should
     install [Unix.gettimeofday] for real wall-clock spans, and tests
-    install a deterministic fake.  This is {!Profile.set_clock}: the
-    library keeps one clock, so spans, {!time_ms} and scheduler
-    profiles always share it. *)
+    install a deterministic fake.  The library keeps one clock, so
+    spans, {!time_ms} and scheduler profiles ({!Profile}) always share
+    it. *)
 
 (** {1 Enabling} *)
 

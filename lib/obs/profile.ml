@@ -7,11 +7,6 @@
    tests [enabled_flag], so a profiler-off build pays one boolean test
    and output is byte-identical. *)
 
-(* ------------------------------------------------------------------ *)
-(* Clock                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let set_clock f = Ambient.clock := f
 let now_us = Ambient.now_us
 
 (* ------------------------------------------------------------------ *)
@@ -370,8 +365,8 @@ let timeline_row tops ~lo ~wall worker =
       else if cover.(c) >= 0.5 *. col_w then '#'
       else '+')
 
-let utilization_report ?cores () =
-  match diagnose ?cores () with
+let utilization_report () =
+  match diagnose () with
   | None -> ""
   | Some d ->
     let buf = Buffer.create 2048 in

@@ -23,19 +23,12 @@
     one mutex-guarded store, and records carry their worker slot
     explicitly. *)
 
-(** {1 Clock} *)
-
-val set_clock : (unit -> float) -> unit
-(** Install the time source (seconds as a float), the one clock of
-    [lib/obs]: {!Obs.set_clock} is this function, so spans, profiles
-    and {!Obs.time_ms} always agree.  Defaults to [Sys.time];
-    executables install a wall clock and tests a deterministic fake. *)
-
 (** {1 Enabling} *)
 
 val enable : unit -> unit
 (** Start recording.  Idempotent.  The first call also calibrates an
-    estimated minor-collection pause on the installed clock (used only
+    estimated minor-collection pause on the clock {!Obs.set_clock}
+    installs (used only
     by the diagnosis GC bucket; 0 under a frozen fake clock). *)
 
 val disable : unit -> unit
@@ -152,12 +145,13 @@ val diagnose : ?cores:int -> unit -> diagnosis option
 
 (** {1 Renderers} *)
 
-val utilization_report : ?cores:int -> unit -> string
+val utilization_report : unit -> string
 (** The full ASCII report: pool shape and wall time, per-worker
     busy% / task / item / GC table, a Gantt-style busy timeline (one
     row per worker), the task-granularity percentiles (p50/p95/p99 via
     {!Telemetry.percentile}), lifecycle cost lines and the
-    {!diagnose} breakdown.  Empty string when nothing was recorded. *)
+    {!diagnose} breakdown at this machine's core count.  Empty string
+    when nothing was recorded. *)
 
 val collapsed : unit -> string
 (** Collapsed-stack text for flamegraph tools: one

@@ -23,23 +23,15 @@ module Pool = struct
     mutable domains : unit Domain.t list; (* spawned on first use *)
   }
 
-  let create ?jobs ?(oversubscribe = false) () =
-    let size =
-      match jobs with
-      | Some j -> max 1 j
-      | None -> max 1 (Domain.recommended_domain_count ())
-    in
+  let create ~jobs =
+    let size = max 1 jobs in
     (* Running more domains than cores never helps here — the chunks
        are CPU-bound and OCaml 5 minor collections stop every domain,
        so time-sliced domains multiply GC pauses instead of hiding
        latency (measured: the 0.355x jobs-4 sweep of BENCH_par.json
        on a 1-core container).  Cap the execution width at the core
-       count; [oversubscribe] lifts the cap for tests that want real
-       multi-domain scheduling regardless of the machine. *)
-    let width =
-      if oversubscribe then size
-      else min size (max 1 (Domain.recommended_domain_count ()))
-    in
+       count. *)
+    let width = min size (max 1 (Domain.recommended_domain_count ())) in
     {
       size;
       width;
@@ -120,10 +112,6 @@ module Pool = struct
             List.iter Domain.join t.domains);
       t.domains <- []
     end
-
-  let with_pool ?jobs ?oversubscribe f =
-    let t = create ?jobs ?oversubscribe () in
-    Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -134,7 +122,7 @@ end
    showed pools being created and torn down once per call site.  This
    registry keeps one pool alive per jobs count for the life of the
    process; everything long-running (CLI subcommands, Sweep rows,
-   benches) should go through [get] instead of [Pool.with_pool]. *)
+   benches) should go through [get] instead of a pool of their own. *)
 module Shared = struct
   let pools : (int, Pool.t) Hashtbl.t = Hashtbl.create 4
   let lock = Mutex.create ()
@@ -154,7 +142,7 @@ module Shared = struct
       match Hashtbl.find_opt pools jobs with
       | Some p -> p
       | None ->
-        let p = Pool.create ~jobs () in
+        let p = Pool.create ~jobs in
         Hashtbl.replace pools jobs p;
         if not !registered then begin
           registered := true;

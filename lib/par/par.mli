@@ -36,21 +36,17 @@ module Pool : sig
       block on a condition variable between operations, so an idle
       pool costs nothing but memory. *)
 
-  val create : ?jobs:int -> ?oversubscribe:bool -> unit -> t
-  (** [create ~jobs ()] — a pool accepting work for [jobs] domains.
-      Defaults to [Domain.recommended_domain_count ()]; values [< 1]
-      are clamped to 1, and a pool of execution width 1 never spawns
-      anything.
+  val create : jobs:int -> t
+  (** [create ~jobs] — a pool accepting work for [jobs] domains.
+      Values [< 1] are clamped to 1, and a pool of execution width 1
+      never spawns anything.
 
       The pool {e executes} on [width = min jobs cores] domains: the
       chunks are CPU-bound and OCaml 5 minor collections stop every
       domain, so running more domains than cores multiplies GC pauses
       instead of adding throughput (the profiled cause of the 0.355x
       jobs-4 sweep in [BENCH_par.json] on a 1-core machine).  Results
-      never depend on the width — only wall time does.
-      [~oversubscribe:true] lifts the cap and executes on [jobs]
-      domains regardless of the core count, which tests use to get
-      genuinely scrambled multi-domain scheduling everywhere. *)
+      never depend on the width — only wall time does. *)
 
   val jobs : t -> int
   (** The requested parallelism, as passed to [create]. *)
@@ -61,9 +57,6 @@ module Pool : sig
   val shutdown : t -> unit
   (** Stop and join the worker domains.  Idempotent.  Using the pool
       afterwards raises [Invalid_argument]. *)
-
-  val with_pool : ?jobs:int -> ?oversubscribe:bool -> (t -> 'a) -> 'a
-  (** [with_pool ~jobs f] — [create], run [f], always [shutdown]. *)
 end
 
 (** {1 Shared pools}
@@ -72,7 +65,7 @@ end
     used to be created and torn down once per call.  [Shared] keeps
     one pool per jobs count alive for the whole process; long-running
     call sites (CLI subcommands, {!Resopt.Sweep} rows, benches) should
-    prefer it over {!Pool.with_pool}. *)
+    prefer it over a pool of their own. *)
 
 module Shared : sig
   val get : jobs:int -> Pool.t

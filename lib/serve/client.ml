@@ -47,7 +47,9 @@ let request t req =
 let default_backoff ~seed =
   Machine.Backoff.make ~jitter:0.5 ~seed ~base:50 ~cap:1000 ()
 
-let call ?(attempts = 5) ?backoff addr req =
+let attempts = 5
+
+let call ?backoff addr req =
   let backoff =
     match backoff with Some b -> b | None -> default_backoff ~seed:0
   in

@@ -26,12 +26,11 @@ val default_backoff : seed:int -> Machine.Backoff.t
 (** Base 50 ms, cap 1000 ms, jitter 0.5. *)
 
 val call :
-  ?attempts:int ->
   ?backoff:Machine.Backoff.t ->
   Wire.addr ->
   Wire.request ->
   (Wire.response, string) result
-(** One request with a retry loop ([attempts] tries total, default 5):
+(** One request with a retry loop (5 tries total):
     a failed connect, a dropped connection, a [shed] or a [timeout]
     response sleeps [Machine.Backoff.delay ~attempt] milliseconds and
     tries again — a timed-out solve keeps running server-side and

@@ -47,8 +47,7 @@ type tally = {
   mutable t_lat : float list;
 }
 
-let run ~addr ~clients ?(qps = 0.0) ?(verify = false) ?(attempts = 5)
-    ~requests ~seed () =
+let run ~addr ~clients ?(qps = 0.0) ?(verify = false) ~requests ~seed () =
   let clients = max 1 clients in
   let requests = Array.of_list requests in
   let n = Array.length requests in
@@ -85,7 +84,7 @@ let run ~addr ~clients ?(qps = 0.0) ?(verify = false) ?(attempts = 5)
         incr sent;
         let req = requests.(i) in
         let t0 = Unix.gettimeofday () in
-        let outcome = Client.call ~attempts ~backoff addr req in
+        let outcome = Client.call ~backoff addr req in
         tl.t_lat <- ((Unix.gettimeofday () -. t0) *. 1000.0) :: tl.t_lat;
         (match outcome with
         | Ok (Wire.Answer body) ->

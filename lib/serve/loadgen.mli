@@ -37,16 +37,14 @@ val run :
   clients:int ->
   ?qps:float ->
   ?verify:bool ->
-  ?attempts:int ->
   requests:Wire.request list ->
   seed:int ->
   unit ->
   summary
 (** Replay [requests] round-robin over [clients] threads.  [qps <= 0]
     (the default) paces nothing.  [verify] (default false) pre-solves
-    every distinct key locally, then byte-compares.  [attempts] is the
-    per-request retry budget of {!Client.call} (default 5).  [seed]
-    differentiates the per-client backoff jitter streams. *)
+    every distinct key locally, then byte-compares.  Each request gets
+    {!Client.call}'s retry budget.  [seed] differentiates the per-client backoff jitter streams. *)
 
 val pp : Format.formatter -> summary -> unit
 

@@ -34,8 +34,8 @@ let normalise r =
   | Some k when Mapping.kind_of_string k = Some Mapping.Search -> r
   | Some _ -> { r with mseed = 0 }
 
-let run ?(m = 2) ?faults ?(fseed = 0) ?map ?(mseed = 0) ?deadline_ms workload =
-  normalise { op = Run; workload; m; faults; fseed; map; mseed; deadline_ms }
+let run ?(m = 2) ?faults ?(fseed = 0) ?map ?(mseed = 0) workload =
+  normalise { op = Run; workload; m; faults; fseed; map; mseed; deadline_ms = None }
 
 let blank op =
   { op; workload = ""; m = 2; faults = None; fseed = 0; map = None; mseed = 0;

@@ -34,7 +34,7 @@ type request = {
 }
 
 val run : ?m:int -> ?faults:string -> ?fseed:int -> ?map:string -> ?mseed:int ->
-  ?deadline_ms:int -> string -> request
+  string -> request
 (** [run workload] with the same defaults as [resopt-cli run].  [map]
     ["none"] is the same request as no [map] (its [mseed] dropped), and
     [mseed] is zeroed for every kind but [search] — the only placement

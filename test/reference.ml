@@ -28,10 +28,10 @@ let coords ~vgrid i v =
     i := !i / vgrid.(d)
   done
 
-(* [w] := [flow v + offset], wrapped onto [vgrid]. *)
-let move ?offset ~vgrid flow v w =
+(* [w] := [flow v], wrapped onto [vgrid]. *)
+let move ~vgrid flow v w =
   for r = 0 to Array.length vgrid - 1 do
-    let x = ref (match offset with Some o -> o.(r) | None -> 0) in
+    let x = ref 0 in
     for c = 0 to Array.length vgrid - 1 do
       x := !x + (Linalg.Mat.get flow r c * v.(c))
     done;
@@ -41,24 +41,24 @@ let move ?offset ~vgrid flow v w =
 
 (* [Patterns.iter_flow] cell by cell: each cell's coordinates and its
    destination computed afresh. *)
-let iter_flow ?offset ~rev ~vgrid flow f =
+let iter_flow ~rev ~vgrid flow f =
   let d = Array.length vgrid in
   let v = Array.make d 0 and w = Array.make d 0 in
   let n = Patterns.cells vgrid in
   for k = 0 to n - 1 do
     coords ~vgrid (if rev then n - 1 - k else k) v;
-    move ?offset ~vgrid flow v w;
+    move ~vgrid flow v w;
     f v w
   done
 
-let successors ?offset ~vgrid flow =
+let successors ~vgrid flow =
   let index w =
     let i = ref 0 in
     Array.iteri (fun d x -> i := (!i * vgrid.(d)) + x) w;
     !i
   in
   let succ = ref [] in
-  iter_flow ?offset ~rev:false ~vgrid flow (fun _ w -> succ := index w :: !succ);
+  iter_flow ~rev:false ~vgrid flow (fun _ w -> succ := index w :: !succ);
   Array.of_list (List.rev !succ)
 
 (* ------------------------------------------------------------------ *)
@@ -204,8 +204,8 @@ let messages (traffic : Message.traffic) =
 let raw topo msgs = Netsim.volume ~coalesce:false topo (Message.of_list msgs)
 
 (* [Netsim.price] of a message list, coalesced by default. *)
-let price ?coalesce ?faults ?label topo params msgs =
-  Netsim.price ?faults ?label topo params
+let price ?coalesce ?faults topo params msgs =
+  Netsim.price ?faults topo params
     (Netsim.volume ?coalesce topo (Message.of_list msgs))
 
 (* ------------------------------------------------------------------ *)
@@ -355,11 +355,11 @@ let place ?remap layout ~vgrid ~topo v =
 
 (* [Foldsim.time]: stats and record. *)
 let foldsim_time ?(coalesce = true) ?(faults = Fault.none) ?remap
-    (model : Models.t) ~layout ~vgrid ~flow ?offset ~bytes () =
+    (model : Models.t) ~layout ~vgrid ~flow ~bytes () =
   let topo = model.Models.topo in
   let place = place ?remap layout ~vgrid ~topo in
   run ~coalesce ~faults topo model.Models.net
-    (affine_messages ~vgrid ~flow ?offset ~bytes ~place ())
+    (affine_messages ~vgrid ~flow ~bytes ~place ())
 
 (* [Foldsim.decomposed_time]: one (stats, record) per phase. *)
 let decomposed_time ?(faults = Fault.none) ?remap (model : Models.t) ~layout ~vgrid
@@ -452,8 +452,9 @@ let decomposed_prices ~faults ?remap ~vgrid (model : Models.t) ~flow factors =
       in
       let layout = [| Distrib.Layout.Grouped k; Distrib.Layout.Grouped k |] in
       Distrib.Foldsim.total_time
-        (Distrib.Foldsim.decomposed_time ~faults ?remap model ~layout ~vgrid ~factors
-           ~bytes:plan_bytes ())
+        (List.map fst
+           (decomposed_time ~faults ?remap model ~layout ~vgrid ~factors
+              ~bytes:plan_bytes ()))
     | _ ->
       Fault.uniform_slowdown faults
       *. float_of_int (List.length factors)
@@ -742,3 +743,18 @@ let route_bound topo =
 
 (* The one nest [Gennest] draws from [seed]. *)
 let generated ~seed = List.hd (Nestir.Gennest.generate_many ~seed ~count:1)
+
+(* A pool of [jobs] for the span of [f], shut down however [f] ends. *)
+let with_pool ~jobs f =
+  let pool = Par.Pool.create ~jobs in
+  Fun.protect ~finally:(fun () -> Par.Pool.shutdown pool) (fun () -> f pool)
+
+(* [Paper_examples.example1] with loop extents [n] and [m] in place of
+   8 and 8, the inner loop of [S2] and [S3] running to [n + m]. *)
+let example1 ~n ~m =
+  let open Nestir.Loopnest in
+  let nest = Nestir.Paper_examples.example1 () in
+  let resize s =
+    { s with extent = (if s.depth = 2 then [| n; m |] else [| n; m; n + m |]) }
+  in
+  { nest with stmts = List.map resize nest.stmts }

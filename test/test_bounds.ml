@@ -61,26 +61,28 @@ let owner_of vgrid place =
   Machine.Patterns.iter_box vgrid (fun v -> ranks := place v :: !ranks);
   Array.of_list (List.rev !ranks)
 
-(* 1-D circular shift: v -> v + 1 on 6 cells, 3 processors holding 2
-   cells each in blocks.  One orbit of length 6; cap 2 forces >= 3
-   processors on it, so >= 3 boundary crossings — and block placement
-   achieves exactly 3 (at cells 1->2, 3->4, 5->0).  The bound is
-   tight. *)
+(* 1-D circular shift: the shear (a, b) -> (a + b, b) on a 6x2 grid
+   fixes row 0 and shifts row 1 by one cell, a -> a + 1.  6 processors
+   hold 2 cells each in blocks along the rows.  The 6 fixed points cost
+   nothing; the shifted row is one orbit of length 6, and cap 2 forces
+   >= 3 processors on it, so >= 3 boundary crossings — and block
+   placement achieves exactly 3 (at a = 1->2, 3->4, 5->0).  The bound
+   is tight. *)
 let test_volume_shift () =
   let v =
-    Bounds.volume ~vgrid:[| 6 |] ~offset:[| 1 |] ~bytes:10
-      ~owner:(owner_of [| 6 |] (fun c -> c.(0) / 2))
-      [ Mat.identity 1 ]
+    Bounds.volume ~vgrid:[| 6; 2 |] ~bytes:10
+      ~owner:(owner_of [| 6; 2 |] (fun c -> (c.(0) / 2) + (3 * c.(1))))
+      [ Mat.of_lists [ [ 1; 1 ]; [ 0; 1 ] ] ]
   in
-  Alcotest.(check int) "cells" 6 v.Bounds.cells;
-  Alcotest.(check int) "nprocs" 3 v.Bounds.nprocs;
+  Alcotest.(check int) "cells" 12 v.Bounds.cells;
+  Alcotest.(check int) "nprocs" 6 v.Bounds.nprocs;
   Alcotest.(check int) "cap" 2 v.Bounds.cap;
-  Alcotest.(check int) "one orbit" 1 v.Bounds.orbits;
+  Alcotest.(check int) "6 fixed points + one orbit" 7 v.Bounds.orbits;
   Alcotest.(check int) "of length 6" 6 v.Bounds.longest_orbit;
-  Alcotest.(check int) "flow_rank (identity flow)" 0 v.Bounds.flow_rank;
+  Alcotest.(check int) "flow_rank (shear)" 1 v.Bounds.flow_rank;
   Alcotest.(check int) "bound = ceil(6/2) msgs x 10 B" 30 v.Bounds.bound_bytes;
   Alcotest.(check int) "achieved = 3 crossings x 10 B" 30 v.Bounds.achieved_bytes;
-  Alcotest.(check int) "per-proc bound" 10 v.Bounds.per_proc_bound
+  Alcotest.(check int) "per-proc bound = ceil(30 / 6)" 5 v.Bounds.per_proc_bound
 
 (* 4x4 transpose under 2x2 blocks: the permutation is an involution —
    4 fixed points and 6 swaps, every orbit within cap 4, so the
@@ -208,7 +210,7 @@ let test_matrix_invariant () =
    must survive it (volume bound is placement-independent, and any
    placement will do, so one restart keeps the corpus pass short) *)
 let test_matrix_mapped () =
-  let spec = Mapping.spec ~restarts:1 Mapping.Search in
+  let spec = Mapping.spec Mapping.Search in
   List.iter
     (fun (wname, flows) ->
       List.iter

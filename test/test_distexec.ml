@@ -13,7 +13,7 @@ let prop ?(count = 150) name arb f =
 let test_schedule_order_legal () =
   (* a legal hyperplane schedule survives adversarial within-timestep
      reordering *)
-  let nest = Nestir.Paper_examples.seidel ~n:5 () in
+  let nest = Nestir.Paper_examples.seidel () in
   let lam = Option.get (Nestir.Schedule.lamport nest) in
   let r = Resopt.Pipeline.run ~schedule:lam nest in
   let s = Resopt.Distexec.run ~order:`Schedule r in
@@ -23,7 +23,7 @@ let test_schedule_order_legal () =
 let test_schedule_order_illegal () =
   (* the all-parallel schedule is illegal on seidel: the adversarial
      order corrupts the results, exactly as Legality predicts *)
-  let nest = Nestir.Paper_examples.seidel ~n:5 () in
+  let nest = Nestir.Paper_examples.seidel () in
   let ap = Nestir.Schedule.all_parallel nest in
   Alcotest.(check bool) "legality flags it" false (Reference.Legality.is_legal nest ap);
   let r = Resopt.Pipeline.run ~schedule:ap nest in

@@ -145,18 +145,18 @@ let test_drop_prob_one () =
   Alcotest.(check int) "all dropped" (List.length line_msgs) r.Eventsim.dropped;
   Alcotest.(check int) "none delivered" 0 r.Eventsim.delivered;
   Alcotest.(check int) "every packet retried to the cap"
-    (List.length line_msgs * Fault.max_retries f)
+    (List.length line_msgs * Fault.max_retries)
     r.Eventsim.retransmits;
   Alcotest.(check int) "invariant" (List.length line_msgs)
     (r.Eventsim.delivered + r.Eventsim.dropped + r.Eventsim.unreachable)
 
 let test_backoff_cap () =
-  let f = Fault.make ~ack_timeout:100 ~backoff_cap:500 [] in
-  Alcotest.(check int) "attempt 1" 100 (Fault.backoff f ~attempt:1);
-  Alcotest.(check int) "attempt 2" 200 (Fault.backoff f ~attempt:2);
-  Alcotest.(check int) "attempt 3" 400 (Fault.backoff f ~attempt:3);
-  Alcotest.(check int) "attempt 4 capped" 500 (Fault.backoff f ~attempt:4);
-  Alcotest.(check int) "attempt 20 capped" 500 (Fault.backoff f ~attempt:20)
+  Alcotest.(check int) "attempt 1" 128 (Fault.backoff ~attempt:1);
+  Alcotest.(check int) "attempt 2" 256 (Fault.backoff ~attempt:2);
+  Alcotest.(check int) "attempt 3" 512 (Fault.backoff ~attempt:3);
+  Alcotest.(check int) "attempt 6 reaches the cap" 4096 (Fault.backoff ~attempt:6);
+  Alcotest.(check int) "attempt 7 capped" 4096 (Fault.backoff ~attempt:7);
+  Alcotest.(check int) "attempt 20 capped" 4096 (Fault.backoff ~attempt:20)
 
 let test_degraded_loads () =
   (* a global 50% flaky probability doubles expected transmissions,
@@ -224,7 +224,7 @@ let test_jobs_deterministic () =
   let seeds = List.init 8 (fun i -> 100 + i) in
   let sequential = List.map (trial topo msgs) seeds in
   let fanned =
-    Par.Pool.with_pool ~jobs:4 (fun pool -> Par.map pool (trial topo msgs) seeds)
+    Reference.with_pool ~jobs:4 (fun pool -> Par.map pool (trial topo msgs) seeds)
   in
   Alcotest.(check bool) "jobs 4 = jobs 1" true (sequential = fanned)
 

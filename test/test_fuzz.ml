@@ -62,7 +62,7 @@ let par_props =
         let seeds = nest_seeds seed 24 in
         let print s = Nestir.Dsl.print_with_schedule (Reference.generated ~seed:s) None in
         let sequential = List.map print seeds in
-        Par.Pool.with_pool ~jobs:4 (fun pool ->
+        Reference.with_pool ~jobs:4 (fun pool ->
             Par.map pool print seeds = sequential));
     prop ~count:8 "parallel pipeline verdicts match sequential" arb_seed
       (fun seed ->
@@ -78,7 +78,7 @@ let par_props =
                 List.length r.Resopt.Pipeline.plan )
         in
         let sequential = List.map verdict seeds in
-        Par.Pool.with_pool ~jobs:4 (fun pool ->
+        Reference.with_pool ~jobs:4 (fun pool ->
             Par.map pool verdict seeds = sequential));
   ]
 

@@ -796,31 +796,27 @@ let foldsim_diff spec =
   let d = Topology.ndims topo in
   let arb =
     QCheck.make
-      ~print:(fun (coalesce, c, flow, offset) ->
-        Printf.sprintf "%s coalesce=%b %s flow %s offset [%s]" spec coalesce
-          (pp_fold_case c) (pp_flows [ flow ])
-          (String.concat ";" (Array.to_list (Array.map string_of_int offset))))
-      QCheck.Gen.(
-        quad bool (gen_fold_case topo) (gen_flow d)
-          (array_repeat d (int_range (-5) 5)))
+      ~print:(fun (coalesce, c, flow) ->
+        Printf.sprintf "%s coalesce=%b %s flow %s" spec coalesce (pp_fold_case c)
+          (pp_flows [ flow ]))
+      QCheck.Gen.(triple bool (gen_fold_case topo) (gen_flow d))
   in
-  prop ~count:150 ("foldsim " ^ spec) arb (fun (coalesce, c, flow, offset) ->
+  prop ~count:150 ("foldsim " ^ spec) arb (fun (coalesce, c, flow) ->
       let { layout; vgrid; remap; bytes; faults } = c in
       let stats, record =
-        Reference.foldsim_time ~coalesce ~faults ?remap model ~layout ~vgrid ~flow
-          ~offset ~bytes ()
+        Reference.foldsim_time ~coalesce ~faults ?remap model ~layout ~vgrid ~flow ~bytes ()
       in
       (* a placement is priced by relabelling the unplaced volume *)
       let time () =
         match remap with
         | None ->
-          Distrib.Foldsim.time ~coalesce ~faults model ~layout ~vgrid ~flow ~offset ~bytes ()
+          Distrib.Foldsim.time ~coalesce ~faults model ~layout ~vgrid ~flow ~bytes ()
         | Some perm ->
           let axes = Distrib.Layout.axes layout ~vgrid ~topo in
           Netsim.price ~faults topo model.Models.net
             (Netsim.relabel perm
                (Netsim.volume ~coalesce topo
-                  (Patterns.traffic ~offset ~vgrid ~axes ~bytes [ flow ])))
+                  (Patterns.traffic ~vgrid ~axes ~bytes [ flow ])))
       in
       time () = stats && traced time = (stats, [ record ]))
 
@@ -838,14 +834,21 @@ let decomposed_diff spec =
       let { layout; vgrid; remap; bytes; faults } = c in
       let stats, records =
         List.split
-          (Reference.decomposed_time ~faults ?remap model ~layout ~vgrid ~factors ~bytes
-             ())
+          (Reference.decomposed_time ~faults model ~layout ~vgrid ~factors ~bytes:8 ())
       in
       let phases () =
-        Distrib.Foldsim.decomposed_time ~faults ?remap model ~layout ~vgrid ~factors
-          ~bytes ()
+        Distrib.Foldsim.decomposed_time ~faults model ~layout ~vgrid ~factors ()
       in
-      phases () = stats && traced phases = (stats, records))
+      (* the placed walk, which only the total reads *)
+      let placed =
+        List.map fst
+          (Reference.decomposed_time ~faults ?remap model ~layout ~vgrid ~factors ~bytes ())
+      in
+      phases () = stats
+      && traced phases = (stats, records)
+      && Distrib.Foldsim.decomposed_total ~faults ?remap model ~layout ~vgrid ~factors
+           ~bytes ()
+         = Distrib.Foldsim.total_time placed)
 
 (* Residual traffic: the cyclic fold of every flow, concatenated, and
    its sorted volume graph. *)
@@ -893,33 +896,27 @@ let pricing_diff_props =
 
 (* The odometer walk against the cell-by-cell reference: the same
    (v, w) sequence either way round, and the same successor array, on
-   1-D to 3-D grids with any flow (singular included) and offset. *)
+   1-D to 3-D grids with any flow (singular included). *)
 let walk_diff d =
   let arb =
     QCheck.make
-      ~print:(fun (vgrid, flow, offset, rev) ->
-        Printf.sprintf "vgrid [%s] flow %s offset %s rev=%b"
+      ~print:(fun (vgrid, flow, rev) ->
+        Printf.sprintf "vgrid [%s] flow %s rev=%b"
           (String.concat "x" (Array.to_list (Array.map string_of_int vgrid)))
-          (pp_flat flow)
-          (match offset with
-          | None -> "-"
-          | Some o -> String.concat ";" (Array.to_list (Array.map string_of_int o)))
-          rev)
+          (pp_flat flow) rev)
       QCheck.Gen.(
-        quad
+        triple
           (array_repeat d (int_range 1 (if d = 3 then 5 else 9)))
-          (gen_flow ~bound:5 d)
-          (opt (array_repeat d (int_range (-7) 7)))
-          bool)
+          (gen_flow ~bound:5 d) bool)
   in
-  prop ~count:300 (Printf.sprintf "walk %d-D" d) arb (fun (vgrid, flow, offset, rev) ->
+  prop ~count:300 (Printf.sprintf "walk %d-D" d) arb (fun (vgrid, flow, rev) ->
       let visits walk =
         let seen = ref [] in
-        walk ?offset ~rev ~vgrid flow (fun v w -> seen := (Array.copy v, Array.copy w) :: !seen);
+        walk ~rev ~vgrid flow (fun v w -> seen := (Array.copy v, Array.copy w) :: !seen);
         List.rev !seen
       in
       visits Patterns.iter_flow = visits Reference.iter_flow
-      && Patterns.successors ?offset ~vgrid flow = Reference.successors ?offset ~vgrid flow)
+      && Patterns.successors ~vgrid flow = Reference.successors ~vgrid flow)
 
 let walk_diff_props = List.map walk_diff [ 1; 2; 3 ]
 

@@ -104,7 +104,7 @@ let prop_search_valid =
   QCheck.Test.make ~count:60 ~name:"search result is a valid permutation"
     case_arb (fun case ->
       let topo, vol = instance case in
-      Reference.is_permutation (Mapping.search ~seed:3 ~restarts:2 topo vol))
+      Reference.is_permutation (Mapping.search ~seed:3 topo vol))
 
 let prop_cost_ordering =
   QCheck.Test.make ~count:60 ~name:"search <= greedy <= identity hop-bytes"
@@ -113,7 +113,7 @@ let prop_cost_ordering =
       let cost p = Mapping.hop_bytes topo vol p in
       let id = cost (Mapping.identity (Machine.Topology.size topo)) in
       let gr = cost (Mapping.(compute (spec Greedy)) topo vol) in
-      let se = cost (Mapping.search ~seed:1 ~restarts:2 topo vol) in
+      let se = cost (Mapping.search ~seed:1 topo vol) in
       se <= gr && gr <= id)
 
 let prop_seed_deterministic =
@@ -121,8 +121,8 @@ let prop_seed_deterministic =
     ~name:"same seed is byte-identical, sequential runs" case_arb
     (fun case ->
       let topo, vol = instance case in
-      let s1 = Mapping.search ~seed:11 ~restarts:4 topo vol in
-      let s2 = Mapping.search ~seed:11 ~restarts:4 topo vol in
+      let s1 = Mapping.search ~seed:11 topo vol in
+      let s2 = Mapping.search ~seed:11 topo vol in
       s1 = s2)
 
 (* A placement composed after the fold ([Patterns.traffic ?remap])
@@ -132,7 +132,7 @@ let prop_apply_preserves_traffic =
     case_arb (fun case ->
       let topo, vol = instance case in
       let n = Machine.Topology.size topo in
-      let perm = Mapping.search ~seed:5 ~restarts:1 topo vol in
+      let perm = Mapping.search ~seed:5 topo vol in
       let vgrid = Array.map (( * ) 2) (Machine.Topology.dims topo) in
       let axes = Distrib.Layout.axes (Distrib.Layout.all_cyclic 2) ~vgrid ~topo in
       let flows =
@@ -179,7 +179,7 @@ let test_identity_mapping_is_free () =
   let p = (Resopt.Cost.of_plan t3d plan).Resopt.Cost.total in
   let m =
     (Resopt.Cost.of_plan
-       ~mapping:(Mapping.spec ~restarts:0 Mapping.Search)
+       ~mapping:(Mapping.spec Mapping.Search)
        t3d plan)
       .Resopt.Cost.total
   in
@@ -191,7 +191,7 @@ let test_search_mapping_never_hurts () =
   let plain = (Resopt.Cost.of_plan cm5 plan).Resopt.Cost.total in
   let searched =
     (Resopt.Cost.of_plan
-       ~mapping:(Mapping.spec ~restarts:0 Mapping.Search)
+       ~mapping:(Mapping.spec Mapping.Search)
        cm5 plan)
       .Resopt.Cost.total
   in
@@ -217,7 +217,7 @@ let test_sweep_gain_map_column () =
     (List.for_all (fun r -> r.Resopt.Sweep.map_gain = None) plain_rows);
   let rows =
     Resopt.Sweep.run ~models ~workloads
-      ~mapping:(Mapping.spec ~restarts:0 Mapping.Search)
+      ~mapping:(Mapping.spec Mapping.Search)
       ()
   in
   let csv = Resopt.Sweep.to_csv rows in

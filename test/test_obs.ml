@@ -341,50 +341,35 @@ let test_pipeline_spans () =
 (* ------------------------------------------------------------------ *)
 
 let test_eventsim_sampler () =
-  teardown ();
-  (* Obs disabled: the sampler must still fire *)
+  (* with Obs enabled, the link state is sampled every 64 cycles into
+     the eventsim.* point series *)
+  fresh ();
   let topo = Machine.Topology.mesh2d ~p:4 ~q:4 in
   let msgs =
     List.init 12 (fun i ->
         Machine.Message.make ~src:(i mod 4) ~dst:(15 - (i mod 4)) ~bytes:512)
   in
-  let samples = ref [] in
   let r =
-    Machine.Eventsim.run
-      ~sampler:(fun s -> samples := s :: !samples)
-      ~sample_every:8 topo Machine.Eventsim.default_params (Reference.raw topo msgs)
+    Machine.Eventsim.run topo Machine.Eventsim.default_params (Reference.raw topo msgs)
   in
   Alcotest.(check int) "all delivered" 12 r.Machine.Eventsim.delivered;
-  let samples = List.rev !samples in
-  Alcotest.(check bool) "got samples" true (List.length samples > 1);
-  let cycles = List.map (fun s -> s.Machine.Eventsim.cycle) samples in
-  Alcotest.(check bool) "cycles increase" true
-    (List.for_all2 ( < ) (List.filteri (fun i _ -> i < List.length cycles - 1) cycles)
-       (List.tl cycles));
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) "sane sample" true
-        (s.Machine.Eventsim.busy_links >= 0
-        && s.Machine.Eventsim.max_queue_now >= 0
-        && s.Machine.Eventsim.in_flight >= 0))
-    samples;
-  (* with Obs enabled, time-series points are recorded too *)
-  fresh ();
-  ignore
-    (Machine.Eventsim.run ~sample_every:8 topo Machine.Eventsim.default_params
-       (Reference.raw topo msgs));
   Alcotest.(check bool) "eventsim counters" true (Obs.counter "eventsim.runs" = 1);
   let json = Obs.chrome_trace () in
   valid_json "eventsim trace" json;
+  let re = Str.regexp {|"name":"eventsim.in_flight","ph":"C","ts":\([0-9.]+\)|} in
+  let rec stamps pos =
+    match Str.search_forward re json pos with
+    | p ->
+      let ts = float_of_string (Str.matched_group 1 json) in
+      ts :: stamps (p + 1)
+    | exception Not_found -> []
+  in
+  let ts = stamps 0 in
+  Alcotest.(check bool) "got samples" true (List.length ts > 1);
+  Alcotest.(check (list (float 0.0))) "one sample per 64 cycles"
+    (List.init (List.length ts) (fun k -> float_of_int (64 * k)))
+    ts;
   teardown ()
-
-let test_eventsim_bad_sample_every () =
-  Alcotest.check_raises "sample_every must be positive"
-    (Invalid_argument "Eventsim.run: sample_every <= 0") (fun () ->
-      ignore
-        (let topo = Machine.Topology.make [| 2 |] in
-         Machine.Eventsim.run ~sample_every:0 topo Machine.Eventsim.default_params
-           (Reference.raw topo [])))
 
 (* ------------------------------------------------------------------ *)
 (* Sweep time_ms                                                       *)
@@ -490,8 +475,6 @@ let () =
         [
           Alcotest.test_case "pipeline phase spans" `Quick test_pipeline_spans;
           Alcotest.test_case "eventsim sampler" `Quick test_eventsim_sampler;
-          Alcotest.test_case "eventsim bad sample_every" `Quick
-            test_eventsim_bad_sample_every;
           Alcotest.test_case "sweep time_ms" `Quick test_sweep_time_ms;
         ] );
       ( "trace-render",

@@ -31,7 +31,7 @@ let test_progtime_example5 () =
 
 let test_progtime_vectorization_soundness () =
   (* an array that is written in the nest must not be hoisted *)
-  let nest = Nestir.Paper_examples.seidel ~n:6 () in
+  let nest = Nestir.Paper_examples.seidel () in
   let schedule = Option.get (Nestir.Schedule.lamport nest) in
   let r = Resopt.Pipeline.run ~schedule nest in
   List.iter
@@ -46,7 +46,7 @@ let test_progtime_vectorization_soundness () =
 (* ------------------------------------------------------------------ *)
 
 let test_stats () =
-  let s = Nestir.Stats.of_nest (Nestir.Paper_examples.example1 ~n:4 ~m:4 ()) in
+  let s = Nestir.Stats.of_nest (Reference.example1 ~n:4 ~m:4) in
   Alcotest.(check int) "statements" 3 s.Nestir.Stats.statements;
   Alcotest.(check int) "accesses" 9 s.Nestir.Stats.accesses;
   Alcotest.(check int) "writes" 3 s.Nestir.Stats.writes;
@@ -74,7 +74,7 @@ let test_calibrated_model () =
 let test_example1_other_sizes () =
   List.iter
     (fun (n, m) ->
-      let nest = Nestir.Paper_examples.example1 ~n ~m () in
+      let nest = Reference.example1 ~n ~m in
       let r = Resopt.Pipeline.run ~m:2 nest in
       Alcotest.(check bool)
         (Printf.sprintf "validated at %dx%d" n m)

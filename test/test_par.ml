@@ -3,10 +3,9 @@
    exception propagation, pool lifecycle, and that Obs and Telemetry
    keep what every domain records. *)
 
-(* oversubscribe so these tests exercise real multi-domain scheduling
-   even on single-core CI machines (the default caps width at the core
-   count) *)
-let with_pool jobs f = Par.Pool.with_pool ~jobs ~oversubscribe:true f
+(* the pool executes on min jobs cores domains: on one core these
+   tests run every task on the calling domain *)
+let with_pool jobs f = Reference.with_pool ~jobs f
 
 (* ------------------------------------------------------------------ *)
 (* Combinators vs. their sequential counterparts                       *)
@@ -98,7 +97,7 @@ let test_pool_survives_exception () =
 (* ------------------------------------------------------------------ *)
 
 let test_pool_reuse () =
-  let pool = Par.Pool.create ~jobs:4 () in
+  let pool = Par.Pool.create ~jobs:4 in
   Alcotest.(check int) "jobs" 4 (Par.Pool.jobs pool);
   for round = 1 to 5 do
     Alcotest.(check (list int))
@@ -113,7 +112,7 @@ let test_pool_reuse () =
   | exception Invalid_argument _ -> ()
 
 let test_oversubscription () =
-  (* many more domains than items (and than cores) *)
+  (* many more jobs than items (and than cores) *)
   with_pool 8 @@ fun pool ->
   Alcotest.(check (list int)) "8 jobs, 3 items" [ 1; 4; 9 ]
     (Par.map pool (fun x -> x * x) [ 1; 2; 3 ]);
@@ -128,19 +127,16 @@ let test_jobs_clamped () =
 
 let test_width_capped () =
   let cores = max 1 (Domain.recommended_domain_count ()) in
-  Par.Pool.with_pool ~jobs:(cores + 7) @@ fun pool ->
+  with_pool (cores + 7) @@ fun pool ->
   Alcotest.(check int) "jobs stays as requested" (cores + 7)
     (Par.Pool.jobs pool);
   Alcotest.(check int) "width capped at cores" cores (Par.Pool.width pool);
   Alcotest.(check (list int))
     "capped pool still computes" [ 1; 4; 9 ]
     (Par.map pool (fun x -> x * x) [ 1; 2; 3 ]);
-  (* the cap never widens, and oversubscribe lifts it *)
-  (Par.Pool.with_pool ~jobs:1 @@ fun p ->
-   Alcotest.(check int) "1-job pool has width 1" 1 (Par.Pool.width p));
-  Par.Pool.with_pool ~jobs:(cores + 3) ~oversubscribe:true @@ fun p ->
-  Alcotest.(check int) "oversubscribed width = jobs" (cores + 3)
-    (Par.Pool.width p)
+  (* the cap never widens *)
+  with_pool 1 @@ fun p ->
+  Alcotest.(check int) "1-job pool has width 1" 1 (Par.Pool.width p)
 
 let test_shared_pools () =
   let a = Par.Shared.get ~jobs:3 in

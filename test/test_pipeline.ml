@@ -368,10 +368,10 @@ let test_row_fold () =
   let with_flows = ref 0 in
   List.iter
     (fun (mapping, base_faults) ->
-      let rates = [ 0.0; 0.05 ] in
+      let rates = [ 0.0; 0.01; 0.05 ] in
       let rows =
-        Sweep.run ~ms:[ 2 ] ~models ~workloads ~faults:base_faults ~fault_rates:rates
-          ~cache:false ~mapping ~bounds:true ()
+        Sweep.run ~ms:[ 2 ] ~models ~workloads ~faults:base_faults ~cache:false ~mapping
+          ~bounds:true ()
       in
       Cache.scoped ~enable:false @@ fun () ->
       List.iter
@@ -415,7 +415,7 @@ let test_row_fold () =
        [
          Mapping.spec Mapping.Identity;
          Mapping.spec Mapping.Greedy;
-         Mapping.spec ~seed:3 ~restarts:2 Mapping.Search;
+         Mapping.spec ~seed:3 Mapping.Search;
        ]);
   Alcotest.(check bool) "rows with residual flows" true (!with_flows >= 30)
 
@@ -426,9 +426,9 @@ let test_row_fold_specs () =
   let specs =
     [
       Mapping.spec Mapping.Greedy;
-      Mapping.spec ~seed:3 ~restarts:2 Mapping.Search;
+      Mapping.spec ~seed:3 Mapping.Search;
       Mapping.spec Mapping.Identity;
-      Mapping.spec ~seed:4 ~restarts:2 Mapping.Search;
+      Mapping.spec ~seed:4 Mapping.Search;
       Mapping.spec Mapping.Greedy;
     ]
   in
@@ -574,7 +574,7 @@ let test_phases_sequential_schedule () =
   (* seidel's shifts read the array being written under a sequential
      (Lamport) schedule: the data changes every timestep, so the
      vectorization flag must be false and nothing hoists *)
-  let nest = Nestir.Paper_examples.seidel ~n:6 () in
+  let nest = Nestir.Paper_examples.seidel () in
   let schedule = Option.get (Nestir.Schedule.lamport nest) in
   let p = Resopt.Phases.of_result (Resopt.Pipeline.run ~schedule nest) in
   Alcotest.(check int) "nothing hoisted" 0 (List.length p.Resopt.Phases.hoisted)

@@ -103,9 +103,13 @@ let sample_requests =
     Wire.run ~m:3 "matmul";
     Wire.run ~m:1 ~faults:"flaky:0.05" ~fseed:42 "example1";
     Wire.run ~map:"greedy" ~mseed:7 "gauss";
-    Wire.run ~m:2 ~faults:"flaky:0.1;down:3-4" ~fseed:1 ~map:"search" ~mseed:3
-      ~deadline_ms:250 "example5";
-    Wire.run ~deadline_ms:0 "lu";
+    {
+      (Wire.run ~m:2 ~faults:"flaky:0.1;down:3-4" ~fseed:1 ~map:"search" ~mseed:3
+         "example5")
+      with
+      Wire.deadline_ms = Some 250;
+    };
+    { (Wire.run "lu") with Wire.deadline_ms = Some 0 };
   ]
 
 let test_wire_request_roundtrip () =
@@ -118,8 +122,8 @@ let test_wire_request_roundtrip () =
     sample_requests
 
 let test_wire_solve_key_ignores_deadline () =
-  let a = Wire.run ~m:2 ~deadline_ms:5 "example1" in
-  let b = Wire.run ~m:2 ~deadline_ms:5000 "example1" in
+  let a = { (Wire.run ~m:2 "example1") with Wire.deadline_ms = Some 5 } in
+  let b = { (Wire.run ~m:2 "example1") with Wire.deadline_ms = Some 5000 } in
   let c = Wire.run ~m:2 "example1" in
   Alcotest.(check string) "same key across deadlines" (Wire.solve_key a)
     (Wire.solve_key b);
@@ -180,7 +184,7 @@ let test_wire_folds_unread_seed () =
               in
               Alcotest.(check (result string string)) (label ^ ": answer") (Ok want)
                 (Answer.of_request { folded with Wire.mseed = 7 });
-              let raw = { Mapping.kind; seed = 7; restarts = 1 } in
+              let raw = { Mapping.kind; seed = 7 } in
               Alcotest.(check string) (label ^ ": unfolded spec") want
                 (Answer.render ~mapping:raw ~m w))
             [ ("identity", Mapping.Identity); ("greedy", Mapping.Greedy) ])
@@ -302,12 +306,11 @@ let test_wire_response_roundtrip () =
 let test_backoff_matches_fault () =
   (* the client retry delays and the simulator's retransmission waits
      are the same function; pin them to each other *)
-  let f = Machine.Fault.make ~ack_timeout:100 ~backoff_cap:500 [] in
   for attempt = 1 to 20 do
     Alcotest.(check int)
       (Printf.sprintf "attempt %d" attempt)
-      (Machine.Fault.backoff f ~attempt)
-      (Machine.Backoff.exp_delay ~base:100 ~cap:500 ~attempt)
+      (Machine.Fault.backoff ~attempt)
+      (Machine.Backoff.exp_delay ~base:128 ~cap:4096 ~attempt)
   done
 
 let test_backoff_jitter_bounds () =
@@ -499,7 +502,8 @@ let test_server_deadline_timeout () =
      must be a named Timeout or the correct bytes, and across attempts
      at least one must actually time out. *)
   let reqs =
-    List.init 5 (fun i -> Wire.run ~m:3 ~map:"search" ~mseed:i ~deadline_ms:0 "lu")
+    List.init 5 (fun i ->
+        { (Wire.run ~m:3 ~map:"search" ~mseed:i "lu") with Wire.deadline_ms = Some 0 })
   in
   let expected =
     List.map
@@ -563,7 +567,10 @@ let test_server_timeout_leaves_no_stale_wakeup () =
   with_server @@ fun t ->
   let c = must_connect t in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  (match must_request c (Wire.run ~m:3 ~map:"search" ~mseed:41 ~deadline_ms:0 "lu") with
+  (match
+     must_request c
+       { (Wire.run ~m:3 ~map:"search" ~mseed:41 "lu") with Wire.deadline_ms = Some 0 }
+   with
   | Wire.Timeout _ | Wire.Answer _ -> ()
   | r -> Alcotest.fail ("expected Timeout or Answer, got " ^ Wire.status r));
   match must_request c (Wire.run "example1") with
@@ -675,7 +682,7 @@ let test_server_concurrent_clients () =
     List.mapi
       (fun i req ->
         Thread.create
-          (fun () -> results.(i) <- Some (Client.call ~attempts:3 addr req))
+          (fun () -> results.(i) <- Some (Client.call addr req))
           ())
       reqs
   in
@@ -696,7 +703,7 @@ let test_server_drain_refuses_new_work () =
   let t = local_server () in
   let addr = Server.address t in
   (* a request before the drain works *)
-  (match Client.call ~attempts:1 addr (Wire.run ~m:1 "example2") with
+  (match Client.call addr (Wire.run ~m:1 "example2") with
   | Ok (Wire.Answer _) -> ()
   | _ -> Alcotest.fail "pre-drain request failed");
   Server.stop t;
@@ -719,7 +726,7 @@ let test_server_snapshot_restart_warm () =
     (fun () ->
       let req = Wire.run ~m:1 "gauss" in
       let answer_of t =
-        match Client.call ~attempts:3 (Server.address t) req with
+        match Client.call (Server.address t) req with
         | Ok (Wire.Answer s) -> s
         | Ok r -> Alcotest.fail ("expected Answer, got " ^ Wire.status r)
         | Error e -> Alcotest.fail e
@@ -820,7 +827,7 @@ let test_server_seeds_share_one_solve () =
   let results = Array.make 2 None in
   List.mapi
     (fun i req ->
-      Thread.create (fun () -> results.(i) <- Some (Client.call ~attempts:3 addr req)) ())
+      Thread.create (fun () -> results.(i) <- Some (Client.call addr req)) ())
     reqs
   |> List.iter Thread.join;
   List.iteri

@@ -217,7 +217,7 @@ let test_dashboard_html () =
         (Machine.Eventsim.run ~label:"bcast" topo Machine.Eventsim.default_params
            (Reference.raw topo broadcast_msgs));
       ignore
-        (Reference.price ~label:"priced" topo
+        (Reference.price topo
            { Machine.Netsim.alpha = 10.0; beta = 0.1; hop = 1.0 }
            broadcast_msgs);
       let html = Obs.Telemetry.render_html (Obs.Telemetry.runs ()) in
