@@ -88,6 +88,23 @@ type time = {
   efficiency : float;
 }
 
+(* The bound's time and the efficiency under [params]; the three lower
+   bounds and the achieved counts are the topology's. *)
+let retime params t =
+  let achieved = Machine.Netsim.retime params t.achieved in
+  if achieved.Machine.Netsim.messages = 0 then { t with achieved }
+  else
+    let bound_time =
+      (params.Machine.Netsim.alpha *. float_of_int t.serial_lb)
+      +. (params.Machine.Netsim.beta *. float_of_int t.link_lb)
+      +. (params.Machine.Netsim.hop *. float_of_int t.hops_lb)
+    in
+    let efficiency =
+      if achieved.Machine.Netsim.time > 0.0 then bound_time /. achieved.Machine.Netsim.time
+      else 1.0
+    in
+    { t with bound_time; achieved; efficiency }
+
 let transfer_time topo params volume =
   let open Machine in
   (* one volume — coalesced, a message per nonlocal ordered endpoint
@@ -165,23 +182,15 @@ let transfer_time topo params volume =
     let nlinks = List.length links in
     if nlinks > 0 then
       link_lb := max !link_lb (ceil_div !total_weighted (2 * nlinks));
-    let bound_time =
-      (params.Netsim.alpha *. float_of_int serial_lb)
-      +. (params.Netsim.beta *. float_of_int !link_lb)
-      +. (params.Netsim.hop *. float_of_int !hops_lb)
-    in
-    let efficiency =
-      if achieved.Netsim.time > 0.0 then bound_time /. achieved.Netsim.time
-      else 1.0
-    in
-    {
-      serial_lb;
-      link_lb = !link_lb;
-      hops_lb = !hops_lb;
-      bound_time;
-      achieved;
-      efficiency;
-    }
+    retime params
+      {
+        serial_lb;
+        link_lb = !link_lb;
+        hops_lb = !hops_lb;
+        bound_time = 0.0;
+        achieved;
+        efficiency = 1.0;
+      }
   end
 
 let bar eff =

@@ -120,6 +120,15 @@ val transfer_time :
     {!Machine.Netsim.price} and its remote pairs
     ({!Machine.Netsim.priced}) are read for the three lower bounds. *)
 
+val retime : Machine.Netsim.params -> time -> time
+(** [retime params t] is [t] with [bound_time], [achieved] (through
+    {!Machine.Netsim.retime}) and [efficiency] recomputed under
+    [params]: [serial_lb], [link_lb], [hops_lb] and the achieved
+    counts are the topology's and the traffic's, so [retime p
+    (transfer_time topo p' v)] is [transfer_time topo p v] field for
+    field, bit for bit.  {!transfer_time} computes its times this
+    way. *)
+
 val bar : float -> string
 (** [bar eff] renders an efficiency in [[0, 1]] as a 20-cell ASCII
     gauge, e.g. ["[#########-----------]"]. *)

@@ -15,13 +15,12 @@ let bytes = 64
 (* [fold] is the plan's residual fold ({!Residual.of_plan}) with the
    placement composed after it, if any; [None] on models without a
    2-D grid.  A 2x2 flow's direct path is priced on the fold's count
-   of its messages, uncoalesced. *)
+   of its messages, uncoalesced, or read off the fold's stats of an
+   earlier price, retimed. *)
 let general_cost ~faults ~fold model flow =
   match (flow, fold) with
   | Some flow, Some (r, remap) when Mat.rows flow = 2 && Mat.cols flow = 2 ->
-    (Machine.Netsim.price ~faults model.Machine.Models.topo model.Machine.Models.net
-       (Residual.flow_volume r remap flow))
-      .Machine.Netsim.time
+    (Residual.flow_price r ~faults remap model.Machine.Models.net flow).Machine.Netsim.time
   | _ ->
     (* unknown pattern: the generic runtime path serializes one
        message per peer out of the hottest node — what a macro-
@@ -54,8 +53,7 @@ let decomposed_cost ~faults ~fold model ~flow factors =
           1 factors
       in
       let layout = [| Distrib.Layout.Grouped k; Distrib.Layout.Grouped k |] in
-      Distrib.Foldsim.decomposed_total ~faults ?remap model ~layout
-        ~vgrid:r.Residual.vgrid ~factors ~bytes ~limit:direct ()
+      Residual.decomposed_total r ~faults remap model ~layout ~factors ~limit:direct
     | _ ->
       (* fall back: one conflict-free axis communication per factor *)
       Machine.Fault.uniform_slowdown faults

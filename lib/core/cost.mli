@@ -61,8 +61,14 @@ val of_fold :
     model (Residual.of_plan model plan) plan] is [of_plan ~faults
     ?mapping model plan], bit for bit.  A caller
     that prices one plan several ways — under fault rates, with and
-    without a placement — and bounds it ({!Efficiency.of_traffic})
-    passes every call the same fold, so each 2x2 flow's messages are
-    walked once and each placement is searched once.  The fold must be
-    this plan's on this model: a 2x2 flow it does not hold raises
+    without a placement, on several models — and bounds it
+    ({!Efficiency.of_traffic}) passes every call the same fold, so
+    each 2x2 flow's messages are walked once, each placement is
+    searched once, and under each (placement, faults) each flow's
+    direct path and each decomposition's phases are priced once: a
+    later model reads them retimed to its wire parameters
+    ({!Residual.flow_price}, {!Residual.decomposed_total}).  The fold
+    must hold this plan's flows on this model's topology, as
+    [Residual.of_plan] of the plan on any model with that topology
+    does ({!Residual.shared}): a 2x2 flow it does not hold raises
     [Invalid_argument]. *)

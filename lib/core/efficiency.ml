@@ -7,10 +7,7 @@ type t = {
 let default_bytes = 64
 
 let of_traffic ?mapping net (r : Residual.t) =
-  let volume =
-    Residual.with_ranks r (fun owner ->
-        Bounds.volume ~vgrid:r.Residual.vgrid ~bytes:r.Residual.bytes ~owner r.Residual.flows)
-  in
+  let volume = Residual.bound_volume r in
   (* no traffic, nothing to place: skip the placement search *)
   let placement =
     match mapping with
@@ -18,7 +15,7 @@ let of_traffic ?mapping net (r : Residual.t) =
       Some (Residual.placement spec r)
     | _ -> None
   in
-  let time = Bounds.transfer_time r.Residual.topo net (Residual.volume r placement) in
+  let time = Residual.transfer_time r placement net in
   if Obs.enabled () then begin
     Obs.incr "bounds.computed";
     Obs.incr ~by:volume.Bounds.bound_bytes "bounds.bound_bytes";

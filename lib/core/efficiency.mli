@@ -30,18 +30,21 @@ val of_traffic : ?mapping:Mapping.spec -> Machine.Netsim.params -> Residual.t ->
     placement — the volume bound is placement-independent, so
     [volume.bound_bytes <= volume.achieved_bytes] holds either way.
 
-    The achieved side reads the fold's counts ({!Residual.volume}),
-    relabelled by the placement, and the placement is the fold's own
+    The volume bound and the achieved side are the fold's
+    ({!Residual.bound_volume}, {!Residual.transfer_time}: its counts
+    relabelled by the placement, bounded once per placement and
+    retimed to [net] after), and the placement is the fold's own
     ({!Residual.placement}): bounding a fold that {!Cost.of_fold} has
     already priced walks no flow's messages again and searches no
-    placement again.
+    placement again, and bounding it again for another model with the
+    fold's topology routes no message.
 
     Traffic without flows bounds an empty set: zero bytes both sides,
     efficiency 1.0, and no placement is searched.  [cells], [nprocs]
     and [cap] still describe the fold's balance, read by
     {!Bounds.volume} off the cell→rank table, and the empty volume
-    is still priced (one [netsim.runs]), so the record and the
-    counters are those of any other traffic. *)
+    is still priced (one [netsim.runs] per fold and placement), so the
+    record and the counters are those of any other traffic. *)
 
 val of_plan : ?mapping:Mapping.spec -> Machine.Models.t -> Commplan.t -> t option
 (** {!of_traffic} over the plan's fold ({!Residual.of_plan}): its

@@ -24,7 +24,7 @@ let of_pipeline (r : Pipeline.result) =
     plan = List.map downgrade r.Pipeline.step1_plan;
   }
 
-let run ?m ?schedule nest =
-  of_pipeline (Pipeline.run ?m ?schedule ~axis_align:false nest)
+let run ?m ~schedule nest =
+  of_pipeline (Pipeline.run ?m ~schedule ~axis_align:false nest)
 
 let summary r = Commplan.summarize r.plan

@@ -28,7 +28,7 @@ val of_pipeline : Pipeline.result -> result
     downgraded to a general communication.  Rotations (step 2a) are
     ignored: the baseline never rotates. *)
 
-val run : ?m:int -> ?schedule:Schedule.t -> Loopnest.t -> result
+val run : ?m:int -> schedule:Schedule.t -> Loopnest.t -> result
 (** [of_pipeline] of a {!Pipeline.run} without rotations: for callers
     that want the baseline alone. *)
 

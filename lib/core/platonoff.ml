@@ -25,10 +25,7 @@ let broadcast_basis sched (s : Loopnest.stmt) (a : Loopnest.access) =
     | cols -> Some (List.fold_left Mat.hcat (List.hd cols) (List.tl cols))
   end
 
-let run ?(m = 2) ?schedule nest =
-  let schedule =
-    match schedule with Some s -> s | None -> Schedule.all_parallel nest
-  in
+let run ?(m = 2) ~schedule nest =
   (* Step 1: locate the broadcasts of the initial code. *)
   let reserved = ref [] in
   let stmt_dirs : (string * Mat.t) list ref = ref [] in

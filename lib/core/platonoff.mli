@@ -25,7 +25,7 @@ type result = {
   plan : Commplan.t;
 }
 
-val run : ?m:int -> ?schedule:Schedule.t -> Loopnest.t -> result
+val run : ?m:int -> schedule:Schedule.t -> Loopnest.t -> result
 
 val non_local : result -> int
 val pp : Format.formatter -> result -> unit

@@ -20,6 +20,26 @@ let flows_of_workload ~m (w : Workloads.t) =
   flows_of_plan
     (Pipeline.run ~m ~schedule:w.Workloads.schedule w.Workloads.nest).Pipeline.plan
 
+(* What a fold has priced under one (placement, faults): each flow's
+   stats, each decomposition's phase stats as far as they were walked,
+   and the transfer-time bound.  Stats are kept as priced; a reader
+   retimes them to its own model's parameters. *)
+type phases = {
+  layout : Distrib.Layout.t;
+  factors : Mat.t list;
+  mutable walked : Machine.Netsim.stats list;  (* the first phases, in order *)
+}
+
+type prices = {
+  faults : Machine.Fault.t;
+  remap : Mapping.t option;
+  mutable flow_stats : (Mat.t * Machine.Netsim.stats) list;
+  mutable phase_stats : phases list;
+  mutable bound : Bounds.time option;
+}
+
+type priced = { mutable bound_volume : Bounds.volume option; mutable by_placement : prices list }
+
 type t = {
   topo : Machine.Topology.t;
   vgrid : int array;
@@ -28,6 +48,7 @@ type t = {
   axes : int array array Lazy.t;
   volumes : Machine.Netsim.volume list Lazy.t;
   mutable placements : (Mapping.spec * Mapping.t) list;
+  priced : priced;
 }
 
 let make ~vgrid ~bytes topo flows =
@@ -40,7 +61,16 @@ let make ~vgrid ~bytes topo flows =
              (Machine.Patterns.traffic ~vgrid ~axes:(Lazy.force axes) ~bytes [ flow ]))
          flows)
   in
-  { topo; vgrid; bytes; flows; axes; volumes; placements = [] }
+  {
+    topo;
+    vgrid;
+    bytes;
+    flows;
+    axes;
+    volumes;
+    placements = [];
+    priced = { bound_volume = None; by_placement = [] };
+  }
 
 let on_model ~bytes (model : Machine.Models.t) flows =
   let topo = model.Machine.Models.topo in
@@ -53,6 +83,23 @@ let on_model ~bytes (model : Machine.Models.t) flows =
 
 (* Every plan is priced at 64-byte items. *)
 let of_plan model plan = on_model ~bytes:64 model (flows_of_plan plan)
+
+(* A fold reads only the topology and the flows, so models that share
+   a topology share it. *)
+let shared () =
+  let folds = ref [] in
+  fun (model : Machine.Models.t) plan ->
+    let topo = model.Machine.Models.topo and flows = flows_of_plan plan in
+    match
+      List.find_opt
+        (fun (t, f, _) -> t = topo && List.equal Mat.equal f flows)
+        !folds
+    with
+    | Some (_, _, fold) -> fold
+    | None ->
+      let fold = on_model ~bytes:64 model flows in
+      folds := (topo, flows, fold) :: !folds;
+      fold
 
 (* A bounds row's cell→rank table is too large for the minor heap (512
    words on an 8x4 machine), and a fresh one per sweep cell grows the
@@ -95,3 +142,93 @@ let placement spec t =
     let perm = Mapping.compute spec t.topo (volume_graph t) in
     t.placements <- (spec, perm) :: t.placements;
     perm
+
+(* What this fold has priced under (placement, faults), made on first
+   use.  While telemetry records, nothing is read from here: every
+   price runs, so each records its run as it always did. *)
+let prices t ~faults remap =
+  match
+    List.find_opt
+      (fun p -> p.faults = faults && p.remap = remap)
+      t.priced.by_placement
+  with
+  | Some p -> p
+  | None ->
+    let p = { faults; remap; flow_stats = []; phase_stats = []; bound = None } in
+    t.priced.by_placement <- p :: t.priced.by_placement;
+    p
+
+let flow_price t ~faults remap net flow =
+  let price () = Machine.Netsim.price ~faults t.topo net (flow_volume t remap flow) in
+  if Obs.Telemetry.enabled () then price ()
+  else
+    let p = prices t ~faults remap in
+    match List.find_opt (fun (f, _) -> Mat.equal f flow) p.flow_stats with
+    | Some (_, s) -> Machine.Netsim.retime net s
+    | None ->
+      let s = price () in
+      p.flow_stats <- (flow, s) :: p.flow_stats;
+      s
+
+(* The running total adds each phase's time in phase order from 0.0
+   and stops once it reaches [limit], whether the phase was walked
+   now or for an earlier model. *)
+let decomposed_total t ~faults remap (model : Machine.Models.t) ~layout ~factors ~limit =
+  let total = ref 0.0 in
+  let add (s : Machine.Netsim.stats) =
+    total := !total +. s.Machine.Netsim.time;
+    !total < limit
+  in
+  let walk ~from on_phase =
+    Distrib.Foldsim.walk_phases ~faults ?remap model ~layout ~vgrid:t.vgrid ~factors
+      ~bytes:t.bytes ~from on_phase
+  in
+  if Obs.Telemetry.enabled () then walk ~from:0 add
+  else begin
+    let p = prices t ~faults remap in
+    let ph =
+      match
+        List.find_opt
+          (fun ph -> ph.layout = layout && List.equal Mat.equal ph.factors factors)
+          p.phase_stats
+      with
+      | Some ph -> ph
+      | None ->
+        let ph = { layout; factors; walked = [] } in
+        p.phase_stats <- ph :: p.phase_stats;
+        ph
+    in
+    let net = model.Machine.Models.net in
+    let rec over n = function
+      | s :: rest -> if add (Machine.Netsim.retime net s) then over (n + 1) rest
+      | [] ->
+        if n < List.length factors then
+          walk ~from:n (fun s ->
+              ph.walked <- ph.walked @ [ s ];
+              add s)
+    in
+    over 0 ph.walked
+  end;
+  !total
+
+let bound_volume t =
+  match t.priced.bound_volume with
+  | Some v -> v
+  | None ->
+    let v =
+      with_ranks t (fun owner -> Bounds.volume ~vgrid:t.vgrid ~bytes:t.bytes ~owner t.flows)
+    in
+    t.priced.bound_volume <- Some v;
+    v
+
+let transfer_time t remap net =
+  let bound () = Bounds.transfer_time t.topo net (volume t remap) in
+  if Obs.Telemetry.enabled () then bound ()
+  else
+    let p = prices t ~faults:Machine.Fault.none remap in
+    match p.bound with
+    | Some b -> Bounds.retime net b
+    | None ->
+      let b = bound () in
+      p.bound <- Some b;
+      b

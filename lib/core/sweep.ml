@@ -33,7 +33,11 @@ let profile_task label f =
    The optimizer run is timed once here and observed once in the
    [sweep.time_ms] histogram — stamping the same measurement into
    every model row used to triple-count it; per-model pricing gets its
-   own clock ([cost_ms] / [sweep.cost_ms]). *)
+   own clock ([cost_ms] / [sweep.cost_ms]).  The cell keeps one
+   residual fold per distinct (topology, flows): models that share a
+   topology (cm5 and paragon) price each traffic once and retime it,
+   and the baseline reads the optimized plan's fold when their flows
+   are equal. *)
 let eval_cell models fault_rates mapping bounds (w : Workloads.t) m =
   profile_task (fun () ->
       Printf.sprintf "cell:%s:m=%d" w.Workloads.name m)
@@ -50,6 +54,7 @@ let eval_cell models fault_rates mapping bounds (w : Workloads.t) m =
     Obs.observe "sweep.time_ms" elapsed_ms;
     let non_local = Pipeline.non_local opt in
     let validated = Validate.is_valid opt in
+    let fold_of = Residual.shared () in
     List.map
       (fun model ->
         profile_task (fun () -> "row:" ^ model.Machine.Models.name)
@@ -62,10 +67,11 @@ let eval_cell models fault_rates mapping bounds (w : Workloads.t) m =
               ("model", model.Machine.Models.name);
             ]
         @@ fun () ->
-        (* each plan's residual fold, built once for the row: every
-           price and the bounds below read its counts and placement *)
-        let opt_fold = Residual.of_plan model opt.Pipeline.plan in
-        let base_fold = Residual.of_plan model base.Feautrier.plan in
+        (* each plan's residual fold, shared by the cell's rows: every
+           price and the bounds below read its counts, placement and
+           kept stats *)
+        let opt_fold = fold_of model opt.Pipeline.plan in
+        let base_fold = fold_of model base.Feautrier.plan in
         let price ?(faults = Machine.Fault.none) ?mapping fold plan =
           (Cost.of_fold ~faults ~mapping model fold plan).Cost.total
         in

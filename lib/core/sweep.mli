@@ -25,7 +25,10 @@ type row = {
   cost_ms : float;
       (** wall time of pricing the two plans on this row's machine
           model — the only per-model work — observed per row in the
-          [sweep.cost_ms] histogram. *)
+          [sweep.cost_ms] histogram.  The cell's rows share one
+          residual fold per topology ({!Residual.shared}), so a row
+          whose topology an earlier row priced mostly retimes that
+          row's counts. *)
   resilience : (float * float) list;
       (** [(rate, gain)] pairs: the optimized-vs-baseline gain
           ([baseline / optimized]) re-priced under the sweep's fault

@@ -18,9 +18,10 @@ let buffers =
     ~make:(fun n -> { rank = Array.make n 0; cell = Array.make n 0; succ = Array.make n 0 })
     ~size:(fun b -> Array.length b.rank)
 
-(* The one phase loop: [on_phase] sees each phase's stats in order and
-   says whether to walk the next one. *)
-let walk_phases ?faults ?remap model ~layout ~vgrid ~factors ~bytes on_phase =
+(* The one phase loop: phases before [from] only move their items;
+   [on_phase] sees each later phase's stats in order and says whether
+   to walk the next one. *)
+let walk_phases ?faults ?remap model ~layout ~vgrid ~factors ~bytes ~from on_phase =
   if bytes < 0 then invalid_arg "Message.make: negative size";
   let axes = Layout.axes layout ~vgrid ~topo:model.Machine.Models.topo in
   List.iter (Machine.Patterns.check_flow ~vgrid) factors;
@@ -36,45 +37,39 @@ let walk_phases ?faults ?remap model ~layout ~vgrid ~factors ~bytes on_phase =
       for j = 0 to n - 1 do
         cell.(j) <- j
       done;
-      let phase p =
-        Machine.Patterns.fill_successors ~vgrid phases.(p) succ;
+      let price p =
         let item emit j =
           let c = cell.(j) in
           emit rank.(c) rank.(succ.(c)) bytes
         in
-        let stats =
-          Machine.Models.price ?faults model (fun emit ->
-              if p mod 2 = 0 then
-                for j = 0 to n - 1 do
-                  item emit j
-                done
-              else
-                for j = n - 1 downto 0 do
-                  item emit j
-                done)
-        in
-        for j = 0 to n - 1 do
-          cell.(j) <- succ.(cell.(j))
-        done;
-        stats
+        Machine.Models.price ?faults model (fun emit ->
+            if p mod 2 = 0 then
+              for j = 0 to n - 1 do
+                item emit j
+              done
+            else
+              for j = n - 1 downto 0 do
+                item emit j
+              done)
       in
-      let rec from p = if p < Array.length phases && on_phase (phase p) then from (p + 1) in
-      from 0)
+      let rec go p =
+        if p < Array.length phases then begin
+          Machine.Patterns.fill_successors ~vgrid phases.(p) succ;
+          let next = p < from || on_phase (price p) in
+          for j = 0 to n - 1 do
+            cell.(j) <- succ.(cell.(j))
+          done;
+          if next then go (p + 1)
+        end
+      in
+      go 0)
 
 let decomposed_time ?faults model ~layout ~vgrid ~factors () =
   let stats = ref [] in
-  walk_phases ?faults model ~layout ~vgrid ~factors ~bytes:8 (fun s ->
+  walk_phases ?faults model ~layout ~vgrid ~factors ~bytes:8 ~from:0 (fun s ->
       stats := s :: !stats;
       true);
   List.rev !stats
 
 let total_time stats =
   List.fold_left (fun acc (s : Machine.Netsim.stats) -> acc +. s.Machine.Netsim.time) 0.0 stats
-
-let decomposed_total ?faults ?remap model ~layout ~vgrid ~factors ?(bytes = 8)
-    ?(limit = Float.infinity) () =
-  let total = ref 0.0 in
-  walk_phases ?faults ?remap model ~layout ~vgrid ~factors ~bytes (fun s ->
-      total := !total +. s.Machine.Netsim.time;
-      !total < limit);
-  !total

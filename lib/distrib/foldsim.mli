@@ -47,22 +47,24 @@ val decomposed_time :
 
 val total_time : Machine.Netsim.stats list -> float
 
-val decomposed_total :
+val walk_phases :
   ?faults:Machine.Fault.t ->
   ?remap:int array ->
   Machine.Models.t ->
   layout:Layout.t ->
   vgrid:int array ->
   factors:Mat.t list ->
-  ?bytes:int ->
-  ?limit:float ->
-  unit ->
-  float
-(** [total_time (decomposed_time ...)], walked by the same phase loop
-    and summed in the same order from [0.0], except that the walk stops
-    at the first phase whose running total reaches [limit] (default
-    [infinity]) and returns that partial total.  Times are never
-    negative, so [min (decomposed_total ~limit:d ...) d] is bit-identical
-    to [min (total_time (decomposed_time ...)) d]: this is how a
-    decomposition is priced against the direct path without walking
-    the phases that cannot win. *)
+  bytes:int ->
+  from:int ->
+  (Machine.Netsim.stats -> bool) ->
+  unit
+(** The phase loop behind {!decomposed_time}, at [bytes] per item and
+    with [remap] (a process placement) composed after the layout:
+    phases [0 .. from - 1] move their items unpriced, then each later
+    phase is priced and its stats passed, in order, to the callback,
+    until it returns [false] or the phases run out.  So the stats of
+    phase [p] do not depend on [from], and a walk stopped after phase
+    [k] resumes with [~from:(k + 1)]: this is how [Residual]
+    prices a decomposition's phases once, as far as any model's
+    direct path lets it, and extends them when a later model's limit
+    asks for more. *)

@@ -24,7 +24,7 @@ let exp_delay ~base ~cap ~attempt =
 
 type t = { base : int; cap : int; jitter : float; seed : int }
 
-let make ?(jitter = 0.0) ?(seed = 0) ~base ~cap () =
+let make ~jitter ~seed ~base ~cap =
   if base <= 0 then invalid_arg "Backoff.make: base <= 0";
   if cap < base then invalid_arg "Backoff.make: cap < base";
   if not (jitter >= 0.0 && jitter <= 1.0) then

@@ -23,8 +23,8 @@ val exp_delay : base:int -> cap:int -> attempt:int -> int
 
 type t
 
-val make : ?jitter:float -> ?seed:int -> base:int -> cap:int -> unit -> t
-(** [jitter] (default [0.0]) is the fraction of each delay that the
+val make : jitter:float -> seed:int -> base:int -> cap:int -> t
+(** [jitter] is the fraction of each delay that the
     hash may remove: attempt [a] waits
     [exp_delay * (1 - jitter * u)] with [u] uniform in [\[0, 1)]
     derived from [(seed, a)].  [jitter = 0.] reproduces {!exp_delay}

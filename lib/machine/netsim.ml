@@ -205,6 +205,19 @@ let tele_run ~sim ~label ~faults ~total_cycles topo ~messages ~links ~events =
     events;
   }
 
+(* The one time formula: every count it reads is the topology's and the
+   traffic's, so a price under one model's parameters is retimed to
+   another's without routing a message again. *)
+let retime params s =
+  let time =
+    if s.messages = 0 then 0.0
+    else
+      (params.alpha *. float_of_int (max s.max_sender s.max_receiver))
+      +. (params.beta *. float_of_int s.max_link_load)
+      +. (params.hop *. float_of_int s.max_hops)
+  in
+  { s with time }
+
 let price ?(faults = Fault.none) topo params v =
   let tele = Obs.Telemetry.enabled () in
   let c = Compiled.get topo in
@@ -252,20 +265,24 @@ let price ?(faults = Fault.none) topo params v =
       (fun src dst bytes -> price_group src dst bytes 1)
   else iter_groups (Lazy.force v.groups) price_group;
   let max_link_load = array_max loads in
-  let max_sender = array_max send in
-  let max_receiver = array_max recv in
-  let serial = max max_sender max_receiver in
-  let time =
-    if !delivered = 0 then 0.0
-    else
-      (params.alpha *. float_of_int serial)
-      +. (params.beta *. float_of_int max_link_load)
-      +. (params.hop *. float_of_int !max_hops)
+  let stats =
+    retime params
+      {
+        time = 0.0;
+        messages = !delivered;
+        total_bytes = !total_bytes;
+        total_hops = !total_hops;
+        max_link_load;
+        max_sender = array_max send;
+        max_receiver = array_max recv;
+        max_hops = !max_hops;
+        unreachable = !unreachable;
+      }
   in
   if Obs.enabled () then begin
     Obs.incr "netsim.runs";
     Obs.incr ~by:!delivered "netsim.messages";
-    Obs.observe "netsim.time" time;
+    Obs.observe "netsim.time" stats.time;
     Obs.observe "netsim.max_link_load" (float_of_int max_link_load)
   end;
   if tele then begin
@@ -292,17 +309,7 @@ let price ?(faults = Fault.none) topo params v =
          ~messages:(List.rev_append !locals (List.rev !t_msgs))
          ~links ~events:[])
   end;
-  {
-    time;
-    messages = !delivered;
-    total_bytes = !total_bytes;
-    total_hops = !total_hops;
-    max_link_load;
-    max_sender;
-    max_receiver;
-    max_hops = !max_hops;
-    unreachable = !unreachable;
-  }
+  stats
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -155,6 +155,16 @@ val price : ?faults:Fault.t -> Topology.t -> params -> volume -> stats
 
     @raise Invalid_argument when a message endpoint is not a host. *)
 
+val retime : params -> stats -> stats
+(** [retime params s] is [s] with its [time] recomputed under
+    [params]: [alpha * max(max_sender, max_receiver) + beta *
+    max_link_load + hop * max_hops], or [0.0] when no message was
+    delivered.  Every other field counts the topology's routes and
+    the traffic, not the parameters, so [retime p (price ~faults topo
+    p' v)] is [price ~faults topo p v] field for field, bit for bit:
+    {!price} computes its time this way.  This is how a traffic
+    priced once is priced on every model that shares its topology. *)
+
 val link_loads :
   ?faults:Fault.t -> Topology.t -> Message.traffic -> ((int * int) * int) list
 (** The effective load of every directed link some route crosses,

@@ -24,7 +24,9 @@ let check_flow ~vgrid flow =
 
 let index ~vgrid v =
   let idx = ref 0 in
-  Array.iteri (fun d e -> idx := (!idx * e) + v.(d)) vgrid;
+  for d = 0 to Array.length vgrid - 1 do
+    idx := (!idx * vgrid.(d)) + v.(d)
+  done;
   !idx
 
 let reduce x e = ((x mod e) + e) mod e

@@ -20,7 +20,7 @@ type 'a lender
     Buffers larger than the minor heap, allocated per call, fill the
     major heap faster than the collector reclaims them; the two
     tallies below, [Distrib.Foldsim.decomposed_time] and the rank
-    table of [Resopt.Residual.with_ranks] borrow theirs. *)
+    table of [Resopt.Residual.bound_volume] borrow theirs. *)
 
 val lender : make:(int -> 'a) -> size:('a -> int) -> 'a lender
 (** A lender of buffers [make n] of capacity [size]. *)

@@ -17,16 +17,18 @@ let models_of = function
    its lead over the step-1-only baseline once the machine is
    imperfect?  Prints what follows the header's fault model; the
    header is [solve_parts]'s, since that model, seed included, is the
-   one piece of an answer that reads the fault seed. *)
-let resilience_rows ppf ~models (r : Resopt.Pipeline.result) faults =
+   one piece of an answer that reads the fault seed.  [fold_of] is the
+   answer's per-topology folds ({!Resopt.Residual.shared}). *)
+let resilience_rows ppf ~models ~fold_of (r : Resopt.Pipeline.result) faults =
   let base = Resopt.Feautrier.of_pipeline r in
   Format.fprintf ppf ":@.";
   Format.fprintf ppf "  %-8s %12s %12s %8s %12s %12s %8s@." "model" "optimized"
     "baseline" "gain" "opt+fault" "base+fault" "gain+f";
   List.iter
     (fun model ->
-      let price ?faults plan =
-        (Resopt.Cost.of_plan ?faults model plan).Resopt.Cost.total
+      let price ?(faults = Machine.Fault.none) plan =
+        (Resopt.Cost.of_fold ~faults ~mapping:None model (fold_of model plan) plan)
+          .Resopt.Cost.total
       in
       let o = price r.Resopt.Pipeline.plan
       and b = price base.Resopt.Feautrier.plan
@@ -40,7 +42,7 @@ let resilience_rows ppf ~models (r : Resopt.Pipeline.result) faults =
 (* the placement the mapping layer picks for the plan's residual
    traffic, per 2-D model: hop-bytes before/after plus the plan price
    before/after (the sweep's gain_map column, one workload) *)
-let mapping_block ppf ~models (r : Resopt.Pipeline.result) spec =
+let mapping_block ppf ~models ~fold_of (r : Resopt.Pipeline.result) spec =
   Format.fprintf ppf "@.process mapping (--map %s):@."
     (Mapping.kind_to_string spec.Mapping.kind);
   Format.fprintf ppf "  %-8s %12s %12s %8s %12s %12s %8s@." "model" "hop-bytes"
@@ -48,12 +50,12 @@ let mapping_block ppf ~models (r : Resopt.Pipeline.result) spec =
   List.iter
     (fun model ->
       let plan = r.Resopt.Pipeline.plan in
-      match Resopt.Residual.of_plan model plan with
+      match fold_of model plan with
       | None ->
         Format.fprintf ppf "  %-8s %12s@." model.Machine.Models.name
           "(no 2-D grid)"
       | Some fold ->
-        (* one fold for the row: the hop-bytes, both prices and the
+        (* one fold per topology: the hop-bytes, both prices and the
            placement they share *)
         let topo = model.Machine.Models.topo in
         let vol = Resopt.Residual.volume_graph fold in
@@ -97,8 +99,11 @@ let solve_parts ?faults ?mapping ?topo ~m (w : Resopt.Workloads.t) =
       w.Resopt.Workloads.nest
   in
   let models = models_of topo in
+  (* models that share a topology share its folds, across both
+     blocks *)
+  let fold_of = Resopt.Residual.shared () in
   Format.fprintf ppf "%a@." Resopt.Pipeline.pp r;
-  Option.iter (mapping_block ppf ~models r) mapping;
+  Option.iter (mapping_block ppf ~models ~fold_of r) mapping;
   match faults with
   | None -> Unseeded (cut ())
   | Some faults ->
@@ -106,7 +111,7 @@ let solve_parts ?faults ?mapping ?topo ~m (w : Resopt.Workloads.t) =
     let head = cut () in
     Machine.Fault.pp ppf faults;
     let model = cut () in
-    resilience_rows ppf ~models r faults;
+    resilience_rows ppf ~models ~fold_of r faults;
     let tail = cut () in
     if Machine.Fault.is_none faults then Unseeded (head ^ model ^ tail)
     else Seeded { head; specs = Machine.Fault.specs faults; tail }

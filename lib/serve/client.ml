@@ -45,14 +45,11 @@ let request t req =
   Result.bind (rpc t (Wire.encode_request req)) Wire.decode_response
 
 let default_backoff ~seed =
-  Machine.Backoff.make ~jitter:0.5 ~seed ~base:50 ~cap:1000 ()
+  Machine.Backoff.make ~jitter:0.5 ~seed ~base:50 ~cap:1000
 
 let attempts = 5
 
-let call ?backoff addr req =
-  let backoff =
-    match backoff with Some b -> b | None -> default_backoff ~seed:0
-  in
+let call ~backoff addr req =
   let rec go attempt =
     let outcome =
       match connect addr with

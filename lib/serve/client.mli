@@ -26,7 +26,7 @@ val default_backoff : seed:int -> Machine.Backoff.t
 (** Base 50 ms, cap 1000 ms, jitter 0.5. *)
 
 val call :
-  ?backoff:Machine.Backoff.t ->
+  backoff:Machine.Backoff.t ->
   Wire.addr ->
   Wire.request ->
   (Wire.response, string) result

@@ -839,16 +839,25 @@ let decomposed_diff spec =
       let phases () =
         Distrib.Foldsim.decomposed_time ~faults model ~layout ~vgrid ~factors ()
       in
-      (* the placed walk, which only the total reads *)
+      (* the placed walk, whole and resumed after each phase: the
+         stats of a phase do not depend on where the walk starts *)
       let placed =
         List.map fst
           (Reference.decomposed_time ~faults ?remap model ~layout ~vgrid ~factors ~bytes ())
       in
+      let walk from =
+        let stats = ref [] in
+        Distrib.Foldsim.walk_phases ~faults ?remap model ~layout ~vgrid ~factors ~bytes ~from
+          (fun s ->
+            stats := s :: !stats;
+            true);
+        List.rev !stats
+      in
       phases () = stats
       && traced phases = (stats, records)
-      && Distrib.Foldsim.decomposed_total ~faults ?remap model ~layout ~vgrid ~factors
-           ~bytes ()
-         = Distrib.Foldsim.total_time placed)
+      && List.for_all
+           (fun from -> walk from = List.filteri (fun p _ -> p >= from) placed)
+           (List.init (List.length factors + 1) Fun.id))
 
 (* Residual traffic: the cyclic fold of every flow, concatenated, and
    its sorted volume graph. *)
@@ -919,6 +928,130 @@ let walk_diff d =
       && Patterns.successors ~vgrid flow = Reference.successors ~vgrid flow)
 
 let walk_diff_props = List.map walk_diff [ 1; 2; 3 ]
+
+(* ------------------------------------------------------------------ *)
+(* Retiming                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A price's counts are the topology's and the traffic's: priced under
+   any parameters and retimed, it is the price under the others, bit
+   for bit.  So is a transfer-time bound. *)
+let same_stats (a : Netsim.stats) (b : Netsim.stats) =
+  bits a.Netsim.time = bits b.Netsim.time && { a with time = 0.0 } = { b with time = 0.0 }
+
+let gen_params =
+  QCheck.Gen.(
+    map3
+      (fun alpha beta hop -> { Netsim.alpha; beta; hop })
+      (float_bound_inclusive 20.0) (float_bound_inclusive 1.0) (float_bound_inclusive 2.0))
+
+let show_params p = Printf.sprintf "(%h, %h, %h)" p.Netsim.alpha p.Netsim.beta p.Netsim.hop
+
+let retime_prop spec =
+  let topo = Result.get_ok (Topology.of_string spec) in
+  let arb =
+    QCheck.make
+      ~print:(fun (coalesce, faults, msgs, p, p') ->
+        Printf.sprintf "%s coalesce=%b %s %s -> %s [%s]" spec coalesce (Fault.label faults)
+          (show_params p') (show_params p)
+          (String.concat "; " (List.map show_message msgs)))
+      QCheck.Gen.(
+        bool >>= fun coalesce ->
+        oneofl [ Healthy; Flaky; Severed ] >>= fun kind ->
+        gen_faults topo kind >>= fun faults ->
+        map3
+          (fun msgs p p' -> (coalesce, faults, msgs, p, p'))
+          (gen_messages topo) gen_params gen_params)
+  in
+  prop ("netsim " ^ spec) arb (fun (coalesce, faults, msgs, p, p') ->
+      let price p =
+        Netsim.price ~faults topo p (Netsim.volume ~coalesce topo (Message.of_list msgs))
+      in
+      same_stats (Netsim.retime p (price p')) (price p))
+
+let bounds_retime_prop spec =
+  let topo = Result.get_ok (Topology.of_string spec) in
+  let arb =
+    QCheck.make
+      ~print:(fun (msgs, p, p') ->
+        Printf.sprintf "%s %s -> %s [%s]" spec (show_params p') (show_params p)
+          (String.concat "; " (List.map show_message msgs)))
+      QCheck.Gen.(triple (gen_messages topo) gen_params gen_params)
+  in
+  prop ("bounds " ^ spec) arb (fun (msgs, p, p') ->
+      let bound p = Bounds.transfer_time topo p (Netsim.volume topo (Message.of_list msgs)) in
+      let a = Bounds.retime p (bound p') and b = bound p in
+      same_stats a.Bounds.achieved b.Bounds.achieved
+      && bits a.Bounds.bound_time = bits b.Bounds.bound_time
+      && bits a.Bounds.efficiency = bits b.Bounds.efficiency
+      && (a.Bounds.serial_lb, a.Bounds.link_lb, a.Bounds.hops_lb)
+         = (b.Bounds.serial_lb, b.Bounds.link_lb, b.Bounds.hops_lb))
+
+let retime_specs = [ "mesh:8x4"; "torus:4x4x2"; "fattree:3:4"; "dragonfly:4:4:2" ]
+
+let retime_props =
+  List.map retime_prop retime_specs @ List.map bounds_retime_prop retime_specs
+
+(* ------------------------------------------------------------------ *)
+(* One fold per topology                                               *)
+(* ------------------------------------------------------------------ *)
+
+let share_sweep ~models workloads =
+  Resopt.Sweep.run ~ms:[ 2 ] ~models ~workloads
+    ~mapping:(Mapping.spec Mapping.Greedy) ~bounds:true
+    ~faults:(Fault.make [ Fault.Flaky { link = None; prob = 0.02 } ]) ()
+
+let netsim_runs f =
+  Obs.reset ();
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+    (fun () ->
+      ignore (f () : Resopt.Sweep.row list);
+      Obs.counter "netsim.runs")
+
+(* CM-5 and Paragon share mesh:8x4: a cell prices its traffic on it
+   once, so adding CM-5's row to Paragon's prices nothing more. *)
+let test_share_runs () =
+  let decomposed (w : Resopt.Workloads.t) =
+    match Resopt.Pipeline.run ~m:2 ~schedule:w.Resopt.Workloads.schedule w.Resopt.Workloads.nest with
+    | exception _ -> false
+    | r ->
+      List.exists
+        (fun (e : Resopt.Commplan.entry) ->
+          match e.Resopt.Commplan.classification with
+          | Resopt.Commplan.Decomposed _ -> true
+          | _ -> false)
+        r.Resopt.Pipeline.plan
+  in
+  let w = List.find decomposed (Resopt.Workloads.generated ~seed:100003 ~count:200) in
+  let both = [ Models.cm5 (); Models.paragon () ] in
+  (* the translation shift is priced once per process: pay it first *)
+  ignore (share_sweep ~models:both [ w ] : Resopt.Sweep.row list);
+  let runs_both = netsim_runs (fun () -> share_sweep ~models:both [ w ]) in
+  let runs_paragon = netsim_runs (fun () -> share_sweep ~models:[ Models.paragon () ] [ w ]) in
+  Alcotest.(check bool) (w.Resopt.Workloads.name ^ " prices something") true (runs_paragon > 0);
+  Alcotest.(check int) (w.Resopt.Workloads.name ^ ": netsim.runs") runs_paragon runs_both
+
+(* A model list that names one topology several times, under other
+   wire parameters too, gives each model the rows a sweep of that
+   model alone gives. *)
+let test_share_rows () =
+  let mesh = Models.of_topo (Result.get_ok (Topology.of_string "mesh:8x4")) in
+  let models =
+    [ Models.cm5 (); Models.paragon (); Models.t3d (); mesh; Models.paragon ~p:4 ~q:4 (); Models.cm5 () ]
+  in
+  let workloads = Resopt.Workloads.generated ~seed:100003 ~count:60 in
+  let alone = List.map (fun m -> share_sweep ~models:[ m ] workloads) models in
+  let per_cell = List.length (List.hd alone) in
+  let interleaved =
+    List.concat
+      (List.init per_cell (fun i -> List.map (fun rows -> List.nth rows i) alone))
+  in
+  Alcotest.(check string) "rows" (Resopt.Sweep.to_csv interleaved)
+    (Resopt.Sweep.to_csv (share_sweep ~models workloads))
 
 (* ------------------------------------------------------------------ *)
 (* Generated-corpus golden                                             *)
@@ -1049,6 +1182,12 @@ let () =
       ("walk-diff", walk_diff_props);
       ( "corpus-golden",
         [ Alcotest.test_case "gennest sweep CSV" `Quick test_corpus_golden ] );
+      ("retime", retime_props);
+      ( "fold-share",
+        [
+          Alcotest.test_case "cm5 adds no netsim run" `Quick test_share_runs;
+          Alcotest.test_case "repeated topology rows" `Quick test_share_rows;
+        ] );
       ( "calibrate",
         [
           Alcotest.test_case "exact fit" `Quick test_linear_fit_exact;

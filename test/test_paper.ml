@@ -191,7 +191,7 @@ let test_platonoff_total_preserved () =
           };
         ]
   in
-  let plat = Resopt.Platonoff.run ~m:2 nest in
+  let plat = Resopt.Platonoff.run ~m:2 ~schedule:(Nestir.Schedule.all_parallel nest) nest in
   Alcotest.(check (list (pair string string))) "reserved" [ ("S", "Fg") ]
     plat.Resopt.Platonoff.reserved;
   let entry =

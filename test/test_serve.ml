@@ -314,7 +314,7 @@ let test_backoff_matches_fault () =
   done
 
 let test_backoff_jitter_bounds () =
-  let b = Machine.Backoff.make ~jitter:0.5 ~seed:9 ~base:50 ~cap:1000 () in
+  let b = Machine.Backoff.make ~jitter:0.5 ~seed:9 ~base:50 ~cap:1000 in
   for attempt = 1 to 12 do
     let full = Machine.Backoff.exp_delay ~base:50 ~cap:1000 ~attempt in
     let d = Machine.Backoff.delay b ~attempt in
@@ -326,7 +326,7 @@ let test_backoff_jitter_bounds () =
   done
 
 let test_backoff_no_jitter_is_exp () =
-  let b = Machine.Backoff.make ~base:128 ~cap:4096 () in
+  let b = Machine.Backoff.make ~jitter:0.0 ~seed:0 ~base:128 ~cap:4096 in
   List.iter
     (fun (attempt, want) ->
       Alcotest.(check int)
@@ -338,11 +338,11 @@ let test_backoff_no_jitter_is_exp () =
 let test_backoff_validation () =
   let bad f = try ignore (f ()); false with Invalid_argument _ -> true in
   Alcotest.(check bool) "base 0" true
-    (bad (fun () -> Machine.Backoff.make ~base:0 ~cap:10 ()));
+    (bad (fun () -> Machine.Backoff.make ~jitter:0.0 ~seed:0 ~base:0 ~cap:10));
   Alcotest.(check bool) "cap < base" true
-    (bad (fun () -> Machine.Backoff.make ~base:10 ~cap:5 ()));
+    (bad (fun () -> Machine.Backoff.make ~jitter:0.0 ~seed:0 ~base:10 ~cap:5));
   Alcotest.(check bool) "jitter > 1" true
-    (bad (fun () -> Machine.Backoff.make ~jitter:1.5 ~base:1 ~cap:2 ()))
+    (bad (fun () -> Machine.Backoff.make ~jitter:1.5 ~seed:0 ~base:1 ~cap:2))
 
 let prop_hash_unit_in_range =
   QCheck.Test.make ~name:"hash_unit in [0, 1)" ~count:500
@@ -665,6 +665,9 @@ let test_server_unknown_workload () =
       (Str.string_match (Str.regexp ".*no_such_workload.*") msg 0)
   | r -> Alcotest.fail ("expected Failed, got " ^ Wire.status r)
 
+(* The one-shot client under the load generator's backoff at seed 0. *)
+let call addr req = Client.call ~backoff:(Client.default_backoff ~seed:0) addr req
+
 let test_server_concurrent_clients () =
   let reqs =
     [ Wire.run ~m:1 "example1"; Wire.run ~m:2 "gauss"; Wire.run ~m:1 "example1" ]
@@ -682,7 +685,7 @@ let test_server_concurrent_clients () =
     List.mapi
       (fun i req ->
         Thread.create
-          (fun () -> results.(i) <- Some (Client.call addr req))
+          (fun () -> results.(i) <- Some (call addr req))
           ())
       reqs
   in
@@ -703,7 +706,7 @@ let test_server_drain_refuses_new_work () =
   let t = local_server () in
   let addr = Server.address t in
   (* a request before the drain works *)
-  (match Client.call addr (Wire.run ~m:1 "example2") with
+  (match call addr (Wire.run ~m:1 "example2") with
   | Ok (Wire.Answer _) -> ()
   | _ -> Alcotest.fail "pre-drain request failed");
   Server.stop t;
@@ -726,7 +729,7 @@ let test_server_snapshot_restart_warm () =
     (fun () ->
       let req = Wire.run ~m:1 "gauss" in
       let answer_of t =
-        match Client.call (Server.address t) req with
+        match call (Server.address t) req with
         | Ok (Wire.Answer s) -> s
         | Ok r -> Alcotest.fail ("expected Answer, got " ^ Wire.status r)
         | Error e -> Alcotest.fail e
@@ -827,7 +830,7 @@ let test_server_seeds_share_one_solve () =
   let results = Array.make 2 None in
   List.mapi
     (fun i req ->
-      Thread.create (fun () -> results.(i) <- Some (Client.call addr req)) ())
+      Thread.create (fun () -> results.(i) <- Some (call addr req)) ())
     reqs
   |> List.iter Thread.join;
   List.iteri
