@@ -20,25 +20,32 @@ let flows_of_workload ~m (w : Workloads.t) =
   flows_of_plan
     (Pipeline.run ~m ~schedule:w.Workloads.schedule w.Workloads.nest).Pipeline.plan
 
-(* What a fold has priced under one (placement, faults): each flow's
-   stats, each decomposition's phase stats as far as they were walked,
-   and the transfer-time bound.  Stats are kept as priced; a reader
-   retimes them to its own model's parameters. *)
-type phases = {
+(* A decomposition's first phases, in order, as far as some price
+   needed them: their unplaced, fault-free volumes on the fold, or
+   their stats under one (placement, faults). *)
+type 'a phases = {
   layout : Distrib.Layout.t;
   factors : Mat.t list;
-  mutable walked : Machine.Netsim.stats list;  (* the first phases, in order *)
+  mutable walked : 'a list;
 }
 
+(* What a fold has priced under one (placement, faults): each flow's
+   stats, each decomposition's phase stats as far as they were priced,
+   and the transfer-time bound.  Stats are kept as priced; a reader
+   retimes them to its own model's parameters. *)
 type prices = {
   faults : Machine.Fault.t;
   remap : Mapping.t option;
   mutable flow_stats : (Mat.t * Machine.Netsim.stats) list;
-  mutable phase_stats : phases list;
+  phase_stats : Machine.Netsim.stats phases list ref;
   mutable bound : Bounds.time option;
 }
 
-type priced = { mutable bound_volume : Bounds.volume option; mutable by_placement : prices list }
+type priced = {
+  mutable bound_volume : Bounds.volume option;
+  phase_volumes : Machine.Netsim.volume phases list ref;
+  mutable by_placement : prices list;
+}
 
 type t = {
   topo : Machine.Topology.t;
@@ -69,7 +76,7 @@ let make ~vgrid ~bytes topo flows =
     axes;
     volumes;
     placements = [];
-    priced = { bound_volume = None; by_placement = [] };
+    priced = { bound_volume = None; phase_volumes = ref []; by_placement = [] };
   }
 
 let on_model ~bytes (model : Machine.Models.t) flows =
@@ -154,7 +161,7 @@ let prices t ~faults remap =
   with
   | Some p -> p
   | None ->
-    let p = { faults; remap; flow_stats = []; phase_stats = []; bound = None } in
+    let p = { faults; remap; flow_stats = []; phase_stats = ref []; bound = None } in
     t.priced.by_placement <- p :: t.priced.by_placement;
     p
 
@@ -170,42 +177,61 @@ let flow_price t ~faults remap net flow =
       p.flow_stats <- (flow, s) :: p.flow_stats;
       s
 
+(* The phases kept for (layout, factors) in [kept], added on first
+   use. *)
+let phases_of kept ~layout ~factors =
+  match
+    List.find_opt
+      (fun ph -> ph.layout = layout && List.equal Mat.equal ph.factors factors)
+      !kept
+  with
+  | Some ph -> ph
+  | None ->
+    let ph = { layout; factors; walked = [] } in
+    kept := ph :: !kept;
+    ph
+
 (* The running total adds each phase's time in phase order from 0.0
-   and stops once it reaches [limit], whether the phase was walked
-   now or for an earlier model. *)
+   and stops once it reaches [limit], whether the phase was priced now
+   or for an earlier model, and its volume walked now or for an
+   earlier (placement, faults). *)
 let decomposed_total t ~faults remap (model : Machine.Models.t) ~layout ~factors ~limit =
   let total = ref 0.0 in
   let add (s : Machine.Netsim.stats) =
     total := !total +. s.Machine.Netsim.time;
     !total < limit
   in
+  let net = model.Machine.Models.net in
+  let price v = Machine.Netsim.price ~faults t.topo net (placed remap v) in
   let walk ~from on_phase =
-    Distrib.Foldsim.walk_phases ~faults ?remap model ~layout ~vgrid:t.vgrid ~factors
-      ~bytes:t.bytes ~from on_phase
+    Distrib.Foldsim.walk_phases t.topo ~layout ~vgrid:t.vgrid ~factors ~bytes:t.bytes
+      ~from on_phase
   in
-  if Obs.Telemetry.enabled () then walk ~from:0 add
+  if Obs.Telemetry.enabled () then walk ~from:0 (fun v -> add (price v))
   else begin
     let p = prices t ~faults remap in
-    let ph =
-      match
-        List.find_opt
-          (fun ph -> ph.layout = layout && List.equal Mat.equal ph.factors factors)
-          p.phase_stats
-      with
-      | Some ph -> ph
-      | None ->
-        let ph = { layout; factors; walked = [] } in
-        p.phase_stats <- ph :: p.phase_stats;
-        ph
+    let ph = phases_of p.phase_stats ~layout ~factors
+    and vols = phases_of t.priced.phase_volumes ~layout ~factors in
+    (* a phase priced under this (placement, faults), kept for the
+       next model *)
+    let priced_now v =
+      let s = price v in
+      ph.walked <- ph.walked @ [ s ];
+      add s
     in
-    let net = model.Machine.Models.net in
     let rec over n = function
       | s :: rest -> if add (Machine.Netsim.retime net s) then over (n + 1) rest
+      | [] -> unpriced n (List.filteri (fun i _ -> i >= n) vols.walked)
+    and unpriced n = function
+      | v :: rest -> if priced_now v then unpriced (n + 1) rest
       | [] ->
         if n < List.length factors then
-          walk ~from:n (fun s ->
-              ph.walked <- ph.walked @ [ s ];
-              add s)
+          walk ~from:n (fun v ->
+              (* counted off the walk's borrowed tables: keep the counts
+                 alone *)
+              let v = Machine.Netsim.volume t.topo (Machine.Netsim.pairs v) in
+              vols.walked <- vols.walked @ [ v ];
+              priced_now v)
     in
     over 0 ph.walked
   end;

@@ -26,6 +26,10 @@
       ({!Machine.Netsim.relabel}): a placement only renames ranks, so
       the relabelled count is exactly the count of the remapped
       traffic;
+    - each decomposition's phases are walked once, as far as some
+      price needs them, into unplaced, fault-free coalesced volumes
+      that a price under a placement reads relabelled, like the
+      flows';
     - under each (placement, faults), each flow's direct path
       ({!flow_price}), each decomposition's phases ({!decomposed_total})
       and the transfer-time bound ({!transfer_time}) are priced once,
@@ -113,10 +117,10 @@ val decomposed_total :
   limit:float ->
   float
 (** The phases of a decomposition ({!Distrib.Foldsim.walk_phases} on
-    the fold's grid, at its item size, under [faults] and the
-    placement), their times summed in phase order from [0.0] until the
-    running total reaches [limit]: that partial total, or the whole
-    sum.  Times are never negative, so [min (decomposed_total ~limit:d
+    the fold's grid, at its item size, relabelled by the placement and
+    priced under [faults]), their times summed in phase order from
+    [0.0] until the running total reaches [limit]: that partial total,
+    or the whole sum.  Times are never negative, so [min (decomposed_total ~limit:d
     ...) d] is [min] of [d] and every phase's time summed: this is how
     a decomposition is priced against the direct path without walking
     the phases that cannot win.  The model must have the fold's

@@ -1,8 +1,7 @@
 (* Residual traffic as int arrays from placement to price: the layout
-   fold is one table per axis (with [remap], a process placement from
-   the mapping layer, composed after it in the phase walk), each
-   message's endpoints come from integer flow arithmetic, and the
-   messages stream into the Netsim core. *)
+   fold is one table per axis, each message's endpoints come from
+   integer flow arithmetic, and the messages stream into the Netsim
+   core. *)
 
 let time ?coalesce ?faults model ~layout ~vgrid ~flow ?(bytes = 8) () =
   let axes = Layout.axes layout ~vgrid ~topo:model.Machine.Models.topo in
@@ -19,11 +18,11 @@ let buffers =
     ~size:(fun b -> Array.length b.rank)
 
 (* The one phase loop: phases before [from] only move their items;
-   [on_phase] sees each later phase's stats in order and says whether
-   to walk the next one. *)
-let walk_phases ?faults ?remap model ~layout ~vgrid ~factors ~bytes ~from on_phase =
+   [on_phase] sees each later phase's coalesced volume in order and
+   says whether to walk the next one. *)
+let walk_phases topo ~layout ~vgrid ~factors ~bytes ~from on_phase =
   if bytes < 0 then invalid_arg "Message.make: negative size";
-  let axes = Layout.axes layout ~vgrid ~topo:model.Machine.Models.topo in
+  let axes = Layout.axes layout ~vgrid ~topo in
   List.iter (Machine.Patterns.check_flow ~vgrid) factors;
   (* The rightmost factor moves first: T = f1 f2 ... fn applied to v is
      realised as v -> fn v -> f(n-1) fn v -> ...; positions live on the
@@ -33,16 +32,16 @@ let walk_phases ?faults ?remap model ~layout ~vgrid ~factors ~bytes ~from on_pha
   let phases = Array.of_list (List.rev factors) in
   let n = Machine.Patterns.cells vgrid in
   Machine.Volgraph.borrow buffers n (fun { rank; cell; succ } ->
-      Machine.Patterns.fill_ranks ~axes ?remap ~vgrid rank;
+      Machine.Patterns.fill_ranks ~axes ~vgrid rank;
       for j = 0 to n - 1 do
         cell.(j) <- j
       done;
-      let price p =
+      let volume p =
         let item emit j =
           let c = cell.(j) in
           emit rank.(c) rank.(succ.(c)) bytes
         in
-        Machine.Models.price ?faults model (fun emit ->
+        Machine.Netsim.volume topo (fun emit ->
             if p mod 2 = 0 then
               for j = 0 to n - 1 do
                 item emit j
@@ -55,7 +54,7 @@ let walk_phases ?faults ?remap model ~layout ~vgrid ~factors ~bytes ~from on_pha
       let rec go p =
         if p < Array.length phases then begin
           Machine.Patterns.fill_successors ~vgrid phases.(p) succ;
-          let next = p < from || on_phase (price p) in
+          let next = p < from || on_phase (volume p) in
           for j = 0 to n - 1 do
             cell.(j) <- succ.(cell.(j))
           done;
@@ -64,10 +63,11 @@ let walk_phases ?faults ?remap model ~layout ~vgrid ~factors ~bytes ~from on_pha
       in
       go 0)
 
-let decomposed_time ?faults model ~layout ~vgrid ~factors () =
+let decomposed_time ?faults (model : Machine.Models.t) ~layout ~vgrid ~factors () =
+  let topo = model.Machine.Models.topo in
   let stats = ref [] in
-  walk_phases ?faults model ~layout ~vgrid ~factors ~bytes:8 ~from:0 (fun s ->
-      stats := s :: !stats;
+  walk_phases topo ~layout ~vgrid ~factors ~bytes:8 ~from:0 (fun v ->
+      stats := Machine.Netsim.price ?faults topo model.Machine.Models.net v :: !stats;
       true);
   List.rev !stats
 

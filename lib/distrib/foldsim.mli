@@ -48,23 +48,24 @@ val decomposed_time :
 val total_time : Machine.Netsim.stats list -> float
 
 val walk_phases :
-  ?faults:Machine.Fault.t ->
-  ?remap:int array ->
-  Machine.Models.t ->
+  Machine.Topology.t ->
   layout:Layout.t ->
   vgrid:int array ->
   factors:Mat.t list ->
   bytes:int ->
   from:int ->
-  (Machine.Netsim.stats -> bool) ->
+  (Machine.Netsim.volume -> bool) ->
   unit
-(** The phase loop behind {!decomposed_time}, at [bytes] per item and
-    with [remap] (a process placement) composed after the layout:
-    phases [0 .. from - 1] move their items unpriced, then each later
-    phase is priced and its stats passed, in order, to the callback,
-    until it returns [false] or the phases run out.  So the stats of
-    phase [p] do not depend on [from], and a walk stopped after phase
-    [k] resumes with [~from:(k + 1)]: this is how [Residual]
-    prices a decomposition's phases once, as far as any model's
-    direct path lets it, and extends them when a later model's limit
-    asks for more. *)
+(** The phase loop behind {!decomposed_time}, at [bytes] per item on
+    the topology: phases [0 .. from - 1] move their items unpriced,
+    then each later phase's messages are passed, in order, to the
+    callback as one coalesced {!Machine.Netsim.volume}, until it
+    returns [false] or the phases run out.  So the volume of phase [p]
+    does not depend on [from], and a walk stopped after phase [k]
+    resumes with [~from:(k + 1)].  A volume's counts are its own, but
+    its messages are read off the walk's borrowed tables: price it
+    under telemetry, which reads the messages, only inside the
+    callback.  This is how [Residual] keeps a decomposition's phases,
+    unplaced and fault-free, as far as any model's direct path lets
+    it, and prices them relabelled by each placement
+    ({!Machine.Netsim.relabel}) under each fault model. *)

@@ -3,9 +3,24 @@ type t = { r : int; c : int; a : int array array }
 let rows m = m.r
 let cols m = m.c
 
+(* An [r]x[c] matrix of fresh zero rows, for the kernels to fill. *)
+let alloc r c =
+  let a = Array.make r [||] in
+  for i = 0 to r - 1 do
+    a.(i) <- Array.make c 0
+  done;
+  { r; c; a }
+
 let make r c f =
   if r <= 0 || c <= 0 then invalid_arg "Mat.make: non-positive dimension";
-  { r; c; a = Array.init r (fun i -> Array.init c (fun j -> f i j)) }
+  let m = alloc r c in
+  for i = 0 to r - 1 do
+    let row = m.a.(i) in
+    for j = 0 to c - 1 do
+      row.(j) <- f i j
+    done
+  done;
+  m
 
 let of_lists rows_l =
   match rows_l with
@@ -35,23 +50,47 @@ let zero r c = make r c (fun _ _ -> 0)
 
 let is_square m = m.r = m.c
 
-let for_all f m =
-  let ok = ref true in
+let is_identity m =
+  let ok = ref (is_square m) in
   for i = 0 to m.r - 1 do
+    let row = m.a.(i) in
     for j = 0 to m.c - 1 do
-      if not (f i j m.a.(i).(j)) then ok := false
+      if row.(j) <> (if i = j then 1 else 0) then ok := false
     done
   done;
   !ok
 
-let is_identity m =
-  is_square m && for_all (fun i j x -> x = if i = j then 1 else 0) m
+let is_zero m =
+  let ok = ref true in
+  for i = 0 to m.r - 1 do
+    let row = m.a.(i) in
+    for j = 0 to m.c - 1 do
+      if row.(j) <> 0 then ok := false
+    done
+  done;
+  !ok
 
-let is_zero m = for_all (fun _ _ x -> x = 0) m
+let equal m n =
+  m.r = n.r && m.c = n.c
+  &&
+  let ok = ref true in
+  for i = 0 to m.r - 1 do
+    let x = m.a.(i) and y = n.a.(i) in
+    for j = 0 to m.c - 1 do
+      if x.(j) <> y.(j) then ok := false
+    done
+  done;
+  !ok
 
-let equal m n = m.r = n.r && m.c = n.c && for_all (fun i j x -> x = n.a.(i).(j)) m
-
-let transpose m = make m.c m.r (fun i j -> m.a.(j).(i))
+let transpose m =
+  let t = alloc m.c m.r in
+  for i = 0 to m.r - 1 do
+    let row = m.a.(i) in
+    for j = 0 to m.c - 1 do
+      t.a.(j).(i) <- row.(j)
+    done
+  done;
+  t
 
 let map f m = make m.r m.c (fun i j -> f m.a.(i).(j))
 
@@ -64,18 +103,31 @@ let check_same_dims name m n =
 
 let sub m n =
   check_same_dims "sub" m n;
-  make m.r m.c (fun i j -> m.a.(i).(j) - n.a.(i).(j))
+  let d = alloc m.r m.c in
+  for i = 0 to m.r - 1 do
+    let x = m.a.(i) and y = n.a.(i) and z = d.a.(i) in
+    for j = 0 to m.c - 1 do
+      z.(j) <- x.(j) - y.(j)
+    done
+  done;
+  d
 
 let mul m n =
   if m.c <> n.r then
     invalid_arg (Printf.sprintf "Mat.mul: dimension mismatch %dx%d * %dx%d"
                    m.r m.c n.r n.c);
-  make m.r n.c (fun i j ->
+  let p = alloc m.r n.c in
+  for i = 0 to m.r - 1 do
+    let x = m.a.(i) and z = p.a.(i) in
+    for j = 0 to n.c - 1 do
       let acc = ref 0 in
       for k = 0 to m.c - 1 do
-        acc := !acc + (m.a.(i).(k) * n.a.(k).(j))
+        acc := !acc + (x.(k) * n.a.(k).(j))
       done;
-      !acc)
+      z.(j) <- !acc
+    done
+  done;
+  p
 
 let row m i = Array.copy m.a.(i)
 let col m j = Array.init m.r (fun i -> m.a.(i).(j))
@@ -84,14 +136,27 @@ let of_col v =
   if Array.length v = 0 then invalid_arg "Mat.of_col: empty";
   make (Array.length v) 1 (fun i _ -> v.(i))
 
+(* [row . v] over the first [n] entries, summed left to right. *)
+let dot row v n =
+  let acc = ref 0 in
+  for j = 0 to n - 1 do
+    acc := !acc + (row.(j) * v.(j))
+  done;
+  !acc
+
 let mul_vec m v =
   if Array.length v <> m.c then invalid_arg "Mat.mul_vec: dimension mismatch";
-  Array.init m.r (fun i ->
-      let acc = ref 0 in
-      for j = 0 to m.c - 1 do
-        acc := !acc + (m.a.(i).(j) * v.(j))
-      done;
-      !acc)
+  let a = m.a and c = m.c in
+  match m.r with
+  | 1 -> [| dot a.(0) v c |]
+  | 2 -> [| dot a.(0) v c; dot a.(1) v c |]
+  | 3 -> [| dot a.(0) v c; dot a.(1) v c; dot a.(2) v c |]
+  | r ->
+    let out = Array.make r 0 in
+    for i = 0 to r - 1 do
+      out.(i) <- dot a.(i) v c
+    done;
+    out
 
 let hcat m n =
   if m.r <> n.r then invalid_arg "Mat.hcat: row mismatch";

@@ -16,9 +16,18 @@ let one = of_int 1
 
 let den r = r.den
 
-let add a b = make ((a.num * b.den) + (b.num * a.den)) (a.den * b.den)
-let sub a b = make ((a.num * b.den) - (b.num * a.den)) (a.den * b.den)
-let mul a b = make (a.num * b.num) (a.den * b.den)
+(* Two integers need no gcd: [make] would divide by 1. *)
+let add a b =
+  if a.den = 1 && b.den = 1 then { num = a.num + b.num; den = 1 }
+  else make ((a.num * b.den) + (b.num * a.den)) (a.den * b.den)
+
+let sub a b =
+  if a.den = 1 && b.den = 1 then { num = a.num - b.num; den = 1 }
+  else make ((a.num * b.den) - (b.num * a.den)) (a.den * b.den)
+
+let mul a b =
+  if a.den = 1 && b.den = 1 then { num = a.num * b.num; den = 1 }
+  else make (a.num * b.num) (a.den * b.den)
 
 let neg a = { a with num = -a.num }
 

@@ -3,9 +3,24 @@ type t = { r : int; c : int; a : Rat.t array array }
 let rows m = m.r
 let cols m = m.c
 
+(* An [r]x[c] matrix of fresh zero rows, for the kernels to fill. *)
+let alloc r c =
+  let a = Array.make r [||] in
+  for i = 0 to r - 1 do
+    a.(i) <- Array.make c Rat.zero
+  done;
+  { r; c; a }
+
 let make r c f =
   if r <= 0 || c <= 0 then invalid_arg "Ratmat.make: non-positive dimension";
-  { r; c; a = Array.init r (fun i -> Array.init c (fun j -> f i j)) }
+  let m = alloc r c in
+  for i = 0 to r - 1 do
+    let row = m.a.(i) in
+    for j = 0 to c - 1 do
+      row.(j) <- f i j
+    done
+  done;
+  m
 
 let of_mat m = make (Mat.rows m) (Mat.cols m) (fun i j -> Rat.of_int (Mat.get m i j))
 
@@ -34,7 +49,16 @@ let to_mat_exn m =
   | Some x -> x
   | None -> invalid_arg "Ratmat.to_mat_exn: non-integer entries"
 
-let transpose m = make m.c m.r (fun i j -> m.a.(j).(i))
+let transpose m =
+  let t = alloc m.c m.r in
+  for i = 0 to m.r - 1 do
+    let row = m.a.(i) in
+    for j = 0 to m.c - 1 do
+      t.a.(j).(i) <- row.(j)
+    done
+  done;
+  t
+
 let map f m = make m.r m.c (fun i j -> f m.a.(i).(j))
 let scale k m = map (Rat.mul k) m
 
@@ -48,12 +72,18 @@ let sub m n =
 
 let mul m n =
   if m.c <> n.r then invalid_arg "Ratmat.mul: dimension mismatch";
-  make m.r n.c (fun i j ->
+  let p = alloc m.r n.c in
+  for i = 0 to m.r - 1 do
+    let x = m.a.(i) and z = p.a.(i) in
+    for j = 0 to n.c - 1 do
       let acc = ref Rat.zero in
       for k = 0 to m.c - 1 do
-        acc := Rat.add !acc (Rat.mul m.a.(i).(k) n.a.(k).(j))
+        acc := Rat.add !acc (Rat.mul x.(k) n.a.(k).(j))
       done;
-      !acc)
+      z.(j) <- !acc
+    done
+  done;
+  p
 
 (* Gauss-Jordan to reduced row echelon form; returns pivot columns. *)
 let rref m =

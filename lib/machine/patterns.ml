@@ -107,12 +107,12 @@ let rank ~axes ?remap v =
 
 (* Row-major like the walk, a cell's rank the running sum of its
    coordinates' table entries. *)
-let fill_ranks ~axes ?remap ~vgrid table =
+let fill_ranks ~axes ~vgrid table =
   let d = Array.length vgrid in
   let i = ref 0 in
   let rec go k base =
     if k = d then begin
-      table.(!i) <- (match remap with None -> base | Some perm -> perm.(base));
+      table.(!i) <- base;
       incr i
     end
     else

@@ -64,11 +64,10 @@ val fill_successors : vgrid:int array -> Mat.t -> int array -> unit
 (** {!successors} written into the first {!cells} entries of a
     caller's array. *)
 
-val fill_ranks :
-  axes:int array array -> ?remap:int array -> vgrid:int array -> int array -> unit
-(** Every cell's rank under the per-axis placement tables (then
-    [remap.(rank)] when given), row-major, written into the first
-    {!cells} entries of a caller's array: the cell→rank table. *)
+val fill_ranks : axes:int array array -> vgrid:int array -> int array -> unit
+(** Every cell's rank under the per-axis placement tables, row-major,
+    written into the first {!cells} entries of a caller's array: the
+    cell→rank table. *)
 
 val traffic :
   vgrid:int array ->

@@ -18,7 +18,10 @@ let dim_out t = Mat.rows t.f
 
 let apply t i =
   let fi = Mat.mul_vec t.f i in
-  Array.mapi (fun k x -> x + t.c.(k)) fi
+  for k = 0 to Array.length fi - 1 do
+    fi.(k) <- fi.(k) + t.c.(k)
+  done;
+  fi
 
 let rank t = Ratmat.rank_of_mat t.f
 

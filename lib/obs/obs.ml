@@ -70,6 +70,12 @@ let reset () =
       Hashtbl.reset c.histo_samples);
   (Ambient.get ()).depth <- 0
 
+let drop_logs () =
+  locked (fun c ->
+      c.span_log <- [];
+      c.point_log <- [];
+      Hashtbl.reset c.histo_samples)
+
 (* ------------------------------------------------------------------ *)
 (* Spans                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -148,15 +154,6 @@ let histogram name = locked (fun c -> Hashtbl.find_opt c.histos name)
 
 let histo_array c name =
   Array.of_list (Option.value ~default:[] (Hashtbl.find_opt c.histo_samples name))
-
-let histogram_percentiles name =
-  match locked (fun c -> histo_array c name) with
-  | [||] -> None
-  | xs ->
-    Some
-      ( Telemetry.percentile xs 50.0,
-        Telemetry.percentile xs 95.0,
-        Telemetry.percentile xs 99.0 )
 
 let point name ~ts v =
   if !enabled_flag then

@@ -52,6 +52,14 @@ val reset : unit -> unit
 (** Drop every recorded span, point and metric and reset the nesting
     depth.  Does not change the enabled flag or the clock. *)
 
+val drop_logs : unit -> unit
+(** Drop the recorded spans, points and histogram samples, keeping
+    counters, gauges and histogram summaries (count, sum, min, max):
+    what a long-running process that exports no trace and reads no
+    percentile calls to keep the store from growing with its work.
+    The percentiles {!pp_summary} and {!metrics_json} report then
+    cover only samples observed since. *)
+
 (** {1 Spans} *)
 
 type span = {
@@ -98,12 +106,6 @@ val observe : string -> float -> unit
 type histogram = { count : int; sum : float; min_v : float; max_v : float }
 
 val histogram : string -> histogram option
-
-val histogram_percentiles : string -> (float * float * float) option
-(** [(p50, p95, p99)] of a named histogram's recorded observations
-    (nearest-rank, see {!Telemetry.percentile}); [None] if the
-    histogram has no observations.  These also appear as columns in
-    {!pp_summary} and as fields in {!metrics_json}. *)
 
 val point : string -> ts:float -> float -> unit
 (** Record one sample of an explicit time series, e.g.

@@ -7,9 +7,14 @@
      (then the memo's lock), so no key is both memoized and in flight.
      No lock is held while solving, stamping or writing a file.
    - Connection threads otherwise use only the server mutex (queue,
-     counters, waiter lists), their own socket and waiter pipe (one
-     per connection), Obs (one mutex-guarded store) and pure code,
-     such as stamping their request's fault seed (Answer.stamp).
+     counters, latency window, waiter lists), their own socket and
+     waiter pipe (one per connection), Obs (one mutex-guarded store)
+     and pure code, such as stamping their request's fault seed
+     (Answer.stamp).
+   - What the server keeps does not grow with the requests it answers:
+     latencies go to a fixed window, and the solver drops the spans
+     and samples each batch records into Obs, which nothing here
+     reads.
    - Signal handlers only flip an atomic; every blocking wait is a
      select with a short timeout, so the flag is noticed promptly. *)
 
@@ -48,6 +53,10 @@ type counters = {
   mutable c_coalesced : int;
 }
 
+(* The stats answer's latency percentiles cover the most recent
+   [latency_window] answered runs. *)
+let latency_window = 4096
+
 type t = {
   cfg : config;
   bound : Wire.addr;
@@ -57,6 +66,8 @@ type t = {
   queue : entry Queue.t;
   inflight : (string, entry) Hashtbl.t;
   ctrs : counters;
+  latencies : float array;  (* a ring of [latency_window] ms *)
+  mutable answered : int;  (* runs timed so far *)
   wake_r : Unix.file_descr;  (* solver wakeup pipe *)
   wake_w : Unix.file_descr;
   mutable mirrored : int * int * int * int * int * int;
@@ -192,6 +203,13 @@ let await t (e : entry) (r, w) deadline_ms =
       (Wire.Timeout
          (Printf.sprintf "deadline %dms expired" (Option.value deadline_ms ~default:0)))
 
+let ms_since t0 = (Unix.gettimeofday () -. t0) *. 1000.0
+
+(* Under the server mutex. *)
+let record_latency t ms =
+  t.latencies.(t.answered mod latency_window) <- ms;
+  t.answered <- t.answered + 1
+
 let read_counters t =
   locked t (fun () ->
       let c = t.ctrs in
@@ -209,12 +227,15 @@ let render_stats t =
   line "timeout=%d" timeout;
   line "coalesced=%d" coalesced;
   line "queue_depth=%d" (locked t (fun () -> Queue.length t.queue));
-  (match Obs.histogram_percentiles "serve.latency_ms" with
-  | Some (p50, p95, p99) ->
-    line "latency_ms_p50=%.3f" p50;
-    line "latency_ms_p95=%.3f" p95;
-    line "latency_ms_p99=%.3f" p99
-  | None -> ());
+  let lats =
+    locked t (fun () -> Array.sub t.latencies 0 (min t.answered latency_window))
+  in
+  if lats <> [||] then begin
+    let p q = Obs.Telemetry.percentile lats q in
+    line "latency_ms_p50=%.3f" (p 50.0);
+    line "latency_ms_p95=%.3f" (p 95.0);
+    line "latency_ms_p99=%.3f" (p 99.0)
+  end;
   line "bounds_computed=%d" (Obs.counter "bounds.computed");
   (match Obs.histogram "bounds.efficiency" with
   | Some h when h.Obs.count > 0 ->
@@ -264,7 +285,8 @@ let handle_request t pipe payload =
         | Refused resp -> Error resp
         | Hit solved ->
           (* a hit never waits, so no deadline applies to it *)
-          Obs.observe "serve.latency_ms" ((Unix.gettimeofday () -. t_admit) *. 1000.0);
+          let ms = ms_since t_admit in
+          locked t (fun () -> record_latency t ms);
           Ok solved
         | Entry e -> await t e pipe deadline
       in
@@ -367,8 +389,9 @@ let solve_batch t (runs : entry list) =
   in
   let finish e res =
     let resp = Result.map_error (fun msg -> Wire.Failed msg) res in
-    Obs.observe "serve.latency_ms" ((Unix.gettimeofday () -. e.t_enq) *. 1000.0);
+    let ms = ms_since e.t_enq in
     locked t @@ fun () ->
+    record_latency t ms;
     (match res with
     | Ok solved ->
       t.ctrs.c_ok <- t.ctrs.c_ok + 1;
@@ -430,6 +453,7 @@ let solver_loop t =
       drain_wake ();
       solve_batch t batch;
       mirror_counters t;
+      Obs.drop_logs ();
       incr batches;
       if t.cfg.snapshot_every > 0 && !batches mod t.cfg.snapshot_every = 0 then
         snapshot t;
@@ -511,6 +535,8 @@ let start cfg =
       ctrs =
         { c_requests = 0; c_ok = 0; c_errors = 0; c_shed = 0; c_timeout = 0;
           c_coalesced = 0 };
+      latencies = Array.make latency_window 0.0;
+      answered = 0;
       wake_r;
       wake_w;
       mirrored = (0, 0, 0, 0, 0, 0);

@@ -13,7 +13,9 @@
     outlives its request: a waiter that finds its solve finished reads
     back the one byte the solver wrote for it, and a waiter that times
     out unregisters before the solver can write.  {!Obs} records into
-    one mutex-guarded store from any thread.
+    one mutex-guarded store from any thread; the solver drops the
+    spans and histogram samples each batch leaves there, so a server
+    keeps counters and summaries, not a log that grows per request.
 
     Robustness contract, each piece visible to clients as a structured
     response rather than a hung or dropped connection:
@@ -45,9 +47,10 @@
 
     Stats: a [stats] request is answered at once on its connection
     thread, never queued, coalesced or shed for a full queue.
-    [latency_ms_p50/p95/p99] cover every answered run: a hit timed
-    from its admission to its memo lookup, a miss from its admission
-    to its solve's completion.  [bounds_computed] and [bounds_eff_*]
+    [latency_ms_p50/p95/p99] cover the 4096 most recent answered runs
+    (every run, until that many were answered): a hit timed from its
+    admission to its memo lookup, a miss from its admission to its
+    solve's completion.  [bounds_computed] and [bounds_eff_*]
     cover only the (workload, m) pairs this process has solved: a pair
     answered only from a memo loaded from [cache_file] is not bounded
     after a restart.

@@ -12,7 +12,9 @@
    phase walked before the direct price.  So are the message-list
    forms the simulators took before traffic became a stream: the
    Hashtbl coalescing whose order a coalesced [Netsim.replay] keeps,
-   a stream read back as a list, and list-to-volume adapters. *)
+   a stream read back as a list, and list-to-volume adapters.  Last,
+   the exact-arithmetic kernels as they were before they looped
+   directly ([Kernels]). *)
 
 open Machine
 
@@ -758,3 +760,106 @@ let example1 ~n ~m =
     { s with extent = (if s.depth = 2 then [| n; m |] else [| n; m; n + m |]) }
   in
   { nest with stmts = List.map resize nest.stmts }
+
+(* ------------------------------------------------------------------ *)
+(* Linear-algebra kernels                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* [Mat], [Ratmat], [Rat] and [Affine.apply] as they were before they
+   allocated each result once and looped directly: a row per
+   [Array.init], an entry per closure call, every rational through the
+   gcd.  Matrices are read through the public accessors and results
+   returned as arrays; a rational is a [(num, den)] pair. *)
+module Kernels = struct
+  open Linalg
+
+  let for_all f m =
+    let ok = ref true in
+    for i = 0 to Mat.rows m - 1 do
+      for j = 0 to Mat.cols m - 1 do
+        if not (f i j (Mat.get m i j)) then ok := false
+      done
+    done;
+    !ok
+
+  let mat_make r c f =
+    if r <= 0 || c <= 0 then invalid_arg "Mat.make: non-positive dimension";
+    Array.init r (fun i -> Array.init c (fun j -> f i j))
+
+  let mat_is_identity m =
+    Mat.rows m = Mat.cols m && for_all (fun i j x -> x = if i = j then 1 else 0) m
+
+  let mat_is_zero m = for_all (fun _ _ x -> x = 0) m
+
+  let mat_equal m n =
+    Mat.rows m = Mat.rows n && Mat.cols m = Mat.cols n
+    && for_all (fun i j x -> x = Mat.get n i j) m
+
+  let mat_transpose m = mat_make (Mat.cols m) (Mat.rows m) (fun i j -> Mat.get m j i)
+
+  let mat_sub m n =
+    if Mat.rows m <> Mat.rows n || Mat.cols m <> Mat.cols n then
+      invalid_arg
+        (Printf.sprintf "Mat.%s: dimension mismatch %dx%d vs %dx%d" "sub" (Mat.rows m)
+           (Mat.cols m) (Mat.rows n) (Mat.cols n));
+    mat_make (Mat.rows m) (Mat.cols m) (fun i j -> Mat.get m i j - Mat.get n i j)
+
+  let mat_mul m n =
+    if Mat.cols m <> Mat.rows n then
+      invalid_arg
+        (Printf.sprintf "Mat.mul: dimension mismatch %dx%d * %dx%d" (Mat.rows m)
+           (Mat.cols m) (Mat.rows n) (Mat.cols n));
+    mat_make (Mat.rows m) (Mat.cols n) (fun i j ->
+        let acc = ref 0 in
+        for k = 0 to Mat.cols m - 1 do
+          acc := !acc + (Mat.get m i k * Mat.get n k j)
+        done;
+        !acc)
+
+  let mat_mul_vec m v =
+    if Array.length v <> Mat.cols m then invalid_arg "Mat.mul_vec: dimension mismatch";
+    Array.init (Mat.rows m) (fun i ->
+        let acc = ref 0 in
+        for j = 0 to Mat.cols m - 1 do
+          acc := !acc + (Mat.get m i j * v.(j))
+        done;
+        !acc)
+
+  let affine_apply (t : Nestir.Affine.t) i =
+    let fi = mat_mul_vec t.Nestir.Affine.f i in
+    Array.mapi (fun k x -> x + t.Nestir.Affine.c.(k)) fi
+
+  let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
+
+  let rat_make num den =
+    if den = 0 then raise Division_by_zero;
+    let s = if den < 0 then -1 else 1 in
+    let num = s * num and den = s * den in
+    let g = gcd num den in
+    if g = 0 then (0, 1) else (num / g, den / g)
+
+  let rat_add (an, ad) (bn, bd) = rat_make ((an * bd) + (bn * ad)) (ad * bd)
+  let rat_sub (an, ad) (bn, bd) = rat_make ((an * bd) - (bn * ad)) (ad * bd)
+  let rat_mul (an, ad) (bn, bd) = rat_make (an * bn) (ad * bd)
+
+  let ratmat_make r c f =
+    if r <= 0 || c <= 0 then invalid_arg "Ratmat.make: non-positive dimension";
+    Array.init r (fun i -> Array.init c (fun j -> f i j))
+
+  (* A rational matrix as its entries' pairs. *)
+  let ratmat_get m i j =
+    let x = Ratmat.get m i j in
+    (x.Rat.num, Rat.den x)
+
+  let ratmat_transpose m =
+    ratmat_make (Ratmat.cols m) (Ratmat.rows m) (fun i j -> ratmat_get m j i)
+
+  let ratmat_mul m n =
+    if Ratmat.cols m <> Ratmat.rows n then invalid_arg "Ratmat.mul: dimension mismatch";
+    ratmat_make (Ratmat.rows m) (Ratmat.cols n) (fun i j ->
+        let acc = ref (0, 1) in
+        for k = 0 to Ratmat.cols m - 1 do
+          acc := rat_add !acc (rat_mul (ratmat_get m i k) (ratmat_get n k j))
+        done;
+        !acc)
+end

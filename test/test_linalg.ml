@@ -395,6 +395,167 @@ let pseudo_props =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Kernels: the rewritten functions against the ones they replaced     *)
+(* ------------------------------------------------------------------ *)
+
+module K = Reference.Kernels
+
+(* [f ()]'s value, or the exception it raises, message included *)
+let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e)
+
+let big = 1 lsl 20
+let gen_big = QCheck.Gen.int_range (-big) big
+let gen_side = QCheck.Gen.int_range 1 6
+
+let gen_entries r c = QCheck.Gen.(array_size (return r) (array_size (return c) gen_big))
+
+(* A matrix of random shape, sometimes zero or the identity. *)
+let gen_kmat =
+  QCheck.Gen.(
+    gen_side >>= fun r ->
+    gen_side >>= fun c ->
+    frequency
+      [
+        (6, map Mat.of_arrays (gen_entries r c));
+        (1, return (Mat.zero r c));
+        (1, return (Mat.identity r));
+      ])
+
+let print_mat = Format.asprintf "%a" Mat.pp_flat
+let arb_kmat = QCheck.make ~print:print_mat gen_kmat
+
+(* Two matrices, often of matching shapes: [n] is a copy of [m], [m]
+   with one entry changed, a matrix of [m]'s shape or of its
+   transpose's, or any matrix. *)
+let arb_kmat_pair =
+  QCheck.make
+    ~print:(fun (m, n) -> print_mat m ^ " , " ^ print_mat n)
+    QCheck.Gen.(
+      gen_kmat >>= fun m ->
+      let r = Mat.rows m and c = Mat.cols m in
+      frequency
+        [
+          (2, return (m, Mat.of_arrays (Mat.to_arrays m)));
+          ( 2,
+            map3
+              (fun i j x ->
+                let a = Mat.to_arrays m in
+                a.(i).(j) <- x;
+                (m, Mat.of_arrays a))
+              (int_bound (r - 1)) (int_bound (c - 1)) gen_big );
+          (2, map (fun n -> (m, n)) (map Mat.of_arrays (gen_entries r c)));
+          (1, map (fun a -> (m, Mat.of_arrays a)) (gen_entries c r));
+          (2, map (fun n -> (m, n)) gen_kmat);
+        ])
+
+(* A matrix and a vector, usually of matching length. *)
+let arb_kmat_vec =
+  QCheck.make
+    ~print:(fun (m, v) ->
+      print_mat m ^ " , " ^ String.concat " " (Array.to_list (Array.map string_of_int v)))
+    QCheck.Gen.(
+      gen_kmat >>= fun m ->
+      map
+        (fun v -> (m, v))
+        (frequency
+           [
+             (5, array_size (return (Mat.cols m)) gen_big);
+             (1, array_size gen_side gen_big);
+           ]))
+
+(* A rational, integer or not, zero and negatives included, as the
+   pair it is normalized to. *)
+let gen_krat =
+  QCheck.Gen.(
+    frequency [ (1, return 0); (4, gen_big) ] >>= fun n -> frequency [ (1, return 1); (1, int_range 1 big); (1, int_range 1 12) ]
+    >|= fun d -> K.rat_make n d)
+
+let rat_of (n, d) = Rat.(mul (of_int n) (inv (of_int d)))
+let pair_of (x : Rat.t) = (x.Rat.num, Rat.den x)
+let print_pair (n, d) = Printf.sprintf "%d/%d" n d
+
+let arb_krat_pair =
+  QCheck.make
+    ~print:(fun (a, b) -> print_pair a ^ " , " ^ print_pair b)
+    QCheck.Gen.(pair gen_krat gen_krat)
+
+let gen_kratmat r c =
+  QCheck.Gen.(
+    map
+      (fun a -> Ratmat.make r c (fun i j -> rat_of a.(i).(j)))
+      (array_size (return r) (array_size (return c) gen_krat)))
+
+let print_ratmat = Format.asprintf "%a" Ratmat.pp
+
+let arb_kratmat_pair =
+  QCheck.make
+    ~print:(fun (m, n) -> print_ratmat m ^ "\n*\n" ^ print_ratmat n)
+    QCheck.Gen.(
+      gen_side >>= fun r ->
+      gen_side >>= fun k ->
+      gen_side >>= fun c ->
+      frequency [ (5, return k); (1, gen_side) ] >>= fun k' ->
+      pair (gen_kratmat r k) (gen_kratmat k' c))
+
+let ratmat_pairs m =
+  Array.init (Ratmat.rows m) (fun i ->
+      Array.init (Ratmat.cols m) (fun j -> K.ratmat_get m i j))
+
+(* Every (i, j) [make] asks for, in order, and the matrix it built. *)
+let logged make r c =
+  let calls = ref [] in
+  let m =
+    make r c (fun i j ->
+        calls := (i, j) :: !calls;
+        (i * 7) - (j * big))
+  in
+  (List.rev !calls, m)
+
+let kernel_props =
+  [
+    prop "mat make"
+      (QCheck.pair (QCheck.int_range (-1) 6) (QCheck.int_range (-1) 6))
+      (fun (r, c) ->
+        outcome (fun () -> logged K.mat_make r c)
+        = outcome (fun () ->
+              let calls, m = logged Mat.make r c in
+              (calls, Mat.to_arrays m)));
+    prop "mat mul" arb_kmat_pair (fun (m, n) ->
+        outcome (fun () -> K.mat_mul m n)
+        = outcome (fun () -> Mat.to_arrays (Mat.mul m n)));
+    prop "mat mul_vec" arb_kmat_vec (fun (m, v) ->
+        outcome (fun () -> K.mat_mul_vec m v) = outcome (fun () -> Mat.mul_vec m v));
+    prop "mat transpose" arb_kmat (fun m ->
+        K.mat_transpose m = Mat.to_arrays (Mat.transpose m));
+    prop "mat sub" arb_kmat_pair (fun (m, n) ->
+        outcome (fun () -> K.mat_sub m n)
+        = outcome (fun () -> Mat.to_arrays (Mat.sub m n)));
+    prop "mat equal" arb_kmat_pair (fun (m, n) -> K.mat_equal m n = Mat.equal m n);
+    prop "mat is_zero" arb_kmat (fun m -> K.mat_is_zero m = Mat.is_zero m);
+    prop "mat is_identity" arb_kmat (fun m -> K.mat_is_identity m = Mat.is_identity m);
+    prop "affine apply" arb_kmat_vec (fun (m, v) ->
+        let t = Nestir.Affine.make m (Array.init (Mat.rows m) (fun i -> (i * 5) - big)) in
+        outcome (fun () -> K.affine_apply t v)
+        = outcome (fun () -> Nestir.Affine.apply t v));
+    prop "rat add/sub/mul" arb_krat_pair (fun (a, b) ->
+        let x = rat_of a and y = rat_of b in
+        K.rat_add a b = pair_of (Rat.add x y)
+        && K.rat_sub a b = pair_of (Rat.sub x y)
+        && K.rat_mul a b = pair_of (Rat.mul x y));
+    prop "ratmat make"
+      (QCheck.pair (QCheck.int_range (-1) 6) (QCheck.int_range (-1) 6))
+      (fun (r, c) ->
+        let entry i j = rat_of (K.rat_make ((i * 7) - j) (j + 1)) in
+        outcome (fun () -> K.ratmat_make r c (fun i j -> pair_of (entry i j)))
+        = outcome (fun () -> ratmat_pairs (Ratmat.make r c entry)));
+    prop "ratmat mul" arb_kratmat_pair (fun (m, n) ->
+        outcome (fun () -> K.ratmat_mul m n)
+        = outcome (fun () -> ratmat_pairs (Ratmat.mul m n)));
+    prop "ratmat transpose" arb_kratmat_pair (fun (m, _) ->
+        K.ratmat_transpose m = ratmat_pairs (Ratmat.transpose m));
+  ]
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "linalg"
@@ -448,4 +609,5 @@ let () =
           Alcotest.test_case "square: the ordinary inverse" `Quick test_pseudo_square;
         ]
         @ pseudo_props );
+      ("kernels", kernel_props);
     ]

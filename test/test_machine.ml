@@ -847,9 +847,10 @@ let decomposed_diff spec =
       in
       let walk from =
         let stats = ref [] in
-        Distrib.Foldsim.walk_phases ~faults ?remap model ~layout ~vgrid ~factors ~bytes ~from
-          (fun s ->
-            stats := s :: !stats;
+        Distrib.Foldsim.walk_phases model.Models.topo ~layout ~vgrid ~factors ~bytes ~from
+          (fun v ->
+            let v = match remap with None -> v | Some perm -> Netsim.relabel perm v in
+            stats := Netsim.price ~faults model.Models.topo model.Models.net v :: !stats;
             true);
         List.rev !stats
       in

@@ -494,6 +494,47 @@ let test_server_repeat_and_stats () =
     has "bounds_eff_last="
   | r -> Alcotest.fail ("expected stats Answer, got " ^ Wire.status r)
 
+let test_server_state_bounded () =
+  (* a long-running server keeps a fixed window of latencies and drops
+     the spans and samples each solve records into Obs: 20,000 memo
+     hits grow neither the span log nor the heap *)
+  Cache.clear ();
+  with_server @@ fun t ->
+  let c = must_connect t in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let req = Wire.run ~m:1 "matmul" in
+  ignore (must_request c req : Wire.response);
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let spans0 = List.length (Obs.spans ()) and words0 = live () in
+  let hits = 20_000 in
+  for _ = 1 to hits do
+    match must_request c req with
+    | Wire.Answer _ -> ()
+    | r -> Alcotest.fail ("expected a hit's Answer, got " ^ Wire.status r)
+  done;
+  let spans1 = List.length (Obs.spans ()) and words1 = live () in
+  Alcotest.(check bool)
+    (Printf.sprintf "span log did not grow (%d -> %d)" spans0 spans1)
+    true (spans1 <= spans0);
+  (* a kept sample costs a boxed float and a list cell: 5 words *)
+  Alcotest.(check bool)
+    (Printf.sprintf "heap grew by %d words over %d hits" (words1 - words0) hits)
+    true
+    (words1 - words0 < hits);
+  Alcotest.(check bool) "Obs keeps no latency samples" true
+    (Obs.histogram "serve.latency_ms" = None);
+  match must_request c Wire.stats with
+  | Wire.Answer body ->
+    Alcotest.(check bool) "every hit counted" true
+      (Option.value (stat body "responses_hits") ~default:0 >= hits);
+    Alcotest.(check bool) "percentiles over the window" true
+      (List.exists (String.starts_with ~prefix:"latency_ms_p99=")
+         (String.split_on_char '\n' body))
+  | r -> Alcotest.fail ("expected stats Answer, got " ^ Wire.status r)
+
 let test_server_deadline_timeout () =
   (* deadline 0 expires immediately — but if the scheduler runs the
      solver to completion before this thread even reaches its wait, the
@@ -1109,6 +1150,8 @@ let () =
             test_server_one_solve_per_work_key;
           Alcotest.test_case "fault seeds share one solve" `Quick
             test_server_seeds_share_one_solve;
+          Alcotest.test_case "20,000 hits keep state bounded" `Quick
+            test_server_state_bounded;
         ] );
       ( "hit-path",
         [
