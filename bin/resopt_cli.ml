@@ -749,8 +749,8 @@ let report_cmd =
         (Resopt.Residual.flows_of_workload ~m w)
     in
     (* --bounds: lower-bound the very traffic this report simulates.
-       Computed before the telemetry sink opens so the Netsim pricing
-       inside Bounds.transfer_time never pollutes the dashboard. *)
+       Its Netsim pricing records no telemetry run: the dashboard holds
+       the Eventsim runs alone. *)
     let eff =
       if bounds then
         Some

@@ -58,10 +58,8 @@
 
     The module is dependency-free beyond [linalg] and [machine]; the
     placement arrives as a plain cell→rank table, so nothing here
-    depends on the distribution or pipeline layers.  Note
-    {!transfer_time} prices the achieved side through
-    {!Machine.Netsim.price}: callers that keep
-    a telemetry sink enabled will see that pricing recorded as a run. *)
+    depends on the distribution or pipeline layers.  {!transfer_time}
+    prices the achieved side through {!Machine.Netsim.price}. *)
 
 type volume = {
   flows : int;  (** number of residual flows folded into the bound *)

@@ -151,8 +151,7 @@ let placement spec t =
     perm
 
 (* What this fold has priced under (placement, faults), made on first
-   use.  While telemetry records, nothing is read from here: every
-   price runs, so each records its run as it always did. *)
+   use. *)
 let prices t ~faults remap =
   match
     List.find_opt
@@ -166,16 +165,13 @@ let prices t ~faults remap =
     p
 
 let flow_price t ~faults remap net flow =
-  let price () = Machine.Netsim.price ~faults t.topo net (flow_volume t remap flow) in
-  if Obs.Telemetry.enabled () then price ()
-  else
-    let p = prices t ~faults remap in
-    match List.find_opt (fun (f, _) -> Mat.equal f flow) p.flow_stats with
-    | Some (_, s) -> Machine.Netsim.retime net s
-    | None ->
-      let s = price () in
-      p.flow_stats <- (flow, s) :: p.flow_stats;
-      s
+  let p = prices t ~faults remap in
+  match List.find_opt (fun (f, _) -> Mat.equal f flow) p.flow_stats with
+  | Some (_, s) -> Machine.Netsim.retime net s
+  | None ->
+    let s = Machine.Netsim.price ~faults t.topo net (flow_volume t remap flow) in
+    p.flow_stats <- (flow, s) :: p.flow_stats;
+    s
 
 (* The phases kept for (layout, factors) in [kept], added on first
    use. *)
@@ -202,39 +198,29 @@ let decomposed_total t ~faults remap (model : Machine.Models.t) ~layout ~factors
     !total < limit
   in
   let net = model.Machine.Models.net in
-  let price v = Machine.Netsim.price ~faults t.topo net (placed remap v) in
-  let walk ~from on_phase =
-    Distrib.Foldsim.walk_phases t.topo ~layout ~vgrid:t.vgrid ~factors ~bytes:t.bytes
-      ~from on_phase
+  let p = prices t ~faults remap in
+  let ph = phases_of p.phase_stats ~layout ~factors
+  and vols = phases_of t.priced.phase_volumes ~layout ~factors in
+  (* a phase priced under this (placement, faults), kept for the next
+     model *)
+  let priced_now v =
+    let s = Machine.Netsim.price ~faults t.topo net (placed remap v) in
+    ph.walked <- ph.walked @ [ s ];
+    add s
   in
-  if Obs.Telemetry.enabled () then walk ~from:0 (fun v -> add (price v))
-  else begin
-    let p = prices t ~faults remap in
-    let ph = phases_of p.phase_stats ~layout ~factors
-    and vols = phases_of t.priced.phase_volumes ~layout ~factors in
-    (* a phase priced under this (placement, faults), kept for the
-       next model *)
-    let priced_now v =
-      let s = price v in
-      ph.walked <- ph.walked @ [ s ];
-      add s
-    in
-    let rec over n = function
-      | s :: rest -> if add (Machine.Netsim.retime net s) then over (n + 1) rest
-      | [] -> unpriced n (List.filteri (fun i _ -> i >= n) vols.walked)
-    and unpriced n = function
-      | v :: rest -> if priced_now v then unpriced (n + 1) rest
-      | [] ->
-        if n < List.length factors then
-          walk ~from:n (fun v ->
-              (* counted off the walk's borrowed tables: keep the counts
-                 alone *)
-              let v = Machine.Netsim.volume t.topo (Machine.Netsim.pairs v) in
-              vols.walked <- vols.walked @ [ v ];
-              priced_now v)
-    in
-    over 0 ph.walked
-  end;
+  let rec over n = function
+    | s :: rest -> if add (Machine.Netsim.retime net s) then over (n + 1) rest
+    | [] -> unpriced n (List.filteri (fun i _ -> i >= n) vols.walked)
+  and unpriced n = function
+    | v :: rest -> if priced_now v then unpriced (n + 1) rest
+    | [] ->
+      if n < List.length factors then
+        Distrib.Foldsim.walk_phases t.topo ~layout ~vgrid:t.vgrid ~factors
+          ~bytes:t.bytes ~from:n (fun v ->
+            vols.walked <- vols.walked @ [ v ];
+            priced_now v)
+  in
+  over 0 ph.walked;
   !total
 
 let bound_volume t =
@@ -248,13 +234,10 @@ let bound_volume t =
     v
 
 let transfer_time t remap net =
-  let bound () = Bounds.transfer_time t.topo net (volume t remap) in
-  if Obs.Telemetry.enabled () then bound ()
-  else
-    let p = prices t ~faults:Machine.Fault.none remap in
-    match p.bound with
-    | Some b -> Bounds.retime net b
-    | None ->
-      let b = bound () in
-      p.bound <- Some b;
-      b
+  let p = prices t ~faults:Machine.Fault.none remap in
+  match p.bound with
+  | Some b -> Bounds.retime net b
+  | None ->
+    let b = Bounds.transfer_time t.topo net (volume t remap) in
+    p.bound <- Some b;
+    b

@@ -35,8 +35,7 @@
       and the transfer-time bound ({!transfer_time}) are priced once,
       and a price on another model is the kept stats retimed to its
       parameters ({!Machine.Netsim.retime}, {!Bounds.retime}): the
-      same bits a fresh price gives.  While {!Obs.Telemetry} records,
-      every price runs afresh, so each records its run.
+      same bits a fresh price gives.
 
     A price answered from what the fold kept runs no Netsim, so it
     adds nothing to the [netsim.*] counters.  A fold caches as it goes,

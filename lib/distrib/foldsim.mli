@@ -38,7 +38,8 @@ val decomposed_time :
     item from the cell the earlier phases left it on to that cell's
     successor under the phase's factor; it lists the items by starting
     cell, first to last in even phases and last to first in odd ones,
-    which is the order telemetry records their messages in.  Each item's
+    which is the order the phase's volume lists its pairs in
+    ({!Machine.Netsim.pairs}).  Each item's
     current cell is carried from phase to phase, so a call costs
     O(cells x phases) walk steps.  Its three cell-sized tables (ranks,
     item positions, successors) are borrowed from a
@@ -62,10 +63,9 @@ val walk_phases :
     callback as one coalesced {!Machine.Netsim.volume}, until it
     returns [false] or the phases run out.  So the volume of phase [p]
     does not depend on [from], and a walk stopped after phase [k]
-    resumes with [~from:(k + 1)].  A volume's counts are its own, but
-    its messages are read off the walk's borrowed tables: price it
-    under telemetry, which reads the messages, only inside the
-    callback.  This is how [Residual] keeps a decomposition's phases,
-    unplaced and fault-free, as far as any model's direct path lets
-    it, and prices them relabelled by each placement
+    resumes with [~from:(k + 1)].  A coalesced volume keeps its counts
+    alone, not the walk's borrowed tables, so it stays valid after the
+    callback returns.  This is how [Residual] keeps a decomposition's
+    phases, unplaced and fault-free, as far as any model's direct path
+    lets it, and prices them relabelled by each placement
     ({!Machine.Netsim.relabel}) under each fault model. *)

@@ -89,8 +89,21 @@ let max_events = 20_000
    or unreachable). *)
 type flight = { src : int; dst : int; bytes : int; path : (int * int) list }
 
+(* A message's record with no cycles of its own: injected and
+   finished at 0, or at -1 when [Unreachable]. *)
 let record f ~hops outcome =
-  Netsim.tele_message ~src:f.src ~dst:f.dst ~bytes:f.bytes ~hops outcome
+  let at = if outcome = Obs.Telemetry.Unreachable then -1 else 0 in
+  {
+    Obs.Telemetry.msg_src = f.src;
+    msg_dst = f.dst;
+    msg_bytes = f.bytes;
+    injected_at = at;
+    finished_at = at;
+    hops;
+    queue_wait = 0;
+    retransmits = 0;
+    outcome;
+  }
 
 (* A routed message's record, with the cycles it lived through. *)
 let timed f ~injected_at ~finished_at ~hops ~queue_wait ~retransmits outcome =
@@ -121,12 +134,21 @@ let split faults topo (traffic : Message.traffic) =
 let record_tele ~sim ~label ~faults ~total_cycles topo ~locals ~routed ~unreachable
     ~links ~events =
   Obs.Telemetry.record_run
-    (Netsim.tele_run ~sim ~label ~faults ~total_cycles topo
-       ~messages:
-         (List.map (fun f -> record f ~hops:0 Obs.Telemetry.Delivered) locals
-         @ routed
-         @ List.map (fun f -> record f ~hops:0 Obs.Telemetry.Unreachable) unreachable)
-       ~links:(tele_links links) ~events)
+    {
+      Obs.Telemetry.sim;
+      label;
+      dims = (if Topology.is_grid topo then Topology.dims topo else [||]);
+      torus = Topology.is_torus topo;
+      topo_spec = (if Topology.is_grid topo then "" else Topology.to_string topo);
+      total_cycles;
+      fault_spec = Fault.label faults;
+      messages =
+        List.map (fun f -> record f ~hops:0 Obs.Telemetry.Delivered) locals
+        @ routed
+        @ List.map (fun f -> record f ~hops:0 Obs.Telemetry.Unreachable) unreachable;
+      links = tele_links links;
+      events;
+    }
 
 (* Link speed in bytes per cycle: the base wire rate scaled by the
    link's capacity (1 on every grid link, [arity^level] up a fat tree,

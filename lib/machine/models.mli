@@ -51,8 +51,7 @@ val translation_time : t -> bytes:int -> float
     The shift depends on the topology and the wire parameters only, so
     {!Netsim} prices it once per process for each (topology spec, wire
     parameters, [bytes]); every later call, from any domain, reads that
-    price.  Only the first call records [netsim.*] counters and a
-    telemetry run. *)
+    price.  Only the first call records [netsim.*] counters. *)
 
 val general_time : t -> bytes:int -> float
 (** A representative general affine communication: the transpose

@@ -68,14 +68,6 @@ let fresh_loads c = Array.make (Compiled.nlinks c) (-1)
 
 let array_max (a : int array) = Array.fold_left (fun m v -> if v > m then v else m) 0 a
 
-(* The crossed links of [loads], sorted by link, built by [f]. *)
-let crossed_links c loads f =
-  let acc = ref [] in
-  for id = Array.length loads - 1 downto 0 do
-    if loads.(id) >= 0 then acc := f id (Compiled.link c id) loads.(id) :: !acc
-  done;
-  !acc
-
 (* Traffic counted for pricing: group [i] is [counts.(i)] messages of
    [sizes.(i)] bytes over the pair keyed [keys.(i) = src * hosts +
    dst], groups in the order of their first message, local ones
@@ -97,34 +89,36 @@ let coalesced ~hosts traffic =
   let keys, sums = Volgraph.tally ~hosts traffic in
   { hosts; keys; sizes = sums; counts = Array.make (Array.length keys) 1 }
 
-(* A coalesced volume is tallied when it is made; an uncoalesced one
-   on its first price without telemetry, once. *)
-type volume = { traffic : Message.traffic; coalesce : bool; groups : groups Lazy.t }
+(* A coalesced volume is tallied when it is made and keeps only its
+   count: every reader reads the count, never the messages.  An
+   uncoalesced one keeps its traffic, counted on its first price,
+   once. *)
+type volume = Coalesced of groups | Uncoalesced of Message.traffic * groups Lazy.t
 
 let volume ?(coalesce = true) topo traffic =
   let hosts = Topology.size topo in
-  let groups =
-    if coalesce then Lazy.from_val (coalesced ~hosts traffic)
-    else lazy (grouped ~hosts traffic)
-  in
-  { traffic; coalesce; groups }
+  if coalesce then Coalesced (coalesced ~hosts traffic)
+  else Uncoalesced (traffic, lazy (grouped ~hosts traffic))
+
+let groups_of = function Coalesced g -> g | Uncoalesced (_, g) -> Lazy.force g
 
 let relabel perm v =
   let rename g =
     let h = g.hosts in
     { g with keys = Array.map (fun key -> (perm.(key / h) * h) + perm.(key mod h)) g.keys }
   in
-  {
-    traffic = (fun emit -> v.traffic (fun src dst bytes -> emit perm.(src) perm.(dst) bytes));
-    coalesce = v.coalesce;
-    groups = lazy (rename (Lazy.force v.groups));
-  }
+  match v with
+  | Coalesced g -> Coalesced (rename g)
+  | Uncoalesced (traffic, g) ->
+    Uncoalesced
+      ( (fun emit -> traffic (fun src dst bytes -> emit perm.(src) perm.(dst) bytes)),
+        lazy (rename (Lazy.force g)) )
 
 (* The count is taken when [pairs] is applied, not when the stream
    runs: a stream that counted inside another tally would find the
    domain's table lent out and allocate one of its own. *)
 let pairs v =
-  let g = Lazy.force v.groups in
+  let g = groups_of v in
   fun emit -> iter_groups g (fun src dst bytes count -> emit src dst (bytes * count))
 
 (* A volume's groups, bytes summed, list its pairs in the order of
@@ -132,27 +126,21 @@ let pairs v =
    the traffic run one volume after another. *)
 let coalesce topo vs =
   let streams = List.map pairs vs in
-  {
-    traffic = (fun emit -> List.iter (fun v -> v.traffic emit) vs);
-    coalesce = true;
-    groups =
-      Lazy.from_val
-        (coalesced ~hosts:(Topology.size topo) (fun emit ->
-             List.iter (fun pairs -> pairs emit) streams));
-  }
+  Coalesced
+    (coalesced ~hosts:(Topology.size topo) (fun emit ->
+         List.iter (fun pairs -> pairs emit) streams))
 
-let remote_pairs g emit =
-  iter_groups g (fun src dst bytes _ -> if src <> dst then emit src dst bytes)
-
-let priced v = if v.coalesce then remote_pairs (Lazy.force v.groups) else v.traffic
+let priced = function
+  | Coalesced g ->
+    fun emit -> iter_groups g (fun src dst bytes _ -> if src <> dst then emit src dst bytes)
+  | Uncoalesced (traffic, _) -> traffic
 
 (* Pairs, in the order of their first message, replayed in the order a
    [Hashtbl] keyed by [(src, dst)] folds them into a list: the order
    message lists were coalesced in before traffic became a stream.
    The table's shape depends only on the pairs and the order they were
    added in, not on the sums, so adding each pair once rebuilds it.
-   [replay] and the telemetry of a coalesced [price] keep this
-   order. *)
+   Only [replay] keeps this order. *)
 let legacy_order (pairs : Message.traffic) =
   let tbl = Hashtbl.create 64 in
   let sums = ref [] (* reverse *) and i = ref 0 in
@@ -164,9 +152,11 @@ let legacy_order (pairs : Message.traffic) =
   let order = Hashtbl.fold (fun pair i l -> (pair, i) :: l) tbl [] in
   fun emit -> List.iter (fun ((src, dst), i) -> emit src dst sums.(i)) order
 
-let replay v = if v.coalesce then legacy_order (pairs v) else v.traffic
+let replay = function
+  | Coalesced _ as v -> legacy_order (pairs v)
+  | Uncoalesced (traffic, _) -> traffic
 
-let link_loads ?(faults = Fault.none) topo (traffic : Message.traffic) =
+let link_loads ~faults topo (traffic : Message.traffic) =
   let c = Compiled.get topo in
   let weights = fault_weights c faults in
   let loads = fresh_loads c in
@@ -175,35 +165,12 @@ let link_loads ?(faults = Fault.none) topo (traffic : Message.traffic) =
         match route_ids c faults ~src ~dst with
         | Some route -> add_route_loads c weights loads ~count bytes route
         | None -> ());
-  crossed_links c loads (fun _ l carried -> (l, carried))
-
-let tele_message ~src ~dst ~bytes ~hops outcome =
-  let at = if outcome = Obs.Telemetry.Unreachable then -1 else 0 in
-  {
-    Obs.Telemetry.msg_src = src;
-    msg_dst = dst;
-    msg_bytes = bytes;
-    injected_at = at;
-    finished_at = at;
-    hops;
-    queue_wait = 0;
-    retransmits = 0;
-    outcome;
-  }
-
-let tele_run ~sim ~label ~faults ~total_cycles topo ~messages ~links ~events =
-  {
-    Obs.Telemetry.sim;
-    label;
-    dims = (if Topology.is_grid topo then Topology.dims topo else [||]);
-    torus = Topology.is_torus topo;
-    topo_spec = (if Topology.is_grid topo then "" else Topology.to_string topo);
-    total_cycles;
-    fault_spec = Fault.label faults;
-    messages;
-    links;
-    events;
-  }
+  (* the crossed links, sorted by link *)
+  let acc = ref [] in
+  for id = Array.length loads - 1 downto 0 do
+    if loads.(id) >= 0 then acc := (Compiled.link c id, loads.(id)) :: !acc
+  done;
+  !acc
 
 (* The one time formula: every count it reads is the topology's and the
    traffic's, so a price under one model's parameters is retimed to
@@ -219,7 +186,6 @@ let retime params s =
   { s with time }
 
 let price ?(faults = Fault.none) topo params v =
-  let tele = Obs.Telemetry.enabled () in
   let c = Compiled.get topo in
   let weights = fault_weights c faults in
   let n = Compiled.hosts c in
@@ -228,42 +194,24 @@ let price ?(faults = Fault.none) topo params v =
   let unreachable = ref 0 in
   let delivered = ref 0 in
   let loads = fresh_loads c in
-  let t_msgs = ref [] (* reverse *) in
-  let t_packets = if tele then Array.make (Compiled.nlinks c) 0 else [||] in
-  (* [count] messages of [bytes] from [src] to [dst]; local ones are
-     free *)
-  let price_group src dst bytes count =
-    if src <> dst then begin
-      match route_ids c faults ~src ~dst with
-      | None ->
-        unreachable := !unreachable + count;
-        if Obs.enabled () then Obs.incr ~by:count "fault.injected";
-        if tele then
-          t_msgs :=
-            tele_message ~src ~dst ~bytes ~hops:0 Obs.Telemetry.Unreachable :: !t_msgs
-      | Some route ->
-        delivered := !delivered + count;
-        send.(src) <- send.(src) + count;
-        recv.(dst) <- recv.(dst) + count;
-        total_bytes := !total_bytes + (count * bytes);
-        (* hops follow the actual route, detours included *)
-        let h = Array.length route in
-        total_hops := !total_hops + (count * h);
-        if h > !max_hops then max_hops := h;
-        add_route_loads c weights loads ~count bytes route;
-        if tele then begin
-          t_msgs :=
-            tele_message ~src ~dst ~bytes ~hops:h Obs.Telemetry.Delivered :: !t_msgs;
-          Array.iter (fun id -> t_packets.(id) <- t_packets.(id) + 1) route
-        end
-    end
-  in
-  (* telemetry records messages in order, so it prices them one by
-     one; otherwise each group is routed once *)
-  if tele then
-    (if v.coalesce then legacy_order (priced v) else v.traffic)
-      (fun src dst bytes -> price_group src dst bytes 1)
-  else iter_groups (Lazy.force v.groups) price_group;
+  (* [count] messages of [bytes] from [src] to [dst], routed once;
+     local ones are free *)
+  iter_groups (groups_of v) (fun src dst bytes count ->
+      if src <> dst then
+        match route_ids c faults ~src ~dst with
+        | None ->
+          unreachable := !unreachable + count;
+          if Obs.enabled () then Obs.incr ~by:count "fault.injected"
+        | Some route ->
+          delivered := !delivered + count;
+          send.(src) <- send.(src) + count;
+          recv.(dst) <- recv.(dst) + count;
+          total_bytes := !total_bytes + (count * bytes);
+          (* hops follow the actual route, detours included *)
+          let h = Array.length route in
+          total_hops := !total_hops + (count * h);
+          if h > !max_hops then max_hops := h;
+          add_route_loads c weights loads ~count bytes route);
   let max_link_load = array_max loads in
   let stats =
     retime params
@@ -284,30 +232,6 @@ let price ?(faults = Fault.none) topo params v =
     Obs.incr ~by:!delivered "netsim.messages";
     Obs.observe "netsim.time" stats.time;
     Obs.observe "netsim.max_link_load" (float_of_int max_link_load)
-  end;
-  if tele then begin
-    let links =
-      crossed_links c loads (fun id (a, b) carried ->
-          {
-            Obs.Telemetry.link_src = a;
-            link_dst = b;
-            busy = 0;
-            carried;
-            packets = t_packets.(id);
-            peak_queue = 0;
-            queue_area = 0;
-            stalled = 0;
-          })
-    in
-    let locals = ref [] (* reverse *) in
-    v.traffic (fun src dst bytes ->
-        if src = dst then
-          locals :=
-            tele_message ~src ~dst ~bytes ~hops:0 Obs.Telemetry.Delivered :: !locals);
-    Obs.Telemetry.record_run
-      (tele_run ~sim:"netsim" ~label:"" ~faults ~total_cycles:0 topo
-         ~messages:(List.rev_append !locals (List.rev !t_msgs))
-         ~links ~events:[])
   end;
   stats
 

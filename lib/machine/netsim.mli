@@ -39,13 +39,13 @@
     message.  {!price} routes each group once and adds [count] times
     its per-message load, sends, bytes and hops: integer sums, exact
     under faults and fat-tree capacities, because a link's effective
-    load is rounded per message.  Only telemetry, which records
-    messages in order, prices them one by one.  The residual-traffic
-    producers ([Foldsim], [Residual]), the lower bounds
-    ([Bounds.transfer_time], which reads its bounds off the same
-    coalesced volume) and {!Models} all price through it, and
-    {!Eventsim} replays the same {!volume}: a stream is the one form
-    traffic takes.
+    load is rounded per message.  The residual-traffic producers
+    ([Foldsim], [Residual]), the lower bounds ([Bounds.transfer_time],
+    which reads its bounds off the same coalesced volume) and
+    {!Models} all price through it, and {!Eventsim} replays the same
+    {!volume}: a stream is the one form traffic takes.  The model is
+    closed form, so a price records no telemetry; {!Eventsim}, which
+    simulates each message's lifecycle, is what telemetry records.
 
     Pricing runs on the topology's {!Compiled} form, built once per
     process and shared across domains: each route is an [int array]
@@ -77,14 +77,14 @@ type volume
 (** Traffic made ready to price: when coalesced, one message per
     ordered host pair with bytes summed, tallied when made; otherwise
     the traffic itself, counted by (pair, size) on its first price
-    without telemetry and priced from that count from then on.  The
-    price skips local messages; telemetry records the traffic's local
-    messages either way.
+    and priced from that count from then on.  The price skips local
+    messages.
 
-    A coalesced volume is immutable.  An uncoalesced one, and a
-    {!relabel}ling of any volume, caches its count when first priced
-    or read ({!pairs}), so until then it belongs to one domain: count
-    it in the domain that made it before sharing it. *)
+    A coalesced volume keeps its count alone, not the traffic it was
+    tallied from, and is immutable, relabelled or not.  An uncoalesced
+    one, and a {!relabel}ling of one, caches its count when first
+    priced or read ({!pairs}), so until then it belongs to one domain:
+    count it in the domain that made it before sharing it. *)
 
 val volume : ?coalesce:bool -> Topology.t -> Message.traffic -> volume
 (** [coalesce] (default [true]) merges same-pair messages.  Pass
@@ -99,10 +99,10 @@ val volume : ?coalesce:bool -> Topology.t -> Message.traffic -> volume
 
 val relabel : int array -> volume -> volume
 (** [relabel perm v] is [v] with every rank [r] renamed [perm.(r)]:
-    it prices, replays and records exactly like {!volume} of the
-    renamed traffic, coalesced as [v] is, since a permutation keeps
-    each pair's groups and the order of their first messages.  Its
-    count is [v]'s, renamed, not a second run of the traffic.
+    it prices and replays exactly like {!volume} of the renamed
+    traffic, coalesced as [v] is, since a permutation keeps each
+    pair's groups and the order of their first messages.  Its count
+    is [v]'s, renamed, not a second run of the traffic.
     [perm] must be a permutation of the hosts, such as a
     [Mapping.t]. *)
 
@@ -143,15 +143,8 @@ val price : ?faults:Fault.t -> Topology.t -> params -> volume -> stats
     machine-readable record of every pricing it performed;
     undeliverable messages also bump [fault.injected].
 
-    When {!Obs.Telemetry.enabled}, each pricing additionally records
-    one {!Obs.Telemetry.run} (sim ["netsim"], [total_cycles = 0] — the
-    model is closed-form, so link loads are effective loads and there
-    are no latency series, and an empty label): the traffic's local
-    messages as they come, then the priced ones.  A coalesced volume
-    lists its remote pairs in {!replay}'s order, computed over the
-    remote pairs alone.  This is the one case that prices message by
-    message, in order; otherwise each (pair, size) group is routed
-    once.
+    Each (pair, size) group is routed once, and no telemetry is
+    recorded.
 
     @raise Invalid_argument when a message endpoint is not a host. *)
 
@@ -166,7 +159,7 @@ val retime : params -> stats -> stats
     priced once is priced on every model that shares its topology. *)
 
 val link_loads :
-  ?faults:Fault.t -> Topology.t -> Message.traffic -> ((int * int) * int) list
+  faults:Fault.t -> Topology.t -> Message.traffic -> ((int * int) * int) list
 (** The effective load of every directed link some route crosses,
     sorted by link, for inspection: the accumulation {!price} takes
     the maximum of, without coalescing.  A link's effective load is
@@ -177,27 +170,5 @@ val link_loads :
     nothing.  The traffic is counted by (pair, size) first, as an
     uncoalesced {!price} counts it.
     @raise Invalid_argument when a message endpoint is not a host. *)
-
-val tele_message :
-  src:int -> dst:int -> bytes:int -> hops:int -> Obs.Telemetry.outcome ->
-  Obs.Telemetry.message
-(** A message's telemetry record as a closed-form pricing writes it:
-    injected and finished at 0, or at -1 when [Unreachable]; no queue
-    wait, no retransmission.  {!Eventsim} fills in the times of the
-    messages it routes. *)
-
-val tele_run :
-  sim:string ->
-  label:string ->
-  faults:Fault.t ->
-  total_cycles:int ->
-  Topology.t ->
-  messages:Obs.Telemetry.message list ->
-  links:Obs.Telemetry.link list ->
-  events:Obs.Telemetry.event list ->
-  Obs.Telemetry.run
-(** A simulation's telemetry record, its header (grid extents, torus
-    flag, topology and fault specs) read off the topology and the
-    faults. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -141,7 +141,7 @@ let resolve boundary extents v =
   | `Wrap -> Some (Array.map2 (fun x e -> ((x mod e) + e) mod e) v extents)
   | `Clip -> if in_box extents v then Some v else None
 
-let translation_messages ?(boundary = `Wrap) ~vgrid ~shift ~bytes ~place () =
+let translation_messages ~boundary ~vgrid ~shift ~bytes ~place () =
   let msgs = ref [] in
   iter_box vgrid (fun v ->
       let raw = Array.map2 ( + ) v shift in

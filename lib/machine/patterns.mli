@@ -78,15 +78,15 @@ val traffic :
   Message.traffic
 (** The flows' messages under a placement: for each flow in turn, one
     message of [bytes] from each cell's rank to its destination's,
-    cells taken from last to first — the order in which telemetry has
-    always recorded a flow's messages.  Local messages are kept.
+    cells taken from last to first: the order {!Eventsim} replays an
+    uncoalesced volume of them in.  Local messages are kept.
     @raise Invalid_argument, when run, as {!successors} does or on a
     negative [bytes]. *)
 
 type boundary = [ `Wrap | `Clip ]
 
 val translation_messages :
-  ?boundary:boundary ->
+  boundary:boundary ->
   vgrid:int array ->
   shift:int array ->
   bytes:int ->
@@ -94,5 +94,5 @@ val translation_messages :
   unit ->
   Message.t list
 (** One message per virtual processor [v] towards [v + shift], the
-    destination wrapped ([`Wrap], the default) or, out of range,
-    dropped ([`Clip]). *)
+    destination wrapped ([`Wrap]) or, out of range, dropped
+    ([`Clip]). *)

@@ -37,7 +37,7 @@ type message = {
 type link = {
   link_src : int;
   link_dst : int;
-  busy : int;  (** cycles spent transmitting (0 for closed-form pricings) *)
+  busy : int;  (** cycles spent transmitting *)
   carried : int;  (** bytes that crossed the link, retransmissions included *)
   packets : int;  (** completed crossings *)
   peak_queue : int;  (** deepest queue observed *)
@@ -50,7 +50,7 @@ type event = { ev_cycle : int; ev_kind : string; ev_msg : int }
     [deliver]), kept as a bounded log for the dashboard timeline. *)
 
 type run = {
-  sim : string;  (** ["eventsim"], ["eventsim-wormhole"] or ["netsim"] *)
+  sim : string;  (** ["eventsim"] or ["eventsim-wormhole"] *)
   label : string;
   dims : int array;  (** grid extents, ranks row-major; [[||]] otherwise *)
   torus : bool;
@@ -58,7 +58,7 @@ type run = {
       (** the {!Machine.Topology} grammar string for switched
           topologies (fat tree, dragonfly); [""] on grids, whose
           runs render exactly as they always have *)
-  total_cycles : int;  (** 0 for closed-form pricings *)
+  total_cycles : int;  (** cycles the simulation ran *)
   fault_spec : string;  (** the {!Machine.Fault} grammar string, [""] when none *)
   messages : message list;
   links : link list;
@@ -96,8 +96,8 @@ val gini : float array -> float
     zero.  The per-link load balance measure of the report. *)
 
 val link_loads : run -> float array
-(** The per-link load measure the report aggregates: busy cycles for
-    event-driven runs, carried bytes for closed-form pricings. *)
+(** The per-link load measure the report aggregates: busy cycles, or
+    carried bytes for a run of 0 cycles. *)
 
 (** {1 Rendering} *)
 

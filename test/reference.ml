@@ -248,36 +248,19 @@ let link_loads faults topo msgs =
     msgs;
   sorted loads
 
-let tele_message hops (m : Message.t) outcome =
-  let unreachable = outcome = Obs.Telemetry.Unreachable in
-  {
-    Obs.Telemetry.msg_src = m.Message.src;
-    msg_dst = m.Message.dst;
-    msg_bytes = m.Message.bytes;
-    injected_at = (if unreachable then -1 else 0);
-    finished_at = (if unreachable then -1 else 0);
-    hops;
-    queue_wait = 0;
-    retransmits = 0;
-    outcome;
-  }
-
-(* The stats and the telemetry record of one pricing. *)
-let run ?(label = "") ~coalesce:merge ~faults topo (params : Netsim.params) msgs =
-  let remote, locals = List.partition (fun (m : Message.t) -> m.src <> m.dst) msgs in
+(* The stats of one pricing. *)
+let run ~coalesce:merge ~faults topo (params : Netsim.params) msgs =
+  let remote = List.filter (fun (m : Message.t) -> m.src <> m.dst) msgs in
   let remote = if merge then coalesce remote else remote in
   let n = Topology.size topo in
   let send = Array.make n 0 and recv = Array.make n 0 in
   let total_bytes = ref 0 and total_hops = ref 0 and max_hops = ref 0 in
   let unreachable = ref 0 and priced = ref 0 in
-  let loads = Hashtbl.create 64 and packets = Hashtbl.create 64 in
-  let t_msgs = ref [] in
+  let loads = Hashtbl.create 64 in
   List.iter
     (fun (m : Message.t) ->
       match route_of faults topo m with
-      | None ->
-        incr unreachable;
-        t_msgs := tele_message 0 m Obs.Telemetry.Unreachable :: !t_msgs
+      | None -> incr unreachable
       | Some path ->
         incr priced;
         send.(m.Message.src) <- send.(m.Message.src) + 1;
@@ -286,9 +269,7 @@ let run ?(label = "") ~coalesce:merge ~faults topo (params : Netsim.params) msgs
         let h = List.length path in
         total_hops := !total_hops + h;
         if h > !max_hops then max_hops := h;
-        add_route_loads topo faults loads m.Message.bytes path;
-        t_msgs := tele_message h m Obs.Telemetry.Delivered :: !t_msgs;
-        List.iter (fun l -> bump packets l 1) path)
+        add_route_loads topo faults loads m.Message.bytes path)
     remote;
   let max_link_load = Hashtbl.fold (fun _ v acc -> max v acc) loads 0 in
   let max_sender = Array.fold_left max 0 send in
@@ -300,51 +281,17 @@ let run ?(label = "") ~coalesce:merge ~faults topo (params : Netsim.params) msgs
       +. (params.Netsim.beta *. float_of_int max_link_load)
       +. (params.Netsim.hop *. float_of_int !max_hops)
   in
-  let stats =
-    {
-      Netsim.time;
-      messages = !priced;
-      total_bytes = !total_bytes;
-      total_hops = !total_hops;
-      max_link_load;
-      max_sender;
-      max_receiver;
-      max_hops = !max_hops;
-      unreachable = !unreachable;
-    }
-  in
-  let links =
-    List.map
-      (fun ((a, b), carried) ->
-        {
-          Obs.Telemetry.link_src = a;
-          link_dst = b;
-          busy = 0;
-          carried;
-          packets = Hashtbl.find packets (a, b);
-          peak_queue = 0;
-          queue_area = 0;
-          stalled = 0;
-        })
-      (sorted loads)
-  in
-  let record =
-    {
-      Obs.Telemetry.sim = "netsim";
-      label;
-      dims = (if Topology.is_grid topo then Topology.dims topo else [||]);
-      torus = Topology.is_torus topo;
-      topo_spec = (if Topology.is_grid topo then "" else Topology.to_string topo);
-      total_cycles = 0;
-      fault_spec = Fault.label faults;
-      messages =
-        List.map (fun m -> tele_message 0 m Obs.Telemetry.Delivered) locals
-        @ List.rev !t_msgs;
-      links;
-      events = [];
-    }
-  in
-  (stats, record)
+  {
+    Netsim.time;
+    messages = !priced;
+    total_bytes = !total_bytes;
+    total_hops = !total_hops;
+    max_link_load;
+    max_sender;
+    max_receiver;
+    max_hops = !max_hops;
+    unreachable = !unreachable;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Folded flows                                                        *)
@@ -355,7 +302,7 @@ let place ?remap layout ~vgrid ~topo v =
   let r = Distrib.Layout.place layout ~vgrid ~topo v in
   match remap with None -> r | Some perm -> perm.(r)
 
-(* [Foldsim.time]: stats and record. *)
+(* [Foldsim.time]. *)
 let foldsim_time ?(coalesce = true) ?(faults = Fault.none) ?remap
     (model : Models.t) ~layout ~vgrid ~flow ~bytes () =
   let topo = model.Models.topo in
@@ -363,7 +310,7 @@ let foldsim_time ?(coalesce = true) ?(faults = Fault.none) ?remap
   run ~coalesce ~faults topo model.Models.net
     (affine_messages ~vgrid ~flow ~bytes ~place ())
 
-(* [Foldsim.decomposed_time]: one (stats, record) per phase. *)
+(* [Foldsim.decomposed_time]: one stats per phase. *)
 let decomposed_time ?(faults = Fault.none) ?remap (model : Models.t) ~layout ~vgrid
     ~factors ~bytes () =
   let topo = model.Models.topo in
@@ -454,9 +401,7 @@ let decomposed_prices ~faults ?remap ~vgrid (model : Models.t) ~flow factors =
       in
       let layout = [| Distrib.Layout.Grouped k; Distrib.Layout.Grouped k |] in
       Distrib.Foldsim.total_time
-        (List.map fst
-           (decomposed_time ~faults ?remap model ~layout ~vgrid ~factors
-              ~bytes:plan_bytes ()))
+        (decomposed_time ~faults ?remap model ~layout ~vgrid ~factors ~bytes:plan_bytes ())
     | _ ->
       Fault.uniform_slowdown faults
       *. float_of_int (List.length factors)

@@ -164,7 +164,7 @@ let test_degraded_loads () =
   let topo = Topology.make [| 3 |] in
   let msgs = Message.of_list [ Message.make ~src:0 ~dst:2 ~bytes:10 ] in
   let f = Fault.make [ Fault.Flaky { link = None; prob = 0.5 } ] in
-  let clean = Netsim.link_loads topo msgs in
+  let clean = Netsim.link_loads ~faults:Fault.none topo msgs in
   let degraded = Netsim.link_loads ~faults:f topo msgs in
   List.iter2
     (fun (l, x) (l', y) ->

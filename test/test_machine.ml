@@ -132,7 +132,8 @@ let test_netsim_contention () =
 let test_netsim_link_loads () =
   let t = Topology.make [| 3 |] in
   let loads =
-    Netsim.link_loads t (Message.of_list [ Message.make ~src:0 ~dst:2 ~bytes:10 ])
+    Netsim.link_loads ~faults:Fault.none t
+      (Message.of_list [ Message.make ~src:0 ~dst:2 ~bytes:10 ])
   in
   Alcotest.(check int) "two links" 2 (List.length loads);
   List.iter (fun (_, l) -> Alcotest.(check int) "load 10" 10 l) loads
@@ -144,10 +145,10 @@ let test_netsim_torus_loads () =
   let t = Topology.make ~torus:true [| 4; 4 |] in
   let place v = Topology.rank_of t v in
   let msgs =
-    Patterns.translation_messages ~vgrid:[| 4; 4 |] ~shift:[| 1; 0 |] ~bytes:10
-      ~place ()
+    Patterns.translation_messages ~boundary:`Wrap ~vgrid:[| 4; 4 |] ~shift:[| 1; 0 |]
+      ~bytes:10 ~place ()
   in
-  let loads = Netsim.link_loads t (Message.of_list msgs) in
+  let loads = Netsim.link_loads ~faults:Fault.none t (Message.of_list msgs) in
   Alcotest.(check int) "16 distinct links" 16 (List.length loads);
   Alcotest.(check int) "total bytes x hops" 160
     (List.fold_left (fun acc (_, l) -> acc + l) 0 loads);
@@ -229,7 +230,10 @@ let test_patterns_clip () =
 let test_patterns_translation () =
   let vgrid = [| 4; 4 |] in
   let place v = (v.(0) * 4) + v.(1) in
-  let msgs = Patterns.translation_messages ~vgrid ~shift:[| 1; 0 |] ~bytes:1 ~place () in
+  let msgs =
+    Patterns.translation_messages ~boundary:`Wrap ~vgrid ~shift:[| 1; 0 |] ~bytes:1
+      ~place ()
+  in
   Alcotest.(check int) "all procs" 16 (List.length msgs)
 
 (* ------------------------------------------------------------------ *)
@@ -457,8 +461,7 @@ let test_translation_race () =
 (* [Reference] holds the pricer Netsim used before topologies were
    compiled to link ids: a hop list per message and a Hashtbl keyed by
    directed link.  The compiled pricer must agree with it on the
-   stats, on the per-link loads of [link_loads], and on the telemetry
-   a run records (message order, link list, packet counts). *)
+   stats and on the per-link loads of [link_loads]. *)
 
 type fault_kind = Healthy | Flaky | Severed
 
@@ -533,18 +536,8 @@ let netsim_diff spec =
           (gen_faults topo kind) (gen_messages topo))
   in
   prop ~count:300 spec arb (fun (coalesce, _, faults, msgs) ->
-      let stats, record = Reference.run ~coalesce ~faults topo params msgs in
-      let plain = Reference.price ~coalesce ~faults topo params msgs in
-      Obs.Telemetry.reset ();
-      Obs.Telemetry.enable ();
-      let traced =
-        Fun.protect ~finally:Obs.Telemetry.disable (fun () ->
-            Reference.price ~coalesce ~faults topo params msgs)
-      in
-      let recorded = Option.get (Obs.Telemetry.last_run ()) in
-      Obs.Telemetry.reset ();
-      plain = stats && traced = stats
-      && recorded = record
+      Reference.price ~coalesce ~faults topo params msgs
+      = Reference.run ~coalesce ~faults topo params msgs
       && Netsim.link_loads ~faults topo (Message.of_list msgs)
          = Reference.link_loads faults topo msgs)
 
@@ -626,8 +619,7 @@ let eventsim_order_props =
    [Patterns.fill_ranks] tables, [Patterns.successors] arrays and the Netsim
    core.  [Reference] keeps the list path it replaced — per-point
    [Layout.place], [affine_messages] and list pricing — and the two
-   must agree on the stats and, with telemetry on, on every recorded
-   run. *)
+   must agree on the stats. *)
 
 type fold_case = {
   layout : Distrib.Layout.t;
@@ -692,15 +684,6 @@ let pp_flat = Format.asprintf "%a" Linalg.Mat.pp_flat
 
 let pp_flows fs = String.concat " " (List.map pp_flat fs)
 
-(* The stats of [f ()] and every run it records. *)
-let traced f =
-  Obs.Telemetry.reset ();
-  Obs.Telemetry.enable ();
-  let stats = Fun.protect ~finally:Obs.Telemetry.disable f in
-  let runs = Obs.Telemetry.runs () in
-  Obs.Telemetry.reset ();
-  (stats, runs)
-
 (* ------------------------------------------------------------------ *)
 (* Pair tally                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -710,10 +693,10 @@ let traced f =
    pairs with sizes drawn from a short list, zero included, so a pair
    forms several groups and returns to a size it left.  Against the
    message-by-message reference: the volume itself, priced twice (the
-   second price reads the count the first made), with telemetry on and
-   off; the volume relabelled by a random permutation against the
-   renamed messages, replay order included; and two halves coalesced
-   from their counts against the whole stream coalesced. *)
+   second price reads the count the first made); the volume relabelled
+   by a random permutation against the renamed messages, replay order
+   included; and two halves coalesced from their counts against the
+   whole stream coalesced. *)
 let gen_repeats topo =
   let open QCheck.Gen in
   let host = int_bound (Topology.size topo - 1) in
@@ -748,11 +731,6 @@ let pair_tally spec =
   prop ~count:200 spec arb (fun ((coalesce, _, faults), (msgs, perm)) ->
       let volume msgs = Netsim.volume ~coalesce topo (Message.of_list msgs) in
       let price v = Netsim.price ~faults topo params v in
-      let traced_price v =
-        match traced (fun () -> price v) with
-        | stats, [ record ] -> (stats, record)
-        | _ -> Alcotest.fail "one run recorded"
-      in
       let want = Reference.run ~coalesce ~faults topo params msgs in
       let v = volume msgs in
       let renamed =
@@ -774,15 +752,12 @@ let pair_tally spec =
           ]
       in
       let whole = Netsim.volume topo (Message.of_list msgs) in
-      price v = fst want
-      && price v = fst want
-      && traced_price v = want
-      && price relabelled = fst want_renamed
-      && traced_price relabelled = want_renamed
+      price v = want
+      && price v = want
+      && price relabelled = want_renamed
       && Reference.messages (Netsim.replay relabelled)
          = Reference.messages (Netsim.replay (volume renamed))
       && price halves = price whole
-      && traced_price halves = traced_price whole
       && Reference.messages (Netsim.replay halves)
          = Reference.messages (Netsim.replay whole))
 
@@ -803,7 +778,7 @@ let foldsim_diff spec =
   in
   prop ~count:150 ("foldsim " ^ spec) arb (fun (coalesce, c, flow) ->
       let { layout; vgrid; remap; bytes; faults } = c in
-      let stats, record =
+      let stats =
         Reference.foldsim_time ~coalesce ~faults ?remap model ~layout ~vgrid ~flow ~bytes ()
       in
       (* a placement is priced by relabelling the unplaced volume *)
@@ -818,7 +793,7 @@ let foldsim_diff spec =
                (Netsim.volume ~coalesce topo
                   (Patterns.traffic ~vgrid ~axes ~bytes [ flow ])))
       in
-      time () = stats && traced time = (stats, [ record ]))
+      time () = stats)
 
 let decomposed_diff spec =
   let topo = Result.get_ok (Topology.of_string spec) in
@@ -832,9 +807,8 @@ let decomposed_diff spec =
   in
   prop ~count:100 ("decomposed " ^ spec) arb (fun (c, factors) ->
       let { layout; vgrid; remap; bytes; faults } = c in
-      let stats, records =
-        List.split
-          (Reference.decomposed_time ~faults model ~layout ~vgrid ~factors ~bytes:8 ())
+      let stats =
+        Reference.decomposed_time ~faults model ~layout ~vgrid ~factors ~bytes:8 ()
       in
       let phases () =
         Distrib.Foldsim.decomposed_time ~faults model ~layout ~vgrid ~factors ()
@@ -842,8 +816,7 @@ let decomposed_diff spec =
       (* the placed walk, whole and resumed after each phase: the
          stats of a phase do not depend on where the walk starts *)
       let placed =
-        List.map fst
-          (Reference.decomposed_time ~faults ?remap model ~layout ~vgrid ~factors ~bytes ())
+        Reference.decomposed_time ~faults ?remap model ~layout ~vgrid ~factors ~bytes ()
       in
       let walk from =
         let stats = ref [] in
@@ -855,7 +828,6 @@ let decomposed_diff spec =
         List.rev !stats
       in
       phases () = stats
-      && traced phases = (stats, records)
       && List.for_all
            (fun from -> walk from = List.filteri (fun p _ -> p >= from) placed)
            (List.init (List.length factors + 1) Fun.id))

@@ -217,9 +217,9 @@ let test_dashboard_html () =
         (Machine.Eventsim.run ~label:"bcast" topo Machine.Eventsim.default_params
            (Reference.raw topo broadcast_msgs));
       ignore
-        (Reference.price topo
-           { Machine.Netsim.alpha = 10.0; beta = 0.1; hop = 1.0 }
-           broadcast_msgs);
+        (Machine.Eventsim.run ~label:"bcast-wormhole" topo
+           { Machine.Eventsim.default_params with mode = Machine.Eventsim.Wormhole }
+           (Reference.raw topo broadcast_msgs));
       let html = Obs.Telemetry.render_html (Obs.Telemetry.runs ()) in
       let payload = String.trim (extract_payload html) in
       (* the payload must survive sitting inside a <script> block *)
@@ -230,7 +230,7 @@ let test_dashboard_html () =
         (String.length payload) stop;
       Alcotest.(check bool) "both runs embedded" true
         (Str.string_match (Str.regexp ".*\"sim\":\"eventsim\".*") payload 0
-        && Str.string_match (Str.regexp ".*\"sim\":\"netsim\".*") payload 0))
+        && Str.string_match (Str.regexp ".*\"sim\":\"eventsim-wormhole\".*") payload 0))
 
 (* A label that would close the <script> block must come out as
    \u003c escapes, and the payload must still end where its JSON does. *)
@@ -309,6 +309,84 @@ let prop_no_observer_effect =
             r)
       in
       on = off)
+
+(* Telemetry is the record of an event simulation: a closed-form
+   price, a decomposition's phases and a sweep cell's plan prices over
+   shared folds record no run, and give the same bits with the sink on
+   as off.  The cell prices every curated workload on two models of
+   one topology, so the second reads what the fold kept. *)
+let test_pricing_records_no_run () =
+  let faults =
+    Machine.Fault.make ~seed:42 [ Machine.Fault.Flaky { link = None; prob = 0.05 } ]
+  in
+  let par = Machine.Models.paragon () in
+  let topo = par.Machine.Models.topo in
+  let msgs =
+    List.init 96 (fun i ->
+        Machine.Message.make ~src:(i mod 32) ~dst:(i * 7 mod 32)
+          ~bytes:(8 * (1 + (i mod 3))))
+  in
+  let netsim coalesce =
+    Machine.Netsim.price ~faults topo par.Machine.Models.net
+      (Machine.Netsim.volume ~coalesce topo (Machine.Message.of_list msgs))
+  in
+  let phases () =
+    Distrib.Foldsim.decomposed_time ~faults par ~layout:(Distrib.Layout.all_cyclic 2)
+      ~vgrid:[| 32; 16 |]
+      ~factors:
+        [
+          Linalg.Mat.of_lists [ [ 1; 0 ]; [ 3; 1 ] ];
+          Linalg.Mat.of_lists [ [ 1; 2 ]; [ 0; 1 ] ];
+        ]
+      ()
+  in
+  let cell () =
+    List.concat_map
+      (fun (w : Resopt.Workloads.t) ->
+        let plan =
+          (Resopt.Pipeline.run ~m:2 ~schedule:w.Resopt.Workloads.schedule
+             w.Resopt.Workloads.nest)
+            .Resopt.Pipeline.plan
+        in
+        let fold_of = Resopt.Residual.shared () in
+        List.concat_map
+          (fun model ->
+            let fold = fold_of model plan in
+            let cost faults mapping =
+              Marshal.to_string
+                (Resopt.Cost.of_fold ~faults ~mapping model fold plan)
+                [ Marshal.No_sharing ]
+            in
+            let bound =
+              Option.map
+                (fun f ->
+                  Marshal.to_string
+                    (Resopt.Efficiency.of_traffic model.Machine.Models.net f)
+                    [ Marshal.No_sharing ])
+                fold
+            in
+            [
+              cost Machine.Fault.none None;
+              cost faults None;
+              cost Machine.Fault.none (Some (Mapping.spec Mapping.Greedy));
+            ]
+            @ Option.to_list bound)
+          [ Machine.Models.cm5 (); par ])
+      (Resopt.Workloads.all ())
+  in
+  let bits () =
+    Marshal.to_string (netsim true, netsim false, phases ()) [ Marshal.No_sharing ]
+    :: cell ()
+  in
+  Obs.Telemetry.disable ();
+  let off = bits () in
+  let on, runs =
+    with_telemetry (fun () ->
+        let on = bits () in
+        (on, List.length (Obs.Telemetry.runs ())))
+  in
+  Alcotest.(check int) "no run recorded" 0 runs;
+  Alcotest.(check bool) "same bits with telemetry on" true (on = off)
 
 (* ------------------------------------------------------------------ *)
 (* Benchstore: record round-trip and parse errors                      *)
@@ -538,7 +616,11 @@ let () =
             test_dashboard_script_safe;
         ] );
       ( "observer",
-        [ QCheck_alcotest.to_alcotest prop_no_observer_effect ] );
+        [
+          QCheck_alcotest.to_alcotest prop_no_observer_effect;
+          Alcotest.test_case "closed-form pricing records no run" `Quick
+            test_pricing_records_no_run;
+        ] );
       ( "benchstore",
         [
           Alcotest.test_case "record round-trip" `Quick test_benchstore_roundtrip;

@@ -226,19 +226,7 @@ let test_no_observer topo () =
         Eventsim.run ~faults topo Eventsim.default_params (Reference.raw topo msgs))
   in
   Alcotest.(check bool) "telemetry does not change the simulation" true
-    (quiet = watched);
-  let nquiet = Reference.price topo { Netsim.alpha = 10.0; beta = 0.1; hop = 0.4 } msgs in
-  let nwatched =
-    Obs.Telemetry.enable ();
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.Telemetry.disable ();
-        Obs.Telemetry.reset ())
-      (fun () ->
-        Reference.price topo { Netsim.alpha = 10.0; beta = 0.1; hop = 0.4 } msgs)
-  in
-  Alcotest.(check bool) "telemetry does not change the pricing" true
-    (nquiet = nwatched)
+    (quiet = watched)
 
 let test_mapping_order topo () =
   let n = Topology.size topo in
