@@ -496,13 +496,15 @@ let chaos_cmd =
       let r = run () in
       let total = ref 0 in
       m (fun _ _ _ -> incr total);
-      let invariant =
-        r.Machine.Eventsim.delivered + r.Machine.Eventsim.dropped
-        + r.Machine.Eventsim.unreachable
-        = !total
+      let Machine.Eventsim.{ cycles; delivered; dropped; unreachable; retransmits; _ } =
+        r
       in
       (* same seed, same schedule, same result — twice over *)
-      (i, Machine.Fault.to_string specs, r, run () = r, invariant)
+      ( i,
+        Machine.Fault.to_string specs,
+        (cycles, delivered, dropped, unreachable, retransmits),
+        run () = r,
+        delivered + dropped + unreachable = !total )
     in
     let idx = List.init count Fun.id in
     let results =
@@ -527,14 +529,13 @@ let chaos_cmd =
     in
     let failed = ref 0 in
     List.iter
-      (fun (i, spec, (r : Machine.Eventsim.result), deterministic, invariant) ->
+      (fun (i, spec, (cycles, delivered, dropped, unreachable, retransmits),
+            deterministic, invariant) ->
         let spec = if spec = "" then "(no faults)" else spec in
         Format.printf
           "trial %3d  %-40s cycles %7d  delivered %3d  dropped %2d  \
            unreachable %2d  retransmits %3d@."
-          i spec r.Machine.Eventsim.cycles r.Machine.Eventsim.delivered
-          r.Machine.Eventsim.dropped r.Machine.Eventsim.unreachable
-          r.Machine.Eventsim.retransmits;
+          i spec cycles delivered dropped unreachable retransmits;
         if not deterministic then begin
           incr failed;
           Format.printf "  NONDETERMINISTIC: two runs of seed %d differ@." (seed + i)
@@ -748,9 +749,7 @@ let report_cmd =
       Resopt.Residual.make ~vgrid ~bytes topo
         (Resopt.Residual.flows_of_workload ~m w)
     in
-    (* --bounds: lower-bound the very traffic this report simulates.
-       Its Netsim pricing records no telemetry run: the dashboard holds
-       the Eventsim runs alone. *)
+    (* --bounds: lower-bound the very traffic this report simulates *)
     let eff =
       if bounds then
         Some
@@ -758,49 +757,45 @@ let report_cmd =
              (Machine.Models.of_topo topo).Machine.Models.net traffic)
       else None
     in
-    Obs.Telemetry.enable ();
     let simulate label placed =
-      (try
-         ignore
-           (Machine.Eventsim.run ?faults ~label topo
-              Machine.Eventsim.default_params
-              (Machine.Netsim.volume ~coalesce:false topo placed)
-             : Machine.Eventsim.result)
-       with Machine.Eventsim.Deadlock { cycles; in_flight } ->
-         Format.eprintf
-           "report: simulation deadlocked after %d cycles with %d packets in \
-            flight@."
-           cycles in_flight;
-         exit 2);
-      let run = Obs.Telemetry.last_run () in
-      Option.iter (fun run -> print_string (Obs.Telemetry.render_ascii run)) run;
+      let r =
+        try
+          Machine.Eventsim.run ?faults topo Machine.Eventsim.default_params
+            (Machine.Netsim.volume ~coalesce:false topo placed)
+        with Machine.Eventsim.Deadlock { cycles; in_flight } ->
+          Format.eprintf
+            "report: simulation deadlocked after %d cycles with %d packets in \
+             flight@."
+            cycles in_flight;
+          exit 2
+      in
+      let run = { r.Machine.Eventsim.telemetry with Obs.Telemetry.label } in
+      print_string (Obs.Telemetry.render_ascii run);
       run
     in
     let before = simulate name (Resopt.Residual.traffic traffic) in
     (* --map: simulate the same traffic again under the searched
-       placement — both runs land in the telemetry sink, so the ASCII
-       heatmaps (and the HTML dashboard) show before and after *)
-    (match mapping with
-    | None -> ()
-    | Some spec ->
-      let vol = Resopt.Residual.volume_graph traffic in
-      let perm = Mapping.compute spec topo vol in
-      let after =
-        simulate (name ^ ":mapped") (Resopt.Residual.traffic ~placement:perm traffic)
-      in
-      let gini r = Obs.Telemetry.gini (Obs.Telemetry.link_loads r) in
-      Format.printf
-        "mapping (--map %s): hop-bytes %d -> %d, link-load gini %s -> %s@."
-        (Mapping.kind_to_string spec.Mapping.kind)
-        (Mapping.hop_bytes topo vol
-           (Mapping.identity (Machine.Topology.size topo)))
-        (Mapping.hop_bytes topo vol perm)
-        (match before with
-        | Some r -> Printf.sprintf "%.3f" (gini r)
-        | None -> "-")
-        (match after with
-        | Some r -> Printf.sprintf "%.3f" (gini r)
-        | None -> "-"));
+       placement, so the ASCII heatmaps (and the HTML dashboard) show
+       before and after *)
+    let runs =
+      match mapping with
+      | None -> [ before ]
+      | Some spec ->
+        let vol = Resopt.Residual.volume_graph traffic in
+        let perm = Mapping.compute spec topo vol in
+        let after =
+          simulate (name ^ ":mapped") (Resopt.Residual.traffic ~placement:perm traffic)
+        in
+        let gini r = Obs.Telemetry.gini (Obs.Telemetry.link_loads r) in
+        Format.printf
+          "mapping (--map %s): hop-bytes %d -> %d, link-load gini %.3f -> %.3f@."
+          (Mapping.kind_to_string spec.Mapping.kind)
+          (Mapping.hop_bytes topo vol
+             (Mapping.identity (Machine.Topology.size topo)))
+          (Mapping.hop_bytes topo vol perm)
+          (gini before) (gini after);
+        [ before; after ]
+    in
     Option.iter
       (fun e ->
         Format.printf "@.communication lower bounds (--bounds):@.%a@?"
@@ -819,8 +814,7 @@ let report_cmd =
             "<h2>communication lower bounds</h2><pre>" ^ escaped ^ "</pre>")
           eff
       in
-      Obs.write_file file
-        (Obs.Telemetry.render_html ?extra (Obs.Telemetry.runs ()));
+      Obs.write_file file (Obs.Telemetry.render_html ?extra runs);
       Format.eprintf "dashboard written to %s@." file
   in
   let run name m net grid mesh bytes html faults mapping topo bounds obs =
@@ -932,7 +926,7 @@ let bench_compare_cmd =
     in
     let cur = load "current" current in
     let comps =
-      Obs.Benchstore.compare_metrics ~threshold ~baseline:base ~current:cur ()
+      Obs.Benchstore.compare_metrics ~threshold ~baseline:base ~current:cur
     in
     print_string (Obs.Benchstore.render_report ~threshold comps);
     if Obs.Benchstore.failures comps <> [] then exit 1

@@ -63,6 +63,11 @@ type result = {
           0 in store-and-forward mode, where waiting shows up as queue
           depth instead. *)
   total_link_busy : int;  (** sum over links of busy cycles *)
+  telemetry : Obs.Telemetry.run;
+      (** the run's full record: sim ["eventsim"] or
+          ["eventsim-wormhole"], label [""] for the caller to set.
+          Every other field is a summary of it, except
+          [max_inject_wait]. *)
 }
 
 exception Deadlock of { cycles : int; in_flight : int }
@@ -72,7 +77,6 @@ exception Deadlock of { cycles : int; in_flight : int }
 
 val run :
   ?faults:Fault.t ->
-  ?label:string ->
   Topology.t ->
   params ->
   Netsim.volume ->
@@ -91,21 +95,22 @@ val run :
     per-packet drops do not (a circuit either holds or is never
     built), so [dropped = retransmits = 0] there.
 
-    When {!Obs.Telemetry.enabled}, both modes additionally record one
-    {!Obs.Telemetry.run} (sim ["eventsim"] or ["eventsim-wormhole"],
-    tagged with [label]): per-message lifecycles (inject cycle,
-    queue-wait, hops, retransmits, outcome), per-link busy/carried/
-    peak-queue/stall series, and a bounded event log.  With telemetry
-    disabled none of those branches execute and results are identical.
+    Both modes return one {!Obs.Telemetry.run} in [telemetry]:
+    per-message lifecycles (inject cycle, queue-wait, hops,
+    retransmits, outcome), per-link busy/carried/peak-queue/stall
+    series, and a bounded event log.  Telemetry is a return value, not
+    a recorder: {!Obs} and {!Obs.Profile} are the two recorders, and
+    the run reaches a report only through the caller.
 
-    When {!Obs.enabled}, store-and-forward mode (wormhole is not
-    cycle-stepped) samples the instantaneous link state every 64
-    cycles into {!Obs.point} time series ([eventsim.in_flight],
+    Every 64 cycles store-and-forward mode (wormhole is not
+    cycle-stepped) samples each link's queue depth into its
+    [queue_area].  When {!Obs.enabled}, the same sample feeds the
+    {!Obs.point} time series [eventsim.in_flight],
     [eventsim.busy_links], [eventsim.max_queue_now] and
-    [eventsim.delivered_fraction], timestamped in cycles), and the
+    [eventsim.delivered_fraction] (timestamped in cycles), and the
     final result feeds the [eventsim.*] histograms plus the
     [fault.injected] / [eventsim.retransmits] counters and the
-    [eventsim.backoff_ms] histogram.  With Obs and telemetry disabled
-    the per-cycle overhead is a single test.
+    [eventsim.backoff_ms] histogram.  Obs recording changes no field
+    of the result.
 
     @raise Deadlock when the cycle cap is exceeded. *)

@@ -16,8 +16,7 @@ type record = {
   timestamp : string;
 }
 
-let make ?jobs ?(faults = "") ?(git_rev = "")
-    ?(timestamp = "") ~experiment ~metric value =
+let make ?jobs ?(faults = "") ~git_rev ~timestamp ~experiment ~metric value =
   {
     version = schema_version;
     experiment;
@@ -382,7 +381,7 @@ type comparison = {
   comp_verdict : verdict;
 }
 
-let compare_metrics ?(threshold = 0.3) ~baseline ~current () =
+let compare_metrics ~threshold ~baseline ~current =
   let cur_tbl = Hashtbl.create 64 in
   List.iter (fun (k, v) -> Hashtbl.replace cur_tbl k v) current;
   let base_keys = Hashtbl.create 64 in

@@ -26,8 +26,8 @@ type record = {
 val make :
   ?jobs:int ->
   ?faults:string ->
-  ?git_rev:string ->
-  ?timestamp:string ->
+  git_rev:string ->
+  timestamp:string ->
   experiment:string ->
   metric:string ->
   float ->
@@ -96,13 +96,12 @@ type comparison = {
 }
 
 val compare_metrics :
-  ?threshold:float ->
+  threshold:float ->
   baseline:(string * float) list ->
   current:(string * float) list ->
-  unit ->
   comparison list
 (** Compare two metric sets.  [threshold] is the tolerated relative
-    change (default 0.3); the inequality is strict, so a change of
+    change; the inequality is strict, so a change of
     exactly [threshold] passes.  A lower-better metric regresses when
     [cur > base *. (1 +. threshold)] (and when [base = 0] but
     [cur > 0]); a higher-better metric when

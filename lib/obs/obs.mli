@@ -153,11 +153,12 @@ val pp_summary : Format.formatter -> unit -> unit
 (** {1 Companion modules}
 
     The shared JSON writer ({!Json}), deep network telemetry
-    ({!Telemetry}), benchmark history + regression comparison
+    ({!Telemetry}, the data model and renderers of the run an event
+    simulation returns), benchmark history + regression comparison
     ({!Benchstore}) and the parallel-scheduler profiler ({!Profile});
-    all dependency-free and,
-    like the rest of the module, zero-cost until explicitly enabled or
-    called. *)
+    all dependency-free.  There are two recorders, this module and
+    {!Profile}, each zero-cost until enabled; the others are plain
+    functions over values. *)
 
 module Json = Json
 module Telemetry = Telemetry

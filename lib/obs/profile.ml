@@ -1,4 +1,4 @@
-(* Scheduler profiler.  Like Obs and Telemetry, it records into one
+(* Scheduler profiler.  Like Obs, the other recorder, it records into one
    process-wide, mutex-guarded store: tasks complete on worker domains
    at chunk granularity (tens to hundreds per run), so one lock push
    per chunk is noise, and every record carries its worker slot, so

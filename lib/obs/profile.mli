@@ -19,7 +19,7 @@
     by default: until {!enable} is called every recording entry point
     is one boolean test, so profiler-off output is byte-identical to a
     build without this module.  Recording is multi-domain by design,
-    as in {!Obs} and {!Telemetry}: workers push completed records into
+    as in {!Obs}, the other recorder: workers push completed records into
     one mutex-guarded store, and records carry their worker slot
     explicitly. *)
 

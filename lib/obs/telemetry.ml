@@ -1,7 +1,5 @@
-(* Telemetry store + renderers.  Recording state is one process-wide,
-   mutex-guarded run list (like the Obs and Profile stores), so a run
-   recorded on any domain is kept, in arrival order; the render
-   functions are pure and usable on any run value. *)
+(* Telemetry data model, analysis and renderers: pure functions over
+   the run values the simulators return. *)
 
 type outcome = Delivered | Dropped | Unreachable
 
@@ -42,27 +40,6 @@ type run = {
   links : link list;
   events : event list;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Recording                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let enabled_flag = ref false
-let lock = Mutex.create ()
-let run_log : run list ref = ref [] (* reverse arrival order *)
-
-let enable () = enabled_flag := true
-let disable () = enabled_flag := false
-let enabled () = !enabled_flag
-let reset () = Mutex.protect lock (fun () -> run_log := [])
-
-let record_run r =
-  if !enabled_flag then Mutex.protect lock (fun () -> run_log := r :: !run_log)
-
-let runs () = Mutex.protect lock (fun () -> List.rev !run_log)
-
-let last_run () =
-  Mutex.protect lock (fun () -> match !run_log with [] -> None | r :: _ -> Some r)
 
 (* ------------------------------------------------------------------ *)
 (* Analysis                                                            *)

@@ -1,22 +1,17 @@
 (** Deep network telemetry: per-message lifecycles and per-link series.
 
-    {!Obs} records spans and scalar metrics; this module records what the
-    network simulators actually {e did}: every message's lifecycle
-    (inject → hop → queue-wait → retransmit/drop → deliver, plus
-    unreachable verdicts from the fault model) and every directed
-    link's utilization, traffic, queue occupancy and stall time.  The
-    simulators assemble one {!run} value per simulation and push it
-    here; the pure renderers below turn recorded runs into an ASCII
-    link heatmap + percentile table ([resopt-cli report --net]) or a
+    {!Obs} records spans and scalar metrics and {!Profile} records
+    scheduler profiles: those are the two recorders.  This module
+    records nothing.  It types what an event simulation actually
+    {e did}, the value [Machine.Eventsim.run] returns: every
+    message's lifecycle (inject → hop → queue-wait → retransmit/drop →
+    deliver, plus unreachable verdicts from the fault model) and every
+    directed link's utilization, traffic, queue occupancy and stall
+    time.  The pure renderers below turn runs into an ASCII link
+    heatmap + percentile table ([resopt-cli report --net]) or a
     self-contained HTML dashboard (embedded JSON, inline JS, no
-    external assets).
-
-    Like {!Obs} the module is dependency-free, records into one
-    process-wide, mutex-guarded store (a run recorded on any domain,
-    {!Par} worker or not, is kept, in arrival order) and is off by
-    default: until {!enable} is called the simulators skip every
-    recording branch, so a telemetry-off run is byte-identical to a
-    build without this module. *)
+    external assets).  A run made on any domain is simply a value its
+    caller holds. *)
 
 (** {1 Data model} *)
 
@@ -51,7 +46,7 @@ type event = { ev_cycle : int; ev_kind : string; ev_msg : int }
 
 type run = {
   sim : string;  (** ["eventsim"] or ["eventsim-wormhole"] *)
-  label : string;
+  label : string;  (** [""] as simulated; the caller names the run *)
   dims : int array;  (** grid extents, ranks row-major; [[||]] otherwise *)
   torus : bool;
   topo_spec : string;
@@ -64,24 +59,6 @@ type run = {
   links : link list;
   events : event list;
 }
-
-(** {1 Recording} *)
-
-val enable : unit -> unit
-val disable : unit -> unit
-val enabled : unit -> bool
-
-val reset : unit -> unit
-(** Drop every recorded run. *)
-
-val record_run : run -> unit
-(** Push a completed run; a no-op while disabled. *)
-
-val runs : unit -> run list
-(** Recorded runs, in arrival order. *)
-
-val last_run : unit -> run option
-(** The most recently recorded run. *)
 
 (** {1 Analysis} *)
 
@@ -115,7 +92,8 @@ val render_ascii : run -> string
     heatmap. *)
 
 val render_html : ?extra:string -> run list -> string
-(** A single-file HTML dashboard over the given runs: the JSON payload
+(** A single-file HTML dashboard over the given runs, in the order
+    given: the JSON payload
     is embedded in a [<script type="application/json"
     id="telemetry-data">] block (parseable on its own) and rendered by
     inline JavaScript — no external assets, openable from disk.

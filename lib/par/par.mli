@@ -16,13 +16,13 @@
     again independent of scheduling.
 
     Observability needs nothing from this module beyond the worker
-    id: {!Obs}, {!Obs.Telemetry} and {!Obs.Profile} record into
+    id: the two recorders, {!Obs} and {!Obs.Profile}, record into
     process-wide stores that every domain shares, so each worker slot
     only runs inside {!Obs.Profile.with_worker}.  Counter and
-    histogram totals therefore match a sequential run, every span
-    recorded inside a task carries a [("worker", <slot>)] arg, and
-    simulation runs recorded on workers land in
-    {!Obs.Telemetry.runs}.  A slot keeps no state of its own, so
+    histogram totals therefore match a sequential run, and every span
+    recorded inside a task carries a [("worker", <slot>)] arg.  A
+    simulation's telemetry is its return value, so it comes back
+    with the task's result.  A slot keeps no state of its own, so
     nothing is folded back at join.
 
     Pools are coordinated from one domain at a time: do not share a

@@ -408,7 +408,6 @@ let test_benchstore_directions () =
     Obs.Benchstore.compare_metrics ~threshold:0.1
       ~baseline:[ ("a.efficiency", 0.9); ("a.bound_bytes", 100.0) ]
       ~current:[ ("a.efficiency", 0.5); ("a.bound_bytes", 500.0) ]
-      ()
   in
   let failures = Obs.Benchstore.failures comps in
   Alcotest.(check int) "exactly the efficiency drop fails" 1
@@ -423,7 +422,6 @@ let test_benchstore_directions () =
     Obs.Benchstore.compare_metrics ~threshold:0.1
       ~baseline:[ ("a.efficiency", 0.5); ("a.bound_bytes", 100.0) ]
       ~current:[ ("a.efficiency", 0.9); ("a.bound_bytes", 500.0) ]
-      ()
   in
   Alcotest.(check int) "improvements never fail" 0
     (List.length (Obs.Benchstore.failures comps))

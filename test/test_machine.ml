@@ -559,8 +559,8 @@ let netsim_diff_props =
    coalesced volume replays its pairs in is observable.  It must be
    the order message lists were coalesced in ([Reference.coalesce]),
    local pairs included: a coalesced volume and the uncoalesced volume
-   of the reference-coalesced list must simulate alike, result and
-   telemetry, in both modes, healthy and under flaky links.  Lists of
+   of the reference-coalesced list must simulate alike, telemetry
+   included, in both modes, healthy and under flaky links.  Lists of
    a few pairs test the order within a table of 64 buckets; lists of
    hundreds of pairs make the table resize. *)
 let eventsim_order spec =
@@ -583,24 +583,14 @@ let eventsim_order spec =
         let local = Message.make ~src:h ~dst:h ~bytes:16 in
         shuffle_l ((local :: local :: List.filteri (fun i _ -> i < 2) msgs) @ msgs))
   in
-  let simulate faults params v =
-    Obs.Telemetry.reset ();
-    Obs.Telemetry.enable ();
-    let r =
-      Fun.protect ~finally:Obs.Telemetry.disable (fun () ->
-          Eventsim.run ~faults topo params v)
-    in
-    let recorded = Obs.Telemetry.runs () in
-    Obs.Telemetry.reset ();
-    (r, recorded)
-  in
   let flaky = Fault.make ~seed:42 [ Fault.Flaky { link = None; prob = 0.1 } ] in
   let wormhole = { Eventsim.default_params with Eventsim.mode = Eventsim.Wormhole } in
   prop ~count:60 spec arb (fun msgs ->
       List.for_all
         (fun (faults, params) ->
-          simulate faults params (Netsim.volume ~coalesce:true topo (Message.of_list msgs))
-          = simulate faults params (Reference.raw topo (Reference.coalesce msgs)))
+          Eventsim.run ~faults topo params
+            (Netsim.volume ~coalesce:true topo (Message.of_list msgs))
+          = Eventsim.run ~faults topo params (Reference.raw topo (Reference.coalesce msgs)))
         [
           (Fault.none, Eventsim.default_params);
           (flaky, Eventsim.default_params);

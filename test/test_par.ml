@@ -157,7 +157,7 @@ let test_shared_pools () =
   Par.Shared.shutdown_all ()
 
 (* ------------------------------------------------------------------ *)
-(* Obs, Telemetry and worker slots                                     *)
+(* Obs and worker slots                                                *)
 (* ------------------------------------------------------------------ *)
 
 let obs_setup () =
@@ -215,92 +215,36 @@ let test_obs_spans_gain_worker_arg () =
     spans;
   obs_teardown ()
 
-(* one small simulation per task, each run labelled with its input *)
-let sim_task i =
-  let topo = Machine.Topology.make ~torus:true [| 4; 4 |] in
-  ignore
-    (Machine.Eventsim.run ~label:(string_of_int i) topo
-       Machine.Eventsim.default_params
-       (Reference.raw topo
-          [ Machine.Message.make ~src:0 ~dst:(1 + (i mod 15)) ~bytes:(16 * (i + 1)) ]))
-
 let test_obs_disabled_stays_silent () =
   Obs.reset ();
   Obs.disable ();
-  Obs.Telemetry.reset ();
-  Obs.Telemetry.disable ();
   (with_pool 4 @@ fun pool ->
    ignore
      (Par.map pool
         (fun i ->
           Obs.incr "par.test.silent";
-          sim_task i;
           i)
         (List.init 8 Fun.id)));
   Alcotest.(check int) "nothing recorded when disabled" 0
-    (Obs.counter "par.test.silent");
-  Alcotest.(check int) "no telemetry runs when disabled" 0
-    (List.length (Obs.Telemetry.runs ()))
+    (Obs.counter "par.test.silent")
 
-(* Runs recorded on worker domains land in the shared store after the
-   runs the caller already had, in arrival order, which depends on
-   scheduling, so the parallel runs are compared sorted by label. *)
-let telemetry_runs jobs =
-  Obs.Telemetry.reset ();
-  Obs.Telemetry.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Telemetry.disable ();
-      Obs.Telemetry.reset ())
-    (fun () ->
-      sim_task (-1);
-      (with_pool jobs @@ fun pool ->
-       ignore (Par.map pool sim_task (List.init 16 Fun.id)));
-      match Obs.Telemetry.runs () with
-      | first :: rest ->
-        ( first.Obs.Telemetry.label,
-          List.sort
-            (fun a b -> compare a.Obs.Telemetry.label b.Obs.Telemetry.label)
-            rest )
-      | [] -> ("", []))
-
-let test_telemetry_merge () =
-  let label r = r.Obs.Telemetry.label in
-  let _, seq = telemetry_runs 1 in
-  let first, par = telemetry_runs 4 in
-  Alcotest.(check string) "caller's run stays first" "-1" first;
-  Alcotest.(check int) "all 16 runs kept at jobs 4" 16 (List.length par);
-  Alcotest.(check (list string)) "same labels as jobs 1" (List.map label seq)
-    (List.map label par);
-  Alcotest.(check bool) "same runs as jobs 1" true (seq = par)
-
-(* A domain that Par did not spawn records into the same stores as
-   every other domain: after the join the caller sees its counter, its
-   span (with no worker arg, being outside any Par slot) and its
-   simulation run. *)
+(* A domain that Par did not spawn records into the same store as
+   every other domain: after the join the caller sees its counter and
+   its span (with no worker arg, being outside any Par slot). *)
 let test_bare_domain_kept () =
   obs_setup ();
-  Obs.Telemetry.reset ();
-  Obs.Telemetry.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Telemetry.disable ();
-      Obs.Telemetry.reset ();
-      obs_teardown ())
-  @@ fun () ->
+  Fun.protect ~finally:obs_teardown @@ fun () ->
   Domain.join
     (Domain.spawn (fun () ->
          Obs.incr "par.test.bare";
-         Obs.with_span "par.test.bare_span" (fun () -> sim_task 7)));
+         Obs.with_span "par.test.bare_span" ignore));
   Alcotest.(check int) "counter kept" 1 (Obs.counter "par.test.bare");
   let spans =
     List.filter (fun s -> s.Obs.span_name = "par.test.bare_span") (Obs.spans ())
   in
   Alcotest.(check (list (list (pair string string)))) "span kept, untagged"
     [ [] ]
-    (List.map (fun s -> s.Obs.args) spans);
-  Alcotest.(check (list string)) "run kept" [ "7" ]
-    (List.map (fun r -> r.Obs.Telemetry.label) (Obs.Telemetry.runs ()))
+    (List.map (fun s -> s.Obs.args) spans)
 
 (* ------------------------------------------------------------------ *)
 
@@ -338,7 +282,6 @@ let () =
             test_obs_spans_gain_worker_arg;
           Alcotest.test_case "disabled stays silent" `Quick
             test_obs_disabled_stays_silent;
-          Alcotest.test_case "telemetry runs merge" `Quick test_telemetry_merge;
           Alcotest.test_case "records from a bare domain are kept" `Quick
             test_bare_domain_kept;
         ] );

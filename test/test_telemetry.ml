@@ -1,15 +1,6 @@
-(* Tests for the Obs.Telemetry sink (percentiles, gini, heatmap,
-   ASCII/HTML renderers), the Obs.Benchstore history + comparator, and
-   the no-observer-effect property of the instrumented simulators. *)
-
-let with_telemetry f =
-  Obs.Telemetry.reset ();
-  Obs.Telemetry.enable ();
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Telemetry.disable ();
-      Obs.Telemetry.reset ())
-    f
+(* Tests for Obs.Telemetry (percentiles, gini, heatmap, ASCII/HTML
+   renderers), the run an event simulation returns, and the
+   Obs.Benchstore history + comparator. *)
 
 (* ------------------------------------------------------------------ *)
 (* Percentiles and gini                                                *)
@@ -108,37 +99,37 @@ let test_heatmap_mesh_and_table () =
 let broadcast_msgs =
   List.init 15 (fun i -> Machine.Message.make ~src:0 ~dst:(i + 1) ~bytes:16)
 
+(* The run of a broadcast on a 4x4 torus, labelled as a caller would. *)
+let broadcast_run label params =
+  let topo = Machine.Topology.make ~torus:true [| 4; 4 |] in
+  let r = Machine.Eventsim.run topo params (Reference.raw topo broadcast_msgs) in
+  (r, { r.Machine.Eventsim.telemetry with Obs.Telemetry.label })
+
 let test_broadcast_report_golden () =
-  with_telemetry (fun () ->
-      let topo = Machine.Topology.make ~torus:true [| 4; 4 |] in
-      let r =
-        Machine.Eventsim.run ~label:"bcast" topo Machine.Eventsim.default_params
-          (Reference.raw topo broadcast_msgs)
-      in
-      let run = Option.get (Obs.Telemetry.last_run ()) in
-      let actual = Obs.Telemetry.render_ascii run in
-      let expected =
-        String.concat "\n"
-          [
-            "telemetry: eventsim [bcast] on 4x4 torus, 15 messages, 962 cycles";
-            "outcome: delivered 15  dropped 0  unreachable 0  retransmits 0";
-            "latency (cycles): p50 0.0  p95 1.0  p99 1.0  (min 0.0, max 1.0)";
-            "queue wait (cycles): p50 0.0  p95 1.0  p99 1.0  (min 0.0, max 1.0)";
-            "links: 15 active, load gini 0.383 (busy cycles)";
-            "link heatmap ('.'=idle, '1'-'9' scaled to peak 8; '~'=torus wrap):";
-            "+  3  +  2  +  .  +  ~2";
-            "9     .     .     .";
-            "+  3  +  2  +  .  +  ~2";
-            "5     .     .     .";
-            "+  3  +  2  +  .  +  ~2";
-            ".     .     .     .";
-            "+  3  +  2  +  .  +  ~2";
-            "~5    ~.    ~.    ~.";
-            "";
-          ]
-      in
-      Alcotest.(check int) "all delivered" 15 r.Machine.Eventsim.delivered;
-      Alcotest.(check string) "broadcast telemetry report" expected actual)
+  let r, run = broadcast_run "bcast" Machine.Eventsim.default_params in
+  let actual = Obs.Telemetry.render_ascii run in
+  let expected =
+    String.concat "\n"
+      [
+        "telemetry: eventsim [bcast] on 4x4 torus, 15 messages, 962 cycles";
+        "outcome: delivered 15  dropped 0  unreachable 0  retransmits 0";
+        "latency (cycles): p50 0.0  p95 1.0  p99 1.0  (min 0.0, max 1.0)";
+        "queue wait (cycles): p50 0.0  p95 1.0  p99 1.0  (min 0.0, max 1.0)";
+        "links: 15 active, load gini 0.383 (busy cycles)";
+        "link heatmap ('.'=idle, '1'-'9' scaled to peak 8; '~'=torus wrap):";
+        "+  3  +  2  +  .  +  ~2";
+        "9     .     .     .";
+        "+  3  +  2  +  .  +  ~2";
+        "5     .     .     .";
+        "+  3  +  2  +  .  +  ~2";
+        ".     .     .     .";
+        "+  3  +  2  +  .  +  ~2";
+        "~5    ~.    ~.    ~.";
+        "";
+      ]
+  in
+  Alcotest.(check int) "all delivered" 15 r.Machine.Eventsim.delivered;
+  Alcotest.(check string) "broadcast telemetry report" expected actual
 
 (* ------------------------------------------------------------------ *)
 (* HTML dashboard well-formedness                                      *)
@@ -211,62 +202,51 @@ let extract_payload html =
   String.sub html start (stop - start)
 
 let test_dashboard_html () =
-  with_telemetry (fun () ->
-      let topo = Machine.Topology.make ~torus:true [| 4; 4 |] in
-      ignore
-        (Machine.Eventsim.run ~label:"bcast" topo Machine.Eventsim.default_params
-           (Reference.raw topo broadcast_msgs));
-      ignore
-        (Machine.Eventsim.run ~label:"bcast-wormhole" topo
-           { Machine.Eventsim.default_params with mode = Machine.Eventsim.Wormhole }
-           (Reference.raw topo broadcast_msgs));
-      let html = Obs.Telemetry.render_html (Obs.Telemetry.runs ()) in
-      let payload = String.trim (extract_payload html) in
-      (* the payload must survive sitting inside a <script> block *)
-      Alcotest.(check bool) "payload has no raw '<'" false
-        (String.contains payload '<');
-      let stop = skip_json payload 0 in
-      Alcotest.(check int) "payload is one complete JSON value"
-        (String.length payload) stop;
-      Alcotest.(check bool) "both runs embedded" true
-        (Str.string_match (Str.regexp ".*\"sim\":\"eventsim\".*") payload 0
-        && Str.string_match (Str.regexp ".*\"sim\":\"eventsim-wormhole\".*") payload 0))
+  let wormhole =
+    { Machine.Eventsim.default_params with mode = Machine.Eventsim.Wormhole }
+  in
+  let html =
+    Obs.Telemetry.render_html
+      [
+        snd (broadcast_run "bcast" Machine.Eventsim.default_params);
+        snd (broadcast_run "bcast-wormhole" wormhole);
+      ]
+  in
+  let payload = String.trim (extract_payload html) in
+  (* the payload must survive sitting inside a <script> block *)
+  Alcotest.(check bool) "payload has no raw '<'" false
+    (String.contains payload '<');
+  let stop = skip_json payload 0 in
+  Alcotest.(check int) "payload is one complete JSON value"
+    (String.length payload) stop;
+  Alcotest.(check bool) "both runs embedded" true
+    (Str.string_match (Str.regexp ".*\"sim\":\"eventsim\".*") payload 0
+    && Str.string_match (Str.regexp ".*\"sim\":\"eventsim-wormhole\".*") payload 0)
 
 (* A label that would close the <script> block must come out as
    \u003c escapes, and the payload must still end where its JSON does. *)
 let test_dashboard_script_safe () =
-  with_telemetry (fun () ->
-      let topo = Machine.Topology.make ~torus:true [| 4; 4 |] in
-      ignore
-        (Machine.Eventsim.run ~label:"a<b</script>" topo
-           Machine.Eventsim.default_params (Reference.raw topo broadcast_msgs));
-      let html = Obs.Telemetry.render_html (Obs.Telemetry.runs ()) in
-      let payload = String.trim (extract_payload html) in
-      Alcotest.(check bool) "no raw '<' between the script tags" false
-        (String.contains payload '<');
-      Alcotest.(check bool) "label written with \\u003c" true
-        (try
-           ignore
-             (Str.search_forward
-                (Str.regexp_string "\"a\\u003cb\\u003c/script>\"")
-                payload 0);
-           true
-         with Not_found -> false);
-      Alcotest.(check int) "payload is one complete JSON value"
-        (String.length payload) (skip_json payload 0))
+  let html =
+    Obs.Telemetry.render_html
+      [ snd (broadcast_run "a<b</script>" Machine.Eventsim.default_params) ]
+  in
+  let payload = String.trim (extract_payload html) in
+  Alcotest.(check bool) "no raw '<' between the script tags" false
+    (String.contains payload '<');
+  Alcotest.(check bool) "label written with \\u003c" true
+    (try
+       ignore
+         (Str.search_forward
+            (Str.regexp_string "\"a\\u003cb\\u003c/script>\"")
+            payload 0);
+       true
+     with Not_found -> false);
+  Alcotest.(check int) "payload is one complete JSON value"
+    (String.length payload) (skip_json payload 0)
 
 (* ------------------------------------------------------------------ *)
-(* No observer effect: telemetry on/off gives identical results        *)
+(* The result summarizes its run                                       *)
 (* ------------------------------------------------------------------ *)
-
-let result_tuple (r : Machine.Eventsim.result) =
-  ( r.Machine.Eventsim.cycles,
-    r.Machine.Eventsim.delivered,
-    r.Machine.Eventsim.dropped,
-    r.Machine.Eventsim.retransmits,
-    r.Machine.Eventsim.unreachable,
-    r.Machine.Eventsim.max_link_queue,
-    r.Machine.Eventsim.total_link_busy )
 
 let msgs_gen =
   QCheck.Gen.(
@@ -275,118 +255,55 @@ let msgs_gen =
          (fun src dst bytes -> Machine.Message.make ~src ~dst ~bytes)
          (int_range 0 8) (int_range 0 8) (int_range 0 64)))
 
-let prop_no_observer_effect =
-  QCheck.Test.make ~count:50 ~name:"telemetry on/off: identical eventsim results"
+(* Every result field but [max_inject_wait] is what the returned run
+   implies, in both modes, on a healthy machine and under flaky links,
+   a dead link, a link down for an interval and a dead node. *)
+let prop_result_summarizes_run =
+  QCheck.Test.make ~count:50 ~name:"result summarizes the run"
     (QCheck.make msgs_gen) (fun msgs ->
       let topo = Machine.Topology.make ~torus:true [| 3; 3 |] in
-      let faults =
+      let faulty =
         Machine.Fault.make ~seed:7
-          [ Machine.Fault.Flaky { link = None; prob = 0.05 } ]
+          [
+            Machine.Fault.Flaky { link = None; prob = 0.3 };
+            Machine.Fault.Link_down { a = 0; b = 1; from_cycle = 0; until_cycle = max_int };
+            Machine.Fault.Link_down { a = 4; b = 5; from_cycle = 50; until_cycle = 400 };
+            Machine.Fault.Dead_node 8;
+          ]
       in
-      let run () =
-        result_tuple
-          (Machine.Eventsim.run ~faults topo Machine.Eventsim.default_params
-             (Reference.raw topo msgs))
+      let wormhole =
+        { Machine.Eventsim.default_params with mode = Machine.Eventsim.Wormhole }
       in
-      Obs.Telemetry.disable ();
-      let off = run () in
-      let on =
-        with_telemetry (fun () ->
-            let r = run () in
-            (* and the recorded run agrees with the returned result *)
-            let tr = Option.get (Obs.Telemetry.last_run ()) in
-            let count o =
-              List.length
-                (List.filter
-                   (fun (m : Obs.Telemetry.message) -> m.Obs.Telemetry.outcome = o)
-                   tr.Obs.Telemetry.messages)
-            in
-            let _, delivered, dropped, _, unreachable, _, _ = r in
-            assert (count Obs.Telemetry.Delivered = delivered);
-            assert (count Obs.Telemetry.Dropped = dropped);
-            assert (count Obs.Telemetry.Unreachable = unreachable);
-            assert (List.length tr.Obs.Telemetry.messages = List.length msgs);
-            r)
-      in
-      on = off)
-
-(* Telemetry is the record of an event simulation: a closed-form
-   price, a decomposition's phases and a sweep cell's plan prices over
-   shared folds record no run, and give the same bits with the sink on
-   as off.  The cell prices every curated workload on two models of
-   one topology, so the second reads what the fold kept. *)
-let test_pricing_records_no_run () =
-  let faults =
-    Machine.Fault.make ~seed:42 [ Machine.Fault.Flaky { link = None; prob = 0.05 } ]
-  in
-  let par = Machine.Models.paragon () in
-  let topo = par.Machine.Models.topo in
-  let msgs =
-    List.init 96 (fun i ->
-        Machine.Message.make ~src:(i mod 32) ~dst:(i * 7 mod 32)
-          ~bytes:(8 * (1 + (i mod 3))))
-  in
-  let netsim coalesce =
-    Machine.Netsim.price ~faults topo par.Machine.Models.net
-      (Machine.Netsim.volume ~coalesce topo (Machine.Message.of_list msgs))
-  in
-  let phases () =
-    Distrib.Foldsim.decomposed_time ~faults par ~layout:(Distrib.Layout.all_cyclic 2)
-      ~vgrid:[| 32; 16 |]
-      ~factors:
+      List.for_all
+        (fun (faults, params) ->
+          let r = Machine.Eventsim.run ~faults topo params (Reference.raw topo msgs) in
+          let t = r.Machine.Eventsim.telemetry in
+          let count o =
+            List.length
+              (List.filter
+                 (fun (m : Obs.Telemetry.message) -> m.Obs.Telemetry.outcome = o)
+                 t.Obs.Telemetry.messages)
+          in
+          let sum f = List.fold_left (fun acc x -> acc + f x) 0 in
+          List.length t.Obs.Telemetry.messages = List.length msgs
+          && r.Machine.Eventsim.cycles = t.Obs.Telemetry.total_cycles
+          && r.Machine.Eventsim.delivered = count Obs.Telemetry.Delivered
+          && r.Machine.Eventsim.dropped = count Obs.Telemetry.Dropped
+          && r.Machine.Eventsim.unreachable = count Obs.Telemetry.Unreachable
+          && r.Machine.Eventsim.retransmits
+             = sum (fun m -> m.Obs.Telemetry.retransmits) t.Obs.Telemetry.messages
+          && r.Machine.Eventsim.total_link_busy
+             = sum (fun l -> l.Obs.Telemetry.busy) t.Obs.Telemetry.links
+          && r.Machine.Eventsim.max_link_queue
+             = List.fold_left
+                 (fun acc l -> max acc l.Obs.Telemetry.peak_queue)
+                 0 t.Obs.Telemetry.links)
         [
-          Linalg.Mat.of_lists [ [ 1; 0 ]; [ 3; 1 ] ];
-          Linalg.Mat.of_lists [ [ 1; 2 ]; [ 0; 1 ] ];
-        ]
-      ()
-  in
-  let cell () =
-    List.concat_map
-      (fun (w : Resopt.Workloads.t) ->
-        let plan =
-          (Resopt.Pipeline.run ~m:2 ~schedule:w.Resopt.Workloads.schedule
-             w.Resopt.Workloads.nest)
-            .Resopt.Pipeline.plan
-        in
-        let fold_of = Resopt.Residual.shared () in
-        List.concat_map
-          (fun model ->
-            let fold = fold_of model plan in
-            let cost faults mapping =
-              Marshal.to_string
-                (Resopt.Cost.of_fold ~faults ~mapping model fold plan)
-                [ Marshal.No_sharing ]
-            in
-            let bound =
-              Option.map
-                (fun f ->
-                  Marshal.to_string
-                    (Resopt.Efficiency.of_traffic model.Machine.Models.net f)
-                    [ Marshal.No_sharing ])
-                fold
-            in
-            [
-              cost Machine.Fault.none None;
-              cost faults None;
-              cost Machine.Fault.none (Some (Mapping.spec Mapping.Greedy));
-            ]
-            @ Option.to_list bound)
-          [ Machine.Models.cm5 (); par ])
-      (Resopt.Workloads.all ())
-  in
-  let bits () =
-    Marshal.to_string (netsim true, netsim false, phases ()) [ Marshal.No_sharing ]
-    :: cell ()
-  in
-  Obs.Telemetry.disable ();
-  let off = bits () in
-  let on, runs =
-    with_telemetry (fun () ->
-        let on = bits () in
-        (on, List.length (Obs.Telemetry.runs ())))
-  in
-  Alcotest.(check int) "no run recorded" 0 runs;
-  Alcotest.(check bool) "same bits with telemetry on" true (on = off)
+          (Machine.Fault.none, Machine.Eventsim.default_params);
+          (faulty, Machine.Eventsim.default_params);
+          (Machine.Fault.none, wormhole);
+          (faulty, wormhole);
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Benchstore: record round-trip and parse errors                      *)
@@ -408,8 +325,8 @@ let test_benchstore_roundtrip () =
    with
   | Ok old -> Alcotest.(check bool) "old line with a cache key loads" true (old = r)
   | Error e -> Alcotest.failf "old line rejected: %s" e);
-  (* defaults *)
-  let d = Obs.Benchstore.make ~experiment:"e" ~metric:"m" 1.5 in
+  (* no jobs, no faults, no revision or time *)
+  let d = Obs.Benchstore.make ~git_rev:"" ~timestamp:"" ~experiment:"e" ~metric:"m" 1.5 in
   (match Obs.Benchstore.of_line (Obs.Benchstore.to_line d) with
   | Ok d' ->
     Alcotest.(check bool) "defaults round-trip" true (d = d');
@@ -439,7 +356,9 @@ let test_benchstore_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove file)
     (fun () ->
-      let mk m v = Obs.Benchstore.make ~experiment:"x" ~metric:m v in
+      let mk m v =
+        Obs.Benchstore.make ~git_rev:"" ~timestamp:"" ~experiment:"x" ~metric:m v
+      in
       Obs.Benchstore.append file [ mk "a_time" 10.0; mk "b_time" 20.0 ];
       (* append again: latest record per key wins in load_metrics *)
       Obs.Benchstore.append file [ mk "a_time" 11.0 ];
@@ -458,7 +377,7 @@ let test_benchstore_file_roundtrip () =
 let verdict_of metrics_base metrics_cur name =
   let cs =
     Obs.Benchstore.compare_metrics ~threshold:0.3 ~baseline:metrics_base
-      ~current:metrics_cur ()
+      ~current:metrics_cur
   in
   (List.find (fun c -> c.Obs.Benchstore.comp_metric = name) cs)
     .Obs.Benchstore.comp_verdict
@@ -500,7 +419,6 @@ let test_compare_missing_added () =
     Obs.Benchstore.compare_metrics ~threshold:0.3
       ~baseline:[ ("a_time", 1.0); ("gone_time", 2.0) ]
       ~current:[ ("a_time", 1.0); ("new_time", 3.0) ]
-      ()
   in
   let v name =
     (List.find (fun c -> c.Obs.Benchstore.comp_metric = name) cs)
@@ -615,12 +533,7 @@ let () =
           Alcotest.test_case "script-closing label escaped" `Quick
             test_dashboard_script_safe;
         ] );
-      ( "observer",
-        [
-          QCheck_alcotest.to_alcotest prop_no_observer_effect;
-          Alcotest.test_case "closed-form pricing records no run" `Quick
-            test_pricing_records_no_run;
-        ] );
+      ("eventsim", [ QCheck_alcotest.to_alcotest prop_result_summarizes_run ]);
       ( "benchstore",
         [
           Alcotest.test_case "record round-trip" `Quick test_benchstore_roundtrip;

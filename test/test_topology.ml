@@ -2,7 +2,7 @@
 
    One shared suite of invariants — route validity, distance bounds,
    detour-or-None correctness, delivery conservation under faults,
-   telemetry no-observer-effect, mapping search <= greedy <= identity,
+   no observer effect of Obs recording, mapping search <= greedy <= identity,
    same-seed and jobs-1-vs-4 determinism — instantiated against every
    topology family.  Adding a topology means adding ONE line to
    [matrix] below; no new test logic.  (Optionally also pin its
@@ -212,20 +212,23 @@ let test_conservation topo () =
           r.Eventsim.delivered)
     (fault_variants topo)
 
+(* Obs recording is the one switch the simulator reads: sampling the
+   link state into point series must not change the run. *)
 let test_no_observer topo () =
   let msgs = msgs_for topo in
   let faults = Fault.make ~seed:5 [ Fault.Flaky { link = None; prob = 0.1 } ] in
   let quiet = Eventsim.run ~faults topo Eventsim.default_params (Reference.raw topo msgs) in
   let watched =
-    Obs.Telemetry.enable ();
+    Obs.reset ();
+    Obs.enable ();
     Fun.protect
       ~finally:(fun () ->
-        Obs.Telemetry.disable ();
-        Obs.Telemetry.reset ())
+        Obs.disable ();
+        Obs.reset ())
       (fun () ->
         Eventsim.run ~faults topo Eventsim.default_params (Reference.raw topo msgs))
   in
-  Alcotest.(check bool) "telemetry does not change the simulation" true
+  Alcotest.(check bool) "Obs recording does not change the simulation" true
     (quiet = watched)
 
 let test_mapping_order topo () =
